@@ -6,8 +6,9 @@
  * change that moves every mode the same way passes them. These digests
  * pin the absolute output instead: for each case, one FNV-1a hash over
  * every FrameStats field (per-cluster shards included), every image
- * byte, and every registry counter and scalar except the two that
- * report the host's SIMD tier (simd.dispatch, texunit.simd_width). Each
+ * byte, and every registry counter and scalar except the three that
+ * report host settings (the SIMD tier: simd.dispatch,
+ * texunit.simd_width; the texel storage: texture.morton_storage). Each
  * case runs serially and tile-parallel on three workers; both must hit
  * the frozen value.
  *
@@ -120,7 +121,8 @@ runDigest(const RunResult &run)
         d.word(v);
     }
     for (const auto &[name, v] : snap.scalars) {
-        if (name == "simd.dispatch" || name == "texunit.simd_width")
+        if (name == "simd.dispatch" || name == "texunit.simd_width" ||
+            name == "texture.morton_storage")
             continue;
         d.text(name);
         d.real(v);
@@ -141,41 +143,64 @@ constexpr int kHeight = 48;
 constexpr int kFrames = 2;
 
 // 8 games x {noaf, baseline, patu} under the paper's PATU policy, then
-// HL2 patu under every filter policy.
+// HL2 patu under the four other filter policies.
 const GoldenCase kCases[] = {
-    {GameId::HL2, DesignScenario::NoAF, FilterPolicyId::Patu, 0x0ull},
-    {GameId::HL2, DesignScenario::Baseline, FilterPolicyId::Patu, 0x0ull},
-    {GameId::HL2, DesignScenario::Patu, FilterPolicyId::Patu, 0x0ull},
-    {GameId::Doom3, DesignScenario::NoAF, FilterPolicyId::Patu, 0x0ull},
-    {GameId::Doom3, DesignScenario::Baseline, FilterPolicyId::Patu, 0x0ull},
-    {GameId::Doom3, DesignScenario::Patu, FilterPolicyId::Patu, 0x0ull},
-    {GameId::Grid, DesignScenario::NoAF, FilterPolicyId::Patu, 0x0ull},
-    {GameId::Grid, DesignScenario::Baseline, FilterPolicyId::Patu, 0x0ull},
-    {GameId::Grid, DesignScenario::Patu, FilterPolicyId::Patu, 0x0ull},
-    {GameId::Nfs, DesignScenario::NoAF, FilterPolicyId::Patu, 0x0ull},
-    {GameId::Nfs, DesignScenario::Baseline, FilterPolicyId::Patu, 0x0ull},
-    {GameId::Nfs, DesignScenario::Patu, FilterPolicyId::Patu, 0x0ull},
-    {GameId::Stalker, DesignScenario::NoAF, FilterPolicyId::Patu, 0x0ull},
+    {GameId::HL2, DesignScenario::NoAF, FilterPolicyId::Patu,
+     0x4FCE1C4E71B79C46ull},
+    {GameId::HL2, DesignScenario::Baseline, FilterPolicyId::Patu,
+     0x062A70A1A524A6E8ull},
+    {GameId::HL2, DesignScenario::Patu, FilterPolicyId::Patu,
+     0xAF2BA393E98F9051ull},
+    {GameId::Doom3, DesignScenario::NoAF, FilterPolicyId::Patu,
+     0x377E228F3181CED3ull},
+    {GameId::Doom3, DesignScenario::Baseline, FilterPolicyId::Patu,
+     0x655B49060CBDEF3Cull},
+    {GameId::Doom3, DesignScenario::Patu, FilterPolicyId::Patu,
+     0x322E433BBC6DAA11ull},
+    {GameId::Grid, DesignScenario::NoAF, FilterPolicyId::Patu,
+     0x4F8A8A353B3C1AE7ull},
+    {GameId::Grid, DesignScenario::Baseline, FilterPolicyId::Patu,
+     0xF0B44E8CE093E793ull},
+    {GameId::Grid, DesignScenario::Patu, FilterPolicyId::Patu,
+     0x28CC60407D3DF0E1ull},
+    {GameId::Nfs, DesignScenario::NoAF, FilterPolicyId::Patu,
+     0x118BF2258F025559ull},
+    {GameId::Nfs, DesignScenario::Baseline, FilterPolicyId::Patu,
+     0x4D517B6EA9764F80ull},
+    {GameId::Nfs, DesignScenario::Patu, FilterPolicyId::Patu,
+     0xA7BF68A4924FF579ull},
+    {GameId::Stalker, DesignScenario::NoAF, FilterPolicyId::Patu,
+     0x615C0D1A3E663784ull},
     {GameId::Stalker, DesignScenario::Baseline, FilterPolicyId::Patu,
-     0x0ull},
-    {GameId::Stalker, DesignScenario::Patu, FilterPolicyId::Patu, 0x0ull},
-    {GameId::Ut3, DesignScenario::NoAF, FilterPolicyId::Patu, 0x0ull},
-    {GameId::Ut3, DesignScenario::Baseline, FilterPolicyId::Patu, 0x0ull},
-    {GameId::Ut3, DesignScenario::Patu, FilterPolicyId::Patu, 0x0ull},
-    {GameId::Wolf, DesignScenario::NoAF, FilterPolicyId::Patu, 0x0ull},
-    {GameId::Wolf, DesignScenario::Baseline, FilterPolicyId::Patu, 0x0ull},
-    {GameId::Wolf, DesignScenario::Patu, FilterPolicyId::Patu, 0x0ull},
-    {GameId::RBench, DesignScenario::NoAF, FilterPolicyId::Patu, 0x0ull},
+     0xFBFA45E8F138B469ull},
+    {GameId::Stalker, DesignScenario::Patu, FilterPolicyId::Patu,
+     0x01621F138FBEA7ADull},
+    {GameId::Ut3, DesignScenario::NoAF, FilterPolicyId::Patu,
+     0xEA63904D56B523DBull},
+    {GameId::Ut3, DesignScenario::Baseline, FilterPolicyId::Patu,
+     0x00FBD4CB003858AAull},
+    {GameId::Ut3, DesignScenario::Patu, FilterPolicyId::Patu,
+     0x1AC5C7397A6EF562ull},
+    {GameId::Wolf, DesignScenario::NoAF, FilterPolicyId::Patu,
+     0x1089E699DEB32F25ull},
+    {GameId::Wolf, DesignScenario::Baseline, FilterPolicyId::Patu,
+     0xD029F2499FA1BD30ull},
+    {GameId::Wolf, DesignScenario::Patu, FilterPolicyId::Patu,
+     0x3E7762F5CF91155Full},
+    {GameId::RBench, DesignScenario::NoAF, FilterPolicyId::Patu,
+     0x05DCD6245738C9FEull},
     {GameId::RBench, DesignScenario::Baseline, FilterPolicyId::Patu,
-     0x0ull},
-    {GameId::RBench, DesignScenario::Patu, FilterPolicyId::Patu, 0x0ull},
-    {GameId::HL2, DesignScenario::Patu, FilterPolicyId::Patu, 0x0ull},
-    {GameId::HL2, DesignScenario::Patu, FilterPolicyId::StfUniform, 0x0ull},
-    {GameId::HL2, DesignScenario::Patu, FilterPolicyId::StfBlue, 0x0ull},
+     0x55705F490331C632ull},
+    {GameId::RBench, DesignScenario::Patu, FilterPolicyId::Patu,
+     0xC46CFDF72EE78A96ull},
+    {GameId::HL2, DesignScenario::Patu, FilterPolicyId::StfUniform,
+     0x65851802B1D46FC9ull},
+    {GameId::HL2, DesignScenario::Patu, FilterPolicyId::StfBlue,
+     0x8AA14DA039CDFA26ull},
     {GameId::HL2, DesignScenario::Patu, FilterPolicyId::StfWeighted,
-     0x0ull},
+     0x6E6E92DFE430B534ull},
     {GameId::HL2, DesignScenario::Patu, FilterPolicyId::FilterAfterShading,
-     0x0ull},
+     0x2C3D97957B6954FFull},
 };
 
 /** Every RunConfig field the digest depends on, set explicitly. */
@@ -208,7 +233,7 @@ caseName(const GoldenCase &c)
 
 TEST(Golden, DigestsMatchFrozenValues)
 {
-    Session &session = Session::global();
+    Session session;
     GameId built = GameId::HL2;
     GameTrace trace;
     bool have_trace = false;
