@@ -89,6 +89,14 @@ struct Reader
     }
 };
 
+/** True when @p v names a value of the enum whose last value is @p last. */
+template <typename E>
+bool
+inRange(std::uint32_t v, E last)
+{
+    return v <= static_cast<std::uint32_t>(last);
+}
+
 } // namespace
 
 bool
@@ -162,9 +170,18 @@ readTrace(const std::string &path, bool &ok)
     }
     t.name = r.str();
     t.scene.name = t.name;
-    t.id = static_cast<GameId>(r.u32());
-    t.width = static_cast<int>(r.u32());
-    t.height = static_cast<int>(r.u32());
+    const std::uint32_t id = r.u32();
+    const std::uint32_t width = r.u32();
+    const std::uint32_t height = r.u32();
+    if (!r.ok || !inRange(id, GameId::RBench) || width == 0 ||
+        width > kMaxTraceViewport || height == 0 ||
+        height > kMaxTraceViewport) {
+        std::fclose(f);
+        return t;
+    }
+    t.id = static_cast<GameId>(id);
+    t.width = static_cast<int>(width);
+    t.height = static_cast<int>(height);
 
     std::uint32_t ntex = r.u32();
     if (!r.ok || ntex > 4096) {
@@ -173,14 +190,18 @@ readTrace(const std::string &path, bool &ok)
     }
     for (std::uint32_t i = 0; i < ntex && r.ok; ++i) {
         TextureRecipe rec;
-        rec.kind = static_cast<TextureKind>(r.u32());
+        const std::uint32_t kind = r.u32();
         rec.size = static_cast<int>(r.u32());
         rec.seed = r.u32();
-        rec.wrap = static_cast<WrapMode>(r.u32());
-        if (!r.ok || rec.size <= 0 || rec.size > 8192) {
+        const std::uint32_t wrap = r.u32();
+        if (!r.ok || rec.size <= 0 || rec.size > 8192 ||
+            !inRange(kind, TextureKind::Panels) ||
+            !inRange(wrap, WrapMode::ClampToEdge)) {
             r.ok = false;
             break;
         }
+        rec.kind = static_cast<TextureKind>(kind);
+        rec.wrap = static_cast<WrapMode>(wrap);
         t.recipes.push_back(rec);
         t.scene.addTexture(std::make_unique<TextureMap>(
             rec.size, rec.size,
@@ -194,17 +215,20 @@ readTrace(const std::string &path, bool &ok)
     }
     for (std::uint32_t i = 0; i < ndraws && r.ok; ++i) {
         DrawCall d;
-        d.mesh.texture_id = static_cast<int>(r.u32());
-        d.filter = static_cast<FilterMode>(r.u32());
+        const std::uint32_t texture_id = r.u32();
+        const std::uint32_t filter = r.u32();
         std::uint32_t flags = r.u32();
         d.backface_cull = (flags & 1u) != 0;
         d.specular = (flags & 2u) != 0;
         d.model = r.mat();
         std::uint32_t nverts = r.u32();
-        if (!r.ok || nverts > (1u << 24)) {
+        if (!r.ok || nverts > (1u << 24) || texture_id >= ntex ||
+            !inRange(filter, FilterMode::Anisotropic)) {
             r.ok = false;
             break;
         }
+        d.mesh.texture_id = static_cast<int>(texture_id);
+        d.filter = static_cast<FilterMode>(filter);
         d.mesh.vertices.resize(nverts);
         for (Vertex &v : d.mesh.vertices) {
             v.pos.x = r.f32();
@@ -219,8 +243,13 @@ readTrace(const std::string &path, bool &ok)
             break;
         }
         d.mesh.indices.resize(nidx);
-        for (std::uint32_t &idx : d.mesh.indices)
+        for (std::uint32_t &idx : d.mesh.indices) {
             idx = r.u32();
+            if (idx >= nverts)
+                r.ok = false;
+        }
+        if (!r.ok)
+            break;
         t.scene.draws.push_back(std::move(d));
     }
 

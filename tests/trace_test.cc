@@ -5,7 +5,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <cstdio>
+#include <string>
 
 #include "trace/trace.hh"
 
@@ -162,4 +164,156 @@ TEST(TraceErrorTest, TruncatedFileFails)
     EXPECT_FALSE(ok);
     std::remove(full.c_str());
     std::remove(cut.c_str());
+}
+
+// --- Semantic validation ---------------------------------------------
+// Each case writes a valid trace, overwrites one 32-bit field at its
+// offset in the file format (see writeTrace()), and expects the load to
+// fail instead of handing the renderer a value it would index unchecked.
+
+namespace
+{
+
+/** Byte offsets of the fields the validation cases patch. */
+struct TraceLayout
+{
+    long id = 0;            ///< GameId.
+    long width = 0;
+    long height = 0;
+    long recipe_kind = 0;   ///< First recipe's TextureKind.
+    long recipe_wrap = 0;   ///< First recipe's WrapMode.
+    long draw_texture = 0;  ///< First draw's texture id.
+    long draw_filter = 0;   ///< First draw's FilterMode.
+    long draw_index = 0;    ///< First draw's first vertex index.
+    std::uint32_t textures = 0;
+    std::uint32_t vertices = 0; ///< First draw's vertex count.
+};
+
+TraceLayout
+layoutOf(const GameTrace &t)
+{
+    TraceLayout l;
+    l.id = 4 + 4 + static_cast<long>(t.name.size());
+    l.width = l.id + 4;
+    l.height = l.width + 4;
+    const long recipes = l.height + 8; // Past the recipe count.
+    l.recipe_kind = recipes;
+    l.recipe_wrap = recipes + 12;
+    l.draw_texture = recipes + 16 * static_cast<long>(t.recipes.size()) + 4;
+    l.draw_filter = l.draw_texture + 4;
+    const Mesh &m = t.scene.draws.front().mesh;
+    // filter, flags, model matrix, vertex count, vertices, index count.
+    l.draw_index = l.draw_filter + 4 + 4 + 64 + 4 +
+        20 * static_cast<long>(m.vertices.size()) + 4;
+    l.textures = static_cast<std::uint32_t>(t.recipes.size());
+    l.vertices = static_cast<std::uint32_t>(m.vertices.size());
+    return l;
+}
+
+class TraceValidation : public testing::Test
+{
+  protected:
+    void
+    SetUp() override
+    {
+        trace = buildGameTrace(GameId::Wolf, 64, 48, 1);
+        layout = layoutOf(trace);
+        ASSERT_TRUE(writeTrace(trace, path));
+    }
+
+    void
+    TearDown() override
+    {
+        std::remove(path.c_str());
+    }
+
+    /** Overwrite the u32 at @p offset with @p v, then load the file. */
+    bool
+    loadPatched(long offset, std::uint32_t v)
+    {
+        std::FILE *f = std::fopen(path.c_str(), "r+b");
+        EXPECT_NE(f, nullptr);
+        if (!f)
+            return true;
+        EXPECT_EQ(std::fseek(f, offset, SEEK_SET), 0);
+        EXPECT_EQ(std::fwrite(&v, sizeof(v), 1, f), 1u);
+        std::fclose(f);
+        bool ok = false;
+        readTrace(path, ok);
+        return ok;
+    }
+
+    GameTrace trace;
+    TraceLayout layout;
+    std::string path = "trace_test_validation.pgtrace";
+};
+
+} // namespace
+
+TEST_F(TraceValidation, LayoutMatchesWrittenFile)
+{
+    // Rewriting each field with its own value keeps the trace valid,
+    // which pins the offsets the other cases patch.
+    const DrawCall &d = trace.scene.draws.front();
+    EXPECT_TRUE(loadPatched(layout.id, static_cast<std::uint32_t>(trace.id)));
+    EXPECT_TRUE(loadPatched(layout.width, 64));
+    EXPECT_TRUE(loadPatched(layout.height, 48));
+    EXPECT_TRUE(loadPatched(
+        layout.recipe_kind,
+        static_cast<std::uint32_t>(trace.recipes.front().kind)));
+    EXPECT_TRUE(loadPatched(
+        layout.recipe_wrap,
+        static_cast<std::uint32_t>(trace.recipes.front().wrap)));
+    EXPECT_TRUE(loadPatched(layout.draw_texture,
+                            static_cast<std::uint32_t>(d.mesh.texture_id)));
+    EXPECT_TRUE(loadPatched(layout.draw_filter,
+                            static_cast<std::uint32_t>(d.filter)));
+    EXPECT_TRUE(loadPatched(layout.draw_index, d.mesh.indices.front()));
+}
+
+TEST_F(TraceValidation, RejectsTextureIdPastTextureCount)
+{
+    EXPECT_FALSE(loadPatched(layout.draw_texture, layout.textures));
+}
+
+TEST_F(TraceValidation, RejectsIndexPastVertexCount)
+{
+    EXPECT_FALSE(loadPatched(layout.draw_index, layout.vertices));
+}
+
+TEST_F(TraceValidation, RejectsTextureKindOutOfRange)
+{
+    EXPECT_FALSE(loadPatched(
+        layout.recipe_kind,
+        static_cast<std::uint32_t>(TextureKind::Panels) + 1));
+}
+
+TEST_F(TraceValidation, RejectsWrapModeOutOfRange)
+{
+    EXPECT_FALSE(loadPatched(
+        layout.recipe_wrap,
+        static_cast<std::uint32_t>(WrapMode::ClampToEdge) + 1));
+}
+
+TEST_F(TraceValidation, RejectsFilterModeOutOfRange)
+{
+    EXPECT_FALSE(loadPatched(
+        layout.draw_filter,
+        static_cast<std::uint32_t>(FilterMode::Anisotropic) + 1));
+}
+
+TEST_F(TraceValidation, RejectsGameIdOutOfRange)
+{
+    EXPECT_FALSE(loadPatched(layout.id,
+                             static_cast<std::uint32_t>(GameId::RBench) + 1));
+}
+
+TEST_F(TraceValidation, RejectsZeroWidth)
+{
+    EXPECT_FALSE(loadPatched(layout.width, 0));
+}
+
+TEST_F(TraceValidation, RejectsOversizedHeight)
+{
+    EXPECT_FALSE(loadPatched(layout.height, kMaxTraceViewport + 1));
 }
