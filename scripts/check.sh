@@ -9,10 +9,10 @@
 #       (stages 1-3 run ctest twice: PARGPU_THREADS=1 and =nproc)
 #    4. ThreadSanitizer build, threading-focused ctest subset: once
 #       as-is, then with PARGPU_TILE_PARALLEL=1 so the intra-frame
-#       three-phase tile pass is exercised under TSAN, and with tile
-#       parallelism + PARGPU_ARENA=0 so the heap-scratch fallback is
-#       raced too — both at PARGPU_THREADS=2 and =nproc
+#       three-phase tile pass is exercised under TSAN (golden digests
+#       included), at PARGPU_THREADS=2 and =nproc
 #    5. -DPARGPU_TRACING=OFF build (macros compiled out), tracing subset
+#       plus the golden digests
 #    6. pargpu-lint standalone (includes header self-containment builds)
 #    7. clang-tidy over src/ (skipped with a note when not installed)
 #    8. perf gate: perf_smoke's texel-bound export and perf_tile's
@@ -22,9 +22,8 @@
 #       determinism subset + simd_kernel_test under both, then the
 #       harness metrics exports diffed field-by-field (only the
 #       dispatch-reporting fields may differ); then the ON build re-run
-#       with each runnable tier forced via PARGPU_SIMD and with
-#       PARGPU_ARENA=0, diffed the same way (forced tiers may change
-#       only the dispatch fields, arena-off only the arena fields)
+#       with each runnable tier forced via PARGPU_SIMD, diffed the same
+#       way (forced tiers may change only the dispatch fields)
 #   10. pargpu-analyze (concurrency & determinism AST rules) plus the
 #       fixture selftest that proves every rule fires
 #   11. Clang Thread Safety Analysis build (-DPARGPU_TSA=ON with
@@ -148,19 +147,14 @@ stage_tsan() {
     # Tile parallelism forced on: every renderFrame() in the subset runs
     # the three-phase tile pass, so TSAN sees the workers' dynamic tile
     # chunks over the shared framebuffer planes, the per-cluster L1
-    # replay and the ordered commit. Then the same with the heap-scratch
-    # fallback, so the PARGPU_ARENA=0 vectors see that access pattern.
-    # Two workers and every core: fewer workers than clusters, and as
-    # many as the host has.
+    # replay and the ordered commit. Two workers and every core: fewer
+    # workers than clusters, and as many as the host has.
     local threads
     for threads in 2 "$NPROC"; do
         echo "--- tile pass with PARGPU_THREADS=$threads ---"
         PARGPU_THREADS="$threads" PARGPU_TILE_PARALLEL=1 \
             ctest --test-dir build-tsan --output-on-failure -j "$JOBS" \
-            -R "determinism_test|pipeline_test|integration_test|arena_test"
-        PARGPU_THREADS="$threads" PARGPU_TILE_PARALLEL=1 PARGPU_ARENA=0 \
-            ctest --test-dir build-tsan --output-on-failure -j "$JOBS" \
-            -R "determinism_test|pipeline_test|integration_test"
+            -R "determinism_test|pipeline_test|integration_test|arena_test|golden_test"
     done
 }
 
@@ -170,9 +164,9 @@ stage_notrace() {
         >build-notrace.configure.log 2>&1 \
         || { cat build-notrace.configure.log >&2; return 1; }
     cmake --build build-notrace -j "$JOBS" \
-        --target tracing_test determinism_test pargpu_harness
+        --target tracing_test determinism_test golden_test pargpu_harness
     ctest --test-dir build-notrace --output-on-failure -j "$JOBS" \
-        -R "tracing_test|determinism_test"
+        -R "tracing_test|determinism_test|golden_test"
 }
 
 stage_lint() {
@@ -238,9 +232,8 @@ stage_simd_identity() {
             --run-width 160 --run-height 120 --run-frames 2 --quiet \
             --metrics-json "$simd_diff/$build.json"
     done
-    # Shared field-by-field diff: --allow names exact keys, --allow-sub
-    # whitelists every key containing a substring (for indexed per-frame
-    # fields like frames[0]/arena_frame_bytes).
+    # Shared field-by-field diff: --allow names the exact keys that may
+    # differ.
     cat >"$simd_diff/diff.py" <<'EOF'
 import argparse, json, sys
 
@@ -249,7 +242,6 @@ p.add_argument("a")
 p.add_argument("b")
 p.add_argument("--label", default="exports")
 p.add_argument("--allow", action="append", default=[])
-p.add_argument("--allow-sub", action="append", default=[])
 args = p.parse_args()
 
 def flatten(node, prefix, out):
@@ -263,13 +255,10 @@ def flatten(node, prefix, out):
         out[prefix] = node
     return out
 
-def allowed(k):
-    return k in args.allow or any(sub in k for sub in args.allow_sub)
-
 a = flatten(json.load(open(args.a)), "", {})
 b = flatten(json.load(open(args.b)), "", {})
 bad = [k for k in a.keys() | b.keys()
-       if not allowed(k) and a.get(k) != b.get(k)]
+       if k not in args.allow and a.get(k) != b.get(k)]
 if bad:
     for k in sorted(bad):
         print(f"{args.label} mismatch {k}: {a.get(k)} vs {b.get(k)}",
@@ -303,16 +292,6 @@ EOF
             "$simd_diff/tier-scalar.json" "$simd_diff/tier-$tier.json" \
             --label "tier scalar/$tier" "${dispatch_allow[@]}"
     done
-    # Arena storage matrix: PARGPU_ARENA=0 may change only the
-    # arena-reporting fields (they read zero), nothing else.
-    PARGPU_ARENA=0 "$ROOT/build-perf/src/harness/pargpu_harness" \
-        --run-game wolf --run-scenario patu \
-        --run-width 160 --run-height 120 --run-frames 2 --quiet \
-        --metrics-json "$simd_diff/arena-off.json"
-    python3 "$simd_diff/diff.py" \
-        "$simd_diff/tier-scalar.json" "$simd_diff/arena-off.json" \
-        --label "arena on/off" --allow-sub arena \
-        "${dispatch_allow[@]}"
 }
 
 stage_analyze() {

@@ -170,7 +170,7 @@ buildRunRegistry(const RunResult &run, StatRegistry &reg, double mssim)
     // kernel evaluations (covered or not); like fb.simd_fills and the
     // arena.* scalars below it is invocation-granular and geometry-
     // determined, so the values are identical across SIMD tiers and
-    // execution modes (only PARGPU_ARENA=0 changes arena.* — to zero).
+    // execution modes.
     reg.inc("raster.quads", t.quads);
     reg.inc("raster.simd_quads", t.raster_simd_quads);
     reg.inc("fb.simd_fills", t.fb_simd_fills);

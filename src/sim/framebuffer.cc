@@ -35,13 +35,6 @@ Framebuffer::Framebuffer(Image &image, BumpArena &arena)
 {
 }
 
-Framebuffer::Framebuffer(Image &image)
-    : width_(image.width()), height_(image.height()),
-      own_depth_(image.pixels().size()), color_(image.pixels()),
-      depth_(own_depth_)
-{
-}
-
 int
 Framebuffer::clear(const Color4f &c)
 {

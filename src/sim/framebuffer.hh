@@ -47,9 +47,6 @@ class Framebuffer
      */
     Framebuffer(Image &image, BumpArena &arena);
 
-    /** As above, with a self-owned depth plane. */
-    explicit Framebuffer(Image &image);
-
     int width() const { return width_; }
     int height() const { return height_; }
 

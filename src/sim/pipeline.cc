@@ -5,7 +5,6 @@
 #include <bit>
 #include <cmath>
 #include <cstdlib>
-#include <optional>
 #include <span>
 #include <thread>
 
@@ -38,12 +37,6 @@ using detail::TileWorker;
  * few enough that claiming a chunk stays negligible.
  */
 constexpr std::size_t kChunksPerWorker = 16;
-
-// arenaScratchEnabled() override: -1 = follow the environment. Set-once
-// test hook in the same spirit as the SIMD tier override — written only
-// between frames by setArenaScratchForTesting(), never concurrently
-// with renderFrame().
-int arena_override = -1; // pargpu-analyze: allow(global-state)
 
 /** Per-face lighting factor from the world-space normal. */
 float
@@ -113,32 +106,20 @@ tileParallelForced()
     return forced;
 }
 
-bool
-arenaScratchEnabled()
-{
-    if (arena_override >= 0)
-        return arena_override != 0;
-    static const bool enabled = [] {
-        const char *v = std::getenv("PARGPU_ARENA");
-        return v == nullptr || v[0] != '0';
-    }();
-    return enabled;
-}
-
-void
-setArenaScratchForTesting(int mode)
-{
-    arena_override = mode;
-}
-
 GpuSimulator::GpuSimulator(const GpuConfig &config)
     : config_(config)
 {
     MemSysConfig mc = config_.mem;
     mc.clusters = config_.clusters;
     mem_ = std::make_unique<MemorySystem>(mc);
+    cluster_tex_.resize(config_.clusters);
+    // The one-worker schedule's state; a pooled frame adds workers and
+    // tile slots on first use.
+    workers_.push_back(std::make_unique<TileWorker>(config_, *mem_));
+    replays_.reserve(config_.clusters);
     for (unsigned c = 0; c < config_.clusters; ++c)
-        tus_.push_back(std::make_unique<TextureUnit>(config_, c, *mem_));
+        replays_.emplace_back(*mem_, c);
+    tile_logs_.resize(1);
 }
 
 FrameOutput
@@ -171,10 +152,8 @@ GpuSimulator::renderFrame(const Scene &scene, const Camera &camera,
     mix_mat(camera.view);
     mix_mat(camera.proj);
 
-    for (auto &tu : tus_) {
-        tu->resetStats();
-        tu->beginFrame(frame_seed);
-    }
+    for (TexUnitStats &ts : cluster_tex_)
+        ts = TexUnitStats{};
 
     // Cache and DRAM hit/miss counters are cumulative across flushes
     // (their units keep lifetime stats); snapshot them here so the frame
@@ -197,18 +176,17 @@ GpuSimulator::renderFrame(const Scene &scene, const Camera &camera,
     base.dram_row_hits = mem_->dram().rowHits();
 
     // All per-frame scratch that exists in every execution mode comes
-    // from the two arenas (or from plain vectors under PARGPU_ARENA=0);
-    // the lifetime delta around the frame is the arena.frame_bytes
-    // counter, robust to bin_arena_ being reset once per draw.
-    const bool use_arena = arenaScratchEnabled();
+    // from the two arenas; the lifetime delta around the frame is the
+    // arena.frame_bytes counter, robust to bin_arena_ being reset once
+    // per draw.
     const std::size_t arena_base =
         frame_arena_.lifetimeBytes() + bin_arena_.lifetimeBytes();
+    // Host workers for the fragment phase. Serial frames, a nested call
+    // (this frame already runs on a pool worker) and a one-thread pool
+    // all get one worker, which streams each tile through the phases.
     const bool tile_par = config_.tile_parallel || tileParallelForced();
-    // Host workers for the tile-parallel phases. A nested call (this
-    // frame already runs on a pool worker) executes inline, so it needs
-    // only one worker's scratch.
-    const unsigned n_workers =
-        ThreadPool::inWorker() ? 1u : ThreadPool::defaultThreads();
+    const unsigned n_workers = tile_par && !ThreadPool::inWorker()
+        ? ThreadPool::defaultThreads() : 1u;
 
     FrameStats fs;
 
@@ -225,13 +203,8 @@ GpuSimulator::renderFrame(const Scene &scene, const Camera &camera,
     // depth plane is left to clear, and no end-of-frame copy is needed.
     FrameOutput out;
     out.image = Image(width, height, scene.clear_color);
-    std::optional<Framebuffer> fb_store;
-    if (use_arena)
-        fb_store.emplace(out.image, frame_arena_);
-    else
-        fb_store.emplace(out.image);
-    Framebuffer &fb = *fb_store;
-    if (tile_par) {
+    Framebuffer fb(out.image, frame_arena_);
+    if (n_workers > 1) {
         // Row bands across the pool: the planes are too large to clear
         // from one thread without it showing in frame latency.
         const int bands = static_cast<int>(std::min<unsigned>(
@@ -257,20 +230,10 @@ GpuSimulator::renderFrame(const Scene &scene, const Camera &camera,
     const unsigned shader_parallelism =
         config_.clusters * config_.shaders_per_cluster;
 
-    std::vector<Cycle> cc_heap;
-    std::vector<std::uint64_t> tpc_heap;
-    std::span<Cycle> cluster_cycles;
-    std::span<std::uint64_t> tiles_per_cluster;
-    if (use_arena) {
-        cluster_cycles = frame_arena_.allocSpan<Cycle>(config_.clusters);
-        tiles_per_cluster =
-            frame_arena_.allocSpan<std::uint64_t>(config_.clusters);
-    } else {
-        cc_heap.assign(config_.clusters, 0);
-        tpc_heap.assign(config_.clusters, 0);
-        cluster_cycles = cc_heap;
-        tiles_per_cluster = tpc_heap;
-    }
+    const std::span<Cycle> cluster_cycles =
+        frame_arena_.allocSpan<Cycle>(config_.clusters);
+    const std::span<std::uint64_t> tiles_per_cluster =
+        frame_arena_.allocSpan<std::uint64_t>(config_.clusters);
     Cycle geometry_cycles = 0;
 
     // Early depth test over a quad's covered pixels; returns the
@@ -278,19 +241,17 @@ GpuSimulator::renderFrame(const Scene &scene, const Camera &camera,
     // depth_quad kernel (one compare-and-select per quad, counted in
     // fb.simd_fills); partial quads keep the per-pixel path. Both paths
     // test the same pixels against the same values, so tested/killed and
-    // the surviving mask are identical either way. The counters are
-    // passed in so the tile-parallel path can log them per tile.
-    auto depthTestQuad = [&fb](QuadFragment &q, std::uint64_t &tested,
-                               std::uint64_t &killed,
-                               std::uint64_t &fills) -> unsigned {
+    // the surviving mask are identical either way.
+    auto depthTestQuad = [&fb](QuadFragment &q, TileLog &tl) -> unsigned {
         if (q.coverage == 0xFu) {
             // Full coverage implies all four pixels are inside the walk
             // window (and thus the viewport), so this tile owns the
             // whole quad and the kernel's fail-lane rewrites are safe.
             unsigned surv = fb.depthTestQuad(q.x, q.y, q.depth);
-            ++fills;
-            tested += 4;
-            killed += 4u - static_cast<unsigned>(std::popcount(surv));
+            ++tl.fb_fills;
+            tl.earlyz_tested += 4;
+            tl.earlyz_killed +=
+                4u - static_cast<unsigned>(std::popcount(surv));
             return surv;
         }
         unsigned surv = 0;
@@ -299,11 +260,11 @@ GpuSimulator::renderFrame(const Scene &scene, const Camera &camera,
                 continue;
             int px = q.x + (i & 1);
             int py = q.y + (i >> 1);
-            ++tested;
+            ++tl.earlyz_tested;
             if (fb.depthTest(px, py, q.depth[i]))
                 surv |= 1u << i;
             else
-                ++killed;
+                ++tl.earlyz_killed;
         }
         return surv;
     };
@@ -325,33 +286,24 @@ GpuSimulator::renderFrame(const Scene &scene, const Camera &camera,
                                        static_cast<double>(lo));
     };
 
-    // Tile-parallel state, persistent across frames (sized on first use)
-    // so the vectors keep a steady-state capacity.
-    if (tile_par) {
-        while (workers_.size() < n_workers)
-            workers_.push_back(
-                std::make_unique<TileWorker>(config_, *mem_));
-        for (auto &w : workers_)
-            w->tu.beginFrame(frame_seed);
-        if (replays_.empty()) {
-            replays_.reserve(config_.clusters);
-            for (unsigned c = 0; c < config_.clusters; ++c)
-                replays_.emplace_back(*mem_, c);
-        }
-        if (tile_logs_.size() < n_tiles)
-            tile_logs_.resize(n_tiles);
-    }
+    // Fragment-phase state is persistent across frames, so the vectors
+    // keep a steady-state capacity; a pooled frame needs one worker per
+    // host thread and one log slot per tile.
+    while (workers_.size() < n_workers)
+        workers_.push_back(std::make_unique<TileWorker>(config_, *mem_));
+    for (auto &w : workers_)
+        w->tu.beginFrame(frame_seed);
+    if (n_workers > 1 && tile_logs_.size() < n_tiles)
+        tile_logs_.resize(n_tiles);
 
     // Scratch bins: triangle indices per tile in CSR form (counts, start
     // offsets, one flat item array), rebuilt per draw call so draw order
     // (and therefore depth-test order) is preserved. Arena-backed: one
     // vector-of-vectors here used to cost a heap allocation per touched
-    // tile per draw. The *_heap vectors are the PARGPU_ARENA=0 fallback
-    // (reused across draws, so the values written are identical).
+    // tile per draw.
     std::span<std::uint32_t> bin_count;
     std::span<std::uint32_t> bin_start;
     std::span<std::uint32_t> bin_items;
-    std::vector<std::uint32_t> bc_heap, bs_heap, bi_heap, cur_heap;
 
     Addr vertex_addr = AddressMap::kVertexBase;
 
@@ -389,14 +341,8 @@ GpuSimulator::renderFrame(const Scene &scene, const Camera &camera,
         // same arena afterwards, so both live until the next draw.
         bin_arena_.reset();
         const std::size_t max_setup = (mesh.indices.size() / 3) * 2;
-        std::span<SetupTriangle> tri_scratch;
-        if (use_arena) {
-            tri_scratch =
-                bin_arena_.allocSpanUninit<SetupTriangle>(max_setup);
-        } else {
-            tris_.resize(max_setup);
-            tri_scratch = tris_;
-        }
+        const std::span<SetupTriangle> tri_scratch =
+            bin_arena_.allocSpanUninit<SetupTriangle>(max_setup);
         std::size_t n_tris = 0;
         for (std::size_t t = 0; t + 2 < mesh.indices.size(); t += 3) {
             Vertex tv[3];
@@ -423,12 +369,7 @@ GpuSimulator::renderFrame(const Scene &scene, const Camera &camera,
         // prefix-summed offsets. Items land grouped by tile, triangles in
         // submission order within each tile — the same traversal order
         // the per-tile vectors produced.
-        if (use_arena) {
-            bin_count = bin_arena_.allocSpan<std::uint32_t>(n_tiles);
-        } else {
-            bc_heap.assign(n_tiles, 0);
-            bin_count = bc_heap;
-        }
+        bin_count = bin_arena_.allocSpan<std::uint32_t>(n_tiles);
         for (const SetupTriangle &st : tris) {
             int tx0 = st.min_x / static_cast<int>(tile);
             int tx1 = st.max_x / static_cast<int>(tile);
@@ -439,29 +380,16 @@ GpuSimulator::renderFrame(const Scene &scene, const Camera &camera,
                     ++bin_count[static_cast<std::size_t>(ty) * tiles_x +
                                 tx];
         }
-        if (use_arena) {
-            bin_start =
-                bin_arena_.allocSpanUninit<std::uint32_t>(n_tiles + 1);
-        } else {
-            bs_heap.resize(n_tiles + 1);
-            bin_start = bs_heap;
-        }
+        bin_start = bin_arena_.allocSpanUninit<std::uint32_t>(n_tiles + 1);
         std::uint32_t running = 0;
         for (std::size_t t = 0; t < n_tiles; ++t) {
             bin_start[t] = running;
             running += bin_count[t];
         }
         bin_start[n_tiles] = running;
-        std::span<std::uint32_t> bin_cursor;
-        if (use_arena) {
-            bin_items = bin_arena_.allocSpanUninit<std::uint32_t>(running);
-            bin_cursor = bin_arena_.allocSpanUninit<std::uint32_t>(n_tiles);
-        } else {
-            bi_heap.resize(running);
-            bin_items = bi_heap;
-            cur_heap.resize(n_tiles);
-            bin_cursor = cur_heap;
-        }
+        bin_items = bin_arena_.allocSpanUninit<std::uint32_t>(running);
+        const std::span<std::uint32_t> bin_cursor =
+            bin_arena_.allocSpanUninit<std::uint32_t>(n_tiles);
         std::copy(bin_start.begin(), bin_start.end() - 1,
                   bin_cursor.begin());
         for (std::uint32_t ti = 0; ti < tris.size(); ++ti) {
@@ -478,331 +406,278 @@ GpuSimulator::renderFrame(const Scene &scene, const Camera &camera,
         } // geometry span
 
         // --- Fragment phase ----------------------------------------------
+        // Three per-tile phases (docs/ARCHITECTURE.md, "Threading
+        // model"), written once and run on either schedule below. Host
+        // workers are not simulated clusters: tile t belongs to cluster
+        // t % clusters for every simulated state and stat, whichever
+        // worker runs it.
         PARGPU_TRACE_SCOPE("sim", "fragment");
-        if (!tile_par) {
-        // Serial rendering: one thread owns the whole hierarchy.
-        PhaseGuard serial(mem_->serial_phase);
-        for (int ty = 0; ty < tiles_y; ++ty) {
-            for (int tx = 0; tx < tiles_x; ++tx) {
-                const std::size_t t =
-                    static_cast<std::size_t>(ty) * tiles_x + tx;
+
+        // Phase 1 (log): raster, early-Z, texture work, shading and
+        // scatter. Tiles are pixel-disjoint, and per-quad texture work is
+        // a pure function of the quad, so worker w runs it on its own
+        // scratch unit and logs what the later phases need: per quad the
+        // raster cycles before it, its TU work and its distinct lines in
+        // first-touch order; per tile the stat deltas.
+        auto logTile = [&](std::uint32_t w, std::size_t t, TileLog &tl) {
+            TileWorker &wk = *workers_[w];
+            const std::span<const std::uint32_t> bin =
+                bin_items.subspan(bin_start[t], bin_count[t]);
+            const int ty = static_cast<int>(t) / tiles_x;
+            const int tx = static_cast<int>(t) % tiles_x;
+            int px0 = tx * static_cast<int>(tile);
+            int py0 = ty * static_cast<int>(tile);
+            int px1 = std::min(width - 1, px0 + static_cast<int>(tile) - 1);
+            int py1 = std::min(height - 1, py0 + static_cast<int>(tile) - 1);
+
+            tl = TileLog{};
+            tl.worker = w;
+            tl.quad_begin = static_cast<std::uint32_t>(wk.quads.size());
+            wk.tu.resetStats();
+            Cycle pending = 0;
+
+            for (std::uint32_t ti : bin) {
+                const SetupTriangle &st = tris[ti];
+                int wx0 = std::max(px0, st.min_x);
+                int wy0 = std::max(py0, st.min_y);
+                int wx1 = std::min(px1, st.max_x);
+                int wy1 = std::min(py1, st.max_y);
+                if (wx0 > wx1 || wy0 > wy1)
+                    continue;
+
+                tl.simd_quads += rasterizeTriangle(
+                    st, wx0, wy0, wx1, wy1, [&](const QuadFragment &quad) {
+                        QuadFragment q = quad;
+                        unsigned surv = depthTestQuad(q, tl);
+                        pending += config_.raster_quad_cycles;
+                        if (surv == 0)
+                            return;
+                        q.coverage = surv;
+
+                        Color4f texc[4];
+                        QuadLog ql;
+                        ql.pre_cycles = pending;
+                        ql.work =
+                            wk.tu.processQuadWork(q, tex, st.filter, texc);
+                        const std::span<const Addr> lines =
+                            wk.tu.quadLines();
+                        ql.line_begin =
+                            static_cast<std::uint32_t>(wk.lines.size());
+                        wk.lines.insert(wk.lines.end(), lines.begin(),
+                                        lines.end());
+                        ql.line_end =
+                            static_cast<std::uint32_t>(wk.lines.size());
+                        wk.quads.push_back(ql);
+                        pending = 0;
+
+                        tl.pixels += shadeQuad(fb, st, q, surv, texc);
+                        ++tl.fb_fills;
+                    });
+            }
+
+            tl.quad_end = static_cast<std::uint32_t>(wk.quads.size());
+            tl.tail_cycles = pending;
+            tl.tex = wk.tu.stats();
+        };
+
+        // Phase 2 (L1 replay): the tile's lines go through its cluster's
+        // own L1, with the misses logged in the cluster's front for the
+        // commit; the shared LLC and DRAM are not touched. A quad whose
+        // lines all hit completes at a latency no shared state can
+        // change, so its stall and cycles resolve right here; only quads
+        // with misses go on to the commit.
+        auto replayTile = [&](std::size_t t, TileLog &tl) {
+            ClusterReplay &cr = replays_[t % config_.clusters];
+            const TileWorker &wk = *workers_[tl.worker];
+            const std::span<const Addr> lines(wk.lines);
+            tl.miss_quad_begin =
+                static_cast<std::uint32_t>(cr.miss_quads.size());
+            Cycle pending = 0;
+            Cycle resolved_stall = 0;
+            for (std::uint32_t qi = tl.quad_begin; qi < tl.quad_end; ++qi) {
+                const QuadLog &ql = wk.quads[qi];
+                const ClusterMemFront::Batch b =
+                    cr.front.stageLines(lines.subspan(
+                        ql.line_begin, ql.line_end - ql.line_begin));
+                pending += ql.pre_cycles;
+                if (b.miss_begin != b.miss_end) {
+                    cr.miss_quads.push_back(
+                        {pending, ql.work, b.miss_begin, b.miss_end});
+                    pending = 0;
+                    continue;
+                }
+                const Cycle stall =
+                    stallCycles(mem_->allHitLatency(b.any_line));
+                resolved_stall += stall;
+                pending += quadCycles(ql.work + stall);
+            }
+            tl.miss_quad_end =
+                static_cast<std::uint32_t>(cr.miss_quads.size());
+            tl.tail_cycles += pending;
+            tl.tex.mem_stall += resolved_stall;
+            tl.tex.filter_busy += resolved_stall;
+        };
+
+        // Phase 3 (commit): the quads that missed their L1 go to the
+        // shared LLC and DRAM, then the tile flushes its color. The
+        // cluster cycle recurrence folds the cycles of the quads phase 2
+        // resolved into the next quad's lead-in or the tile's tail, so
+        // each quad's issue cycle, stall and the flush cycle are the ones
+        // a quad-by-quad walk of the tile would use. Committing tiles in
+        // row-major order therefore makes every cache, DRAM and timing
+        // counter a function of the frame alone. The tile's stat deltas
+        // fold into its cluster's shard (integer sums, so the order does
+        // not matter).
+        auto commitTile = [&](std::size_t t, const TileLog &tl) {
+            // No worker is running: this thread is the only agent in the
+            // memory system.
+            PhaseGuard serial(mem_->serial_phase);
+            const unsigned cl = static_cast<unsigned>(t % config_.clusters);
+            Cycle &cc = cluster_cycles[cl];
+            TexUnitStats &ts = cluster_tex_[cl];
+            const ClusterReplay &cr = replays_[cl];
+            const std::span<const Addr> miss(cr.front.missLines());
+
+            for (std::uint32_t i = tl.miss_quad_begin; i < tl.miss_quad_end;
+                 ++i) {
+                const MissQuad &mq = cr.miss_quads[i];
+                cc += mq.pre_cycles;
+                const Cycle now = cc;
+                Cycle fetch_done = mem_->commitBatch(
+                    cl,
+                    miss.subspan(mq.miss_begin,
+                                 mq.miss_end - mq.miss_begin),
+                    now, TrafficClass::Texture);
+                PARGPU_INVARIANT(fetch_done >= now,
+                                 "memory time ran backwards: now=", now,
+                                 " done=", fetch_done);
+                const Cycle stall = stallCycles(fetch_done - now);
+                ts.mem_stall += stall;
+                ts.filter_busy += stall;
+                cc += quadCycles(mq.work + stall);
+            }
+
+            cc += tl.tail_cycles;
+            if (tl.pixels > 0) {
+                const int px0 =
+                    static_cast<int>(t % tiles_x) * static_cast<int>(tile);
+                const int py0 =
+                    static_cast<int>(t / tiles_x) * static_cast<int>(tile);
+                mem_->write(fb.pixelAddr(px0, py0), tl.pixels * 4, cc,
+                            TrafficClass::ColorDepth);
+            }
+
+            ts += tl.tex;
+            fs.earlyz_tested += tl.earlyz_tested;
+            fs.earlyz_killed += tl.earlyz_killed;
+            fs.raster_simd_quads += tl.simd_quads;
+            fs.fb_simd_fills += tl.fb_fills;
+            fs.shader_busy_cycles +=
+                config_.frag_quad_cycles * (tl.quad_end - tl.quad_begin);
+            ++tiles_per_cluster[cl];
+        };
+
+        if (n_workers == 1) {
+            // One worker streams each busy tile through all three phases
+            // in row-major order, through one log slot. Each cluster's
+            // L1 still sees its tiles' lines in row-major order, and the
+            // LLC and DRAM see the commits in row-major order, so the
+            // result is the pooled schedule's bit for bit.
+            TileWorker &wk = *workers_[0];
+            TileLog &tl = tile_logs_[0];
+            for (std::size_t t = 0; t < n_tiles; ++t) {
                 if (bin_count[t] == 0)
                     continue;
-                const std::span<const std::uint32_t> bin =
-                    bin_items.subspan(bin_start[t], bin_count[t]);
-                unsigned cl = static_cast<unsigned>(ty * tiles_x + tx) %
-                    config_.clusters;
-                Cycle &cc = cluster_cycles[cl];
-                TextureUnit &tu = *tus_[cl];
-                ++tiles_per_cluster[cl];
-
-                int px0 = tx * static_cast<int>(tile);
-                int py0 = ty * static_cast<int>(tile);
-                int px1 = std::min(width - 1,
-                                   px0 + static_cast<int>(tile) - 1);
-                int py1 = std::min(height - 1,
-                                   py0 + static_cast<int>(tile) - 1);
-
-                std::uint64_t tile_pixels = 0;
-
-                for (std::uint32_t ti : bin) {
-                    const SetupTriangle &st = tris[ti];
-                    int wx0 = std::max(px0, st.min_x);
-                    int wy0 = std::max(py0, st.min_y);
-                    int wx1 = std::min(px1, st.max_x);
-                    int wy1 = std::min(py1, st.max_y);
-                    if (wx0 > wx1 || wy0 > wy1)
-                        continue;
-
-                    fs.raster_simd_quads += rasterizeTriangle(
-                        st, wx0, wy0, wx1, wy1,
-                        [&](const QuadFragment &quad) {
-                            // Runs inline under the serial PhaseGuard
-                            // above; restate that for the analysis,
-                            // which checks lambda bodies as separate
-                            // functions and cannot alias tu's private
-                            // memory-system pointer with mem_.
-                            mem_->serial_phase.assertHeld();
-                            tu.assertSerialPhase();
-                            // Early depth test per covered pixel.
-                            QuadFragment q = quad;
-                            unsigned surv = depthTestQuad(
-                                q, fs.earlyz_tested, fs.earlyz_killed,
-                                fs.fb_simd_fills);
-                            cc += config_.raster_quad_cycles;
-                            if (surv == 0)
-                                return;
-                            q.coverage = surv;
-
-                            QuadFilterResult qr = tu.processQuad(
-                                q, tex, st.filter, cc);
-                            cc += quadCycles(qr.busy);
-                            fs.shader_busy_cycles +=
-                                config_.frag_quad_cycles;
-
-                            tile_pixels +=
-                                shadeQuad(fb, st, q, surv, qr.color);
-                            ++fs.fb_simd_fills;
-                        });
-                }
-
-                // Tile flush: color (4 B/pixel) once per tile per draw.
-                if (tile_pixels > 0) {
-                    mem_->write(fb.pixelAddr(px0, py0), tile_pixels * 4,
-                                cc, TrafficClass::ColorDepth);
-                }
-            }
-        }
-        } else {
-            // Three-phase tile-parallel execution (docs/ARCHITECTURE.md,
-            // "Threading model"). Host workers are not simulated
-            // clusters: tile t still belongs to cluster t % clusters for
-            // every simulated state and stat, whichever worker runs it.
-            busy_tiles_.clear();
-            for (std::size_t t = 0; t < n_tiles; ++t)
-                if (bin_count[t] != 0)
-                    busy_tiles_.push_back(static_cast<std::uint32_t>(t));
-            const std::size_t n_busy = busy_tiles_.size();
-
-            // Phase 1 — parallel over tiles: raster, early-Z, texture
-            // work, shading and scatter. Tiles are pixel-disjoint, and
-            // per-quad texture work is a pure function of the quad, so
-            // a worker runs it on its own scratch unit and logs what the
-            // commit needs: per quad the raster cycles before it, its TU
-            // work and its distinct lines in first-touch order; per tile
-            // the stat deltas. Workers claim dynamic chunks of the
-            // draw's non-empty tiles, so a slow worker sheds its share.
-            const std::size_t chunk = std::max<std::size_t>(
-                1, n_busy / (n_workers * kChunksPerWorker));
-            std::atomic<std::size_t> next_tile{0};
-            std::atomic<std::size_t> tiles_logged{0};
-            auto logTile = [&](TileWorker &wk, std::uint32_t w,
-                               std::size_t t) {
-                const std::span<const std::uint32_t> bin =
-                    bin_items.subspan(bin_start[t], bin_count[t]);
-                const int ty = static_cast<int>(t) / tiles_x;
-                const int tx = static_cast<int>(t) % tiles_x;
-                int px0 = tx * static_cast<int>(tile);
-                int py0 = ty * static_cast<int>(tile);
-                int px1 = std::min(width - 1,
-                                   px0 + static_cast<int>(tile) - 1);
-                int py1 = std::min(height - 1,
-                                   py0 + static_cast<int>(tile) - 1);
-
-                TileLog &tl = tile_logs_[t];
-                tl = TileLog{};
-                tl.worker = w;
-                tl.quad_begin = static_cast<std::uint32_t>(wk.quads.size());
-                wk.tu.resetStats();
-                Cycle pending = 0;
-
-                for (std::uint32_t ti : bin) {
-                    const SetupTriangle &st = tris[ti];
-                    int wx0 = std::max(px0, st.min_x);
-                    int wy0 = std::max(py0, st.min_y);
-                    int wx1 = std::min(px1, st.max_x);
-                    int wy1 = std::min(py1, st.max_y);
-                    if (wx0 > wx1 || wy0 > wy1)
-                        continue;
-
-                    tl.simd_quads += rasterizeTriangle(
-                        st, wx0, wy0, wx1, wy1,
-                        [&](const QuadFragment &quad) {
-                            QuadFragment q = quad;
-                            unsigned surv = depthTestQuad(
-                                q, tl.earlyz_tested, tl.earlyz_killed,
-                                tl.fb_fills);
-                            pending += config_.raster_quad_cycles;
-                            if (surv == 0)
-                                return;
-                            q.coverage = surv;
-
-                            Color4f texc[4];
-                            QuadLog ql;
-                            ql.pre_cycles = pending;
-                            ql.work = wk.tu.processQuadWork(
-                                q, tex, st.filter, texc);
-                            const std::span<const Addr> lines =
-                                wk.tu.quadLines();
-                            ql.line_begin =
-                                static_cast<std::uint32_t>(wk.lines.size());
-                            wk.lines.insert(wk.lines.end(), lines.begin(),
-                                            lines.end());
-                            ql.line_end =
-                                static_cast<std::uint32_t>(wk.lines.size());
-                            wk.quads.push_back(ql);
-                            pending = 0;
-
-                            tl.pixels += shadeQuad(fb, st, q, surv, texc);
-                            ++tl.fb_fills;
-                        });
-                }
-
-                tl.quad_end = static_cast<std::uint32_t>(wk.quads.size());
-                tl.tail_cycles = pending;
-                tl.tex = wk.tu.stats();
-            };
-
-            // Phase 2 — parallel over clusters: each cluster replays its
-            // tiles' line lists through its own L1 in row-major order,
-            // which is exactly the serial path's L1 access sequence.
-            // Misses are logged in the cluster's front for the commit;
-            // the shared LLC and DRAM are not touched. A quad whose lines
-            // all hit completes at a latency no shared state can change,
-            // so its stall and cycles resolve right here; only quads
-            // with misses go on to the serial commit.
-            std::atomic<unsigned> next_cluster{0};
-            auto replayCluster = [&](unsigned c) {
-                ClusterReplay &cr = replays_[c];
-                for (std::size_t t = c; t < n_tiles; t += config_.clusters) {
-                    if (bin_count[t] == 0)
-                        continue;
-                    TileLog &tl = tile_logs_[t];
-                    const TileWorker &wk = *workers_[tl.worker];
-                    const std::span<const Addr> lines(wk.lines);
-                    tl.miss_quad_begin =
-                        static_cast<std::uint32_t>(cr.miss_quads.size());
-                    Cycle pending = 0;
-                    Cycle resolved_stall = 0;
-                    for (std::uint32_t qi = tl.quad_begin; qi < tl.quad_end;
-                         ++qi) {
-                        const QuadLog &ql = wk.quads[qi];
-                        const ClusterMemFront::Batch b =
-                            cr.front.stageLines(lines.subspan(
-                                ql.line_begin, ql.line_end - ql.line_begin));
-                        pending += ql.pre_cycles;
-                        if (b.miss_begin != b.miss_end) {
-                            cr.miss_quads.push_back(
-                                {pending, ql.work, b.miss_begin, b.miss_end});
-                            pending = 0;
-                            continue;
-                        }
-                        const Cycle stall =
-                            stallCycles(mem_->allHitLatency(b.any_line));
-                        resolved_stall += stall;
-                        pending += quadCycles(ql.work + stall);
-                    }
-                    tl.miss_quad_end =
-                        static_cast<std::uint32_t>(cr.miss_quads.size());
-                    tl.tail_cycles += pending;
-                    tl.tex.mem_stall += resolved_stall;
-                    tl.tex.filter_busy += resolved_stall;
-                }
-            };
-
-            // Both phases run in one pool job: a worker that runs out of
-            // tiles waits for the chunks others still hold (one chunk at
-            // most) and then claims clusters. Ending the job between the
-            // phases would put every worker to sleep only to wake it
-            // again. The wait cannot deadlock: it is for claimed chunks,
-            // and a chunk is claimed only by a thread that runs it. A
-            // chunk that throws still counts as done, and then no worker
-            // replays the half-written logs; ThreadPool::run rethrows.
-            std::atomic<bool> tile_failed{false};
-            ThreadPool::run(
-                n_workers, 1,
-                [&](std::size_t w) {
-                    TileWorker &wk = *workers_[w];
-                    {
-                        PARGPU_TRACE_SCOPE_F("sim", "tiles", w);
-                        wk.quads.clear();
-                        wk.lines.clear();
-                        for (;;) {
-                            const std::size_t lo = next_tile.fetch_add(
-                                chunk, std::memory_order_relaxed);
-                            if (lo >= n_busy)
-                                break;
-                            const std::size_t hi =
-                                std::min(n_busy, lo + chunk);
-                            try {
-                                for (std::size_t i = lo; i < hi; ++i)
-                                    logTile(wk, static_cast<std::uint32_t>(w),
-                                            busy_tiles_[i]);
-                            } catch (...) {
-                                tile_failed.store(true);
-                                tiles_logged.fetch_add(hi - lo);
-                                throw;
-                            }
-                            tiles_logged.fetch_add(hi - lo,
-                                                   std::memory_order_release);
-                        }
-                        while (tiles_logged.load(std::memory_order_acquire) <
-                               n_busy)
-                            std::this_thread::yield();
-                    }
-                    if (tile_failed.load())
-                        return;
-                    PARGPU_TRACE_SCOPE_F("sim", "l1", w);
-                    for (unsigned c = next_cluster.fetch_add(1);
-                         c < config_.clusters; c = next_cluster.fetch_add(1))
-                        replayCluster(c);
-                },
-                n_workers);
-
-            // Phase 3 — serial commit: replay the quads that missed
-            // their L1 in canonical row-major tile order against the
-            // shared LLC and DRAM. The cluster cycle recurrence below is
-            // the serial loop's (the cycles of the quads phase 2
-            // resolved are folded into the next quad's lead-in or the
-            // tile's tail), so each quad's reconstructed issue cycle,
-            // stall and tile-flush cycle are exactly the values the
-            // serial path would have used — which makes every cache,
-            // DRAM and timing counter bit-identical. Each tile's stat
-            // deltas fold into its cluster's texture unit (integer sums,
-            // so the order does not matter).
-            PARGPU_TRACE_SCOPE("sim", "commit");
-            // Workers have joined (ThreadPool::run is a barrier); this
-            // thread is again the only agent in the memory system.
-            PhaseGuard serial(mem_->serial_phase);
-            for (std::uint32_t t : busy_tiles_) {
-                const unsigned cl = t % config_.clusters;
-                const TileLog &tl = tile_logs_[t];
-                Cycle &cc = cluster_cycles[cl];
-                TextureUnit &tu = *tus_[cl];
-                const ClusterReplay &cr = replays_[cl];
-                const std::span<const Addr> miss(cr.front.missLines());
-
-                for (std::uint32_t i = tl.miss_quad_begin;
-                     i < tl.miss_quad_end; ++i) {
-                    const MissQuad &mq = cr.miss_quads[i];
-                    cc += mq.pre_cycles;
-                    const Cycle now = cc;
-                    Cycle fetch_done = mem_->commitBatch(
-                        cl,
-                        miss.subspan(mq.miss_begin,
-                                     mq.miss_end - mq.miss_begin),
-                        now, TrafficClass::Texture);
-                    PARGPU_INVARIANT(fetch_done >= now,
-                                     "memory time ran backwards: now=",
-                                     now, " done=", fetch_done);
-                    const Cycle stall = stallCycles(fetch_done - now);
-                    tu.accountStall(stall);
-                    cc += quadCycles(mq.work + stall);
-                }
-
-                cc += tl.tail_cycles;
-                if (tl.pixels > 0) {
-                    const int px0 = static_cast<int>(t % tiles_x) *
-                        static_cast<int>(tile);
-                    const int py0 = static_cast<int>(t / tiles_x) *
-                        static_cast<int>(tile);
-                    mem_->write(fb.pixelAddr(px0, py0), tl.pixels * 4, cc,
-                                TrafficClass::ColorDepth);
-                }
-
-                tu.addStats(tl.tex);
-                fs.earlyz_tested += tl.earlyz_tested;
-                fs.earlyz_killed += tl.earlyz_killed;
-                fs.raster_simd_quads += tl.simd_quads;
-                fs.fb_simd_fills += tl.fb_fills;
-                fs.shader_busy_cycles += config_.frag_quad_cycles *
-                    (tl.quad_end - tl.quad_begin);
-                ++tiles_per_cluster[cl];
-            }
-            for (ClusterReplay &cr : replays_) {
+                logTile(0, t, tl);
+                replayTile(t, tl);
+                commitTile(t, tl);
+                ClusterReplay &cr = replays_[t % config_.clusters];
+                wk.quads.clear();
+                wk.lines.clear();
                 cr.front.clear();
                 cr.miss_quads.clear();
             }
+            continue;
+        }
+
+        // Pooled schedule: phase 1 over the draw's busy tiles on every
+        // worker, phase 2 over the clusters, then the commit serially.
+        busy_tiles_.clear();
+        for (std::size_t t = 0; t < n_tiles; ++t)
+            if (bin_count[t] != 0)
+                busy_tiles_.push_back(static_cast<std::uint32_t>(t));
+        const std::size_t n_busy = busy_tiles_.size();
+
+        // Workers claim dynamic chunks of the busy tiles for phase 1, so
+        // a slow worker sheds its share; then each claimed cluster
+        // replays its tiles in row-major order.
+        const std::size_t chunk = std::max<std::size_t>(
+            1, n_busy / (n_workers * kChunksPerWorker));
+        std::atomic<std::size_t> next_tile{0};
+        std::atomic<std::size_t> tiles_logged{0};
+        std::atomic<unsigned> next_cluster{0};
+        auto replayCluster = [&](unsigned c) {
+            for (std::size_t t = c; t < n_tiles; t += config_.clusters)
+                if (bin_count[t] != 0)
+                    replayTile(t, tile_logs_[t]);
+        };
+
+        // Both phases run in one pool job: a worker that runs out of
+        // tiles waits for the chunks others still hold (one chunk at
+        // most) and then claims clusters. Ending the job between the
+        // phases would put every worker to sleep only to wake it again.
+        // The wait cannot deadlock: it is for claimed chunks, and a chunk
+        // is claimed only by a thread that runs it. A chunk that throws
+        // still counts as done, and then no worker replays the
+        // half-written logs; ThreadPool::run rethrows.
+        std::atomic<bool> tile_failed{false};
+        ThreadPool::run(
+            n_workers, 1,
+            [&](std::size_t w) {
+                TileWorker &wk = *workers_[w];
+                {
+                    PARGPU_TRACE_SCOPE_F("sim", "tiles", w);
+                    wk.quads.clear();
+                    wk.lines.clear();
+                    for (;;) {
+                        const std::size_t lo = next_tile.fetch_add(
+                            chunk, std::memory_order_relaxed);
+                        if (lo >= n_busy)
+                            break;
+                        const std::size_t hi = std::min(n_busy, lo + chunk);
+                        try {
+                            for (std::size_t i = lo; i < hi; ++i)
+                                logTile(static_cast<std::uint32_t>(w),
+                                        busy_tiles_[i],
+                                        tile_logs_[busy_tiles_[i]]);
+                        } catch (...) {
+                            tile_failed.store(true);
+                            tiles_logged.fetch_add(hi - lo);
+                            throw;
+                        }
+                        tiles_logged.fetch_add(hi - lo,
+                                               std::memory_order_release);
+                    }
+                    while (tiles_logged.load(std::memory_order_acquire) <
+                           n_busy)
+                        std::this_thread::yield();
+                }
+                if (tile_failed.load())
+                    return;
+                PARGPU_TRACE_SCOPE_F("sim", "l1", w);
+                for (unsigned c = next_cluster.fetch_add(1);
+                     c < config_.clusters; c = next_cluster.fetch_add(1))
+                    replayCluster(c);
+            },
+            n_workers);
+
+        // Workers have joined (ThreadPool::run is a barrier).
+        PARGPU_TRACE_SCOPE("sim", "commit");
+        for (std::uint32_t t : busy_tiles_)
+            commitTile(t, tile_logs_[t]);
+        for (ClusterReplay &cr : replays_) {
+            cr.front.clear();
+            cr.miss_quads.clear();
         }
     }
 
@@ -814,8 +689,7 @@ GpuSimulator::renderFrame(const Scene &scene, const Camera &camera,
     fs.shader_busy_cycles += geometry_cycles;
 
     fs.filter_policy = static_cast<std::uint64_t>(config_.filter_policy);
-    for (const auto &tu : tus_) {
-        const TexUnitStats &ts = tu->stats();
+    for (const TexUnitStats &ts : cluster_tex_) {
         fs.texture_filter_cycles += ts.filter_busy;
         fs.texture_mem_stall += ts.mem_stall;
         fs.quads += ts.quads;
@@ -841,13 +715,13 @@ GpuSimulator::renderFrame(const Scene &scene, const Camera &camera,
         fs.fas_quads += ts.fas_quads;
     }
 
-    // Per-cluster shards: identical between the serial and tile-parallel
-    // paths (same static tile assignment, same per-cluster texture
-    // units), so the cluster.* metrics never depend on execution mode.
+    // Per-cluster shards: the static tile assignment is the same on
+    // either schedule, so the cluster.* metrics never depend on
+    // execution mode.
     fs.clusters.resize(config_.clusters);
     for (unsigned c = 0; c < config_.clusters; ++c) {
         ClusterStats &cs = fs.clusters[c];
-        const TexUnitStats &ts = tus_[c]->stats();
+        const TexUnitStats &ts = cluster_tex_[c];
         cs.tiles = tiles_per_cluster[c];
         cs.quads = ts.quads;
         cs.pixels = ts.pixels;
@@ -865,8 +739,8 @@ GpuSimulator::renderFrame(const Scene &scene, const Camera &camera,
     // from frame_arena_ (it is the returned image); it is live for the
     // whole frame, so it adds to both figures exactly as its arena
     // allocation did.
-    const std::uint64_t color_bytes = use_arena
-        ? out.image.pixels().size() * sizeof(Color4f) : 0;
+    const std::uint64_t color_bytes =
+        out.image.pixels().size() * sizeof(Color4f);
     fs.arena_frame_bytes =
         frame_arena_.lifetimeBytes() + bin_arena_.lifetimeBytes() -
         arena_base + color_bytes;

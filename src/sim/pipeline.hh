@@ -32,10 +32,9 @@ namespace pargpu
 {
 
 /**
- * One cluster's shard of a frame's fragment-phase work. Filled by both
- * the serial and the tile-parallel path (the static `tile % clusters`
- * assignment is the same either way), so the per-cluster metrics and the
- * imbalance scalar are comparable across execution modes.
+ * One cluster's shard of a frame's fragment-phase work. Tile t belongs
+ * to cluster `t % clusters` on every schedule, so the per-cluster metrics
+ * and the imbalance scalar are comparable across execution modes.
  */
 struct ClusterStats
 {
@@ -78,7 +77,7 @@ struct FrameStats
     std::uint64_t raster_simd_quads = 0; ///< Quads through edge_quad.
     std::uint64_t fb_simd_fills = 0; ///< Framebuffer kernel invocations.
 
-    // --- Arena scratch (bytes; zero when PARGPU_ARENA=0) -----------------
+    // --- Arena scratch (bytes) -------------------------------------------
     std::uint64_t arena_frame_bytes = 0; ///< Scratch handed out this frame.
     std::uint64_t arena_high_water = 0;  ///< Peak live scratch this frame.
 
@@ -144,33 +143,14 @@ struct FrameOutput
  */
 bool tileParallelForced();
 
-/**
- * True (the default) when per-frame render scratch — framebuffer planes,
- * triangle bins, setup-triangle storage, per-cluster accumulators — comes
- * from the simulator's BumpArenas, so steady-state frames perform zero
- * heap allocations. PARGPU_ARENA=0 switches every consumer to plain
- * heap vectors instead; results are bit-identical either way (only the
- * arena.* counters change, reporting zero when off). Cached on first
- * call, like tileParallelForced().
- */
-bool arenaScratchEnabled();
-
-/**
- * Test hook: override arenaScratchEnabled() — 0 = off, 1 = on, -1 =
- * back to the environment. Lets the determinism matrix exercise both
- * storage modes inside one process; not thread-safe against concurrent
- * renderFrame() calls.
- */
-void setArenaScratchForTesting(int mode);
-
 namespace detail
 {
 
 /**
- * Phase-1 record of one surviving quad under tile-parallel execution.
- * pre_cycles carries the rasterizer cost accumulated since the previous
- * surviving quad (killed quads included), so phases 2 and 3 can
- * reconstruct the exact serial issue cycle without revisiting them.
+ * Phase-1 record of one surviving quad. pre_cycles carries the
+ * rasterizer cost accumulated since the previous surviving quad (killed
+ * quads included), so phases 2 and 3 can reconstruct the quad's exact
+ * issue cycle without revisiting them.
  */
 struct QuadLog
 {
@@ -182,7 +162,7 @@ struct QuadLog
 
 /**
  * Phase-2 record of a quad that missed its cluster's L1, left for the
- * serial commit. pre_cycles is everything the cluster spends between the
+ * commit. pre_cycles is everything the cluster spends between the
  * previous such quad of the tile (or the tile's start) and this quad's
  * issue: raster cycles plus the full cost of the all-hit quads between,
  * which phase 2 resolved.
@@ -198,8 +178,8 @@ struct MissQuad
 /**
  * One cluster's phase-2 state, read by the phase-3 commit: its L1 front
  * (with the miss log) and the quads that missed, in row-major tile
- * order. Cache-line aligned, because neighbouring clusters replay
- * concurrently on different workers.
+ * order. Cache-line aligned, because under the pooled schedule
+ * neighbouring clusters replay concurrently on different workers.
  */
 struct alignas(64) ClusterReplay
 {
@@ -235,9 +215,10 @@ struct TileLog
  * One host worker's phase-1 state: a scratch texture unit (memo, line
  * set, arena, SoA filter; its stats are zeroed per tile and read back
  * as the tile's deltas) plus the quad and line logs of the tiles the
- * worker ran in the current draw. A worker is not a simulated cluster:
- * it runs whichever tiles it claims. Owned by the simulator so the logs
- * keep their capacity across draws and frames.
+ * worker ran in the current draw (the current tile, when one worker
+ * streams the frame). A worker is not a simulated cluster: it runs
+ * whichever tiles it claims. Owned by the simulator so the logs keep
+ * their capacity across draws and frames.
  */
 struct TileWorker
 {
@@ -281,7 +262,12 @@ class GpuSimulator
   private:
     GpuConfig config_;
     std::unique_ptr<MemorySystem> mem_;
-    std::vector<std::unique_ptr<TextureUnit>> tus_;
+    /**
+     * Per-cluster texture-unit stats of the current frame. The texture
+     * work itself runs on the workers' scratch units; each tile's
+     * deltas fold into its cluster's shard at the commit.
+     */
+    std::vector<TexUnitStats> cluster_tex_;
     /**
      * Per-frame scratch: the depth plane and per-cluster accumulators.
      * Reset at the top of renderFrame(), so consecutive frames reuse the
@@ -294,14 +280,15 @@ class GpuSimulator
      * post-setup triangle array (reset at the top of each draw).
      */
     BumpArena bin_arena_;
-    std::vector<SetupTriangle> tris_; ///< PARGPU_ARENA=0 fallback only.
     /**
-     * Tile-parallel scratch, persistent across frames so the vectors
-     * keep their steady-state capacity: one TileWorker per host worker,
-     * one ClusterReplay per cluster, one TileLog slot per tile and the
-     * draw's non-empty tiles. Sized lazily on the first tile-parallel frame;
-     * never arena-backed (these exist only in one execution mode, and
-     * the arena.* counters must be identical across modes).
+     * Fragment-phase state, persistent across frames so the vectors keep
+     * their steady-state capacity: one TileWorker per host worker, one
+     * ClusterReplay per cluster, the TileLog slots and the draw's
+     * non-empty tiles. The constructor builds what one worker needs (one
+     * worker, one log slot); the first pooled frame adds a worker per
+     * host thread and a slot per tile. Never arena-backed (the pooled
+     * schedule's share would make the arena.* counters differ between
+     * execution modes).
      */
     std::vector<std::unique_ptr<detail::TileWorker>> workers_;
     std::vector<detail::ClusterReplay> replays_;

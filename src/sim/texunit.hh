@@ -79,8 +79,11 @@ struct QuadFilterResult
 };
 
 /**
- * One texture unit instance (one per shader cluster). Holds the PATU
- * decision pipelines and issues timed reads into the memory system.
+ * One texture unit: the PATU decision pipelines plus the quad's texel
+ * fetch. GpuSimulator runs one per host worker through
+ * processQuadWork(), which touches no memory-system state, and folds
+ * each tile's stats into the owning cluster's shard. processQuad() is
+ * the self-contained variant that also issues the timed reads.
  */
 class TextureUnit
 {
@@ -94,7 +97,9 @@ class TextureUnit
                 MemorySystem &mem);
 
     /**
-     * Filter all covered pixels of @p quad against @p tex.
+     * Filter all covered pixels of @p quad against @p tex and read its
+     * lines through the cluster's L1, the LLC and DRAM at @p now: the
+     * quad-at-a-time reference of the pipeline's three fragment phases.
      *
      * @param quad  Rasterizer output (uv + derivatives).
      * @param tex   Bound texture.
@@ -115,9 +120,9 @@ class TextureUnit
      *
      * A pure function of the quad and the frame seed: the footprint
      * memo, line set and arena restart per quad, and every counter is
-     * an integer sum. Tile-parallel frames therefore run it on per-worker
-     * scratch units and fold the stat deltas into the owning cluster's
-     * unit afterwards. Touches no memory-system state.
+     * an integer sum. GpuSimulator therefore runs it on per-worker
+     * scratch units and folds the stat deltas into the owning cluster's
+     * shard afterwards. Touches no memory-system state.
      */
     Cycle processQuadWork(const QuadFragment &quad, const TextureMap &tex,
                           FilterMode mode, Color4f out_color[4]);
@@ -127,9 +132,6 @@ class TextureUnit
      * first-touch order (the order processQuad() issues them in).
      */
     std::span<const Addr> quadLines() const { return lines_.order(); }
-
-    /** Fold stat deltas gathered on another (scratch) unit into this one. */
-    void addStats(const TexUnitStats &delta) { stats_ += delta; }
 
     /**
      * Declare (to the thread-safety analysis only; zero runtime cost)
@@ -144,9 +146,8 @@ class TextureUnit
     }
 
     /**
-     * Charge a quad's exposed texel-fetch stall: processQuad() does it
-     * inline, the tile-parallel commit pass once it has resolved the
-     * quad's lines.
+     * Charge a quad's exposed texel-fetch stall to filter_busy and
+     * mem_stall, as processQuad() does once the quad's lines are read.
      */
     void
     accountStall(Cycle stall)

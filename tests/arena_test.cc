@@ -192,11 +192,9 @@ TEST(ArenaTest, OversizedAllocationGetsDedicatedBlock)
 }
 
 // The simulator-level steady-state guarantee: re-rendering the same
-// frame reports identical arena.* numbers every time, and the arena
-// counters are exactly zero with PARGPU_ARENA=0.
+// frame reports identical arena.* numbers every time.
 TEST(ArenaTest, SimulatorArenaStatsAreSteady)
 {
-    setArenaScratchForTesting(1);
     GpuConfig cfg;
     GpuSimulator sim(cfg);
     Scene scene = groundScene();
@@ -212,11 +210,4 @@ TEST(ArenaTest, SimulatorArenaStatsAreSteady)
         EXPECT_EQ(fs.arena_frame_bytes, warm.arena_frame_bytes);
         EXPECT_EQ(fs.arena_high_water, warm.arena_high_water);
     }
-
-    setArenaScratchForTesting(0);
-    GpuSimulator heap_sim(cfg);
-    FrameStats off = heap_sim.renderFrame(scene, cam, 96, 80).stats;
-    EXPECT_EQ(off.arena_frame_bytes, 0u);
-    EXPECT_EQ(off.arena_high_water, 0u);
-    setArenaScratchForTesting(-1);
 }

@@ -23,15 +23,9 @@ using namespace pargpu;
 namespace
 {
 
-/**
- * Field-by-field FrameStats equality. @p compare_arena excludes the
- * arena.* byte counters: they are the one designed difference between
- * PARGPU_ARENA=1 and =0 runs (zero when off), while everything else —
- * cycles, images, traffic — must still match bit-for-bit.
- */
+/** Field-by-field FrameStats equality. */
 void
-expectStatsEqual(const FrameStats &a, const FrameStats &b,
-                 bool compare_arena = true)
+expectStatsEqual(const FrameStats &a, const FrameStats &b)
 {
 #define PARGPU_EQ(field) EXPECT_EQ(a.field, b.field) << #field
     PARGPU_EQ(total_cycles);
@@ -56,10 +50,8 @@ expectStatsEqual(const FrameStats &a, const FrameStats &b,
     PARGPU_EQ(simd_batches);
     PARGPU_EQ(raster_simd_quads);
     PARGPU_EQ(fb_simd_fills);
-    if (compare_arena) {
-        PARGPU_EQ(arena_frame_bytes);
-        PARGPU_EQ(arena_high_water);
-    }
+    PARGPU_EQ(arena_frame_bytes);
+    PARGPU_EQ(arena_high_water);
     PARGPU_EQ(af_candidate_pixels);
     PARGPU_EQ(approx_stage1);
     PARGPU_EQ(approx_stage2);
@@ -117,12 +109,11 @@ expectImagesEqual(const Image &a, const Image &b)
 }
 
 void
-expectRunsEqual(const RunResult &a, const RunResult &b,
-                bool compare_arena = true)
+expectRunsEqual(const RunResult &a, const RunResult &b)
 {
     ASSERT_EQ(a.frames.size(), b.frames.size());
     for (std::size_t f = 0; f < a.frames.size(); ++f)
-        expectStatsEqual(a.frames[f], b.frames[f], compare_arena);
+        expectStatsEqual(a.frames[f], b.frames[f]);
     ASSERT_EQ(a.images.size(), b.images.size());
     for (std::size_t f = 0; f < a.images.size(); ++f)
         expectImagesEqual(a.images[f], b.images[f]);
@@ -350,10 +341,10 @@ TEST(Determinism, ParallelSsimMatchesSerial)
     EXPECT_EQ(serial_mssim, parallel_mssim);
 }
 
-// --- SIMD tier x execution mode x arena storage ----------------------
-// The full hot-path matrix: every runnable kernel tier, serial and
-// tile-parallel execution, and both scratch-storage modes must render
-// the exact frames of the scalar / serial / arena-on reference.
+// --- SIMD tier x execution mode ---------------------------------------
+// The full hot-path matrix: every runnable kernel tier under serial,
+// tile-parallel and frame-parallel execution must render the exact
+// frames of the scalar / serial reference.
 
 namespace
 {
@@ -404,52 +395,16 @@ TEST(Determinism, SimdTierTimesExecutionMode)
     simd::setActiveTier(saved);
 }
 
-TEST(Determinism, ArenaScratchOffMatchesOn)
-{
-    GameTrace trace = smallTrace();
-    RunConfig cfg;
-    cfg.scenario = DesignScenario::Patu;
-    cfg.threshold = 0.4f;
-    cfg.threads = 1;
-
-    setArenaScratchForTesting(1);
-    RunResult on = runTrace(trace, cfg);
-    setArenaScratchForTesting(0);
-    RunResult off = runTrace(trace, cfg);
-
-    // Everything except the arena.* byte counters is bit-identical;
-    // with the arena off those counters must read exactly zero.
-    expectRunsEqual(on, off, /*compare_arena=*/false);
-    for (const FrameStats &fs : on.frames) {
-        EXPECT_GT(fs.arena_frame_bytes, 0u);
-        EXPECT_GT(fs.arena_high_water, 0u);
-    }
-    for (const FrameStats &fs : off.frames) {
-        EXPECT_EQ(fs.arena_frame_bytes, 0u);
-        EXPECT_EQ(fs.arena_high_water, 0u);
-    }
-
-    // The heap path must also survive the tile-parallel fragment phase.
-    RunConfig tile_cfg = cfg;
-    tile_cfg.tile_parallel = true;
-    ThreadPool::setDefaultThreads(3);
-    expectRunsEqual(on, runTrace(trace, tile_cfg),
-                    /*compare_arena=*/false);
-    ThreadPool::setDefaultThreads(0);
-    setArenaScratchForTesting(-1);
-}
-
 TEST(Determinism, ArenaTimesTierMatrix)
 {
-    // The diagonal stress: non-default tier and non-default storage at
-    // once, on top of tile parallelism.
+    // Arena-backed scratch (the arena.* counters included) under every
+    // tier, on either fragment-phase schedule.
     GameTrace trace = smallTrace();
     RunConfig cfg;
     cfg.threads = 1;
 
     const simd::SimdTier saved = simd::activeTier();
     simd::setActiveTier(simd::SimdTier::Scalar);
-    setArenaScratchForTesting(1);
     RunResult ref = runTrace(trace, cfg);
 
     RunConfig tile_cfg = cfg;
@@ -457,24 +412,20 @@ TEST(Determinism, ArenaTimesTierMatrix)
     for (simd::SimdTier tier : runnableTiers()) {
         SCOPED_TRACE(simd::tierName(tier));
         simd::setActiveTier(tier);
-        setArenaScratchForTesting(0);
         ThreadPool::setDefaultThreads(3);
-        expectRunsEqual(ref, runTrace(trace, tile_cfg),
-                        /*compare_arena=*/false);
+        expectRunsEqual(ref, runTrace(trace, tile_cfg));
         ThreadPool::setDefaultThreads(0);
-        setArenaScratchForTesting(1);
         expectRunsEqual(ref, runTrace(trace, cfg));
     }
-    setArenaScratchForTesting(-1);
     simd::setActiveTier(saved);
 }
 
 // --- Tile pass matrix --------------------------------------------------
 // The three-phase tile pass decouples host workers from simulated
-// clusters: any worker count (fewer, as many as, or more than the
-// clusters) with any cluster count, kernel tier and scratch storage must
-// reproduce serial mode exactly — images, FrameStats and the exported
-// registry.
+// clusters: the pooled schedule on any worker count (fewer, as many as,
+// or more than the clusters) with any cluster count and kernel tier must
+// reproduce the streamed one-worker schedule of a serial frame exactly —
+// images, FrameStats and the exported registry.
 
 namespace
 {
@@ -489,42 +440,36 @@ registryJson(const RunResult &r)
 
 } // namespace
 
-TEST(Determinism, TilePassWorkersTimesClustersTimesTierTimesArena)
+TEST(Determinism, TilePassWorkersTimesClustersTimesTier)
 {
     GameTrace trace = buildGameTrace(GameId::HL2, 96, 80, 2);
     const simd::SimdTier saved = simd::activeTier();
     for (unsigned clusters : {1u, 3u, 8u}) {
         for (simd::SimdTier tier : runnableTiers()) {
-            for (int arena : {1, 0}) {
-                SCOPED_TRACE(testing::Message()
-                             << "clusters " << clusters << ", tier "
-                             << simd::tierName(tier) << ", arena "
-                             << arena);
-                simd::setActiveTier(tier);
-                setArenaScratchForTesting(arena);
-                RunConfig serial_cfg;
-                serial_cfg.scenario = DesignScenario::Patu;
-                serial_cfg.threshold = 0.4f;
-                serial_cfg.threads = 1;
-                serial_cfg.clusters = clusters;
-                const RunResult ref = runTrace(trace, serial_cfg);
-                const std::string ref_json = registryJson(ref);
+            SCOPED_TRACE(testing::Message()
+                         << "clusters " << clusters << ", tier "
+                         << simd::tierName(tier));
+            simd::setActiveTier(tier);
+            RunConfig serial_cfg;
+            serial_cfg.scenario = DesignScenario::Patu;
+            serial_cfg.threshold = 0.4f;
+            serial_cfg.threads = 1;
+            serial_cfg.clusters = clusters;
+            const RunResult ref = runTrace(trace, serial_cfg);
+            const std::string ref_json = registryJson(ref);
 
-                RunConfig tile_cfg = serial_cfg;
-                tile_cfg.tile_parallel = true;
-                for (unsigned workers : {1u, 2u, 3u, 4u, 8u}) {
-                    SCOPED_TRACE(testing::Message() << "workers "
-                                                    << workers);
-                    ThreadPool::setDefaultThreads(workers);
-                    const RunResult got = runTrace(trace, tile_cfg);
-                    ThreadPool::setDefaultThreads(0);
-                    expectRunsEqual(ref, got);
-                    EXPECT_EQ(ref_json, registryJson(got));
-                }
+            RunConfig tile_cfg = serial_cfg;
+            tile_cfg.tile_parallel = true;
+            for (unsigned workers : {1u, 2u, 3u, 4u, 8u}) {
+                SCOPED_TRACE(testing::Message() << "workers " << workers);
+                ThreadPool::setDefaultThreads(workers);
+                const RunResult got = runTrace(trace, tile_cfg);
+                ThreadPool::setDefaultThreads(0);
+                expectRunsEqual(ref, got);
+                EXPECT_EQ(ref_json, registryJson(got));
             }
         }
     }
-    setArenaScratchForTesting(-1);
     simd::setActiveTier(saved);
 }
 
@@ -537,7 +482,6 @@ TEST(Determinism, ArenaCountersPinned)
     const std::uint64_t kFrameBytes[3] = {342256, 342500, 342340};
     const std::uint64_t kHighWater[3] = {280544, 280588, 280460};
     GameTrace trace = smallTrace();
-    setArenaScratchForTesting(1);
     for (bool tile_parallel : {false, true}) {
         SCOPED_TRACE(tile_parallel ? "tile-parallel" : "serial");
         RunConfig cfg;
@@ -555,5 +499,4 @@ TEST(Determinism, ArenaCountersPinned)
                 << "frame " << f;
         }
     }
-    setArenaScratchForTesting(-1);
 }
