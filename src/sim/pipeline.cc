@@ -38,6 +38,14 @@ using detail::TileWorker;
  */
 constexpr std::size_t kChunksPerWorker = 16;
 
+/**
+ * Log capacity the constructor reserves for one busy tile: eight layers
+ * of a 16x16 tile's 64 quads, 32 distinct lines per quad. Deeper tiles
+ * still grow the logs.
+ */
+constexpr std::size_t kReservedTileQuads = 512;
+constexpr std::size_t kReservedQuadLines = 32;
+
 /** Per-face lighting factor from the world-space normal. */
 float
 faceShade(const Vec3 &p0, const Vec3 &p1, const Vec3 &p2)
@@ -114,11 +122,18 @@ GpuSimulator::GpuSimulator(const GpuConfig &config)
     mem_ = std::make_unique<MemorySystem>(mc);
     cluster_tex_.resize(config_.clusters);
     // The one-worker schedule's state; a pooled frame adds workers and
-    // tile slots on first use.
+    // tile slots on first use. Its logs are reserved here: grown inside
+    // the first frame, they land between that frame's large scratch
+    // blocks in the thread's heap, and the peak RSS of frame-parallel
+    // runs then varies from run to run.
     workers_.push_back(std::make_unique<TileWorker>(config_, *mem_));
+    workers_[0]->quads.reserve(kReservedTileQuads);
+    workers_[0]->lines.reserve(kReservedTileQuads * kReservedQuadLines);
     replays_.reserve(config_.clusters);
-    for (unsigned c = 0; c < config_.clusters; ++c)
+    for (unsigned c = 0; c < config_.clusters; ++c) {
         replays_.emplace_back(*mem_, c);
+        replays_.back().miss_quads.reserve(kReservedTileQuads);
+    }
     tile_logs_.resize(1);
 }
 
