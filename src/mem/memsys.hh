@@ -108,16 +108,16 @@ class MemorySystem
         PARGPU_REQUIRES(serial_phase);
 
     /**
-     * Tile-parallel commit pass: replay the L1-miss lines one quad
-     * staged through a ClusterMemFront against the shared LLC and DRAM,
-     * in the caller-chosen (canonical) order.
+     * Fragment-phase commit: replay the L1-miss lines one quad staged
+     * through a ClusterMemFront against the shared LLC and DRAM, in the
+     * caller-chosen (canonical) order.
      *
      * @p miss_lines is the quad's slice of the front's miss log — the
-     * lines that missed the cluster's L1 during the parallel replay; it
+     * lines that missed the cluster's L1 during the phase-2 replay; it
      * must not be empty (a quad without misses completes after
      * allHitLatency(), which needs no shared state). Given that the L1
-     * lookups already happened (with the identical per-cluster access
-     * order the serial path produces), the return value equals what
+     * lookups already happened (in the per-cluster access order a
+     * quad-by-quad walk produces), the return value equals what
      * readLines() would have returned for the quad's full line list at
      * @p now.
      */
@@ -165,18 +165,18 @@ class MemorySystem
 };
 
 /**
- * One cluster's private view of the memory system during tile-parallel
- * execution.
+ * One cluster's private view of the memory system during the fragment
+ * phase.
  *
  * The texture L1 is per-cluster already, so a front may probe it from
  * any one worker thread without synchronization — provided it is fed the
- * same line sequence the cluster would have issued serially. Phase 2
- * guarantees that: it replays the lines phase 1 logged for the cluster's
- * tiles (`tile % clusters`) in row-major order. Lines that miss are
- * appended to a log instead of touching the shared LLC/DRAM; the serial
- * commit replays the log in canonical tile order through
- * MemorySystem::commitBatch(), which reproduces the exact serial LLC and
- * DRAM state, counters and completion cycles.
+ * line sequence the cluster would issue quad by quad. Phase 2 guarantees
+ * that: it replays the lines phase 1 logged for the cluster's tiles
+ * (`tile % clusters`) in row-major order. Lines that miss are appended
+ * to a log instead of touching the shared LLC/DRAM; the serial commit
+ * replays the log in canonical tile order through
+ * MemorySystem::commitBatch(), which reproduces the exact LLC and DRAM
+ * state, counters and completion cycles of a quad-by-quad walk.
  */
 class ClusterMemFront
 {
