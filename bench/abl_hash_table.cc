@@ -19,6 +19,7 @@ using namespace pargpu::bench;
 int
 main()
 {
+    Session session;
     banner("Ablation", "PATU hash-table capacity (baseline: 16 entries)");
 
     GameTrace trace = buildGameTrace(GameId::HL2, scaleDim(1280),
@@ -37,7 +38,7 @@ main()
         cfg.table_entries = entries;
         configs.push_back(cfg);
     }
-    std::vector<RunResult> runs = runSweep(trace, configs);
+    std::vector<RunResult> runs = session.sweep(trace, configs);
     const RunResult &base = runs[0];
 
     std::printf("%8s %10s %10s %12s %14s\n", "entries", "speedup",

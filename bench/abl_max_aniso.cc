@@ -17,6 +17,7 @@ using namespace pargpu::bench;
 int
 main()
 {
+    Session session;
     banner("Ablation", "global max-AF level vs per-pixel PATU");
 
     GameTrace trace = buildGameTrace(GameId::Grid, scaleDim(1280),
@@ -39,7 +40,7 @@ main()
     patu_cfg.threshold = 0.4f;
     configs.push_back(patu_cfg);
 
-    std::vector<RunResult> runs = runSweep(trace, configs);
+    std::vector<RunResult> runs = session.sweep(trace, configs);
     const RunResult &base = runs[0];
 
     std::printf("%-18s %10s %10s %12s\n", "config", "speedup", "MSSIM",

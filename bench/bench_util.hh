@@ -20,7 +20,7 @@
 #include <vector>
 
 #include "pargpu/metrics.hh"
-#include "pargpu/config.hh"
+#include "pargpu/session.hh"
 
 namespace pargpu::bench
 {

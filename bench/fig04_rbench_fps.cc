@@ -15,6 +15,7 @@ using namespace pargpu::bench;
 int
 main()
 {
+    Session session;
     banner("Figure 4", "R.Bench fps on 2K/4K with AF on vs off");
 
     struct Res
@@ -37,11 +38,11 @@ main()
         RunConfig on_cfg;
         on_cfg.scenario = DesignScenario::Baseline;
         on_cfg.keep_images = false;
-        RunResult on = runTrace(trace, on_cfg);
+        RunResult on = session.run(trace, on_cfg);
 
         RunConfig off_cfg = on_cfg;
         off_cfg.scenario = DesignScenario::NoAF;
-        RunResult off = runTrace(trace, off_cfg);
+        RunResult off = session.run(trace, off_cfg);
 
         // At reduced bench resolution, scale cycle counts back up so the
         // vsync comparison reflects the paper-native pixel load.

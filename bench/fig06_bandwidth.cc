@@ -16,6 +16,7 @@ using namespace pargpu::bench;
 int
 main()
 {
+    Session session;
     banner("Figure 6", "memory bandwidth breakdown, AF on vs off");
 
     std::printf("%-16s | %21s | %21s | %9s %9s\n", "",
@@ -30,11 +31,11 @@ main()
         RunConfig on_cfg;
         on_cfg.scenario = DesignScenario::Baseline;
         on_cfg.keep_images = false;
-        RunResult on = runTrace(w.trace, on_cfg);
+        RunResult on = session.run(w.trace, on_cfg);
 
         RunConfig off_cfg = on_cfg;
         off_cfg.scenario = DesignScenario::NoAF;
-        RunResult off = runTrace(w.trace, off_cfg);
+        RunResult off = session.run(w.trace, off_cfg);
 
         auto shares = [](const RunResult &r, double out[3]) {
             double tex = sumOver(r.frames, &FrameStats::traffic_texture);

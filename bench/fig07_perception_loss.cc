@@ -13,6 +13,7 @@ using namespace pargpu::bench;
 int
 main()
 {
+    Session session;
     banner("Figure 7", "MSSIM loss when AF is disabled");
 
     std::printf("%-16s %12s %12s\n", "game", "MSSIM", "quality loss");
@@ -21,11 +22,11 @@ main()
     for (const Workload &w : paperWorkloads()) {
         RunConfig base_cfg;
         base_cfg.scenario = DesignScenario::Baseline;
-        RunResult base = runTrace(w.trace, base_cfg);
+        RunResult base = session.run(w.trace, base_cfg);
 
         RunConfig off_cfg;
         off_cfg.scenario = DesignScenario::NoAF;
-        RunResult off = runTrace(w.trace, off_cfg);
+        RunResult off = session.run(w.trace, off_cfg);
 
         double q = off.mssimAgainst(base.images);
         losses.push_back(1.0 - q);

@@ -15,6 +15,7 @@ using namespace pargpu::bench;
 int
 main()
 {
+    Session session;
     banner("Figure 8", "SSIM index map of AF-on vs AF-off (HL2)");
 
     // The paper's frame is HL2 at 1600x1200.
@@ -23,11 +24,11 @@ main()
 
     RunConfig on_cfg;
     on_cfg.scenario = DesignScenario::Baseline;
-    RunResult on = runTrace(trace, on_cfg);
+    RunResult on = session.run(trace, on_cfg);
 
     RunConfig off_cfg;
     off_cfg.scenario = DesignScenario::NoAF;
-    RunResult off = runTrace(trace, off_cfg);
+    RunResult off = session.run(trace, off_cfg);
 
     std::vector<float> map = ssimMap(off.images[0], on.images[0]);
     double m = mssimOfMap(map);

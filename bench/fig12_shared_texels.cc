@@ -13,6 +13,7 @@ using namespace pargpu::bench;
 int
 main()
 {
+    Session session;
     banner("Figure 12", "AF input samples sharing texel sets with TF");
 
     std::printf("%-16s %16s\n", "game", "shared samples");
@@ -22,7 +23,7 @@ main()
         RunConfig cfg;
         cfg.scenario = DesignScenario::Baseline;
         cfg.keep_images = false;
-        RunResult r = runTrace(w.trace, cfg);
+        RunResult r = session.run(w.trace, cfg);
 
         double shared = sumOver(r.frames, &FrameStats::shared_samples);
         double total = sumOver(r.frames, &FrameStats::af_input_samples);

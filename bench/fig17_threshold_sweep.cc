@@ -25,6 +25,7 @@ using namespace pargpu::bench;
 int
 main()
 {
+    Session session;
     banner("Figure 17", "threshold sweep: speedup vs MSSIM, per game");
 
     const int steps = 11;
@@ -44,7 +45,7 @@ main()
             cfg.threshold = static_cast<float>(i) / (steps - 1);
             configs.push_back(cfg);
         }
-        std::vector<RunResult> runs = runSweep(w.trace, configs);
+        std::vector<RunResult> runs = session.sweep(w.trace, configs);
         const RunResult &base = runs[0];
         maybeWriteMetrics("fig17", w, configs[0], base);
 

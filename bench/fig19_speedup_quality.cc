@@ -15,6 +15,7 @@ using namespace pargpu::bench;
 int
 main()
 {
+    Session session;
     banner("Figure 19", "overall speedup and MSSIM per design scenario");
 
     const DesignScenario scenarios[] = {
@@ -38,7 +39,7 @@ main()
             configs[s + 1].scenario = scenarios[s];
             configs[s + 1].threshold = 0.4f;
         }
-        std::vector<RunResult> runs = runSweep(w.trace, configs);
+        std::vector<RunResult> runs = session.sweep(w.trace, configs);
         const RunResult &base = runs[0];
         maybeWriteMetrics("fig19", w, configs[0], base);
 

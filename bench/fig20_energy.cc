@@ -15,6 +15,7 @@ using namespace pargpu::bench;
 int
 main()
 {
+    Session session;
     banner("Figure 20", "normalized GPU energy (incl. DRAM)");
 
     const DesignScenario scenarios[] = {
@@ -32,7 +33,7 @@ main()
         RunConfig base_cfg;
         base_cfg.scenario = DesignScenario::Baseline;
         base_cfg.keep_images = false;
-        RunResult base = runTrace(w.trace, base_cfg);
+        RunResult base = session.run(w.trace, base_cfg);
         maybeWriteMetrics("fig20", w, base_cfg, base);
 
         double norm[3], patu_power = 0.0;
@@ -40,7 +41,7 @@ main()
             RunConfig cfg = base_cfg;
             cfg.scenario = scenarios[s];
             cfg.threshold = 0.4f;
-            RunResult r = runTrace(w.trace, cfg);
+            RunResult r = session.run(w.trace, cfg);
             maybeWriteMetrics("fig20", w, cfg, r);
             norm[s] = r.total_energy_nj / base.total_energy_nj;
             savings[s].push_back(1.0 - norm[s]);

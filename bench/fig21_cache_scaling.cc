@@ -16,6 +16,7 @@ using namespace pargpu::bench;
 int
 main()
 {
+    Session session;
     banner("Figure 21", "cache scaling with and without PATU");
 
     struct Config
@@ -54,7 +55,7 @@ main()
             patu_cfg.threshold = 0.4f;
             sweep.push_back(patu_cfg);
         }
-        std::vector<RunResult> runs = runSweep(w.trace, sweep);
+        std::vector<RunResult> runs = session.sweep(w.trace, sweep);
         const RunResult &base = runs[0];
         maybeWriteMetrics("fig21", w, base_cfg, base);
         for (std::size_t i = 0; i < nc; ++i) {

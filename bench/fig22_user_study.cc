@@ -16,6 +16,7 @@ using namespace pargpu::bench;
 int
 main()
 {
+    Session session;
     banner("Figure 22", "user satisfaction over thresholds (simulated)");
 
     struct Case
@@ -43,7 +44,7 @@ main()
 
         RunConfig base_cfg;
         base_cfg.scenario = DesignScenario::Baseline;
-        RunResult base = runTrace(trace, base_cfg);
+        RunResult base = session.run(trace, base_cfg);
 
         // Normalize the absolute cycle scale to the paper's operating
         // point: our procedural scenes are structurally simpler than
@@ -67,7 +68,7 @@ main()
             RunConfig cfg;
             cfg.scenario = DesignScenario::Patu;
             cfg.threshold = t;
-            RunResult r = runTrace(trace, cfg);
+            RunResult r = session.run(trace, cfg);
             double q = r.mssimAgainst(base.images);
 
             std::vector<Cycle> cyc;

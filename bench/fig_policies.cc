@@ -63,6 +63,7 @@ totalOf(const RunResult &run, std::uint64_t FrameStats::*field)
 int
 main()
 {
+    Session session;
     banner("FilterPolicy comparison",
            "quality vs. texel fetches vs. energy per filter policy");
 
@@ -98,7 +99,7 @@ main()
             c.filter_policy = d.id;
             configs.push_back(c);
         }
-        std::vector<RunResult> runs = runSweep(w.trace, configs);
+        std::vector<RunResult> runs = session.sweep(w.trace, configs);
         const RunResult &base = runs[0];
         writePolicyMetrics(w, configs[0], base, -1.0, true);
 

@@ -70,6 +70,7 @@ runsIdentical(const RunResult &a, const RunResult &b)
 int
 main()
 {
+    Session session;
     banner("Perf raster",
            "raster-bound scenario (NoAF), one run per SIMD tier");
 
@@ -98,7 +99,7 @@ main()
             static_cast<int>(simd::SimdTier::Avx2))
         tiers.push_back(simd::SimdTier::Avx2);
 
-    runTrace(trace, cfg); // Warm-up outside every timed region.
+    session.run(trace, cfg); // Warm-up outside every timed region.
 
     std::vector<double> tier_sec(tiers.size(), 0.0);
     RunResult ref;
@@ -106,7 +107,7 @@ main()
     for (std::size_t i = 0; i < tiers.size(); ++i) {
         simd::setActiveTier(tiers[i]);
         auto t0 = std::chrono::steady_clock::now();
-        RunResult r = runTrace(trace, cfg);
+        RunResult r = session.run(trace, cfg);
         auto t1 = std::chrono::steady_clock::now();
         tier_sec[i] = seconds(t0, t1);
         if (i == 0) {

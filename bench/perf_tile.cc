@@ -72,6 +72,7 @@ runsIdentical(const RunResult &a, const RunResult &b)
 int
 main()
 {
+    Session session;
     banner("Perf tile",
            "intra-frame tile parallelism, serial vs 1/2/4/8 workers");
 
@@ -93,11 +94,11 @@ main()
 
     // Warm up once (page cache, pool spin-up) outside the timed region.
     ThreadPool::setDefaultThreads(2);
-    runTrace(trace, tile_cfg);
+    session.run(trace, tile_cfg);
     ThreadPool::setDefaultThreads(0);
 
     auto t0 = std::chrono::steady_clock::now();
-    RunResult serial = runTrace(trace, serial_cfg);
+    RunResult serial = session.run(trace, serial_cfg);
     auto t1 = std::chrono::steady_clock::now();
     const double s_sec = seconds(t0, t1);
 
@@ -111,7 +112,7 @@ main()
     for (int i = 0; i < 4; ++i) {
         ThreadPool::setDefaultThreads(kWorkers[i]);
         auto w0 = std::chrono::steady_clock::now();
-        RunResult tiled = runTrace(trace, tile_cfg);
+        RunResult tiled = session.run(trace, tile_cfg);
         auto w1 = std::chrono::steady_clock::now();
         tile_sec[i] = seconds(w0, w1);
         const bool same = runsIdentical(serial, tiled);

@@ -13,6 +13,7 @@ using namespace pargpu::bench;
 int
 main()
 {
+    Session session;
     banner("Section V-C(1)", "PATU decision divergence within quads");
 
     std::printf("%-16s %14s %14s %12s\n", "game", "AF quads",
@@ -24,7 +25,7 @@ main()
         cfg.scenario = DesignScenario::Patu;
         cfg.threshold = 0.4f;
         cfg.keep_images = false;
-        RunResult r = runTrace(w.trace, cfg);
+        RunResult r = session.run(w.trace, cfg);
 
         double divergent =
             sumOver(r.frames, &FrameStats::divergent_quads);

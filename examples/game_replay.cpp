@@ -12,8 +12,8 @@
 #include <cstdlib>
 #include <string>
 
-#include "pargpu/config.hh"
 #include "pargpu/replay.hh"
+#include "pargpu/session.hh"
 #include "pargpu/trace.hh"
 
 using namespace pargpu;
@@ -21,6 +21,7 @@ using namespace pargpu;
 int
 main(int argc, char **argv)
 {
+    Session session;
     int frames = argc >= 2 ? std::atoi(argv[1]) : 4;
     const int width = 640, height = 480;
 
@@ -46,11 +47,11 @@ main(int argc, char **argv)
 
     RunConfig base_cfg;
     base_cfg.scenario = DesignScenario::Baseline;
-    RunResult base = runTrace(trace, base_cfg);
+    RunResult base = session.run(trace, base_cfg);
 
     RunConfig patu_cfg;
     patu_cfg.scenario = DesignScenario::Patu;
-    RunResult patu = runTrace(trace, patu_cfg);
+    RunResult patu = session.run(trace, patu_cfg);
 
     ReplayResult base_replay = simulateReplay(frameCycles(base));
     ReplayResult patu_replay = simulateReplay(frameCycles(patu));

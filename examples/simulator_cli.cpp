@@ -21,7 +21,7 @@
 #include <string>
 
 #include "pargpu/threading.hh"
-#include "pargpu/config.hh"
+#include "pargpu/session.hh"
 #include "pargpu/power.hh"
 #include "pargpu/sim.hh"
 
@@ -201,7 +201,8 @@ main(int argc, char **argv)
     // Mono path: frames render (possibly in parallel) through the
     // harness, then print in order — output is identical to a serial run.
     o.run.keep_images = !o.dump_prefix.empty();
-    RunResult run = runTrace(trace, o.run);
+    Session session;
+    RunResult run = session.run(trace, o.run);
     for (int f = 0; f < o.frames; ++f) {
         std::printf("\n=== frame %d ===\n", f);
         printFrame("frame", run.frames[f]);

@@ -13,7 +13,7 @@
 #include <cstring>
 #include <string>
 
-#include "pargpu/config.hh"
+#include "pargpu/session.hh"
 
 using namespace pargpu;
 
@@ -41,6 +41,7 @@ parseGame(const char *s)
 int
 main(int argc, char **argv)
 {
+    Session session;
     GameId game = argc >= 2 ? parseGame(argv[1]) : GameId::HL2;
     int width = 640, height = 480;
     if (argc >= 4) {
@@ -53,7 +54,7 @@ main(int argc, char **argv)
 
     RunConfig base_cfg;
     base_cfg.scenario = DesignScenario::Baseline;
-    RunResult base = runTrace(trace, base_cfg);
+    RunResult base = session.run(trace, base_cfg);
 
     std::printf("%9s %9s %9s %12s\n",
                 "threshold", "speedup", "MSSIM", "speed*MSSIM");
@@ -65,7 +66,7 @@ main(int argc, char **argv)
         RunConfig cfg;
         cfg.scenario = DesignScenario::Patu;
         cfg.threshold = threshold;
-        RunResult run = runTrace(trace, cfg);
+        RunResult run = session.run(trace, cfg);
         double speedup = base.avg_cycles / run.avg_cycles;
         double quality = run.mssimAgainst(base.images);
         double metric = speedup * quality;

@@ -5,9 +5,6 @@
  * Re-exports the AF-SSIM predictors (Eqs. 6/10), the texel-address hash
  * table, the PATU decision unit, and the area/energy overhead model
  * (Section VI).
- *
- * Session-status: neutral — data types and models shared by the Session
- * and legacy execution paths; no run entry points of its own.
  */
 
 #ifndef PARGPU_ANALYSIS_HH

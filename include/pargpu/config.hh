@@ -4,11 +4,8 @@
  *
  * Re-exports the experiment condition (RunConfig + RunConfig::validate()),
  * the modeled machine (GpuConfig, Table I defaults), the design scenarios
- * (DesignScenario), and the run entry points runTrace()/runSweep() with
- * their RunResult aggregation.
- *
- * Session-status: legacy-shim — runTrace()/runSweep() are deprecated
- * wrappers over the process-global Session (pargpu/session.hh).
+ * (DesignScenario), and the RunResult aggregation. Runs execute through
+ * a Session (pargpu/session.hh).
  */
 
 #ifndef PARGPU_CONFIG_HH

@@ -4,9 +4,6 @@
  *
  * Re-exports the set-associative cache, DRAM timing model and the composed
  * MemorySystem for cache-focused benches.
- *
- * Session-status: neutral — data types and models shared by the Session
- * and legacy execution paths; no run entry points of its own.
  */
 
 #ifndef PARGPU_MEM_HH

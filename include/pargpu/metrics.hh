@@ -5,9 +5,6 @@
  * Re-exports the versioned metrics document (metricsJson,
  * writeMetricsJson/writeMetricsCsv, buildRunRegistry, RunMetadata,
  * kMetricsSchemaVersion) described in docs/METRICS.md.
- *
- * Session-status: neutral — data types and models shared by the Session
- * and legacy execution paths; no run entry points of its own.
  */
 
 #ifndef PARGPU_METRICS_HH

@@ -6,8 +6,8 @@
  * experiments: build a game workload (GameTrace), describe an experimental
  * condition (RunConfig, validated via RunConfig::validate()), render it
  * through a Session (load assets once, run()/sweep()/submit() many —
- * pargpu/session.hh; the legacy runTrace/runSweep shims remain), and
- * export the run as a versioned metrics document (pargpu/metrics.hh).
+ * pargpu/session.hh), and export the run as a versioned metrics document
+ * (pargpu/metrics.hh).
  *
  * Out-of-repo consumers and the in-repo examples/ and bench/ trees build
  * exclusively against `pargpu/...` headers; the `src/...` spelling of the
@@ -18,9 +18,6 @@
  * pargpu/replay.hh, pargpu/sim.hh, pargpu/analysis.hh, pargpu/mem.hh,
  * pargpu/power.hh, pargpu/trace.hh, pargpu/threading.hh,
  * pargpu/random.hh. See docs/API.md.
- *
- * Session-status: umbrella — pulls in pargpu/session.hh (preferred
- * execution surface) alongside the legacy shims in pargpu/config.hh.
  */
 
 #ifndef PARGPU_PARGPU_HH

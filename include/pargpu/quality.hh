@@ -4,9 +4,6 @@
  *
  * Re-exports the SSIM/MSSIM implementation used for the paper's quality
  * axis.
- *
- * Session-status: neutral — data types and models shared by the Session
- * and legacy execution paths; no run entry points of its own.
  */
 
 #ifndef PARGPU_QUALITY_HH

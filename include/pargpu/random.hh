@@ -4,9 +4,6 @@
  *
  * Re-exports the seeded RNG every procedural generator uses (rand() is
  * banned repo-wide for reproducibility).
- *
- * Session-status: neutral — data types and models shared by the Session
- * and legacy execution paths; no run entry points of its own.
  */
 
 #ifndef PARGPU_RANDOM_HH

@@ -4,9 +4,6 @@
  *
  * Re-exports the vsync replay model and the user-study score synthesis
  * (Figs. 19-20).
- *
- * Session-status: neutral — data types and models shared by the Session
- * and legacy execution paths; no run entry points of its own.
  */
 
 #ifndef PARGPU_REPLAY_HH

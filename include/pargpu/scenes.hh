@@ -4,9 +4,6 @@
  *
  * Re-exports GameTrace/GameId/buildGameTrace, the Table II benchmark list
  * (paperBenchmarks), and the procedural scene/mesh builders.
- *
- * Session-status: neutral — data types and models shared by the Session
- * and legacy execution paths; no run entry points of its own.
  */
 
 #ifndef PARGPU_SCENES_HH

@@ -7,11 +7,7 @@
  * asynchronous submit()/submitSweep() returning JobHandles with streamed
  * metrics snapshots), the typed Status/StatusCode error surface,
  * the validated EnvOverrides snapshot, and the ServeLoop request loop
- * that pargpu_serve wraps. This is the preferred execution surface; the
- * legacy free functions in pargpu/config.hh are thin deprecated shims
- * over the process-global Session and stay bit-identical to it.
- *
- * Session-status: session — the canonical Session-based entry point.
+ * that pargpu_serve wraps. This is the only execution surface.
  */
 
 #ifndef PARGPU_SESSION_HH

@@ -5,9 +5,6 @@
  * Re-exports the GpuSimulator pipeline with FrameStats/FrameOutput, the
  * rasterizer quad types, and the stereo-rendering model for benches that
  * drive the simulator directly.
- *
- * Session-status: neutral — data types and models shared by the Session
- * and legacy execution paths; no run entry points of its own.
  */
 
 #ifndef PARGPU_SIM_HH

@@ -5,9 +5,6 @@
  * Re-exports the batch structs, the kernel table with its runtime
  * instruction-set dispatch, and the QuadFilter front-end for kernel
  * benches and bit-identity tests.
- *
- * Session-status: neutral — data types and models shared by the Session
- * and legacy execution paths; no run entry points of its own.
  */
 
 #ifndef PARGPU_SIMD_HH

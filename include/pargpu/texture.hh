@@ -6,9 +6,6 @@
  * mip-pyramid construction, BC1 compression, the procedural texture
  * generators, TextureSampler with its trilinear/anisotropic filters, and
  * the FilterPolicy family (docs/FILTERING.md).
- *
- * Session-status: neutral — data types and models shared by the Session
- * and legacy execution paths; no run entry points of its own.
  */
 
 #ifndef PARGPU_TEXTURE_HH

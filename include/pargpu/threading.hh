@@ -4,9 +4,6 @@
  *
  * Re-exports the ThreadPool used for frame/config-level parallelism
  * (PARGPU_THREADS, setDefaultThreads, parallel-for).
- *
- * Session-status: neutral — data types and models shared by the Session
- * and legacy execution paths; no run entry points of its own.
  */
 
 #ifndef PARGPU_THREADING_HH

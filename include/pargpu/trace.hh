@@ -4,9 +4,6 @@
  *
  * Re-exports binary trace writing/reading (the ATTILA-trace analog): a
  * trace reconstructs a bit-identical workload.
- *
- * Session-status: neutral — data types and models shared by the Session
- * and legacy execution paths; no run entry points of its own.
  */
 
 #ifndef PARGPU_TRACE_HH

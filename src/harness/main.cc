@@ -25,11 +25,8 @@
  *                  [--metrics-json FILE] [--metrics-csv FILE]
  *                  [--trace-out FILE] [--quiet]
  *
- * The pre-family spellings (--game, --scenario, --threshold, --width,
- * --height, --frames, --tc-scale, --llc-scale, --max-aniso,
- * --table-entries, --threads, --reference) still work as deprecated
- * aliases; the first use of each spelling prints a one-line warning on
- * stderr (once per process).
+ * Numeric values must parse whole and fit their field; anything else
+ * (`abc`, `32x`) exits 2 with "invalid value '<v>' for <flag>".
  *
  * --run-reference renders a second run under the given scenario and
  * reports MSSIM of the primary run against it (the paper's quality axis).
@@ -37,6 +34,7 @@
  * writes a JSON trace loadable in chrome://tracing / Perfetto.
  */
 
+#include <charconv>
 #include <cstdio>
 #include <cstdlib>
 #include <string>
@@ -128,52 +126,8 @@ usage()
         "  --metrics-csv F     write per-frame stats as CSV\n"
         "  --trace-out F       write a chrome://tracing JSON profile\n"
         "  --quiet             suppress the human-readable summary\n"
-        "Unprefixed spellings of the run flags (--game, --scenario, ...)\n"
-        "are deprecated aliases; see docs/REPRODUCING.md.\n"
         "See docs/METRICS.md for the schema and every metric name.\n",
         kMetricsSchemaVersion);
-}
-
-/**
- * Map a deprecated pre-family spelling to its canonical --run-* form,
- * warning once per spelling; canonical and unknown flags pass through.
- */
-std::string
-canonicalFlag(const std::string &flag)
-{
-    static const struct
-    {
-        const char *old_name;
-        const char *new_name;
-    } kAliases[] = {
-        {"--game", "--run-game"},
-        {"--scenario", "--run-scenario"},
-        {"--threshold", "--run-threshold"},
-        {"--width", "--run-width"},
-        {"--height", "--run-height"},
-        {"--frames", "--run-frames"},
-        {"--tc-scale", "--run-tc-scale"},
-        {"--llc-scale", "--run-llc-scale"},
-        {"--max-aniso", "--run-max-aniso"},
-        {"--table-entries", "--run-table-entries"},
-        {"--threads", "--run-threads"},
-        {"--reference", "--run-reference"},
-    };
-    static bool warned[sizeof(kAliases) / sizeof(kAliases[0])] = {};
-    for (std::size_t k = 0; k < sizeof(kAliases) / sizeof(kAliases[0]);
-         ++k) {
-        if (flag == kAliases[k].old_name) {
-            if (!warned[k]) {
-                warned[k] = true;
-                std::fprintf(
-                    stderr,
-                    "pargpu_harness: '%s' is deprecated, use '%s'\n",
-                    kAliases[k].old_name, kAliases[k].new_name);
-            }
-            return kAliases[k].new_name;
-        }
-    }
-    return flag;
 }
 
 Options
@@ -181,56 +135,64 @@ parseArgs(int argc, char **argv)
 {
     Options o;
     for (int i = 1; i < argc; ++i) {
-        std::string a = canonicalFlag(argv[i]);
-        auto need = [&](const char *flag) -> std::string {
+        const std::string a = argv[i];
+        auto need = [&]() -> std::string {
             if (i + 1 >= argc) {
-                std::fprintf(stderr, "%s needs a value\n", flag);
+                std::fprintf(stderr, "%s needs a value\n", a.c_str());
                 std::exit(2);
             }
             return argv[++i];
         };
+        // The whole value must parse and fit the field's type;
+        // RunConfig::validate() checks the legal range afterwards.
+        auto number = [&](auto &field) {
+            const std::string v = need();
+            const char *end = v.data() + v.size();
+            const std::from_chars_result r =
+                std::from_chars(v.data(), end, field);
+            if (r.ec != std::errc() || r.ptr != end) {
+                std::fprintf(stderr, "invalid value '%s' for %s\n",
+                             v.c_str(), a.c_str());
+                std::exit(2);
+            }
+        };
         if (a == "--run-game") {
-            o.game = parseGame(need("--run-game"));
+            o.game = parseGame(need());
         } else if (a == "--run-scenario") {
-            o.run.scenario = parseScenario(need("--run-scenario"));
+            o.run.scenario = parseScenario(need());
         } else if (a == "--run-threshold") {
-            o.run.threshold = static_cast<float>(
-                std::atof(need("--run-threshold").c_str()));
+            number(o.run.threshold);
         } else if (a == "--run-width") {
-            o.width = std::atoi(need("--run-width").c_str());
+            number(o.width);
         } else if (a == "--run-height") {
-            o.height = std::atoi(need("--run-height").c_str());
+            number(o.height);
         } else if (a == "--run-frames") {
-            o.frames = std::atoi(need("--run-frames").c_str());
+            number(o.frames);
         } else if (a == "--run-tc-scale") {
-            o.run.tc_scale = static_cast<unsigned>(
-                std::atoi(need("--run-tc-scale").c_str()));
+            number(o.run.tc_scale);
         } else if (a == "--run-llc-scale") {
-            o.run.llc_scale = static_cast<unsigned>(
-                std::atoi(need("--run-llc-scale").c_str()));
+            number(o.run.llc_scale);
         } else if (a == "--run-max-aniso") {
-            o.run.max_aniso = std::atoi(need("--run-max-aniso").c_str());
+            number(o.run.max_aniso);
         } else if (a == "--run-table-entries") {
-            o.run.table_entries =
-                std::atoi(need("--run-table-entries").c_str());
+            number(o.run.table_entries);
         } else if (a == "--run-threads") {
-            o.run.threads = std::atoi(need("--run-threads").c_str());
+            number(o.run.threads);
         } else if (a == "--run-tile-parallel") {
             o.run.tile_parallel = true;
         } else if (a == "--run-clusters") {
-            o.run.clusters = std::atoi(need("--run-clusters").c_str());
+            number(o.run.clusters);
         } else if (a == "--run-filter-policy") {
-            o.run.filter_policy =
-                parseFilterPolicyOrDie(need("--run-filter-policy"));
+            o.run.filter_policy = parseFilterPolicyOrDie(need());
         } else if (a == "--run-reference") {
             o.have_reference = true;
-            o.reference = parseScenario(need("--run-reference"));
+            o.reference = parseScenario(need());
         } else if (a == "--metrics-json") {
-            o.metrics_json = need("--metrics-json");
+            o.metrics_json = need();
         } else if (a == "--metrics-csv") {
-            o.metrics_csv = need("--metrics-csv");
+            o.metrics_csv = need();
         } else if (a == "--trace-out") {
-            o.trace_out = need("--trace-out");
+            o.trace_out = need();
         } else if (a == "--quiet") {
             o.quiet = true;
         } else if (a == "--help" || a == "-h") {

@@ -128,12 +128,13 @@ renderTrace(const GameTrace &trace, const RunConfig &config,
     const std::size_t parts =
         std::min<std::size_t>(want, n == 0 ? 1 : n);
 
+    // The span name is part of the documented trace schema (METRICS.md).
+    PARGPU_TRACE_SCOPE_F("harness", "runTrace", n);
     // Every frame renders into its own slot. The simulator resets cache
     // and DRAM state per frame, so a frame's output is the same whether
     // its simulator previously rendered other frames (serial path) or is
     // freshly built for a partition (parallel path); determinism_test
     // pins this down.
-    PARGPU_TRACE_SCOPE_F("harness", "runTrace", n);
     std::vector<FrameOutput> outs(n);
     if (parts <= 1 || ThreadPool::inWorker()) {
         GpuSimulator sim(makeGpuConfig(config));
@@ -213,21 +214,6 @@ renderSweep(const GameTrace &trace, const std::vector<RunConfig> &configs,
 }
 
 } // namespace detail
-
-RunResult
-runTrace(const GameTrace &trace, const RunConfig &config)
-{
-    detail::warnLegacyEntryPoint("runTrace()", "Session::run()/submit()");
-    return Session::global().run(trace, config);
-}
-
-std::vector<RunResult>
-runSweep(const GameTrace &trace, const std::vector<RunConfig> &configs,
-         int threads)
-{
-    detail::warnLegacyEntryPoint("runSweep()", "Session::sweep()");
-    return Session::global().sweep(trace, configs, threads);
-}
 
 std::vector<Cycle>
 frameCycles(const RunResult &run)

@@ -1,6 +1,7 @@
 #include "harness/serve.hh"
 
 #include <istream>
+#include <limits>
 #include <ostream>
 
 #include "harness/metrics.hh"
@@ -27,14 +28,20 @@ responseFor(const Json &request, const Status &status)
     return r;
 }
 
-/** Integer-valued number member check (rejects 1.5 for "width"). */
+/**
+ * Integer-valued number member that fits an int (rejects 1.5, 1e30 and
+ * 1e999 for "width"). The range check runs before the cast, which is
+ * undefined behavior for values an int cannot hold.
+ */
 bool
 intMember(const Json &j, double &out)
 {
     if (!j.isNumber())
         return false;
     out = j.number();
-    return out == static_cast<double>(static_cast<long long>(out));
+    return out >= std::numeric_limits<int>::min() &&
+        out <= std::numeric_limits<int>::max() &&
+        out == static_cast<double>(static_cast<int>(out));
 }
 
 /** Full metrics document for one finished run on @p trace. */

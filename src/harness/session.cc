@@ -1,9 +1,8 @@
 #include "harness/session.hh"
 
-#include <cstdio>
 #include <cstdlib>
 #include <iostream>
-#include <set>
+#include <utility>
 
 #include "common/contract.hh"
 #include "common/logging.hh"
@@ -11,6 +10,7 @@
 #include "harness/metrics.hh"
 #include "power/energy.hh"
 #include "sim/pipeline.hh"
+#include "trace/trace.hh"
 
 namespace pargpu
 {
@@ -69,25 +69,6 @@ envOverrides()
     }();
     return env;
 }
-
-namespace detail
-{
-
-void
-warnLegacyEntryPoint(const char *legacy, const char *replacement)
-{
-    static Mutex mu;
-    static std::set<std::string> warned;
-    MutexLock lk(mu);
-    if (!warned.insert(legacy).second)
-        return;
-    std::fprintf(stderr,
-                 "pargpu: %s is deprecated for external callers; use %s "
-                 "(pargpu/session.hh, docs/SERVE.md)\n",
-                 legacy, replacement);
-}
-
-} // namespace detail
 
 // --- Job -----------------------------------------------------------------
 
@@ -281,6 +262,15 @@ Session::load(const std::string &key, GameId game, int width, int height,
     if (width <= 0 || height <= 0 || frames <= 0)
         return Status::fail(StatusCode::InvalidRequest,
                             "viewport and frame count must be positive");
+    // The limits readTrace() applies to a trace file.
+    if (std::cmp_greater(width, kMaxTraceViewport) ||
+        std::cmp_greater(height, kMaxTraceViewport) ||
+        std::cmp_greater(frames, kMaxTraceCameras))
+        return Status::fail(StatusCode::InvalidRequest,
+                            "viewport sides must be at most " +
+                                std::to_string(kMaxTraceViewport) +
+                                " and frames at most " +
+                                std::to_string(kMaxTraceCameras));
     return load(key, buildGameTrace(game, width, height, frames));
 }
 
@@ -404,8 +394,8 @@ Session::enqueue(const JobHandle &job)
 {
     {
         MutexLock lk(mu_);
-        // Dispatchers spin up lazily so synchronous-only sessions (and
-        // the global legacy-wrapper session) never spawn threads.
+        // Dispatchers spin up lazily so synchronous-only sessions never
+        // spawn threads.
         while (dispatchers_.size() < job_workers_)
             dispatchers_.emplace_back([this] { dispatcherLoop(); });
         queue_.push_back(job);
@@ -442,13 +432,6 @@ std::size_t
 Session::jobsCompleted() const
 {
     return completed_.load(std::memory_order_relaxed);
-}
-
-Session &
-Session::global()
-{
-    static Session session;
-    return session;
 }
 
 } // namespace pargpu

@@ -1,23 +1,25 @@
 /**
  * @file
- * Session-based experiment facade: immutable shared assets, queued jobs,
+ * The one experiment entry point: a caller-owned Session renders traces
+ * synchronously, or holds immutable shared assets, queued jobs and
  * streamed metrics snapshots.
  *
- * A Session amortizes everything a one-shot runTrace()/runSweep() process
- * pays per invocation: decoded scenes, procedural textures and their mip
- * pyramids, replayable traces, and the validated environment overrides.
- * Assets are loaded once (load()), held behind shared_ptr<const GameTrace>
- * and shared read-only across every job; thousands of config evaluations
- * can then run in one process against one decode.
+ * A Session amortizes everything a one-shot process pays per invocation:
+ * decoded scenes, procedural textures and their mip pyramids, replayable
+ * traces, and the validated environment overrides. Assets are loaded
+ * once (load()), held behind shared_ptr<const GameTrace> and shared
+ * read-only across every job; thousands of config evaluations can then
+ * run in one process against one decode. A Session that only runs
+ * synchronously is cheap to construct and spawns no threads.
  *
- * Execution surfaces, all bit-identical to the legacy free functions:
+ * Execution surfaces, all bit-identical to one another:
  *
  *  - run()/sweep(trace, ...): synchronous, borrowing a caller-owned
- *    trace — the exact code path the deprecated runTrace()/runSweep()
- *    wrappers forward to.
+ *    trace — detail::renderTrace()/renderSweep() directly.
  *  - sweep(key, ...): synchronous sweep over a loaded asset; its output
  *    (RunResults, metrics JSON, counters, images) is byte-identical to
- *    runSweep() on the same configs (session_test pins this down).
+ *    sweep(trace, ...) on the same configs (session_test pins this
+ *    down).
  *  - submit()/submitSweep(): asynchronous jobs on a small dispatcher
  *    crew; each job fans its frames out onto the shared ThreadPool and
  *    exposes streamed metrics snapshots while running. Handles are
@@ -91,7 +93,7 @@ struct Status
 /**
  * Validate @p config the Session way: Ok when valid, else InvalidConfig
  * with every configErrorMessage() joined by "; " — the same typed
- * reasons runTrace() fatals with, minus the process exit.
+ * reasons run() fatals with, minus the process exit.
  */
 Status validateRunConfig(const RunConfig &config);
 
@@ -138,27 +140,19 @@ class RunProgress
 };
 
 /**
- * The runTrace() engine (moved here from the free function): renders
- * every frame of @p trace under @p config, frames parallel on the
- * shared pool unless nested, aggregation serial in frame order.
+ * The Session::run() engine: renders every frame of @p trace under
+ * @p config, frames parallel on the shared pool unless nested,
+ * aggregation serial in frame order.
  * fatal()s on an invalid config. @p progress, when non-null, observes
  * each frame completion (it never affects the result).
  */
 RunResult renderTrace(const GameTrace &trace, const RunConfig &config,
                       RunProgress *progress = nullptr);
 
-/** The runSweep() engine: conditions in parallel, results by index. */
+/** The Session::sweep() engine: conditions in parallel, results by index. */
 std::vector<RunResult> renderSweep(const GameTrace &trace,
                                    const std::vector<RunConfig> &configs,
                                    int threads = 0);
-
-/**
- * One-shot per-process deprecation note for a legacy entry point (same
- * mechanism as the harness's deprecated-alias flag warnings): the first
- * direct call of runTrace()/runSweep() prints one line on stderr
- * pointing at the Session API; later calls are silent.
- */
-void warnLegacyEntryPoint(const char *legacy, const char *replacement);
 
 } // namespace detail
 
@@ -211,7 +205,7 @@ class Job
 
     /**
      * Blocking access to the finished result (wait() + reference). The
-     * result is bit-identical to runTrace(trace, config()).
+     * result is bit-identical to Session::run(trace, config()).
      */
     const RunResult &result() const;
 
@@ -297,7 +291,11 @@ class Session
      */
     Status load(const std::string &key, GameTrace trace);
 
-    /** Build buildGameTrace(game, width, height, frames) under @p key. */
+    /**
+     * Build buildGameTrace(game, width, height, frames) under @p key.
+     * InvalidRequest unless every side is in [1, kMaxTraceViewport] and
+     * frames in [1, kMaxTraceCameras] (readTrace()'s limits).
+     */
     Status load(const std::string &key, GameId game, int width, int height,
                 int frames);
 
@@ -307,24 +305,31 @@ class Session
     /** Keys of every loaded asset, sorted. */
     std::vector<std::string> traceKeys() const;
 
-    // --- Synchronous execution (legacy-identical) ------------------------
+    // --- Synchronous execution -------------------------------------------
 
     /**
-     * Render @p trace under @p config — the exact legacy runTrace()
-     * path (fatal() on an invalid config), minus the deprecation note.
+     * Render @p trace under @p config (fatal() on an invalid config).
+     * RunConfig::threads sets the frame-level parallelism.
      */
     RunResult run(const GameTrace &trace, const RunConfig &config);
 
-    /** The exact legacy runSweep() path over a borrowed trace. */
+    /**
+     * Render @p trace under every condition of @p configs, conditions in
+     * parallel (frames within each condition stay serial on a worker).
+     * results[i] corresponds to configs[i] and is bit-identical to
+     * run(trace, configs[i]); fatal() on any invalid config.
+     *
+     * @param threads  Total concurrency (0 = PARGPU_THREADS/default).
+     */
     std::vector<RunResult> sweep(const GameTrace &trace,
                                  const std::vector<RunConfig> &configs,
                                  int threads = 0);
 
     /**
      * Sweep a loaded asset: validates every config (typed Status instead
-     * of fatal()), then runs the legacy sweep engine. @p results is
-     * byte-identical to runSweep(trace, configs, threads) — metrics
-     * JSON, counters and images included.
+     * of fatal()), then runs the sweep engine. @p results is
+     * byte-identical to sweep(trace, configs, threads) — metrics JSON,
+     * counters and images included.
      */
     Status sweep(const std::string &key,
                  const std::vector<RunConfig> &configs,
@@ -344,7 +349,7 @@ class Session
      * Enqueue one job per config (a concurrent sweep). All-or-nothing:
      * on any invalid config nothing is enqueued and the vector is
      * empty with the reason in @p status. Waiting on the handles in
-     * order yields results bit-identical to runSweep().
+     * order yields results bit-identical to sweep(trace, configs).
      */
     std::vector<JobHandle> submitSweep(const std::string &key,
                                        const std::vector<RunConfig> &configs,
@@ -355,12 +360,6 @@ class Session
 
     /** Jobs finished so far (monotonic). */
     std::size_t jobsCompleted() const;
-
-    /**
-     * The process-global Session backing the legacy runTrace()/runSweep()
-     * wrappers. Constructed on first use; holds no assets of its own.
-     */
-    static Session &global();
 
   private:
     void dispatcherLoop();

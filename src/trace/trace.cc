@@ -254,7 +254,7 @@ readTrace(const std::string &path, bool &ok)
     }
 
     std::uint32_t ncams = r.u32();
-    if (!r.ok || ncams > (1u << 20)) {
+    if (!r.ok || ncams > kMaxTraceCameras) {
         std::fclose(f);
         return t;
     }

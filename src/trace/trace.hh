@@ -25,6 +25,9 @@ inline constexpr std::uint32_t kTraceMagic = 0x50475431; // "PGT1"
 /** Largest viewport width or height readTrace() accepts. */
 inline constexpr std::uint32_t kMaxTraceViewport = 16384;
 
+/** Largest camera (frame) count readTrace() accepts. */
+inline constexpr std::uint32_t kMaxTraceCameras = 1u << 20;
+
 /**
  * Serialize @p trace to @p path.
  * @return true on success.

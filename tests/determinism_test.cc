@@ -1,9 +1,10 @@
 /**
  * @file
- * Determinism guarantee of the parallel execution engine: runTrace() with
- * N threads must produce bit-identical FrameStats, images and aggregates
- * to the 1-thread run, runSweep() must equal per-config runTrace(), and
- * the parallel SSIM path must match the serial one exactly.
+ * Determinism guarantee of the parallel execution engine: Session::run()
+ * with N threads must produce bit-identical FrameStats, images and
+ * aggregates to the 1-thread run, Session::sweep() must equal per-config
+ * Session::run(), and the parallel SSIM path must match the serial one
+ * exactly.
  */
 
 #include <string>
@@ -14,7 +15,7 @@
 #include "common/stats.hh"
 #include "common/threadpool.hh"
 #include "harness/metrics.hh"
-#include "harness/runner.hh"
+#include "harness/session.hh"
 #include "sim/pipeline.hh"
 #include "simd/dispatch.hh"
 
@@ -130,19 +131,21 @@ smallTrace()
 
 } // namespace
 
-TEST(Determinism, RunTraceSerialVsParallelBaseline)
+TEST(Determinism, RunSerialVsParallelBaseline)
 {
+    Session session;
     GameTrace trace = smallTrace();
     RunConfig serial_cfg;
     serial_cfg.threads = 1;
     RunConfig parallel_cfg;
     parallel_cfg.threads = 4;
-    expectRunsEqual(runTrace(trace, serial_cfg),
-                    runTrace(trace, parallel_cfg));
+    expectRunsEqual(session.run(trace, serial_cfg),
+                    session.run(trace, parallel_cfg));
 }
 
-TEST(Determinism, RunTraceSerialVsParallelPatu)
+TEST(Determinism, RunSerialVsParallelPatu)
 {
+    Session session;
     GameTrace trace = smallTrace();
     RunConfig serial_cfg;
     serial_cfg.scenario = DesignScenario::Patu;
@@ -150,25 +153,27 @@ TEST(Determinism, RunTraceSerialVsParallelPatu)
     serial_cfg.threads = 1;
     RunConfig parallel_cfg = serial_cfg;
     parallel_cfg.threads = 4;
-    expectRunsEqual(runTrace(trace, serial_cfg),
-                    runTrace(trace, parallel_cfg));
+    expectRunsEqual(session.run(trace, serial_cfg),
+                    session.run(trace, parallel_cfg));
 }
 
 TEST(Determinism, ThreadCountDoesNotMatter)
 {
+    Session session;
     GameTrace trace = smallTrace();
     RunConfig cfg;
     cfg.scenario = DesignScenario::Patu;
     cfg.keep_images = false;
     cfg.threads = 2;
-    RunResult two = runTrace(trace, cfg);
+    RunResult two = session.run(trace, cfg);
     cfg.threads = 3;
-    RunResult three = runTrace(trace, cfg);
+    RunResult three = session.run(trace, cfg);
     expectRunsEqual(two, three);
 }
 
-TEST(Determinism, RunSweepMatchesRunTrace)
+TEST(Determinism, SweepMatchesRun)
 {
+    Session session;
     GameTrace trace = smallTrace();
     std::vector<RunConfig> configs(3);
     configs[0].scenario = DesignScenario::Baseline;
@@ -176,12 +181,12 @@ TEST(Determinism, RunSweepMatchesRunTrace)
     configs[1].threshold = 0.4f;
     configs[2].scenario = DesignScenario::NoAF;
 
-    std::vector<RunResult> sweep = runSweep(trace, configs, 4);
+    std::vector<RunResult> sweep = session.sweep(trace, configs, 4);
     ASSERT_EQ(sweep.size(), configs.size());
     for (std::size_t i = 0; i < configs.size(); ++i) {
         RunConfig serial = configs[i];
         serial.threads = 1;
-        expectRunsEqual(runTrace(trace, serial), sweep[i]);
+        expectRunsEqual(session.run(trace, serial), sweep[i]);
     }
 }
 
@@ -193,43 +198,46 @@ TEST(Determinism, RunSweepMatchesRunTrace)
 
 TEST(Determinism, TileParallelMatchesSerialPatu)
 {
+    Session session;
     GameTrace trace = smallTrace();
     RunConfig serial_cfg;
     serial_cfg.scenario = DesignScenario::Patu;
     serial_cfg.threshold = 0.4f;
     serial_cfg.threads = 1;
-    RunResult ref = runTrace(trace, serial_cfg);
+    RunResult ref = session.run(trace, serial_cfg);
 
     RunConfig tile_cfg = serial_cfg;
     tile_cfg.tile_parallel = true;
     for (unsigned workers : {1u, 3u, 8u}) {
         ThreadPool::setDefaultThreads(workers);
-        expectRunsEqual(ref, runTrace(trace, tile_cfg));
+        expectRunsEqual(ref, session.run(trace, tile_cfg));
     }
     ThreadPool::setDefaultThreads(0);
 }
 
 TEST(Determinism, TileParallelMatchesSerialBaseline)
 {
+    Session session;
     // Baseline 16xAF: the texel-bound extreme, every pixel through the
     // full AF path (maximum memory-system pressure on the commit pass).
     GameTrace trace = smallTrace();
     RunConfig serial_cfg;
     serial_cfg.scenario = DesignScenario::Baseline;
     serial_cfg.threads = 1;
-    RunResult ref = runTrace(trace, serial_cfg);
+    RunResult ref = session.run(trace, serial_cfg);
 
     RunConfig tile_cfg = serial_cfg;
     tile_cfg.tile_parallel = true;
     for (unsigned workers : {1u, 3u, 8u}) {
         ThreadPool::setDefaultThreads(workers);
-        expectRunsEqual(ref, runTrace(trace, tile_cfg));
+        expectRunsEqual(ref, session.run(trace, tile_cfg));
     }
     ThreadPool::setDefaultThreads(0);
 }
 
 TEST(Determinism, FrameParallelTimesTileParallel)
 {
+    Session session;
     // Both levels on at once: frames partitioned across the pool, each
     // frame's tiles fanned out again (the nested submit runs inline on
     // the worker — one shared pool, no oversubscription).
@@ -238,20 +246,21 @@ TEST(Determinism, FrameParallelTimesTileParallel)
     serial_cfg.scenario = DesignScenario::Patu;
     serial_cfg.threshold = 0.4f;
     serial_cfg.threads = 1;
-    RunResult ref = runTrace(trace, serial_cfg);
+    RunResult ref = session.run(trace, serial_cfg);
 
     RunConfig both_cfg = serial_cfg;
     both_cfg.tile_parallel = true;
     for (int threads : {2, 3, 8}) {
         both_cfg.threads = threads;
         ThreadPool::setDefaultThreads(8);
-        expectRunsEqual(ref, runTrace(trace, both_cfg));
+        expectRunsEqual(ref, session.run(trace, both_cfg));
     }
     ThreadPool::setDefaultThreads(0);
 }
 
 TEST(Determinism, TileParallelRegistryIdentical)
 {
+    Session session;
     // "Every exported counter": the whole StatRegistry snapshot —
     // counters, scalars (hit rates, imbalance) and histograms — must
     // serialize identically for serial and tile-parallel runs.
@@ -265,8 +274,8 @@ TEST(Determinism, TileParallelRegistryIdentical)
     tile_cfg.tile_parallel = true;
 
     ThreadPool::setDefaultThreads(4);
-    RunResult a = runTrace(trace, serial_cfg);
-    RunResult b = runTrace(trace, tile_cfg);
+    RunResult a = session.run(trace, serial_cfg);
+    RunResult b = session.run(trace, tile_cfg);
     ThreadPool::setDefaultThreads(0);
 
     StatRegistry ra, rb;
@@ -278,6 +287,7 @@ TEST(Determinism, TileParallelRegistryIdentical)
 
 TEST(Determinism, FilterPoliciesAcrossModes)
 {
+    Session session;
     // The stochastic policies draw noise only from (pixel, sample,
     // camera-hash) counters, so every execution mode must reproduce the
     // serial run bit-for-bit: thread counts, tile parallelism, and both
@@ -291,38 +301,39 @@ TEST(Determinism, FilterPoliciesAcrossModes)
         RunConfig serial_cfg;
         serial_cfg.filter_policy = policy;
         serial_cfg.threads = 1;
-        RunResult ref = runTrace(trace, serial_cfg);
+        RunResult ref = session.run(trace, serial_cfg);
 
         RunConfig frame_cfg = serial_cfg;
         for (int threads : {3, 8}) {
             frame_cfg.threads = threads;
-            expectRunsEqual(ref, runTrace(trace, frame_cfg));
+            expectRunsEqual(ref, session.run(trace, frame_cfg));
         }
 
         RunConfig tile_cfg = serial_cfg;
         tile_cfg.tile_parallel = true;
         for (unsigned workers : {1u, 3u, 8u}) {
             ThreadPool::setDefaultThreads(workers);
-            expectRunsEqual(ref, runTrace(trace, tile_cfg));
+            expectRunsEqual(ref, session.run(trace, tile_cfg));
         }
 
         RunConfig both_cfg = serial_cfg;
         both_cfg.tile_parallel = true;
         both_cfg.threads = 3;
         ThreadPool::setDefaultThreads(8);
-        expectRunsEqual(ref, runTrace(trace, both_cfg));
+        expectRunsEqual(ref, session.run(trace, both_cfg));
         ThreadPool::setDefaultThreads(0);
     }
 }
 
 TEST(Determinism, ParallelSsimMatchesSerial)
 {
+    Session session;
     GameTrace trace = smallTrace();
     RunConfig base_cfg;
     RunConfig patu_cfg;
     patu_cfg.scenario = DesignScenario::Patu;
-    RunResult base = runTrace(trace, base_cfg);
-    RunResult patu = runTrace(trace, patu_cfg);
+    RunResult base = session.run(trace, base_cfg);
+    RunResult patu = session.run(trace, patu_cfg);
 
     ThreadPool::setDefaultThreads(1);
     std::vector<float> serial_map =
@@ -366,6 +377,7 @@ runnableTiers()
 
 TEST(Determinism, SimdTierTimesExecutionMode)
 {
+    Session session;
     GameTrace trace = smallTrace();
     RunConfig serial_cfg;
     serial_cfg.scenario = DesignScenario::Patu;
@@ -374,29 +386,30 @@ TEST(Determinism, SimdTierTimesExecutionMode)
 
     const simd::SimdTier saved = simd::activeTier();
     simd::setActiveTier(simd::SimdTier::Scalar);
-    RunResult ref = runTrace(trace, serial_cfg);
+    RunResult ref = session.run(trace, serial_cfg);
 
     for (simd::SimdTier tier : runnableTiers()) {
         SCOPED_TRACE(simd::tierName(tier));
         simd::setActiveTier(tier);
 
-        expectRunsEqual(ref, runTrace(trace, serial_cfg));
+        expectRunsEqual(ref, session.run(trace, serial_cfg));
 
         RunConfig tile_cfg = serial_cfg;
         tile_cfg.tile_parallel = true;
         ThreadPool::setDefaultThreads(3);
-        expectRunsEqual(ref, runTrace(trace, tile_cfg));
+        expectRunsEqual(ref, session.run(trace, tile_cfg));
         ThreadPool::setDefaultThreads(0);
 
         RunConfig frame_cfg = serial_cfg;
         frame_cfg.threads = 3;
-        expectRunsEqual(ref, runTrace(trace, frame_cfg));
+        expectRunsEqual(ref, session.run(trace, frame_cfg));
     }
     simd::setActiveTier(saved);
 }
 
 TEST(Determinism, ArenaTimesTierMatrix)
 {
+    Session session;
     // Arena-backed scratch (the arena.* counters included) under every
     // tier, on either fragment-phase schedule.
     GameTrace trace = smallTrace();
@@ -405,7 +418,7 @@ TEST(Determinism, ArenaTimesTierMatrix)
 
     const simd::SimdTier saved = simd::activeTier();
     simd::setActiveTier(simd::SimdTier::Scalar);
-    RunResult ref = runTrace(trace, cfg);
+    RunResult ref = session.run(trace, cfg);
 
     RunConfig tile_cfg = cfg;
     tile_cfg.tile_parallel = true;
@@ -413,9 +426,9 @@ TEST(Determinism, ArenaTimesTierMatrix)
         SCOPED_TRACE(simd::tierName(tier));
         simd::setActiveTier(tier);
         ThreadPool::setDefaultThreads(3);
-        expectRunsEqual(ref, runTrace(trace, tile_cfg));
+        expectRunsEqual(ref, session.run(trace, tile_cfg));
         ThreadPool::setDefaultThreads(0);
-        expectRunsEqual(ref, runTrace(trace, cfg));
+        expectRunsEqual(ref, session.run(trace, cfg));
     }
     simd::setActiveTier(saved);
 }
@@ -442,6 +455,7 @@ registryJson(const RunResult &r)
 
 TEST(Determinism, TilePassWorkersTimesClustersTimesTier)
 {
+    Session session;
     GameTrace trace = buildGameTrace(GameId::HL2, 96, 80, 2);
     const simd::SimdTier saved = simd::activeTier();
     for (unsigned clusters : {1u, 3u, 8u}) {
@@ -455,7 +469,7 @@ TEST(Determinism, TilePassWorkersTimesClustersTimesTier)
             serial_cfg.threshold = 0.4f;
             serial_cfg.threads = 1;
             serial_cfg.clusters = clusters;
-            const RunResult ref = runTrace(trace, serial_cfg);
+            const RunResult ref = session.run(trace, serial_cfg);
             const std::string ref_json = registryJson(ref);
 
             RunConfig tile_cfg = serial_cfg;
@@ -463,7 +477,7 @@ TEST(Determinism, TilePassWorkersTimesClustersTimesTier)
             for (unsigned workers : {1u, 2u, 3u, 4u, 8u}) {
                 SCOPED_TRACE(testing::Message() << "workers " << workers);
                 ThreadPool::setDefaultThreads(workers);
-                const RunResult got = runTrace(trace, tile_cfg);
+                const RunResult got = session.run(trace, tile_cfg);
                 ThreadPool::setDefaultThreads(0);
                 expectRunsEqual(ref, got);
                 EXPECT_EQ(ref_json, registryJson(got));
@@ -475,6 +489,7 @@ TEST(Determinism, TilePassWorkersTimesClustersTimesTier)
 
 TEST(Determinism, ArenaCountersPinned)
 {
+    Session session;
     // arena.frame_bytes / arena.high_water per frame at a small
     // viewport, frozen from the simulator that still carved the color
     // plane out of its frame arena. The plane now is the output image
@@ -489,7 +504,7 @@ TEST(Determinism, ArenaCountersPinned)
         cfg.keep_images = false;
         cfg.tile_parallel = tile_parallel;
         ThreadPool::setDefaultThreads(3);
-        const RunResult r = runTrace(trace, cfg);
+        const RunResult r = session.run(trace, cfg);
         ThreadPool::setDefaultThreads(0);
         ASSERT_EQ(r.frames.size(), 3u);
         for (std::size_t f = 0; f < 3; ++f) {

@@ -16,7 +16,7 @@
 
 #include "common/stats.hh"
 #include "harness/metrics.hh"
-#include "harness/runner.hh"
+#include "harness/session.hh"
 #include "texture/filter_policy.hh"
 #include "texture/procedural.hh"
 
@@ -37,11 +37,12 @@ RunResult
 runPolicy(const GameTrace &trace, FilterPolicyId policy,
           bool keep_images = false)
 {
+    Session session;
     RunConfig cfg;
     cfg.filter_policy = policy;
     cfg.keep_images = keep_images;
     cfg.threads = 1;
-    return runTrace(trace, cfg);
+    return session.run(trace, cfg);
 }
 
 std::string
@@ -101,6 +102,7 @@ TEST(FilterPolicyTest, DefaultIsPatuWithoutEnvOverride)
 
 TEST(FilterPolicyTest, DefaultPolicyMatchesExplicitPatu)
 {
+    Session session;
     // The refactor contract: the default-constructed config (pre-refactor
     // behavior) and an explicit patu policy selection are the same code
     // path — frames, images and the full registry snapshot.
@@ -109,7 +111,7 @@ TEST(FilterPolicyTest, DefaultPolicyMatchesExplicitPatu)
     GameTrace trace = smallTrace();
     RunConfig def_cfg;
     def_cfg.threads = 1;
-    RunResult def = runTrace(trace, def_cfg);
+    RunResult def = session.run(trace, def_cfg);
     RunResult patu = runPolicy(trace, FilterPolicyId::Patu, true);
 
     ASSERT_EQ(def.frames.size(), patu.frames.size());

@@ -5,7 +5,7 @@
 
 #include <gtest/gtest.h>
 
-#include "harness/runner.hh"
+#include "harness/session.hh"
 
 using namespace pargpu;
 
@@ -40,9 +40,10 @@ TEST(HarnessTest, MakeGpuConfigTransfersKnobs)
 
 TEST(HarnessTest, RunProducesOneResultPerFrame)
 {
+    Session session;
     RunConfig cfg;
     cfg.scenario = DesignScenario::Baseline;
-    RunResult r = runTrace(tinyTrace(), cfg);
+    RunResult r = session.run(tinyTrace(), cfg);
     EXPECT_EQ(r.frames.size(), 2u);
     EXPECT_EQ(r.images.size(), 2u);
     EXPECT_GT(r.avg_cycles, 0.0);
@@ -52,19 +53,21 @@ TEST(HarnessTest, RunProducesOneResultPerFrame)
 
 TEST(HarnessTest, KeepImagesFalseSkipsImages)
 {
+    Session session;
     RunConfig cfg;
     cfg.scenario = DesignScenario::Baseline;
     cfg.keep_images = false;
-    RunResult r = runTrace(tinyTrace(), cfg);
+    RunResult r = session.run(tinyTrace(), cfg);
     EXPECT_TRUE(r.images.empty());
     EXPECT_EQ(r.frames.size(), 2u);
 }
 
 TEST(HarnessTest, FrameCyclesMatchesStats)
 {
+    Session session;
     RunConfig cfg;
     cfg.scenario = DesignScenario::Baseline;
-    RunResult r = runTrace(tinyTrace(), cfg);
+    RunResult r = session.run(tinyTrace(), cfg);
     std::vector<Cycle> c = frameCycles(r);
     ASSERT_EQ(c.size(), r.frames.size());
     for (std::size_t i = 0; i < c.size(); ++i)
@@ -73,9 +76,10 @@ TEST(HarnessTest, FrameCyclesMatchesStats)
 
 TEST(HarnessTest, SumOverAccumulatesField)
 {
+    Session session;
     RunConfig cfg;
     cfg.scenario = DesignScenario::Baseline;
-    RunResult r = runTrace(tinyTrace(), cfg);
+    RunResult r = session.run(tinyTrace(), cfg);
     double total = sumOver(r.frames, &FrameStats::pixels_shaded);
     double manual = 0.0;
     for (const FrameStats &f : r.frames)
@@ -86,29 +90,32 @@ TEST(HarnessTest, SumOverAccumulatesField)
 
 TEST(HarnessTest, MssimAgainstSelfIsOne)
 {
+    Session session;
     RunConfig cfg;
     cfg.scenario = DesignScenario::Baseline;
-    RunResult r = runTrace(tinyTrace(), cfg);
+    RunResult r = session.run(tinyTrace(), cfg);
     EXPECT_NEAR(r.mssimAgainst(r.images), 1.0, 1e-9);
 }
 
 TEST(HarnessDeathTest, MssimWithoutImagesFatal)
 {
+    Session session;
     RunConfig cfg;
     cfg.scenario = DesignScenario::Baseline;
     cfg.keep_images = false;
-    RunResult r = runTrace(tinyTrace(), cfg);
-    RunResult ref = runTrace(tinyTrace(), RunConfig{});
+    RunResult r = session.run(tinyTrace(), cfg);
+    RunResult ref = session.run(tinyTrace(), RunConfig{});
     EXPECT_EXIT(r.mssimAgainst(ref.images), testing::ExitedWithCode(1),
                 "unavailable");
 }
 
 TEST(HarnessTest, RunsAreReproducible)
 {
+    Session session;
     RunConfig cfg;
     cfg.scenario = DesignScenario::Patu;
-    RunResult a = runTrace(tinyTrace(), cfg);
-    RunResult b = runTrace(tinyTrace(), cfg);
+    RunResult a = session.run(tinyTrace(), cfg);
+    RunResult b = session.run(tinyTrace(), cfg);
     ASSERT_EQ(a.frames.size(), b.frames.size());
     for (std::size_t i = 0; i < a.frames.size(); ++i) {
         EXPECT_EQ(a.frames[i].total_cycles, b.frames[i].total_cycles);

@@ -6,7 +6,7 @@
 
 #include <gtest/gtest.h>
 
-#include "harness/runner.hh"
+#include "harness/session.hh"
 
 using namespace pargpu;
 
@@ -24,10 +24,11 @@ smallTrace()
 RunResult
 run(DesignScenario s, float threshold = 0.4f)
 {
+    Session session;
     RunConfig cfg;
     cfg.scenario = s;
     cfg.threshold = threshold;
-    return runTrace(smallTrace(), cfg);
+    return session.run(smallTrace(), cfg);
 }
 
 } // namespace
@@ -124,27 +125,29 @@ TEST(IntegrationTest, QuadDivergenceIsRare)
 
 TEST(IntegrationTest, RunnerKeepsPerFrameData)
 {
+    Session session;
     GameTrace t = buildGameTrace(GameId::Wolf, 160, 120, 3);
     RunConfig cfg;
     cfg.scenario = DesignScenario::Baseline;
-    RunResult r = runTrace(t, cfg);
+    RunResult r = session.run(t, cfg);
     EXPECT_EQ(r.frames.size(), 3u);
     EXPECT_EQ(r.images.size(), 3u);
     EXPECT_EQ(frameCycles(r).size(), 3u);
     RunConfig no_img = cfg;
     no_img.keep_images = false;
-    RunResult r2 = runTrace(t, no_img);
+    RunResult r2 = session.run(t, no_img);
     EXPECT_TRUE(r2.images.empty());
 }
 
 TEST(IntegrationTest, CacheScalingInteractsWithPatu)
 {
+    Session session;
     RunConfig small;
     small.scenario = DesignScenario::Patu;
     RunConfig big = small;
     big.llc_scale = 4;
-    RunResult rs = runTrace(smallTrace(), small);
-    RunResult rb = runTrace(smallTrace(), big);
+    RunResult rs = session.run(smallTrace(), small);
+    RunResult rb = session.run(smallTrace(), big);
     // More LLC can only help (or leave unchanged) frame time.
     EXPECT_LE(rb.avg_cycles, rs.avg_cycles * 1.02);
 }

@@ -14,7 +14,7 @@
 
 #include <gtest/gtest.h>
 
-#include "harness/runner.hh"
+#include "harness/session.hh"
 #include "texture/texture.hh"
 
 using namespace pargpu;
@@ -165,6 +165,7 @@ TEST(LayoutEquivalenceTest, FootprintMatchesScalarFetches)
 
 TEST(LayoutEquivalenceTest, RenderedFramesBitIdenticalAcrossStorage)
 {
+    Session session;
     RunConfig cfg;
     cfg.scenario = DesignScenario::Patu; // Exercises AF + decision path.
     cfg.keep_images = true;
@@ -175,14 +176,14 @@ TEST(LayoutEquivalenceTest, RenderedFramesBitIdenticalAcrossStorage)
     {
         StorageGuard g(TexelStorage::Linear);
         GameTrace trace = buildGameTrace(GameId::Wolf, 128, 96, 2);
-        RunResult r = runTrace(trace, cfg);
+        RunResult r = session.run(trace, cfg);
         lin_images = std::move(r.images);
         lin_stats = std::move(r.frames);
     }
     {
         StorageGuard g(TexelStorage::Morton);
         GameTrace trace = buildGameTrace(GameId::Wolf, 128, 96, 2);
-        RunResult r = runTrace(trace, cfg);
+        RunResult r = session.run(trace, cfg);
         mor_images = std::move(r.images);
         mor_stats = std::move(r.frames);
     }

@@ -12,7 +12,7 @@
 #include <sstream>
 
 #include "harness/metrics.hh"
-#include "harness/runner.hh"
+#include "harness/session.hh"
 
 using namespace pargpu;
 
@@ -61,8 +61,9 @@ TEST(MetricsTest, ScenarioNamesAreStable)
 
 TEST(MetricsTest, JsonDocumentMatchesSchema)
 {
+    Session session;
     RunConfig cfg = tinyConfig();
-    RunResult run = runTrace(tinyTrace(), cfg);
+    RunResult run = session.run(tinyTrace(), cfg);
     Json doc = metricsJson(tinyMeta(), cfg, run, 0.99);
 
     EXPECT_EQ(doc["schema"].str(), kMetricsSchemaName);
@@ -100,8 +101,9 @@ TEST(MetricsTest, JsonDocumentMatchesSchema)
 
 TEST(MetricsTest, MssimOmittedWhenNegative)
 {
+    Session session;
     RunConfig cfg = tinyConfig();
-    RunResult run = runTrace(tinyTrace(), cfg);
+    RunResult run = session.run(tinyTrace(), cfg);
     Json doc = metricsJson(tinyMeta(), cfg, run, -1.0);
     EXPECT_FALSE(doc["aggregate"].has("mssim"));
     EXPECT_FALSE(doc["registry"]["scalars"].has("run.mssim"));
@@ -109,8 +111,9 @@ TEST(MetricsTest, MssimOmittedWhenNegative)
 
 TEST(MetricsTest, RegistryCountersMatchFrameTotals)
 {
+    Session session;
     RunConfig cfg = tinyConfig();
-    RunResult run = runTrace(tinyTrace(), cfg);
+    RunResult run = session.run(tinyTrace(), cfg);
     StatRegistry reg;
     buildRunRegistry(run, reg);
 
@@ -126,8 +129,9 @@ TEST(MetricsTest, RegistryCountersMatchFrameTotals)
 
 TEST(MetricsTest, WrittenJsonParsesBack)
 {
+    Session session;
     RunConfig cfg = tinyConfig();
-    RunResult run = runTrace(tinyTrace(), cfg);
+    RunResult run = session.run(tinyTrace(), cfg);
     const std::string path = "metrics_test_out.json";
     ASSERT_TRUE(writeMetricsJson(path, tinyMeta(), cfg, run));
 
@@ -144,8 +148,9 @@ TEST(MetricsTest, WrittenJsonParsesBack)
 
 TEST(MetricsTest, CsvHasHeaderAndOneRowPerFrame)
 {
+    Session session;
     RunConfig cfg = tinyConfig();
-    RunResult run = runTrace(tinyTrace(), cfg);
+    RunResult run = session.run(tinyTrace(), cfg);
     const std::string path = "metrics_test_out.csv";
     ASSERT_TRUE(writeMetricsCsv(path, tinyMeta(), cfg, run));
 

@@ -179,6 +179,38 @@ TEST(ServeProtocolTest, LoadThenTracesListsTheAsset)
     EXPECT_EQ(traces[0]["frames"].number(), 2.0);
 }
 
+/** Sizes of a load request that must be rejected, not cast or built. */
+class ServeHostileLoadTest : public testing::TestWithParam<const char *>
+{
+};
+
+TEST_P(ServeHostileLoadTest, IsATypedRejectionAndTheServerStaysUp)
+{
+    auto [rc, responses] = serve({
+        std::string(R"({"op":"load","key":"bad","game":"wolf",)") +
+            GetParam() + "}",
+        // The serve_threshold_sweep benchmark's load stays valid.
+        R"({"op":"load","key":"w3","game":"hl2",)"
+        R"("width":160,"height":128,"frames":2})",
+    });
+    EXPECT_EQ(rc, 0);
+    ASSERT_EQ(responses.size(), 2u);
+    EXPECT_EQ(responses[0]["status"].str(), "invalid_request");
+    EXPECT_EQ(responses[1]["status"].str(), "ok");
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Sizes, ServeHostileLoadTest,
+    testing::Values(
+        // Outside int range: casting it to int is undefined behavior.
+        R"("width":1e30,"height":48,"frames":2)",
+        // Non-finite (the parser reads 1e999 as infinity).
+        R"("width":64,"height":1e999,"frames":2)",
+        // In int range but above readTrace()'s viewport limit.
+        R"("width":100000,"height":100000,"frames":2)",
+        // Above readTrace()'s camera limit; building it exhausts memory.
+        R"("width":64,"height":48,"frames":2e9)"));
+
 TEST(ServeProtocolTest, RunValidatesConfigWithTypedReasons)
 {
     auto [rc, responses] = serve({

@@ -14,7 +14,7 @@
 
 #include "common/json.hh"
 #include "common/tracing.hh"
-#include "harness/runner.hh"
+#include "harness/session.hh"
 
 using namespace pargpu;
 using pargpu::trace::Tracing;
@@ -103,6 +103,7 @@ TEST(TracingTest, CompiledOutMacrosRecordNothing)
 
 TEST(TracingTest, JsonIsStructurallyAChromeTrace)
 {
+    Session session;
     TracingGuard guard;
     Tracing::enable();
 
@@ -110,7 +111,7 @@ TEST(TracingTest, JsonIsStructurallyAChromeTrace)
     cfg.scenario = DesignScenario::Patu;
     cfg.keep_images = false;
     cfg.threads = 1;
-    runTrace(tinyTrace(), cfg);
+    session.run(tinyTrace(), cfg);
 
     Tracing::disable();
     std::ostringstream os;
@@ -202,6 +203,7 @@ TEST(TracingTest, WriteFileRoundTrips)
 // and because tracing observes host time only, the delta is exactly zero.
 TEST(TracingTest, SimulatedResultsBitIdenticalWithTracingOn)
 {
+    Session session;
     TracingGuard guard;
     RunConfig cfg;
     cfg.scenario = DesignScenario::Patu;
@@ -209,10 +211,10 @@ TEST(TracingTest, SimulatedResultsBitIdenticalWithTracingOn)
     cfg.threads = 1;
 
     ASSERT_FALSE(Tracing::enabled());
-    RunResult off = runTrace(tinyTrace(), cfg);
+    RunResult off = session.run(tinyTrace(), cfg);
 
     Tracing::enable();
-    RunResult on = runTrace(tinyTrace(), cfg);
+    RunResult on = session.run(tinyTrace(), cfg);
     Tracing::disable();
 #ifndef PARGPU_TRACING_DISABLED
     EXPECT_GT(Tracing::eventCount(), 0u);

@@ -26,9 +26,6 @@ clang-tidy covers out of the box:
   policy-doc   every FilterPolicy registered in the factory table
                (src/texture/filter_policy.cc) must have its name
                documented in docs/FILTERING.md
-  session-doc  every facade header under include/ must declare its
-               Session-vs-legacy status with a "Session-status:" line in
-               its opening doc comment (docs/API.md explains the terms)
 
 One rule runs over examples/ and bench/ instead of src/:
 
@@ -62,7 +59,7 @@ import sys
 
 RULES = ("rand", "raw-new", "float-eq", "include-cc", "cout", "header-self",
          "file-doc", "metrics-doc", "internal-include", "intrinsics",
-         "policy-doc", "session-doc")
+         "policy-doc")
 
 FLOAT_LIT = r"(?:\d+\.\d*(?:[eE][-+]?\d+)?|\.\d+(?:[eE][-+]?\d+)?|\d+[eE][-+]?\d+)f?"
 
@@ -186,18 +183,6 @@ def check_file(root, rel, violations, metrics_doc):
             violations.append(
                 (rel, 1, "file-doc",
                  "header lacks an @file doc comment in its first 20 lines"))
-        # session-doc: facade headers must say where they stand relative
-        # to the Session API ("session", "legacy-shim", "neutral", ...)
-        # so consumers reading any pargpu/ header learn which execution
-        # surface it belongs to.
-        if rel.replace(os.sep, "/").startswith("include/"):
-            doc_head = "\n".join(raw_lines[:30])
-            if "Session-status:" not in doc_head and \
-                    "session-doc" not in inline_allows(doc_head):
-                violations.append(
-                    (rel, 1, "session-doc",
-                     "facade header lacks a \"Session-status:\" line in "
-                     "its first 30 lines (see docs/API.md)"))
 
     # Most rules match against comment/string-stripped code so prose and
     # literals can't trip them; include-cc must see the raw line because
