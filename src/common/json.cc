@@ -169,6 +169,53 @@ class Parser
         return parseNumber();
     }
 
+    /** Read the four hex digits of a \u escape into @p code. */
+    bool
+    parseHex4(unsigned &code)
+    {
+        if (pos_ + 4 > text_.size()) {
+            fail("bad \\u escape");
+            return false;
+        }
+        code = 0;
+        for (int k = 0; k < 4; ++k) {
+            char h = text_[pos_++];
+            code <<= 4;
+            if (h >= '0' && h <= '9')
+                code |= static_cast<unsigned>(h - '0');
+            else if (h >= 'a' && h <= 'f')
+                code |= static_cast<unsigned>(h - 'a' + 10);
+            else if (h >= 'A' && h <= 'F')
+                code |= static_cast<unsigned>(h - 'A' + 10);
+            else {
+                fail("bad \\u escape");
+                return false;
+            }
+        }
+        return true;
+    }
+
+    /** UTF-8 encode code point @p code (never a surrogate) onto @p out. */
+    static void
+    appendUtf8(std::string &out, unsigned code)
+    {
+        if (code < 0x80) {
+            out += static_cast<char>(code);
+        } else if (code < 0x800) {
+            out += static_cast<char>(0xC0 | (code >> 6));
+            out += static_cast<char>(0x80 | (code & 0x3F));
+        } else if (code < 0x10000) {
+            out += static_cast<char>(0xE0 | (code >> 12));
+            out += static_cast<char>(0x80 | ((code >> 6) & 0x3F));
+            out += static_cast<char>(0x80 | (code & 0x3F));
+        } else {
+            out += static_cast<char>(0xF0 | (code >> 18));
+            out += static_cast<char>(0x80 | ((code >> 12) & 0x3F));
+            out += static_cast<char>(0x80 | ((code >> 6) & 0x3F));
+            out += static_cast<char>(0x80 | (code & 0x3F));
+        }
+    }
+
     std::string
     parseString()
     {
@@ -195,38 +242,34 @@ class Parser
                 case 'b': out += '\b'; break;
                 case 'f': out += '\f'; break;
                 case 'u': {
-                    if (pos_ + 4 > text_.size()) {
-                        fail("bad \\u escape");
-                        return out;
-                    }
                     unsigned code = 0;
-                    for (int k = 0; k < 4; ++k) {
-                        char h = text_[pos_++];
-                        code <<= 4;
-                        if (h >= '0' && h <= '9')
-                            code |= static_cast<unsigned>(h - '0');
-                        else if (h >= 'a' && h <= 'f')
-                            code |= static_cast<unsigned>(h - 'a' + 10);
-                        else if (h >= 'A' && h <= 'F')
-                            code |= static_cast<unsigned>(h - 'A' + 10);
-                        else {
-                            fail("bad \\u escape");
+                    if (!parseHex4(code))
+                        return out;
+                    // A high surrogate must be followed by an escaped low
+                    // surrogate; the pair names one supplementary code
+                    // point. Either half on its own is not a character
+                    // and has no UTF-8 encoding.
+                    if (code >= 0xD800 && code <= 0xDBFF) {
+                        unsigned low = 0;
+                        if (pos_ + 2 > text_.size() || text_[pos_] != '\\' ||
+                            text_[pos_ + 1] != 'u') {
+                            fail("lone surrogate in \\u escape");
                             return out;
                         }
+                        pos_ += 2;
+                        if (!parseHex4(low))
+                            return out;
+                        if (low < 0xDC00 || low > 0xDFFF) {
+                            fail("lone surrogate in \\u escape");
+                            return out;
+                        }
+                        code = 0x10000 + ((code - 0xD800) << 10) +
+                            (low - 0xDC00);
+                    } else if (code >= 0xDC00 && code <= 0xDFFF) {
+                        fail("lone surrogate in \\u escape");
+                        return out;
                     }
-                    // UTF-8 encode the BMP code point (surrogate pairs in
-                    // metric names do not occur; pass them through raw).
-                    if (code < 0x80) {
-                        out += static_cast<char>(code);
-                    } else if (code < 0x800) {
-                        out += static_cast<char>(0xC0 | (code >> 6));
-                        out += static_cast<char>(0x80 | (code & 0x3F));
-                    } else {
-                        out += static_cast<char>(0xE0 | (code >> 12));
-                        out += static_cast<char>(0x80 |
-                                                 ((code >> 6) & 0x3F));
-                        out += static_cast<char>(0x80 | (code & 0x3F));
-                    }
+                    appendUtf8(out, code);
                     break;
                 }
                 default:
@@ -272,7 +315,14 @@ class Parser
             fail("expected number");
             return Json{};
         }
-        return Json{std::strtod(text_.c_str() + start, nullptr)};
+        // strtod saturates an out-of-range literal such as 1e999 to
+        // infinity, which JSON cannot represent (dump() would write null).
+        double v = std::strtod(text_.c_str() + start, nullptr);
+        if (!std::isfinite(v)) {
+            fail("number out of range");
+            return Json{};
+        }
+        return Json{v};
     }
 
     Json

@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <limits>
 
 #include "common/json.hh"
@@ -76,6 +77,66 @@ TEST(JsonTest, ParseUnicodeEscape)
     Json v = Json::parse("\"a\\u0041b\"", &error);
     ASSERT_TRUE(v.isString()) << error;
     EXPECT_EQ(v.str(), "aAb");
+}
+
+TEST(JsonTest, ParseJoinsEscapedSurrogatePairs)
+{
+    // U+1F600 is one 4-byte UTF-8 sequence, not two 3-byte surrogate
+    // encodings (CESU-8).
+    std::string error;
+    Json v = Json::parse("\"\\ud83d\\ude00\"", &error);
+    ASSERT_TRUE(v.isString()) << error;
+    EXPECT_EQ(v.str(), "\xF0\x9F\x98\x80");
+    v = Json::parse("\"x\\uD800\\uDC00y\"", &error);
+    ASSERT_TRUE(v.isString()) << error;
+    EXPECT_EQ(v.str(), "x\xF0\x90\x80\x80y"); // U+10000
+    v = Json::parse("\"\\udbff\\udfff\"", &error);
+    ASSERT_TRUE(v.isString()) << error;
+    EXPECT_EQ(v.str(), "\xF4\x8F\xBF\xBF"); // U+10FFFF
+    // BMP code points either side of the surrogate block are unchanged.
+    v = Json::parse("\"\\ud7ff\\ue000\"", &error);
+    ASSERT_TRUE(v.isString()) << error;
+    EXPECT_EQ(v.str(), "\xED\x9F\xBF\xEE\x80\x80");
+}
+
+TEST(JsonTest, ParseRejectsLoneSurrogates)
+{
+    for (const char *text : {
+             "\"\\ud800\"",        // High half at the end of the string.
+             "\"\\udbff x\"",      // High half followed by plain text.
+             "\"\\ud83d\\u0041\"", // High half followed by a non-low.
+             "\"\\ud83d\\ud83d\"", // Two high halves.
+             "\"\\ude00\"",        // Low half on its own.
+             "\"\\ude00\\ud83d\"", // Pair in the wrong order.
+             "\"\\ud83d\\",        // Input ends inside the second escape.
+             "\"\\ud83d\\ude0\"",  // Truncated low half.
+         }) {
+        std::string error;
+        EXPECT_TRUE(Json::parse(text, &error).isNull()) << text;
+        EXPECT_FALSE(error.empty()) << text;
+    }
+    std::string error;
+    Json::parse("\"\\ud800\"", &error);
+    EXPECT_NE(error.find("surrogate"), std::string::npos) << error;
+}
+
+TEST(JsonTest, ParseRejectsNonFiniteNumbers)
+{
+    for (const char *text : {"1e999", "-1e999", "[1, 2e400]",
+                             "{\"id\": 1E+999}"}) {
+        std::string error;
+        EXPECT_TRUE(Json::parse(text, &error).isNull()) << text;
+        EXPECT_NE(error.find("out of range"), std::string::npos) << text;
+    }
+    // Underflow rounds to a finite zero and stays accepted, as does the
+    // largest finite double.
+    std::string error;
+    Json v = Json::parse("1e-999", &error);
+    ASSERT_TRUE(v.isNumber()) << error;
+    EXPECT_EQ(v.number(), 0.0);
+    v = Json::parse("1.7976931348623157e308", &error);
+    ASSERT_TRUE(v.isNumber()) << error;
+    EXPECT_TRUE(std::isfinite(v.number()));
 }
 
 TEST(JsonTest, ParseRejectsMalformedInput)

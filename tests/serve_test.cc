@@ -144,6 +144,30 @@ TEST(ServeProtocolTest, BadJsonAndUnknownOpsAreTypedNotFatal)
     EXPECT_EQ(responses[2]["type"].str(), "pong");
 }
 
+TEST(ServeProtocolTest, UnrepresentableIdsAreTypedErrors)
+{
+    // An infinite number or a lone surrogate has no JSON/UTF-8 form to
+    // echo back: each request is rejected instead of answered with null
+    // or invalid UTF-8, and the loop keeps serving.
+    auto [rc, responses] = serve({
+        R"({"op":"ping","id":1e999})",
+        R"({"op":"ping","id":"\ud800"})",
+        R"({"op":"ping","id":"\ude00x"})",
+        R"({"op":"ping","id":"\ud83d\ude00"})",
+    });
+    EXPECT_EQ(rc, 0);
+    ASSERT_EQ(responses.size(), 4u);
+    for (int i = 0; i < 3; ++i) {
+        EXPECT_EQ(responses[i]["status"].str(), "invalid_request") << i;
+        EXPECT_NE(responses[i]["message"].str().find("bad JSON"),
+                  std::string::npos) << i;
+        EXPECT_FALSE(responses[i].has("id")) << i;
+    }
+    // A valid escaped pair is echoed as one 4-byte UTF-8 sequence.
+    EXPECT_EQ(responses[3]["type"].str(), "pong");
+    EXPECT_EQ(responses[3]["id"].str(), "\xF0\x9F\x98\x80");
+}
+
 TEST(ServeProtocolTest, DeeplyNestedJsonIsATypedErrorNotACrash)
 {
     // 200k nested arrays used to overflow the recursive parser's stack.
