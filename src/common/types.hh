@@ -7,6 +7,7 @@
 #define PARGPU_COMMON_TYPES_HH
 
 #include <array>
+#include <cstddef>
 #include <cstdint>
 
 namespace pargpu
@@ -31,6 +32,21 @@ inline constexpr Addr kInvalidAddr = ~Addr{0};
  * consume only addresses.
  */
 using TexelAddrSet = std::array<Addr, 8>;
+
+/**
+ * a == b as an inline test that exits at the first differing slot.
+ * std::array's operator== on the 64-byte set compiles to a libc memcmp
+ * call, while two distinct footprints almost always differ in slot 0.
+ */
+inline bool
+sameAddrSet(const TexelAddrSet &a, const TexelAddrSet &b)
+{
+    for (std::size_t k = 0; k < a.size(); ++k) {
+        if (a[k] != b[k])
+            return false;
+    }
+    return true;
+}
 
 } // namespace pargpu
 

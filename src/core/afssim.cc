@@ -49,8 +49,18 @@ txds(const std::vector<float> &p, int n)
         panic("txds: sample size must be >= 1");
     if (n == 1)
         return 1.0f;
+    return txdsFromEntropy(entropyBits(p), n);
+}
+
+float
+txdsFromEntropy(float entropy_bits, int n)
+{
+    if (n < 1)
+        panic("txds: sample size must be >= 1");
+    if (n == 1)
+        return 1.0f;
     float norm = std::log2(static_cast<float>(n));
-    float t = 1.0f - entropyBits(p) / norm;
+    float t = 1.0f - entropy_bits / norm;
     return std::clamp(t, 0.0f, 1.0f);
 }
 

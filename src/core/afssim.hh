@@ -58,6 +58,13 @@ float entropyBits(const std::vector<float> &p);
 float txds(const std::vector<float> &p, int n);
 
 /**
+ * txds() from an entropy computed elsewhere:
+ * txds(p, n) == txdsFromEntropy(entropyBits(p), n), bit for bit. Lets
+ * the PATU hash table score its count tags without building @p p.
+ */
+float txdsFromEntropy(float entropy_bits, int n);
+
+/**
  * Distribution based prediction AF-SSIM(Txds) (Eq. 10):
  * (2 Txds / (Txds^2 + 1))^2.
  */

@@ -1,41 +1,11 @@
 #include "core/hashtable.hh"
 
+#include <cmath>
+
 #include "common/contract.hh"
 
 namespace pargpu
 {
-
-bool
-TexelAddressTable::insert(const TexelAddrSet &addrs)
-{
-    PARGPU_INVARIANT(valid_ >= 0 && valid_ <= capacity(),
-                     "occupancy out of bounds: valid=", valid_,
-                     " capacity=", capacity());
-    ++inserted_;
-    // Top-to-bottom associative compare, as in the hardware description.
-    for (int i = 0; i < valid_; ++i) {
-        if (entries_[i].addrs == addrs) {
-            // Saturating count tag (4 bits).
-            constexpr unsigned max_count = (1u << kCountBits) - 1;
-            if (entries_[i].count < max_count + 1)
-                ++entries_[i].count;
-            PARGPU_INVARIANT(entries_[i].count <= max_count + 1,
-                             "count tag overflow: count=",
-                             entries_[i].count);
-            return true;
-        }
-    }
-    if (valid_ < capacity()) {
-        entries_[valid_].addrs = addrs;
-        entries_[valid_].count = 1;
-        ++valid_;
-    }
-    // At the baseline capacity (16 == maxAniso) the table can never
-    // overflow. With a smaller ablation table an overflowing sample is
-    // dropped from the distribution (conservative: lowers Txds accuracy,
-    // never causes false approximation).
-    return false;
-}
 
 std::vector<float>
 TexelAddressTable::probabilityVector() const
@@ -64,6 +34,36 @@ TexelAddressTable::probabilityVector() const
     for (int i = 0; i < dropped; ++i)
         p.push_back(inv);
     return p;
+}
+
+float
+TexelAddressTable::entropyBits() const
+{
+    float e = 0.0f;
+    if (inserted_ == 0)
+        return e;
+    // The body of entropyBits(const std::vector<float> &) over the terms
+    // probabilityVector() would hold: each count * (1 / inserted) in
+    // entry order, then one 1 / inserted per dropped sample.
+    auto term = [&e](float pi) {
+        // count * (1/total) can land one ulp above 1.0 when count==total.
+        PARGPU_CHECK_RANGE(pi, 0.0f, 1.0f + 1e-5f, "probability mass");
+        if (pi > 0.0f)
+            e -= pi * std::log2(pi);
+    };
+    const float inv = 1.0f / static_cast<float>(inserted_);
+    int stored = 0;
+    for (int i = 0; i < valid_; ++i) {
+        const unsigned count = entries_[static_cast<std::size_t>(i)].count;
+        stored += static_cast<int>(count);
+        term(static_cast<float>(count) * inv);
+    }
+    PARGPU_INVARIANT(stored <= inserted_,
+                     "stored=", stored, " inserted=", inserted_);
+    for (int i = stored; i < inserted_; ++i)
+        term(inv);
+    PARGPU_INVARIANT(e >= -1e-4f, "entropy must be non-negative: ", e);
+    return e;
 }
 
 void

@@ -19,6 +19,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "common/contract.hh"
 #include "common/types.hh" // TexelAddrSet: one sample's 8 addresses.
 
 namespace pargpu
@@ -54,11 +55,44 @@ class TexelAddressTable
     int capacity() const { return static_cast<int>(entries_.size()); }
 
     /**
-     * Insert one trilinear sample's address set.
+     * Insert one trilinear sample's address set. Inline: PATU inserts
+     * every AF sample of every stage-2 pixel.
      *
      * @return true if the set matched an existing entry (a shared sample).
      */
-    bool insert(const TexelAddrSet &addrs);
+    bool
+    insert(const TexelAddrSet &addrs)
+    {
+        PARGPU_INVARIANT(valid_ >= 0 && valid_ <= capacity(),
+                         "occupancy out of bounds: valid=", valid_,
+                         " capacity=", capacity());
+        ++inserted_;
+        // Top-to-bottom associative compare, as in the hardware
+        // description.
+        for (int i = 0; i < valid_; ++i) {
+            Entry &e = entries_[static_cast<std::size_t>(i)];
+            if (sameAddrSet(e.addrs, addrs)) {
+                // Saturating count tag (4 bits).
+                constexpr unsigned max_count = (1u << kCountBits) - 1;
+                if (e.count < max_count + 1)
+                    ++e.count;
+                PARGPU_INVARIANT(e.count <= max_count + 1,
+                                 "count tag overflow: count=", e.count);
+                return true;
+            }
+        }
+        if (valid_ < capacity()) {
+            Entry &e = entries_[static_cast<std::size_t>(valid_)];
+            e.addrs = addrs;
+            e.count = 1;
+            ++valid_;
+        }
+        // At the baseline capacity (16 == maxAniso) the table can never
+        // overflow. With a smaller ablation table an overflowing sample
+        // is dropped from the distribution (conservative: lowers Txds
+        // accuracy, never causes false approximation).
+        return false;
+    }
 
     /** Number of valid entries (distinct texel sets seen). */
     int distinctSets() const { return valid_; }
@@ -71,6 +105,13 @@ class TexelAddressTable
      * entry order. Empty if nothing was inserted.
      */
     std::vector<float> probabilityVector() const;
+
+    /**
+     * entropyBits(probabilityVector()) computed from the count tags in
+     * place: the same terms in the same order, so the result is bit for
+     * bit the same, without building the vector.
+     */
+    float entropyBits() const;
 
     /** Clear all entries for the next pixel (Section V-B). */
     void reset();

@@ -24,15 +24,6 @@ scenarioName(DesignScenario s)
     return "?";
 }
 
-TexelAddrSet
-addrSetOf(const TrilinearSample &s)
-{
-    TexelAddrSet set;
-    for (int i = 0; i < 8; ++i)
-        set[i] = s.texels[i].addr;
-    return set;
-}
-
 float
 PatuUnit::approximatedLod(const AnisotropyInfo &info) const
 {
@@ -124,17 +115,6 @@ PatuUnit::preDecideN(const AnisotropyInfo &info, int count)
 
 void
 PatuUnit::finishDistribution(PixelDecision &d, const AnisotropyInfo &info,
-                             std::span<const TrilinearSample> samples)
-{
-    std::vector<TexelAddrSet> sets;
-    sets.reserve(samples.size());
-    for (const TrilinearSample &s : samples)
-        sets.push_back(addrSetOf(s));
-    finishDistribution(d, info, std::span<const TexelAddrSet>(sets));
-}
-
-void
-PatuUnit::finishDistribution(PixelDecision &d, const AnisotropyInfo &info,
                              std::span<const TexelAddrSet> samples)
 {
     d.need_distribution = false;
@@ -152,8 +132,10 @@ PatuUnit::finishDistribution(PixelDecision &d, const AnisotropyInfo &info,
     if (shared_hits > 0)
         cell(ctr_table_shared_, "patu.table.shared_hits") += shared_hits;
 
-    d.txds_value = txds(table_.probabilityVector(),
-                        static_cast<int>(samples.size()));
+    // Scored from the count tags in place: bit for bit
+    // txds(table_.probabilityVector(), n), with no per-pixel vector.
+    d.txds_value = txdsFromEntropy(table_.entropyBits(),
+                                   static_cast<int>(samples.size()));
     d.af_ssim_txds = afSsimFromTxds(d.txds_value);
     PARGPU_CHECK_RANGE(d.txds_value, 0.0f, 1.0f, "Txds is normalized");
     PARGPU_CHECK_RANGE(d.af_ssim_txds, 0.0f, 1.0f,
@@ -180,16 +162,6 @@ PatuUnit::finishDistribution(PixelDecision &d, const AnisotropyInfo &info,
 }
 
 int
-PatuUnit::countSharedSamples(std::span<const TrilinearSample> samples)
-{
-    std::vector<TexelAddrSet> sets;
-    sets.reserve(samples.size());
-    for (const TrilinearSample &s : samples)
-        sets.push_back(addrSetOf(s));
-    return countSharedSamples(std::span<const TexelAddrSet>(sets));
-}
-
-int
 PatuUnit::countSharedSamples(std::span<const TexelAddrSet> sets)
 {
     // Equivalent to inserting every address set into a fresh
@@ -205,7 +177,7 @@ PatuUnit::countSharedSamples(std::span<const TexelAddrSet> sets)
         const TexelAddrSet &a = sets[i];
         bool match = false;
         for (int d = 0; d < distinct && !match; ++d)
-            match = a == sets[static_cast<std::size_t>(first[d])];
+            match = sameAddrSet(a, sets[static_cast<std::size_t>(first[d])]);
         if (match)
             ++shared;
         else if (distinct < TexelAddressTable::kEntries)

@@ -120,15 +120,11 @@ class PatuUnit
      * Run the stage-2 distribution check on the AF trilinear samples'
      * address sets and finalize the decision.
      *
-     * @param d        Decision returned by preDecide() with
-     *                 need_distribution set.
-     * @param info     The pixel's anisotropy parameters (for LOD re-select).
-     * @param samples  The N AF trilinear samples (address sets filled in).
+     * @param d     Decision returned by preDecide() with
+     *              need_distribution set.
+     * @param info  The pixel's anisotropy parameters (for LOD re-select).
+     * @param sets  The 8-address set of each of the N AF samples.
      */
-    void finishDistribution(PixelDecision &d, const AnisotropyInfo &info,
-                            std::span<const TrilinearSample> samples);
-
-    /** finishDistribution() on pre-extracted address sets (hot path). */
     void finishDistribution(PixelDecision &d, const AnisotropyInfo &info,
                             std::span<const TexelAddrSet> sets);
 
@@ -139,9 +135,6 @@ class PatuUnit
      *
      * @return Number of shared (non-first-occurrence) samples.
      */
-    int countSharedSamples(std::span<const TrilinearSample> samples);
-
-    /** countSharedSamples() on pre-extracted address sets (hot path). */
     int countSharedSamples(std::span<const TexelAddrSet> sets);
 
     /** Decision statistics accumulated since construction. */
@@ -179,9 +172,6 @@ class PatuUnit
     std::uint64_t *ctr_table_inserts_ = nullptr;
     std::uint64_t *ctr_table_shared_ = nullptr;
 };
-
-/** Extract the 8-address set of a trilinear sample. */
-TexelAddrSet addrSetOf(const TrilinearSample &s);
 
 } // namespace pargpu
 

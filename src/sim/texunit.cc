@@ -272,13 +272,13 @@ TextureUnit::anisoQuadPatu(const QuadFragment &quad,
 
             // Texel Address Calculation for all N samples, fed into
             // the hash table as each sample's addresses complete
-            // (overlapped with address calculation, Section V-B).
+            // (overlapped with address calculation, Section V-B). The
+            // check needs no colors: AF's are fetched and blended below
+            // only if the pixel keeps AF.
             footprints[i] = arena_.allocSpanUninit<TexelAddrSet>(
                 static_cast<std::size_t>(info.sampleSize));
-            Color4f *sample_cols = scratch_cols_;
-            Color4f af_color = qfilter_.filterAnisotropicAddrs(
-                sampler, quad.uv[i], info, memo_, footprints[i].data(),
-                sample_cols);
+            qfilter_.anisotropicAddrs(sampler, quad.uv[i], info, memo_,
+                                      footprints[i].data());
             plan.addr_samples = static_cast<int>(footprints[i].size());
             stats_.table_accesses += footprints[i].size();
             patu_.finishDistribution(di, info, footprints[i]);
@@ -317,9 +317,10 @@ TextureUnit::anisoQuadPatu(const QuadFragment &quad,
                 queueSample(tf_addrs);
             } else {
                 any_keep = any_keep || info.sampleSize > 1;
-                // Reuse the footprints (and color) from the
-                // distribution check.
-                plan.color = af_color;
+                // Reuse the footprints from the distribution check; the
+                // color re-reads them without another counted probe.
+                plan.color = qfilter_.anisotropicColor(sampler, quad.uv[i],
+                                                       info, memo_);
                 plan.fetch_samples =
                     static_cast<int>(footprints[i].size());
                 plan.filter_texels = 8 * plan.fetch_samples;

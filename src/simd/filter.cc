@@ -22,13 +22,14 @@
 namespace pargpu::simd
 {
 
-template <bool kFull>
+template <QuadFilter::Mode kMode>
 void
 QuadFilter::gather(const TextureSampler &sampler, const Vec2 *uvs, int n,
                    const LodSelect &sel, FootprintMemo &memo,
                    TrilinearSample *out, TexelAddrSet *addrs,
                    Color4f *colors)
 {
+    constexpr bool kFull = kMode == Mode::Full;
     PARGPU_CHECK_RANGE(n, 1, kMaxLanes, "batch lane count");
     const TextureMap &tex = sampler.texture();
 
@@ -78,6 +79,15 @@ QuadFilter::gather(const TextureSampler &sampler, const Vec2 *uvs, int n,
             float tv = uvs[i].y * lctx[li].h - 0.5f;
             int x0 = static_cast<int>(std::floor(tu));
             int y0 = static_cast<int>(std::floor(tv));
+            if constexpr (kMode == Mode::Addrs) {
+                // The distribution check reads addresses only: no
+                // weights, no blend, no colors fetched on a miss.
+                const FootprintMemo::Entry &e =
+                    memo.probeAddrs(tex, level, x0, y0);
+                for (int k = 0; k < 4; ++k, ++slot)
+                    addrs[i][slot] = e.addr[k];
+                continue;
+            }
             float fu = tu - x0;
             float fv = tv - y0;
             const float bw[4] = {
@@ -90,10 +100,16 @@ QuadFilter::gather(const TextureSampler &sampler, const Vec2 *uvs, int n,
             // slot, a miss fetches into the slot and reads it back — no
             // 2x2 copy either way, one hash probe total, and the
             // lookup/store counter sequence equals the sampler path's.
-            bool hit = false;
-            FootprintMemo::Entry &e = memo.acquire(level, x0, y0, hit);
-            if (!hit)
-                tex.fetchFootprint(level, x0, y0, e.color, e.addr);
+            const Color4f *fc;
+            const Addr *fa = nullptr;
+            if constexpr (kMode == Mode::Colors) {
+                fc = memo.peekColors(tex, level, x0, y0, peek_);
+            } else {
+                const FootprintMemo::Entry &e =
+                    memo.probe(tex, level, x0, y0);
+                fc = e.color;
+                fa = e.addr;
+            }
             const int dx[4] = {0, 1, 0, 1};
             const int dy[4] = {0, 0, 1, 1};
             for (int k = 0; k < 4; ++k, ++slot) {
@@ -104,22 +120,23 @@ QuadFilter::gather(const TextureSampler &sampler, const Vec2 *uvs, int n,
                     t.x = x0 + dx[k];
                     t.y = y0 + dy[k];
                     t.weight = w;
-                    t.addr = e.addr[k];
-                } else {
-                    addrs[i][slot] = e.addr[k];
+                    t.addr = fa[k];
+                } else if constexpr (kMode == Mode::Compact) {
+                    addrs[i][slot] = fa[k];
                 }
 #if PARGPU_FILTER_SSE
                 acc = _mm_add_ps(
-                    acc, _mm_mul_ps(_mm_loadu_ps(&e.color[k].r),
-                                    _mm_set1_ps(w)));
+                    acc, _mm_mul_ps(_mm_loadu_ps(&fc[k].r), _mm_set1_ps(w)));
 #else
-                acc_r += e.color[k].r * w;
-                acc_g += e.color[k].g * w;
-                acc_b += e.color[k].b * w;
-                acc_a += e.color[k].a * w;
+                acc_r += fc[k].r * w;
+                acc_g += fc[k].g * w;
+                acc_b += fc[k].b * w;
+                acc_a += fc[k].a * w;
 #endif
             }
         }
+        if constexpr (kMode == Mode::Addrs)
+            continue;
 #if PARGPU_FILTER_SSE
         if constexpr (kFull)
             _mm_storeu_ps(&out[i].color.r, acc);
@@ -133,7 +150,8 @@ QuadFilter::gather(const TextureSampler &sampler, const Vec2 *uvs, int n,
             colors[i] = c;
 #endif
     }
-    ++batches_;
+    if constexpr (kMode != Mode::Colors)
+        ++batches_;
 }
 
 void
@@ -141,7 +159,7 @@ QuadFilter::filterSamples(const TextureSampler &sampler, const Vec2 *uvs,
                           int n, const LodSelect &sel, FootprintMemo &memo,
                           TrilinearSample *out)
 {
-    gather<true>(sampler, uvs, n, sel, memo, out, nullptr, nullptr);
+    gather<Mode::Full>(sampler, uvs, n, sel, memo, out, nullptr, nullptr);
 }
 
 void
@@ -150,7 +168,8 @@ QuadFilter::filterSamplesAddrs(const TextureSampler &sampler,
                                FootprintMemo &memo, TexelAddrSet *addrs,
                                Color4f *colors)
 {
-    gather<false>(sampler, uvs, n, sel, memo, nullptr, addrs, colors);
+    gather<Mode::Compact>(sampler, uvs, n, sel, memo, nullptr, addrs,
+                          colors);
 }
 
 Color4f
@@ -246,20 +265,28 @@ QuadFilter::filterTrilinearAddrs(const TextureSampler &sampler,
     return color;
 }
 
-Color4f
-QuadFilter::filterAnisotropicAddrs(const TextureSampler &sampler,
-                                   const Vec2 &uv,
-                                   const AnisotropyInfo &info,
-                                   FootprintMemo &memo, TexelAddrSet *addrs,
-                                   Color4f *colors)
+void
+QuadFilter::anisotropicAddrs(const TextureSampler &sampler, const Vec2 &uv,
+                             const AnisotropyInfo &info, FootprintMemo &memo,
+                             TexelAddrSet *addrs)
 {
     const int n = info.sampleSize;
     PARGPU_CHECK_RANGE(n, 1, kMaxLanes, "anisotropic sample count");
-    const LodSelect sel = sampler.selectLod(info.lodAF);
-    Vec2 *uvs = uvs_;
-    anisoUvs(uv, info, uvs);
-    filterSamplesAddrs(sampler, uvs, n, sel, memo, addrs, colors);
-    return averageColors(colors, n);
+    anisoUvs(uv, info, uvs_);
+    gather<Mode::Addrs>(sampler, uvs_, n, sampler.selectLod(info.lodAF),
+                        memo, nullptr, addrs, nullptr);
+}
+
+Color4f
+QuadFilter::anisotropicColor(const TextureSampler &sampler, const Vec2 &uv,
+                             const AnisotropyInfo &info, FootprintMemo &memo)
+{
+    const int n = info.sampleSize;
+    PARGPU_CHECK_RANGE(n, 1, kMaxLanes, "anisotropic sample count");
+    anisoUvs(uv, info, uvs_);
+    gather<Mode::Colors>(sampler, uvs_, n, sampler.selectLod(info.lodAF),
+                         memo, nullptr, nullptr, colors_);
+    return averageColors(colors_, n);
 }
 
 } // namespace pargpu::simd

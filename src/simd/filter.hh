@@ -96,15 +96,33 @@ class QuadFilter
                                  const Vec2 &uv, float lod,
                                  FootprintMemo &memo, TexelAddrSet &addrs);
 
+    // --- Split AF path ------------------------------------------------
+    // PATU's distribution check needs only a pixel's AF addresses, and
+    // most checked pixels then approximate. filterAnisotropic() is split
+    // so a pixel pays for AF colors only if it keeps AF: the address
+    // half issues all of the memo probes and the batch, the color half
+    // re-reads the same footprints through uncounted peeks. Together they
+    // yield filterAnisotropic()'s addresses, color, probes, hits and
+    // batch count.
+
     /**
-     * filterAnisotropic() emitting addresses and per-sample colors
-     * (info.sampleSize of each); returns the averaged pixel color.
+     * The address half: writes the info.sampleSize address sets of a
+     * pixel at @p uv into @p addrs, probing @p memo address-only (a
+     * missed footprint's colors are not fetched). One batch.
      */
-    Color4f filterAnisotropicAddrs(const TextureSampler &sampler,
-                                   const Vec2 &uv,
-                                   const AnisotropyInfo &info,
-                                   FootprintMemo &memo, TexelAddrSet *addrs,
-                                   Color4f *colors);
+    void anisotropicAddrs(const TextureSampler &sampler, const Vec2 &uv,
+                          const AnisotropyInfo &info, FootprintMemo &memo,
+                          TexelAddrSet *addrs);
+
+    /**
+     * The color half: the averaged AF color of the pixel whose addresses
+     * anisotropicAddrs() produced earlier this quad, bit for bit
+     * filterAnisotropic()'s. Counts no probe, hit or batch and evicts
+     * nothing (FootprintMemo::peekColors()).
+     */
+    Color4f anisotropicColor(const TextureSampler &sampler, const Vec2 &uv,
+                             const AnisotropyInfo &info,
+                             FootprintMemo &memo);
 
     /** Batched filter invocations since the last call; drains to zero. */
     std::uint64_t
@@ -116,12 +134,21 @@ class QuadFilter
     }
 
   private:
+    /** What one gather() pass probes and emits. */
+    enum class Mode
+    {
+        Full,    ///< TrilinearSample records to out; counted probes.
+        Compact, ///< Address sets and colors; counted probes.
+        Addrs,   ///< Address sets only; counted address-only probes.
+        Colors,  ///< Colors only; uncounted peeks, no batch counted.
+    };
+
     /**
-     * The one gather-accumulate-scatter loop behind both variants:
-     * kFull writes TrilinearSample records to @p out, compact writes
-     * address sets and colors to @p addrs / @p colors.
+     * The one gather-accumulate-scatter loop behind every variant; the
+     * footprint walk, blend weights and probe order are shared, so each
+     * mode's outputs are bit-identical to the matching part of Full's.
      */
-    template <bool kFull>
+    template <Mode kMode>
     void gather(const TextureSampler &sampler, const Vec2 *uvs, int n,
                 const LodSelect &sel, FootprintMemo &memo,
                 TrilinearSample *out, TexelAddrSet *addrs,
@@ -134,6 +161,10 @@ class QuadFilter
      * filterAnisotropic*() call. Dead between calls.
      */
     Vec2 uvs_[kMaxLanes];
+    /** Per-sample color scratch of anisotropicColor(); same reasoning. */
+    Color4f colors_[kMaxLanes];
+    /** Footprint scratch of an evicted footprint's Colors-mode peek. */
+    Color4f peek_[4];
 };
 
 } // namespace pargpu::simd

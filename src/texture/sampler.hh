@@ -111,6 +111,11 @@ struct LodSelect
  * Divergent footprints (different level or corner) never match: the full
  * key is compared, not just the hash.
  *
+ * An entry may hold addresses only: PATU's distribution check needs no
+ * colors, so probeAddrs() leaves them unfetched until a later probe() or
+ * peekColors() of the same footprint asks for them. Whether an entry is
+ * colored never changes which probes hit.
+ *
  * Direct-mapped; a colliding footprint simply evicts (correctness never
  * depends on residency). reset() is called per quad and also clears the
  * hit/lookup counters so the texture unit can drain them into its stats.
@@ -121,10 +126,10 @@ class FootprintMemo
     static constexpr int kSlots = 128; ///< >= footprints of a 16x AF quad.
 
     /**
-     * One cached footprint: key plus the four texel colors/addresses.
-     * Cache-line aligned: the 112-byte payload would otherwise straddle
-     * up to three lines at varying offsets; at 128 bytes each probe
-     * touches the key's line and a hit reads exactly one more.
+     * One cached footprint: key, the four texel addresses and, once
+     * colored, the four texel colors. Cache-line aligned with the key and
+     * addresses in the first 64 bytes, so an address-only probe touches
+     * one host line and a colored hit exactly one more.
      */
     struct alignas(64) Entry
     {
@@ -132,8 +137,9 @@ class FootprintMemo
         int level = 0;
         int x0 = 0;
         int y0 = 0;
-        Color4f color[4];
+        bool colored = false; ///< color[] holds the footprint's texels.
         Addr addr[4];
+        Color4f color[4];
     };
 
     /** Forget all entries and zero the counters (start of a quad). */
@@ -141,7 +147,7 @@ class FootprintMemo
     reset()
     {
         // Bumping the generation stamp invalidates all slots in O(1)
-        // instead of walking ~14 KB of entries; on the (rare) wraparound
+        // instead of walking ~16 KB of entries; on the (rare) wraparound
         // the stamps are cleared for real.
         if (++gen_ == 0) {
             for (Entry &e : slots_)
@@ -153,74 +159,84 @@ class FootprintMemo
     }
 
     /**
-     * By-reference lookup: counts the probe and, on a hit, the hit, and
-     * returns the resident entry — valid until the next insert() or
-     * reset(). Returns nullptr on a miss. Avoids the 2x2 copies of
-     * lookup()/store() for callers that read the footprint in place.
+     * Counted by-reference probe for footprint (@p level, @p x0, @p y0)
+     * of @p tex: one lookup, plus one hit if the key is resident. A miss
+     * claims the slot (evicting any collision) and fetches the footprint;
+     * a hit on an address-only entry fetches its colors. Either way the
+     * entry returned is colored, and valid until the next counted probe
+     * or reset().
      */
-    const Entry *
-    find(int level, int x0, int y0)
+    const Entry &
+    probe(const TextureMap &tex, int level, int x0, int y0)
     {
-        ++lookups_;
-        const Entry &e = slots_[slotOf(level, x0, y0)];
-        if (e.gen != gen_ || e.level != level || e.x0 != x0 || e.y0 != y0)
-            return nullptr;
-        ++hits_;
-        return &e;
-    }
-
-    /**
-     * Claim the slot for a missed footprint (evicting any collision) and
-     * return it with the key set; the caller fills color/addr in place.
-     */
-    Entry &
-    insert(int level, int x0, int y0)
-    {
-        Entry &e = slots_[slotOf(level, x0, y0)];
-        e.gen = gen_;
-        e.level = level;
-        e.x0 = x0;
-        e.y0 = y0;
-        return e;
-    }
-
-    /**
-     * Combined find()+insert(): one hash probe either way. Sets @p hit
-     * and counts the probe (and the hit) exactly as find() followed by
-     * insert() on a miss would; on a miss the returned entry has the key
-     * set and the caller fills color/addr in place.
-     */
-    Entry &
-    acquire(int level, int x0, int y0, bool &hit)
-    {
-        ++lookups_;
-        Entry &e = slots_[slotOf(level, x0, y0)];
-        hit = e.gen == gen_ && e.level == level && e.x0 == x0 &&
-            e.y0 == y0;
-        if (hit) {
-            ++hits_;
-        } else {
-            e.gen = gen_;
-            e.level = level;
-            e.x0 = x0;
-            e.y0 = y0;
+        bool hit = false;
+        Entry &e = acquire(level, x0, y0, hit);
+        if (!hit) {
+            tex.fetchFootprint(level, x0, y0, e.color, e.addr);
+            e.colored = true;
+        } else if (!e.colored) {
+            tex.fetchFootprintColors(level, x0, y0, e.color);
+            e.colored = true;
         }
         return e;
     }
 
     /**
-     * Look the footprint up; on a hit copy the stored colors/addresses
-     * into @p color / @p addr and return true.
+     * probe() for a caller that reads only addresses: the same lookup,
+     * hit and eviction, but a miss fetches just the addresses and leaves
+     * the entry uncolored.
+     */
+    const Entry &
+    probeAddrs(const TextureMap &tex, int level, int x0, int y0)
+    {
+        bool hit = false;
+        Entry &e = acquire(level, x0, y0, hit);
+        if (!hit) {
+            tex.fetchFootprintAddrs(level, x0, y0, e.addr);
+            e.colored = false;
+        }
+        return e;
+    }
+
+    /**
+     * Uncounted color read of a footprint the caller probed earlier this
+     * quad: the resident entry's colors (fetched in place if it holds
+     * addresses only), or, if the footprint was evicted since, a fresh
+     * fetch into @p scratch. Counts nothing and never evicts, so the
+     * probe sequence and its hits are those of the earlier probes alone.
+     */
+    const Color4f *
+    peekColors(const TextureMap &tex, int level, int x0, int y0,
+               Color4f scratch[4])
+    {
+        Entry &e = slots_[slotOf(level, x0, y0)];
+        if (!matches(e, level, x0, y0)) {
+            tex.fetchFootprintColors(level, x0, y0, scratch);
+            return scratch;
+        }
+        if (!e.colored) {
+            tex.fetchFootprintColors(level, x0, y0, e.color);
+            e.colored = true;
+        }
+        return e.color;
+    }
+
+    /**
+     * Copying lookup: counts the probe and, on a hit, the hit, copying
+     * the stored colors/addresses into @p color / @p addr. An
+     * address-only entry has no colors to copy and counts as a miss.
      */
     bool
     lookup(int level, int x0, int y0, Color4f color[4], Addr addr[4])
     {
-        const Entry *e = find(level, x0, y0);
-        if (e == nullptr)
+        ++lookups_;
+        const Entry &e = slots_[slotOf(level, x0, y0)];
+        if (!matches(e, level, x0, y0) || !e.colored)
             return false;
+        ++hits_;
         for (int i = 0; i < 4; ++i) {
-            color[i] = e->color[i];
-            addr[i] = e->addr[i];
+            color[i] = e.color[i];
+            addr[i] = e.addr[i];
         }
         return true;
     }
@@ -230,7 +246,12 @@ class FootprintMemo
     store(int level, int x0, int y0, const Color4f color[4],
           const Addr addr[4])
     {
-        Entry &e = insert(level, x0, y0);
+        Entry &e = slots_[slotOf(level, x0, y0)];
+        e.gen = gen_;
+        e.level = level;
+        e.x0 = x0;
+        e.y0 = y0;
+        e.colored = true;
         for (int i = 0; i < 4; ++i) {
             e.color[i] = color[i];
             e.addr[i] = addr[i];
@@ -248,6 +269,35 @@ class FootprintMemo
             static_cast<std::uint32_t>(y0) * 0x85EBCA77u ^
             static_cast<std::uint32_t>(level) * 0xC2B2AE3Du;
         return h & (kSlots - 1);
+    }
+
+    bool
+    matches(const Entry &e, int level, int x0, int y0) const
+    {
+        return e.gen == gen_ && e.level == level && e.x0 == x0 &&
+            e.y0 == y0;
+    }
+
+    /**
+     * The counted half of probe()/probeAddrs(): one hash probe that
+     * counts the lookup and sets @p hit (counting it too). On a miss the
+     * slot is claimed with the new key for the caller to fill.
+     */
+    Entry &
+    acquire(int level, int x0, int y0, bool &hit)
+    {
+        ++lookups_;
+        Entry &e = slots_[slotOf(level, x0, y0)];
+        hit = matches(e, level, x0, y0);
+        if (hit) {
+            ++hits_;
+        } else {
+            e.gen = gen_;
+            e.level = level;
+            e.x0 = x0;
+            e.y0 = y0;
+        }
+        return e;
     }
 
     Entry slots_[kSlots];

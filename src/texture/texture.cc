@@ -75,6 +75,9 @@ TextureMap::TextureMap(int width, int height, std::vector<RGBA8> texels,
         g.tiled = layout_ == TexelLayout::Tiled4x4 && lv.width >= 4 &&
             lv.height >= 4;
         g.tpr_shift = g.tiled ? log2Pow2(lv.width / 4) : 0;
+        // The condition MipLevel::index() applies.
+        g.morton = lv.storage == TexelStorage::Morton && lv.width >= 4 &&
+            lv.height >= 4;
         g.blk_shift = log2Pow2((lv.width + 3) / 4);
         g.offset = offset;
         geom_.push_back(g);
@@ -143,41 +146,12 @@ TextureMap::fetchTexel(int level, int x, int y) const
 }
 
 void
-TextureMap::fetchFootprintSlow(const LevelGeom &g, int level,
-                               const int wx[2], const int wy[2],
-                               Color4f color[4], Addr addr[4]) const
+TextureMap::bc1FootprintColors(int level, const int wx[2], const int wy[2],
+                               Color4f color[4]) const
 {
     const MipLevel &lv = levels_[static_cast<std::size_t>(level)];
-    if (format_ == StorageFormat::RGBA8) {
-        // Same math as texelOffset()/texelColor(), with the format and
-        // storage dispatch hoisted out of the four-texel loop.
-        const bool morton = lv.storage == TexelStorage::Morton &&
-            lv.width >= 4 && lv.height >= 4;
-        const RGBA8 *texels = lv.texels.data();
-        for (int i = 0; i < 4; ++i) {
-            int cx = wx[i & 1];
-            int cy = wy[i >> 1];
-            addr[i] = baseAddr_ + texelOffset(g, cx, cy);
-            std::size_t idx;
-            if (morton) {
-                std::size_t tile = static_cast<std::size_t>(cy >> 2) *
-                        static_cast<std::size_t>(lv.width >> 2) +
-                    static_cast<std::size_t>(cx >> 2);
-                idx = tile * 16 +
-                    kMortonInTile4x4[((cy & 3) << 2) | (cx & 3)];
-            } else {
-                idx = static_cast<std::size_t>(cy) * lv.width + cx;
-            }
-            color[i] = unpackRGBA8(texels[idx]);
-        }
-        return;
-    }
-    for (int i = 0; i < 4; ++i) {
-        int cx = wx[i & 1];
-        int cy = wy[i >> 1];
-        addr[i] = baseAddr_ + texelOffset(g, cx, cy);
-        color[i] = texelColor(level, lv, cx, cy);
-    }
+    for (int i = 0; i < 4; ++i)
+        color[i] = texelColor(level, lv, wx[i & 1], wy[i >> 1]);
 }
 
 } // namespace pargpu

@@ -69,6 +69,25 @@ inline constexpr std::uint8_t kMortonInTile4x4[16] = {
     0, 1, 4, 5, 2, 3, 6, 7, 8, 9, 12, 13, 10, 11, 14, 15,
 };
 
+/**
+ * kMortonInTile4x4 split by axis: the interleave is a sum of an x term
+ * and a y term, kMortonInTile4x4[(y << 2) | x] == kMortonX4[x] +
+ * kMortonY4[y]. Lets a footprint's four host indices share two column
+ * and two row computations.
+ */
+inline constexpr std::uint8_t kMortonX4[4] = {0, 1, 4, 5};
+inline constexpr std::uint8_t kMortonY4[4] = {0, 2, 8, 10};
+static_assert(
+    [] {
+        for (int y = 0; y < 4; ++y)
+            for (int x = 0; x < 4; ++x)
+                if (kMortonInTile4x4[(y << 2) | x] !=
+                    kMortonX4[x] + kMortonY4[y])
+                    return false;
+        return true;
+    }(),
+    "the 4x4 Morton order must be separable by axis");
+
 /** One mip level: a levelWidth x levelHeight raster of RGBA8 texels. */
 struct MipLevel
 {
@@ -188,6 +207,13 @@ class TextureMap
     void fetchFootprint(int level, int x0, int y0, Color4f color[4],
                         Addr addr[4]) const;
 
+    /** The addresses of fetchFootprint() alone. */
+    void fetchFootprintAddrs(int level, int x0, int y0, Addr addr[4]) const;
+
+    /** The colors of fetchFootprint() alone. */
+    void fetchFootprintColors(int level, int x0, int y0,
+                              Color4f color[4]) const;
+
   private:
     /** Precomputed per-level address math (all extents are powers of two). */
     struct LevelGeom
@@ -198,13 +224,13 @@ class TextureMap
         std::uint32_t tpr_shift = 0;///< log2(width / 4), tiled addressing.
         std::uint32_t blk_shift = 0;///< log2(BC1 blocks per row).
         bool tiled = false;         ///< Tiled4x4 applies at this level.
+        bool morton = false;        ///< Host texels are in Morton order.
         Bytes offset = 0;           ///< Byte offset of the level.
     };
 
-    /** fetchFootprint() general case: wraps, clamps, BC1, narrow levels. */
-    void fetchFootprintSlow(const LevelGeom &g, int level, const int wx[2],
-                            const int wy[2], Color4f color[4],
-                            Addr addr[4]) const;
+    /** fetchFootprintColors() for BC1 textures (decodes four texels). */
+    void bc1FootprintColors(int level, const int wx[2], const int wy[2],
+                            Color4f color[4]) const;
 
     /** Wrap a coordinate with the precomputed mask (Repeat) or clamp. */
     int
@@ -215,28 +241,109 @@ class TextureMap
         return c < 0 ? 0 : (c > mask ? mask : c);
     }
 
-    /** Level-relative byte offset of wrapped texel (wx, wy). */
+    // Every layout's texel offset is a column term plus a row term:
+    // texelOffset(g, wx, wy) == g.offset + colOffset(g, wx) +
+    // rowOffset(g, wy). A footprint's four addresses therefore cost two
+    // of each, whether or not it crosses a tile or wraps.
+
+    /** Column term of texelOffset() for wrapped column @p wx. */
     Bytes
-    texelOffset(const LevelGeom &g, int wx, int wy) const
+    colOffset(const LevelGeom &g, int wx) const
     {
         if (format_ == StorageFormat::BC1) {
-            // Compressed storage is addressed at block granularity: all 16
-            // texels of a 4x4 block live in one 8-byte record.
-            Bytes block = (static_cast<Bytes>(wy >> 2) << g.blk_shift) +
-                static_cast<Bytes>(wx >> 2);
-            return g.offset + block * Bc1Block::kBytes;
+            // Compressed storage is addressed at block granularity: all
+            // 16 texels of a 4x4 block live in one 8-byte record.
+            return static_cast<Bytes>(wx >> 2) * Bc1Block::kBytes;
         }
         // 4x4 texel tiles, tiles stored row-major; texels within a tile
         // stored row-major. Matches the block layouts real texture units
         // use to keep a bilinear footprint in one or two cache lines.
-        Bytes linear = g.tiled
-            ? (((static_cast<Bytes>(wy >> 2) << g.tpr_shift) +
-                static_cast<Bytes>(wx >> 2))
-               << 4) +
-                static_cast<Bytes>(((wy & 3) << 2) + (wx & 3))
-            : (static_cast<Bytes>(wy) << g.row_shift) +
-                static_cast<Bytes>(wx);
-        return g.offset + linear * RGBA8::kBytes;
+        const Bytes t = g.tiled
+            ? (static_cast<Bytes>(wx >> 2) << 4) + static_cast<Bytes>(wx & 3)
+            : static_cast<Bytes>(wx);
+        return t * RGBA8::kBytes;
+    }
+
+    /** Row term of texelOffset() for wrapped row @p wy. */
+    Bytes
+    rowOffset(const LevelGeom &g, int wy) const
+    {
+        if (format_ == StorageFormat::BC1)
+            return (static_cast<Bytes>(wy >> 2) << g.blk_shift) *
+                Bc1Block::kBytes;
+        const Bytes t = g.tiled
+            ? (static_cast<Bytes>(wy >> 2) << (g.tpr_shift + 4)) +
+                (static_cast<Bytes>(wy & 3) << 2)
+            : static_cast<Bytes>(wy) << g.row_shift;
+        return t * RGBA8::kBytes;
+    }
+
+    /** Level-relative byte offset of wrapped texel (wx, wy). */
+    Bytes
+    texelOffset(const LevelGeom &g, int wx, int wy) const
+    {
+        return g.offset + colOffset(g, wx) + rowOffset(g, wy);
+    }
+
+    // MipLevel::index() split the same way for RGBA8 host storage.
+
+    /** Column term of the host index of wrapped column @p wx. */
+    static std::size_t
+    colIndex(const LevelGeom &g, int wx)
+    {
+        return g.morton ? (static_cast<std::size_t>(wx >> 2) << 4) +
+                kMortonX4[wx & 3]
+                        : static_cast<std::size_t>(wx);
+    }
+
+    /** Row term of the host index of wrapped row @p wy. */
+    static std::size_t
+    rowIndex(const LevelGeom &g, int wy)
+    {
+        // A Morton tile row holds width / 4 tiles of 16 texels.
+        return g.morton ? (static_cast<std::size_t>(wy >> 2)
+                           << (g.row_shift + 2)) +
+                kMortonY4[wy & 3]
+                        : static_cast<std::size_t>(wy) << g.row_shift;
+    }
+
+    /** fetchFootprintAddrs() on wrapped columns @p wx and rows @p wy. */
+    void
+    footprintAddrs(const LevelGeom &g, const int wx[2], const int wy[2],
+                   Addr addr[4]) const
+    {
+        const Addr c0 = baseAddr_ + g.offset + colOffset(g, wx[0]);
+        const Addr c1 = baseAddr_ + g.offset + colOffset(g, wx[1]);
+        const Bytes r0 = rowOffset(g, wy[0]);
+        const Bytes r1 = rowOffset(g, wy[1]);
+        addr[0] = c0 + r0;
+        addr[1] = c1 + r0;
+        addr[2] = c0 + r1;
+        addr[3] = c1 + r1;
+    }
+
+    /** fetchFootprintColors() on wrapped columns @p wx and rows @p wy. */
+    void
+    footprintColors(int level, const LevelGeom &g, const int wx[2],
+                    const int wy[2], Color4f color[4]) const
+    {
+        if (format_ != StorageFormat::RGBA8) {
+            bc1FootprintColors(level, wx, wy, color);
+            return;
+        }
+        // Inline for every RGBA8 footprint — inside one Morton tile,
+        // across tile edges, wrapped or clamped — so the filter's gather
+        // loop folds it in.
+        const RGBA8 *texels =
+            levels_[static_cast<std::size_t>(level)].texels.data();
+        const std::size_t c0 = colIndex(g, wx[0]);
+        const std::size_t c1 = colIndex(g, wx[1]);
+        const std::size_t r0 = rowIndex(g, wy[0]);
+        const std::size_t r1 = rowIndex(g, wy[1]);
+        color[0] = unpackRGBA8(texels[r0 + c0]);
+        color[1] = unpackRGBA8(texels[r0 + c1]);
+        color[2] = unpackRGBA8(texels[r1 + c0]);
+        color[3] = unpackRGBA8(texels[r1 + c1]);
     }
 
     /** Color of wrapped texel (wx, wy) — fetchTexel after wrapping. */
@@ -261,52 +368,34 @@ TextureMap::fetchFootprint(int level, int x0, int y0, Color4f color[4],
 {
     PARGPU_CHECK_RANGE(level, 0, numLevels() - 1, "fetchFootprint level");
     const LevelGeom &g = geom_[static_cast<std::size_t>(level)];
-    const MipLevel &lv = levels_[static_cast<std::size_t>(level)];
     // Wrap the two columns and two rows once; the four texels are every
     // (column, row) combination in the trilinear slot order.
     const int wx[2] = {wrapFast(x0, g.wmask), wrapFast(x0 + 1, g.wmask)};
     const int wy[2] = {wrapFast(y0, g.hmask), wrapFast(y0 + 1, g.hmask)};
-    // Fast path, inline so the SoA gather loop can fold it in: a footprint
-    // that neither wraps nor clamps and stays inside one 4x4 Morton tile
-    // ((x0 & 3) < 3 in both axes — 9/16 of corner positions). All four
-    // host texels then live in the corner's tile at Z-indices read from
-    // kMortonInTile4x4, so one tile-base computation serves all four
-    // colors; the simulated addresses are the corner's plus fixed layout
-    // deltas (the Tiled4x4 sim layout is row-major within a tile, so
-    // (x+1, y) is +1 texel and (x, y+1) is +4). Colors and addresses are
-    // bit-identical to the general path.
-    if (format_ == StorageFormat::RGBA8 &&
-        lv.storage == TexelStorage::Morton && lv.width >= 4 &&
-        lv.height >= 4 && (wx[0] & 3) < 3 && (wy[0] & 3) < 3 &&
-        wx[1] == wx[0] + 1 && wy[1] == wy[0] + 1) {
-        const std::size_t tile_base =
-            (static_cast<std::size_t>(wy[0] >> 2) *
-                 static_cast<std::size_t>(lv.width >> 2) +
-             static_cast<std::size_t>(wx[0] >> 2)) *
-            16;
-        const RGBA8 *tile = &lv.texels[tile_base];
-        const int sub = ((wy[0] & 3) << 2) | (wx[0] & 3);
-        color[0] = unpackRGBA8(tile[kMortonInTile4x4[sub]]);
-        color[1] = unpackRGBA8(tile[kMortonInTile4x4[sub + 1]]);
-        color[2] = unpackRGBA8(tile[kMortonInTile4x4[sub + 4]]);
-        color[3] = unpackRGBA8(tile[kMortonInTile4x4[sub + 5]]);
-        const Addr a0 = baseAddr_ + texelOffset(g, wx[0], wy[0]);
-        if (g.tiled) {
-            addr[0] = a0;
-            addr[1] = a0 + RGBA8::kBytes;
-            addr[2] = a0 + 4 * RGBA8::kBytes;
-            addr[3] = a0 + 5 * RGBA8::kBytes;
-        } else {
-            const Bytes row = static_cast<Bytes>(RGBA8::kBytes)
-                << g.row_shift;
-            addr[0] = a0;
-            addr[1] = a0 + RGBA8::kBytes;
-            addr[2] = a0 + row;
-            addr[3] = a0 + row + RGBA8::kBytes;
-        }
-        return;
-    }
-    fetchFootprintSlow(g, level, wx, wy, color, addr);
+    footprintAddrs(g, wx, wy, addr);
+    footprintColors(level, g, wx, wy, color);
+}
+
+inline void
+TextureMap::fetchFootprintAddrs(int level, int x0, int y0,
+                                Addr addr[4]) const
+{
+    PARGPU_CHECK_RANGE(level, 0, numLevels() - 1, "fetchFootprint level");
+    const LevelGeom &g = geom_[static_cast<std::size_t>(level)];
+    const int wx[2] = {wrapFast(x0, g.wmask), wrapFast(x0 + 1, g.wmask)};
+    const int wy[2] = {wrapFast(y0, g.hmask), wrapFast(y0 + 1, g.hmask)};
+    footprintAddrs(g, wx, wy, addr);
+}
+
+inline void
+TextureMap::fetchFootprintColors(int level, int x0, int y0,
+                                 Color4f color[4]) const
+{
+    PARGPU_CHECK_RANGE(level, 0, numLevels() - 1, "fetchFootprint level");
+    const LevelGeom &g = geom_[static_cast<std::size_t>(level)];
+    const int wx[2] = {wrapFast(x0, g.wmask), wrapFast(x0 + 1, g.wmask)};
+    const int wy[2] = {wrapFast(y0, g.hmask), wrapFast(y0 + 1, g.hmask)};
+    footprintColors(level, g, wx, wy, color);
 }
 
 } // namespace pargpu

@@ -38,17 +38,23 @@ cfg(DesignScenario s, float threshold = 0.4f)
     return c;
 }
 
-// Build real AF footprints for a synthetic pixel on a real texture, with
-// controllable overlap: step 0 makes all samples share one footprint.
-std::vector<TrilinearSample>
+// Build the address sets of real AF footprints for a synthetic pixel on
+// a real texture, with controllable overlap: step 0 makes all samples
+// share one footprint.
+std::vector<TexelAddrSet>
 footprints(int n, float step)
 {
     static TextureMap tex(64, 64,
                           generateTexture(TextureKind::Noise, 64, 3));
     TextureSampler s(tex);
-    std::vector<TrilinearSample> out;
-    for (int i = 0; i < n; ++i)
-        out.push_back(s.trilinear({0.3f + step * i, 0.5f}, 0.0f));
+    std::vector<TexelAddrSet> out;
+    for (int i = 0; i < n; ++i) {
+        TrilinearSample t = s.trilinear({0.3f + step * i, 0.5f}, 0.0f);
+        TexelAddrSet set;
+        for (int k = 0; k < 8; ++k)
+            set[k] = t.texels[k].addr;
+        out.push_back(set);
+    }
     return out;
 }
 
@@ -215,12 +221,4 @@ TEST(PatuScenarioNameTest, AllScenariosNamed)
     EXPECT_STREQ(scenarioName(DesignScenario::AfSsimNTxds),
                  "AF-SSIM(N)+(Txds)");
     EXPECT_STREQ(scenarioName(DesignScenario::Patu), "PATU");
-}
-
-TEST(PatuAddrSetTest, ExtractsSampleAddresses)
-{
-    auto fp = footprints(1, 0.0f);
-    TexelAddrSet set = addrSetOf(fp[0]);
-    for (int i = 0; i < 8; ++i)
-        EXPECT_EQ(set[i], fp[0].texels[i].addr);
 }
