@@ -2,6 +2,12 @@
  * @file
  * google-benchmark microbenchmarks for the hot kernels: texture
  * filtering, the PATU hash table, the cache model and SSIM.
+ *
+ * BM_QuadWork times the texel path the simulator runs
+ * (TextureUnit::processQuadWork over quads rasterized from one HL2
+ * frame). BM_TrilinearSample and BM_AnisotropicFilter time the
+ * TextureSampler reference path, which tests compare against but the
+ * simulator no longer calls.
  */
 
 #include <benchmark/benchmark.h>
@@ -11,9 +17,12 @@
 #include <vector>
 
 #include "pargpu/analysis.hh"
+#include "pargpu/config.hh"
 #include "pargpu/random.hh"
 #include "pargpu/mem.hh"
 #include "pargpu/quality.hh"
+#include "pargpu/scenes.hh"
+#include "pargpu/sim.hh"
 #include "pargpu/simd.hh"
 #include "pargpu/texture.hh"
 
@@ -57,6 +66,96 @@ BM_AnisotropicFilter(benchmark::State &state)
     state.SetLabel("N=" + std::to_string(info.sampleSize));
 }
 BENCHMARK(BM_AnisotropicFilter)->Arg(2)->Arg(4)->Arg(8)->Arg(16);
+
+/** One texture-unit input of the BM_QuadWork set. */
+struct QuadJob
+{
+    QuadFragment quad;
+    const TextureMap *tex;
+    FilterMode mode;
+};
+
+/**
+ * Every covered quad of HL2's first frame at 640x512, in draw and
+ * raster order, with no depth test (overdrawn quads stay in: they are
+ * texel work of the same kind). Built once; the trace owns the textures.
+ */
+const std::vector<QuadJob> &
+hl2Quads()
+{
+    static const GameTrace trace = buildGameTrace(GameId::HL2, 640, 512, 1);
+    static const std::vector<QuadJob> jobs = [] {
+        std::vector<QuadJob> out;
+        std::vector<SetupTriangle> tris;
+        const Camera &cam = trace.cameras.front();
+        for (const DrawCall &draw : trace.scene.draws) {
+            const Mesh &mesh = draw.mesh;
+            const TextureMap *tex =
+                trace.scene.textures[static_cast<std::size_t>(
+                                         mesh.texture_id)].get();
+            const Mat4 mvp = cam.proj * cam.view * draw.model;
+            for (std::size_t t = 0; t + 2 < mesh.indices.size(); t += 3) {
+                Vertex tv[3];
+                for (int k = 0; k < 3; ++k)
+                    tv[k] = mesh.vertices[mesh.indices[t + k]];
+                tris.clear();
+                setupTriangles(tv, mvp, 1.0f, mesh.texture_id, draw.filter,
+                               draw.backface_cull, trace.width,
+                               trace.height, tris);
+                for (const SetupTriangle &st : tris)
+                    rasterizeTriangle(st, st.min_x, st.min_y, st.max_x,
+                                      st.max_y,
+                                      [&](const QuadFragment &q) {
+                                          out.push_back({q, tex, st.filter});
+                                      });
+            }
+        }
+        return out;
+    }();
+    return jobs;
+}
+
+/**
+ * TextureUnit::processQuadWork() over all of hl2Quads() per iteration,
+ * under one design scenario. The per_quad counter is the mean host time
+ * of one quad; the others are the texture unit's per-quad work.
+ */
+void
+BM_QuadWork(benchmark::State &state, DesignScenario scenario)
+{
+    const std::vector<QuadJob> &jobs = hl2Quads();
+    RunConfig rc;
+    rc.scenario = scenario;
+    const GpuConfig g = makeGpuConfig(rc);
+    MemSysConfig mc = g.mem;
+    mc.clusters = g.clusters;
+    MemorySystem mem(mc);
+    TextureUnit tu(g, 0, mem);
+    Color4f out[4];
+    for (auto _ : state) {
+        for (const QuadJob &j : jobs)
+            benchmark::DoNotOptimize(
+                tu.processQuadWork(j.quad, *j.tex, j.mode, out));
+        benchmark::ClobberMemory();
+    }
+    const TexUnitStats &st = tu.stats();
+    const double quads = static_cast<double>(st.quads);
+    state.counters["per_quad"] = benchmark::Counter(
+        static_cast<double>(jobs.size()),
+        benchmark::Counter::kIsIterationInvariantRate |
+            benchmark::Counter::kInvert);
+    state.counters["samples_per_quad"] =
+        static_cast<double>(st.trilinear_samples) / quads;
+    state.counters["memo_lookups_per_quad"] =
+        static_cast<double>(st.memo_lookups) / quads;
+    state.SetLabel(std::to_string(jobs.size()) + " quads");
+}
+BENCHMARK_CAPTURE(BM_QuadWork, patu, DesignScenario::Patu)
+    ->Unit(benchmark::kMillisecond);
+BENCHMARK_CAPTURE(BM_QuadWork, baseline, DesignScenario::Baseline)
+    ->Unit(benchmark::kMillisecond);
+BENCHMARK_CAPTURE(BM_QuadWork, noaf, DesignScenario::NoAF)
+    ->Unit(benchmark::kMillisecond);
 
 /**
  * The SoA weight-accumulation kernel, each dispatch tier head-to-head on
