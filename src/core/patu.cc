@@ -113,7 +113,7 @@ PatuUnit::preDecideN(const AnisotropyInfo &info, int count)
     return d;
 }
 
-void
+int
 PatuUnit::finishDistribution(PixelDecision &d, const AnisotropyInfo &info,
                              std::span<const TexelAddrSet> samples)
 {
@@ -159,6 +159,12 @@ PatuUnit::finishDistribution(PixelDecision &d, const AnisotropyInfo &info,
         d.stage = DecisionStage::FullAf;
         ++cell(ctr_full_af_, "patu.full_af");
     }
+    // A full-size table's hits are exactly countSharedSamples(): both
+    // record the first kEntries distinct sets and match the rest against
+    // them. An ablation-sized table records fewer, so count anew.
+    return table_.capacity() == TexelAddressTable::kEntries
+        ? static_cast<int>(shared_hits)
+        : countSharedSamples(samples);
 }
 
 int

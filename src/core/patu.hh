@@ -124,8 +124,10 @@ class PatuUnit
      *              need_distribution set.
      * @param info  The pixel's anisotropy parameters (for LOD re-select).
      * @param sets  The 8-address set of each of the N AF samples.
+     * @return countSharedSamples(sets), the Fig. 12 statistic, which
+     *         the check has computed on the way.
      */
-    void finishDistribution(PixelDecision &d, const AnisotropyInfo &info,
+    int finishDistribution(PixelDecision &d, const AnisotropyInfo &info,
                             std::span<const TexelAddrSet> sets);
 
     /**

@@ -107,6 +107,7 @@ TextureUnit::processQuadWork(const QuadFragment &quad,
     lines_.reset();
     arena_.reset();
     prev_line_[0] = prev_line_[1] = ~static_cast<Addr>(0);
+    std::fill(&prev_fp_[0][0], &prev_fp_[0][0] + 8, kInvalidAddr);
 
     PixelPlan plans[4];
     // Stored AF sample address sets per pixel, when the decision requires
@@ -235,8 +236,10 @@ TextureUnit::processQuadWork(const QuadFragment &quad,
     for (int i = 0; i < 4; ++i) {
         if (footprints[i].size() > 1) {
             stats_.af_input_samples += footprints[i].size();
-            stats_.shared_samples += static_cast<std::uint64_t>(
-                patu_.countSharedSamples(footprints[i]));
+            const int shared = plans[i].shared_samples >= 0
+                ? plans[i].shared_samples
+                : patu_.countSharedSamples(footprints[i]);
+            stats_.shared_samples += static_cast<std::uint64_t>(shared);
         }
     }
 
@@ -281,7 +284,8 @@ TextureUnit::anisoQuadPatu(const QuadFragment &quad,
                                       footprints[i].data());
             plan.addr_samples = static_cast<int>(footprints[i].size());
             stats_.table_accesses += footprints[i].size();
-            patu_.finishDistribution(di, info, footprints[i]);
+            plan.shared_samples =
+                patu_.finishDistribution(di, info, footprints[i]);
 
             plan.approximate = di.approximate;
             plan.stage = di.stage;

@@ -184,6 +184,11 @@ class TextureUnit
          * cycles_per_trilinear.
          */
         int filter_texels = 0;
+        /**
+         * Fig. 12 shared-sample count of the pixel's footprints when
+         * the distribution check already measured it; -1 if not.
+         */
+        int shared_samples = -1;
         Color4f color;
     };
 
@@ -227,20 +232,30 @@ class TextureUnit
      * Texels within a sample frequently share cache lines (tiled
      * layout), and samples across the quad share whole footprints; the
      * fetch unit coalesces all of it, so record each distinct line once
-     * for the quad-level batched read. Tracking the last line per level
-     * half (slots 0-3 = finer level, 4-7 = coarser) across the quad's
-     * samples only skips probes of lines already recorded — first-touch
-     * order is unchanged.
+     * for the quad-level batched read. Two hints, per level half (slots
+     * 0-3 = finer level, 4-7 = coarser), skip probes of lines already
+     * recorded: a half whose four addresses repeat the previous sample's
+     * is skipped whole, and a line equal to the last one queued is not
+     * probed again. Either way only duplicates are skipped, so the
+     * first-touch order is unchanged.
      */
     void
     queueSample(const TexelAddrSet &addrs)
     {
-        for (int k = 0; k < 8; ++k) {
-            Addr la = addrs[static_cast<std::size_t>(k)] & line_mask_;
-            Addr &prev = prev_line_[k >> 2];
-            if (la != prev) {
-                lines_.insertLine(la);
-                prev = la;
+        for (int h = 0; h < 2; ++h) {
+            const Addr *a = addrs.data() + 4 * h;
+            Addr *fp = prev_fp_[h];
+            if (a[0] == fp[0] && a[1] == fp[1] && a[2] == fp[2] &&
+                a[3] == fp[3])
+                continue;
+            Addr &prev = prev_line_[h];
+            for (int k = 0; k < 4; ++k) {
+                fp[k] = a[k];
+                Addr la = a[k] & line_mask_;
+                if (la != prev) {
+                    lines_.insertLine(la);
+                    prev = la;
+                }
             }
         }
         stats_.texels += 8;
@@ -301,6 +316,12 @@ class TextureUnit
      * quad — a probe-skipping hint for queueSample(); reset per quad.
      */
     Addr prev_line_[2] = {~static_cast<Addr>(0), ~static_cast<Addr>(0)};
+    /**
+     * Addresses of the last footprint queued per level half of the
+     * current quad — the whole-half skipping hint of queueSample();
+     * reset per quad (kInvalidAddr never matches a texel).
+     */
+    Addr prev_fp_[2][4];
     /** Cache-line mask (~(line_bytes - 1)), hoisted from the config. */
     Addr line_mask_ = 0;
     BumpArena arena_;      ///< Per-quad AF footprint storage.
