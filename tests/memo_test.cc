@@ -127,6 +127,129 @@ TEST(FootprintMemoTest, ResetClearsEntriesAndCounters)
     EXPECT_EQ(memo.hits(), 0u);
 }
 
+TEST(FootprintMemoTest, AddressProbeThenColorProbeMatchesAFreshFetch)
+{
+    // PATU's distribution check probes address-only; a later color probe
+    // of the same footprint must hit, count exactly as two color probes
+    // would, and return what a fresh fetch returns.
+    TextureMap tex(32, 32, checker(32, 32));
+    tex.setBaseAddr(0x8000);
+    Color4f want_c[4];
+    Addr want_a[4];
+    tex.fetchFootprint(1, 3, 5, want_c, want_a);
+
+    FootprintMemo memo;
+    memo.reset();
+    const FootprintMemo::Entry &a = memo.probeAddrs(tex, 1, 3, 5);
+    EXPECT_FALSE(a.colored);
+    for (int i = 0; i < 4; ++i)
+        EXPECT_EQ(a.addr[i], want_a[i]) << i;
+    EXPECT_EQ(memo.lookups(), 1u);
+    EXPECT_EQ(memo.hits(), 0u);
+
+    const FootprintMemo::Entry &c = memo.probe(tex, 1, 3, 5);
+    EXPECT_EQ(&c, &a); // Same slot, filled in place.
+    EXPECT_TRUE(c.colored);
+    for (int i = 0; i < 4; ++i) {
+        EXPECT_TRUE(sameColor(c.color[i], want_c[i])) << i;
+        EXPECT_EQ(c.addr[i], want_a[i]) << i;
+    }
+    EXPECT_EQ(memo.lookups(), 2u);
+    EXPECT_EQ(memo.hits(), 1u);
+
+    // An address-only probe of a colored entry is a plain hit.
+    memo.probeAddrs(tex, 1, 3, 5);
+    EXPECT_EQ(memo.lookups(), 3u);
+    EXPECT_EQ(memo.hits(), 2u);
+}
+
+TEST(FootprintMemoTest, ProbeKindNeverChangesCounts)
+{
+    // Any mix of address-only and color probes over a key sequence —
+    // collisions included — counts the lookups and hits that color
+    // probes alone count, and every colored read is a fresh fetch's.
+    TextureMap tex(64, 64, checker(64, 64));
+    FootprintMemo mixed, colored;
+    mixed.reset();
+    colored.reset();
+    std::uint64_t state = 12345;
+    auto next = [&state](int bound) {
+        state = state * 6364136223846793005ull + 1442695040888963407ull;
+        return static_cast<int>((state >> 33) % static_cast<unsigned>(bound));
+    };
+    for (int i = 0; i < 4000; ++i) {
+        const int level = next(3);
+        const int x0 = next(20) - 2;
+        const int y0 = next(20) - 2;
+        colored.probe(tex, level, x0, y0);
+        if (next(2) == 0) {
+            mixed.probeAddrs(tex, level, x0, y0);
+        } else {
+            const FootprintMemo::Entry &e = mixed.probe(tex, level, x0, y0);
+            Color4f want_c[4];
+            Addr want_a[4];
+            tex.fetchFootprint(level, x0, y0, want_c, want_a);
+            for (int k = 0; k < 4; ++k) {
+                ASSERT_TRUE(sameColor(e.color[k], want_c[k])) << i;
+                ASSERT_EQ(e.addr[k], want_a[k]) << i;
+            }
+        }
+        ASSERT_EQ(mixed.lookups(), colored.lookups()) << i;
+        ASSERT_EQ(mixed.hits(), colored.hits()) << i;
+    }
+    EXPECT_GT(colored.hits(), 0u);
+    EXPECT_LT(colored.hits(), colored.lookups());
+}
+
+TEST(FootprintMemoTest, PeekColorsCountsNothingAndNeverEvicts)
+{
+    TextureMap tex(32, 32, checker(32, 32));
+    Color4f want[4];
+    Addr unused[4];
+    Color4f scratch[4];
+    FootprintMemo memo;
+    memo.reset();
+
+    // Resident address-only entry: colored in place, no count.
+    memo.probeAddrs(tex, 0, 7, 9);
+    tex.fetchFootprint(0, 7, 9, want, unused);
+    const Color4f *c = memo.peekColors(tex, 0, 7, 9, scratch);
+    EXPECT_NE(c, scratch);
+    for (int i = 0; i < 4; ++i)
+        EXPECT_TRUE(sameColor(c[i], want[i])) << i;
+    EXPECT_EQ(memo.lookups(), 1u);
+    EXPECT_EQ(memo.hits(), 0u);
+
+    // Absent footprint: fetched into the scratch, not inserted — a later
+    // probe still misses, and the resident footprint still hits.
+    tex.fetchFootprint(2, 1, 2, want, unused);
+    c = memo.peekColors(tex, 2, 1, 2, scratch);
+    EXPECT_EQ(c, scratch);
+    for (int i = 0; i < 4; ++i)
+        EXPECT_TRUE(sameColor(c[i], want[i])) << i;
+    EXPECT_EQ(memo.lookups(), 1u);
+    memo.probe(tex, 2, 1, 2);
+    EXPECT_EQ(memo.hits(), 0u);
+    memo.probe(tex, 0, 7, 9);
+    EXPECT_EQ(memo.lookups(), 3u);
+    EXPECT_EQ(memo.hits(), 1u);
+}
+
+TEST(FootprintMemoTest, CopyingLookupSkipsAddressOnlyEntries)
+{
+    // lookup() copies colors: an entry that holds none is a miss.
+    TextureMap tex(32, 32, checker(32, 32));
+    FootprintMemo memo;
+    memo.reset();
+    memo.probeAddrs(tex, 0, 4, 4);
+    Color4f oc[4];
+    Addr oa[4];
+    EXPECT_FALSE(memo.lookup(0, 4, 4, oc, oa));
+    EXPECT_EQ(memo.hits(), 0u);
+    memo.probe(tex, 0, 4, 4); // Colors it.
+    EXPECT_TRUE(memo.lookup(0, 4, 4, oc, oa));
+}
+
 TEST(MemoizedFilteringTest, MemoizedTrilinearIsBitIdentical)
 {
     TextureMap tex(32, 32, checker(32, 32));

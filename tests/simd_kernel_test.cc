@@ -350,6 +350,57 @@ TEST(SimdKernelTest, CompactPathMatchesFullPath)
     }
 }
 
+// The split AF path PATU's distribution check runs —
+// anisotropicAddrs() for every candidate pixel, anisotropicColor() only
+// for pixels that keep AF — must together reproduce the reference
+// sampler's AF: the same addresses, the same averaged color, the same
+// memo probes and hits, and one batch. The corners include the coordinate
+// stage's scalar fallback: a texel coordinate of exactly -2^31 converts
+// to INT_MIN, the same bits as an out-of-range lane.
+TEST(SimdKernelTest, SplitAfPathMatchesSampler)
+{
+    for (WrapMode wrap : {WrapMode::Repeat, WrapMode::ClampToEdge}) {
+        TextureMap tex = makeTex(wrap);
+        TextureSampler s(tex);
+        SplitMix64 rng(wrap == WrapMode::Repeat ? 91 : 92);
+        std::vector<Vec2> uvs = {{-33554432.0f, 0.3f}, {0.5f, 0.5f}};
+        for (int i = 0; i < 24; ++i)
+            uvs.push_back({rng.nextFloat(-1.5f, 2.5f),
+                           rng.nextFloat(-1.5f, 2.5f)});
+        simd::QuadFilter qf;
+        for (int aniso : {2, 3, 5, 8, 16}) {
+            const AnisotropyInfo info = s.computeAnisotropy(
+                {aniso / 64.0f, 0.3f / 64}, {-0.2f / 64, 1.0f / 64});
+            for (const Vec2 &uv : uvs) {
+                SCOPED_TRACE("N=" + std::to_string(info.sampleSize) +
+                             " uv=(" + std::to_string(uv.x) + ", " +
+                             std::to_string(uv.y) + ")");
+                std::vector<TrilinearSample> want(info.sampleSize);
+                FootprintMemo ref_memo;
+                ref_memo.reset();
+                const Color4f want_c = s.filterAnisotropicInto(
+                    uv, info, want.data(), &ref_memo);
+
+                std::vector<TexelAddrSet> addrs(info.sampleSize);
+                FootprintMemo memo;
+                memo.reset();
+                qf.takeBatches();
+                qf.anisotropicAddrs(s, uv, info, memo, addrs.data());
+                EXPECT_EQ(memo.lookups(), ref_memo.lookups());
+                EXPECT_EQ(memo.hits(), ref_memo.hits());
+                const Color4f got_c = qf.anisotropicColor(s, uv, info, memo);
+                EXPECT_EQ(qf.takeBatches(), 1u);
+                EXPECT_EQ(memo.lookups(), ref_memo.lookups());
+                expectColorEqual(want_c, got_c, "averaged color");
+                for (int i = 0; i < info.sampleSize; ++i)
+                    for (int k = 0; k < 8; ++k)
+                        EXPECT_EQ(addrs[i][k], want[i].texels[k].addr)
+                            << "sample " << i << " texel " << k;
+            }
+        }
+    }
+}
+
 namespace
 {
 

@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <set>
 
 #include "texture/texture.hh"
@@ -120,4 +121,102 @@ TEST(TextureMapTest, FetchTexelAppliesWrap)
     Color4f wrapped = tex.fetchTexel(0, 5, -2);
     EXPECT_FLOAT_EQ(direct.r, wrapped.r);
     EXPECT_FLOAT_EQ(direct.g, wrapped.g);
+}
+
+namespace
+{
+
+/** Every texel distinct in at least one channel (up to 64x64). */
+std::vector<RGBA8>
+distinctTexels(int w, int h)
+{
+    std::vector<RGBA8> t;
+    for (int y = 0; y < h; ++y)
+        for (int x = 0; x < w; ++x)
+            t.push_back({static_cast<std::uint8_t>(x * 4 + 1),
+                         static_cast<std::uint8_t>(y * 4 + 2),
+                         static_cast<std::uint8_t>((x * 37 + y * 101) & 255),
+                         static_cast<std::uint8_t>(255 - ((x + y) & 63))});
+    return t;
+}
+
+bool
+sameBits(const Color4f &a, const Color4f &b)
+{
+    return std::memcmp(&a, &b, sizeof a) == 0;
+}
+
+} // namespace
+
+// fetchFootprint() serves every RGBA8 footprint inline — inside a 4x4
+// Morton tile, across tile edges, wrapped and clamped — and BC1 out of
+// line. At every corner of every level of small textures (down to the
+// 1- and 2-texel-wide levels, where host storage falls back to
+// row-major) it must return exactly four fetchTexel()/texelAddr()
+// calls, and its address-only and color-only halves must agree.
+TEST(TextureMapTest, FootprintEqualsFourTexelFetchesAtEveryCorner)
+{
+    struct Case
+    {
+        int w, h;
+        WrapMode wrap;
+        TexelLayout layout;
+        StorageFormat format;
+        TexelStorage storage;
+    };
+    const Case cases[] = {
+        {16, 16, WrapMode::Repeat, TexelLayout::Tiled4x4,
+         StorageFormat::RGBA8, TexelStorage::Morton},
+        {16, 16, WrapMode::ClampToEdge, TexelLayout::Tiled4x4,
+         StorageFormat::RGBA8, TexelStorage::Morton},
+        {16, 4, WrapMode::Repeat, TexelLayout::Tiled4x4,
+         StorageFormat::RGBA8, TexelStorage::Morton},
+        {4, 16, WrapMode::ClampToEdge, TexelLayout::Tiled4x4,
+         StorageFormat::RGBA8, TexelStorage::Morton},
+        {8, 2, WrapMode::Repeat, TexelLayout::Linear, StorageFormat::RGBA8,
+         TexelStorage::Morton},
+        {16, 8, WrapMode::Repeat, TexelLayout::Linear, StorageFormat::RGBA8,
+         TexelStorage::Linear},
+        {16, 8, WrapMode::ClampToEdge, TexelLayout::Tiled4x4,
+         StorageFormat::RGBA8, TexelStorage::Linear},
+        {16, 16, WrapMode::Repeat, TexelLayout::Tiled4x4, StorageFormat::BC1,
+         TexelStorage::Linear},
+        {8, 4, WrapMode::ClampToEdge, TexelLayout::Tiled4x4,
+         StorageFormat::BC1, TexelStorage::Linear},
+    };
+    const int dx[4] = {0, 1, 0, 1};
+    const int dy[4] = {0, 0, 1, 1};
+    int crossings = 0;
+    for (const Case &c : cases) {
+        TextureMap tex(c.w, c.h, distinctTexels(c.w, c.h), c.wrap, c.layout,
+                       c.format, c.storage);
+        tex.setBaseAddr(0x10'0000);
+        for (int l = 0; l < tex.numLevels(); ++l) {
+            const int lw = tex.level(l).width, lh = tex.level(l).height;
+            for (int y0 = -2; y0 <= lh; ++y0)
+                for (int x0 = -2; x0 <= lw; ++x0) {
+                    SCOPED_TRACE(testing::Message()
+                                 << c.w << "x" << c.h << " level " << l
+                                 << " corner (" << x0 << ", " << y0 << ")");
+                    Color4f color[4], color_only[4];
+                    Addr addr[4], addr_only[4];
+                    tex.fetchFootprint(l, x0, y0, color, addr);
+                    tex.fetchFootprintAddrs(l, x0, y0, addr_only);
+                    tex.fetchFootprintColors(l, x0, y0, color_only);
+                    for (int i = 0; i < 4; ++i) {
+                        const int x = x0 + dx[i], y = y0 + dy[i];
+                        EXPECT_EQ(addr[i], tex.texelAddr(l, x, y)) << i;
+                        EXPECT_EQ(addr_only[i], addr[i]) << i;
+                        EXPECT_TRUE(sameBits(color[i],
+                                             tex.fetchTexel(l, x, y)))
+                            << i;
+                        EXPECT_TRUE(sameBits(color_only[i], color[i])) << i;
+                    }
+                    if (lw >= 4 && lh >= 4 &&
+                        ((x0 & 3) == 3 || (y0 & 3) == 3))
+                        ++crossings;
+                }
+        }
+    }
+    EXPECT_GT(crossings, 0); // Tile-crossing corners were covered.
 }
