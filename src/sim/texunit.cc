@@ -72,26 +72,6 @@ TextureUnit::QuadLineSet::reset()
     order_.clear();
 }
 
-void
-TextureUnit::QuadLineSet::insertLine(Addr line_addr)
-{
-    std::uint64_t z = line_addr * 0x9E3779B97F4A7C15ull;
-    std::uint32_t slot = static_cast<std::uint32_t>(z >> 32) & (kSlots - 1);
-    for (std::uint32_t probes = 0; probes < kSlots;
-         ++probes, slot = (slot + 1) & (kSlots - 1)) {
-        if (slot_gen_[slot] != gen_) {
-            slot_gen_[slot] = gen_;
-            slot_addr_[slot] = line_addr;
-            order_.push_back(line_addr);
-            return;
-        }
-        if (slot_addr_[slot] == line_addr)
-            return;
-    }
-    PARGPU_INVARIANT(false, "quad line set overflow: a quad touches at "
-                            "most 512 lines");
-}
-
 Cycle
 TextureUnit::processQuadWork(const QuadFragment &quad,
                              const TextureMap &tex, FilterMode mode,

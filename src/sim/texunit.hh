@@ -23,6 +23,7 @@
 
 #include "common/annotations.hh"
 #include "common/arena.hh"
+#include "common/contract.hh"
 #include "common/types.hh"
 #include "core/patu.hh"
 #include "mem/memsys.hh"
@@ -209,8 +210,30 @@ class TextureUnit
         /** Forget all lines (start of a quad). */
         void reset();
 
-        /** Record the line containing @p addr if not yet seen. */
-        void insertLine(Addr line_addr);
+        /**
+         * Record line @p line_addr if not yet seen. Inline: every line
+         * queueSample() cannot skip lands here.
+         */
+        void
+        insertLine(Addr line_addr)
+        {
+            std::uint64_t z = line_addr * 0x9E3779B97F4A7C15ull;
+            std::uint32_t slot =
+                static_cast<std::uint32_t>(z >> 32) & (kSlots - 1);
+            for (std::uint32_t probes = 0; probes < kSlots;
+                 ++probes, slot = (slot + 1) & (kSlots - 1)) {
+                if (slot_gen_[slot] != gen_) {
+                    slot_gen_[slot] = gen_;
+                    slot_addr_[slot] = line_addr;
+                    order_.push_back(line_addr);
+                    return;
+                }
+                if (slot_addr_[slot] == line_addr)
+                    return;
+            }
+            PARGPU_INVARIANT(false, "quad line set overflow: a quad "
+                                    "touches at most 512 lines");
+        }
 
         const std::vector<Addr> &order() const { return order_; }
 
