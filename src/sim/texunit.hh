@@ -344,7 +344,7 @@ class TextureUnit
      * current quad — the whole-half skipping hint of queueSample();
      * reset per quad (kInvalidAddr never matches a texel).
      */
-    Addr prev_fp_[2][4];
+    Addr prev_fp_[2][4] = {};
     /** Cache-line mask (~(line_bytes - 1)), hoisted from the config. */
     Addr line_mask_ = 0;
     BumpArena arena_;      ///< Per-quad AF footprint storage.

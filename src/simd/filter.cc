@@ -155,7 +155,7 @@ QuadFilter::gather(const TextureSampler &sampler, const Vec2 *uvs, int n,
     // vectorizing ACROSS channels leaves each channel's slot-order
     // multiply-add chain untouched: the color is bit-identical to the
     // scalar fallback below, on every dispatch tier.
-    SampleCoords c;
+    SampleCoords c{};
     for (int i = 0; i < n; ++i) {
 #if PARGPU_FILTER_SSE
         coordsSse<kBlend>(uvs[i], scale_v, scale, level_w, c);
