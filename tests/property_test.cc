@@ -192,6 +192,99 @@ INSTANTIATE_TEST_SUITE_P(Thresholds, ThresholdSweep,
                                          0.8f, 0.95f));
 
 // ---------------------------------------------------------------------
+// The hot path scores Txds from the table's count tags in place
+// (TexelAddressTable::entropyBits() + txdsFromEntropy()); it must equal
+// the reference txds(probabilityVector(), n) bit for bit, on full and
+// undersized (sample-dropping) tables alike, and the table's matches
+// must be std::array equality.
+class CountTxdsSweep : public testing::TestWithParam<int>
+{
+};
+
+TEST_P(CountTxdsSweep, CountTxdsEqualsVectorTxdsBitForBit)
+{
+    const int capacity = GetParam();
+    SplitMix64 rng(static_cast<std::uint64_t>(capacity) * 7919);
+    int dropped_trials = 0;
+    for (int trial = 0; trial < 400; ++trial) {
+        const int n = 1 + static_cast<int>(rng.nextBounded(16));
+        // A small pool of distinct sets, some differing from another
+        // only in a late slot, so both the slot-0 exit and a full
+        // compare are exercised.
+        const int pool_size = 1 + static_cast<int>(rng.nextBounded(12));
+        std::vector<TexelAddrSet> pool;
+        for (int p = 0; p < pool_size; ++p) {
+            TexelAddrSet set;
+            for (int k = 0; k < 8; ++k)
+                set[k] = 0x4000 + static_cast<Addr>(k) * 4;
+            set[rng.nextBounded(8)] += static_cast<Addr>(p) * 0x40;
+            pool.push_back(set);
+        }
+        TexelAddressTable table(capacity);
+        std::vector<TexelAddrSet> stored;
+        for (int i = 0; i < n; ++i) {
+            const TexelAddrSet &set = pool[rng.nextBounded(pool.size())];
+            bool want = false;
+            for (const TexelAddrSet &st : stored)
+                want = want || st == set;
+            if (!want && static_cast<int>(stored.size()) < capacity)
+                stored.push_back(set);
+            EXPECT_EQ(table.insert(set), want);
+        }
+        std::vector<float> p = table.probabilityVector();
+        const float want_e = entropyBits(p);
+        const float got_e = table.entropyBits();
+        const float want_t = txds(p, n);
+        const float got_t = txdsFromEntropy(got_e, n);
+        EXPECT_EQ(std::bit_cast<std::uint32_t>(got_e),
+                  std::bit_cast<std::uint32_t>(want_e))
+            << "trial " << trial << " n=" << n;
+        EXPECT_EQ(std::bit_cast<std::uint32_t>(got_t),
+                  std::bit_cast<std::uint32_t>(want_t))
+            << "trial " << trial << " n=" << n;
+        if (static_cast<int>(p.size()) > table.distinctSets())
+            ++dropped_trials;
+    }
+    // Undersized tables must actually have dropped samples somewhere.
+    if (capacity < 8)
+        EXPECT_GT(dropped_trials, 0);
+}
+
+INSTANTIATE_TEST_SUITE_P(Capacities, CountTxdsSweep,
+                         testing::Values(1, 2, 4, 8, 16));
+
+// finishDistribution() returns the Fig. 12 count it measured on the way;
+// it must be countSharedSamples() of the same sets for any table size.
+TEST(PatuProperty, DistributionCheckReturnsSharedSampleCount)
+{
+    SplitMix64 rng(5150);
+    for (int entries : {2, 16}) {
+        PatuConfig cfg;
+        cfg.table_entries = entries;
+        PatuUnit unit(cfg);
+        for (int trial = 0; trial < 200; ++trial) {
+            const int n = 2 + static_cast<int>(rng.nextBounded(15));
+            std::vector<TexelAddrSet> sets;
+            for (int i = 0; i < n; ++i) {
+                TexelAddrSet set;
+                const Addr base = 0x100 * (1 + rng.nextBounded(6));
+                for (int k = 0; k < 8; ++k)
+                    set[k] = base + static_cast<Addr>(k) * 4;
+                sets.push_back(set);
+            }
+            AnisotropyInfo info;
+            info.anisoDegree = n;
+            info.sampleSize = n;
+            PixelDecision d;
+            d.need_distribution = true;
+            EXPECT_EQ(unit.finishDistribution(d, info, sets),
+                      unit.countSharedSamples(sets))
+                << "entries=" << entries << " trial " << trial;
+        }
+    }
+}
+
+// ---------------------------------------------------------------------
 // Hash-table property: the probability vector always reflects the insert
 // multiset regardless of order.
 TEST(HashTableProperty, OrderIndependentDistribution)
