@@ -45,11 +45,8 @@ entropyBits(const std::vector<float> &p)
 float
 txds(const std::vector<float> &p, int n)
 {
-    if (n < 1)
-        panic("txds: sample size must be >= 1");
-    if (n == 1)
-        return 1.0f;
-    return txdsFromEntropy(entropyBits(p), n);
+    // N <= 1 needs no entropy: txdsFromEntropy() panics or returns 1.
+    return txdsFromEntropy(n > 1 ? entropyBits(p) : 0.0f, n);
 }
 
 float

@@ -138,7 +138,7 @@ class FootprintMemo
         int x0 = 0;
         int y0 = 0;
         bool colored = false; ///< color[] holds the footprint's texels.
-        Addr addr[4];
+        Addr addr[4] = {};
         Color4f color[4];
     };
 

@@ -246,8 +246,9 @@ TEST_P(CountTxdsSweep, CountTxdsEqualsVectorTxdsBitForBit)
             ++dropped_trials;
     }
     // Undersized tables must actually have dropped samples somewhere.
-    if (capacity < 8)
+    if (capacity < 8) {
         EXPECT_GT(dropped_trials, 0);
+    }
 }
 
 INSTANTIATE_TEST_SUITE_P(Capacities, CountTxdsSweep,
