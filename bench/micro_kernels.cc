@@ -12,6 +12,8 @@
 
 #include <benchmark/benchmark.h>
 
+#include <sys/resource.h>
+
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -266,11 +268,22 @@ BM_SsimMap(benchmark::State &state)
             b.at(x, y) = Color4f{w, w, w, 1};
         }
     }
+    // Minor page faults of the whole process (pool workers included).
+    auto minorFaults = [] {
+        rusage ru{};
+        getrusage(RUSAGE_SELF, &ru);
+        return static_cast<double>(ru.ru_minflt);
+    };
+    const double faults0 = minorFaults();
     for (auto _ : state)
         benchmark::DoNotOptimize(ssimMap(a, b));
     state.SetItemsProcessed(state.iterations() * dim * dim);
+    state.counters["minflt_per_call"] = benchmark::Counter(
+        minorFaults() - faults0, benchmark::Counter::kAvgIterations);
 }
-BENCHMARK(BM_SsimMap)->Arg(64)->Arg(256);
+// 1024^2 is W1-sized: unlike the two small sizes, its frames do not
+// fit in cache.
+BENCHMARK(BM_SsimMap)->Arg(64)->Arg(256)->Arg(1024);
 
 /**
  * Tier head-to-head for the 2x2 edge-function kernel: one full

@@ -143,7 +143,7 @@ stage_tsan() {
         || { cat build-tsan.configure.log >&2; return 1; }
     cmake --build build-tsan -j "$JOBS"
     ctest --test-dir build-tsan --output-on-failure -j "$JOBS" \
-        -R "threadpool_test|determinism_test|pipeline_test|integration_test|contract_test|session_test|serve_test|arena_test"
+        -R "threadpool_test|determinism_test|pipeline_test|integration_test|contract_test|session_test|serve_test|arena_test|ssim_test"
     # Tile parallelism forced on: every renderFrame() in the subset runs
     # the three-phase tile pass, so TSAN sees the workers' dynamic tile
     # chunks over the shared framebuffer planes, the per-cluster L1

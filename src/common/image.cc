@@ -12,15 +12,6 @@ Image::Image(int width, int height, const Color4f &fill)
 {
 }
 
-std::vector<float>
-Image::lumaPlane() const
-{
-    std::vector<float> luma(pixels_.size());
-    for (std::size_t i = 0; i < pixels_.size(); ++i)
-        luma[i] = pixels_[i].luma();
-    return luma;
-}
-
 bool
 Image::writePPM(const std::string &path) const
 {

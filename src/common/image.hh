@@ -37,9 +37,6 @@ class Image
     const std::vector<Color4f> &pixels() const { return pixels_; }
     std::vector<Color4f> &pixels() { return pixels_; }
 
-    /** Luma plane of the image (Rec.601, clamped), for SSIM. */
-    std::vector<float> lumaPlane() const;
-
     /**
      * Write as binary PPM (P6), 8 bits/channel.
      * @return true on success.

@@ -26,7 +26,9 @@
  *                  [--trace-out FILE] [--quiet]
  *
  * Numeric values must parse whole and fit their field; anything else
- * (`abc`, `32x`) exits 2 with "invalid value '<v>' for <flag>".
+ * (`abc`, `32x`) exits 2 with "invalid value '<v>' for <flag>". The
+ * viewport and frame count must be positive and within the trace limits
+ * (withinTraceBudget() in trace/trace.hh), or the harness exits 2.
  *
  * --run-reference renders a second run under the given scenario and
  * reports MSSIM of the primary run against it (the paper's quality axis).
@@ -35,6 +37,7 @@
  */
 
 #include <charconv>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <string>
@@ -44,6 +47,7 @@
 #include "harness/metrics.hh"
 #include "harness/runner.hh"
 #include "harness/serve.hh"
+#include "trace/trace.hh"
 
 using namespace pargpu;
 
@@ -205,6 +209,12 @@ parseArgs(int argc, char **argv)
     }
     if (o.width <= 0 || o.height <= 0 || o.frames <= 0) {
         std::fprintf(stderr, "viewport and frame count must be positive\n");
+        std::exit(2);
+    }
+    if (!withinTraceBudget(static_cast<std::uint64_t>(o.width),
+                           static_cast<std::uint64_t>(o.height),
+                           static_cast<std::uint64_t>(o.frames))) {
+        std::fprintf(stderr, "%s\n", traceBudgetMessage().c_str());
         std::exit(2);
     }
     // Typed validation instead of the old behavior (silent acceptance,

@@ -75,16 +75,11 @@ RunResult::mssimAgainst(const std::vector<Image> &reference) const
 {
     if (images.empty() || images.size() != reference.size())
         fatal("mssimAgainst: image sets unavailable or mismatched");
-    // Per-frame MSSIMs land in index-addressed slots; the reduction runs
-    // serially in frame order so the sum is bit-identical at any thread
-    // count.
-    std::vector<double> per(images.size());
-    ThreadPool::run(images.size(), 1, [&](std::size_t i) {
-        per[i] = mssim(reference[i], images[i]);
-    });
+    // Frames in order, each scored by one pooled mssim(): one frame's
+    // scratch at a time, and the sum runs in frame order.
     double acc = 0.0;
-    for (double v : per)
-        acc += v;
+    for (std::size_t i = 0; i < images.size(); ++i)
+        acc += mssim(reference[i], images[i]);
     return acc / static_cast<double>(images.size());
 }
 

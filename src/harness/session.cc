@@ -263,14 +263,10 @@ Session::load(const std::string &key, GameId game, int width, int height,
         return Status::fail(StatusCode::InvalidRequest,
                             "viewport and frame count must be positive");
     // The limits readTrace() applies to a trace file.
-    if (std::cmp_greater(width, kMaxTraceViewport) ||
-        std::cmp_greater(height, kMaxTraceViewport) ||
-        std::cmp_greater(frames, kMaxTraceCameras))
-        return Status::fail(StatusCode::InvalidRequest,
-                            "viewport sides must be at most " +
-                                std::to_string(kMaxTraceViewport) +
-                                " and frames at most " +
-                                std::to_string(kMaxTraceCameras));
+    if (!withinTraceBudget(static_cast<std::uint64_t>(width),
+                           static_cast<std::uint64_t>(height),
+                           static_cast<std::uint64_t>(frames)))
+        return Status::fail(StatusCode::InvalidRequest, traceBudgetMessage());
     return load(key, buildGameTrace(game, width, height, frames));
 }
 

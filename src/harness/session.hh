@@ -293,8 +293,10 @@ class Session
 
     /**
      * Build buildGameTrace(game, width, height, frames) under @p key.
-     * InvalidRequest unless every side is in [1, kMaxTraceViewport] and
-     * frames in [1, kMaxTraceCameras] (readTrace()'s limits).
+     * InvalidRequest unless every side and frames are positive and
+     * within withinTraceBudget() (readTrace()'s limits: each side at most
+     * kMaxTraceViewport, frames at most kMaxTraceCameras, their product
+     * at most kMaxTracePixelFrames).
      */
     Status load(const std::string &key, GameId game, int width, int height,
                 int frames);

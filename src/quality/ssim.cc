@@ -1,11 +1,14 @@
 #include "quality/ssim.hh"
 
+#include <algorithm>
+#include <atomic>
 #include <cmath>
 #include <limits>
 
 #include "common/contract.hh"
 #include "common/logging.hh"
 #include "common/threadpool.hh"
+#include "common/tracing.hh"
 #include "simd/kernels.hh"
 
 namespace pargpu
@@ -31,8 +34,12 @@ gaussianKernel(int window, float sigma)
     return k;
 }
 
-/** Rows per parallel chunk: amortizes dispatch without hurting balance. */
-constexpr std::size_t kRowChunk = 16;
+/**
+ * Output rows per band. Each band recomputes the horizontal pass over
+ * its (window - 1)-row halo, so taller bands waste less; 32 rows of a
+ * 1280-pixel frame keep a band's five planes near 1 MiB.
+ */
+constexpr int kBandRows = 32;
 
 /**
  * Truncated-kernel weight sum for taps [lo, hi]: the ascending-d
@@ -49,78 +56,73 @@ truncatedWsum(const std::vector<float> &kernel, int half, int lo, int hi)
     return wsum;
 }
 
-// Separable Gaussian blur with edge truncation + renormalization. Because
-// the 2-D kernel is a separable product, renormalizing each axis
-// independently equals renormalizing the truncated 2-D kernel.
-//
-// Both passes parallelize over output rows: each row is computed by one
-// thread with the exact serial per-pixel arithmetic and written to a
-// disjoint slice, so the result is bit-identical at any thread count.
-// The vertical pass only begins once the horizontal pass has fully
-// completed (parallelFor is a barrier).
-//
-// The inner reductions run through the dispatched ssim_row kernel: the
-// truncation bounds are uniform over a horizontal row's interior and
-// over an entire vertical row, so each uniform run is one kernel call
-// (ascending-tap chain + one divide per pixel — the original loop's
-// arithmetic, vectorized across pixels). Horizontal edge pixels keep the
-// scalar loop, whose chain the scalar kernel tier mirrors exactly.
+/** The five quantities SSIM blurs: both lumas and their products. */
+constexpr int kMoments = 5;
+
+/**
+ * One participating thread's scratch, reused for every band it claims:
+ * the five unblurred rows of the current input row, the five
+ * horizontally blurred planes of the band plus its halo, and the five
+ * fully blurred rows of the current output row.
+ */
+struct BandScratch
+{
+    std::vector<float> in;      ///< kMoments rows of width w.
+    std::vector<float> horiz;   ///< kMoments band-plus-halo planes.
+    std::vector<float> blurred; ///< kMoments rows of width w.
+};
+
+/**
+ * Horizontal pass of one row, with edge truncation + renormalization.
+ * Interior pixels (full kernel support) are one dispatched ssim_row
+ * call: ascending-tap chain + one divide per pixel, the scalar loop's
+ * arithmetic vectorized across pixels. Edge pixels keep the scalar
+ * loop, whose chain the scalar kernel tier mirrors exactly.
+ */
 void
-blur(const std::vector<float> &src, int w, int h,
-     const std::vector<float> &kernel, std::vector<float> &tmp,
-     std::vector<float> &dst)
+blurRow(const float *row, float *out, int w,
+        const std::vector<float> &kernel, const simd::KernelOps &ops,
+        float full_wsum)
 {
     const int window = static_cast<int>(kernel.size());
     const int half = window / 2;
-    const simd::KernelOps &ops = simd::activeKernels();
-    const float full_wsum = truncatedWsum(kernel, half, -half, half);
-    // Interior pixels of a horizontal row: full kernel support.
     const int ix0 = std::min(half, w);
     const int ix1 = std::max(ix0, w - half);
-
-    // Horizontal pass.
-    ThreadPool::run(static_cast<std::size_t>(h), kRowChunk,
-                    [&](std::size_t yy) {
-        const int y = static_cast<int>(yy);
-        const float *row = &src[static_cast<std::size_t>(y) * w];
-        float *out = &tmp[static_cast<std::size_t>(y) * w];
-        auto edge = [&](int x) {
-            float acc = 0.0f, wsum = 0.0f;
-            int lo = x - half < 0 ? -x : -half;
-            int hi = x + half >= w ? w - 1 - x : half;
-            for (int d = lo; d <= hi; ++d) {
-                float kv = kernel[d + half];
-                acc += kv * row[x + d];
-                wsum += kv;
-            }
-            out[x] = acc / wsum;
-        };
-        for (int x = 0; x < ix0; ++x)
-            edge(x);
-        if (ix1 > ix0)
-            ops.ssim_row(row + ix0 - half, out + ix0, ix1 - ix0, 1,
-                         kernel.data(), window, full_wsum);
-        for (int x = ix1; x < w; ++x)
-            edge(x);
-    });
-
-    // Vertical pass: the truncation is uniform across a row, so the
-    // whole row is one kernel call over the surviving tap slice.
-    ThreadPool::run(static_cast<std::size_t>(h), kRowChunk,
-                    [&](std::size_t yy) {
-        const int y = static_cast<int>(yy);
-        float *out = &dst[static_cast<std::size_t>(y) * w];
-        int lo = y - half < 0 ? -y : -half;
-        int hi = y + half >= h ? h - 1 - y : half;
-        const float wsum = lo == -half && hi == half
-            ? full_wsum : truncatedWsum(kernel, half, lo, hi);
-        ops.ssim_row(&tmp[static_cast<std::size_t>(y + lo) * w], out, w, w,
-                     kernel.data() + (lo + half), hi - lo + 1, wsum);
-    });
+    auto edge = [&](int x) {
+        float acc = 0.0f, wsum = 0.0f;
+        int lo = x - half < 0 ? -x : -half;
+        int hi = x + half >= w ? w - 1 - x : half;
+        for (int d = lo; d <= hi; ++d) {
+            float kv = kernel[d + half];
+            acc += kv * row[x + d];
+            wsum += kv;
+        }
+        out[x] = acc / wsum;
+    };
+    for (int x = 0; x < ix0; ++x)
+        edge(x);
+    if (ix1 > ix0)
+        ops.ssim_row(row + ix0 - half, out + ix0, ix1 - ix0, 1,
+                     kernel.data(), window, full_wsum);
+    for (int x = ix1; x < w; ++x)
+        edge(x);
 }
 
 } // namespace
 
+// Separable Gaussian blur with edge truncation + renormalization. Because
+// the 2-D kernel is a separable product, renormalizing each axis
+// independently equals renormalizing the truncated 2-D kernel.
+//
+// The frame is cut into bands of kBandRows output rows, all scored by
+// one pool dispatch. A band reads luma straight from both images for
+// its rows plus the half-window halo above and below, runs the
+// horizontal pass of the five moments into its thread's scratch, then
+// the vertical pass and the SSIM formula one output row at a time.
+// Every pixel sees the arithmetic of a whole-frame two-pass blur (same
+// kernel calls, tap slices and truncated sums), and bands write
+// disjoint rows of the map, so the map is bit-identical at any thread
+// count and band height.
 std::vector<float>
 ssimMap(const Image &x, const Image &y, const SsimParams &params)
 {
@@ -128,51 +130,105 @@ ssimMap(const Image &x, const Image &y, const SsimParams &params)
         fatal("ssimMap: image dimensions differ");
     if (params.window < 1 || params.window % 2 == 0)
         fatal("ssimMap: window must be odd and positive");
+    PARGPU_TRACE_SCOPE_F("quality", "ssim", x.height());
 
     const int w = x.width();
     const int h = x.height();
     const std::size_t n = static_cast<std::size_t>(w) * h;
-
-    std::vector<float> lx = x.lumaPlane();
-    std::vector<float> ly = y.lumaPlane();
-
-    std::vector<float> xx(n), yy(n), xy(n);
-    ThreadPool::run(static_cast<std::size_t>(h), kRowChunk,
-                    [&](std::size_t row) {
-        const std::size_t lo = row * w, hi = lo + w;
-        for (std::size_t i = lo; i < hi; ++i) {
-            xx[i] = lx[i] * lx[i];
-            yy[i] = ly[i] * ly[i];
-            xy[i] = lx[i] * ly[i];
-        }
-    });
-
+    std::vector<float> map(n);
     PARGPU_ASSERT(params.sigma > 0.0f,
                   "Gaussian sigma must be positive: ", params.sigma);
-    std::vector<float> kernel = gaussianKernel(params.window, params.sigma);
-    std::vector<float> tmp(n);
-    std::vector<float> mu_x(n), mu_y(n), m_xx(n), m_yy(n), m_xy(n);
-    blur(lx, w, h, kernel, tmp, mu_x);
-    blur(ly, w, h, kernel, tmp, mu_y);
-    blur(xx, w, h, kernel, tmp, m_xx);
-    blur(yy, w, h, kernel, tmp, m_yy);
-    blur(xy, w, h, kernel, tmp, m_xy);
+    if (n == 0)
+        return map;
 
+    const std::vector<float> kernel =
+        gaussianKernel(params.window, params.sigma);
+    const int half = params.window / 2;
+    const simd::KernelOps &ops = simd::activeKernels();
+    const float full_wsum = truncatedWsum(kernel, half, -half, half);
     const float c1 = (params.k1 * params.range) * (params.k1 * params.range);
     const float c2 = (params.k2 * params.range) * (params.k2 * params.range);
 
-    std::vector<float> map(n);
-    ThreadPool::run(static_cast<std::size_t>(h), kRowChunk,
-                    [&](std::size_t row) {
-        const std::size_t lo = row * w, hi = lo + w;
-        for (std::size_t i = lo; i < hi; ++i) {
-            float mx = mu_x[i], my = mu_y[i];
-            float var_x = m_xx[i] - mx * mx;
-            float var_y = m_yy[i] - my * my;
-            float cov = m_xy[i] - mx * my;
-            float num = (2.0f * mx * my + c1) * (2.0f * cov + c2);
-            float den = (mx * mx + my * my + c1) * (var_x + var_y + c2);
-            map[i] = num / den;
+    const int bands = (h + kBandRows - 1) / kBandRows;
+    const std::size_t stride = static_cast<std::size_t>(w);
+    const std::size_t plane =
+        static_cast<std::size_t>(std::min(h, kBandRows + 2 * half)) * stride;
+
+    auto scoreBand = [&](int band, BandScratch &s) {
+        const int y0 = band * kBandRows;
+        const int y1 = std::min(h, y0 + kBandRows);
+        const int r0 = std::max(0, y0 - half);
+        const int r1 = std::min(h, y1 + half);
+
+        // Horizontal pass over the band and its halo.
+        for (int r = r0; r < r1; ++r) {
+            float *lx = &s.in[0], *ly = &s.in[stride];
+            float *xx = &s.in[2 * stride], *yy = &s.in[3 * stride];
+            float *xy = &s.in[4 * stride];
+            const std::size_t first = static_cast<std::size_t>(r) * stride;
+            const Color4f *px = &x.pixels()[first];
+            const Color4f *py = &y.pixels()[first];
+            for (int i = 0; i < w; ++i) {
+                lx[i] = px[i].luma();
+                ly[i] = py[i].luma();
+                xx[i] = lx[i] * lx[i];
+                yy[i] = ly[i] * ly[i];
+                xy[i] = lx[i] * ly[i];
+            }
+            const std::size_t at = static_cast<std::size_t>(r - r0) * stride;
+            for (int m = 0; m < kMoments; ++m)
+                blurRow(&s.in[m * stride], &s.horiz[m * plane + at], w,
+                        kernel, ops, full_wsum);
+        }
+
+        // Vertical pass and the SSIM formula, one output row at a time:
+        // the truncation is uniform across a row, so each moment's row
+        // is one kernel call over the surviving tap slice.
+        for (int oy = y0; oy < y1; ++oy) {
+            const int lo = oy - half < 0 ? -oy : -half;
+            const int hi = oy + half >= h ? h - 1 - oy : half;
+            const float wsum = lo == -half && hi == half
+                ? full_wsum : truncatedWsum(kernel, half, lo, hi);
+            const std::size_t src =
+                static_cast<std::size_t>(oy + lo - r0) * stride;
+            for (int m = 0; m < kMoments; ++m)
+                ops.ssim_row(&s.horiz[m * plane + src],
+                             &s.blurred[m * stride], w, w,
+                             kernel.data() + (lo + half), hi - lo + 1, wsum);
+
+            const float *mu_x = &s.blurred[0], *mu_y = &s.blurred[stride];
+            const float *m_xx = &s.blurred[2 * stride];
+            const float *m_yy = &s.blurred[3 * stride];
+            const float *m_xy = &s.blurred[4 * stride];
+            float *out = &map[static_cast<std::size_t>(oy) * stride];
+            for (int i = 0; i < w; ++i) {
+                float mx = mu_x[i], my = mu_y[i];
+                float var_x = m_xx[i] - mx * mx;
+                float var_y = m_yy[i] - my * my;
+                float cov = m_xy[i] - mx * my;
+                float num = (2.0f * mx * my + c1) * (2.0f * cov + c2);
+                float den = (mx * mx + my * my + c1) * (var_x + var_y + c2);
+                out[i] = num / den;
+            }
+        }
+    };
+
+    // One dispatch over one slot per thread: a slot claims bands until
+    // none are left and allocates its scratch on its first claim, so
+    // scratch is per participating thread, not per band (a nested call
+    // runs the slots inline, and the first one claims every band).
+    const unsigned slots =
+        std::min(ThreadPool::defaultThreads(), static_cast<unsigned>(bands));
+    std::atomic<int> next{0};
+    ThreadPool::run(static_cast<std::size_t>(slots), 1, [&](std::size_t) {
+        BandScratch s;
+        for (int band; (band = next.fetch_add(1)) < bands;) {
+            if (s.in.empty()) {
+                s.in.resize(kMoments * stride);
+                s.horiz.resize(kMoments * plane);
+                s.blurred.resize(kMoments * stride);
+            }
+            scoreBand(band, s);
         }
     });
     return map;
@@ -221,14 +277,14 @@ mse(const Image &x, const Image &y)
 {
     if (x.width() != y.width() || x.height() != y.height())
         fatal("mse: image dimensions differ");
-    std::vector<float> lx = x.lumaPlane();
-    std::vector<float> ly = y.lumaPlane();
+    const std::vector<Color4f> &px = x.pixels();
+    const std::vector<Color4f> &py = y.pixels();
     double acc = 0.0;
-    for (std::size_t i = 0; i < lx.size(); ++i) {
-        double d = static_cast<double>(lx[i]) - ly[i];
+    for (std::size_t i = 0; i < px.size(); ++i) {
+        double d = static_cast<double>(px[i].luma()) - py[i].luma();
         acc += d * d;
     }
-    return lx.empty() ? 0.0 : acc / static_cast<double>(lx.size());
+    return px.empty() ? 0.0 : acc / static_cast<double>(px.size());
 }
 
 double

@@ -154,6 +154,15 @@ writeTrace(const GameTrace &trace, const std::string &path)
     return ok;
 }
 
+std::string
+traceBudgetMessage()
+{
+    return "viewport sides must be at most " +
+        std::to_string(kMaxTraceViewport) + ", frames at most " +
+        std::to_string(kMaxTraceCameras) + ", and width x height x " +
+        "frames at most " + std::to_string(kMaxTracePixelFrames);
+}
+
 GameTrace
 readTrace(const std::string &path, bool &ok)
 {
@@ -254,7 +263,7 @@ readTrace(const std::string &path, bool &ok)
     }
 
     std::uint32_t ncams = r.u32();
-    if (!r.ok || ncams > kMaxTraceCameras) {
+    if (!r.ok || !withinTraceBudget(width, height, ncams)) {
         std::fclose(f);
         return t;
     }

@@ -12,6 +12,7 @@
 #ifndef PARGPU_TRACE_TRACE_HH
 #define PARGPU_TRACE_TRACE_HH
 
+#include <cstdint>
 #include <string>
 
 #include "scenes/scenes.hh"
@@ -29,6 +30,33 @@ inline constexpr std::uint32_t kMaxTraceViewport = 16384;
 inline constexpr std::uint32_t kMaxTraceCameras = 1u << 20;
 
 /**
+ * Largest width x height x frames a trace may describe: 2^30 pixel
+ * frames, e.g. 819 frames at 1280x1024 or four at the largest viewport.
+ * Each side and the frame count are capped on their own, but their
+ * product is what a run renders.
+ */
+inline constexpr std::uint64_t kMaxTracePixelFrames = std::uint64_t{1} << 30;
+
+/**
+ * True when a @p width x @p height viewport over @p frames frames is
+ * within kMaxTraceViewport, kMaxTraceCameras and kMaxTracePixelFrames
+ * (upper limits only; callers reject zero where it is invalid).
+ */
+constexpr bool
+withinTraceBudget(std::uint64_t width, std::uint64_t height,
+                  std::uint64_t frames)
+{
+    // The side and frame caps come first: they keep the product from
+    // overflowing.
+    return width <= kMaxTraceViewport && height <= kMaxTraceViewport &&
+        frames <= kMaxTraceCameras &&
+        width * height * frames <= kMaxTracePixelFrames;
+}
+
+/** What withinTraceBudget() allows, for a rejection message. */
+std::string traceBudgetMessage();
+
+/**
  * Serialize @p trace to @p path.
  * @return true on success.
  */
@@ -41,8 +69,9 @@ bool writeTrace(const GameTrace &trace, const std::string &path);
  * Besides truncation and oversized counts, the load fails on any value
  * the renderer would index or switch on unchecked: an enum (GameId,
  * TextureKind, WrapMode, FilterMode) out of range, a viewport side of 0
- * or above kMaxTraceViewport, a texture id at or past the texture count,
- * or a vertex index at or past its draw's vertex count.
+ * or above kMaxTraceViewport, a viewport and camera count outside
+ * withinTraceBudget(), a texture id at or past the texture count, or a
+ * vertex index at or past its draw's vertex count.
  *
  * @param path  File to read.
  * @param ok    Set to whether the load succeeded.

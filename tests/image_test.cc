@@ -40,17 +40,6 @@ TEST(ImageTest, PixelWritesStick)
     EXPECT_FLOAT_EQ(img.at(0, 0).r, 0.0f);
 }
 
-TEST(ImageTest, LumaPlaneMatchesPerPixelLuma)
-{
-    Image img(2, 1);
-    img.at(0, 0) = Color4f{1, 0, 0, 1};
-    img.at(1, 0) = Color4f{0, 1, 0, 1};
-    std::vector<float> luma = img.lumaPlane();
-    ASSERT_EQ(luma.size(), 2u);
-    EXPECT_NEAR(luma[0], 0.299f, 1e-6f);
-    EXPECT_NEAR(luma[1], 0.587f, 1e-6f);
-}
-
 TEST(ImageTest, PpmRoundTrip)
 {
     Image img(8, 5);

@@ -233,7 +233,12 @@ INSTANTIATE_TEST_SUITE_P(
         // In int range but above readTrace()'s viewport limit.
         R"("width":100000,"height":100000,"frames":2)",
         // Above readTrace()'s camera limit; building it exhausts memory.
-        R"("width":64,"height":48,"frames":2e9)"));
+        R"("width":64,"height":48,"frames":2e9)",
+        // Each side and the frame count at their caps, the product far
+        // over the pixel x frame budget.
+        R"("width":16384,"height":16384,"frames":1048576)",
+        // One frame past the budget.
+        R"("width":16384,"height":16384,"frames":5)"));
 
 TEST(ServeProtocolTest, RunValidatesConfigWithTypedReasons)
 {

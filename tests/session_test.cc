@@ -12,6 +12,7 @@
 
 #include "harness/metrics.hh"
 #include "harness/session.hh"
+#include "trace/trace.hh"
 
 using namespace pargpu;
 
@@ -152,6 +153,21 @@ TEST(SessionTest, LoadRejectsBadAndDuplicateKeys)
     EXPECT_EQ(dup.code, StatusCode::DuplicateKey);
     EXPECT_NE(dup.message.find("'w'"), std::string::npos);
     EXPECT_EQ(session.traceKeys(), std::vector<std::string>{"w"});
+}
+
+TEST(SessionTest, LoadEnforcesThePixelFrameBudget)
+{
+    Session session;
+    // Every side and the frame count are at their own caps; only the
+    // product is over budget.
+    const Status huge = session.load("h", GameId::Wolf, 16384, 16384,
+                                     1 << 20);
+    EXPECT_EQ(huge.code, StatusCode::InvalidRequest);
+    EXPECT_EQ(huge.message, traceBudgetMessage());
+    EXPECT_EQ(session.load("h", GameId::Wolf, 16384, 16384, 5).code,
+              StatusCode::InvalidRequest);
+    // Exactly kMaxTracePixelFrames.
+    EXPECT_TRUE(session.load("h", GameId::Wolf, 16384, 16384, 4).ok());
 }
 
 TEST(SessionTest, AssetsAreSharedReadOnlyAcrossJobs)

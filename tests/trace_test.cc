@@ -317,3 +317,32 @@ TEST_F(TraceValidation, RejectsOversizedHeight)
 {
     EXPECT_FALSE(loadPatched(layout.height, kMaxTraceViewport + 1));
 }
+
+TEST(TraceBudget, CapsViewportTimesFrames)
+{
+    EXPECT_TRUE(withinTraceBudget(1280, 1024, 4));
+    EXPECT_TRUE(withinTraceBudget(kMaxTraceViewport, kMaxTraceViewport, 4));
+    EXPECT_FALSE(withinTraceBudget(kMaxTraceViewport, kMaxTraceViewport, 5));
+    EXPECT_FALSE(withinTraceBudget(kMaxTraceViewport, kMaxTraceViewport,
+                                   kMaxTraceCameras));
+    EXPECT_FALSE(withinTraceBudget(kMaxTraceViewport + 1, 1, 1));
+    EXPECT_FALSE(withinTraceBudget(1, 1, kMaxTraceCameras + 1));
+    // Sides far past their cap must not overflow the product into range.
+    EXPECT_FALSE(withinTraceBudget(std::uint64_t{1} << 32,
+                                   std::uint64_t{1} << 32, 1));
+}
+
+TEST(TraceBudget, ReadTraceRejectsViewportTimesCamerasOverBudget)
+{
+    const std::string path = "trace_test_budget.pgtrace";
+    for (int frames : {4, 5}) {
+        GameTrace t = buildGameTrace(GameId::Wolf, 64, 48, frames);
+        t.width = static_cast<int>(kMaxTraceViewport);
+        t.height = static_cast<int>(kMaxTraceViewport);
+        ASSERT_TRUE(writeTrace(t, path));
+        bool ok = false;
+        readTrace(path, ok);
+        EXPECT_EQ(ok, frames == 4) << frames << " frames";
+    }
+    std::remove(path.c_str());
+}
