@@ -56,14 +56,16 @@ truncatedWsum(const std::vector<float> &kernel, int half, int lo, int hi)
     return wsum;
 }
 
+// luma_row reads a row of Color4f as interleaved RGBA floats.
+static_assert(sizeof(Color4f) == 4 * sizeof(float));
+
 /** The five quantities SSIM blurs: both lumas and their products. */
 constexpr int kMoments = 5;
 
 /**
  * One participating thread's scratch, reused for every band it claims:
- * the five unblurred rows of the current input row, the five
- * horizontally blurred planes of the band plus its halo, and the five
- * fully blurred rows of the current output row.
+ * the moments of the current input row, their horizontal blur over the
+ * band plus its halo, and their full blur at the current output row.
  */
 struct BandScratch
 {
@@ -115,10 +117,11 @@ blurRow(const float *row, float *out, int w,
 // independently equals renormalizing the truncated 2-D kernel.
 //
 // The frame is cut into bands of kBandRows output rows, all scored by
-// one pool dispatch. A band reads luma straight from both images for
-// its rows plus the half-window halo above and below, runs the
-// horizontal pass of the five moments into its thread's scratch, then
-// the vertical pass and the SSIM formula one output row at a time.
+// one pool dispatch. A band reads luma straight from both images (the
+// luma_row kernel, Color4f::luma() bit for bit) for its rows plus the
+// half-window halo above and below, runs the horizontal pass of the
+// five moments into its thread's scratch, then the vertical pass and
+// the SSIM formula one output row at a time.
 // Every pixel sees the arithmetic of a whole-frame two-pass blur (same
 // kernel calls, tap slices and truncated sums), and bands write
 // disjoint rows of the map, so the map is bit-identical at any thread
@@ -166,11 +169,9 @@ ssimMap(const Image &x, const Image &y, const SsimParams &params)
             float *xx = &s.in[2 * stride], *yy = &s.in[3 * stride];
             float *xy = &s.in[4 * stride];
             const std::size_t first = static_cast<std::size_t>(r) * stride;
-            const Color4f *px = &x.pixels()[first];
-            const Color4f *py = &y.pixels()[first];
+            ops.luma_row(&x.pixels()[first].r, lx, w);
+            ops.luma_row(&y.pixels()[first].r, ly, w);
             for (int i = 0; i < w; ++i) {
-                lx[i] = px[i].luma();
-                ly[i] = py[i].luma();
                 xx[i] = lx[i] * lx[i];
                 yy[i] = ly[i] * ly[i];
                 xy[i] = lx[i] * ly[i];

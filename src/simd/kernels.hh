@@ -2,7 +2,8 @@
  * @file
  * The SoA kernel family behind the per-frame hot path: texel weight
  * accumulation, 2x2 edge-function rasterization, framebuffer fills /
- * depth tests / scatters, and the SSIM separable-blur row reduction.
+ * depth tests / scatters, the SSIM separable-blur row reduction and the
+ * luma conversion that feeds it.
  *
  * One accumulation shape serves all three filters: bilinear is a 4-slot
  * accumulation, trilinear an 8-slot one, and anisotropic filtering an
@@ -125,6 +126,18 @@ struct KernelOps
      */
     void (*ssim_row)(const float *src, float *out, int n, int stride,
                      const float *k, int taps, float wsum);
+
+    /**
+     * Rec.601 luma of @p n interleaved RGBA pixels (Color4f layout):
+     *
+     *     out[i] = 0.299 * clamp01(r) + 0.587 * clamp01(g)
+     *              + 0.114 * clamp01(b)
+     *
+     * with clamp01(v) = v < 0 ? 0 : (1 < v ? 1 : v) — Color4f::luma()'s
+     * std::clamp, so NaN and -0 pass through — and the two adds in that
+     * order. Feeds the SSIM rows straight from the images.
+     */
+    void (*luma_row)(const float *rgba, float *out, int n);
 
     int lanes;        ///< Vector width in samples.
     const char *name; ///< Matches tierName().

@@ -196,6 +196,55 @@ ssimRowAvx2(const float *src, float *out, int n, int stride,
     }
 }
 
+/**
+ * 8 pixels per step: pixels i..i+3 fill the low 128-bit lanes and
+ * i+4..i+7 the high ones, so the in-lane 4x4 transpose yields r/g/b/a
+ * vectors in pixel order. Clamp and sums as lumaRowSse().
+ */
+void
+lumaRowAvx2(const float *rgba, float *out, int n)
+{
+    const __m256 zero = _mm256_setzero_ps();
+    const __m256 one = _mm256_set1_ps(1.0f);
+    const __m256 kr = _mm256_set1_ps(0.299f);
+    const __m256 kg = _mm256_set1_ps(0.587f);
+    const __m256 kb = _mm256_set1_ps(0.114f);
+    auto pair = [](const float *lo, const float *hi) {
+        return _mm256_insertf128_ps(_mm256_castps128_ps256(_mm_loadu_ps(lo)),
+                                    _mm_loadu_ps(hi), 1);
+    };
+    int i = 0;
+    for (; i + 8 <= n; i += 8) {
+        const float *p = rgba + 4 * i;
+        const __m256 p0 = pair(p, p + 16);
+        const __m256 p1 = pair(p + 4, p + 20);
+        const __m256 p2 = pair(p + 8, p + 24);
+        const __m256 p3 = pair(p + 12, p + 28);
+        const __m256 rg01 = _mm256_unpacklo_ps(p0, p1); // r0 r1 g0 g1
+        const __m256 rg23 = _mm256_unpacklo_ps(p2, p3); // r2 r3 g2 g3
+        const __m256 ba01 = _mm256_unpackhi_ps(p0, p1); // b0 b1 a0 a1
+        const __m256 ba23 = _mm256_unpackhi_ps(p2, p3); // b2 b3 a2 a3
+        __m256 r = _mm256_shuffle_ps(rg01, rg23, _MM_SHUFFLE(1, 0, 1, 0));
+        __m256 g = _mm256_shuffle_ps(rg01, rg23, _MM_SHUFFLE(3, 2, 3, 2));
+        __m256 b = _mm256_shuffle_ps(ba01, ba23, _MM_SHUFFLE(1, 0, 1, 0));
+        r = _mm256_min_ps(one, _mm256_max_ps(zero, r));
+        g = _mm256_min_ps(one, _mm256_max_ps(zero, g));
+        b = _mm256_min_ps(one, _mm256_max_ps(zero, b));
+        _mm256_storeu_ps(out + i,
+                         _mm256_add_ps(_mm256_add_ps(_mm256_mul_ps(kr, r),
+                                                     _mm256_mul_ps(kg, g)),
+                                       _mm256_mul_ps(kb, b)));
+    }
+    auto clamp01 = [](float v) {
+        return v < 0.0f ? 0.0f : (1.0f < v ? 1.0f : v);
+    };
+    for (; i < n; ++i) {
+        const float *p = rgba + 4 * i;
+        out[i] = 0.299f * clamp01(p[0]) + 0.587f * clamp01(p[1]) +
+            0.114f * clamp01(p[2]);
+    }
+}
+
 } // namespace
 
 const KernelOps &
@@ -203,7 +252,8 @@ avx2Kernels()
 {
     static const KernelOps ops{accumulateAvx2, edgeQuadAvx2, fillColorAvx2,
                                fillDepthAvx2,  depthQuadAvx2,
-                               scatterQuadAvx2, ssimRowAvx2, 8, "avx2"};
+                               scatterQuadAvx2, ssimRowAvx2, lumaRowAvx2,
+                               8,              "avx2"};
     return ops;
 }
 

@@ -135,6 +135,20 @@ ssimRowScalar(const float *src, float *out, int n, int stride,
     }
 }
 
+/** Color4f::luma(): clamp each channel to [0, 1], then the weighted sum. */
+void
+lumaRowScalar(const float *rgba, float *out, int n)
+{
+    auto clamp01 = [](float v) {
+        return v < 0.0f ? 0.0f : (1.0f < v ? 1.0f : v);
+    };
+    for (int i = 0; i < n; ++i) {
+        const float *p = rgba + 4 * i;
+        out[i] = 0.299f * clamp01(p[0]) + 0.587f * clamp01(p[1]) +
+            0.114f * clamp01(p[2]);
+    }
+}
+
 } // namespace
 
 const KernelOps &
@@ -143,8 +157,8 @@ scalarKernels()
     static const KernelOps ops{accumulateScalar, edgeQuadScalar,
                                fillColorScalar, fillDepthScalar,
                                depthQuadScalar, scatterQuadScalar,
-                               ssimRowScalar,   1,
-                               "scalar"};
+                               ssimRowScalar,   lumaRowScalar,
+                               1,               "scalar"};
     return ops;
 }
 

@@ -186,6 +186,46 @@ ssimRowSse(const float *src, float *out, int n, int stride, const float *k,
     }
 }
 
+/**
+ * 4 pixels per step: a 4x4 transpose turns them into r/g/b/a vectors.
+ * max(0, v) then min(1, v) is std::clamp's v < 0 ? 0 : (1 < v ? 1 : v)
+ * lane-wise (maxps/minps return their second operand for NaN, and keep
+ * -0), so results are bit-identical to lumaRowScalar().
+ */
+void
+lumaRowSse(const float *rgba, float *out, int n)
+{
+    const __m128 zero = _mm_setzero_ps();
+    const __m128 one = _mm_set1_ps(1.0f);
+    const __m128 kr = _mm_set1_ps(0.299f);
+    const __m128 kg = _mm_set1_ps(0.587f);
+    const __m128 kb = _mm_set1_ps(0.114f);
+    int i = 0;
+    for (; i + 4 <= n; i += 4) {
+        const float *p = rgba + 4 * i;
+        __m128 r = _mm_loadu_ps(p);
+        __m128 g = _mm_loadu_ps(p + 4);
+        __m128 b = _mm_loadu_ps(p + 8);
+        __m128 a = _mm_loadu_ps(p + 12);
+        _MM_TRANSPOSE4_PS(r, g, b, a);
+        r = _mm_min_ps(one, _mm_max_ps(zero, r));
+        g = _mm_min_ps(one, _mm_max_ps(zero, g));
+        b = _mm_min_ps(one, _mm_max_ps(zero, b));
+        _mm_storeu_ps(out + i,
+                      _mm_add_ps(_mm_add_ps(_mm_mul_ps(kr, r),
+                                            _mm_mul_ps(kg, g)),
+                                 _mm_mul_ps(kb, b)));
+    }
+    auto clamp01 = [](float v) {
+        return v < 0.0f ? 0.0f : (1.0f < v ? 1.0f : v);
+    };
+    for (; i < n; ++i) {
+        const float *p = rgba + 4 * i;
+        out[i] = 0.299f * clamp01(p[0]) + 0.587f * clamp01(p[1]) +
+            0.114f * clamp01(p[2]);
+    }
+}
+
 } // namespace
 
 const KernelOps &
@@ -193,7 +233,8 @@ sseKernels()
 {
     static const KernelOps ops{accumulateSse, edgeQuadSse, fillColorSse,
                                fillDepthSse,  depthQuadSse, scatterQuadSse,
-                               ssimRowSse,    4,            "sse"};
+                               ssimRowSse,    lumaRowSse,   4,
+                               "sse"};
     return ops;
 }
 

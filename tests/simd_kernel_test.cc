@@ -11,6 +11,9 @@
 
 #include <algorithm>
 #include <cstring>
+#include <iterator>
+#include <limits>
+#include <string>
 #include <vector>
 
 #include "common/rng.hh"
@@ -656,6 +659,48 @@ TEST(SimdKernelTest, SsimRowMatchesScalarAllTiers)
                 expectBitEqual(got[static_cast<std::size_t>(i)],
                                want[static_cast<std::size_t>(i)],
                                "ssim_row");
+        }
+    }
+}
+
+// luma_row: every tier equals Color4f::luma() bit for bit, including the
+// clamp's edge cases (below 0, above 1, -0, infinities, NaN), for row
+// lengths on and off each vector width.
+TEST(SimdKernelTest, LumaRowMatchesColorLumaAllTiers)
+{
+    TierGuard guard;
+    const float special[] = {-0.0f, -1e-30f, 1.0f, 1.0000001f, -5.0f, 7.0f,
+                             std::numeric_limits<float>::infinity(),
+                             -std::numeric_limits<float>::infinity(),
+                             std::numeric_limits<float>::quiet_NaN()};
+    SplitMix64 rng(53);
+    std::vector<Color4f> px(41);
+    // Pixel 3s + c holds special value s in channel c; the rest are
+    // random, some outside [0, 1].
+    for (std::size_t i = 0; i < px.size(); ++i) {
+        px[i] = Color4f{rng.nextFloat(-0.25f, 1.25f),
+                        rng.nextFloat(-0.25f, 1.25f),
+                        rng.nextFloat(-0.25f, 1.25f), rng.nextFloat()};
+        if (i < 3 * std::size(special)) {
+            float *ch[] = {&px[i].r, &px[i].g, &px[i].b};
+            *ch[i % 3] = special[i / 3];
+        }
+    }
+    for (int n : {0, 1, 3, 4, 5, 7, 8, 9, 16, 17, 41}) {
+        SCOPED_TRACE("n=" + std::to_string(n));
+        for (simd::SimdTier tier : runnableTiers()) {
+            SCOPED_TRACE(simd::tierName(tier));
+            simd::setActiveTier(tier);
+            std::vector<float> got(px.size(), -5.0f);
+            simd::activeKernels().luma_row(&px[0].r, got.data(), n);
+            for (int i = 0; i < n; ++i)
+                expectBitEqual(got[static_cast<std::size_t>(i)],
+                               px[static_cast<std::size_t>(i)].luma(),
+                               "luma_row");
+            if (n < static_cast<int>(got.size())) {
+                EXPECT_EQ(got[static_cast<std::size_t>(n)], -5.0f)
+                    << "wrote past n";
+            }
         }
     }
 }
