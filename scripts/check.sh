@@ -7,10 +7,12 @@
 #    2. AddressSanitizer build, full ctest
 #    3. UndefinedBehaviorSanitizer build (no-recover), full ctest
 #       (stages 1-3 run ctest twice: PARGPU_THREADS=1 and =nproc)
-#    4. ThreadSanitizer build, threading-focused ctest subset: once
-#       as-is, then with PARGPU_TILE_PARALLEL=1 so the intra-frame
-#       three-phase tile pass is exercised under TSAN (golden digests
-#       included), at PARGPU_THREADS=2 and =nproc
+#    4. ThreadSanitizer build, threading-focused ctest subset (with
+#       the scene and texture tests: their row bands write one texel
+#       vector from several threads): once as-is, then with
+#       PARGPU_TILE_PARALLEL=1 so the intra-frame three-phase tile
+#       pass is exercised under TSAN (golden digests included), at
+#       PARGPU_THREADS=2 and =nproc
 #    5. -DPARGPU_TRACING=OFF build (macros compiled out), tracing subset
 #       plus the golden digests
 #    6. pargpu-lint standalone (includes header self-containment builds)
@@ -143,7 +145,7 @@ stage_tsan() {
         || { cat build-tsan.configure.log >&2; return 1; }
     cmake --build build-tsan -j "$JOBS"
     ctest --test-dir build-tsan --output-on-failure -j "$JOBS" \
-        -R "threadpool_test|determinism_test|pipeline_test|integration_test|contract_test|session_test|serve_test|arena_test|ssim_test"
+        -R "threadpool_test|determinism_test|pipeline_test|integration_test|contract_test|session_test|serve_test|arena_test|ssim_test|scenes_test|procedural_test|mipmap_test"
     # Tile parallelism forced on: every renderFrame() in the subset runs
     # the three-phase tile pass, so TSAN sees the workers' dynamic tile
     # chunks over the shared framebuffer planes, the per-cluster L1

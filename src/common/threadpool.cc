@@ -2,14 +2,19 @@
 
 #include <algorithm>
 #include <atomic>
+#include <charconv>
 #include <condition_variable>
 #include <cstdlib>
+#include <cstring>
 #include <deque>
 #include <exception>
 #include <memory>
+#include <string>
+#include <system_error>
 #include <thread>
 
 #include "common/annotations.hh"
+#include "common/logging.hh"
 
 namespace pargpu
 {
@@ -20,6 +25,30 @@ namespace
 thread_local bool tl_in_worker = false;
 
 std::atomic<unsigned> g_default_override{0};
+
+/** Largest PARGPU_THREADS value accepted. */
+constexpr unsigned kMaxEnvThreads = 4096;
+
+/**
+ * PARGPU_THREADS as a thread count; 0 when unset, empty or "0" (one
+ * thread per core). Anything but a whole number in [0, kMaxEnvThreads]
+ * is fatal.
+ */
+unsigned
+envThreads()
+{
+    const char *v = std::getenv("PARGPU_THREADS");
+    if (v == nullptr || v[0] == '\0')
+        return 0;
+    const char *end = v + std::strlen(v);
+    unsigned n = 0;
+    const std::from_chars_result r = std::from_chars(v, end, n);
+    if (r.ec != std::errc() || r.ptr != end || n > kMaxEnvThreads)
+        fatal("PARGPU_THREADS must be a whole number in [0, " +
+              std::to_string(kMaxEnvThreads) +
+              "] (0 or unset: one per core), got '" + v + "'");
+    return n;
+}
 
 } // namespace
 
@@ -95,19 +124,43 @@ struct ThreadPool::Impl
         }
     }
 
+    /**
+     * Spawn workers until there are @p target. A failed thread start is
+     * fatal, reported after the lock is released: fatal() exits, and
+     * the pool's destructor then takes the lock to stop the workers
+     * already running.
+     */
     void
-    spawn(unsigned count) PARGPU_REQUIRES(mu)
+    grow(unsigned target) PARGPU_EXCLUDES(mu)
     {
-        for (unsigned i = 0; i < count; ++i)
-            workers.emplace_back([this] { workerLoop(); });
+        std::string error;
+        {
+            MutexLock lk(mu);
+            try {
+                while (workers.size() < target)
+                    workers.emplace_back([this] { workerLoop(); });
+            } catch (const std::system_error &e) {
+                error = e.what();
+            }
+        }
+        if (!error.empty())
+            fatal("cannot start thread pool worker " +
+                  std::to_string(workerCount() + 1) + " of " +
+                  std::to_string(target) + ": " + error);
+    }
+
+    unsigned
+    workerCount() const PARGPU_EXCLUDES(mu)
+    {
+        MutexLock lk(mu);
+        return static_cast<unsigned>(workers.size());
     }
 };
 
 ThreadPool::ThreadPool(unsigned workers)
     : impl_(std::make_unique<Impl>())
 {
-    MutexLock lk(impl_->mu);
-    impl_->spawn(workers);
+    impl_->grow(workers);
 }
 
 ThreadPool::~ThreadPool()
@@ -129,16 +182,13 @@ ThreadPool::~ThreadPool()
 unsigned
 ThreadPool::workerCount() const
 {
-    MutexLock lk(impl_->mu);
-    return static_cast<unsigned>(impl_->workers.size());
+    return impl_->workerCount();
 }
 
 void
 ThreadPool::ensureWorkers(unsigned workers)
 {
-    MutexLock lk(impl_->mu);
-    if (impl_->workers.size() < workers)
-        impl_->spawn(workers - static_cast<unsigned>(impl_->workers.size()));
+    impl_->grow(workers);
 }
 
 void
@@ -204,15 +254,7 @@ ThreadPool::defaultThreads()
     unsigned o = g_default_override.load(std::memory_order_relaxed);
     if (o > 0)
         return o;
-    static const unsigned env_threads = [] {
-        const char *v = std::getenv("PARGPU_THREADS");
-        if (v) {
-            int n = std::atoi(v);
-            if (n > 0)
-                return static_cast<unsigned>(n);
-        }
-        return 0u;
-    }();
+    static const unsigned env_threads = envThreads();
     if (env_threads > 0)
         return env_threads;
     unsigned hw = std::thread::hardware_concurrency();

@@ -1,7 +1,9 @@
 /**
  * @file
- * Deterministic fixed-size thread pool shared by the harness, the quality
- * layer and the benches.
+ * Deterministic fixed-size thread pool shared by the harness, the
+ * simulator's tile-parallel frames, the quality layer (SSIM row bands),
+ * scene and texture construction (texel and mip-level row bands) and the
+ * benches.
  *
  * Design rules that make parallel runs bit-identical to serial ones:
  *
@@ -16,8 +18,10 @@
  *    changes results.
  *
  * The default concurrency comes from the PARGPU_THREADS environment
- * variable, falling back to std::thread::hardware_concurrency(); benches
- * and the CLI can override it per process (setDefaultThreads) or per call.
+ * variable (a whole number in [0, 4096]; anything else is fatal), falling
+ * back to std::thread::hardware_concurrency() when it is unset or 0;
+ * benches and the CLI can override it per process (setDefaultThreads) or
+ * per call. Failing to start a worker thread is fatal as well.
  */
 
 #ifndef PARGPU_COMMON_THREADPOOL_HH
@@ -72,7 +76,9 @@ class ThreadPool
 
     /**
      * Default concurrency: setDefaultThreads() override if set, else
-     * PARGPU_THREADS, else hardware_concurrency(); always >= 1.
+     * PARGPU_THREADS if set and nonzero, else hardware_concurrency();
+     * always >= 1. A PARGPU_THREADS value that is not a whole number in
+     * [0, 4096] is fatal on the first call.
      */
     static unsigned defaultThreads();
 

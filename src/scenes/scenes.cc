@@ -3,6 +3,7 @@
 #include <cmath>
 
 #include "common/logging.hh"
+#include "common/tracing.hh"
 #include "scenes/meshes.hh"
 
 namespace pargpu
@@ -26,13 +27,16 @@ struct Builder
 {
     GameTrace trace;
 
+    /**
+     * Record a texture recipe and return its slot; buildGameTrace()
+     * generates every recipe's texels once the scene is laid out.
+     */
     int
     texture(TextureKind kind, int size, std::uint32_t seed,
             WrapMode wrap = WrapMode::Repeat)
     {
         trace.recipes.push_back({kind, size, seed, wrap});
-        return trace.scene.addTexture(std::make_unique<TextureMap>(
-            size, size, generateTexture(kind, size, seed), wrap));
+        return static_cast<int>(trace.recipes.size()) - 1;
     }
 
     void
@@ -381,7 +385,20 @@ buildGameTrace(GameId id, int width, int height, int frames)
         buildRBench(b, frames);
         break;
     }
+    buildSceneTextures(b.trace);
     return std::move(b.trace);
+}
+
+void
+buildSceneTextures(GameTrace &trace)
+{
+    PARGPU_TRACE_SCOPE_F("scenes", "build", trace.recipes.size());
+    for (const TextureRecipe &rec : trace.recipes) {
+        PARGPU_TRACE_SCOPE_F("scenes", "texture", rec.size);
+        trace.scene.addTexture(std::make_unique<TextureMap>(
+            rec.size, rec.size,
+            generateTexture(rec.kind, rec.size, rec.seed), rec.wrap));
+    }
 }
 
 std::vector<BenchmarkEntry>

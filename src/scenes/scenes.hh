@@ -67,6 +67,14 @@ struct GameTrace
  */
 GameTrace buildGameTrace(GameId id, int width, int height, int frames = 3);
 
+/**
+ * Generate every texture of @p trace.recipes, in order, and bind it into
+ * @p trace.scene, which must hold no textures yet. Each texture's texels
+ * and mip pyramid are built in row bands on the shared pool; the result
+ * is bit-identical to a serial build at any pool size.
+ */
+void buildSceneTextures(GameTrace &trace);
+
 /** One row of the paper's Table II. */
 struct BenchmarkEntry
 {

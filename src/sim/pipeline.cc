@@ -5,7 +5,9 @@
 #include <bit>
 #include <cmath>
 #include <cstdlib>
+#include <cstring>
 #include <span>
+#include <string>
 #include <thread>
 
 #include "common/contract.hh"
@@ -109,7 +111,12 @@ tileParallelForced()
 {
     static const bool forced = [] {
         const char *v = std::getenv("PARGPU_TILE_PARALLEL");
-        return v != nullptr && v[0] == '1';
+        if (v == nullptr || v[0] == '\0' || std::strcmp(v, "0") == 0)
+            return false;
+        if (std::strcmp(v, "1") == 0)
+            return true;
+        fatal(std::string("PARGPU_TILE_PARALLEL must be '0' or '1', got '") +
+              v + "'");
     }();
     return forced;
 }

@@ -138,7 +138,8 @@ struct FrameOutput
  * GpuConfig::tile_parallel. This is the hook scripts/check.sh's TSAN
  * stage uses to run the whole threading-focused test subset with the
  * sharded fragment phase enabled, without touching each test's
- * configuration. Results are bit-identical either way. Cached on first
+ * configuration. Results are bit-identical either way. Unset, "" and
+ * "0" mean off; any value but those and "1" is fatal. Cached on first
  * call; envOverrides() (harness/session.hh) snapshots it up front.
  */
 bool tileParallelForced();

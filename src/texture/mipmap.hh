@@ -6,6 +6,7 @@
 #ifndef PARGPU_TEXTURE_MIPMAP_HH
 #define PARGPU_TEXTURE_MIPMAP_HH
 
+#include <functional>
 #include <vector>
 
 #include "texture/texture.hh"
@@ -28,6 +29,17 @@ namespace pargpu
 std::vector<MipLevel>
 buildMipPyramid(int width, int height, std::vector<RGBA8> base,
                 TexelStorage storage = TexelStorage::Linear);
+
+/**
+ * Run fn(y0, y1) over the rows [0, @p height) of a @p width-wide raster in
+ * row bands on the shared pool (ThreadPool::run). Band heights are
+ * multiples of 4, so no two bands share a 4x4 Morton tile row. A raster
+ * too small for two bands, a call from a pool worker, and a one-thread
+ * pool run every band on the caller, in order. @p fn must write only the
+ * rows of its own band.
+ */
+void forEachRowBand(int width, int height,
+                    const std::function<void(int y0, int y1)> &fn);
 
 /** True if @p v is a positive power of two. */
 constexpr bool

@@ -45,6 +45,17 @@ std::vector<RGBA8> generateTexture(TextureKind kind, int size,
                                    std::uint32_t seed);
 
 /**
+ * Wrap lattice coordinate @p c into [0, cells) for a power-of-two
+ * @p cells (value noise uses 8 << octave). Equals the floored modulo
+ * ((c % cells) + cells) % cells for negative @p c as well.
+ */
+constexpr int
+wrapLattice(int c, int cells)
+{
+    return c & (cells - 1);
+}
+
+/**
  * Fractal value noise in [0, 1] at normalized coordinates (u, v), with
  * @p octaves octaves of lattice value noise.
  */

@@ -212,9 +212,6 @@ readTrace(const std::string &path, bool &ok)
         rec.kind = static_cast<TextureKind>(kind);
         rec.wrap = static_cast<WrapMode>(wrap);
         t.recipes.push_back(rec);
-        t.scene.addTexture(std::make_unique<TextureMap>(
-            rec.size, rec.size,
-            generateTexture(rec.kind, rec.size, rec.seed), rec.wrap));
     }
 
     std::uint32_t ndraws = r.u32();
@@ -279,6 +276,10 @@ readTrace(const std::string &path, bool &ok)
 
     ok = r.ok;
     std::fclose(f);
+    // Textures are rebuilt from their recipes only once the whole file
+    // has parsed, so a malformed file costs no texture generation.
+    if (ok)
+        buildSceneTextures(t);
     return t;
 }
 

@@ -5,6 +5,8 @@
 
 #include <gtest/gtest.h>
 
+#include <climits>
+
 #include "texture/procedural.hh"
 
 using namespace pargpu;
@@ -105,6 +107,38 @@ TEST(FractalNoiseTest, MoreOctavesAddDetail)
         diffs += std::abs(a - b) > 1e-3f;
     }
     EXPECT_GT(diffs, 32);
+}
+
+TEST(FractalNoiseTest, MaskWrapMatchesFlooredModulo)
+{
+    // Value noise wraps lattice coordinates with a mask. For the
+    // power-of-two periods it uses (8 << octave) that must equal the
+    // floored modulo it replaced: % plus a sign fix.
+    auto floored = [](int c, int cells) {
+        int m = c % cells;
+        return m < 0 ? m + cells : m;
+    };
+    for (int cells = 8; cells <= (8 << 8); cells *= 2) {
+        for (int c = -3 * cells - 1; c <= 3 * cells + 1; ++c)
+            EXPECT_EQ(wrapLattice(c, cells), floored(c, cells))
+                << c << " mod " << cells;
+        for (int c : {INT_MIN, INT_MIN + 1, INT_MAX - 1, INT_MAX})
+            EXPECT_EQ(wrapLattice(c, cells), floored(c, cells))
+                << c << " mod " << cells;
+    }
+}
+
+TEST(FractalNoiseTest, PeriodicAcrossNegativeCoordinates)
+{
+    // Dyadic (u, v) shift by whole periods exactly, so noise sampled at
+    // negative lattice coordinates must equal noise one period over.
+    for (int i = 0; i < 64; ++i) {
+        float u = i / 64.0f;
+        float v = (i * 7 % 64) / 64.0f;
+        EXPECT_EQ(fractalNoise(u - 1.0f, v - 2.0f, 5, 9),
+                  fractalNoise(u, v, 5, 9))
+            << u << ", " << v;
+    }
 }
 
 TEST(ProceduralTest, CheckerIsHighContrast)

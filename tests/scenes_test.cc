@@ -5,8 +5,13 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <cstdio>
+
+#include "common/threadpool.hh"
 #include "scenes/meshes.hh"
 #include "scenes/scenes.hh"
+#include "texture/texture.hh"
 
 using namespace pargpu;
 
@@ -166,4 +171,108 @@ TEST(GameSceneDeathTest, RejectsInvalidDimensions)
 {
     EXPECT_EXIT(buildGameTrace(GameId::HL2, 0, 240, 1),
                 testing::ExitedWithCode(1), "invalid");
+}
+
+namespace
+{
+
+constexpr GameId kAllGames[] = {GameId::HL2,     GameId::Doom3, GameId::Grid,
+                                GameId::Nfs,     GameId::Stalker,
+                                GameId::Ut3,     GameId::Wolf,
+                                GameId::RBench};
+
+/**
+ * Frozen FNV-1a digests over every texel of every mip level of each
+ * game's textures, parallel to kAllGames. Pinned from the serial texture
+ * builder; the banded one must reproduce them on any pool size and in
+ * either host storage order.
+ */
+constexpr std::uint64_t kTexelDigests[] = {
+    0x95d811e60815adb2ull, // HL2
+    0x26d7956b15618d86ull, // doom3
+    0x9e9e17638f368ca4ull, // grid
+    0xd66acf5adee76a07ull, // nfs
+    0x61dfdb611c554908ull, // stal
+    0xac5c4263afa73864ull, // ut3
+    0x123ec73317bcf855ull, // wolf
+    0x75e0380aceccd067ull, // R.Bench
+};
+
+/**
+ * Fold every texel of @p tex into the FNV-1a state @p h, level by level
+ * in row-major (x, y) order, so the digest is independent of the host
+ * storage order.
+ */
+void
+fnvTexels(std::uint64_t &h, const TextureMap &tex)
+{
+    for (int l = 0; l < tex.numLevels(); ++l) {
+        const MipLevel &lv = tex.level(l);
+        for (int y = 0; y < lv.height; ++y) {
+            for (int x = 0; x < lv.width; ++x) {
+                const RGBA8 &t = lv.at(x, y);
+                for (std::uint8_t b : {t.r, t.g, t.b, t.a}) {
+                    h ^= b;
+                    h *= 0x100000001b3ull;
+                }
+            }
+        }
+    }
+}
+
+constexpr std::uint64_t kFnvOffset = 0xcbf29ce484222325ull;
+
+std::string
+hex(std::uint64_t v)
+{
+    char buf[32];
+    std::snprintf(buf, sizeof buf, "0x%016llxull",
+                  static_cast<unsigned long long>(v));
+    return buf;
+}
+
+/** Restores the process-default pool size when a test ends. */
+struct DefaultThreadsGuard
+{
+    ~DefaultThreadsGuard() { ThreadPool::setDefaultThreads(0); }
+};
+
+} // namespace
+
+TEST(SceneTextureOracleTest, TexelsMatchFrozenDigests)
+{
+    DefaultThreadsGuard guard;
+    for (std::size_t g = 0; g < std::size(kAllGames); ++g) {
+        const char *game = gameAbbr(kAllGames[g]);
+        GameTrace t = buildGameTrace(kAllGames[g], 64, 48, 1);
+        std::uint64_t h = kFnvOffset;
+        for (const auto &tex : t.scene.textures)
+            fnvTexels(h, *tex);
+        EXPECT_EQ(h, kTexelDigests[g])
+            << game << " (scene build): new digest " << hex(h);
+
+        // Rebuild from the recipes at each pool size, in each storage
+        // order, passed explicitly.
+        for (unsigned threads : {1u, 4u}) {
+            ThreadPool::setDefaultThreads(threads);
+            for (TexelStorage storage :
+                 {TexelStorage::Linear, TexelStorage::Morton}) {
+                std::uint64_t hr = kFnvOffset;
+                for (const TextureRecipe &rec : t.recipes) {
+                    TextureMap tex(rec.size, rec.size,
+                                   generateTexture(rec.kind, rec.size,
+                                                   rec.seed),
+                                   rec.wrap, TexelLayout::Tiled4x4,
+                                   StorageFormat::RGBA8, storage);
+                    EXPECT_EQ(tex.storage(), storage);
+                    fnvTexels(hr, tex);
+                }
+                EXPECT_EQ(hr, kTexelDigests[g])
+                    << game << " at " << threads << " threads, "
+                    << (storage == TexelStorage::Linear ? "linear"
+                                                        : "morton")
+                    << " storage: new digest " << hex(hr);
+            }
+        }
+    }
 }

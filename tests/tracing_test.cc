@@ -11,10 +11,12 @@
 #include <cstdio>
 #include <fstream>
 #include <sstream>
+#include <vector>
 
 #include "common/json.hh"
 #include "common/tracing.hh"
 #include "harness/session.hh"
+#include "trace/trace.hh"
 
 using namespace pargpu;
 using pargpu::trace::Tracing;
@@ -174,6 +176,52 @@ TEST(TracingTest, SpanArgsCarryTheValue)
     const Json &e = doc["traceEvents"][0];
     EXPECT_EQ(e["name"].str(), "with_arg");
     EXPECT_DOUBLE_EQ(e["args"]["value"].number(), 11.0);
+}
+
+TEST(TracingTest, SceneBuildsRecordBuildAndTextureSpans)
+{
+    TracingGuard guard;
+    Tracing::enable();
+    GameTrace built = buildGameTrace(GameId::Wolf, 64, 48, 1);
+    const std::string path = "tracing_test_scene.pgtrace";
+    ASSERT_TRUE(writeTrace(built, path));
+    bool ok = false;
+    GameTrace loaded = readTrace(path, ok);
+    std::remove(path.c_str());
+    ASSERT_TRUE(ok);
+    Tracing::disable();
+
+    std::ostringstream os;
+    Tracing::writeJson(os);
+    Json doc = Json::parse(os.str());
+    std::vector<const Json *> builds, textures;
+    for (const Json &e : doc["traceEvents"].items()) {
+        if (e["cat"].str() != "scenes")
+            continue;
+        EXPECT_EQ(e["ph"].str(), "X");
+        if (e["name"].str() == "build")
+            builds.push_back(&e);
+        else if (e["name"].str() == "texture")
+            textures.push_back(&e);
+    }
+    // One build span each for buildGameTrace() and the readTrace()
+    // rebuild, carrying the texture count; one texture span per texture,
+    // carrying its side, inside a build span.
+    const std::size_t n = built.recipes.size();
+    ASSERT_EQ(builds.size(), 2u);
+    ASSERT_EQ(textures.size(), 2 * n);
+    for (const Json *b : builds)
+        EXPECT_DOUBLE_EQ((*b)["args"]["value"].number(),
+                         static_cast<double>(n));
+    for (std::size_t i = 0; i < textures.size(); ++i) {
+        const Json &t = *textures[i];
+        EXPECT_DOUBLE_EQ(t["args"]["value"].number(),
+                         static_cast<double>(built.recipes[i % n].size));
+        const Json &b = *builds[i / n];
+        EXPECT_GE(t["ts"].number(), b["ts"].number());
+        EXPECT_LE(t["ts"].number() + t["dur"].number(),
+                  b["ts"].number() + b["dur"].number());
+    }
 }
 
 #endif // PARGPU_TRACING_DISABLED
