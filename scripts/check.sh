@@ -11,8 +11,8 @@
 #       the scene and texture tests: their row bands write one texel
 #       vector from several threads): once as-is, then with
 #       PARGPU_TILE_PARALLEL=1 so the intra-frame three-phase tile
-#       pass is exercised under TSAN (golden digests included), at
-#       PARGPU_THREADS=2 and =nproc
+#       pass is exercised under TSAN (golden digests and the session
+#       and serve jobs included), at PARGPU_THREADS=2 and =nproc
 #    5. -DPARGPU_TRACING=OFF build (macros compiled out), tracing subset
 #       plus the golden digests
 #    6. pargpu-lint standalone (includes header self-containment builds)
@@ -149,14 +149,17 @@ stage_tsan() {
     # Tile parallelism forced on: every renderFrame() in the subset runs
     # the three-phase tile pass, so TSAN sees the workers' dynamic tile
     # chunks over the shared framebuffer planes, the per-cluster L1
-    # replay and the ordered commit. Two workers and every core: fewer
-    # workers than clusters, and as many as the host has.
+    # replay and the ordered commit. The session and serve tests add
+    # submitted jobs: a frame claimed by the job dispatcher runs its
+    # tile pass on the pool while pool workers render other jobs'
+    # frames. Two workers and every core: fewer workers than clusters,
+    # and as many as the host has.
     local threads
     for threads in 2 "$NPROC"; do
         echo "--- tile pass with PARGPU_THREADS=$threads ---"
         PARGPU_THREADS="$threads" PARGPU_TILE_PARALLEL=1 \
             ctest --test-dir build-tsan --output-on-failure -j "$JOBS" \
-            -R "determinism_test|pipeline_test|integration_test|arena_test|golden_test"
+            -R "determinism_test|pipeline_test|integration_test|arena_test|golden_test|session_test|serve_test"
     done
 }
 

@@ -1,9 +1,10 @@
 /**
  * @file
- * Deterministic fixed-size thread pool shared by the harness, the
- * simulator's tile-parallel frames, the quality layer (SSIM row bands),
- * scene and texture construction (texel and mip-level row bands) and the
- * benches.
+ * Deterministic fixed-size thread pool shared by the harness (Session
+ * run()/sweep() and the job dispatcher's passes: one task per
+ * (condition, frame) pair), the simulator's tile-parallel frames, the
+ * quality layer (SSIM row bands), scene and texture construction (texel
+ * and mip-level row bands) and the benches.
  *
  * Design rules that make parallel runs bit-identical to serial ones:
  *

@@ -11,6 +11,8 @@
  *
  *   PARGPU_TRACE_SCOPE("sim", "frame");            // RAII span
  *   PARGPU_TRACE_SCOPE_F("sim", "draw", idx);      // span + numeric arg
+ *   PARGPU_TRACE_SPAN(s, "session", "dispatch");   // named span; its arg
+ *   s.setValue(frames);                            //   is known at the end
  *   PARGPU_TRACE_COUNTER("mem", "dram.bytes", b);  // counter sample
  *   PARGPU_TRACE_INSTANT("harness", "flush");      // point event
  *
@@ -134,6 +136,15 @@ class Span
     Span(const Span &) = delete;
     Span &operator=(const Span &) = delete;
 
+    /** Set the numeric argument before the span ends (e.g. a count). */
+    void
+    setValue(double value)
+    {
+        has_arg_ = true;
+        arg_name_ = "value";
+        arg_value_ = value;
+    }
+
     ~Span()
     {
         if (active_)
@@ -150,6 +161,12 @@ class Span
     bool has_arg_ = false;
     const char *arg_name_ = "";
     double arg_value_ = 0.0;
+};
+
+/** What PARGPU_TRACE_SPAN declares in PARGPU_TRACING_DISABLED builds. */
+struct NullSpan
+{
+    void setValue(double) {}
 };
 
 } // namespace pargpu::trace
@@ -169,6 +186,10 @@ class Span
 #define PARGPU_TRACE_SCOPE_F(cat, name, value)                             \
     ::pargpu::trace::Span PARGPU_TRACE_CAT(pargpu_trace_span_, __LINE__)(  \
         cat, name, "value", static_cast<double>(value))
+
+/** Named RAII span @p var; var.setValue(v) attaches its argument. */
+#define PARGPU_TRACE_SPAN(var, cat, name)                                  \
+    ::pargpu::trace::Span var(cat, name)
 
 /** Counter sample (renders as a track in chrome://tracing). */
 #define PARGPU_TRACE_COUNTER(cat, name, value)                             \
@@ -193,6 +214,7 @@ class Span
 #define PARGPU_TRACE_SCOPE_F(cat, name, value)                             \
     do {                                                                   \
     } while (0)
+#define PARGPU_TRACE_SPAN(var, cat, name) ::pargpu::trace::NullSpan var
 #define PARGPU_TRACE_COUNTER(cat, name, value)                             \
     do {                                                                   \
     } while (0)

@@ -1,6 +1,7 @@
 #include "harness/runner.hh"
 
-#include <algorithm>
+#include <atomic>
+#include <string>
 
 #include "common/contract.hh"
 #include "common/logging.hh"
@@ -105,62 +106,81 @@ makeGpuConfig(const RunConfig &config)
 namespace detail
 {
 
-RunResult
-renderTrace(const GameTrace &trace, const RunConfig &config,
-            RunProgress *progress)
+namespace
+{
+
+/** fatal() on the first invalid condition, before any frame renders. */
+void
+validateOrDie(const std::vector<RunConfig> &configs, const char *what)
+{
+    for (const RunConfig &c : configs) {
+        const std::vector<ConfigError> errors = c.validate();
+        if (!errors.empty())
+            fatal(std::string(what) + configErrorMessage(errors.front()));
+    }
+}
+
+/**
+ * The frame engine of run() and sweep(): one pool task per (condition,
+ * frame) pair, claimed condition-major in submission order with chunk
+ * 1. Each frame renders into its own slot; the task that lands a
+ * condition's last frame folds that condition and frees its outputs.
+ * No result depends on the thread count or on which task finished
+ * last.
+ */
+std::vector<RunResult>
+renderRuns(const GameTrace &trace, const std::vector<RunConfig> &configs,
+           unsigned threads)
 {
     // Pin the validated environment snapshot before any frame renders
     // (also arms the PARGPU_CONTRACT_REPORT atexit dump on first use).
     envOverrides();
-    const std::vector<ConfigError> errors = config.validate();
-    if (!errors.empty())
-        fatal(std::string("invalid RunConfig: ") +
-              configErrorMessage(errors.front()));
     const std::size_t n = trace.cameras.size();
-    const unsigned want = config.threads > 0
-        ? static_cast<unsigned>(config.threads)
-        : ThreadPool::defaultThreads();
-    const std::size_t parts =
-        std::min<std::size_t>(want, n == 0 ? 1 : n);
-
     // The span name is part of the documented trace schema (METRICS.md).
     PARGPU_TRACE_SCOPE_F("harness", "runTrace", n);
-    // Every frame renders into its own slot. The simulator resets cache
-    // and DRAM state per frame, so a frame's output is the same whether
-    // its simulator previously rendered other frames (serial path) or is
-    // freshly built for a partition (parallel path); determinism_test
-    // pins this down.
-    std::vector<FrameOutput> outs(n);
-    if (parts <= 1 || ThreadPool::inWorker()) {
-        GpuSimulator sim(makeGpuConfig(config));
-        for (std::size_t f = 0; f < n; ++f) {
-            PARGPU_TRACE_SCOPE_F("harness", "renderFrame", f);
-            outs[f] = sim.renderFrame(trace.scene, trace.cameras[f],
-                                      trace.width, trace.height);
-            if (progress != nullptr)
-                progress->onFrame(f, outs[f].stats);
-        }
-    } else {
-        ThreadPool::run(parts, 1, [&](std::size_t p) {
-            const std::size_t lo = n * p / parts;
-            const std::size_t hi = n * (p + 1) / parts;
-            GpuSimulator sim(makeGpuConfig(config));
-            for (std::size_t f = lo; f < hi; ++f) {
-                PARGPU_TRACE_SCOPE_F("harness", "renderFrame", f);
-                outs[f] = sim.renderFrame(trace.scene, trace.cameras[f],
-                                          trace.width, trace.height);
-                if (progress != nullptr)
-                    progress->onFrame(f, outs[f].stats);
-            }
-        }, static_cast<unsigned>(parts));
+    std::vector<RunResult> results(configs.size());
+    if (n == 0)
+        return results;
+    std::vector<std::vector<FrameOutput>> outs(configs.size());
+    std::vector<std::atomic<std::size_t>> pending(configs.size());
+    for (std::size_t c = 0; c < configs.size(); ++c) {
+        outs[c].resize(n);
+        pending[c] = n;
     }
+    ThreadPool::run(configs.size() * n, 1, [&](std::size_t task) {
+        const std::size_t c = task / n;
+        const std::size_t f = task % n;
+        outs[c][f] = renderFrame(trace, configs[c], f);
+        // The last frame's task sees every other frame's slot.
+        if (--pending[c] == 0)
+            results[c] =
+                foldFrames(std::move(outs[c]), configs[c].keep_images);
+    }, threads);
+    return results;
+}
 
-    // Aggregate serially in frame order — the identical sequence of
-    // floating-point additions as the serial path.
+} // namespace
+
+FrameOutput
+renderFrame(const GameTrace &trace, const RunConfig &config, std::size_t f)
+{
+    PARGPU_TRACE_SCOPE_F("harness", "renderFrame", f);
+    // A fresh simulator per frame: the simulator resets cache and DRAM
+    // state per frame, so a frame's output does not depend on what its
+    // simulator rendered before (determinism_test pins this down).
+    GpuSimulator sim(makeGpuConfig(config));
+    return sim.renderFrame(trace.scene, trace.cameras[f], trace.width,
+                           trace.height);
+}
+
+RunResult
+foldFrames(std::vector<FrameOutput> outs, bool keep_images)
+{
     PARGPU_TRACE_SCOPE("harness", "aggregate");
+    const std::size_t n = outs.size();
     RunResult result;
     result.frames.reserve(n);
-    if (config.keep_images)
+    if (keep_images)
         result.images.reserve(n);
     double cycles = 0.0, power = 0.0;
     for (FrameOutput &out : outs) {
@@ -169,7 +189,7 @@ renderTrace(const GameTrace &trace, const RunConfig &config,
         power += averagePowerW(e, out.stats);
         cycles += static_cast<double>(out.stats.total_cycles);
         result.frames.push_back(out.stats);
-        if (config.keep_images)
+        if (keep_images)
             result.images.push_back(std::move(out.image));
     }
     if (n > 0) {
@@ -185,27 +205,22 @@ renderTrace(const GameTrace &trace, const RunConfig &config,
     return result;
 }
 
+RunResult
+renderTrace(const GameTrace &trace, const RunConfig &config)
+{
+    validateOrDie({config}, "invalid RunConfig: ");
+    std::vector<RunResult> results =
+        renderRuns(trace, {config}, static_cast<unsigned>(config.threads));
+    return std::move(results.front());
+}
+
 std::vector<RunResult>
 renderSweep(const GameTrace &trace, const std::vector<RunConfig> &configs,
             int threads)
 {
-    // Reject bad conditions before fanning out — a fatal() on a worker
-    // thread would otherwise tear down the pool mid-sweep.
-    for (const RunConfig &c : configs) {
-        const std::vector<ConfigError> errors = c.validate();
-        if (!errors.empty())
-            fatal(std::string("invalid RunConfig in sweep: ") +
-                  configErrorMessage(errors.front()));
-    }
-    std::vector<RunResult> results(configs.size());
-    // Conditions fan out across workers; renderTrace() detects it is on
-    // a worker and keeps its frames serial, so there is exactly one
-    // level of parallelism and results stay independent of the thread
-    // count.
-    ThreadPool::run(configs.size(), 1, [&](std::size_t i) {
-        results[i] = renderTrace(trace, configs[i]);
-    }, threads > 0 ? static_cast<unsigned>(threads) : 0);
-    return results;
+    validateOrDie(configs, "invalid RunConfig in sweep: ");
+    return renderRuns(trace, configs,
+                      threads > 0 ? static_cast<unsigned>(threads) : 0);
 }
 
 } // namespace detail

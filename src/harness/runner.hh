@@ -4,12 +4,12 @@
  * the RunResult aggregation every bench and example consumes.
  *
  * Frames of a trace are independent by construction (the simulator resets
- * cache and DRAM state per frame), so Session::run() (harness/session.hh)
- * renders them in parallel on the shared thread pool — one GpuSimulator
- * per worker partition, each frame written into its own pre-sized slot,
- * aggregation done serially in frame order. The parallel path is
- * bit-identical to the serial one. Session::sweep() parallelizes one
- * level up, across RunConfig conditions.
+ * cache and DRAM state per frame), so every Session surface
+ * (harness/session.hh) schedules work frame by frame on the shared
+ * thread pool: one task per (condition, frame) pair, each rendered on a
+ * fresh GpuSimulator into its own slot, and each condition folded
+ * serially in frame order once its last frame lands. Every schedule is
+ * bit-identical to the serial one.
  */
 
 #ifndef PARGPU_HARNESS_RUNNER_HH
@@ -56,8 +56,9 @@ struct RunConfig
     int max_aniso = 16;
     bool keep_images = true;  ///< Retain rendered frames (for SSIM).
     int table_entries = 0;    ///< PATU hash-table entries (0 = default).
-    int threads = 0;          ///< Frame-level parallelism of Session::run():
-                              ///< 0 = PARGPU_THREADS/default, 1 = serial.
+    int threads = 0;          ///< Cap on the frames Session::run() renders
+                              ///< at once: 0 = PARGPU_THREADS/default,
+                              ///< 1 = serial. Submitted jobs ignore it.
     bool tile_parallel = false; ///< Intra-frame tile parallelism across
                                 ///< clusters (GpuConfig::tile_parallel;
                                 ///< bit-identical to serial).

@@ -165,9 +165,8 @@ parseRunConfigJson(const Json &j, RunConfig &out)
     return Status::success();
 }
 
-ServeLoop::ServeLoop(std::istream &in, std::ostream &out,
-                     ServeOptions options)
-    : session_(SessionOptions{options.job_workers}), in_(in), out_(out)
+ServeLoop::ServeLoop(std::istream &in, std::ostream &out)
+    : in_(in), out_(out)
 {
 }
 
@@ -390,9 +389,13 @@ ServeLoop::handleSweep(const Json &request)
     }
 
     // Stream one snapshot event per job, in submission order, each
-    // emitted once that job finishes. Jobs run concurrently on the
-    // session dispatchers, but the event order (and every payload) is
+    // emitted once that job finishes. Jobs' frames run concurrently on
+    // the shared pool, but the event order (and every payload) is
     // deterministic: a Done snapshot is a pure function of the config.
+    // Job i's metrics document is built right after its event, while
+    // later jobs still render.
+    std::shared_ptr<const GameTrace> trace = session_.trace(key);
+    Json results = Json::array();
     for (std::size_t i = 0; i < jobs.size(); ++i) {
         jobs[i]->wait();
         Json event = Json::object();
@@ -403,15 +406,12 @@ ServeLoop::handleSweep(const Json &request)
             event.set("id", request["id"]);
         event.set("snapshot", jobs[i]->snapshot());
         writeFrame(out_, event.dump());
-    }
-
-    std::shared_ptr<const GameTrace> trace = session_.trace(key);
-    Json final_frame = responseFor(request, Status::success());
-    final_frame.set("event", Json{"done"});
-    Json results = Json::array();
-    for (std::size_t i = 0; i < jobs.size(); ++i)
         results.push(runMetrics(key, *trace, configs[i],
                                 jobs[i]->result()));
+    }
+
+    Json final_frame = responseFor(request, Status::success());
+    final_frame.set("event", Json{"done"});
     final_frame.set("results", std::move(results));
     writeFrame(out_, final_frame.dump());
 }

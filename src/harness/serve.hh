@@ -47,12 +47,6 @@ bool parseScenarioName(const std::string &name, DesignScenario &out);
  */
 Status parseRunConfigJson(const Json &j, RunConfig &out);
 
-/** Serve-loop construction knobs. */
-struct ServeOptions
-{
-    unsigned job_workers = 0; ///< Session dispatchers (0 = default).
-};
-
 /** One server: a Session plus the framed request/response loop. */
 class ServeLoop
 {
@@ -60,8 +54,7 @@ class ServeLoop
     /** Payloads above this many bytes are rejected as IoError. */
     static constexpr std::size_t kMaxFrameBytes = 1u << 26;
 
-    ServeLoop(std::istream &in, std::ostream &out,
-              ServeOptions options = {});
+    ServeLoop(std::istream &in, std::ostream &out);
 
     /**
      * Process frames until "shutdown", clean EOF, or a transport error.

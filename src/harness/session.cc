@@ -7,8 +7,8 @@
 #include "common/contract.hh"
 #include "common/logging.hh"
 #include "common/threadpool.hh"
+#include "common/tracing.hh"
 #include "harness/metrics.hh"
-#include "power/energy.hh"
 #include "sim/pipeline.hh"
 #include "trace/trace.hh"
 
@@ -72,33 +72,11 @@ envOverrides()
 
 // --- Job -----------------------------------------------------------------
 
-/** Forwards per-frame completions into the job's guarded partial state. */
-class Job::Progress : public detail::RunProgress
-{
-  public:
-    explicit Progress(Job &job) : job_(job) {}
-
-    void
-    onFrame(std::size_t index, const FrameStats &stats) override
-    {
-        MutexLock lk(job_.mu_);
-        if (index < job_.partial_done_.size() &&
-            !job_.partial_done_[index]) {
-            job_.partial_[index] = stats;
-            job_.partial_done_[index] = true;
-            ++job_.n_done_;
-        }
-    }
-
-  private:
-    Job &job_;
-};
-
 Job::Job(Passkey, std::string trace_key,
          std::shared_ptr<const GameTrace> trace, const RunConfig &config)
     : trace_key_(std::move(trace_key)), trace_(std::move(trace)),
       config_(config), frames_total_(trace_->cameras.size()),
-      partial_(frames_total_), partial_done_(frames_total_, false)
+      outs_(frames_total_), frame_done_(frames_total_, false)
 {
 }
 
@@ -136,25 +114,39 @@ Job::result() const
 }
 
 void
-Job::execute(std::atomic<std::size_t> *completed)
+Job::runFrame(std::size_t f, std::atomic<std::size_t> &completed)
 {
     {
         MutexLock lk(mu_);
-        state_ = State::Running;
+        if (state_ == State::Queued)
+            state_ = State::Running;
     }
-    cv_.notify_all();
-    Progress progress(*this);
-    RunResult run = detail::renderTrace(*trace_, config_, &progress);
+    FrameOutput out;
+    if (f < frames_total_)
+        out = detail::renderFrame(*trace_, config_, f);
     {
         MutexLock lk(mu_);
-        result_ = std::move(run);
+        if (f < frames_total_) {
+            outs_[f] = std::move(out);
+            frame_done_[f] = true;
+            ++n_done_;
+        }
+        if (n_done_ < frames_total_)
+            return;
+        // The last frame: fold under the lock, so a snapshot sees either
+        // the finished frames or the final result, never neither.
+        result_ = detail::foldFrames(std::move(outs_), config_.keep_images);
         // Count the completion before Done is published: a waiter that
         // has observed Done must observe the session counter too.
-        if (completed != nullptr)
-            completed->fetch_add(1, std::memory_order_relaxed);
+        completed.fetch_add(1, std::memory_order_relaxed);
         state_ = State::Done;
     }
     cv_.notify_all();
+    // Every pool thread is busy rendering, so a waiter just woken (a
+    // serve loop streaming this result) would otherwise queue behind a
+    // running frame's time slice, ~3 ms on a 4-core Linux host; hand it
+    // this core first.
+    std::this_thread::yield();
 }
 
 Json
@@ -164,35 +156,24 @@ Job::snapshot() const
     // aggregate outside it — snapshots never block the run for longer
     // than the copy.
     State state;
-    std::vector<FrameStats> frames;
+    std::vector<FrameOutput> frames; // Stats only; images stay behind.
     {
         MutexLock lk(mu_);
         state = state_;
         if (state == State::Done) {
-            frames = result_.frames;
+            for (const FrameStats &f : result_.frames)
+                frames.push_back(FrameOutput{Image{}, f});
         } else {
             frames.reserve(n_done_);
-            for (std::size_t i = 0; i < partial_done_.size(); ++i)
-                if (partial_done_[i])
-                    frames.push_back(partial_[i]);
+            for (std::size_t i = 0; i < frame_done_.size(); ++i)
+                if (frame_done_[i])
+                    frames.push_back(FrameOutput{Image{}, outs_[i].stats});
         }
     }
 
-    // The same serial frame-order aggregation renderTrace() performs, so
-    // a snapshot taken after Done matches the final result exactly.
-    RunResult partial;
-    double cycles = 0.0, power = 0.0;
-    for (const FrameStats &f : frames) {
-        EnergyBreakdown e = computeEnergy(f);
-        partial.total_energy_nj += e.total_nj();
-        power += averagePowerW(e, f);
-        cycles += static_cast<double>(f.total_cycles);
-        partial.frames.push_back(f);
-    }
-    if (!frames.empty()) {
-        partial.avg_cycles = cycles / static_cast<double>(frames.size());
-        partial.avg_power_w = power / static_cast<double>(frames.size());
-    }
+    // The fold the final result uses, so a snapshot taken after Done
+    // matches it exactly.
+    const RunResult partial = detail::foldFrames(std::move(frames), false);
 
     const char *state_name = state == State::Queued    ? "queued"
                              : state == State::Running ? "running"
@@ -204,7 +185,7 @@ Job::snapshot() const
     j.set("frames_total",
           Json{static_cast<std::uint64_t>(frames_total_)});
     j.set("frames_completed",
-          Json{static_cast<std::uint64_t>(frames.size())});
+          Json{static_cast<std::uint64_t>(partial.frames.size())});
     Json agg = Json::object();
     agg.set("avg_cycles", Json{partial.avg_cycles});
     agg.set("total_energy_nj", Json{partial.total_energy_nj});
@@ -218,26 +199,22 @@ Job::snapshot() const
 
 // --- Session -------------------------------------------------------------
 
-Session::Session(SessionOptions options)
-    : env_(envOverrides()),
-      job_workers_(options.job_workers > 0 ? options.job_workers : 2)
-{
-}
+Session::Session() : env_(envOverrides()) {}
 
 Session::~Session()
 {
-    // Swap the dispatchers out under the lock, then join without it
-    // (they need the mutex to drain); queued jobs still run to
-    // completion first, so surviving JobHandles always reach Done.
-    std::vector<std::thread> dispatchers;
+    // Take the dispatcher out under the lock, then join without it (it
+    // needs the mutex to drain); queued jobs still run to completion
+    // first, so surviving JobHandles always reach Done.
+    std::thread dispatcher;
     {
         MutexLock lk(mu_);
         stop_ = true;
-        dispatchers.swap(dispatchers_);
+        dispatcher.swap(dispatcher_);
     }
     cv_.notify_all();
-    for (std::thread &t : dispatchers)
-        t.join();
+    if (dispatcher.joinable())
+        dispatcher.join();
 }
 
 Status
@@ -345,7 +322,7 @@ Session::submit(const std::string &key, const RunConfig &config,
     JobHandle job =
         std::make_shared<Job>(Job::Passkey{}, key, std::move(asset),
                               config);
-    enqueue(job);
+    enqueue({job});
     if (status != nullptr)
         *status = Status::success();
     return job;
@@ -374,47 +351,73 @@ Session::submitSweep(const std::string &key,
     }
     std::vector<JobHandle> jobs;
     jobs.reserve(configs.size());
-    for (const RunConfig &config : configs) {
-        JobHandle job = std::make_shared<Job>(Job::Passkey{}, key, asset,
-                                              config);
-        enqueue(job);
-        jobs.push_back(std::move(job));
-    }
+    for (const RunConfig &config : configs)
+        jobs.push_back(
+            std::make_shared<Job>(Job::Passkey{}, key, asset, config));
+    enqueue(jobs);
     if (status != nullptr)
         *status = Status::success();
     return jobs;
 }
 
 void
-Session::enqueue(const JobHandle &job)
+Session::enqueue(const std::vector<JobHandle> &jobs)
 {
+    if (jobs.empty())
+        return;
     {
         MutexLock lk(mu_);
-        // Dispatchers spin up lazily so synchronous-only sessions never
+        // The dispatcher starts lazily so synchronous-only sessions never
         // spawn threads.
-        while (dispatchers_.size() < job_workers_)
-            dispatchers_.emplace_back([this] { dispatcherLoop(); });
-        queue_.push_back(job);
+        if (!dispatcher_.joinable())
+            dispatcher_ = std::thread([this] { dispatcherLoop(); });
+        queue_.insert(queue_.end(), jobs.begin(), jobs.end());
     }
-    submitted_.fetch_add(1, std::memory_order_relaxed);
+    submitted_.fetch_add(jobs.size(), std::memory_order_relaxed);
     cv_.notify_one();
+}
+
+bool
+Session::claimFrame(JobHandle &job, std::size_t &frame)
+{
+    MutexLock lk(mu_);
+    if (queue_.empty())
+        return false;
+    job = queue_.front();
+    frame = next_frame_++;
+    if (next_frame_ >= job->framesTotal()) {
+        queue_.pop_front();
+        next_frame_ = 0;
+    }
+    return true;
 }
 
 void
 Session::dispatcherLoop()
 {
     for (;;) {
-        JobHandle job;
         {
             UniqueLock lk(mu_);
             while (!stop_ && queue_.empty())
                 cv_.wait(lk);
             if (queue_.empty())
                 return; // Tearing down and fully drained.
-            job = std::move(queue_.front());
-            queue_.pop_front();
         }
-        job->execute(&completed_);
+        // One pass: a loop per pool thread, each claiming (job, frame)
+        // pairs until the queue is empty. A job submitted meanwhile
+        // joins the running loops instead of waiting for the pass.
+        PARGPU_TRACE_SPAN(span, "session", "dispatch");
+        std::atomic<std::size_t> frames{0};
+        ThreadPool::run(ThreadPool::defaultThreads(), 1, [&](std::size_t) {
+            JobHandle job;
+            std::size_t frame = 0;
+            while (claimFrame(job, frame)) {
+                job->runFrame(frame, completed_);
+                if (frame < job->framesTotal())
+                    ++frames;
+            }
+        });
+        span.setValue(static_cast<double>(frames.load()));
     }
 }
 

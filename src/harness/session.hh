@@ -20,11 +20,16 @@
  *    (RunResults, metrics JSON, counters, images) is byte-identical to
  *    sweep(trace, ...) on the same configs (session_test pins this
  *    down).
- *  - submit()/submitSweep(): asynchronous jobs on a small dispatcher
- *    crew; each job fans its frames out onto the shared ThreadPool and
- *    exposes streamed metrics snapshots while running. Handles are
- *    shared_ptr<Job> and outlive the Session (teardown drains the
- *    queue, so a surviving handle always ends in State::Done).
+ *  - submit()/submitSweep(): asynchronous jobs. One lazily started
+ *    dispatcher thread runs the queued (job, frame) pairs in submission
+ *    order across the whole shared ThreadPool; a job submitted while a
+ *    pass runs joins it. Jobs expose streamed metrics snapshots while
+ *    running. Handles are shared_ptr<Job> and outlive the Session
+ *    (teardown drains the queue, so a surviving handle always ends in
+ *    State::Done).
+ *
+ * Every surface renders one frame per pool task on a fresh simulator
+ * and folds a condition with the same serial frame-order foldFrames().
  *
  * Error reporting extends the ConfigError/configErrorMessage pattern into
  * a small typed Status (code + message): loading and submission return
@@ -125,31 +130,31 @@ const EnvOverrides &envOverrides();
 namespace detail
 {
 
-/** Per-frame completion hook for streamed job progress. */
-class RunProgress
-{
-  public:
-    virtual ~RunProgress() = default;
-
-    /**
-     * Frame @p index of the trace finished with @p stats. May be called
-     * from any ThreadPool worker; implementations synchronize
-     * internally and must not mutate the run.
-     */
-    virtual void onFrame(std::size_t index, const FrameStats &stats) = 0;
-};
+/**
+ * Render frame @p f of @p trace under @p config on a fresh GpuSimulator
+ * (a frame's output never depends on what else its thread rendered).
+ */
+FrameOutput renderFrame(const GameTrace &trace, const RunConfig &config,
+                        std::size_t f);
 
 /**
- * The Session::run() engine: renders every frame of @p trace under
- * @p config, frames parallel on the shared pool unless nested,
- * aggregation serial in frame order.
- * fatal()s on an invalid config. @p progress, when non-null, observes
- * each frame completion (it never affects the result).
+ * The serial frame-order fold every surface shares: per-frame stats,
+ * images when @p keep_images, and the aggregates summed in frame order.
+ * Consumes (and so frees) @p outs.
  */
-RunResult renderTrace(const GameTrace &trace, const RunConfig &config,
-                      RunProgress *progress = nullptr);
+RunResult foldFrames(std::vector<FrameOutput> outs, bool keep_images);
 
-/** The Session::sweep() engine: conditions in parallel, results by index. */
+/**
+ * The Session::run() engine: every frame of @p trace under @p config,
+ * at most config.threads at once (0 = default; serial when nested in a
+ * pool worker). fatal()s on an invalid config.
+ */
+RunResult renderTrace(const GameTrace &trace, const RunConfig &config);
+
+/**
+ * The Session::sweep() engine: every (condition, frame) pair one pool
+ * task, at most @p threads at once; results by index.
+ */
 std::vector<RunResult> renderSweep(const GameTrace &trace,
                                    const std::vector<RunConfig> &configs,
                                    int threads = 0);
@@ -170,7 +175,7 @@ class Job
     /** Lifecycle of a submitted job. */
     enum class State
     {
-        Queued,  ///< Accepted, waiting for a dispatcher.
+        Queued,  ///< Accepted, no frame started yet.
         Running, ///< Rendering frames.
         Done,    ///< result() is final.
     };
@@ -222,14 +227,13 @@ class Job
     friend class Session;
 
     /**
-     * Dispatcher-side execution (exactly once). @p completed, when
-     * non-null, is incremented before Done is published so a waiter
-     * never observes a finished job with a stale session counter.
+     * Dispatcher-side execution of frame @p f (once per frame; a
+     * zero-frame job gets one call with f == 0). The call that lands
+     * the last frame folds the result and publishes Done, incrementing
+     * @p completed first so a waiter never observes a finished job with
+     * a stale session counter.
      */
-    void execute(std::atomic<std::size_t> *completed);
-
-    /** The progress sink handed to detail::renderTrace(). */
-    class Progress;
+    void runFrame(std::size_t f, std::atomic<std::size_t> &completed);
 
     const std::string trace_key_;
     const std::shared_ptr<const GameTrace> trace_; ///< Keeps asset alive.
@@ -239,27 +243,15 @@ class Job
     mutable Mutex mu_;
     mutable std::condition_variable_any cv_;
     State state_ PARGPU_GUARDED_BY(mu_) = State::Queued;
-    /** Completed frames' stats, index-addressed (empty slot = pending). */
-    std::vector<FrameStats> partial_ PARGPU_GUARDED_BY(mu_);
-    std::vector<bool> partial_done_ PARGPU_GUARDED_BY(mu_);
+    /** Finished frames' outputs, index-addressed; freed by the fold. */
+    std::vector<FrameOutput> outs_ PARGPU_GUARDED_BY(mu_);
+    std::vector<bool> frame_done_ PARGPU_GUARDED_BY(mu_);
     std::size_t n_done_ PARGPU_GUARDED_BY(mu_) = 0;
     RunResult result_ PARGPU_GUARDED_BY(mu_);
 };
 
 /** Shared, Session-outliving reference to a submitted Job. */
 using JobHandle = std::shared_ptr<Job>;
-
-/** Session construction knobs. */
-struct SessionOptions
-{
-    /**
-     * Dispatcher threads executing submitted jobs concurrently
-     * (0 = default of 2). Each job additionally fans its frames onto
-     * the shared ThreadPool; concurrency across jobs never changes any
-     * job's result.
-     */
-    unsigned job_workers = 0;
-};
 
 /**
  * The session facade (file header above for the full story). Thread
@@ -268,11 +260,11 @@ struct SessionOptions
 class Session
 {
   public:
-    explicit Session(SessionOptions options = {});
+    Session();
 
     /**
      * Drains the job queue (every accepted job runs to completion),
-     * then joins the dispatchers. Outstanding JobHandles stay valid.
+     * then joins the dispatcher. Outstanding JobHandles stay valid.
      */
     ~Session();
 
@@ -310,14 +302,15 @@ class Session
     // --- Synchronous execution -------------------------------------------
 
     /**
-     * Render @p trace under @p config (fatal() on an invalid config).
-     * RunConfig::threads sets the frame-level parallelism.
+     * Render @p trace under @p config (fatal() on an invalid config),
+     * frames in parallel on the shared pool; RunConfig::threads caps
+     * how many at once.
      */
     RunResult run(const GameTrace &trace, const RunConfig &config);
 
     /**
-     * Render @p trace under every condition of @p configs, conditions in
-     * parallel (frames within each condition stay serial on a worker).
+     * Render @p trace under every condition of @p configs, every
+     * (condition, frame) pair a pool task in submission order.
      * results[i] corresponds to configs[i] and is bit-identical to
      * run(trace, configs[i]); fatal() on any invalid config.
      *
@@ -365,20 +358,29 @@ class Session
 
   private:
     void dispatcherLoop();
-    void enqueue(const JobHandle &job);
+    void enqueue(const std::vector<JobHandle> &jobs);
+
+    /**
+     * Claim the next (job, frame) pair in submission order; false when
+     * no frame is left to claim.
+     */
+    bool claimFrame(JobHandle &job, std::size_t &frame);
 
     const EnvOverrides &env_;
-    const unsigned job_workers_;
 
     mutable Mutex mu_;
     std::condition_variable_any cv_;
     std::map<std::string, std::shared_ptr<const GameTrace>> traces_
         PARGPU_GUARDED_BY(mu_);
+    /** Jobs with frames left to claim, in submission order. */
     std::deque<JobHandle> queue_ PARGPU_GUARDED_BY(mu_);
-    std::vector<std::thread> dispatchers_ PARGPU_GUARDED_BY(mu_);
+    /** The next frame of queue_.front() to claim. */
+    std::size_t next_frame_ PARGPU_GUARDED_BY(mu_) = 0;
     bool stop_ PARGPU_GUARDED_BY(mu_) = false;
     std::atomic<std::size_t> submitted_{0};
     std::atomic<std::size_t> completed_{0};
+    /** Started by the first submission; joined by the destructor. */
+    std::thread dispatcher_ PARGPU_GUARDED_BY(mu_);
 };
 
 } // namespace pargpu

@@ -31,12 +31,11 @@ frameAll(const std::vector<std::string> &payloads)
 
 /** Run one server over @p requests; returns (exit code, responses). */
 std::pair<int, std::vector<Json>>
-serve(const std::vector<std::string> &requests,
-      unsigned job_workers = 0)
+serve(const std::vector<std::string> &requests)
 {
     std::istringstream in(frameAll(requests));
     std::ostringstream out;
-    ServeLoop loop(in, out, ServeOptions{job_workers});
+    ServeLoop loop(in, out);
     int rc = loop.run();
 
     std::vector<Json> responses;
@@ -295,8 +294,7 @@ TEST(ServeProtocolTest, SweepStreamsJobEventsThenResults)
             R"({"scenario":"baseline","keep_images":false},)"
             R"({"scenario":"patu","keep_images":false},)"
             R"({"scenario":"ntxds","keep_images":false}]})",
-        },
-        /*job_workers=*/3);
+        });
     EXPECT_EQ(rc, 0);
     // load ack + 3 job_done events + 1 final results frame.
     ASSERT_EQ(responses.size(), 5u);
@@ -317,6 +315,15 @@ TEST(ServeProtocolTest, SweepStreamsJobEventsThenResults)
     EXPECT_EQ(done["results"][0]["run"]["scenario"].str(), "baseline");
     EXPECT_EQ(done["results"][1]["run"]["scenario"].str(), "patu");
     EXPECT_EQ(done["results"][2]["run"]["scenario"].str(), "ntxds");
+    // results[i] is built from job i, the job its job_done event
+    // reported (each document right after that event).
+    for (std::size_t i = 0; i < 3; ++i) {
+        const Json &snapshot = responses[1 + i]["snapshot"];
+        EXPECT_EQ(done["results"][i]["registry"].dump(),
+                  snapshot["registry"].dump());
+        EXPECT_EQ(done["results"][i]["aggregate"]["avg_cycles"].number(),
+                  snapshot["aggregate"]["avg_cycles"].number());
+    }
 }
 
 TEST(ServeProtocolTest, SweepRejectionsNameTheOffendingConfig)
@@ -369,7 +376,7 @@ TEST(ServeDeterminismTest, IdenticalRequestStreamsYieldIdenticalBytes)
     for (int round = 0; round < 2; ++round) {
         std::istringstream in(requests);
         std::ostringstream out;
-        ServeLoop loop(in, out, ServeOptions{2});
+        ServeLoop loop(in, out);
         ASSERT_EQ(loop.run(), 0);
         if (round == 0)
             first = out.str();

@@ -2,13 +2,18 @@
  * @file
  * Unit tests for the Session facade (src/harness/session.hh): typed
  * Status reporting, immutable shared assets, concurrent jobs
- * bit-identical to the serial borrowed-trace sweep, snapshot streaming,
- * and job handles surviving Session teardown.
+ * bit-identical to the serial borrowed-trace sweep and to run() whatever
+ * the frame count, zero-frame jobs, sweeps independent of the thread
+ * count, snapshot streaming, and job handles surviving Session teardown.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
+#include <string>
+#include <thread>
+#include <utility>
 
 #include "harness/metrics.hh"
 #include "harness/session.hh"
@@ -59,31 +64,33 @@ sweepConfigs()
 
 /** The full metrics document (registry included) for one run. */
 std::string
-metricsDump(const RunConfig &config, const RunResult &run)
+metricsDump(const RunConfig &config, const RunResult &run,
+            const GameTrace &trace = tinyTrace())
 {
     RunMetadata meta;
     meta.tool = "session_test";
-    meta.workload = tinyTrace().name;
-    meta.width = tinyTrace().width;
-    meta.height = tinyTrace().height;
-    meta.frames = static_cast<int>(tinyTrace().cameras.size());
+    meta.workload = trace.name;
+    meta.width = trace.width;
+    meta.height = trace.height;
+    meta.frames = static_cast<int>(trace.cameras.size());
     return metricsJson(meta, config, run).dump();
 }
 
 /**
- * Byte-level equality of two runs under @p config: every per-frame
- * counter, the aggregates and the full stat registry (compared through
- * the exporter, the document a server ships), plus raw image bytes.
+ * Byte-level equality of two runs of @p trace under @p config: every
+ * per-frame counter, the aggregates and the full stat registry
+ * (compared through the exporter, the document a server ships), plus
+ * raw image bytes.
  */
 void
 expectRunsIdentical(const RunConfig &config, const RunResult &a,
-                    const RunResult &b)
+                    const RunResult &b, const GameTrace &trace = tinyTrace())
 {
     ASSERT_EQ(a.frames.size(), b.frames.size());
     EXPECT_EQ(a.avg_cycles, b.avg_cycles);
     EXPECT_EQ(a.total_energy_nj, b.total_energy_nj);
     EXPECT_EQ(a.avg_power_w, b.avg_power_w);
-    EXPECT_EQ(metricsDump(config, a), metricsDump(config, b));
+    EXPECT_EQ(metricsDump(config, a, trace), metricsDump(config, b, trace));
     ASSERT_EQ(a.images.size(), b.images.size());
     for (std::size_t i = 0; i < a.images.size(); ++i) {
         ASSERT_EQ(a.images[i].pixels().size(), b.images[i].pixels().size());
@@ -237,9 +244,8 @@ TEST(SessionTest, KeyedSweepMatchesBorrowedSweepExactly)
 TEST(SessionTest, ConcurrentSubmitBitIdenticalToSerialSweep)
 {
     const std::vector<RunConfig> configs = sweepConfigs();
-    // Four dispatchers so jobs genuinely overlap (each additionally
-    // fans frames onto the shared pool).
-    Session session(SessionOptions{4});
+    // Every job's frames share the pool, so jobs genuinely overlap.
+    Session session;
     std::vector<RunResult> serial = session.sweep(tinyTrace(), configs, 1);
     ASSERT_TRUE(session.load("w", makeTiny()).ok());
     Status st;
@@ -287,7 +293,7 @@ TEST(SessionTest, JobHandlesSurviveSessionTeardown)
 {
     std::vector<JobHandle> jobs;
     {
-        Session session(SessionOptions{2});
+        Session session;
         ASSERT_TRUE(session.load("w", makeTiny()).ok());
         RunConfig cfg;
         cfg.keep_images = false;
@@ -309,4 +315,84 @@ TEST(SessionTest, JobHandlesSurviveSessionTeardown)
     cfg.keep_images = false;
     expectRunsIdentical(cfg, jobs.front()->result(),
                         jobs.back()->result());
+}
+
+TEST(SessionTest, JobsFromTwoThreadsMatchRunAcrossFrameCounts)
+{
+    // Three traces of 1, 2 and 3 frames over two games, and two threads
+    // submitting jobs on all of them at once: their frames interleave in
+    // the one queue, yet every job equals run() byte for byte.
+    Session session;
+    const std::vector<std::pair<std::string, GameId>> traces = {
+        {"wolf1", GameId::Wolf}, {"doom2", GameId::Doom3},
+        {"wolf3", GameId::Wolf}};
+    for (std::size_t i = 0; i < traces.size(); ++i)
+        ASSERT_TRUE(session
+                        .load(traces[i].first, traces[i].second, 96, 72,
+                              static_cast<int>(i + 1))
+                        .ok());
+    const std::vector<RunConfig> configs = sweepConfigs();
+
+    std::vector<JobHandle> jobs[2];
+    auto submitter = [&](std::size_t t) {
+        for (std::size_t c = t; c < configs.size(); c += 2)
+            for (const auto &trace : traces)
+                jobs[t].push_back(session.submit(trace.first, configs[c]));
+    };
+    std::thread other(submitter, 1);
+    submitter(0);
+    other.join();
+
+    for (std::size_t t = 0; t < 2; ++t) {
+        for (const JobHandle &job : jobs[t]) {
+            ASSERT_NE(job, nullptr);
+            const GameTrace &trace = *session.trace(job->traceKey());
+            const RunResult &got = job->result();
+            EXPECT_EQ(job->state(), Job::State::Done);
+            EXPECT_EQ(got.frames.size(), trace.cameras.size());
+            expectRunsIdentical(job->config(), got,
+                                session.run(trace, job->config()), trace);
+        }
+    }
+    EXPECT_EQ(session.jobsCompleted(), configs.size() * traces.size());
+}
+
+TEST(SessionTest, ZeroFrameJobReachesDone)
+{
+    Session session;
+    GameTrace empty = makeTiny();
+    empty.cameras.clear();
+    ASSERT_TRUE(session.load("empty", std::move(empty)).ok());
+    JobHandle job = session.submit("empty", RunConfig{});
+    ASSERT_NE(job, nullptr);
+    job->wait();
+    EXPECT_EQ(job->state(), Job::State::Done);
+    EXPECT_EQ(job->framesTotal(), 0u);
+    EXPECT_EQ(job->framesCompleted(), 0u);
+    EXPECT_TRUE(job->result().frames.empty());
+    EXPECT_TRUE(job->result().images.empty());
+    EXPECT_EQ(job->result().avg_cycles, 0.0);
+    EXPECT_EQ(job->snapshot()["state"].str(), "done");
+    EXPECT_EQ(session.jobsCompleted(), 1u);
+}
+
+TEST(SessionTest, SweepBytesIndependentOfThreadCount)
+{
+    // 3 conditions x 3 frames: nine pool tasks, folded per condition by
+    // whichever task lands its last frame.
+    std::vector<RunConfig> configs = sweepConfigs();
+    configs.resize(3);
+    ASSERT_EQ(tinyTrace().cameras.size(), 3u);
+    Session session;
+    const std::vector<RunResult> serial =
+        session.sweep(tinyTrace(), configs, 1);
+    const int nproc =
+        static_cast<int>(std::max(1u, std::thread::hardware_concurrency()));
+    for (int threads : {2, nproc}) {
+        const std::vector<RunResult> got =
+            session.sweep(tinyTrace(), configs, threads);
+        ASSERT_EQ(got.size(), serial.size());
+        for (std::size_t i = 0; i < got.size(); ++i)
+            expectRunsIdentical(configs[i], got[i], serial[i]);
+    }
 }

@@ -17,6 +17,8 @@ disabledTracingBody()
 {
     PARGPU_TRACE_SCOPE("test", "disabled_scope");
     PARGPU_TRACE_SCOPE_F("test", "disabled_scope_f", 7);
+    PARGPU_TRACE_SPAN(span, "test", "disabled_span");
+    span.setValue(3);
     PARGPU_TRACE_COUNTER("test", "disabled.counter", 42);
     PARGPU_TRACE_INSTANT("test", "disabled_instant");
 }

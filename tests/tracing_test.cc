@@ -224,6 +224,47 @@ TEST(TracingTest, SceneBuildsRecordBuildAndTextureSpans)
     }
 }
 
+TEST(TracingTest, SubmittedJobRecordsDispatchSpan)
+{
+    TracingGuard guard;
+    Tracing::enable();
+    {
+        Session session;
+        ASSERT_TRUE(session.load("w", GameId::Wolf, 64, 48, 2).ok());
+        RunConfig cfg;
+        cfg.keep_images = false;
+        JobHandle job = session.submit("w", cfg);
+        ASSERT_NE(job, nullptr);
+        job->wait();
+        // Teardown joins the dispatcher, so its pass span has ended.
+    }
+    Tracing::disable();
+
+    std::ostringstream os;
+    Tracing::writeJson(os);
+    Json doc = Json::parse(os.str());
+    std::vector<const Json *> passes, frames;
+    for (const Json &e : doc["traceEvents"].items()) {
+        if (e["cat"].str() == "session" && e["name"].str() == "dispatch")
+            passes.push_back(&e);
+        else if (e["cat"].str() == "harness" &&
+                 e["name"].str() == "renderFrame")
+            frames.push_back(&e);
+    }
+    // One job queued in one piece: one pass, carrying both frames, and
+    // both frame spans inside it.
+    ASSERT_EQ(passes.size(), 1u);
+    const Json &pass = *passes[0];
+    EXPECT_EQ(pass["ph"].str(), "X");
+    EXPECT_DOUBLE_EQ(pass["args"]["value"].number(), 2.0);
+    ASSERT_EQ(frames.size(), 2u);
+    for (const Json *f : frames) {
+        EXPECT_GE((*f)["ts"].number(), pass["ts"].number());
+        EXPECT_LE((*f)["ts"].number() + (*f)["dur"].number(),
+                  pass["ts"].number() + pass["dur"].number());
+    }
+}
+
 #endif // PARGPU_TRACING_DISABLED
 
 TEST(TracingTest, WriteFileRoundTrips)
