@@ -24,10 +24,12 @@
  *     the analysis to see acquisitions.
  *  3. PhaseCapability / PhaseGuard — a zero-cost "fake" capability for
  *     execution-phase disciplines that are enforced by structure rather
- *     than by a runtime lock (e.g. the MemorySystem serial commit phase
- *     during tile-parallel rendering). Acquire/release are no-ops; the
- *     value is that clang can prove a worker-thread code path never
- *     reaches a shared-state function that requires the phase.
+ *     than by the lock the capability names (e.g. the MemorySystem
+ *     serial phase: before the fragment workers start, or under the
+ *     tile stream's commit drain, which one worker holds at a time).
+ *     Acquire/release are no-ops; the value is that clang can prove a
+ *     code path outside the phase never reaches a shared-state function
+ *     that requires it.
  */
 
 #ifndef PARGPU_COMMON_ANNOTATIONS_HH
@@ -183,8 +185,10 @@ class PARGPU_SCOPED_CAPABILITY UniqueLock
 
 /**
  * A capability with no runtime lock behind it, for phase disciplines
- * enforced by program structure: the holder is whichever code runs in
- * the phase, and PhaseGuard marks the phase's extent. acquire()/release()
+ * enforced by program structure (a region no other thread runs yet, or
+ * one a try-lock elsewhere admits one thread at a time into): the
+ * holder is whichever code runs in the phase, and PhaseGuard marks the
+ * phase's extent. acquire()/release()
  * compile to nothing; under clang TSA, functions annotated
  * PARGPU_REQUIRES(phase) are provably unreachable from code that does
  * not sit inside a PhaseGuard (or assertHeld()) scope.
@@ -203,7 +207,11 @@ class PARGPU_CAPABILITY("phase") PhaseCapability
     void assertHeld() const PARGPU_ASSERT_CAPABILITY(this) {}
 };
 
-/** RAII extent of a PhaseCapability. Zero runtime cost. */
+/**
+ * RAII extent of a PhaseCapability. Zero runtime cost: it excludes no
+ * other thread, so it may only be scoped where the program admits one
+ * thread at a time.
+ */
 class PARGPU_SCOPED_CAPABILITY PhaseGuard
 {
   public:

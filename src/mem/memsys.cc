@@ -104,17 +104,18 @@ ClusterMemFront::ClusterMemFront(MemorySystem &mem, unsigned cluster)
 }
 
 ClusterMemFront::Batch
-ClusterMemFront::stageLines(std::span<const Addr> lines)
+ClusterMemFront::stageLines(std::span<const Addr> lines,
+                            std::vector<Addr> &miss_log)
 {
     Batch b;
     b.any_line = !lines.empty();
-    b.miss_begin = static_cast<std::uint32_t>(miss_lines_.size());
+    b.miss_begin = static_cast<std::uint32_t>(miss_log.size());
     SetAssocCache &l1 = *mem_->tex_l1_[cluster_];
     for (Addr line : lines) {
         if (!l1.access(line))
-            miss_lines_.push_back(line);
+            miss_log.push_back(line);
     }
-    b.miss_end = static_cast<std::uint32_t>(miss_lines_.size());
+    b.miss_end = static_cast<std::uint32_t>(miss_log.size());
     return b;
 }
 

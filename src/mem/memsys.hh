@@ -65,14 +65,17 @@ class MemorySystem
 
     /**
      * The serial-memory-phase capability (zero runtime cost; see
-     * common/annotations.hh). Shared LLC/DRAM state may only move while
-     * exactly one thread runs — serial rendering, the geometry phase, or
-     * the phase-3 commit of tile-parallel execution. Every mutating
-     * entry point requires this capability; ClusterMemFront::stageLines
-     * (phase 2, on worker threads) excludes it. GpuSimulator::renderFrame
-     * scopes a PhaseGuard around each serial region, so under clang TSA
-     * (-DPARGPU_TSA=ON) a future code path that touches shared memory
-     * state from inside a parallel phase fails to compile.
+     * common/annotations.hh). Shared LLC/DRAM state moves only where one
+     * thread at a time can run: before any fragment worker starts (the
+     * per-frame reset, each draw's geometry) and under the fragment
+     * phase's commit drain, which one worker holds at a time while
+     * others keep logging and replaying tiles. Every mutating entry
+     * point requires this capability; ClusterMemFront::stageLines
+     * (phase 2, under its cluster's replay drain) excludes it and
+     * touches only that cluster's L1. GpuSimulator::renderFrame scopes
+     * a PhaseGuard around each such region, so under clang TSA
+     * (-DPARGPU_TSA=ON) a code path that touches shared memory state
+     * from phase 1 or 2 fails to compile.
      */
     PhaseCapability serial_phase;
 
@@ -112,7 +115,7 @@ class MemorySystem
      * through a ClusterMemFront against the shared LLC and DRAM, in the
      * caller-chosen (canonical) order.
      *
-     * @p miss_lines is the quad's slice of the front's miss log — the
+     * @p miss_lines is the quad's slice of the tile's miss log — the
      * lines that missed the cluster's L1 during the phase-2 replay; it
      * must not be empty (a quad without misses completes after
      * allHitLatency(), which needs no shared state). Given that the L1
@@ -169,14 +172,15 @@ class MemorySystem
  * phase.
  *
  * The texture L1 is per-cluster already, so a front may probe it from
- * any one worker thread without synchronization — provided it is fed the
- * line sequence the cluster would issue quad by quad. Phase 2 guarantees
- * that: it replays the lines phase 1 logged for the cluster's tiles
- * (`tile % clusters`) in row-major order. Lines that miss are appended
- * to a log instead of touching the shared LLC/DRAM; the serial commit
- * replays the log in canonical tile order through
- * MemorySystem::commitBatch(), which reproduces the exact LLC and DRAM
- * state, counters and completion cycles of a quad-by-quad walk.
+ * whichever worker holds the cluster's replay drain without further
+ * synchronization — provided it is fed the line sequence the cluster
+ * would issue quad by quad. Phase 2 guarantees that: it replays the
+ * lines phase 1 logged for the cluster's tiles (`tile % clusters`) in
+ * row-major order. Lines that miss are appended to the caller's miss
+ * log instead of touching the shared LLC/DRAM; the commit drain replays
+ * the logs in canonical tile order through MemorySystem::commitBatch(),
+ * which reproduces the exact LLC and DRAM state, counters and
+ * completion cycles of a quad-by-quad walk.
  */
 class ClusterMemFront
 {
@@ -193,24 +197,19 @@ class ClusterMemFront
 
     /**
      * Phase 2: probe the cluster's L1 for each distinct line of a quad
-     * (updating the L1 exactly as a timed read would) and log the misses
-     * for the commit.
+     * (updating the L1 exactly as a timed read would) and append the
+     * misses to @p miss_log for the commit. Only the holder of the
+     * cluster's replay drain may call it.
      */
-    Batch stageLines(std::span<const Addr> lines)
+    Batch stageLines(std::span<const Addr> lines,
+                     std::vector<Addr> &miss_log)
         PARGPU_EXCLUDES(mem_->serial_phase);
 
-    /** Miss log indexed by the Batch ranges stageLines() returned. */
-    const std::vector<Addr> &missLines() const { return miss_lines_; }
-
     unsigned cluster() const { return cluster_; }
-
-    /** Drop the miss log (after the commit pass consumed it). */
-    void clear() { miss_lines_.clear(); }
 
   private:
     MemorySystem *mem_;
     unsigned cluster_;
-    std::vector<Addr> miss_lines_;
 };
 
 } // namespace pargpu

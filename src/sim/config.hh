@@ -67,15 +67,14 @@ struct GpuConfig
     Cycle mem_overlap_credit = 320;
 
     /**
-     * Run each frame's fragment phase on the shared thread pool's host
-     * workers instead of streaming it tile by tile on one: phase 1 runs
-     * the draw's tiles in dynamic chunks (per-worker texture-unit
-     * scratch; quads, lines and stat deltas logged), phase 2 replays
-     * each cluster's lines through its own L1, and phase 3 commits the
-     * misses serially in canonical tile order, so shared LLC/DRAM
-     * state, counters and cycle timing stay bit-identical to a serial
-     * frame. Off by default; PARGPU_TILE_PARALLEL=1 forces it on
-     * process-wide.
+     * Run each frame's tile stream on all of the shared thread pool's
+     * host workers instead of one: workers claim the draw's tiles one
+     * at a time and log them (per-worker texture-unit scratch; quads,
+     * lines and stat deltas logged), each cluster's lines replay
+     * through its own L1 in row-major order, and the misses commit one
+     * tile at a time in canonical tile order, so shared LLC/DRAM state,
+     * counters and cycle timing stay bit-identical to a serial frame.
+     * Off by default; PARGPU_TILE_PARALLEL=1 forces it on process-wide.
      */
     bool tile_parallel = false;
 

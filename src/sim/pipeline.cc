@@ -8,7 +8,6 @@
 #include <cstring>
 #include <span>
 #include <string>
-#include <thread>
 
 #include "common/contract.hh"
 #include "common/logging.hh"
@@ -31,17 +30,10 @@ using detail::ClusterReplay;
 using detail::MissQuad;
 using detail::QuadLog;
 using detail::TileLog;
-using detail::TileWorker;
+using detail::TileSlot;
 
 /**
- * Dynamic phase-1 chunks handed to each host worker per draw, on
- * average: enough that a slow worker sheds its share to the others,
- * few enough that claiming a chunk stays negligible.
- */
-constexpr std::size_t kChunksPerWorker = 16;
-
-/**
- * Log capacity the constructor reserves for one busy tile: eight layers
+ * Log capacity the constructor reserves in its tile slot: eight layers
  * of a 16x16 tile's 64 quads, 32 distinct lines per quad. Deeper tiles
  * still grow the logs.
  */
@@ -128,20 +120,18 @@ GpuSimulator::GpuSimulator(const GpuConfig &config)
     mc.clusters = config_.clusters;
     mem_ = std::make_unique<MemorySystem>(mc);
     cluster_tex_.resize(config_.clusters);
-    // The one-worker schedule's state; a pooled frame adds workers and
-    // tile slots on first use. Its logs are reserved here: grown inside
-    // the first frame, they land between that frame's large scratch
-    // blocks in the thread's heap, and the peak RSS of frame-parallel
-    // runs then varies from run to run.
-    workers_.push_back(std::make_unique<TileWorker>(config_, *mem_));
-    workers_[0]->quads.reserve(kReservedTileQuads);
-    workers_[0]->lines.reserve(kReservedTileQuads * kReservedQuadLines);
-    replays_.reserve(config_.clusters);
-    for (unsigned c = 0; c < config_.clusters; ++c) {
-        replays_.emplace_back(*mem_, c);
-        replays_.back().miss_quads.reserve(kReservedTileQuads);
-    }
-    tile_logs_.resize(1);
+    // What one worker needs; a tile-parallel frame adds units and slots
+    // on first use. The slot's logs are reserved here: grown inside the
+    // first frame, they land between that frame's large scratch blocks
+    // in the thread's heap, and the peak RSS of frame-parallel runs then
+    // varies from run to run.
+    worker_tus_.push_back(std::make_unique<TextureUnit>(config_, 0, *mem_));
+    for (unsigned c = 0; c < config_.clusters; ++c)
+        replays_.push_back(std::make_unique<ClusterReplay>(*mem_, c));
+    TileSlot &slot = *slots_.emplace_back(std::make_unique<TileSlot>());
+    slot.quads.reserve(kReservedTileQuads);
+    slot.lines.reserve(kReservedTileQuads * kReservedQuadLines);
+    slot.miss_quads.reserve(kReservedTileQuads);
 }
 
 FrameOutput
@@ -205,7 +195,7 @@ GpuSimulator::renderFrame(const Scene &scene, const Camera &camera,
         frame_arena_.lifetimeBytes() + bin_arena_.lifetimeBytes();
     // Host workers for the fragment phase. Serial frames, a nested call
     // (this frame already runs on a pool worker) and a one-thread pool
-    // all get one worker, which streams each tile through the phases.
+    // all get one worker, the tile stream's only participant.
     const bool tile_par = config_.tile_parallel || tileParallelForced();
     const unsigned n_workers = tile_par && !ThreadPool::inWorker()
         ? ThreadPool::defaultThreads() : 1u;
@@ -309,14 +299,15 @@ GpuSimulator::renderFrame(const Scene &scene, const Camera &camera,
     };
 
     // Fragment-phase state is persistent across frames, so the vectors
-    // keep a steady-state capacity; a pooled frame needs one worker per
-    // host thread and one log slot per tile.
-    while (workers_.size() < n_workers)
-        workers_.push_back(std::make_unique<TileWorker>(config_, *mem_));
-    for (auto &w : workers_)
-        w->tu.beginFrame(frame_seed);
-    if (n_workers > 1 && tile_logs_.size() < n_tiles)
-        tile_logs_.resize(n_tiles);
+    // keep a steady-state capacity; a tile-parallel frame needs one
+    // texture unit per host thread.
+    while (worker_tus_.size() < n_workers)
+        worker_tus_.push_back(
+            std::make_unique<TextureUnit>(config_, 0, *mem_));
+    for (auto &tu : worker_tus_)
+        tu->beginFrame(frame_seed);
+    if (tile_slots_.size() < n_tiles)
+        tile_slots_ = std::vector<std::atomic<TileSlot *>>(n_tiles);
 
     // Scratch bins: triangle indices per tile in CSR form (counts, start
     // offsets, one flat item array), rebuilt per draw call so draw order
@@ -429,7 +420,7 @@ GpuSimulator::renderFrame(const Scene &scene, const Camera &camera,
 
         // --- Fragment phase ----------------------------------------------
         // Three per-tile phases (docs/ARCHITECTURE.md, "Threading
-        // model"), written once and run on either schedule below. Host
+        // model") in one stream that every worker count runs. Host
         // workers are not simulated clusters: tile t belongs to cluster
         // t % clusters for every simulated state and stat, whichever
         // worker runs it.
@@ -438,11 +429,13 @@ GpuSimulator::renderFrame(const Scene &scene, const Camera &camera,
         // Phase 1 (log): raster, early-Z, texture work, shading and
         // scatter. Tiles are pixel-disjoint, and per-quad texture work is
         // a pure function of the quad, so worker w runs it on its own
-        // scratch unit and logs what the later phases need: per quad the
-        // raster cycles before it, its TU work and its distinct lines in
-        // first-touch order; per tile the stat deltas.
-        auto logTile = [&](std::uint32_t w, std::size_t t, TileLog &tl) {
-            TileWorker &wk = *workers_[w];
+        // scratch unit and logs into the tile's slot what the later
+        // phases need: per quad the raster cycles before it, its TU work
+        // and its distinct lines in first-touch order; per tile the stat
+        // deltas.
+        auto logTile = [&](std::size_t w, std::size_t t, TileSlot &s) {
+            TextureUnit &tu = *worker_tus_[w];
+            TileLog &tl = s.log;
             const std::span<const std::uint32_t> bin =
                 bin_items.subspan(bin_start[t], bin_count[t]);
             const int ty = static_cast<int>(t) / tiles_x;
@@ -453,9 +446,9 @@ GpuSimulator::renderFrame(const Scene &scene, const Camera &camera,
             int py1 = std::min(height - 1, py0 + static_cast<int>(tile) - 1);
 
             tl = TileLog{};
-            tl.worker = w;
-            tl.quad_begin = static_cast<std::uint32_t>(wk.quads.size());
-            wk.tu.resetStats();
+            s.quads.clear();
+            s.lines.clear();
+            tu.resetStats();
             Cycle pending = 0;
 
             for (std::uint32_t ti : bin) {
@@ -479,17 +472,15 @@ GpuSimulator::renderFrame(const Scene &scene, const Camera &camera,
                         Color4f texc[4];
                         QuadLog ql;
                         ql.pre_cycles = pending;
-                        ql.work =
-                            wk.tu.processQuadWork(q, tex, st.filter, texc);
-                        const std::span<const Addr> lines =
-                            wk.tu.quadLines();
+                        ql.work = tu.processQuadWork(q, tex, st.filter, texc);
+                        const std::span<const Addr> lines = tu.quadLines();
                         ql.line_begin =
-                            static_cast<std::uint32_t>(wk.lines.size());
-                        wk.lines.insert(wk.lines.end(), lines.begin(),
-                                        lines.end());
+                            static_cast<std::uint32_t>(s.lines.size());
+                        s.lines.insert(s.lines.end(), lines.begin(),
+                                       lines.end());
                         ql.line_end =
-                            static_cast<std::uint32_t>(wk.lines.size());
-                        wk.quads.push_back(ql);
+                            static_cast<std::uint32_t>(s.lines.size());
+                        s.quads.push_back(ql);
                         pending = 0;
 
                         tl.pixels += shadeQuad(fb, st, q, surv, texc);
@@ -497,33 +488,30 @@ GpuSimulator::renderFrame(const Scene &scene, const Camera &camera,
                     });
             }
 
-            tl.quad_end = static_cast<std::uint32_t>(wk.quads.size());
             tl.tail_cycles = pending;
-            tl.tex = wk.tu.stats();
+            tl.tex = tu.stats();
         };
 
         // Phase 2 (L1 replay): the tile's lines go through its cluster's
-        // own L1, with the misses logged in the cluster's front for the
-        // commit; the shared LLC and DRAM are not touched. A quad whose
-        // lines all hit completes at a latency no shared state can
-        // change, so its stall and cycles resolve right here; only quads
-        // with misses go on to the commit.
-        auto replayTile = [&](std::size_t t, TileLog &tl) {
-            ClusterReplay &cr = replays_[t % config_.clusters];
-            const TileWorker &wk = *workers_[tl.worker];
-            const std::span<const Addr> lines(wk.lines);
-            tl.miss_quad_begin =
-                static_cast<std::uint32_t>(cr.miss_quads.size());
+        // own L1, with the misses logged in the slot for the commit; the
+        // shared LLC and DRAM are not touched. A quad whose lines all hit
+        // completes at a latency no shared state can change, so its stall
+        // and cycles resolve right here; only quads with misses go on to
+        // the commit.
+        auto replayTile = [&](std::size_t t, TileSlot &s) {
+            ClusterMemFront &front = replays_[t % config_.clusters]->front;
+            const std::span<const Addr> lines(s.lines);
+            s.miss_quads.clear();
+            s.miss_lines.clear();
             Cycle pending = 0;
             Cycle resolved_stall = 0;
-            for (std::uint32_t qi = tl.quad_begin; qi < tl.quad_end; ++qi) {
-                const QuadLog &ql = wk.quads[qi];
-                const ClusterMemFront::Batch b =
-                    cr.front.stageLines(lines.subspan(
-                        ql.line_begin, ql.line_end - ql.line_begin));
+            for (const QuadLog &ql : s.quads) {
+                const ClusterMemFront::Batch b = front.stageLines(
+                    lines.subspan(ql.line_begin, ql.line_end - ql.line_begin),
+                    s.miss_lines);
                 pending += ql.pre_cycles;
                 if (b.miss_begin != b.miss_end) {
-                    cr.miss_quads.push_back(
+                    s.miss_quads.push_back(
                         {pending, ql.work, b.miss_begin, b.miss_end});
                     pending = 0;
                     continue;
@@ -533,11 +521,9 @@ GpuSimulator::renderFrame(const Scene &scene, const Camera &camera,
                 resolved_stall += stall;
                 pending += quadCycles(ql.work + stall);
             }
-            tl.miss_quad_end =
-                static_cast<std::uint32_t>(cr.miss_quads.size());
-            tl.tail_cycles += pending;
-            tl.tex.mem_stall += resolved_stall;
-            tl.tex.filter_busy += resolved_stall;
+            s.log.tail_cycles += pending;
+            s.log.tex.mem_stall += resolved_stall;
+            s.log.tex.filter_busy += resolved_stall;
         };
 
         // Phase 3 (commit): the quads that missed their L1 go to the
@@ -550,19 +536,17 @@ GpuSimulator::renderFrame(const Scene &scene, const Camera &camera,
         // counter a function of the frame alone. The tile's stat deltas
         // fold into its cluster's shard (integer sums, so the order does
         // not matter).
-        auto commitTile = [&](std::size_t t, const TileLog &tl) {
-            // No worker is running: this thread is the only agent in the
-            // memory system.
+        auto commitTile = [&](std::size_t t, const TileSlot &s) {
+            // Only the commit drain's holder is in the shared memory
+            // system; the other workers log and replay.
             PhaseGuard serial(mem_->serial_phase);
             const unsigned cl = static_cast<unsigned>(t % config_.clusters);
+            const TileLog &tl = s.log;
             Cycle &cc = cluster_cycles[cl];
             TexUnitStats &ts = cluster_tex_[cl];
-            const ClusterReplay &cr = replays_[cl];
-            const std::span<const Addr> miss(cr.front.missLines());
+            const std::span<const Addr> miss(s.miss_lines);
 
-            for (std::uint32_t i = tl.miss_quad_begin; i < tl.miss_quad_end;
-                 ++i) {
-                const MissQuad &mq = cr.miss_quads[i];
+            for (const MissQuad &mq : s.miss_quads) {
                 cc += mq.pre_cycles;
                 const Cycle now = cc;
                 Cycle fetch_done = mem_->commitBatch(
@@ -594,113 +578,120 @@ GpuSimulator::renderFrame(const Scene &scene, const Camera &camera,
             fs.earlyz_killed += tl.earlyz_killed;
             fs.raster_simd_quads += tl.simd_quads;
             fs.fb_simd_fills += tl.fb_fills;
-            fs.shader_busy_cycles +=
-                config_.frag_quad_cycles * (tl.quad_end - tl.quad_begin);
+            fs.shader_busy_cycles += config_.frag_quad_cycles * s.quads.size();
             ++tiles_per_cluster[cl];
         };
 
-        if (n_workers == 1) {
-            // One worker streams each busy tile through all three phases
-            // in row-major order, through one log slot. Each cluster's
-            // L1 still sees its tiles' lines in row-major order, and the
-            // LLC and DRAM see the commits in row-major order, so the
-            // result is the pooled schedule's bit for bit.
-            TileWorker &wk = *workers_[0];
-            TileLog &tl = tile_logs_[0];
-            for (std::size_t t = 0; t < n_tiles; ++t) {
-                if (bin_count[t] == 0)
-                    continue;
-                logTile(0, t, tl);
-                replayTile(t, tl);
-                commitTile(t, tl);
-                ClusterReplay &cr = replays_[t % config_.clusters];
-                wk.quads.clear();
-                wk.lines.clear();
-                cr.front.clear();
-                cr.miss_quads.clear();
-            }
-            continue;
-        }
-
-        // Pooled schedule: phase 1 over the draw's busy tiles on every
-        // worker, phase 2 over the clusters, then the commit serially.
+        // The stream. Workers claim the busy tiles in row-major order,
+        // one at a time, and log each into a free slot. Then the worker
+        // drains the tile's cluster (replays its logged tiles in
+        // row-major order) and the commit (commits the replayed tiles in
+        // row-major order, returning their slots). A drain is a try-lock:
+        // a worker that finds it held moves on, so no worker waits inside
+        // a draw, and the holder re-checks for ready tiles after letting
+        // go, so none is stranded. Each L1 thus sees its cluster's lines
+        // in row-major order, and the LLC and DRAM the commits in
+        // row-major order at the same cycles, for any worker count. A
+        // tile whose phase 1 throws is never logged: the drains stop at
+        // it and ThreadPool::run rethrows.
         busy_tiles_.clear();
         for (std::size_t t = 0; t < n_tiles; ++t)
             if (bin_count[t] != 0)
                 busy_tiles_.push_back(static_cast<std::uint32_t>(t));
         const std::size_t n_busy = busy_tiles_.size();
-
-        // Workers claim dynamic chunks of the busy tiles for phase 1, so
-        // a slow worker sheds its share; then each claimed cluster
-        // replays its tiles in row-major order.
-        const std::size_t chunk = std::max<std::size_t>(
-            1, n_busy / (n_workers * kChunksPerWorker));
-        std::atomic<std::size_t> next_tile{0};
-        std::atomic<std::size_t> tiles_logged{0};
-        std::atomic<unsigned> next_cluster{0};
-        auto replayCluster = [&](unsigned c) {
-            for (std::size_t t = c; t < n_tiles; t += config_.clusters)
-                if (bin_count[t] != 0)
-                    replayTile(t, tile_logs_[t]);
+        if (n_busy == 0)
+            continue;
+        const auto nextBusy = [&](std::size_t t) {
+            while (t < n_tiles && bin_count[t] == 0)
+                t += config_.clusters;
+            return t;
         };
-
-        // Both phases run in one pool job: a worker that runs out of
-        // tiles waits for the chunks others still hold (one chunk at
-        // most) and then claims clusters. Ending the job between the
-        // phases would put every worker to sleep only to wake it again.
-        // The wait cannot deadlock: it is for claimed chunks, and a chunk
-        // is claimed only by a thread that runs it. A chunk that throws
-        // still counts as done, and then no worker replays the
-        // half-written logs; ThreadPool::run rethrows.
-        std::atomic<bool> tile_failed{false};
-        ThreadPool::run(
-            n_workers, 1,
-            [&](std::size_t w) {
-                TileWorker &wk = *workers_[w];
-                {
-                    PARGPU_TRACE_SCOPE_F("sim", "tiles", w);
-                    wk.quads.clear();
-                    wk.lines.clear();
-                    for (;;) {
-                        const std::size_t lo = next_tile.fetch_add(
-                            chunk, std::memory_order_relaxed);
-                        if (lo >= n_busy)
-                            break;
-                        const std::size_t hi = std::min(n_busy, lo + chunk);
-                        try {
-                            for (std::size_t i = lo; i < hi; ++i)
-                                logTile(static_cast<std::uint32_t>(w),
-                                        busy_tiles_[i],
-                                        tile_logs_[busy_tiles_[i]]);
-                        } catch (...) {
-                            tile_failed.store(true);
-                            tiles_logged.fetch_add(hi - lo);
-                            throw;
-                        }
-                        tiles_logged.fetch_add(hi - lo,
-                                               std::memory_order_release);
-                    }
-                    while (tiles_logged.load(std::memory_order_acquire) <
-                           n_busy)
-                        std::this_thread::yield();
-                }
-                if (tile_failed.load())
-                    return;
-                PARGPU_TRACE_SCOPE_F("sim", "l1", w);
-                for (unsigned c = next_cluster.fetch_add(1);
-                     c < config_.clusters; c = next_cluster.fetch_add(1))
-                    replayCluster(c);
-            },
-            n_workers);
-
-        // Workers have joined (ThreadPool::run is a barrier).
-        PARGPU_TRACE_SCOPE("sim", "commit");
-        for (std::uint32_t t : busy_tiles_)
-            commitTile(t, tile_logs_[t]);
-        for (ClusterReplay &cr : replays_) {
-            cr.front.clear();
-            cr.miss_quads.clear();
+        // Every cursor, drain and slot restarts per draw, also after a
+        // draw that threw.
+        for (unsigned c = 0; c < config_.clusters; ++c) {
+            replays_[c]->next.store(nextBusy(c));
+            replays_[c]->held.store(false);
         }
+        for (std::uint32_t t : busy_tiles_)
+            tile_slots_[t].store(nullptr);
+        {
+            MutexLock lk(slot_mu_);
+            free_slots_.clear();
+            for (auto it = slots_.rbegin(); it != slots_.rend(); ++it)
+                free_slots_.push_back(it->get());
+            slots_peak_ = 0;
+        }
+        std::atomic<std::size_t> next_claim{0};
+        std::atomic<std::size_t> next_commit{0};
+        std::atomic<bool> committing{false};
+
+        // Runs step() while ready() holds, under the try-lock `held`.
+        const auto drain = [](std::atomic<bool> &held, auto ready,
+                              auto step) {
+            while (ready() && !held.exchange(true)) {
+                while (ready())
+                    step();
+                held.store(false);
+            }
+        };
+        const auto commitReady = [&] {
+            const std::size_t i = next_commit.load();
+            return i < n_busy &&
+                replays_[busy_tiles_[i] % config_.clusters]->next.load() >
+                busy_tiles_[i];
+        };
+        const auto commitNext = [&] {
+            const std::size_t i = next_commit.load();
+            TileSlot &s = *tile_slots_[busy_tiles_[i]].load();
+            commitTile(busy_tiles_[i], s);
+            {
+                MutexLock lk(slot_mu_);
+                free_slots_.push_back(&s);
+            }
+            next_commit.store(i + 1);
+        };
+        const auto takeSlot = [this]() -> TileSlot & {
+            MutexLock lk(slot_mu_);
+            if (free_slots_.empty())
+                free_slots_.push_back(
+                    slots_.emplace_back(std::make_unique<TileSlot>()).get());
+            TileSlot &s = *free_slots_.back();
+            free_slots_.pop_back();
+            slots_peak_ =
+                std::max(slots_peak_, slots_.size() - free_slots_.size());
+            return s;
+        };
+        const auto stream = [&](std::size_t w) {
+            PARGPU_TRACE_SPAN(span, "sim", "tiles");
+            std::size_t logged = 0;
+            for (std::size_t i = next_claim.fetch_add(1); i < n_busy;
+                 i = next_claim.fetch_add(1)) {
+                const std::size_t t = busy_tiles_[i];
+                TileSlot &s = takeSlot();
+                logTile(w, t, s);
+                ++logged;
+                tile_slots_[t].store(&s);
+                ClusterReplay &cr = *replays_[t % config_.clusters];
+                drain(
+                    cr.held,
+                    [&] {
+                        const std::size_t u = cr.next.load();
+                        return u < n_tiles && tile_slots_[u].load() != nullptr;
+                    },
+                    [&] {
+                        const std::size_t u = cr.next.load();
+                        replayTile(u, *tile_slots_[u].load());
+                        cr.next.store(nextBusy(u + config_.clusters));
+                    });
+                drain(committing, commitReady, commitNext);
+            }
+            span.setValue(static_cast<double>(logged));
+        };
+        const unsigned participants =
+            static_cast<unsigned>(std::min<std::size_t>(n_workers, n_busy));
+        ThreadPool::run(participants, 1, stream, participants);
+        MutexLock lk(slot_mu_);
+        PARGPU_TRACE_COUNTER("sim", "tiles.in_flight", slots_peak_);
     }
 
     // --- Collect statistics -----------------------------------------------
@@ -737,8 +728,8 @@ GpuSimulator::renderFrame(const Scene &scene, const Camera &camera,
         fs.fas_quads += ts.fas_quads;
     }
 
-    // Per-cluster shards: the static tile assignment is the same on
-    // either schedule, so the cluster.* metrics never depend on
+    // Per-cluster shards: the static tile assignment is the same for
+    // every worker count, so the cluster.* metrics never depend on
     // execution mode.
     fs.clusters.resize(config_.clusters);
     for (unsigned c = 0; c < config_.clusters; ++c) {

@@ -15,10 +15,12 @@
 #ifndef PARGPU_SIM_PIPELINE_HH
 #define PARGPU_SIM_PIPELINE_HH
 
+#include <atomic>
 #include <cstdint>
 #include <memory>
 #include <vector>
 
+#include "common/annotations.hh"
 #include "common/arena.hh"
 #include "common/image.hh"
 #include "common/types.hh"
@@ -33,7 +35,7 @@ namespace pargpu
 
 /**
  * One cluster's shard of a frame's fragment-phase work. Tile t belongs
- * to cluster `t % clusters` on every schedule, so the per-cluster metrics
+ * to cluster `t % clusters` for any worker count, so the per-cluster metrics
  * and the imbalance scalar are comparable across execution modes.
  */
 struct ClusterStats
@@ -158,7 +160,7 @@ struct QuadLog
     Cycle pre_cycles = 0;         ///< Raster cycles up to and incl. self.
     Cycle work = 0;               ///< TU address + filter cycles.
     std::uint32_t line_begin = 0; ///< Distinct lines, first-touch order:
-    std::uint32_t line_end = 0;   ///< a range of the worker's line log.
+    std::uint32_t line_end = 0;   ///< a range of the slot's line log.
 };
 
 /**
@@ -172,15 +174,15 @@ struct MissQuad
 {
     Cycle pre_cycles = 0;
     Cycle work = 0;               ///< TU address + filter cycles.
-    std::uint32_t miss_begin = 0; ///< L1 misses: a range of the cluster
-    std::uint32_t miss_end = 0;   ///< front's miss log.
+    std::uint32_t miss_begin = 0; ///< L1 misses: a range of the slot's
+    std::uint32_t miss_end = 0;   ///< miss-line log.
 };
 
 /**
- * One cluster's phase-2 state, read by the phase-3 commit: its L1 front
- * (with the miss log) and the quads that missed, in row-major tile
- * order. Cache-line aligned, because under the pooled schedule
- * neighbouring clusters replay concurrently on different workers.
+ * One cluster's L1-replay drain: its L1 front, the next of its tiles
+ * to replay (row-major; past the last tile once all are replayed) and
+ * the try-lock a worker holds while it drains. Cache-line aligned,
+ * because neighbouring clusters drain concurrently on different workers.
  */
 struct alignas(64) ClusterReplay
 {
@@ -189,17 +191,13 @@ struct alignas(64) ClusterReplay
     }
 
     ClusterMemFront front;
-    std::vector<MissQuad> miss_quads;
+    std::atomic<std::size_t> next{0};
+    std::atomic<bool> held{false};
 };
 
-/** Phase-1 record of one non-empty tile. */
+/** One tile's stat deltas and the cycles after its last committed quad. */
 struct TileLog
 {
-    std::uint32_t worker = 0;      ///< TileWorker that logged the tile.
-    std::uint32_t quad_begin = 0;  ///< Range into that worker's quads.
-    std::uint32_t quad_end = 0;
-    std::uint32_t miss_quad_begin = 0; ///< Phase 2: range into the
-    std::uint32_t miss_quad_end = 0;   ///< cluster's MissQuad list.
     Cycle tail_cycles = 0;         ///< Cycles after the last quad left
                                    ///< for the commit (phase 1: raster;
                                    ///< phase 2 adds resolved quads).
@@ -213,24 +211,20 @@ struct TileLog
 };
 
 /**
- * One host worker's phase-1 state: a scratch texture unit (memo, line
- * set, arena, SoA filter; its stats are zeroed per tile and read back
- * as the tile's deltas) plus the quad and line logs of the tiles the
- * worker ran in the current draw (the current tile, when one worker
- * streams the frame). A worker is not a simulated cluster: it runs
- * whichever tiles it claims. Owned by the simulator so the logs keep
- * their capacity across draws and frames.
+ * One busy tile on its way from log to commit: its TileLog, phase 1's
+ * quad and line logs, and phase 2's quads that missed the L1 with their
+ * miss lines. A worker takes a slot from the simulator's free list when
+ * it starts logging a tile, and the commit returns it, so the live
+ * slots are the tiles between the commit frontier and the newest logged
+ * tile. Slots keep their capacity across tiles, draws and frames.
  */
-struct TileWorker
+struct TileSlot
 {
-    TileWorker(const GpuConfig &config, MemorySystem &mem)
-        : tu(config, 0, mem)
-    {
-    }
-
-    TextureUnit tu;
+    TileLog log;
     std::vector<QuadLog> quads;
     std::vector<Addr> lines;
+    std::vector<MissQuad> miss_quads;
+    std::vector<Addr> miss_lines;
 };
 
 } // namespace detail
@@ -283,17 +277,24 @@ class GpuSimulator
     BumpArena bin_arena_;
     /**
      * Fragment-phase state, persistent across frames so the vectors keep
-     * their steady-state capacity: one TileWorker per host worker, one
-     * ClusterReplay per cluster, the TileLog slots and the draw's
-     * non-empty tiles. The constructor builds what one worker needs (one
-     * worker, one log slot); the first pooled frame adds a worker per
-     * host thread and a slot per tile. Never arena-backed (the pooled
-     * schedule's share would make the arena.* counters differ between
-     * execution modes).
+     * their capacity: one scratch texture unit per host worker (a worker
+     * is not a simulated cluster: it logs whichever tiles it claims), one
+     * replay drain per cluster, the tile slots with their free list and
+     * the draw's peak of live slots, each busy tile's slot once it is
+     * logged, and the draw's busy tiles. The constructor builds what one
+     * worker needs (one unit, one reserved slot); a tile-parallel frame
+     * adds a unit per host thread, and slots only when every slot is in
+     * flight. Never arena-backed (the arena.* counters must not depend
+     * on the worker count).
      */
-    std::vector<std::unique_ptr<detail::TileWorker>> workers_;
-    std::vector<detail::ClusterReplay> replays_;
-    std::vector<detail::TileLog> tile_logs_;
+    std::vector<std::unique_ptr<TextureUnit>> worker_tus_;
+    std::vector<std::unique_ptr<detail::ClusterReplay>> replays_;
+    Mutex slot_mu_;
+    std::vector<std::unique_ptr<detail::TileSlot>> slots_
+        PARGPU_GUARDED_BY(slot_mu_);
+    std::vector<detail::TileSlot *> free_slots_ PARGPU_GUARDED_BY(slot_mu_);
+    std::size_t slots_peak_ PARGPU_GUARDED_BY(slot_mu_) = 0;
+    std::vector<std::atomic<detail::TileSlot *>> tile_slots_;
     std::vector<std::uint32_t> busy_tiles_;
 };
 

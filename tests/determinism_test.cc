@@ -7,7 +7,11 @@
  * exactly.
  */
 
+#include <algorithm>
+#include <cmath>
+#include <memory>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -18,6 +22,7 @@
 #include "harness/session.hh"
 #include "sim/pipeline.hh"
 #include "simd/dispatch.hh"
+#include "texture/procedural.hh"
 
 using namespace pargpu;
 
@@ -434,11 +439,10 @@ TEST(Determinism, ArenaTimesTierMatrix)
 }
 
 // --- Tile pass matrix --------------------------------------------------
-// The three-phase tile pass decouples host workers from simulated
-// clusters: the pooled schedule on any worker count (fewer, as many as,
-// or more than the clusters) with any cluster count and kernel tier must
-// reproduce the streamed one-worker schedule of a serial frame exactly —
-// images, FrameStats and the exported registry.
+// The tile stream decouples host workers from simulated clusters: any
+// worker count (fewer, as many as, or more than the clusters) with any
+// cluster count and kernel tier must reproduce the one-worker stream of
+// a serial frame exactly — images, FrameStats and the exported registry.
 
 namespace
 {
@@ -485,6 +489,103 @@ TEST(Determinism, TilePassWorkersTimesClustersTimesTier)
         }
     }
     simd::setActiveTier(saved);
+}
+
+namespace
+{
+
+constexpr float kFovy = 1.0f;
+
+/**
+ * Append a camera-facing rectangle spanning pixels [x0, x1) x [y0, y1)
+ * of a w x h viewport at @p depth in front of overdrawCamera().
+ */
+void
+addScreenRect(Mesh &m, int w, int h, float x0, float y0, float x1,
+              float y1, float depth)
+{
+    const float t = std::tan(kFovy / 2) * depth;
+    const auto at = [&](float px, float py) {
+        return Vec3{(2 * px / w - 1) * t * w / h, (1 - 2 * py / h) * t,
+                    -depth};
+    };
+    const auto base = static_cast<std::uint32_t>(m.vertices.size());
+    m.vertices.push_back({at(x0, y0), {0, 0}});
+    m.vertices.push_back({at(x1, y0), {6, 0}});
+    m.vertices.push_back({at(x1, y1), {6, 5}});
+    m.vertices.push_back({at(x0, y1), {0, 5}});
+    for (std::uint32_t i : {0u, 1u, 2u, 0u, 2u, 3u})
+        m.indices.push_back(base + i);
+}
+
+/**
+ * One frame whose first busy tiles carry deep overdraw: a full-screen
+ * rectangle, then 64 nearer layers over the top-left 40x20 pixels (each
+ * passes early-Z, so every layer shades), in one draw; then a second
+ * draw over the bottom half. With several workers the tiles behind the
+ * deep ones log while the deep ones still run, so the commit frontier
+ * lags and many tile slots are in flight.
+ */
+GameTrace
+overdrawTrace()
+{
+    GameTrace trace;
+    trace.name = "overdraw";
+    trace.width = 128;
+    trace.height = 96;
+    const int tex = trace.scene.addTexture(std::make_unique<TextureMap>(
+        128, 128, generateTexture(TextureKind::Checker, 128, 3)));
+    DrawCall deep;
+    deep.mesh.texture_id = tex;
+    deep.backface_cull = false;
+    addScreenRect(deep.mesh, 128, 96, 0, 0, 128, 96, 50);
+    for (int layer = 0; layer < 64; ++layer)
+        addScreenRect(deep.mesh, 128, 96, 0, 0, 40, 20,
+                      40.0f - 0.5f * static_cast<float>(layer));
+    trace.scene.draws.push_back(std::move(deep));
+    DrawCall half;
+    half.mesh.texture_id = tex;
+    half.backface_cull = false;
+    addScreenRect(half.mesh, 128, 96, 0, 48, 128, 96, 20);
+    trace.scene.draws.push_back(std::move(half));
+    Camera cam;
+    cam.view = Mat4::lookAt({0, 0, 0}, {0, 0, -1}, {0, 1, 0});
+    cam.proj = Mat4::perspective(kFovy, 128.0f / 96.0f, 0.1f, 100.0f);
+    trace.cameras.push_back(cam);
+    return trace;
+}
+
+} // namespace
+
+TEST(Determinism, TileStreamWithLaggingCommitFrontier)
+{
+    Session session;
+    const GameTrace trace = overdrawTrace();
+    const unsigned nproc = std::max(1u, std::thread::hardware_concurrency());
+    for (unsigned clusters : {1u, 3u, 8u}) {
+        SCOPED_TRACE(testing::Message() << "clusters " << clusters);
+        RunConfig serial_cfg;
+        serial_cfg.scenario = DesignScenario::Patu;
+        serial_cfg.threshold = 0.4f;
+        serial_cfg.threads = 1;
+        serial_cfg.clusters = clusters;
+        const RunResult ref = session.run(trace, serial_cfg);
+        ASSERT_EQ(ref.frames.size(), 1u);
+        // The deep tiles really are deep: every layer shades.
+        EXPECT_GT(ref.frames[0].pixels_shaded, 64u * 40u * 20u);
+        const std::string ref_json = registryJson(ref);
+
+        RunConfig tile_cfg = serial_cfg;
+        tile_cfg.tile_parallel = true;
+        for (unsigned workers : {2u, 3u, nproc}) {
+            SCOPED_TRACE(testing::Message() << "workers " << workers);
+            ThreadPool::setDefaultThreads(workers);
+            const RunResult got = session.run(trace, tile_cfg);
+            ThreadPool::setDefaultThreads(0);
+            expectRunsEqual(ref, got);
+            EXPECT_EQ(ref_json, registryJson(got));
+        }
+    }
 }
 
 TEST(Determinism, ArenaCountersPinned)

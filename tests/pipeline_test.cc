@@ -6,6 +6,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
+#include <cstring>
+#include <memory>
+#include <vector>
+
 #include "common/threadpool.hh"
 #include "scenes/meshes.hh"
 #include "sim/pipeline.hh"
@@ -49,6 +55,108 @@ configFor(DesignScenario s, float threshold = 0.4f)
     c.patu.scenario = s;
     c.patu.threshold = threshold;
     return c;
+}
+
+constexpr float kFovy = 1.0f;
+
+/** Camera at the origin looking down -z, for addScreenRect(). */
+Camera
+screenCamera(int w, int h)
+{
+    Camera cam;
+    cam.view = Mat4::lookAt({0, 0, 0}, {0, 0, -1}, {0, 1, 0});
+    cam.proj = Mat4::perspective(kFovy, static_cast<float>(w) / h, 0.1f,
+                                 100.0f);
+    return cam;
+}
+
+/**
+ * A draw of one camera-facing rectangle spanning pixels [x0, x1) x
+ * [y0, y1) of a w x h viewport at @p depth in front of screenCamera().
+ */
+DrawCall
+screenRect(int w, int h, float x0, float y0, float x1, float y1,
+           float depth)
+{
+    const float t = std::tan(kFovy / 2) * depth;
+    const auto at = [&](float px, float py) {
+        return Vec3{(2 * px / w - 1) * t * w / h, (1 - 2 * py / h) * t,
+                    -depth};
+    };
+    DrawCall d;
+    d.backface_cull = false;
+    d.mesh.vertices = {{at(x0, y0), {0, 0}}, {at(x1, y0), {3, 0}},
+                       {at(x1, y1), {3, 3}}, {at(x0, y1), {0, 3}}};
+    d.mesh.indices = {0, 1, 2, 0, 2, 3};
+    return d;
+}
+
+/** The scene's one texture: a 128x128 checker. */
+Scene
+checkerScene()
+{
+    Scene scene;
+    scene.addTexture(std::make_unique<TextureMap>(
+        128, 128, generateTexture(TextureKind::Checker, 128, 3)));
+    return scene;
+}
+
+std::uint64_t
+tilesOf(const FrameStats &s)
+{
+    std::uint64_t tiles = 0;
+    for (const ClusterStats &c : s.clusters)
+        tiles += c.tiles;
+    return tiles;
+}
+
+/**
+ * Render @p scene serially, then tile-parallel at 2, 3 and 4 workers,
+ * and expect every frame to match the serial one bit for bit.
+ */
+FrameOutput
+expectTileParallelMatchesSerial(const Scene &scene, int w, int h)
+{
+    GpuConfig cfg = configFor(DesignScenario::Patu);
+    GpuSimulator serial(cfg);
+    FrameOutput ref = serial.renderFrame(scene, screenCamera(w, h), w, h);
+    cfg.tile_parallel = true;
+    GpuSimulator tiled(cfg);
+    for (unsigned workers : {2u, 3u, 4u}) {
+        SCOPED_TRACE(testing::Message() << "workers " << workers);
+        ThreadPool::setDefaultThreads(workers);
+        const FrameOutput got =
+            tiled.renderFrame(scene, screenCamera(w, h), w, h);
+        ThreadPool::setDefaultThreads(0);
+        EXPECT_EQ(ref.stats.total_cycles, got.stats.total_cycles);
+        EXPECT_EQ(ref.stats.pixels_shaded, got.stats.pixels_shaded);
+        EXPECT_EQ(ref.stats.texels, got.stats.texels);
+        EXPECT_EQ(ref.stats.texture_mem_stall, got.stats.texture_mem_stall);
+        EXPECT_EQ(ref.stats.fb_simd_fills, got.stats.fb_simd_fills);
+        EXPECT_EQ(ref.stats.shader_busy_cycles,
+                  got.stats.shader_busy_cycles);
+        EXPECT_EQ(ref.stats.l1_misses, got.stats.l1_misses);
+        EXPECT_EQ(ref.stats.llc_misses, got.stats.llc_misses);
+        EXPECT_EQ(ref.stats.dram_row_hits, got.stats.dram_row_hits);
+        EXPECT_EQ(ref.stats.totalTraffic(), got.stats.totalTraffic());
+        EXPECT_EQ(ref.stats.arena_frame_bytes, got.stats.arena_frame_bytes);
+        EXPECT_EQ(ref.stats.clusters.size(), got.stats.clusters.size());
+        for (std::size_t c = 0; c < std::min(ref.stats.clusters.size(),
+                                             got.stats.clusters.size());
+             ++c) {
+            EXPECT_EQ(ref.stats.clusters[c].tiles,
+                      got.stats.clusters[c].tiles);
+            EXPECT_EQ(ref.stats.clusters[c].cycles,
+                      got.stats.clusters[c].cycles);
+        }
+        // Bitwise: the stream must do the serial frame's arithmetic.
+        const std::vector<Color4f> &a = ref.image.pixels();
+        const std::vector<Color4f> &b = got.image.pixels();
+        EXPECT_TRUE(a.size() == b.size() &&
+                    std::memcmp(a.data(), b.data(),
+                                a.size() * sizeof(Color4f)) == 0);
+    }
+    return ref;
 }
 
 } // namespace
@@ -243,6 +351,36 @@ TEST(PipelineTest, TilePassMatchesSerialWithEveryFetchExposed)
         EXPECT_EQ(a.stats.clusters[c].mem_stall,
                   b.stats.clusters[c].mem_stall);
     }
+}
+
+TEST(PipelineTest, DrawWithOneBusyTile)
+{
+    // An 8x8 rectangle inside one 16x16 tile: the draw's stream has a
+    // single tile, so one worker logs, replays and commits it whatever
+    // the worker count.
+    Scene scene = checkerScene();
+    scene.draws.push_back(screenRect(64, 64, 36, 20, 44, 28, 10));
+    const FrameOutput out = expectTileParallelMatchesSerial(scene, 64, 64);
+    EXPECT_EQ(tilesOf(out.stats), 1u);
+    EXPECT_GT(out.stats.pixels_shaded, 0u);
+    EXPECT_LE(out.stats.pixels_shaded, 16u * 16u);
+}
+
+TEST(PipelineTest, EmptyAndBusyDrawsInterleave)
+{
+    // Draws without busy tiles (no triangles; entirely off screen)
+    // between busy ones: the empty draws start no stream, and the busy
+    // draws still see each other's depth and colour.
+    Scene scene = checkerScene();
+    scene.draws.emplace_back();
+    scene.draws.push_back(screenRect(64, 48, 0, 0, 40, 30, 20));
+    scene.draws.push_back(screenRect(64, 48, 100, 0, 140, 30, 20));
+    scene.draws.push_back(screenRect(64, 48, 24, 16, 64, 48, 10));
+    scene.draws.emplace_back();
+    const FrameOutput out = expectTileParallelMatchesSerial(scene, 64, 48);
+    // Tiles are 16x16: 3x2 for the first rectangle, 3x3 for the second.
+    EXPECT_EQ(tilesOf(out.stats), 15u);
+    EXPECT_EQ(out.stats.triangles_setup, 4u);
 }
 
 TEST(PipelineDeathTest, RejectsBadViewport)

@@ -14,6 +14,7 @@
 #include <vector>
 
 #include "common/json.hh"
+#include "common/threadpool.hh"
 #include "common/tracing.hh"
 #include "harness/session.hh"
 #include "trace/trace.hh"
@@ -263,6 +264,53 @@ TEST(TracingTest, SubmittedJobRecordsDispatchSpan)
         EXPECT_LE((*f)["ts"].number() + (*f)["dur"].number(),
                   pass["ts"].number() + pass["dur"].number());
     }
+}
+
+TEST(TracingTest, OneWorkerFrameRecordsTileStream)
+{
+    TracingGuard guard;
+    Session session;
+    RunConfig cfg;
+    cfg.keep_images = false;
+    cfg.threads = 1;
+    // One pool thread: a one-worker frame even under
+    // PARGPU_TILE_PARALLEL=1.
+    ThreadPool::setDefaultThreads(1);
+    Tracing::enable();
+    const RunResult r = session.run(tinyTrace(), cfg);
+    Tracing::disable();
+    ThreadPool::setDefaultThreads(0);
+
+    std::ostringstream os;
+    Tracing::writeJson(os);
+    Json doc = Json::parse(os.str());
+    std::size_t spans = 0, counters = 0;
+    double logged = 0;
+    for (const Json &e : doc["traceEvents"].items()) {
+        if (e["cat"].str() != "sim")
+            continue;
+        const std::string name = e["name"].str();
+        EXPECT_NE(name, "l1");
+        EXPECT_NE(name, "commit");
+        if (name == "tiles") {
+            EXPECT_EQ(e["ph"].str(), "X");
+            logged += e["args"]["value"].number();
+            ++spans;
+        } else if (name == "tiles.in_flight") {
+            // One worker streams each tile through one slot.
+            EXPECT_DOUBLE_EQ(e["args"]["value"].number(), 1.0);
+            ++counters;
+        }
+    }
+    // One tiles span and one in-flight sample per draw with busy tiles;
+    // the spans' values add up to every tile the frames processed.
+    std::uint64_t tiles = 0;
+    for (const FrameStats &f : r.frames)
+        for (const ClusterStats &c : f.clusters)
+            tiles += c.tiles;
+    EXPECT_GT(spans, 0u);
+    EXPECT_EQ(spans, counters);
+    EXPECT_DOUBLE_EQ(logged, static_cast<double>(tiles));
 }
 
 #endif // PARGPU_TRACING_DISABLED
