@@ -51,6 +51,7 @@ camera(int w, int h)
 int
 main()
 {
+    applyEnvironment();
     banner("Extension", "BC1 texture compression x PATU orthogonality");
 
     const int w = scaleDim(1280), h = scaleDim(1024);

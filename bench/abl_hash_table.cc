@@ -19,6 +19,7 @@ using namespace pargpu::bench;
 int
 main()
 {
+    applyEnvironment();
     Session session;
     banner("Ablation", "PATU hash-table capacity (baseline: 16 entries)");
 

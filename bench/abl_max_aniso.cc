@@ -17,6 +17,7 @@ using namespace pargpu::bench;
 int
 main()
 {
+    applyEnvironment();
     Session session;
     banner("Ablation", "global max-AF level vs per-pixel PATU");
 

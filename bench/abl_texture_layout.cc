@@ -49,6 +49,7 @@ camera(int w, int h)
 int
 main()
 {
+    applyEnvironment();
     banner("Ablation", "texel layout: 4x4 tiled vs linear");
 
     const int w = scaleDim(1280), h = scaleDim(1024);

@@ -17,6 +17,7 @@ using namespace pargpu::bench;
 int
 main()
 {
+    applyEnvironment();
     banner("Extension", "stereo (multi-view VR) rendering");
 
     GameTrace trace = buildGameTrace(GameId::Ut3, scaleDim(1280),

@@ -7,7 +7,8 @@
  * run at half linear resolution with 2 frames per game (relative results
  * are resolution-stable; see EXPERIMENTS.md). Set PARGPU_FULLRES=1 for
  * the paper's native resolutions and PARGPU_FRAMES=n to change the frame
- * count.
+ * count. The simulator's own PARGPU_* variables apply through
+ * applyEnvironment().
  */
 
 #ifndef PARGPU_BENCH_BENCH_UTIL_HH
@@ -24,6 +25,21 @@
 
 namespace pargpu::bench
 {
+
+/**
+ * Apply the PARGPU_* environment (PARGPU_THREADS, PARGPU_SIMD, ...; see
+ * parseEnvironment()). Every bench that renders calls this first, before
+ * it builds a config; an invalid value exits 1 with the parser's message.
+ */
+inline void
+applyEnvironment()
+{
+    const Status env = parseEnvironment(processEnvironment());
+    if (env.ok())
+        return;
+    std::fprintf(stderr, "fatal: %s\n", env.message.c_str());
+    std::exit(1);
+}
 
 /** True when PARGPU_FULLRES=1: use the paper's native resolutions. */
 inline bool

@@ -15,6 +15,7 @@ using namespace pargpu::bench;
 int
 main()
 {
+    applyEnvironment();
     Session session;
     banner("Figure 4", "R.Bench fps on 2K/4K with AF on vs off");
 

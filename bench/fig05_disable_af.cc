@@ -13,6 +13,7 @@ using namespace pargpu::bench;
 int
 main()
 {
+    applyEnvironment();
     Session session;
     banner("Figure 5", "speedup / energy reduction with AF disabled");
 

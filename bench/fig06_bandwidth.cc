@@ -16,6 +16,7 @@ using namespace pargpu::bench;
 int
 main()
 {
+    applyEnvironment();
     Session session;
     banner("Figure 6", "memory bandwidth breakdown, AF on vs off");
 

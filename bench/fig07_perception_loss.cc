@@ -13,6 +13,7 @@ using namespace pargpu::bench;
 int
 main()
 {
+    applyEnvironment();
     Session session;
     banner("Figure 7", "MSSIM loss when AF is disabled");
 

@@ -15,6 +15,7 @@ using namespace pargpu::bench;
 int
 main()
 {
+    applyEnvironment();
     Session session;
     banner("Figure 8", "SSIM index map of AF-on vs AF-off (HL2)");
 

@@ -13,6 +13,7 @@ using namespace pargpu::bench;
 int
 main()
 {
+    applyEnvironment();
     Session session;
     banner("Figure 12", "AF input samples sharing texel sets with TF");
 

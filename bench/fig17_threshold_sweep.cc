@@ -25,6 +25,7 @@ using namespace pargpu::bench;
 int
 main()
 {
+    applyEnvironment();
     Session session;
     banner("Figure 17", "threshold sweep: speedup vs MSSIM, per game");
 

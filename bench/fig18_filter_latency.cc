@@ -14,6 +14,7 @@ using namespace pargpu::bench;
 int
 main()
 {
+    applyEnvironment();
     Session session;
     banner("Figure 18", "normalized texture filtering latency");
 

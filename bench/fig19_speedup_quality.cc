@@ -15,6 +15,7 @@ using namespace pargpu::bench;
 int
 main()
 {
+    applyEnvironment();
     Session session;
     banner("Figure 19", "overall speedup and MSSIM per design scenario");
 

@@ -15,6 +15,7 @@ using namespace pargpu::bench;
 int
 main()
 {
+    applyEnvironment();
     Session session;
     banner("Figure 20", "normalized GPU energy (incl. DRAM)");
 

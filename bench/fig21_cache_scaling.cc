@@ -16,6 +16,7 @@ using namespace pargpu::bench;
 int
 main()
 {
+    applyEnvironment();
     Session session;
     banner("Figure 21", "cache scaling with and without PATU");
 

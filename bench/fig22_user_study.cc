@@ -16,6 +16,7 @@ using namespace pargpu::bench;
 int
 main()
 {
+    applyEnvironment();
     Session session;
     banner("Figure 22", "user satisfaction over thresholds (simulated)");
 

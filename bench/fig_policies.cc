@@ -63,6 +63,7 @@ totalOf(const RunResult &run, std::uint64_t FrameStats::*field)
 int
 main()
 {
+    applyEnvironment();
     Session session;
     banner("FilterPolicy comparison",
            "quality vs. texel fetches vs. energy per filter policy");

@@ -70,6 +70,7 @@ runsIdentical(const RunResult &a, const RunResult &b)
 int
 main()
 {
+    applyEnvironment();
     Session session;
     banner("Perf raster",
            "raster-bound scenario (NoAF), one run per SIMD tier");

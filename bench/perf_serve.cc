@@ -32,6 +32,7 @@
 #include <string>
 #include <vector>
 
+#include "bench_util.hh"
 #include "pargpu/session.hh"
 
 using namespace pargpu;
@@ -116,6 +117,7 @@ serveOnce(const std::string &requests)
 int
 main()
 {
+    bench::applyEnvironment();
     std::printf("=============================================="
                 "========================\n");
     std::printf("Perf serve: persistent session vs fresh "

@@ -50,6 +50,7 @@ seconds(std::chrono::steady_clock::time_point t0,
 int
 main()
 {
+    applyEnvironment();
     Session session;
     banner("Perf smoke", "Session::run wall-clock, 1 vs N threads");
 

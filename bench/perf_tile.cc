@@ -72,6 +72,7 @@ runsIdentical(const RunResult &a, const RunResult &b)
 int
 main()
 {
+    applyEnvironment();
     Session session;
     banner("Perf tile",
            "intra-frame tile parallelism, serial vs 1/2/4/8 workers");

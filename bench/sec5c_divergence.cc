@@ -13,6 +13,7 @@ using namespace pargpu::bench;
 int
 main()
 {
+    applyEnvironment();
     Session session;
     banner("Section V-C(1)", "PATU decision divergence within quads");
 

@@ -15,6 +15,7 @@ using namespace pargpu::bench;
 int
 main()
 {
+    applyEnvironment();
     banner("Analysis", "anisotropy-degree distribution per game");
 
     for (const Workload &w : paperWorkloads()) {

@@ -11,8 +11,11 @@
  *                 [--frames N] [--tc-scale S] [--llc-scale S]
  *                 [--threads N] [--stereo] [--dump-ppm PREFIX]
  *
- * --threads N (or PARGPU_THREADS=N) renders frames N-wide in parallel;
- * results are bit-identical to a serial run.
+ * --threads N renders frames N-wide in parallel; results are
+ * bit-identical to a serial run. This example reads no environment:
+ * PARGPU_THREADS and the other PARGPU_* variables apply only where an
+ * entry point calls parseEnvironment() (pargpu_harness, pargpu_serve,
+ * the tests and the benches).
  */
 
 #include <cstdio>

@@ -3,7 +3,8 @@
  * pargpu public API — deterministic parallelism.
  *
  * Re-exports the ThreadPool used for frame/config-level parallelism
- * (PARGPU_THREADS, setDefaultThreads, parallel-for).
+ * (setBaseThreads, which PARGPU_THREADS sets through parseEnvironment();
+ * setDefaultThreads; parallel-for).
  */
 
 #ifndef PARGPU_THREADING_HH

@@ -14,8 +14,7 @@
  * values without any formatting cost on the non-failing path.
  *
  * Every macro expansion owns one registered ContractSite whose evaluation
- * count feeds the ContractStats report (see statsReport()); the harness
- * dumps it at exit when PARGPU_CONTRACT_REPORT is set in the environment.
+ * count feeds the ContractStats report (see stats() and statsReport()).
  *
  * Checks are compiled in when PARGPU_CHECKS is defined (the
  * -DPARGPU_CHECKS=ON CMake option) or in Debug builds (NDEBUG unset), and
@@ -135,8 +134,7 @@ void resetStats();
 
 /**
  * Write a human-readable ContractStats table to @p os (sites that never
- * evaluated are summarized, not listed). Used by the harness's
- * PARGPU_CONTRACT_REPORT hook and by scripts/check.sh.
+ * evaluated are summarized, not listed).
  */
 void statsReport(std::ostream &os);
 

@@ -2,10 +2,7 @@
 
 #include <algorithm>
 #include <atomic>
-#include <charconv>
 #include <condition_variable>
-#include <cstdlib>
-#include <cstring>
 #include <deque>
 #include <exception>
 #include <memory>
@@ -25,30 +22,7 @@ namespace
 thread_local bool tl_in_worker = false;
 
 std::atomic<unsigned> g_default_override{0};
-
-/** Largest PARGPU_THREADS value accepted. */
-constexpr unsigned kMaxEnvThreads = 4096;
-
-/**
- * PARGPU_THREADS as a thread count; 0 when unset, empty or "0" (one
- * thread per core). Anything but a whole number in [0, kMaxEnvThreads]
- * is fatal.
- */
-unsigned
-envThreads()
-{
-    const char *v = std::getenv("PARGPU_THREADS");
-    if (v == nullptr || v[0] == '\0')
-        return 0;
-    const char *end = v + std::strlen(v);
-    unsigned n = 0;
-    const std::from_chars_result r = std::from_chars(v, end, n);
-    if (r.ec != std::errc() || r.ptr != end || n > kMaxEnvThreads)
-        fatal("PARGPU_THREADS must be a whole number in [0, " +
-              std::to_string(kMaxEnvThreads) +
-              "] (0 or unset: one per core), got '" + v + "'");
-    return n;
-}
+std::atomic<unsigned> g_base_threads{0};
 
 } // namespace
 
@@ -254,9 +228,9 @@ ThreadPool::defaultThreads()
     unsigned o = g_default_override.load(std::memory_order_relaxed);
     if (o > 0)
         return o;
-    static const unsigned env_threads = envThreads();
-    if (env_threads > 0)
-        return env_threads;
+    unsigned base = g_base_threads.load(std::memory_order_relaxed);
+    if (base > 0)
+        return base;
     unsigned hw = std::thread::hardware_concurrency();
     return hw > 0 ? hw : 1;
 }
@@ -265,6 +239,12 @@ void
 ThreadPool::setDefaultThreads(unsigned n)
 {
     g_default_override.store(n, std::memory_order_relaxed);
+}
+
+void
+ThreadPool::setBaseThreads(unsigned n)
+{
+    g_base_threads.store(n, std::memory_order_relaxed);
 }
 
 ThreadPool &

@@ -18,11 +18,11 @@
  *    that worker, so nested parallelism can never deadlock and never
  *    changes results.
  *
- * The default concurrency comes from the PARGPU_THREADS environment
- * variable (a whole number in [0, 4096]; anything else is fatal), falling
- * back to std::thread::hardware_concurrency() when it is unset or 0;
- * benches and the CLI can override it per process (setDefaultThreads) or
- * per call. Failing to start a worker thread is fatal as well.
+ * The default concurrency is the process base (setBaseThreads(), which
+ * PARGPU_THREADS sets through parseEnvironment()) or, when that is 0,
+ * std::thread::hardware_concurrency(); benches, tests and the CLI can
+ * override it per process (setDefaultThreads) or per call. Failing to
+ * start a worker thread is fatal.
  */
 
 #ifndef PARGPU_COMMON_THREADPOOL_HH
@@ -76,15 +76,17 @@ class ThreadPool
     // --- Process-wide default pool --------------------------------------
 
     /**
-     * Default concurrency: setDefaultThreads() override if set, else
-     * PARGPU_THREADS if set and nonzero, else hardware_concurrency();
-     * always >= 1. A PARGPU_THREADS value that is not a whole number in
-     * [0, 4096] is fatal on the first call.
+     * Default concurrency: the setDefaultThreads() override if set, else
+     * the setBaseThreads() base if set, else hardware_concurrency();
+     * always >= 1.
      */
     static unsigned defaultThreads();
 
-    /** Override defaultThreads() for this process (0 = back to env/hw). */
+    /** Override defaultThreads() for this process (0 = back to base). */
     static void setDefaultThreads(unsigned n);
+
+    /** The process base under any override (0 = hardware). */
+    static void setBaseThreads(unsigned n);
 
     /** Lazily-created shared pool (grows on demand, never shrinks). */
     static ThreadPool &global();

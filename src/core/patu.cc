@@ -6,22 +6,47 @@
 namespace pargpu
 {
 
+std::span<const ScenarioDesc>
+scenarioRegistry()
+{
+    static const ScenarioDesc kScenarios[] = {
+        {DesignScenario::Baseline, "baseline", "Baseline"},
+        {DesignScenario::NoAF, "noaf", "No-AF"},
+        {DesignScenario::AfSsimN, "n", "AF-SSIM(N)"},
+        {DesignScenario::AfSsimNTxds, "ntxds", "AF-SSIM(N)+(Txds)"},
+        {DesignScenario::Patu, "patu", "PATU"},
+    };
+    return kScenarios;
+}
+
 const char *
 scenarioName(DesignScenario s)
 {
-    switch (s) {
-      case DesignScenario::Baseline:
-        return "Baseline";
-      case DesignScenario::NoAF:
-        return "No-AF";
-      case DesignScenario::AfSsimN:
-        return "AF-SSIM(N)";
-      case DesignScenario::AfSsimNTxds:
-        return "AF-SSIM(N)+(Txds)";
-      case DesignScenario::Patu:
-        return "PATU";
-    }
+    for (const ScenarioDesc &d : scenarioRegistry())
+        if (d.id == s)
+            return d.label;
     return "?";
+}
+
+const char *
+scenarioMetricName(DesignScenario s)
+{
+    for (const ScenarioDesc &d : scenarioRegistry())
+        if (d.id == s)
+            return d.name;
+    return "unknown";
+}
+
+bool
+parseScenarioName(std::string_view name, DesignScenario &out)
+{
+    for (const ScenarioDesc &d : scenarioRegistry()) {
+        if (name == d.name) {
+            out = d.id;
+            return true;
+        }
+    }
+    return false;
 }
 
 float

@@ -24,6 +24,7 @@
 #include <cstdint>
 #include <span>
 #include <string>
+#include <string_view>
 
 #include "common/stats.hh"
 #include "core/hashtable.hh"
@@ -42,8 +43,25 @@ enum class DesignScenario
     Patu,        ///< Both predictions + LOD-shift elimination.
 };
 
-/** Human-readable scenario name for report tables. */
+/** A design scenario's two spellings. */
+struct ScenarioDesc
+{
+    DesignScenario id;
+    const char *name;  ///< Metrics, CLI and serve name ("patu", ...).
+    const char *label; ///< Report-table label ("PATU", ...).
+};
+
+/** Every scenario, in enum order. */
+std::span<const ScenarioDesc> scenarioRegistry();
+
+/** Report-table label ("PATU"). */
 const char *scenarioName(DesignScenario s);
+
+/** Metrics, CLI and serve name ("patu"). */
+const char *scenarioMetricName(DesignScenario s);
+
+/** Parse a scenarioMetricName(); false (out untouched) when unknown. */
+bool parseScenarioName(std::string_view name, DesignScenario &out);
 
 /** PATU configuration knobs. */
 struct PatuConfig

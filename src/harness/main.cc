@@ -11,19 +11,8 @@
  *   --metrics-*  structured metric exports
  *   --trace-*    chrome://tracing profile capture
  *
- * Usage:
- *   pargpu_harness [--run-game hl2|doom3|grid|nfs|stal|ut3|wolf|rbench]
- *                  [--run-scenario baseline|noaf|n|ntxds|patu]
- *                  [--run-threshold T] [--run-width W] [--run-height H]
- *                  [--run-frames N] [--run-tc-scale S] [--run-llc-scale S]
- *                  [--run-max-aniso A] [--run-table-entries E]
- *                  [--run-threads N] [--run-tile-parallel]
- *                  [--run-clusters C]
- *                  [--run-filter-policy patu|stf_uniform|stf_blue|
- *                                       stf_weighted|filter_after_shading]
- *                  [--run-reference baseline|noaf|n|ntxds|patu]
- *                  [--metrics-json FILE] [--metrics-csv FILE]
- *                  [--trace-out FILE] [--quiet]
+ * `pargpu_harness --help` lists every flag (usage() below). The PARGPU_*
+ * environment applies after the flags parse (parseEnvironment()).
  *
  * Numeric values must parse whole and fit their field; anything else
  * (`abc`, `32x`) exits 2 with "invalid value '<v>' for <flag>". The
@@ -40,8 +29,10 @@
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
+#include <optional>
 #include <string>
 
+#include "common/logging.hh"
 #include "common/threadpool.hh"
 #include "common/tracing.hh"
 #include "harness/metrics.hh"
@@ -58,6 +49,8 @@ struct Options
 {
     GameId game = GameId::HL2;
     RunConfig run;
+    /** --run-filter-policy; unset: defaultFilterPolicy(). */
+    std::optional<FilterPolicyId> filter_policy;
     int width = 640;
     int height = 512;
     int frames = 2;
@@ -105,12 +98,18 @@ parseFilterPolicyOrDie(const std::string &v)
 void
 usage()
 {
+    std::string scenarios;
+    for (const ScenarioDesc &d : scenarioRegistry()) {
+        if (!scenarios.empty())
+            scenarios += "|";
+        scenarios += d.name;
+    }
     std::printf(
         "pargpu_harness: render a workload and export structured "
         "metrics\n"
         "run condition:\n"
         "  --run-game hl2|doom3|grid|nfs|stal|ut3|wolf|rbench\n"
-        "  --run-scenario baseline|noaf|n|ntxds|patu\n"
+        "  --run-scenario %s\n"
         "  --run-threshold T   unified AF-SSIM threshold (default 0.4)\n"
         "  --run-width W --run-height H --run-frames N      viewport\n"
         "  --run-tc-scale S --run-llc-scale S               cache scaling\n"
@@ -131,7 +130,7 @@ usage()
         "  --trace-out F       write a chrome://tracing JSON profile\n"
         "  --quiet             suppress the human-readable summary\n"
         "See docs/METRICS.md for the schema and every metric name.\n",
-        kMetricsSchemaVersion);
+        scenarios.c_str(), kMetricsSchemaVersion);
 }
 
 Options
@@ -187,7 +186,7 @@ parseArgs(int argc, char **argv)
         } else if (a == "--run-clusters") {
             number(o.run.clusters);
         } else if (a == "--run-filter-policy") {
-            o.run.filter_policy = parseFilterPolicyOrDie(need());
+            o.filter_policy = parseFilterPolicyOrDie(need());
         } else if (a == "--run-reference") {
             o.have_reference = true;
             o.reference = parseScenario(need());
@@ -240,13 +239,15 @@ main(int argc, char **argv)
 {
     Options o = parseArgs(argc, argv);
 
+    // After the flags, so --help never depends on the environment.
+    const Status env = parseEnvironment(processEnvironment());
+    if (!env.ok())
+        fatal(env.message);
+    o.run.filter_policy = o.filter_policy.value_or(defaultFilterPolicy());
+
     // The quality axis needs rendered images on both sides.
     o.run.keep_images = o.have_reference;
 
-    // Constructing the Session takes the one validated pass over every
-    // PARGPU_* override (envOverrides()), after parseArgs() so a
-    // --run-threads override is already in effect; both runs below then
-    // execute against the same pinned environment.
     Session session;
 
     GameTrace trace = buildGameTrace(o.game, o.width, o.height, o.frames);

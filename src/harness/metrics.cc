@@ -96,19 +96,6 @@ ratio(std::uint64_t num, std::uint64_t den)
 
 } // namespace
 
-const char *
-scenarioMetricName(DesignScenario s)
-{
-    switch (s) {
-    case DesignScenario::Baseline: return "baseline";
-    case DesignScenario::NoAF: return "noaf";
-    case DesignScenario::AfSsimN: return "n";
-    case DesignScenario::AfSsimNTxds: return "ntxds";
-    case DesignScenario::Patu: return "patu";
-    }
-    return "unknown";
-}
-
 void
 buildRunRegistry(const RunResult &run, StatRegistry &reg, double mssim)
 {

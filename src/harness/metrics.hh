@@ -76,9 +76,6 @@ bool writeMetricsJson(const std::string &path, const RunMetadata &meta,
 bool writeMetricsCsv(const std::string &path, const RunMetadata &meta,
                      const RunConfig &config, const RunResult &run);
 
-/** The "scenario" string stored in metrics documents ("patu", ...). */
-const char *scenarioMetricName(DesignScenario s);
-
 } // namespace pargpu
 
 #endif // PARGPU_HARNESS_METRICS_HH

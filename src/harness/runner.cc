@@ -132,9 +132,6 @@ std::vector<RunResult>
 renderRuns(const GameTrace &trace, const std::vector<RunConfig> &configs,
            unsigned threads)
 {
-    // Pin the validated environment snapshot before any frame renders
-    // (also arms the PARGPU_CONTRACT_REPORT atexit dump on first use).
-    envOverrides();
     const std::size_t n = trace.cameras.size();
     // The span name is part of the documented trace schema (METRICS.md).
     PARGPU_TRACE_SCOPE_F("harness", "runTrace", n);

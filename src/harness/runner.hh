@@ -57,7 +57,7 @@ struct RunConfig
     bool keep_images = true;  ///< Retain rendered frames (for SSIM).
     int table_entries = 0;    ///< PATU hash-table entries (0 = default).
     int threads = 0;          ///< Cap on the frames Session::run() renders
-                              ///< at once: 0 = PARGPU_THREADS/default,
+                              ///< at once: 0 = ThreadPool::defaultThreads(),
                               ///< 1 = serial. Submitted jobs ignore it.
     bool tile_parallel = false; ///< Intra-frame tile parallelism across
                                 ///< clusters (GpuConfig::tile_parallel;
@@ -65,7 +65,8 @@ struct RunConfig
     int clusters = 0;         ///< Shader clusters (0 = Table I default).
     /**
      * Texture-unit filtering strategy (docs/FILTERING.md); defaults to
-     * PARGPU_FILTER_POLICY when set, else the paper's PATU flow.
+     * defaultFilterPolicy(): the paper's PATU flow unless an entry point
+     * applied PARGPU_FILTER_POLICY.
      */
     FilterPolicyId filter_policy = defaultFilterPolicy();
 
@@ -80,7 +81,7 @@ struct RunConfig
      * Ranges: threshold in [0,1]; tc_scale/llc_scale a power of two >= 1
      * (the cache model requires a power-of-two set count); max_aniso in
      * [1,64]; table_entries in [0,4096] (0 = scenario default);
-     * threads in [0,4096] (0 = PARGPU_THREADS/default); clusters in
+     * threads in [0,4096] (0 = ThreadPool::defaultThreads()); clusters in
      * [0,64] (0 = Table I default); filter_policy a registered
      * FilterPolicyId.
      */

@@ -75,18 +75,6 @@ parseGameName(const std::string &name, GameId &out)
     return true;
 }
 
-bool
-parseScenarioName(const std::string &name, DesignScenario &out)
-{
-    if (name == "baseline") out = DesignScenario::Baseline;
-    else if (name == "noaf") out = DesignScenario::NoAF;
-    else if (name == "n") out = DesignScenario::AfSsimN;
-    else if (name == "ntxds") out = DesignScenario::AfSsimNTxds;
-    else if (name == "patu") out = DesignScenario::Patu;
-    else return false;
-    return true;
-}
-
 Status
 parseRunConfigJson(const Json &j, RunConfig &out)
 {

@@ -36,9 +36,6 @@ namespace pargpu
 /** Non-fatal workload-name parser ("hl2", "doom3", ...). */
 bool parseGameName(const std::string &name, GameId &out);
 
-/** Non-fatal scenario-name parser ("baseline", "noaf", "n", ...). */
-bool parseScenarioName(const std::string &name, DesignScenario &out);
-
 /**
  * Strictly parse a request's "config" object into @p out (which keeps
  * its defaults for absent members). Unknown members and wrong types are

@@ -14,6 +14,7 @@
 #include <cstring>
 #include <iostream>
 
+#include "common/logging.hh"
 #include "harness/serve.hh"
 
 namespace
@@ -48,6 +49,10 @@ main(int argc, char **argv)
         usage();
         return 2;
     }
+    const pargpu::Status env =
+        pargpu::parseEnvironment(pargpu::processEnvironment());
+    if (!env.ok())
+        pargpu::fatal(env.message);
     // Frames are written explicitly and flushed per frame; keeping
     // iostream sync off avoids per-character stdio round-trips.
     std::ios::sync_with_stdio(false);

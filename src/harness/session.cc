@@ -1,11 +1,7 @@
 #include "harness/session.hh"
 
-#include <cstdlib>
-#include <iostream>
 #include <utility>
 
-#include "common/contract.hh"
-#include "common/logging.hh"
 #include "common/threadpool.hh"
 #include "common/tracing.hh"
 #include "harness/metrics.hh"
@@ -43,31 +39,6 @@ validateRunConfig(const RunConfig &config)
         message += configErrorMessage(e);
     }
     return Status::fail(StatusCode::InvalidConfig, std::move(message));
-}
-
-const EnvOverrides &
-envOverrides()
-{
-    // One validated pass, cached for the process. Each reader below is
-    // itself once-cached; touching them all here (the Session
-    // constructor's first act) pins the whole environment before any
-    // job runs, so server jobs can never observe a mid-run change.
-    static const EnvOverrides env = [] {
-        EnvOverrides e;
-        e.default_threads = ThreadPool::defaultThreads();
-        e.tile_parallel_forced = tileParallelForced();
-        e.filter_policy = defaultFilterPolicy();
-        e.texel_storage = TextureMap::defaultStorage();
-        e.contract_report =
-            std::getenv("PARGPU_CONTRACT_REPORT") != nullptr;
-        // ContractStats harness hook: with PARGPU_CONTRACT_REPORT set,
-        // dump every contract site's evaluation count at exit
-        // (scripts/check.sh greps for it).
-        if (e.contract_report)
-            std::atexit([] { contract::statsReport(std::cerr); });
-        return e;
-    }();
-    return env;
 }
 
 // --- Job -----------------------------------------------------------------
@@ -198,8 +169,6 @@ Job::snapshot() const
 }
 
 // --- Session -------------------------------------------------------------
-
-Session::Session() : env_(envOverrides()) {}
 
 Session::~Session()
 {

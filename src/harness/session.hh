@@ -5,12 +5,12 @@
  * streamed metrics snapshots.
  *
  * A Session amortizes everything a one-shot process pays per invocation:
- * decoded scenes, procedural textures and their mip pyramids, replayable
- * traces, and the validated environment overrides. Assets are loaded
- * once (load()), held behind shared_ptr<const GameTrace> and shared
- * read-only across every job; thousands of config evaluations can then
- * run in one process against one decode. A Session that only runs
- * synchronously is cheap to construct and spawns no threads.
+ * decoded scenes, procedural textures and their mip pyramids, and
+ * replayable traces. Assets are loaded once (load()), held behind
+ * shared_ptr<const GameTrace> and shared read-only across every job;
+ * thousands of config evaluations can then run in one process against
+ * one decode. A Session that only runs synchronously is cheap to
+ * construct and spawns no threads.
  *
  * Execution surfaces, all bit-identical to one another:
  *
@@ -102,30 +102,20 @@ struct Status
  */
 Status validateRunConfig(const RunConfig &config);
 
-/**
- * Snapshot of every PARGPU_* environment override that can change run
- * behavior, parsed and validated in one pass (envOverrides()). All the
- * underlying readers cache on first use; taking the snapshot at Session
- * construction forces that first use up front, so a job started later
- * can never observe a mid-run environment change.
- */
-struct EnvOverrides
-{
-    unsigned default_threads = 1;  ///< PARGPU_THREADS / hardware.
-    bool tile_parallel_forced = false; ///< PARGPU_TILE_PARALLEL=1.
-    FilterPolicyId filter_policy = FilterPolicyId::Patu;
-        ///< PARGPU_FILTER_POLICY (default patu).
-    TexelStorage texel_storage = TexelStorage::Morton;
-        ///< PARGPU_TEXEL_STORAGE.
-    bool contract_report = false;  ///< PARGPU_CONTRACT_REPORT set.
-};
+/** Environment variables by name; an absent name is unset. */
+using EnvMap = std::map<std::string, std::string>;
+
+/** The process's values of the variables parseEnvironment() reads. */
+EnvMap processEnvironment();
 
 /**
- * The process's environment overrides, parsed and validated once (first
- * call; fatal() on malformed values, exactly like the lazy readers it
- * front-loads). Subsequent calls return the same snapshot.
+ * Parse PARGPU_THREADS, PARGPU_SIMD, PARGPU_TILE_PARALLEL and
+ * PARGPU_FILTER_POLICY, then apply all four through their setters (unset
+ * or empty: the default). Any bad value applies nothing: InvalidConfig
+ * with every bad variable's message joined by "; ". Entry points call it
+ * with processEnvironment(); the library itself reads no environment.
  */
-const EnvOverrides &envOverrides();
+Status parseEnvironment(const EnvMap &env);
 
 namespace detail
 {
@@ -260,7 +250,7 @@ using JobHandle = std::shared_ptr<Job>;
 class Session
 {
   public:
-    Session();
+    Session() = default;
 
     /**
      * Drains the job queue (every accepted job runs to completion),
@@ -270,9 +260,6 @@ class Session
 
     Session(const Session &) = delete;
     Session &operator=(const Session &) = delete;
-
-    /** The validated env snapshot taken at construction. */
-    const EnvOverrides &env() const { return env_; }
 
     // --- Immutable shared assets ----------------------------------------
 
@@ -365,8 +352,6 @@ class Session
      * no frame is left to claim.
      */
     bool claimFrame(JobHandle &job, std::size_t &frame);
-
-    const EnvOverrides &env_;
 
     mutable Mutex mu_;
     std::condition_variable_any cv_;

@@ -4,10 +4,7 @@
 #include <atomic>
 #include <bit>
 #include <cmath>
-#include <cstdlib>
-#include <cstring>
 #include <span>
-#include <string>
 
 #include "common/contract.hh"
 #include "common/logging.hh"
@@ -39,6 +36,10 @@ using detail::TileSlot;
  */
 constexpr std::size_t kReservedTileQuads = 512;
 constexpr std::size_t kReservedQuadLines = 32;
+
+// Set by setTileParallelForced() before frames render; atomic because
+// frames on pool workers read it. pargpu-analyze: allow(global-state)
+std::atomic<bool> g_tile_parallel_forced{false};
 
 /** Per-face lighting factor from the world-space normal. */
 float
@@ -101,16 +102,13 @@ shadeQuad(Framebuffer &fb, const SetupTriangle &st, const QuadFragment &q,
 bool
 tileParallelForced()
 {
-    static const bool forced = [] {
-        const char *v = std::getenv("PARGPU_TILE_PARALLEL");
-        if (v == nullptr || v[0] == '\0' || std::strcmp(v, "0") == 0)
-            return false;
-        if (std::strcmp(v, "1") == 0)
-            return true;
-        fatal(std::string("PARGPU_TILE_PARALLEL must be '0' or '1', got '") +
-              v + "'");
-    }();
-    return forced;
+    return g_tile_parallel_forced.load(std::memory_order_relaxed);
+}
+
+void
+setTileParallelForced(bool forced)
+{
+    g_tile_parallel_forced.store(forced, std::memory_order_relaxed);
 }
 
 GpuSimulator::GpuSimulator(const GpuConfig &config)

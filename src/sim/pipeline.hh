@@ -135,16 +135,15 @@ struct FrameOutput
 };
 
 /**
- * True when PARGPU_TILE_PARALLEL=1 forces intra-frame tile parallelism
- * on for every simulator in the process, regardless of
- * GpuConfig::tile_parallel. This is the hook scripts/check.sh's TSAN
- * stage uses to run the whole threading-focused test subset with the
- * sharded fragment phase enabled, without touching each test's
- * configuration. Results are bit-identical either way. Unset, "" and
- * "0" mean off; any value but those and "1" is fatal. Cached on first
- * call; envOverrides() (harness/session.hh) snapshots it up front.
+ * True when tile parallelism is forced on for every simulator in the
+ * process, regardless of GpuConfig::tile_parallel (bit-identical either
+ * way). PARGPU_TILE_PARALLEL=1 sets it through parseEnvironment(), so
+ * scripts/check.sh's TSAN stage runs whole test binaries tile-parallel.
  */
 bool tileParallelForced();
+
+/** Force tile parallelism on or off for every later frame. */
+void setTileParallelForced(bool forced);
 
 namespace detail
 {

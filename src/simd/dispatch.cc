@@ -1,7 +1,5 @@
 #include "simd/dispatch.hh"
 
-#include <cstdlib>
-#include <cstring>
 #include <string>
 
 #include "common/logging.hh"
@@ -24,35 +22,9 @@ buildHasVectorKernels()
 #endif
 }
 
-/** Fatal unless @p t can actually run here (build knob + CPUID). */
-SimdTier
-validateTier(SimdTier t)
-{
-    if (t != SimdTier::Scalar && !buildHasVectorKernels())
-        fatal(std::string("PARGPU_SIMD tier '") + tierName(t) +
-              "' requested but this build compiled scalar kernels only "
-              "(-DPARGPU_SIMD=OFF)");
-    if (t == SimdTier::Sse && !hostHasSse())
-        fatal("PARGPU_SIMD=sse requested but the CPU lacks SSE2");
-    if (t == SimdTier::Avx2 && !hostHasAvx2())
-        fatal("PARGPU_SIMD=avx2 requested but the CPU lacks AVX2");
-    return t;
-}
-
-// Set once from the environment before main() and read-only after;
+// Set by setActiveTier() and read-only while frames render;
 // deterministic per run by construction. pargpu-analyze: allow(global-state)
-SimdTier g_tier = [] {
-    const char *v = std::getenv("PARGPU_SIMD");
-    if (v == nullptr || v[0] == '\0')
-        return detectTier();
-    if (std::strcmp(v, "scalar") == 0)
-        return SimdTier::Scalar;
-    if (std::strcmp(v, "sse") == 0)
-        return validateTier(SimdTier::Sse);
-    if (std::strcmp(v, "avx2") == 0)
-        return validateTier(SimdTier::Avx2);
-    fatal("PARGPU_SIMD must be 'scalar', 'sse' or 'avx2'");
-}();
+SimdTier g_tier = detectTier();
 
 } // namespace
 
@@ -94,10 +66,27 @@ activeTier()
     return g_tier;
 }
 
+std::string
+tierUnavailable(SimdTier t)
+{
+    if (t != SimdTier::Scalar && !buildHasVectorKernels())
+        return std::string("PARGPU_SIMD tier '") + tierName(t) +
+            "' requested but this build compiled scalar kernels only "
+            "(-DPARGPU_SIMD=OFF)";
+    if (t == SimdTier::Sse && !hostHasSse())
+        return "PARGPU_SIMD=sse requested but the CPU lacks SSE2";
+    if (t == SimdTier::Avx2 && !hostHasAvx2())
+        return "PARGPU_SIMD=avx2 requested but the CPU lacks AVX2";
+    return "";
+}
+
 void
 setActiveTier(SimdTier t)
 {
-    g_tier = validateTier(t);
+    const std::string why = tierUnavailable(t);
+    if (!why.empty())
+        fatal(why);
+    g_tier = t;
 }
 
 const char *

@@ -4,18 +4,16 @@
  *
  * The kernel layer ships one scalar reference implementation plus SSE and
  * AVX2 variants (compiled only with -DPARGPU_SIMD=ON). The process-wide
- * active tier is chosen once: the PARGPU_SIMD environment variable
- * (scalar|sse|avx2) when set — fatal if it names a tier this build or CPU
- * cannot run — otherwise the widest tier the host CPU supports. All tiers
- * produce bit-identical filtering results; the tier only changes host
- * wall-clock, never simulated metrics.
- *
- * setActiveTier() mirrors TextureMap::setDefaultStorage(): a test hook,
- * not thread-safe, to be called before any rendering starts.
+ * active tier starts as the widest tier the host CPU supports;
+ * setActiveTier() overrides it (PARGPU_SIMD, through parseEnvironment()).
+ * All tiers produce bit-identical filtering results; the tier only
+ * changes host wall-clock, never simulated metrics.
  */
 
 #ifndef PARGPU_SIMD_DISPATCH_HH
 #define PARGPU_SIMD_DISPATCH_HH
+
+#include <string>
 
 namespace pargpu::simd
 {
@@ -32,14 +30,17 @@ enum class SimdTier
 SimdTier detectTier();
 
 /**
- * The tier the process filters with: the PARGPU_SIMD override when set,
- * else detectTier().
+ * The tier the process filters with: the last setActiveTier(), else
+ * detectTier().
  */
 SimdTier activeTier();
 
+/** Why @p t cannot run in this build or on this CPU; empty if it can. */
+std::string tierUnavailable(SimdTier t);
+
 /**
- * Override the active tier (test/bench hook; fatal if @p t is not
- * runnable). Not thread-safe: call before building simulators.
+ * Set the active tier (fatal if @p t is not runnable). Not thread-safe:
+ * call before building simulators.
  */
 void setActiveTier(SimdTier t);
 

@@ -1,11 +1,9 @@
 #include "texture/filter_policy.hh"
 
+#include <atomic>
 #include <cmath>
-#include <cstdlib>
-#include <string>
 
 #include "common/contract.hh"
-#include "common/logging.hh"
 #include "common/rng.hh"
 
 namespace pargpu
@@ -19,6 +17,10 @@ namespace
 constexpr std::uint32_t kSaltUniform = 0xB5297A4Du;
 constexpr std::uint32_t kSaltWeighted = 0x68E31DA4u;
 constexpr std::uint32_t kSaltBlueRot = 0x1B56C4E9u;
+
+// Set by setDefaultFilterPolicy() before configs are built; atomic
+// because any thread may build a RunConfig. pargpu-analyze: allow(global-state)
+std::atomic<FilterPolicyId> g_default_policy{FilterPolicyId::Patu};
 
 /** Hash bits -> float in [0, 1): 24 high bits, exactly representable. */
 float
@@ -97,25 +99,15 @@ parseFilterPolicy(std::string_view name, FilterPolicyId &out)
 FilterPolicyId
 defaultFilterPolicy()
 {
-    // Read once and cached for the process, like PARGPU_TILE_PARALLEL;
-    // deterministic per run by construction.
-    static const FilterPolicyId def = [] {
-        const char *v = std::getenv("PARGPU_FILTER_POLICY");
-        if (v == nullptr || v[0] == '\0')
-            return FilterPolicyId::Patu;
-        FilterPolicyId id;
-        if (!parseFilterPolicy(v, id)) {
-            std::string names;
-            for (const FilterPolicyDesc &d : filterPolicyRegistry()) {
-                if (!names.empty())
-                    names += "|";
-                names += d.name;
-            }
-            fatal("PARGPU_FILTER_POLICY must be one of " + names);
-        }
-        return id;
-    }();
-    return def;
+    return g_default_policy.load(std::memory_order_relaxed);
+}
+
+void
+setDefaultFilterPolicy(FilterPolicyId id)
+{
+    PARGPU_INVARIANT(isKnownFilterPolicy(id), "unregistered FilterPolicyId: ",
+                     static_cast<int>(id));
+    g_default_policy.store(id, std::memory_order_relaxed);
 }
 
 float

@@ -70,11 +70,14 @@ bool isKnownFilterPolicy(FilterPolicyId id);
 bool parseFilterPolicy(std::string_view name, FilterPolicyId &out);
 
 /**
- * Session default: PARGPU_FILTER_POLICY when set (fatal on an unknown
- * value), else FilterPolicyId::Patu. Read once and cached, like the
- * PARGPU_TILE_PARALLEL force in the pipeline.
+ * The policy a default RunConfig selects: the last
+ * setDefaultFilterPolicy() (PARGPU_FILTER_POLICY, through
+ * parseEnvironment()), else FilterPolicyId::Patu.
  */
 FilterPolicyId defaultFilterPolicy();
+
+/** Set defaultFilterPolicy() (@p id must be a registered policy). */
+void setDefaultFilterPolicy(FilterPolicyId id);
 
 /**
  * Per-sample uniform variate in [0, 1) for the stochastic policies.

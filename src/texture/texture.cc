@@ -1,10 +1,6 @@
 #include "texture/texture.hh"
 
-#include <cstdlib>
-#include <cstring>
-
 #include "common/contract.hh"
-#include "common/logging.hh"
 #include "texture/mipmap.hh"
 
 namespace pargpu
@@ -13,16 +9,9 @@ namespace pargpu
 namespace
 {
 
-// Set once from the environment before main() and read-only after;
-// deterministic per run by construction. pargpu-analyze: allow(global-state)
-TexelStorage g_default_storage = [] {
-    const char *v = std::getenv("PARGPU_TEXEL_STORAGE");
-    if (v != nullptr && std::strcmp(v, "linear") == 0)
-        return TexelStorage::Linear;
-    if (v != nullptr && v[0] != '\0' && std::strcmp(v, "morton") != 0)
-        fatal("PARGPU_TEXEL_STORAGE must be 'linear' or 'morton'");
-    return TexelStorage::Morton;
-}();
+// Set by setDefaultStorage() before scenes are built; read-only after.
+// pargpu-analyze: allow(global-state)
+TexelStorage g_default_storage = TexelStorage::Morton;
 
 /** log2 of a power of two. */
 std::uint32_t

@@ -173,9 +173,9 @@ class TextureMap
     void setBaseAddr(Addr base) { baseAddr_ = base; }
 
     /**
-     * Process-wide host storage order for new textures. Reads
-     * PARGPU_TEXEL_STORAGE (linear|morton) on first use; defaults to
-     * Morton. setDefaultStorage() is not thread-safe: call it before
+     * Process-wide host storage order for new textures; Morton unless
+     * setDefaultStorage() changed it (layout_test's Linear-vs-Morton
+     * oracle). setDefaultStorage() is not thread-safe: call it before
      * building scenes.
      */
     static TexelStorage defaultStorage();

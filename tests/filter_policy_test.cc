@@ -45,6 +45,21 @@ runPolicy(const GameTrace &trace, FilterPolicyId policy,
     return session.run(trace, cfg);
 }
 
+/** Sets defaultFilterPolicy() for one scope, then restores it. */
+class DefaultPolicyGuard
+{
+  public:
+    explicit DefaultPolicyGuard(FilterPolicyId id)
+        : saved_(defaultFilterPolicy())
+    {
+        setDefaultFilterPolicy(id);
+    }
+    ~DefaultPolicyGuard() { setDefaultFilterPolicy(saved_); }
+
+  private:
+    FilterPolicyId saved_;
+};
+
 std::string
 registryDump(const RunResult &run)
 {
@@ -92,12 +107,27 @@ TEST(FilterPolicyTest, ValidateRejectsUnregisteredPolicy)
               std::string::npos);
 }
 
-TEST(FilterPolicyTest, DefaultIsPatuWithoutEnvOverride)
+TEST(FilterPolicyTest, AppliedDefaultMatchesEnvironment)
 {
-    if (std::getenv("PARGPU_FILTER_POLICY") != nullptr)
-        GTEST_SKIP() << "PARGPU_FILTER_POLICY overrides the default";
+    // The test main applied PARGPU_FILTER_POLICY; scripts/check.sh's
+    // policy matrix reruns this binary under every policy, and a main
+    // that stopped applying the variable fails here instead of passing
+    // under the default.
+    const char *v = std::getenv("PARGPU_FILTER_POLICY");
+    FilterPolicyId want = FilterPolicyId::Patu;
+    if (v != nullptr && v[0] != '\0') {
+        ASSERT_TRUE(parseFilterPolicy(v, want)) << v;
+    }
+    EXPECT_EQ(defaultFilterPolicy(), want);
+    EXPECT_EQ(RunConfig{}.filter_policy, want);
+}
+
+TEST(FilterPolicyTest, DefaultConfigFollowsSetDefault)
+{
+    DefaultPolicyGuard guard(FilterPolicyId::StfBlue);
+    EXPECT_EQ(RunConfig{}.filter_policy, FilterPolicyId::StfBlue);
+    setDefaultFilterPolicy(FilterPolicyId::Patu);
     EXPECT_EQ(RunConfig{}.filter_policy, FilterPolicyId::Patu);
-    EXPECT_EQ(defaultFilterPolicy(), FilterPolicyId::Patu);
 }
 
 TEST(FilterPolicyTest, DefaultPolicyMatchesExplicitPatu)
@@ -106,8 +136,7 @@ TEST(FilterPolicyTest, DefaultPolicyMatchesExplicitPatu)
     // The refactor contract: the default-constructed config (pre-refactor
     // behavior) and an explicit patu policy selection are the same code
     // path — frames, images and the full registry snapshot.
-    if (std::getenv("PARGPU_FILTER_POLICY") != nullptr)
-        GTEST_SKIP() << "PARGPU_FILTER_POLICY overrides the default";
+    DefaultPolicyGuard guard(FilterPolicyId::Patu);
     GameTrace trace = smallTrace();
     RunConfig def_cfg;
     def_cfg.threads = 1;

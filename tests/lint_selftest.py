@@ -10,7 +10,10 @@ tests/fixtures/analysis/:
   3. over fixtures/analysis/suppressed/ an inline
      "pargpu-analyze: allow(...)" grant silences a real violation;
   4. a stale file-level allowlist entry is fatal — for the analyzer and
-     for tools/pargpu_lint.py alike (the anti-rot contract).
+     for tools/pargpu_lint.py alike (the anti-rot contract);
+  5. tools/pargpu_lint.py's getenv rule fires on a getenv() call in a
+     library file and stays silent on the environment parser and on a
+     getenv mentioned only in a comment.
 
 Run as a CTest (target lint_selftest) and by scripts/check.sh:
 
@@ -127,6 +130,35 @@ def main():
               "lint: stale allowlist entry is fatal")
     finally:
         os.unlink(stale)
+
+    # 5. The getenv rule: only the environment parser reads getenv.
+    with tempfile.TemporaryDirectory() as tree:
+        sources = {
+            "src/sim/reader.cc":
+                '#include <cstdlib>\n'
+                'const char *knob() { return std::getenv("X"); }\n',
+            "src/sim/prose.cc":
+                "// Values never come from getenv(): see environment.cc.\n",
+            "src/harness/environment.cc":
+                '#include <cstdlib>\n'
+                'const char *knob() { return std::getenv("X"); }\n',
+        }
+        for rel, text in sources.items():
+            os.makedirs(os.path.join(tree, os.path.dirname(rel)),
+                        exist_ok=True)
+            with open(os.path.join(tree, rel), "w") as f:
+                f.write(text)
+        proc = subprocess.run(
+            [sys.executable, os.path.join(root, "tools", "pargpu_lint.py"),
+             "--root", tree, "--no-spot-builds",
+             "--allowlist", os.path.join(tree, "no_allowlist.txt")],
+            capture_output=True, text=True)
+        findings = [(m.group(1), m.group(3))
+                    for m in map(RE_FINDING.match, proc.stdout.splitlines())
+                    if m]
+        check(proc.returncode == 1 and
+              findings == [("src/sim/reader.cc", "getenv")],
+              "lint: getenv fires outside the environment parser only")
 
     if failures:
         print(f"selftest: {len(failures)} check(s) failed")

@@ -8,6 +8,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdlib>
 #include <cstring>
 #include <memory>
 #include <vector>
@@ -381,6 +382,19 @@ TEST(PipelineTest, EmptyAndBusyDrawsInterleave)
     // Tiles are 16x16: 3x2 for the first rectangle, 3x3 for the second.
     EXPECT_EQ(tilesOf(out.stats), 15u);
     EXPECT_EQ(out.stats.triangles_setup, 4u);
+}
+
+TEST(PipelineTest, TileParallelForceMatchesEnvironment)
+{
+    // The test main applied PARGPU_TILE_PARALLEL; scripts/check.sh's
+    // TSAN stage reruns this binary with it set to 1, and a main that
+    // stopped applying it would leave those frames unforced and pass.
+    const char *v = std::getenv("PARGPU_TILE_PARALLEL");
+    const bool want = v != nullptr && std::strcmp(v, "1") == 0;
+    EXPECT_EQ(tileParallelForced(), want);
+    setTileParallelForced(!want);
+    EXPECT_EQ(tileParallelForced(), !want);
+    setTileParallelForced(want);
 }
 
 TEST(PipelineDeathTest, RejectsBadViewport)

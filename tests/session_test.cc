@@ -138,15 +138,6 @@ TEST(StatusTest, ValidateRunConfigJoinsEveryViolation)
     EXPECT_NE(st.message.find("; "), std::string::npos);
 }
 
-TEST(SessionTest, EnvSnapshotIsProcessWideAndConsistent)
-{
-    Session session;
-    const EnvOverrides &env = session.env();
-    EXPECT_EQ(&env, &envOverrides());
-    EXPECT_GE(env.default_threads, 1u);
-    EXPECT_TRUE(isKnownFilterPolicy(env.filter_policy));
-}
-
 TEST(SessionTest, LoadRejectsBadAndDuplicateKeys)
 {
     Session session;

@@ -5,15 +5,18 @@
  * the process-default concurrency knobs.
  */
 
+#include <algorithm>
 #include <atomic>
 #include <mutex>
 #include <numeric>
 #include <stdexcept>
+#include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "common/threadpool.hh"
+#include "harness/session.hh"
 
 using namespace pargpu;
 
@@ -177,8 +180,23 @@ TEST(ThreadPool, DefaultThreadsOverride)
     EXPECT_GE(before, 1u);
     ThreadPool::setDefaultThreads(3);
     EXPECT_EQ(ThreadPool::defaultThreads(), 3u);
-    ThreadPool::setDefaultThreads(0); // Back to env/hardware default.
+    ThreadPool::setDefaultThreads(0); // Back to the base (PARGPU_THREADS).
     EXPECT_EQ(ThreadPool::defaultThreads(), before);
+}
+
+TEST(ThreadPool, OverrideSitsAboveTheBase)
+{
+    const unsigned hw = std::max(1u, std::thread::hardware_concurrency());
+    ThreadPool::setBaseThreads(5);
+    EXPECT_EQ(ThreadPool::defaultThreads(), 5u);
+    ThreadPool::setDefaultThreads(3);
+    EXPECT_EQ(ThreadPool::defaultThreads(), 3u);
+    ThreadPool::setDefaultThreads(0);
+    EXPECT_EQ(ThreadPool::defaultThreads(), 5u);
+    ThreadPool::setBaseThreads(0);
+    EXPECT_EQ(ThreadPool::defaultThreads(), hw);
+    // Back to what the test main applied.
+    ASSERT_TRUE(parseEnvironment(processEnvironment()).ok());
 }
 
 TEST(ThreadPool, StaticRunMatchesSerial)

@@ -26,6 +26,10 @@ clang-tidy covers out of the box:
   policy-doc   every FilterPolicy registered in the factory table
                (src/texture/filter_policy.cc) must have its name
                documented in docs/FILTERING.md
+  getenv       no getenv()/secure_getenv() outside
+               src/harness/environment.cc — the library reads no
+               environment; entry points pass the PARGPU_* values to
+               parseEnvironment(), the one parser
 
 One rule runs over examples/ and bench/ instead of src/:
 
@@ -59,7 +63,7 @@ import sys
 
 RULES = ("rand", "raw-new", "float-eq", "include-cc", "cout", "header-self",
          "file-doc", "metrics-doc", "internal-include", "intrinsics",
-         "policy-doc")
+         "policy-doc", "getenv")
 
 FLOAT_LIT = r"(?:\d+\.\d*(?:[eE][-+]?\d+)?|\.\d+(?:[eE][-+]?\d+)?|\d+[eE][-+]?\d+)f?"
 
@@ -79,6 +83,9 @@ RE_STAT_NAME = re.compile(r'"(\.?[a-z0-9_]+(?:\.[a-z0-9_]+)+)"')
 RE_QUOTED_INCLUDE = re.compile(r'#\s*include\s*"([^"]+)"')
 # x86 vector intrinsics: _mm_add_ps, _mm256_fmadd_ps, _mm512_...
 RE_INTRIN = re.compile(r"\b_mm\d*_[A-Za-z0-9_]+")
+RE_GETENV = re.compile(r"\b(?:secure_)?getenv\s*\(")
+# The one file that may read the process environment.
+ENV_PARSER = "src/harness/environment.cc"
 # A FilterPolicy registry entry: {FilterPolicyId::Patu, "patu", ...}.
 RE_POLICY_ENTRY = re.compile(r'FilterPolicyId::\w+\s*,\s*"([a-z_]+)"')
 
@@ -200,6 +207,11 @@ def check_file(root, rel, violations, metrics_doc):
     if not in_harness:
         line_rules.append(
             ("cout", RE_COUT, False, "std::cout outside harness/CLI layers"))
+    if rel.replace(os.sep, "/") != ENV_PARSER:
+        line_rules.append(
+            ("getenv", RE_GETENV, False,
+             f"getenv outside {ENV_PARSER}; take the value as a "
+             "parameter and let parseEnvironment() read it"))
     if not rel.replace(os.sep, "/").startswith("src/simd/"):
         line_rules.append(
             ("intrinsics", RE_INTRIN, False,
