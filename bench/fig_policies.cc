@@ -1,14 +1,15 @@
 /**
  * @file
- * FilterPolicy comparison testbed (docs/FILTERING.md): quality vs. texel
- * fetches vs. energy for every registered texture filter policy, on one
+ * Filter-policy comparison testbed (docs/FILTERING.md): quality vs. texel
+ * fetches vs. energy for each texture filter policy — the PATU flow and
+ * every STF / filter-after-shading mode of scenarioRegistry() — on one
  * texel-bound workload (HL2) and one anisotropy-heavy workload (NFS).
  *
- * Rows per workload: the exact-filtering reference (baseline scenario,
- * patu policy — the predictor never downgrades there), then each policy
- * under the PATU design scenario at the paper's threshold 0.4. Quality is
- * MSSIM against the exact reference, so the stochastic policies are
- * scored against ground truth rather than their own noise.
+ * Rows per workload: the exact-filtering reference (the baseline
+ * scenario: the predictor never downgrades there), then patu and each
+ * STF/FAS mode at the paper's threshold 0.4. Quality is MSSIM against
+ * the exact reference, so the stochastic modes are scored against ground
+ * truth rather than their own noise.
  *
  * With PARGPU_METRICS_DIR set, each run is exported as
  * fig_policies_<workload>_<policy>[_ref].json (standard pargpu-metrics
@@ -24,8 +25,8 @@ using namespace pargpu::bench;
 namespace
 {
 
-/** maybeWriteMetrics() names files by scenario, which collides across
- *  policies; export with the policy name (and a _ref marker) instead. */
+/** maybeWriteMetrics() names files by scenario, which collides with the
+ *  reference run; export with the policy name (and a _ref marker). */
 void
 writePolicyMetrics(const Workload &w, const RunConfig &config,
                    const RunResult &run, double mssim, bool reference)
@@ -42,7 +43,7 @@ writePolicyMetrics(const Workload &w, const RunConfig &config,
     meta.height = w.trace.height;
     meta.frames = static_cast<int>(w.trace.cameras.size());
     std::string path = std::string(dir) + "/fig_policies_" + w.label +
-        "_" + filterPolicyName(config.filter_policy) +
+        "_" + filterPolicyName(config.scenario) +
         (reference ? "_ref" : "") + ".json";
     if (!writeMetricsJson(path, meta, config, run, mssim))
         std::fprintf(stderr, "bench: cannot write metrics to %s\n",
@@ -65,7 +66,7 @@ main()
 {
     applyEnvironment();
     Session session;
-    banner("FilterPolicy comparison",
+    banner("Filter-policy comparison",
            "quality vs. texel fetches vs. energy per filter policy");
 
     // One texel-bound and one anisotropy-heavy Table II workload.
@@ -86,18 +87,18 @@ main()
         w.label = std::string(g.abbr) + "-" + std::to_string(g.width) +
             "x" + std::to_string(g.height);
 
-        // Reference first, then every registered policy — one sweep so
-        // the runs share the thread pool.
+        // Reference first, then patu and every STF/FAS mode — one sweep
+        // so the runs share the thread pool.
         std::vector<RunConfig> configs;
         RunConfig ref;
         ref.scenario = DesignScenario::Baseline;
-        ref.filter_policy = FilterPolicyId::Patu;
         configs.push_back(ref);
-        for (const FilterPolicyDesc &d : filterPolicyRegistry()) {
+        for (const ScenarioDesc &d : scenarioRegistry()) {
+            if (d.id != DesignScenario::Patu && filterPolicyCode(d.id) == 0)
+                continue; // The other paper scenarios: fig19's domain.
             RunConfig c;
-            c.scenario = DesignScenario::Patu;
+            c.scenario = d.id;
             c.threshold = 0.4f;
-            c.filter_policy = d.id;
             configs.push_back(c);
         }
         std::vector<RunResult> runs = session.sweep(w.trace, configs);
@@ -127,7 +128,7 @@ main()
                 totalOf(r, &FrameStats::stf_samples);
             std::printf("%-22s %8.3f %12llu %12llu %10.1f %7.3fx"
                         "  (%4.1f%% texels)\n",
-                        filterPolicyName(configs[s].filter_policy), q,
+                        filterPolicyName(configs[s].scenario), q,
                         static_cast<unsigned long long>(texels),
                         static_cast<unsigned long long>(ops),
                         r.total_energy_nj / 1e3,

@@ -6,10 +6,16 @@
  *
  * Usage:
  *   simulator_cli [--game hl2|doom3|grid|nfs|stal|ut3|wolf|rbench]
- *                 [--scenario baseline|noaf|n|ntxds|patu]
- *                 [--threshold T] [--width W] [--height H]
- *                 [--frames N] [--tc-scale S] [--llc-scale S]
- *                 [--threads N] [--stereo] [--dump-ppm PREFIX]
+ *                 [--scenario MODE] [--threshold T] [--width W]
+ *                 [--height H] [--frames N] [--tc-scale S]
+ *                 [--llc-scale S] [--threads N] [--stereo]
+ *                 [--dump-ppm PREFIX]
+ *
+ * MODE is any filter mode of scenarioRegistry() (baseline, noaf, n,
+ * ntxds, patu, stf_uniform, stf_blue, stf_weighted,
+ * filter_after_shading; docs/FILTERING.md). Numbers must parse whole and
+ * pass RunConfig::validate(); a malformed flag exits 2, like
+ * pargpu_harness.
  *
  * --threads N renders frames N-wide in parallel; results are
  * bit-identical to a serial run. This example reads no environment:
@@ -18,15 +24,19 @@
  * the tests and the benches).
  */
 
+#include <charconv>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <string>
+#include <vector>
 
-#include "pargpu/threading.hh"
-#include "pargpu/session.hh"
+#include "pargpu/config.hh"
 #include "pargpu/power.hh"
+#include "pargpu/session.hh"
 #include "pargpu/sim.hh"
+#include "pargpu/threading.hh"
+#include "pargpu/trace.hh"
 
 using namespace pargpu;
 
@@ -44,82 +54,78 @@ struct Options
     std::string dump_prefix;
 };
 
-GameId
-parseGame(const std::string &v)
-{
-    if (v == "hl2") return GameId::HL2;
-    if (v == "doom3") return GameId::Doom3;
-    if (v == "grid") return GameId::Grid;
-    if (v == "nfs") return GameId::Nfs;
-    if (v == "stal") return GameId::Stalker;
-    if (v == "ut3") return GameId::Ut3;
-    if (v == "wolf") return GameId::Wolf;
-    if (v == "rbench") return GameId::RBench;
-    std::fprintf(stderr, "unknown game '%s'\n", v.c_str());
-    std::exit(1);
-}
-
-DesignScenario
-parseScenario(const std::string &v)
-{
-    if (v == "baseline") return DesignScenario::Baseline;
-    if (v == "noaf") return DesignScenario::NoAF;
-    if (v == "n") return DesignScenario::AfSsimN;
-    if (v == "ntxds") return DesignScenario::AfSsimNTxds;
-    if (v == "patu") return DesignScenario::Patu;
-    std::fprintf(stderr, "unknown scenario '%s'\n", v.c_str());
-    std::exit(1);
-}
-
 Options
 parseArgs(int argc, char **argv)
 {
     Options o;
+    // Every malformed flag exits 2, as in pargpu_harness.
+    auto fail = [](const std::string &message) {
+        std::fprintf(stderr, "%s\n", message.c_str());
+        std::exit(2);
+    };
     for (int i = 1; i < argc; ++i) {
-        std::string a = argv[i];
-        auto need = [&](const char *flag) -> std::string {
-            if (i + 1 >= argc) {
-                std::fprintf(stderr, "%s needs a value\n", flag);
-                std::exit(1);
-            }
+        const std::string a = argv[i];
+        auto need = [&]() -> std::string {
+            if (i + 1 >= argc)
+                fail(a + " needs a value");
             return argv[++i];
         };
+        // The whole value must parse and fit the field's type;
+        // RunConfig::validate() checks the legal range afterwards.
+        auto number = [&](auto &field) {
+            const std::string v = need();
+            const char *end = v.data() + v.size();
+            const std::from_chars_result r =
+                std::from_chars(v.data(), end, field);
+            if (r.ec != std::errc() || r.ptr != end)
+                fail("invalid value '" + v + "' for " + a);
+        };
         if (a == "--game") {
-            o.game = parseGame(need("--game"));
+            const std::string v = need();
+            if (!parseGameName(v, o.game))
+                fail("unknown game '" + v + "'");
         } else if (a == "--scenario") {
-            o.run.scenario = parseScenario(need("--scenario"));
+            const std::string v = need();
+            if (!parseScenarioName(v, o.run.scenario))
+                fail("unknown scenario '" + v + "'");
         } else if (a == "--threshold") {
-            o.run.threshold =
-                static_cast<float>(std::atof(need("--threshold").c_str()));
+            number(o.run.threshold);
         } else if (a == "--width") {
-            o.width = std::atoi(need("--width").c_str());
+            number(o.width);
         } else if (a == "--height") {
-            o.height = std::atoi(need("--height").c_str());
+            number(o.height);
         } else if (a == "--frames") {
-            o.frames = std::atoi(need("--frames").c_str());
+            number(o.frames);
         } else if (a == "--tc-scale") {
-            o.run.tc_scale =
-                static_cast<unsigned>(std::atoi(need("--tc-scale").c_str()));
+            number(o.run.tc_scale);
         } else if (a == "--llc-scale") {
-            o.run.llc_scale = static_cast<unsigned>(
-                std::atoi(need("--llc-scale").c_str()));
+            number(o.run.llc_scale);
         } else if (a == "--threads") {
-            o.run.threads = std::atoi(need("--threads").c_str());
-            if (o.run.threads > 0)
-                ThreadPool::setDefaultThreads(
-                    static_cast<unsigned>(o.run.threads));
+            number(o.run.threads);
         } else if (a == "--stereo") {
             o.stereo = true;
         } else if (a == "--dump-ppm") {
-            o.dump_prefix = need("--dump-ppm");
+            o.dump_prefix = need();
         } else if (a == "--help" || a == "-h") {
             std::printf("see the file header for usage\n");
             std::exit(0);
         } else {
-            std::fprintf(stderr, "unknown option '%s'\n", a.c_str());
-            std::exit(1);
+            fail("unknown option '" + a + "'");
         }
     }
+    if (o.width <= 0 || o.height <= 0 || o.frames <= 0)
+        fail("viewport and frame count must be positive");
+    if (!withinTraceBudget(static_cast<std::uint64_t>(o.width),
+                           static_cast<std::uint64_t>(o.height),
+                           static_cast<std::uint64_t>(o.frames)))
+        fail(traceBudgetMessage());
+    const std::vector<ConfigError> errors = o.run.validate();
+    for (ConfigError e : errors)
+        std::fprintf(stderr, "invalid option: %s\n", configErrorMessage(e));
+    if (!errors.empty())
+        std::exit(2);
+    if (o.run.threads > 0)
+        ThreadPool::setDefaultThreads(static_cast<unsigned>(o.run.threads));
     return o;
 }
 

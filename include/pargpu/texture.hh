@@ -2,10 +2,13 @@
  * @file
  * pargpu public API — textures and filtering.
  *
- * Re-exports TextureMap (simulated TexelLayout + host TexelStorage),
- * mip-pyramid construction, BC1 compression, the procedural texture
- * generators, TextureSampler with its trilinear/anisotropic filters, and
- * the FilterPolicy family (docs/FILTERING.md).
+ * Re-exports TextureMap (simulated TexelLayout + host TexelStorage, which
+ * follows the format: Morton for RGBA8, row-major for BC1), mip-pyramid
+ * construction, BC1 compression, the procedural texture generators,
+ * TextureSampler with its trilinear/anisotropic filters, and the
+ * stochastic texel selection of the STF filter modes
+ * (docs/FILTERING.md; the modes themselves are DesignScenario values,
+ * pargpu/config.hh).
  */
 
 #ifndef PARGPU_TEXTURE_HH

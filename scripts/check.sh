@@ -31,11 +31,12 @@
 #   11. Clang Thread Safety Analysis build (-DPARGPU_TSA=ON with
 #       -Werror=thread-safety; skipped with a note when clang++ is not
 #       installed)
-#   12. filter-policy matrix: the determinism subset re-run under every
-#       registered FilterPolicy (PARGPU_FILTER_POLICY), then the harness
-#       metrics exports diffed across policies — selecting a policy may
-#       change values but never the exported key set (only the
-#       policy-reporting fields may differ; docs/FILTERING.md)
+#   12. filter-mode matrix: a harness metrics export under every filter
+#       mode of scenarioRegistry() (the --run-scenario list of --help),
+#       diffed across modes — selecting a mode may change values but
+#       never the exported key set, and each export must report its own
+#       mode (docs/FILTERING.md); determinism_test and golden_test cover
+#       every mode's results in stage 1
 #   13. serve round-trip + amortization gate: pargpu_report.py boots the
 #       ASan and UBSan pargpu_serve binaries and drives a real sweep
 #       through the framed protocol (docs/SERVE.md), then perf_serve's
@@ -326,40 +327,31 @@ stage_tsa() {
     cmake --build build-tsa -j "$JOBS"
 }
 
-stage_policy_matrix() {
-    # build-check (stage 1) carries the binaries; run the determinism
-    # subset under each registered policy, then prove the metrics schema
-    # does not depend on the policy: exports across policies must agree
-    # on the key set, with only the policy-reporting fields differing in
-    # value.
-    cmake --build build-check -j "$JOBS" \
-        --target determinism_test filter_policy_test pargpu_harness
-    local pdir="$ROOT/build-check/policy-matrix"
+stage_mode_matrix() {
+    # build-check (stage 1) carries the binary. The harness builds its
+    # --run-scenario list from scenarioRegistry(), so the modes come
+    # from the registry, not from a list kept here.
+    cmake --build build-check -j "$JOBS" --target pargpu_harness
+    local harness="$ROOT/build-check/src/harness/pargpu_harness"
+    local pdir="$ROOT/build-check/mode-matrix"
     mkdir -p "$pdir"
-    local policy
-    for policy in patu stf_uniform stf_blue stf_weighted \
-                  filter_after_shading; do
-        echo "--- policy: $policy ---"
-        PARGPU_FILTER_POLICY="$policy" ctest --test-dir build-check \
-            --output-on-failure -j "$JOBS" \
-            -R "determinism_test|filter_policy_test"
-        "$ROOT/build-check/src/harness/pargpu_harness" \
-            --run-game nfs --run-scenario patu \
-            --run-filter-policy "$policy" \
+    local modes
+    modes="$("$harness" --help | sed -n 's/^  --run-scenario //p' |
+        tr '|' ' ')"
+    if [ -z "$modes" ]; then
+        echo "no --run-scenario list in pargpu_harness --help" >&2
+        return 1
+    fi
+    local mode docs=()
+    for mode in $modes; do
+        echo "--- mode: $mode ---"
+        "$harness" --run-game nfs --run-scenario "$mode" \
             --run-width 160 --run-height 120 --run-frames 2 --quiet \
-            --metrics-json "$pdir/$policy.json"
+            --metrics-json "$pdir/$mode.json"
+        docs+=("$pdir/$mode.json")
     done
-    python3 - "$pdir"/patu.json "$pdir"/stf_uniform.json \
-        "$pdir"/stf_blue.json "$pdir"/stf_weighted.json \
-        "$pdir"/filter_after_shading.json <<'EOF'
-import json, sys
-
-# The only fields whose *values* identify the policy; every other field
-# may differ in value but the key set itself must be identical.
-POLICY_FIELDS = {
-    "run/filter_policy",
-    "registry/scalars/texunit.policy",
-}
+    python3 - "${docs[@]}" <<'EOF'
+import json, os, sys
 
 def flatten(node, prefix, out):
     if isinstance(node, dict):
@@ -375,7 +367,13 @@ def flatten(node, prefix, out):
 docs = [(p, flatten(json.load(open(p)), "", {})) for p in sys.argv[1:]]
 ref_path, ref = docs[0]
 ok = True
-for path, doc in docs[1:]:
+for path, doc in docs:
+    mode = os.path.basename(path)[:-len(".json")]
+    if doc.get("run/scenario") != mode:
+        print(f"{path}: run.scenario is {doc.get('run/scenario')!r}, "
+              f"not {mode!r} — the mode did not take effect",
+              file=sys.stderr)
+        ok = False
     missing = ref.keys() - doc.keys()
     extra = doc.keys() - ref.keys()
     for k in sorted(missing):
@@ -385,15 +383,9 @@ for path, doc in docs[1:]:
         print(f"key-set drift: {k} in {path} but not {ref_path}",
               file=sys.stderr)
     ok = ok and not missing and not extra
-    for k in POLICY_FIELDS:
-        if doc.get(k) == ref.get(k):
-            print(f"{path}: policy field {k} identical to patu "
-                  f"({doc.get(k)}) — policy did not take effect",
-                  file=sys.stderr)
-            ok = False
 if not ok:
     sys.exit(1)
-print(f"policy exports schema-identical across {len(docs)} policies "
+print(f"mode exports schema-identical across {len(docs)} modes "
       f"({len(ref)} fields each)")
 EOF
 }
@@ -438,7 +430,7 @@ run_stage "8/13 perf gate (texel + tile vs baselines)" stage_perf
 run_stage "9/13 SIMD bit-identity (-DPARGPU_SIMD=OFF vs ON)" stage_simd_identity
 run_stage "10/13 pargpu-analyze + fixture selftest" stage_analyze
 run_stage "11/13 thread-safety analysis (-DPARGPU_TSA=ON)" stage_tsa
-run_stage "12/13 filter-policy matrix (determinism + schema)" stage_policy_matrix
+run_stage "12/13 filter-mode matrix (schema)" stage_mode_matrix
 run_stage "13/13 serve round-trip (sanitizers) + amortization gate" stage_serve
 
 summary

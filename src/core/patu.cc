@@ -15,6 +15,11 @@ scenarioRegistry()
         {DesignScenario::AfSsimN, "n", "AF-SSIM(N)"},
         {DesignScenario::AfSsimNTxds, "ntxds", "AF-SSIM(N)+(Txds)"},
         {DesignScenario::Patu, "patu", "PATU"},
+        {DesignScenario::StfUniform, "stf_uniform", "STF-uniform"},
+        {DesignScenario::StfBlue, "stf_blue", "STF-blue"},
+        {DesignScenario::StfWeighted, "stf_weighted", "STF-weighted"},
+        {DesignScenario::FilterAfterShading, "filter_after_shading",
+         "Filter-after-shading"},
     };
     return kScenarios;
 }
@@ -47,6 +52,20 @@ parseScenarioName(std::string_view name, DesignScenario &out)
         }
     }
     return false;
+}
+
+int
+filterPolicyCode(DesignScenario s)
+{
+    return s > DesignScenario::Patu
+        ? static_cast<int>(s) - static_cast<int>(DesignScenario::Patu)
+        : 0;
+}
+
+const char *
+filterPolicyName(DesignScenario s)
+{
+    return filterPolicyCode(s) == 0 ? "patu" : scenarioMetricName(s);
 }
 
 float

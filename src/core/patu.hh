@@ -33,7 +33,12 @@
 namespace pargpu
 {
 
-/** The design scenarios compared throughout Section VII. */
+/**
+ * The filter modes: the design scenarios compared throughout Section VII,
+ * then the alternative filtering strategies of the related work
+ * (docs/FILTERING.md). The STF and filter-after-shading modes replace
+ * the anisotropic filtering loop wholesale and bypass the predictor.
+ */
 enum class DesignScenario
 {
     Baseline,    ///< Conventional 16x AF on every anisotropic pixel.
@@ -41,9 +46,13 @@ enum class DesignScenario
     AfSsimN,     ///< Sample-area based prediction only.
     AfSsimNTxds, ///< Sample-area + distribution based prediction.
     Patu,        ///< Both predictions + LOD-shift elimination.
+    StfUniform,  ///< One white-noise texel per AF sample.
+    StfBlue,     ///< One texel per AF sample, IGN screen-space noise.
+    StfWeighted, ///< One weight-importance-sampled texel per AF sample.
+    FilterAfterShading, ///< Sharp centroid sample + cross-quad filter.
 };
 
-/** A design scenario's two spellings. */
+/** A filter mode's two spellings. */
 struct ScenarioDesc
 {
     DesignScenario id;
@@ -51,7 +60,7 @@ struct ScenarioDesc
     const char *label; ///< Report-table label ("PATU", ...).
 };
 
-/** Every scenario, in enum order. */
+/** Every filter mode, in enum order: the one list of them. */
 std::span<const ScenarioDesc> scenarioRegistry();
 
 /** Report-table label ("PATU"). */
@@ -62,6 +71,20 @@ const char *scenarioMetricName(DesignScenario s);
 
 /** Parse a scenarioMetricName(); false (out untouched) when unknown. */
 bool parseScenarioName(std::string_view name, DesignScenario &out);
+
+/**
+ * Numeric filter policy of a mode, as FrameStats::filter_policy and the
+ * texunit.policy metric report it: 0 (the PATU flow) for the paper's
+ * five scenarios, 1-4 for StfUniform, StfBlue, StfWeighted and
+ * FilterAfterShading.
+ */
+int filterPolicyCode(DesignScenario s);
+
+/**
+ * Name of filterPolicyCode(s), as run.filter_policy reports it: "patu"
+ * for the paper's five scenarios, scenarioMetricName(s) otherwise.
+ */
+const char *filterPolicyName(DesignScenario s);
 
 /** PATU configuration knobs. */
 struct PatuConfig

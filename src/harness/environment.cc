@@ -6,7 +6,6 @@
 #include "harness/session.hh"
 #include "sim/pipeline.hh"
 #include "simd/dispatch.hh"
-#include "texture/filter_policy.hh"
 
 namespace pargpu
 {
@@ -15,8 +14,8 @@ EnvMap
 processEnvironment()
 {
     EnvMap env;
-    for (const char *name : {"PARGPU_THREADS", "PARGPU_SIMD",
-                             "PARGPU_TILE_PARALLEL", "PARGPU_FILTER_POLICY"})
+    for (const char *name :
+         {"PARGPU_THREADS", "PARGPU_SIMD", "PARGPU_TILE_PARALLEL"})
         if (const char *v = std::getenv(name))
             env.emplace(name, v);
     return env;
@@ -63,24 +62,11 @@ parseEnvironment(const EnvMap &env)
         reject("PARGPU_TILE_PARALLEL must be '0' or '1', got '" + tile_v +
                "'");
 
-    const std::string policy_v = get("PARGPU_FILTER_POLICY");
-    FilterPolicyId policy = FilterPolicyId::Patu;
-    if (!policy_v.empty() && !parseFilterPolicy(policy_v, policy)) {
-        std::string names;
-        for (const FilterPolicyDesc &d : filterPolicyRegistry()) {
-            if (!names.empty())
-                names += "|";
-            names += d.name;
-        }
-        reject("PARGPU_FILTER_POLICY must be one of " + names);
-    }
-
     if (!errors.empty())
         return Status::fail(StatusCode::InvalidConfig, errors);
     ThreadPool::setBaseThreads(threads);
     simd::setActiveTier(tier);
     setTileParallelForced(tile_v == "1");
-    setDefaultFilterPolicy(policy);
     return Status::success();
 }
 

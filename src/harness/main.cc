@@ -1,9 +1,10 @@
 /**
  * @file
  * pargpu_harness: the observability-first simulator driver. Renders any
- * game workload under any design scenario and exports the run as a
- * versioned metrics document (JSON/CSV, see docs/METRICS.md) and an
- * optional chrome://tracing profile.
+ * game workload under any filter mode (a design scenario or an STF/FAS
+ * mode, docs/FILTERING.md) and exports the run as a versioned metrics
+ * document (JSON/CSV, see docs/METRICS.md) and an optional
+ * chrome://tracing profile.
  *
  * Flags come in three families (see docs/REPRODUCING.md for the full
  * mapping):
@@ -19,7 +20,7 @@
  * viewport and frame count must be positive and within the trace limits
  * (withinTraceBudget() in trace/trace.hh), or the harness exits 2.
  *
- * --run-reference renders a second run under the given scenario and
+ * --run-reference renders a second run under the given mode and
  * reports MSSIM of the primary run against it (the paper's quality axis).
  * --trace-out enables the runtime trace collector around the run and
  * writes a JSON trace loadable in chrome://tracing / Perfetto.
@@ -29,7 +30,6 @@
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
-#include <optional>
 #include <string>
 
 #include "common/logging.hh"
@@ -49,8 +49,6 @@ struct Options
 {
     GameId game = GameId::HL2;
     RunConfig run;
-    /** --run-filter-policy; unset: defaultFilterPolicy(). */
-    std::optional<FilterPolicyId> filter_policy;
     int width = 640;
     int height = 512;
     int frames = 2;
@@ -82,19 +80,6 @@ parseScenario(const std::string &v)
     std::exit(2);
 }
 
-FilterPolicyId
-parseFilterPolicyOrDie(const std::string &v)
-{
-    FilterPolicyId id;
-    if (parseFilterPolicy(v, id))
-        return id;
-    std::fprintf(stderr, "unknown filter policy '%s' (valid:", v.c_str());
-    for (const FilterPolicyDesc &d : filterPolicyRegistry())
-        std::fprintf(stderr, " %s", d.name);
-    std::fprintf(stderr, ")\n");
-    std::exit(2);
-}
-
 void
 usage()
 {
@@ -119,10 +104,6 @@ usage()
         "                      (bit-identical; PARGPU_TILE_PARALLEL=1\n"
         "                      forces it on)\n"
         "  --run-clusters C    shader clusters (0 = Table I default)\n"
-        "  --run-filter-policy patu|stf_uniform|stf_blue|stf_weighted|\n"
-        "                      filter_after_shading   texture filtering\n"
-        "                      strategy (docs/FILTERING.md; default patu,\n"
-        "                      or PARGPU_FILTER_POLICY when set)\n"
         "  --run-reference S   also render S, report MSSIM against it\n"
         "exports:\n"
         "  --metrics-json F    write the metrics document (schema v%d)\n"
@@ -185,8 +166,6 @@ parseArgs(int argc, char **argv)
             o.run.tile_parallel = true;
         } else if (a == "--run-clusters") {
             number(o.run.clusters);
-        } else if (a == "--run-filter-policy") {
-            o.filter_policy = parseFilterPolicyOrDie(need());
         } else if (a == "--run-reference") {
             o.have_reference = true;
             o.reference = parseScenario(need());
@@ -243,7 +222,6 @@ main(int argc, char **argv)
     const Status env = parseEnvironment(processEnvironment());
     if (!env.ok())
         fatal(env.message);
-    o.run.filter_policy = o.filter_policy.value_or(defaultFilterPolicy());
 
     // The quality axis needs rendered images on both sides.
     o.run.keep_images = o.have_reference;
@@ -261,11 +239,6 @@ main(int argc, char **argv)
     if (o.have_reference) {
         RunConfig ref_cfg = o.run;
         ref_cfg.scenario = o.reference;
-        // The reference is the quality yardstick: always exact filtering
-        // under the requested scenario, never an approximating policy
-        // (comparing an STF run against its own noise would report a
-        // meaningless MSSIM of 1).
-        ref_cfg.filter_policy = FilterPolicyId::Patu;
         RunResult ref = session.run(trace, ref_cfg);
         mssim = run.mssimAgainst(ref.images);
     }
@@ -304,8 +277,6 @@ main(int argc, char **argv)
                     o.frames);
         std::printf("scenario   : %s, threshold %.2f\n",
                     scenarioMetricName(o.run.scenario), o.run.threshold);
-        std::printf("policy     : %s\n",
-                    filterPolicyName(o.run.filter_policy));
         std::printf("avg cycles : %.0f (%.2f fps @1GHz)\n", run.avg_cycles,
                     run.avg_cycles > 0.0 ? 1e9 / run.avg_cycles : 0.0);
         std::printf("energy     : %.3f mJ (%.2f W avg)\n",

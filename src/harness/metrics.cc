@@ -193,14 +193,14 @@ buildRunRegistry(const RunResult &run, StatRegistry &reg, double mssim)
             static_cast<double>(simd::tierLanes(simd::activeTier())));
     reg.set("simd.dispatch",
             static_cast<double>(static_cast<int>(simd::activeTier())));
-    // Host-side texel storage in effect for this process (1 = Morton).
-    reg.set("texture.morton_storage",
-            TextureMap::defaultStorage() == TexelStorage::Morton ? 1.0
-                                                                 : 0.0);
+    // Host-side texel storage of RGBA8 textures (1 = Morton, the only
+    // order they are stored in).
+    reg.set("texture.morton_storage", 1.0);
 
-    // FilterPolicy reporting (docs/FILTERING.md). Counters are emitted
-    // unconditionally (zero under Patu) so the registry key set is
-    // identical across policies; only texunit.policy's value differs.
+    // Filter-mode reporting (docs/FILTERING.md). Counters are emitted
+    // unconditionally (zero in the paper's scenarios) so the registry key
+    // set is identical across modes; texunit.policy is the mode's
+    // filterPolicyCode().
     reg.set("texunit.policy",
             static_cast<double>(run.frames.empty()
                                     ? 0
@@ -326,7 +326,7 @@ metricsJson(const RunMetadata &meta, const RunConfig &config,
     rj.set("tile_parallel", Json{config.tile_parallel});
     rj.set("clusters", Json{config.clusters});
     rj.set("filter_policy",
-           Json{std::string(filterPolicyName(config.filter_policy))});
+           Json{std::string(filterPolicyName(config.scenario))});
     // Host-machine context: makes cross-machine metric comparisons
     // interpretable (the simulated metrics are host-independent; only
     // wall-clock and the active kernel tier depend on these).

@@ -41,9 +41,6 @@ configErrorMessage(ConfigError error)
         return "threads must be in [0, 4096] (0 = default)";
     case ConfigError::BadClusters:
         return "clusters must be in [0, 64] (0 = default)";
-    case ConfigError::BadFilterPolicy:
-        return "filter-policy must be one of "
-               "patu|stf_uniform|stf_blue|stf_weighted|filter_after_shading";
     }
     return "invalid RunConfig";
 }
@@ -66,8 +63,6 @@ RunConfig::validate() const
         errors.push_back(ConfigError::BadThreads);
     if (clusters < 0 || clusters > 64)
         errors.push_back(ConfigError::BadClusters);
-    if (!isKnownFilterPolicy(filter_policy))
-        errors.push_back(ConfigError::BadFilterPolicy);
     return errors;
 }
 
@@ -99,7 +94,6 @@ makeGpuConfig(const RunConfig &config)
     if (config.clusters > 0)
         g.clusters = static_cast<unsigned>(config.clusters);
     g.tile_parallel = config.tile_parallel;
-    g.filter_policy = config.filter_policy;
     return g;
 }
 

@@ -21,7 +21,6 @@
 #include "quality/ssim.hh"
 #include "scenes/scenes.hh"
 #include "sim/pipeline.hh"
-#include "texture/filter_policy.hh"
 
 namespace pargpu
 {
@@ -40,7 +39,6 @@ enum class ConfigError
     BadTableEntries, ///< table_entries negative or above 4096.
     BadThreads,      ///< threads negative or above 4096.
     BadClusters,     ///< clusters negative or above 64.
-    BadFilterPolicy, ///< filter_policy not a registered policy.
 };
 
 /** Human-readable description of @p error (includes the legal range). */
@@ -49,6 +47,7 @@ const char *configErrorMessage(ConfigError error);
 /** One experimental condition. */
 struct RunConfig
 {
+    /** Filter mode: a paper scenario or an STF/FAS mode. */
     DesignScenario scenario = DesignScenario::Baseline;
     float threshold = 0.4f;   ///< Unified AF-SSIM threshold.
     unsigned tc_scale = 1;    ///< Texture-cache capacity multiplier.
@@ -63,12 +62,6 @@ struct RunConfig
                                 ///< clusters (GpuConfig::tile_parallel;
                                 ///< bit-identical to serial).
     int clusters = 0;         ///< Shader clusters (0 = Table I default).
-    /**
-     * Texture-unit filtering strategy (docs/FILTERING.md); defaults to
-     * defaultFilterPolicy(): the paper's PATU flow unless an entry point
-     * applied PARGPU_FILTER_POLICY.
-     */
-    FilterPolicyId filter_policy = defaultFilterPolicy();
 
     /**
      * Check every field against its legal range and return the list of
@@ -82,8 +75,7 @@ struct RunConfig
      * (the cache model requires a power-of-two set count); max_aniso in
      * [1,64]; table_entries in [0,4096] (0 = scenario default);
      * threads in [0,4096] (0 = ThreadPool::defaultThreads()); clusters in
-     * [0,64] (0 = Table I default); filter_policy a registered
-     * FilterPolicyId.
+     * [0,64] (0 = Table I default).
      */
     std::vector<ConfigError> validate() const;
 };

@@ -13,7 +13,7 @@ namespace
 {
 
 /** Serve protocol schema version (docs/SERVE.md; bumped on change). */
-constexpr int kServeSchemaVersion = 1;
+constexpr int kServeSchemaVersion = 2;
 
 /** A response skeleton carrying @p status and the request's echoed id. */
 Json
@@ -138,13 +138,6 @@ parseRunConfigJson(const Json &j, RunConfig &out)
                 return Status::fail(StatusCode::InvalidRequest,
                                     "config.clusters must be an integer");
             out.clusters = static_cast<int>(n);
-        } else if (key == "filter_policy") {
-            FilterPolicyId id;
-            if (!v.isString() || !parseFilterPolicy(v.str(), id))
-                return Status::fail(StatusCode::InvalidRequest,
-                                    "config.filter_policy: unknown "
-                                    "policy '" + v.str() + "'");
-            out.filter_policy = id;
         } else {
             return Status::fail(StatusCode::InvalidRequest,
                                 "config." + key + ": unknown member");

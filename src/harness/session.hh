@@ -109,9 +109,8 @@ using EnvMap = std::map<std::string, std::string>;
 EnvMap processEnvironment();
 
 /**
- * Parse PARGPU_THREADS, PARGPU_SIMD, PARGPU_TILE_PARALLEL and
- * PARGPU_FILTER_POLICY, then apply all four through their setters (unset
- * or empty: the default). Any bad value applies nothing: InvalidConfig
+ * Parse PARGPU_THREADS, PARGPU_SIMD and PARGPU_TILE_PARALLEL, then apply
+ * all three through their setters (unset or empty: the default). Any bad value applies nothing: InvalidConfig
  * with every bad variable's message joined by "; ". Entry points call it
  * with processEnvironment(); the library itself reads no environment.
  */

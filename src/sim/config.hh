@@ -16,7 +16,6 @@
 #include "common/types.hh"
 #include "core/patu.hh"
 #include "mem/memsys.hh"
-#include "texture/filter_policy.hh"
 
 namespace pargpu
 {
@@ -78,17 +77,9 @@ struct GpuConfig
      */
     bool tile_parallel = false;
 
-    /**
-     * Texture-unit filtering strategy for anisotropic draws
-     * (docs/FILTERING.md). Patu is the paper's predictor-gated AF->TF
-     * downgrade; the stochastic and filter-after-shading policies replace
-     * the anisotropic loop wholesale and ignore the PATU predictor.
-     */
-    FilterPolicyId filter_policy = FilterPolicyId::Patu;
-
     // --- Subsystem configurations --------------------------------------
     MemSysConfig mem;   ///< Caches + DRAM (Table I defaults).
-    PatuConfig patu;    ///< Design scenario + threshold.
+    PatuConfig patu;    ///< Filter mode (scenario) + threshold.
 };
 
 /** Simulated GPU address-space map. */

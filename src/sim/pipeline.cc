@@ -699,7 +699,8 @@ GpuSimulator::renderFrame(const Scene &scene, const Camera &camera,
     fs.total_cycles = fs.geometry_cycles + fs.fragment_cycles;
     fs.shader_busy_cycles += geometry_cycles;
 
-    fs.filter_policy = static_cast<std::uint64_t>(config_.filter_policy);
+    fs.filter_policy =
+        static_cast<std::uint64_t>(filterPolicyCode(config_.patu.scenario));
     for (const TexUnitStats &ts : cluster_tex_) {
         fs.texture_filter_cycles += ts.filter_busy;
         fs.texture_mem_stall += ts.mem_stall;

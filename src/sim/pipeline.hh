@@ -94,8 +94,8 @@ struct FrameStats
     std::uint64_t divergent_quads = 0;
     std::uint64_t af_quads = 0;
 
-    // --- FilterPolicy activity (docs/FILTERING.md) -----------------------
-    std::uint64_t filter_policy = 0; ///< FilterPolicyId the TUs ran.
+    // --- Filter-mode activity (docs/FILTERING.md) -----------------------
+    std::uint64_t filter_policy = 0; ///< filterPolicyCode() of the mode.
     std::uint64_t stf_samples = 0; ///< Single-texel stochastic fetches.
     std::uint64_t fas_quads = 0;   ///< Quads filtered after shading.
 
@@ -242,9 +242,8 @@ class GpuSimulator
      * Render @p scene from @p camera into a width x height frame.
      *
      * Acquires the memory system's serial-phase capability internally
-     * (per phase), so the caller must not already hold it — e.g. a
-     * FilterPolicy callback running inside a frame must never re-enter
-     * the simulator.
+     * (per phase), so the caller must not already hold it — e.g. code
+     * running inside a frame must never re-enter the simulator.
      */
     FrameOutput renderFrame(const Scene &scene, const Camera &camera,
                             int width, int height)

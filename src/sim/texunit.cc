@@ -159,21 +159,29 @@ TextureUnit::processQuadWork(const QuadFragment &quad,
             }
             act[n_act++] = i;
         }
-        // FilterPolicy dispatch (docs/FILTERING.md): the coverage prolog
+        // Filter-mode dispatch (docs/FILTERING.md): the coverage prolog
         // above and the divergence/Fig. 12 epilog below are shared; only
-        // the filtering strategy in between is policy-specific.
-        switch (config_.filter_policy) {
-          case FilterPolicyId::Patu:
+        // the filtering strategy in between is mode-specific. The paper's
+        // five scenarios all run the PATU decision flow.
+        switch (config_.patu.scenario) {
+          case DesignScenario::StfUniform:
+            anisoQuadStf(quad, sampler, info, plans, act, n_act,
+                         StfVariant::Uniform);
+            break;
+          case DesignScenario::StfBlue:
+            anisoQuadStf(quad, sampler, info, plans, act, n_act,
+                         StfVariant::Blue);
+            break;
+          case DesignScenario::StfWeighted:
+            anisoQuadStf(quad, sampler, info, plans, act, n_act,
+                         StfVariant::Weighted);
+            break;
+          case DesignScenario::FilterAfterShading:
+            anisoQuadFas(quad, sampler, info, plans, act, n_act);
+            break;
+          default:
             anisoQuadPatu(quad, sampler, info, plans, footprints, act,
                           n_act, any_approx, any_keep);
-            break;
-          case FilterPolicyId::StfUniform:
-          case FilterPolicyId::StfBlue:
-          case FilterPolicyId::StfWeighted:
-            anisoQuadStf(quad, sampler, info, plans, act, n_act);
-            break;
-          case FilterPolicyId::FilterAfterShading:
-            anisoQuadFas(quad, sampler, info, plans, act, n_act);
             break;
         }
     }
@@ -189,7 +197,7 @@ TextureUnit::processQuadWork(const QuadFragment &quad,
     // pays the slowest pixel. The 8 filtering ALUs blend 8 texels per
     // cycles_per_trilinear, rounded up per pixel — exactly
     // fetch_samples * cycles_per_trilinear for full 8-texel samples, and
-    // proportionally less for the single-texel STF policies.
+    // proportionally less for the single-texel STF modes.
     Cycle addr_cycles = 0, filter_cycles = 0;
     for (const PixelPlan &plan : plans) {
         if (!plan.active)
@@ -403,7 +411,7 @@ void
 TextureUnit::anisoQuadStf(const QuadFragment &quad,
                           const TextureSampler &sampler,
                           const AnisotropyInfo &info, PixelPlan plans[4],
-                          const int act[4], int n_act)
+                          const int act[4], int n_act, StfVariant variant)
 {
     // Stochastic texture filtering (docs/FILTERING.md): every AF sample
     // position still computes its footprint's addresses (the address
@@ -416,8 +424,7 @@ TextureUnit::anisoQuadStf(const QuadFragment &quad,
     const TextureMap &tex = sampler.texture();
     const LodSelect sel = sampler.selectLod(info.lodAF);
     const int n = info.sampleSize;
-    const bool weighted =
-        config_.filter_policy == FilterPolicyId::StfWeighted;
+    const bool weighted = variant == StfVariant::Weighted;
     const float inv_n = 1.0f / static_cast<float>(n);
     Vec2 *uvs = scratch_uvs_;
     for (int a = 0; a < n_act; ++a) {
@@ -430,8 +437,7 @@ TextureUnit::anisoQuadStf(const QuadFragment &quad,
         simd::QuadFilter::anisoUvs(quad.uv[i], info, uvs);
         Color4f acc{0.0f, 0.0f, 0.0f, 0.0f};
         for (int smp = 0; smp < n; ++smp) {
-            const float u = stfSampleU(config_.filter_policy, px, py, smp,
-                                       frame_seed_);
+            const float u = stfSampleU(variant, px, py, smp, frame_seed_);
             StfTexelChoice c = stfSelectTexel(tex, uvs[smp], sel, weighted,
                                               u);
             queueTexel(c.addr);

@@ -30,6 +30,7 @@
 #include "sim/config.hh"
 #include "sim/raster.hh"
 #include "simd/filter.hh"
+#include "texture/filter_policy.hh"
 
 namespace pargpu
 {
@@ -64,7 +65,8 @@ struct TexUnitStats
     std::uint64_t divergent_quads = 0;  ///< Quads with mixed decisions.
     std::uint64_t af_quads = 0;         ///< Quads with any N > 1 pixel.
 
-    // FilterPolicy counters (docs/FILTERING.md). Zero under Patu.
+    // STF / filter-after-shading counters (docs/FILTERING.md). Zero in
+    // the paper's five scenarios.
     std::uint64_t stf_samples = 0;      ///< Single-texel stochastic fetches.
     std::uint64_t fas_quads = 0;        ///< Quads filtered after shading.
 
@@ -306,8 +308,8 @@ class TextureUnit
     }
 
     /**
-     * Anisotropic-path FilterPolicy bodies, dispatched by
-     * processQuadWork() on config_.filter_policy after the shared
+     * Anisotropic-path filter-mode bodies, dispatched by
+     * processQuadWork() on config_.patu.scenario after the shared
      * coverage prolog; each fills the covered pixels' plans and queues
      * the lines it fetches. anisoQuadPatu() is the paper's decision flow
      * (Fig. 13) verbatim; the others are documented in docs/FILTERING.md.
@@ -321,7 +323,7 @@ class TextureUnit
     void anisoQuadStf(const QuadFragment &quad,
                       const TextureSampler &sampler,
                       const AnisotropyInfo &info, PixelPlan plans[4],
-                      const int act[4], int n_act);
+                      const int act[4], int n_act, StfVariant variant);
     void anisoQuadFas(const QuadFragment &quad,
                       const TextureSampler &sampler,
                       const AnisotropyInfo &info, PixelPlan plans[4],

@@ -1,6 +1,5 @@
 #include "texture/filter_policy.hh"
 
-#include <atomic>
 #include <cmath>
 
 #include "common/contract.hh"
@@ -12,15 +11,11 @@ namespace pargpu
 namespace
 {
 
-// Per-policy hash salts: distinct streams so two stochastic policies run
+// Per-variant hash salts: distinct streams so two stochastic modes run
 // on the same trace never share noise patterns.
 constexpr std::uint32_t kSaltUniform = 0xB5297A4Du;
 constexpr std::uint32_t kSaltWeighted = 0x68E31DA4u;
 constexpr std::uint32_t kSaltBlueRot = 0x1B56C4E9u;
-
-// Set by setDefaultFilterPolicy() before configs are built; atomic
-// because any thread may build a RunConfig. pargpu-analyze: allow(global-state)
-std::atomic<FilterPolicyId> g_default_policy{FilterPolicyId::Patu};
 
 /** Hash bits -> float in [0, 1): 24 high bits, exactly representable. */
 float
@@ -46,101 +41,28 @@ ign(int px, int py)
 
 } // namespace
 
-std::span<const FilterPolicyDesc>
-filterPolicyRegistry()
-{
-    static const FilterPolicyDesc kPolicies[] = {
-        {FilterPolicyId::Patu, "patu",
-         "predictor-gated AF->TF downgrade (the paper's flow; default)"},
-        {FilterPolicyId::StfUniform, "stf_uniform",
-         "one white-noise texel per AF sample, uniform over the footprint"},
-        {FilterPolicyId::StfBlue, "stf_blue",
-         "one texel per AF sample, IGN blue-noise-ish screen-space pattern"},
-        {FilterPolicyId::StfWeighted, "stf_weighted",
-         "one texel per AF sample, importance-sampled by filter weight"},
-        {FilterPolicyId::FilterAfterShading, "filter_after_shading",
-         "sharp centroid sample per pixel, filtered across the quad"},
-    };
-    return kPolicies;
-}
-
-const char *
-filterPolicyName(FilterPolicyId id)
-{
-    for (const FilterPolicyDesc &d : filterPolicyRegistry())
-        if (d.id == id)
-            return d.name;
-    PARGPU_INVARIANT(false, "unregistered FilterPolicyId: ",
-                     static_cast<int>(id));
-    return "?";
-}
-
-bool
-isKnownFilterPolicy(FilterPolicyId id)
-{
-    for (const FilterPolicyDesc &d : filterPolicyRegistry())
-        if (d.id == id)
-            return true;
-    return false;
-}
-
-bool
-parseFilterPolicy(std::string_view name, FilterPolicyId &out)
-{
-    for (const FilterPolicyDesc &d : filterPolicyRegistry()) {
-        if (name == d.name) {
-            out = d.id;
-            return true;
-        }
-    }
-    return false;
-}
-
-FilterPolicyId
-defaultFilterPolicy()
-{
-    return g_default_policy.load(std::memory_order_relaxed);
-}
-
-void
-setDefaultFilterPolicy(FilterPolicyId id)
-{
-    PARGPU_INVARIANT(isKnownFilterPolicy(id), "unregistered FilterPolicyId: ",
-                     static_cast<int>(id));
-    g_default_policy.store(id, std::memory_order_relaxed);
-}
-
 float
-stfSampleU(FilterPolicyId id, int px, int py, int sample,
+stfSampleU(StfVariant v, int px, int py, int sample,
            std::uint32_t frame_seed)
 {
     const std::uint32_t ux = static_cast<std::uint32_t>(px);
     const std::uint32_t uy = static_cast<std::uint32_t>(py);
     const std::uint32_t us = static_cast<std::uint32_t>(sample);
-    switch (id) {
-      case FilterPolicyId::StfUniform:
-      case FilterPolicyId::StfWeighted: {
+    if (v != StfVariant::Blue) {
         const std::uint32_t salt =
-            id == FilterPolicyId::StfUniform ? kSaltUniform : kSaltWeighted;
+            v == StfVariant::Uniform ? kSaltUniform : kSaltWeighted;
         std::uint32_t bits =
             hashCombine(hashCombine(ux, uy, salt), us, frame_seed);
         return bitsToUnit(bits);
-      }
-      case FilterPolicyId::StfBlue: {
-        // Cranley-Patterson rotation of the screen-space IGN value: the
-        // per-(sample, frame) offset decorrelates AF samples within a
-        // pixel and re-seeds the pattern every frame, while the IGN base
-        // keeps the error blue-noise-ish across neighbouring pixels.
-        float u = ign(px, py) +
-            bitsToUnit(hashCombine(us, kSaltBlueRot, frame_seed));
-        u -= std::floor(u);
-        return u;
-      }
-      default:
-        PARGPU_INVARIANT(false, "stfSampleU() on a non-stochastic policy: ",
-                         static_cast<int>(id));
-        return 0.0f;
     }
+    // Cranley-Patterson rotation of the screen-space IGN value: the
+    // per-(sample, frame) offset decorrelates AF samples within a pixel
+    // and re-seeds the pattern every frame, while the IGN base keeps the
+    // error blue-noise-ish across neighbouring pixels.
+    float u = ign(px, py) +
+        bitsToUnit(hashCombine(us, kSaltBlueRot, frame_seed));
+    u -= std::floor(u);
+    return u;
 }
 
 StfTexelChoice

@@ -1,19 +1,19 @@
 /**
  * @file
- * The FilterPolicy family: pluggable strategies for approximating texture
- * filtering in the sampling path (docs/FILTERING.md).
+ * Texel selection for the stochastic texture filtering (STF) modes
+ * (docs/FILTERING.md).
  *
  * PATU's AF->TF downgrade (predictor + threshold) is one point in a wider
  * design space mapped by the related work: Stochastic Texture Filtering
  * (Fajardo et al.) trades texel fetches for noise, and Filtering After
  * Shading (Pharr et al.) moves the filter across the shading boundary.
- * Each policy here is a drop-in replacement for the texture unit's
- * anisotropic filtering loop, selected by RunConfig::filter_policy
- * (--run-filter-policy / PARGPU_FILTER_POLICY) and reported through the
- * same texunit.* counters so quality-vs-fetches comparisons are apples to
+ * Each is a filter mode (DesignScenario, selected like the paper's
+ * scenarios by RunConfig::scenario) that replaces the texture unit's
+ * anisotropic filtering loop, and is reported through the same
+ * texunit.* counters so quality-vs-fetches comparisons are apples to
  * apples (bench/fig_policies, pargpu_report.py --compare-policies).
  *
- * Stochastic policies draw every random variate from the counter-based
+ * The stochastic modes draw every random variate from the counter-based
  * hash discipline enforced by pargpu_analyze: pixel coordinates, sample
  * index and a per-frame camera-derived seed, never wall clocks, thread
  * ids or addresses — so results are bit-identical across thread counts
@@ -24,8 +24,6 @@
 #define PARGPU_TEXTURE_FILTER_POLICY_HH
 
 #include <cstdint>
-#include <span>
-#include <string_view>
 
 #include "common/color.hh"
 #include "common/types.hh"
@@ -35,59 +33,23 @@
 namespace pargpu
 {
 
-/**
- * Filtering strategy of the texture unit's anisotropic path. Orthogonal
- * to DesignScenario: the scenario picks which PATU predictor stages run,
- * and only the Patu policy consults the predictor at all.
- */
-enum class FilterPolicyId
+/** Noise and texel selection of the three STF filter modes. */
+enum class StfVariant
 {
-    Patu = 0,           ///< Paper flow: predictor-gated AF->TF downgrade.
-    StfUniform,         ///< One white-noise texel per AF sample.
-    StfBlue,            ///< One texel per sample, IGN screen-space noise.
-    StfWeighted,        ///< One weight-importance-sampled texel per sample.
-    FilterAfterShading, ///< Sharp centroid sample + cross-quad filter.
+    Uniform,  ///< White noise, uniform over the footprint.
+    Blue,     ///< IGN screen-space noise, uniform over the footprint.
+    Weighted, ///< White noise, importance-sampled by filter weight.
 };
 
-/** Registry row describing one selectable policy. */
-struct FilterPolicyDesc
-{
-    FilterPolicyId id;
-    const char *name;    ///< CLI / env / metrics spelling.
-    const char *summary; ///< One-line description for --help and docs.
-};
-
-/** All registered policies (pargpu_lint's policy-doc rule scans this). */
-std::span<const FilterPolicyDesc> filterPolicyRegistry();
-
-/** Canonical name of @p id ("patu", "stf_uniform", ...). */
-const char *filterPolicyName(FilterPolicyId id);
-
-/** True iff @p id is one of the registered policies. */
-bool isKnownFilterPolicy(FilterPolicyId id);
-
-/** Parse a policy name; returns false (out untouched) when unknown. */
-bool parseFilterPolicy(std::string_view name, FilterPolicyId &out);
-
 /**
- * The policy a default RunConfig selects: the last
- * setDefaultFilterPolicy() (PARGPU_FILTER_POLICY, through
- * parseEnvironment()), else FilterPolicyId::Patu.
- */
-FilterPolicyId defaultFilterPolicy();
-
-/** Set defaultFilterPolicy() (@p id must be a registered policy). */
-void setDefaultFilterPolicy(FilterPolicyId id);
-
-/**
- * Per-sample uniform variate in [0, 1) for the stochastic policies.
+ * Per-sample uniform variate in [0, 1) for the STF modes.
  *
- * White-noise policies hash (px, py, sample, frame_seed) through the
- * common counter-based avalanche; StfBlue evaluates interleaved gradient
+ * The white-noise variants hash (px, py, sample, frame_seed) through the
+ * common counter-based avalanche; Blue evaluates interleaved gradient
  * noise at (px, py) — screen-space blue-noise-ish — and decorrelates
  * samples and frames with a hashed Cranley-Patterson rotation.
  */
-float stfSampleU(FilterPolicyId id, int px, int py, int sample,
+float stfSampleU(StfVariant v, int px, int py, int sample,
                  std::uint32_t frame_seed);
 
 /** One stochastically selected texel standing in for a trilinear sample. */

@@ -9,10 +9,6 @@ namespace pargpu
 namespace
 {
 
-// Set by setDefaultStorage() before scenes are built; read-only after.
-// pargpu-analyze: allow(global-state)
-TexelStorage g_default_storage = TexelStorage::Morton;
-
 /** log2 of a power of two. */
 std::uint32_t
 log2Pow2(int v)
@@ -25,29 +21,15 @@ log2Pow2(int v)
 
 } // namespace
 
-TexelStorage
-TextureMap::defaultStorage()
-{
-    return g_default_storage;
-}
-
-void
-TextureMap::setDefaultStorage(TexelStorage s)
-{
-    g_default_storage = s;
-}
-
 TextureMap::TextureMap(int width, int height, std::vector<RGBA8> texels,
                        WrapMode wrap, TexelLayout layout,
-                       StorageFormat format,
-                       std::optional<TexelStorage> storage)
+                       StorageFormat format)
     : wrap_(wrap), layout_(layout), format_(format),
       // BC1 keeps the raster row-major: MipLevel::texels is only the
       // compression input there (compressLevel consumes row-major), and
       // every fetch goes through the BC1 blocks.
-      storage_(format == StorageFormat::BC1
-                   ? TexelStorage::Linear
-                   : storage.value_or(defaultStorage()))
+      storage_(format == StorageFormat::BC1 ? TexelStorage::Linear
+                                            : TexelStorage::Morton)
 {
     levels_ = buildMipPyramid(width, height, std::move(texels), storage_);
     Bytes offset = 0;

@@ -12,17 +12,17 @@
  *    addresses the hardware would emit and therefore shapes cache behavior
  *    and PATU's hash-table contents. It is part of the modeled machine.
  *  - TexelStorage is the *host-side* storage order of MipLevel::texels: it
- *    only affects how fast this process can fetch texel colors. Morton
- *    storage keeps a 4x4 tile (one 64-byte simulated cache line) contiguous
- *    in host memory so a 2x2 bilinear footprint lands in one or two host
- *    cache lines. Rendered output is bit-identical across storage modes.
+ *    only affects how fast this process can fetch texel colors. It
+ *    follows the format: RGBA8 textures use Morton storage, which keeps a
+ *    4x4 tile (one 64-byte simulated cache line) contiguous in host
+ *    memory so a 2x2 bilinear footprint lands in one or two host cache
+ *    lines; BC1 keeps its row-major compression input.
  */
 
 #ifndef PARGPU_TEXTURE_TEXTURE_HH
 #define PARGPU_TEXTURE_TEXTURE_HH
 
 #include <cstdint>
-#include <optional>
 #include <vector>
 
 #include "common/color.hh"
@@ -142,16 +142,14 @@ class TextureMap
      * @param texels  Row-major level-0 texels (width * height entries).
      * @param wrap    Coordinate wrap mode.
      * @param layout  Simulated memory layout for texel addresses.
-     * @param format  Simulated storage format (BC1 pins host storage to
-     *                Linear: the raster is only kept as compression input).
-     * @param storage Host-side storage order; defaults to the process-wide
-     *                defaultStorage(). Does not affect rendered output.
+     * @param format  Simulated storage format. It also picks the host
+     *                storage: Morton for RGBA8, Linear for BC1 (the
+     *                raster is only kept as compression input).
      */
     TextureMap(int width, int height, std::vector<RGBA8> texels,
                WrapMode wrap = WrapMode::Repeat,
                TexelLayout layout = TexelLayout::Tiled4x4,
-               StorageFormat format = StorageFormat::RGBA8,
-               std::optional<TexelStorage> storage = std::nullopt);
+               StorageFormat format = StorageFormat::RGBA8);
 
     int width() const { return levels_.front().width; }
     int height() const { return levels_.front().height; }
@@ -171,15 +169,6 @@ class TextureMap
 
     /** Bind the texture at @p base in the GPU address space. */
     void setBaseAddr(Addr base) { baseAddr_ = base; }
-
-    /**
-     * Process-wide host storage order for new textures; Morton unless
-     * setDefaultStorage() changed it (layout_test's Linear-vs-Morton
-     * oracle). setDefaultStorage() is not thread-safe: call it before
-     * building scenes.
-     */
-    static TexelStorage defaultStorage();
-    static void setDefaultStorage(TexelStorage s);
 
     /**
      * Wrap a texel coordinate into [0, extent) per the wrap mode.

@@ -290,21 +290,19 @@ TEST(Determinism, TileParallelRegistryIdentical)
               rb.snapshot().toJson().dump(1));
 }
 
-TEST(Determinism, FilterPoliciesAcrossModes)
+TEST(Determinism, FilterModesAcrossExecutionModes)
 {
     Session session;
-    // The stochastic policies draw noise only from (pixel, sample,
-    // camera-hash) counters, so every execution mode must reproduce the
-    // serial run bit-for-bit: thread counts, tile parallelism, and both
-    // composed (docs/FILTERING.md, determinism strategy).
+    // Every filter mode, the stochastic ones included (they draw noise
+    // only from (pixel, sample, camera-hash) counters), must reproduce
+    // the serial run bit-for-bit in every execution mode: thread counts,
+    // tile parallelism, and both composed (docs/FILTERING.md, determinism
+    // strategy).
     GameTrace trace = smallTrace();
-    for (FilterPolicyId policy :
-         {FilterPolicyId::StfUniform, FilterPolicyId::StfBlue,
-          FilterPolicyId::StfWeighted,
-          FilterPolicyId::FilterAfterShading}) {
-        SCOPED_TRACE(filterPolicyName(policy));
+    for (const ScenarioDesc &d : scenarioRegistry()) {
+        SCOPED_TRACE(d.name);
         RunConfig serial_cfg;
-        serial_cfg.filter_policy = policy;
+        serial_cfg.scenario = d.id;
         serial_cfg.threads = 1;
         RunResult ref = session.run(trace, serial_cfg);
 

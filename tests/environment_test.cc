@@ -17,8 +17,6 @@
 #include "harness/session.hh"
 #include "simd/dispatch.hh"
 #include "sim/pipeline.hh"
-#include "texture/filter_policy.hh"
-#include "texture/texture.hh"
 
 using namespace pargpu;
 
@@ -31,7 +29,6 @@ struct Applied
     unsigned threads;
     simd::SimdTier tier;
     bool tile_parallel;
-    FilterPolicyId policy;
 
     bool operator==(const Applied &) const = default;
 };
@@ -40,7 +37,7 @@ Applied
 applied()
 {
     return {ThreadPool::defaultThreads(), simd::activeTier(),
-            tileParallelForced(), defaultFilterPolicy()};
+            tileParallelForced()};
 }
 
 /** What an empty environment applies. */
@@ -48,7 +45,7 @@ Applied
 defaults()
 {
     return {std::max(1u, std::thread::hardware_concurrency()),
-            simd::detectTier(), false, FilterPolicyId::Patu};
+            simd::detectTier(), false};
 }
 
 /** Restores the process environment's settings after each test. */
@@ -79,15 +76,6 @@ const Accept kAccepted[] = {
      [](Applied &a) { a.tier = simd::SimdTier::Scalar; }},
     {"PARGPU_TILE_PARALLEL", "0", [](Applied &) {}},
     {"PARGPU_TILE_PARALLEL", "1", [](Applied &a) { a.tile_parallel = true; }},
-    {"PARGPU_FILTER_POLICY", "patu", [](Applied &) {}},
-    {"PARGPU_FILTER_POLICY", "stf_uniform",
-     [](Applied &a) { a.policy = FilterPolicyId::StfUniform; }},
-    {"PARGPU_FILTER_POLICY", "stf_blue",
-     [](Applied &a) { a.policy = FilterPolicyId::StfBlue; }},
-    {"PARGPU_FILTER_POLICY", "stf_weighted",
-     [](Applied &a) { a.policy = FilterPolicyId::StfWeighted; }},
-    {"PARGPU_FILTER_POLICY", "filter_after_shading",
-     [](Applied &a) { a.policy = FilterPolicyId::FilterAfterShading; }},
 };
 
 /** A rejected value and the exact message it is rejected with. */
@@ -124,12 +112,6 @@ const Reject kRejected[] = {
      "PARGPU_TILE_PARALLEL must be '0' or '1', got '2'"},
     {"PARGPU_TILE_PARALLEL", "yes",
      "PARGPU_TILE_PARALLEL must be '0' or '1', got 'yes'"},
-    {"PARGPU_FILTER_POLICY", "bogus",
-     "PARGPU_FILTER_POLICY must be one of "
-     "patu|stf_uniform|stf_blue|stf_weighted|filter_after_shading"},
-    {"PARGPU_FILTER_POLICY", "PATU",
-     "PARGPU_FILTER_POLICY must be one of "
-     "patu|stf_uniform|stf_blue|stf_weighted|filter_after_shading"},
 };
 
 /** A valid map that sets every variable away from its default. */
@@ -137,7 +119,6 @@ const EnvMap kNonDefault = {
     {"PARGPU_THREADS", "3"},
     {"PARGPU_SIMD", "scalar"},
     {"PARGPU_TILE_PARALLEL", "1"},
-    {"PARGPU_FILTER_POLICY", "stf_blue"},
 };
 
 } // namespace
@@ -200,15 +181,13 @@ TEST_F(EnvironmentTest, RejectedMapAppliesNothing)
 {
     ASSERT_TRUE(parseEnvironment(kNonDefault).ok());
     const Applied before = applied();
-    // Three valid changes and one bad value: none of the three applies.
-    for (const char *bad : {"PARGPU_THREADS", "PARGPU_SIMD",
-                            "PARGPU_TILE_PARALLEL",
-                            "PARGPU_FILTER_POLICY"}) {
+    // Two valid changes and one bad value: neither change applies.
+    for (const char *bad :
+         {"PARGPU_THREADS", "PARGPU_SIMD", "PARGPU_TILE_PARALLEL"}) {
         EnvMap env = {
             {"PARGPU_THREADS", "5"},
             {"PARGPU_SIMD", ""},
             {"PARGPU_TILE_PARALLEL", "0"},
-            {"PARGPU_FILTER_POLICY", "stf_weighted"},
         };
         env[bad] = "bogus";
         EXPECT_FALSE(parseEnvironment(env).ok()) << bad;
@@ -220,27 +199,25 @@ TEST_F(EnvironmentTest, EveryBadVariableIsReported)
 {
     const Status st = parseEnvironment({
         {"PARGPU_THREADS", "x"},
-        {"PARGPU_FILTER_POLICY", "y"},
+        {"PARGPU_TILE_PARALLEL", "y"},
     });
     EXPECT_EQ(st.code, StatusCode::InvalidConfig);
     EXPECT_EQ(st.message,
               "PARGPU_THREADS must be a whole number in [0, 4096] (0 or "
-              "unset: one per core), got 'x'; PARGPU_FILTER_POLICY must be "
-              "one of patu|stf_uniform|stf_blue|stf_weighted|"
-              "filter_after_shading");
+              "unset: one per core), got 'x'; PARGPU_TILE_PARALLEL must be "
+              "'0' or '1', got 'y'");
 }
 
 TEST_F(EnvironmentTest, RemovedAndUnknownVariablesAreIgnored)
 {
-    const TexelStorage storage = TextureMap::defaultStorage();
-    for (const char *name : {"PARGPU_TEXEL_STORAGE",
-                             "PARGPU_CONTRACT_REPORT", "PARGPU_UNKNOWN"}) {
-        for (const char *value : {"linear", "1", "bogus"}) {
+    for (const char *name :
+         {"PARGPU_TEXEL_STORAGE", "PARGPU_FILTER_POLICY",
+          "PARGPU_CONTRACT_REPORT", "PARGPU_UNKNOWN"}) {
+        for (const char *value : {"linear", "stf_blue", "1", "bogus"}) {
             const Status st = parseEnvironment({{name, value}});
             EXPECT_TRUE(st.ok()) << name << "=" << value << ": "
                                  << st.message;
             EXPECT_TRUE(applied() == defaults()) << name;
-            EXPECT_EQ(TextureMap::defaultStorage(), storage) << name;
         }
     }
 }
@@ -252,19 +229,21 @@ TEST(ProcessEnvironmentTest, ReadsOnlyTheParsedVariables)
     const std::string saved = old != nullptr ? old : "";
     ASSERT_EQ(::setenv(name, "x", 1), 0);
     ASSERT_EQ(::setenv("PARGPU_TEXEL_STORAGE", "linear", 1), 0);
+    ASSERT_EQ(::setenv("PARGPU_FILTER_POLICY", "stf_blue", 1), 0);
     const EnvMap env = processEnvironment();
     if (old != nullptr)
         ::setenv(name, saved.c_str(), 1);
     else
         ::unsetenv(name);
     ::unsetenv("PARGPU_TEXEL_STORAGE");
+    ::unsetenv("PARGPU_FILTER_POLICY");
 
     EXPECT_EQ(env.at(name), "x");
     EXPECT_EQ(env.count("PARGPU_TEXEL_STORAGE"), 0u);
+    EXPECT_EQ(env.count("PARGPU_FILTER_POLICY"), 0u);
     for (const auto &kv : env)
         EXPECT_TRUE(kv.first == "PARGPU_THREADS" ||
                     kv.first == "PARGPU_SIMD" ||
-                    kv.first == "PARGPU_TILE_PARALLEL" ||
-                    kv.first == "PARGPU_FILTER_POLICY")
+                    kv.first == "PARGPU_TILE_PARALLEL")
             << kv.first;
 }

@@ -1,13 +1,12 @@
 /**
  * @file
- * Tests for the FilterPolicy family (docs/FILTERING.md): registry/name
- * round-trips, typed config validation, the default policy's equivalence
- * with the explicit PATU flow, per-policy activity counters, registry
- * schema parity across policies, and the unbiasedness of the stochastic
- * texel estimators.
+ * Tests for the filter modes (docs/FILTERING.md): registry/name
+ * round-trips, the filter policy each mode reports, the STF modes'
+ * independence from the PATU predictor, per-mode activity counters,
+ * registry schema parity across modes, and the unbiasedness of the
+ * stochastic texel estimators.
  */
 
-#include <cstdlib>
 #include <set>
 #include <string>
 #include <vector>
@@ -34,31 +33,17 @@ smallTrace()
 }
 
 RunResult
-runPolicy(const GameTrace &trace, FilterPolicyId policy,
-          bool keep_images = false)
+runMode(const GameTrace &trace, DesignScenario mode,
+        bool keep_images = false, float threshold = 0.4f)
 {
     Session session;
     RunConfig cfg;
-    cfg.filter_policy = policy;
+    cfg.scenario = mode;
+    cfg.threshold = threshold;
     cfg.keep_images = keep_images;
     cfg.threads = 1;
     return session.run(trace, cfg);
 }
-
-/** Sets defaultFilterPolicy() for one scope, then restores it. */
-class DefaultPolicyGuard
-{
-  public:
-    explicit DefaultPolicyGuard(FilterPolicyId id)
-        : saved_(defaultFilterPolicy())
-    {
-        setDefaultFilterPolicy(id);
-    }
-    ~DefaultPolicyGuard() { setDefaultFilterPolicy(saved_); }
-
-  private:
-    FilterPolicyId saved_;
-};
 
 std::string
 registryDump(const RunResult &run)
@@ -73,89 +58,74 @@ registryDump(const RunResult &run)
 TEST(FilterPolicyTest, RegistryNamesRoundTrip)
 {
     std::set<std::string> seen;
-    for (const FilterPolicyDesc &d : filterPolicyRegistry()) {
-        FilterPolicyId parsed;
-        ASSERT_TRUE(parseFilterPolicy(d.name, parsed)) << d.name;
+    for (const ScenarioDesc &d : scenarioRegistry()) {
+        DesignScenario parsed;
+        ASSERT_TRUE(parseScenarioName(d.name, parsed)) << d.name;
         EXPECT_EQ(parsed, d.id) << d.name;
-        EXPECT_STREQ(filterPolicyName(d.id), d.name);
-        EXPECT_TRUE(isKnownFilterPolicy(d.id));
+        EXPECT_STREQ(scenarioMetricName(d.id), d.name);
+        EXPECT_STREQ(scenarioName(d.id), d.label);
         EXPECT_TRUE(seen.insert(d.name).second)
-            << "duplicate policy name " << d.name;
+            << "duplicate mode name " << d.name;
     }
-    EXPECT_GE(filterPolicyRegistry().size(), 4u);
+    EXPECT_EQ(scenarioRegistry().size(), 9u);
 }
 
 TEST(FilterPolicyTest, ParseRejectsUnknownNames)
 {
-    FilterPolicyId id = FilterPolicyId::Patu;
-    EXPECT_FALSE(parseFilterPolicy("", id));
-    EXPECT_FALSE(parseFilterPolicy("nearest", id));
-    EXPECT_FALSE(parseFilterPolicy("PATU", id));
-    EXPECT_FALSE(parseFilterPolicy("stf", id));
-    EXPECT_EQ(id, FilterPolicyId::Patu); // Untouched on failure.
+    DesignScenario id = DesignScenario::Patu;
+    EXPECT_FALSE(parseScenarioName("", id));
+    EXPECT_FALSE(parseScenarioName("nearest", id));
+    EXPECT_FALSE(parseScenarioName("PATU", id));
+    EXPECT_FALSE(parseScenarioName("stf", id));
+    EXPECT_EQ(id, DesignScenario::Patu); // Untouched on failure.
 }
 
-TEST(FilterPolicyTest, ValidateRejectsUnregisteredPolicy)
+TEST(FilterPolicyTest, ModesReportTheirPolicy)
 {
-    RunConfig cfg;
-    cfg.filter_policy = static_cast<FilterPolicyId>(99);
-    std::vector<ConfigError> errors = cfg.validate();
-    ASSERT_EQ(errors.size(), 1u);
-    EXPECT_EQ(errors.front(), ConfigError::BadFilterPolicy);
-    EXPECT_NE(configErrorMessage(errors.front()), nullptr);
-    EXPECT_NE(std::string(configErrorMessage(errors.front())).find("patu"),
-              std::string::npos);
-}
-
-TEST(FilterPolicyTest, AppliedDefaultMatchesEnvironment)
-{
-    // The test main applied PARGPU_FILTER_POLICY; scripts/check.sh's
-    // policy matrix reruns this binary under every policy, and a main
-    // that stopped applying the variable fails here instead of passing
-    // under the default.
-    const char *v = std::getenv("PARGPU_FILTER_POLICY");
-    FilterPolicyId want = FilterPolicyId::Patu;
-    if (v != nullptr && v[0] != '\0') {
-        ASSERT_TRUE(parseFilterPolicy(v, want)) << v;
+    // The paper's five scenarios all run the PATU flow; each STF/FAS
+    // mode is its own policy, numbered in enum order.
+    for (DesignScenario s :
+         {DesignScenario::Baseline, DesignScenario::NoAF,
+          DesignScenario::AfSsimN, DesignScenario::AfSsimNTxds,
+          DesignScenario::Patu}) {
+        EXPECT_EQ(filterPolicyCode(s), 0) << scenarioMetricName(s);
+        EXPECT_STREQ(filterPolicyName(s), "patu");
     }
-    EXPECT_EQ(defaultFilterPolicy(), want);
-    EXPECT_EQ(RunConfig{}.filter_policy, want);
+    int code = 0;
+    for (DesignScenario s :
+         {DesignScenario::StfUniform, DesignScenario::StfBlue,
+          DesignScenario::StfWeighted,
+          DesignScenario::FilterAfterShading}) {
+        EXPECT_EQ(filterPolicyCode(s), ++code) << scenarioMetricName(s);
+        EXPECT_STREQ(filterPolicyName(s), scenarioMetricName(s));
+    }
 }
 
-TEST(FilterPolicyTest, DefaultConfigFollowsSetDefault)
+TEST(FilterPolicyTest, StfAndFasModesBypassThePredictor)
 {
-    DefaultPolicyGuard guard(FilterPolicyId::StfBlue);
-    EXPECT_EQ(RunConfig{}.filter_policy, FilterPolicyId::StfBlue);
-    setDefaultFilterPolicy(FilterPolicyId::Patu);
-    EXPECT_EQ(RunConfig{}.filter_policy, FilterPolicyId::Patu);
-}
-
-TEST(FilterPolicyTest, DefaultPolicyMatchesExplicitPatu)
-{
-    Session session;
-    // The refactor contract: the default-constructed config (pre-refactor
-    // behavior) and an explicit patu policy selection are the same code
-    // path — frames, images and the full registry snapshot.
-    DefaultPolicyGuard guard(FilterPolicyId::Patu);
+    // The STF and filter-after-shading modes replace the anisotropic
+    // loop wholesale: the PATU threshold cannot change their frames,
+    // images or registry.
     GameTrace trace = smallTrace();
-    RunConfig def_cfg;
-    def_cfg.threads = 1;
-    RunResult def = session.run(trace, def_cfg);
-    RunResult patu = runPolicy(trace, FilterPolicyId::Patu, true);
-
-    ASSERT_EQ(def.frames.size(), patu.frames.size());
-    EXPECT_EQ(def.avg_cycles, patu.avg_cycles);
-    EXPECT_EQ(def.total_energy_nj, patu.total_energy_nj);
-    EXPECT_EQ(registryDump(def), registryDump(patu));
-    ASSERT_EQ(def.images.size(), patu.images.size());
-    for (std::size_t f = 0; f < def.images.size(); ++f) {
-        const std::vector<Color4f> &a = def.images[f].pixels();
-        const std::vector<Color4f> &b = patu.images[f].pixels();
-        ASSERT_EQ(a.size(), b.size());
-        for (std::size_t i = 0; i < a.size(); ++i) {
-            ASSERT_EQ(a[i].r, b[i].r);
-            ASSERT_EQ(a[i].g, b[i].g);
-            ASSERT_EQ(a[i].b, b[i].b);
+    for (DesignScenario s :
+         {DesignScenario::StfUniform, DesignScenario::StfBlue,
+          DesignScenario::StfWeighted,
+          DesignScenario::FilterAfterShading}) {
+        SCOPED_TRACE(scenarioMetricName(s));
+        const RunResult lo = runMode(trace, s, true, 0.0f);
+        const RunResult hi = runMode(trace, s, true, 1.0f);
+        EXPECT_EQ(lo.avg_cycles, hi.avg_cycles);
+        EXPECT_EQ(registryDump(lo), registryDump(hi));
+        ASSERT_EQ(lo.images.size(), hi.images.size());
+        for (std::size_t f = 0; f < lo.images.size(); ++f) {
+            const std::vector<Color4f> &a = lo.images[f].pixels();
+            const std::vector<Color4f> &b = hi.images[f].pixels();
+            ASSERT_EQ(a.size(), b.size());
+            for (std::size_t i = 0; i < a.size(); ++i) {
+                ASSERT_EQ(a[i].r, b[i].r);
+                ASSERT_EQ(a[i].g, b[i].g);
+                ASSERT_EQ(a[i].b, b[i].b);
+            }
         }
     }
 }
@@ -163,9 +133,9 @@ TEST(FilterPolicyTest, DefaultPolicyMatchesExplicitPatu)
 TEST(FilterPolicyTest, PolicyCountersReportActivity)
 {
     GameTrace trace = smallTrace();
-    RunResult patu = runPolicy(trace, FilterPolicyId::Patu);
-    RunResult stf = runPolicy(trace, FilterPolicyId::StfUniform);
-    RunResult fas = runPolicy(trace, FilterPolicyId::FilterAfterShading);
+    RunResult exact = runMode(trace, DesignScenario::Baseline);
+    RunResult stf = runMode(trace, DesignScenario::StfUniform);
+    RunResult fas = runMode(trace, DesignScenario::FilterAfterShading);
 
     auto total = [](const RunResult &r, auto field) {
         std::uint64_t t = 0;
@@ -174,35 +144,35 @@ TEST(FilterPolicyTest, PolicyCountersReportActivity)
         return t;
     };
 
-    // PATU reports no policy-specific activity.
-    EXPECT_EQ(total(patu, &FrameStats::stf_samples), 0u);
-    EXPECT_EQ(total(patu, &FrameStats::fas_quads), 0u);
+    // Exact filtering reports no STF/FAS activity.
+    EXPECT_EQ(total(exact, &FrameStats::stf_samples), 0u);
+    EXPECT_EQ(total(exact, &FrameStats::fas_quads), 0u);
 
     // STF fetches one texel per AF sample: stf_samples > 0 and a texel
     // count well below the exact path's 8-per-sample footprints.
     EXPECT_GT(total(stf, &FrameStats::stf_samples), 0u);
     EXPECT_EQ(total(stf, &FrameStats::fas_quads), 0u);
     EXPECT_LT(total(stf, &FrameStats::texels),
-              total(patu, &FrameStats::texels));
+              total(exact, &FrameStats::texels));
 
     // FAS filters whole quads; it fetches fewer texels than full AF.
     EXPECT_GT(total(fas, &FrameStats::fas_quads), 0u);
     EXPECT_EQ(total(fas, &FrameStats::stf_samples), 0u);
     EXPECT_LT(total(fas, &FrameStats::texels),
-              total(patu, &FrameStats::texels));
+              total(exact, &FrameStats::texels));
 }
 
-TEST(FilterPolicyTest, RegistryKeySetIdenticalAcrossPolicies)
+TEST(FilterPolicyTest, RegistryKeySetIdenticalAcrossModes)
 {
-    // The schema contract scripts/check.sh enforces end-to-end: policy
-    // selection changes values, never the exported key set (policy
+    // The schema contract scripts/check.sh enforces end-to-end: mode
+    // selection changes values, never the exported key set (STF/FAS
     // counters are emitted unconditionally).
     GameTrace trace = smallTrace();
     std::set<std::string> ref_keys;
     bool first = true;
-    for (const FilterPolicyDesc &d : filterPolicyRegistry()) {
+    for (const ScenarioDesc &d : scenarioRegistry()) {
         StatRegistry reg;
-        RunResult run = runPolicy(trace, d.id);
+        RunResult run = runMode(trace, d.id);
         buildRunRegistry(run, reg);
         StatSnapshot snap = reg.snapshot();
         std::set<std::string> keys;
@@ -214,7 +184,9 @@ TEST(FilterPolicyTest, RegistryKeySetIdenticalAcrossPolicies)
         bool found = false;
         for (const auto &s : snap.scalars) {
             if (s.first == "texunit.policy") {
-                EXPECT_EQ(s.second, static_cast<double>(d.id)) << d.name;
+                EXPECT_EQ(s.second,
+                          static_cast<double>(filterPolicyCode(d.id)))
+                    << d.name;
                 found = true;
             }
         }
@@ -228,14 +200,14 @@ TEST(FilterPolicyTest, RegistryKeySetIdenticalAcrossPolicies)
     }
 }
 
-TEST(FilterPolicyTest, StochasticPoliciesDifferButReuseAddresses)
+TEST(FilterPolicyTest, StochasticModesDifferButReuseAddresses)
 {
-    // The three STF variants draw different noise (different hash
+    // The three STF modes draw different noise (different hash
     // streams), so their images differ — but all visit the same sample
     // positions, so the address-pipeline counters agree exactly.
     GameTrace trace = smallTrace();
-    RunResult uni = runPolicy(trace, FilterPolicyId::StfUniform, true);
-    RunResult blue = runPolicy(trace, FilterPolicyId::StfBlue, true);
+    RunResult uni = runMode(trace, DesignScenario::StfUniform, true);
+    RunResult blue = runMode(trace, DesignScenario::StfBlue, true);
     EXPECT_EQ(uni.frames[0].addr_ops, blue.frames[0].addr_ops);
     EXPECT_EQ(uni.frames[0].stf_samples, blue.frames[0].stf_samples);
 
@@ -281,13 +253,12 @@ TEST(FilterPolicyTest, StfEstimatorsAreUnbiased)
 
 TEST(FilterPolicyTest, StfSampleUStaysInUnitInterval)
 {
-    for (FilterPolicyId id : {FilterPolicyId::StfUniform,
-                              FilterPolicyId::StfBlue,
-                              FilterPolicyId::StfWeighted}) {
+    for (StfVariant v :
+         {StfVariant::Uniform, StfVariant::Blue, StfVariant::Weighted}) {
         for (int px = 0; px < 7; ++px)
             for (int py = 0; py < 7; ++py)
                 for (int s = 0; s < 16; ++s) {
-                    const float u = stfSampleU(id, px, py, s, 0xDEADBEEFu);
+                    const float u = stfSampleU(v, px, py, s, 0xDEADBEEFu);
                     ASSERT_GE(u, 0.0f);
                     ASSERT_LT(u, 1.0f);
                 }
@@ -298,7 +269,7 @@ TEST(FilterPolicyTest, FrameSeedVariesBlueNoisePerFrame)
 {
     // stf_blue re-seeds its Cranley-Patterson rotation from the frame
     // seed: the same pixel must see different variates across frames.
-    const float u0 = stfSampleU(FilterPolicyId::StfBlue, 5, 9, 0, 1u);
-    const float u1 = stfSampleU(FilterPolicyId::StfBlue, 5, 9, 0, 2u);
+    const float u0 = stfSampleU(StfVariant::Blue, 5, 9, 0, 1u);
+    const float u1 = stfSampleU(StfVariant::Blue, 5, 9, 0, 2u);
     EXPECT_NE(u0, u1);
 }

@@ -133,8 +133,7 @@ runDigest(const RunResult &run)
 struct GoldenCase
 {
     GameId game;
-    DesignScenario scenario;
-    FilterPolicyId policy;
+    DesignScenario scenario; ///< The filter mode.
     std::uint64_t digest;
 };
 
@@ -142,65 +141,37 @@ constexpr int kWidth = 64;
 constexpr int kHeight = 48;
 constexpr int kFrames = 2;
 
-// 8 games x {noaf, baseline, patu} under the paper's PATU policy, then
-// HL2 patu under the four other filter policies.
+// 8 games x {noaf, baseline, patu}, then HL2 under the four STF/FAS
+// modes.
 const GoldenCase kCases[] = {
-    {GameId::HL2, DesignScenario::NoAF, FilterPolicyId::Patu,
-     0x4FCE1C4E71B79C46ull},
-    {GameId::HL2, DesignScenario::Baseline, FilterPolicyId::Patu,
-     0x062A70A1A524A6E8ull},
-    {GameId::HL2, DesignScenario::Patu, FilterPolicyId::Patu,
-     0xAF2BA393E98F9051ull},
-    {GameId::Doom3, DesignScenario::NoAF, FilterPolicyId::Patu,
-     0x377E228F3181CED3ull},
-    {GameId::Doom3, DesignScenario::Baseline, FilterPolicyId::Patu,
-     0x655B49060CBDEF3Cull},
-    {GameId::Doom3, DesignScenario::Patu, FilterPolicyId::Patu,
-     0x322E433BBC6DAA11ull},
-    {GameId::Grid, DesignScenario::NoAF, FilterPolicyId::Patu,
-     0x4F8A8A353B3C1AE7ull},
-    {GameId::Grid, DesignScenario::Baseline, FilterPolicyId::Patu,
-     0xF0B44E8CE093E793ull},
-    {GameId::Grid, DesignScenario::Patu, FilterPolicyId::Patu,
-     0x28CC60407D3DF0E1ull},
-    {GameId::Nfs, DesignScenario::NoAF, FilterPolicyId::Patu,
-     0x118BF2258F025559ull},
-    {GameId::Nfs, DesignScenario::Baseline, FilterPolicyId::Patu,
-     0x4D517B6EA9764F80ull},
-    {GameId::Nfs, DesignScenario::Patu, FilterPolicyId::Patu,
-     0xA7BF68A4924FF579ull},
-    {GameId::Stalker, DesignScenario::NoAF, FilterPolicyId::Patu,
-     0x615C0D1A3E663784ull},
-    {GameId::Stalker, DesignScenario::Baseline, FilterPolicyId::Patu,
-     0xFBFA45E8F138B469ull},
-    {GameId::Stalker, DesignScenario::Patu, FilterPolicyId::Patu,
-     0x01621F138FBEA7ADull},
-    {GameId::Ut3, DesignScenario::NoAF, FilterPolicyId::Patu,
-     0xEA63904D56B523DBull},
-    {GameId::Ut3, DesignScenario::Baseline, FilterPolicyId::Patu,
-     0x00FBD4CB003858AAull},
-    {GameId::Ut3, DesignScenario::Patu, FilterPolicyId::Patu,
-     0x1AC5C7397A6EF562ull},
-    {GameId::Wolf, DesignScenario::NoAF, FilterPolicyId::Patu,
-     0x1089E699DEB32F25ull},
-    {GameId::Wolf, DesignScenario::Baseline, FilterPolicyId::Patu,
-     0xD029F2499FA1BD30ull},
-    {GameId::Wolf, DesignScenario::Patu, FilterPolicyId::Patu,
-     0x3E7762F5CF91155Full},
-    {GameId::RBench, DesignScenario::NoAF, FilterPolicyId::Patu,
-     0x05DCD6245738C9FEull},
-    {GameId::RBench, DesignScenario::Baseline, FilterPolicyId::Patu,
-     0x55705F490331C632ull},
-    {GameId::RBench, DesignScenario::Patu, FilterPolicyId::Patu,
-     0xC46CFDF72EE78A96ull},
-    {GameId::HL2, DesignScenario::Patu, FilterPolicyId::StfUniform,
-     0x65851802B1D46FC9ull},
-    {GameId::HL2, DesignScenario::Patu, FilterPolicyId::StfBlue,
-     0x8AA14DA039CDFA26ull},
-    {GameId::HL2, DesignScenario::Patu, FilterPolicyId::StfWeighted,
-     0x6E6E92DFE430B534ull},
-    {GameId::HL2, DesignScenario::Patu, FilterPolicyId::FilterAfterShading,
-     0x2C3D97957B6954FFull},
+    {GameId::HL2, DesignScenario::NoAF, 0x4FCE1C4E71B79C46ull},
+    {GameId::HL2, DesignScenario::Baseline, 0x062A70A1A524A6E8ull},
+    {GameId::HL2, DesignScenario::Patu, 0xAF2BA393E98F9051ull},
+    {GameId::Doom3, DesignScenario::NoAF, 0x377E228F3181CED3ull},
+    {GameId::Doom3, DesignScenario::Baseline, 0x655B49060CBDEF3Cull},
+    {GameId::Doom3, DesignScenario::Patu, 0x322E433BBC6DAA11ull},
+    {GameId::Grid, DesignScenario::NoAF, 0x4F8A8A353B3C1AE7ull},
+    {GameId::Grid, DesignScenario::Baseline, 0xF0B44E8CE093E793ull},
+    {GameId::Grid, DesignScenario::Patu, 0x28CC60407D3DF0E1ull},
+    {GameId::Nfs, DesignScenario::NoAF, 0x118BF2258F025559ull},
+    {GameId::Nfs, DesignScenario::Baseline, 0x4D517B6EA9764F80ull},
+    {GameId::Nfs, DesignScenario::Patu, 0xA7BF68A4924FF579ull},
+    {GameId::Stalker, DesignScenario::NoAF, 0x615C0D1A3E663784ull},
+    {GameId::Stalker, DesignScenario::Baseline, 0xFBFA45E8F138B469ull},
+    {GameId::Stalker, DesignScenario::Patu, 0x01621F138FBEA7ADull},
+    {GameId::Ut3, DesignScenario::NoAF, 0xEA63904D56B523DBull},
+    {GameId::Ut3, DesignScenario::Baseline, 0x00FBD4CB003858AAull},
+    {GameId::Ut3, DesignScenario::Patu, 0x1AC5C7397A6EF562ull},
+    {GameId::Wolf, DesignScenario::NoAF, 0x1089E699DEB32F25ull},
+    {GameId::Wolf, DesignScenario::Baseline, 0xD029F2499FA1BD30ull},
+    {GameId::Wolf, DesignScenario::Patu, 0x3E7762F5CF91155Full},
+    {GameId::RBench, DesignScenario::NoAF, 0x05DCD6245738C9FEull},
+    {GameId::RBench, DesignScenario::Baseline, 0x55705F490331C632ull},
+    {GameId::RBench, DesignScenario::Patu, 0xC46CFDF72EE78A96ull},
+    {GameId::HL2, DesignScenario::StfUniform, 0x65851802B1D46FC9ull},
+    {GameId::HL2, DesignScenario::StfBlue, 0x8AA14DA039CDFA26ull},
+    {GameId::HL2, DesignScenario::StfWeighted, 0x6E6E92DFE430B534ull},
+    {GameId::HL2, DesignScenario::FilterAfterShading, 0x2C3D97957B6954FFull},
 };
 
 /** Every RunConfig field the digest depends on, set explicitly. */
@@ -218,7 +189,6 @@ goldenConfig(const GoldenCase &c, bool tile_parallel)
     cfg.threads = 1;
     cfg.tile_parallel = tile_parallel;
     cfg.clusters = 4;
-    cfg.filter_policy = c.policy;
     return cfg;
 }
 
@@ -226,7 +196,7 @@ std::string
 caseName(const GoldenCase &c)
 {
     return std::string(gameAbbr(c.game)) + "/" +
-        scenarioMetricName(c.scenario) + "/" + filterPolicyName(c.policy);
+        scenarioMetricName(c.scenario);
 }
 
 } // namespace

@@ -13,7 +13,11 @@ tests/fixtures/analysis/:
      for tools/pargpu_lint.py alike (the anti-rot contract);
   5. tools/pargpu_lint.py's getenv rule fires on a getenv() call in a
      library file and stays silent on the environment parser and on a
-     getenv mentioned only in a comment.
+     getenv mentioned only in a comment;
+  6. tools/pargpu_lint.py's policy-doc rule fires on a filter mode of
+     the scenarioRegistry() table (src/core/patu.cc) whose `name` is
+     missing from docs/FILTERING.md, even when the bare name appears in
+     prose, and stays silent on a documented one.
 
 Run as a CTest (target lint_selftest) and by scripts/check.sh:
 
@@ -159,6 +163,35 @@ def main():
         check(proc.returncode == 1 and
               findings == [("src/sim/reader.cc", "getenv")],
               "lint: getenv fires outside the environment parser only")
+
+    # 6. The policy-doc rule: every registered filter mode is documented.
+    with tempfile.TemporaryDirectory() as tree:
+        sources = {
+            "src/core/patu.cc":
+                "const ScenarioDesc kScenarios[] = {\n"
+                '    {DesignScenario::Patu, "patu", "PATU"},\n'
+                '    {DesignScenario::AfSsimN, "n", "AF-SSIM(N)"},\n'
+                "};\n",
+            "docs/FILTERING.md":
+                "| `patu` | the paper's flow |\n"
+                "The n samples of a pixel are averaged.\n",
+        }
+        for rel, text in sources.items():
+            os.makedirs(os.path.join(tree, os.path.dirname(rel)),
+                        exist_ok=True)
+            with open(os.path.join(tree, rel), "w") as f:
+                f.write(text)
+        proc = subprocess.run(
+            [sys.executable, os.path.join(root, "tools", "pargpu_lint.py"),
+             "--root", tree, "--no-spot-builds",
+             "--allowlist", os.path.join(tree, "no_allowlist.txt")],
+            capture_output=True, text=True)
+        findings = [(m.group(1), m.group(2), m.group(3))
+                    for m in map(RE_FINDING.match, proc.stdout.splitlines())
+                    if m]
+        check(proc.returncode == 1 and
+              findings == [("src/core/patu.cc", "3", "policy-doc")],
+              "lint: policy-doc fires on an undocumented filter mode only")
 
     if failures:
         print(f"selftest: {len(failures)} check(s) failed")

@@ -11,6 +11,7 @@
 #include "common/threadpool.hh"
 #include "scenes/meshes.hh"
 #include "scenes/scenes.hh"
+#include "texture/mipmap.hh"
 #include "texture/texture.hh"
 
 using namespace pargpu;
@@ -184,8 +185,8 @@ constexpr GameId kAllGames[] = {GameId::HL2,     GameId::Doom3, GameId::Grid,
 /**
  * Frozen FNV-1a digests over every texel of every mip level of each
  * game's textures, parallel to kAllGames. Pinned from the serial texture
- * builder; the banded one must reproduce them on any pool size and in
- * either host storage order.
+ * builder; the banded one must reproduce them on any pool size, and the
+ * row-major pyramid of each source raster must match them too.
  */
 constexpr std::uint64_t kTexelDigests[] = {
     0x95d811e60815adb2ull, // HL2
@@ -199,25 +200,29 @@ constexpr std::uint64_t kTexelDigests[] = {
 };
 
 /**
- * Fold every texel of @p tex into the FNV-1a state @p h, level by level
- * in row-major (x, y) order, so the digest is independent of the host
- * storage order.
+ * Fold every texel of @p lv into the FNV-1a state @p h in row-major
+ * (x, y) order, so the digest is independent of the host storage order.
  */
 void
-fnvTexels(std::uint64_t &h, const TextureMap &tex)
+fnvLevel(std::uint64_t &h, const MipLevel &lv)
 {
-    for (int l = 0; l < tex.numLevels(); ++l) {
-        const MipLevel &lv = tex.level(l);
-        for (int y = 0; y < lv.height; ++y) {
-            for (int x = 0; x < lv.width; ++x) {
-                const RGBA8 &t = lv.at(x, y);
-                for (std::uint8_t b : {t.r, t.g, t.b, t.a}) {
-                    h ^= b;
-                    h *= 0x100000001b3ull;
-                }
+    for (int y = 0; y < lv.height; ++y) {
+        for (int x = 0; x < lv.width; ++x) {
+            const RGBA8 &t = lv.at(x, y);
+            for (std::uint8_t b : {t.r, t.g, t.b, t.a}) {
+                h ^= b;
+                h *= 0x100000001b3ull;
             }
         }
     }
+}
+
+/** fnvLevel() over every mip level of @p tex. */
+void
+fnvTexels(std::uint64_t &h, const TextureMap &tex)
+{
+    for (int l = 0; l < tex.numLevels(); ++l)
+        fnvLevel(h, tex.level(l));
 }
 
 constexpr std::uint64_t kFnvOffset = 0xcbf29ce484222325ull;
@@ -251,28 +256,29 @@ TEST(SceneTextureOracleTest, TexelsMatchFrozenDigests)
         EXPECT_EQ(h, kTexelDigests[g])
             << game << " (scene build): new digest " << hex(h);
 
-        // Rebuild from the recipes at each pool size, in each storage
-        // order, passed explicitly.
+        // Rebuild from the recipes at each pool size: as textures
+        // (Morton host storage) and as the row-major pyramid of each
+        // source raster.
         for (unsigned threads : {1u, 4u}) {
             ThreadPool::setDefaultThreads(threads);
-            for (TexelStorage storage :
-                 {TexelStorage::Linear, TexelStorage::Morton}) {
-                std::uint64_t hr = kFnvOffset;
-                for (const TextureRecipe &rec : t.recipes) {
-                    TextureMap tex(rec.size, rec.size,
-                                   generateTexture(rec.kind, rec.size,
-                                                   rec.seed),
-                                   rec.wrap, TexelLayout::Tiled4x4,
-                                   StorageFormat::RGBA8, storage);
-                    EXPECT_EQ(tex.storage(), storage);
-                    fnvTexels(hr, tex);
-                }
-                EXPECT_EQ(hr, kTexelDigests[g])
-                    << game << " at " << threads << " threads, "
-                    << (storage == TexelStorage::Linear ? "linear"
-                                                        : "morton")
-                    << " storage: new digest " << hex(hr);
+            std::uint64_t hr = kFnvOffset;
+            std::uint64_t hl = kFnvOffset;
+            for (const TextureRecipe &rec : t.recipes) {
+                std::vector<RGBA8> src =
+                    generateTexture(rec.kind, rec.size, rec.seed);
+                for (const MipLevel &lv :
+                     buildMipPyramid(rec.size, rec.size, src))
+                    fnvLevel(hl, lv);
+                TextureMap tex(rec.size, rec.size, std::move(src), rec.wrap);
+                EXPECT_EQ(tex.storage(), TexelStorage::Morton);
+                fnvTexels(hr, tex);
             }
+            EXPECT_EQ(hr, kTexelDigests[g])
+                << game << " at " << threads
+                << " threads, morton storage: new digest " << hex(hr);
+            EXPECT_EQ(hl, kTexelDigests[g])
+                << game << " at " << threads
+                << " threads, row-major pyramid: new digest " << hex(hl);
         }
     }
 }

@@ -120,7 +120,7 @@ TEST(ServeProtocolTest, PingEchoesIdAndReportsSchema)
     EXPECT_EQ(r["status"].str(), "ok");
     EXPECT_EQ(r["type"].str(), "pong");
     EXPECT_EQ(r["schema"].str(), "pargpu-serve");
-    EXPECT_EQ(r["schema_version"].number(), 1.0);
+    EXPECT_EQ(r["schema_version"].number(), 2.0);
     EXPECT_EQ(r["id"].str(), "client-1");
 }
 
@@ -262,6 +262,27 @@ TEST(ServeProtocolTest, RunValidatesConfigWithTypedReasons)
                   configErrorMessage(ConfigError::BadThreshold)),
               std::string::npos);
     EXPECT_EQ(responses[3]["status"].str(), "unknown_trace");
+}
+
+TEST(ServeProtocolTest, FilterModesAreScenariosNotAPolicyMember)
+{
+    // filter_policy is not a config member: an STF mode is selected
+    // through the scenario, and reports its policy in the document.
+    auto [rc, responses] = serve({
+        loadRequest(),
+        R"({"op":"run","trace":"w","config":{"filter_policy":"stf_blue"}})",
+        R"({"op":"run","trace":"w",)"
+        R"("config":{"scenario":"stf_blue","keep_images":false}})",
+    });
+    EXPECT_EQ(rc, 0);
+    ASSERT_EQ(responses.size(), 3u);
+    EXPECT_EQ(responses[1]["status"].str(), "invalid_request");
+    EXPECT_EQ(responses[1]["message"].str(),
+              "config.filter_policy: unknown member");
+    EXPECT_EQ(responses[2]["status"].str(), "ok");
+    const Json &run = responses[2]["metrics"]["run"];
+    EXPECT_EQ(run["scenario"].str(), "stf_blue");
+    EXPECT_EQ(run["filter_policy"].str(), "stf_blue");
 }
 
 TEST(ServeProtocolTest, RunReturnsTheVersionedMetricsDocument)

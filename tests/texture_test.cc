@@ -162,34 +162,34 @@ TEST(TextureMapTest, FootprintEqualsFourTexelFetchesAtEveryCorner)
         WrapMode wrap;
         TexelLayout layout;
         StorageFormat format;
-        TexelStorage storage;
     };
     const Case cases[] = {
         {16, 16, WrapMode::Repeat, TexelLayout::Tiled4x4,
-         StorageFormat::RGBA8, TexelStorage::Morton},
+         StorageFormat::RGBA8},
         {16, 16, WrapMode::ClampToEdge, TexelLayout::Tiled4x4,
-         StorageFormat::RGBA8, TexelStorage::Morton},
+         StorageFormat::RGBA8},
         {16, 4, WrapMode::Repeat, TexelLayout::Tiled4x4,
-         StorageFormat::RGBA8, TexelStorage::Morton},
+         StorageFormat::RGBA8},
         {4, 16, WrapMode::ClampToEdge, TexelLayout::Tiled4x4,
-         StorageFormat::RGBA8, TexelStorage::Morton},
-        {8, 2, WrapMode::Repeat, TexelLayout::Linear, StorageFormat::RGBA8,
-         TexelStorage::Morton},
-        {16, 8, WrapMode::Repeat, TexelLayout::Linear, StorageFormat::RGBA8,
-         TexelStorage::Linear},
+         StorageFormat::RGBA8},
+        {8, 2, WrapMode::Repeat, TexelLayout::Linear, StorageFormat::RGBA8},
+        {16, 8, WrapMode::Repeat, TexelLayout::Linear, StorageFormat::RGBA8},
         {16, 8, WrapMode::ClampToEdge, TexelLayout::Tiled4x4,
-         StorageFormat::RGBA8, TexelStorage::Linear},
-        {16, 16, WrapMode::Repeat, TexelLayout::Tiled4x4, StorageFormat::BC1,
-         TexelStorage::Linear},
+         StorageFormat::RGBA8},
+        {16, 16, WrapMode::Repeat, TexelLayout::Tiled4x4, StorageFormat::BC1},
         {8, 4, WrapMode::ClampToEdge, TexelLayout::Tiled4x4,
-         StorageFormat::BC1, TexelStorage::Linear},
+         StorageFormat::BC1},
     };
     const int dx[4] = {0, 1, 0, 1};
     const int dy[4] = {0, 0, 1, 1};
     int crossings = 0;
     for (const Case &c : cases) {
         TextureMap tex(c.w, c.h, distinctTexels(c.w, c.h), c.wrap, c.layout,
-                       c.format, c.storage);
+                       c.format);
+        // Host storage follows the format.
+        EXPECT_EQ(tex.storage(), c.format == StorageFormat::BC1
+                                     ? TexelStorage::Linear
+                                     : TexelStorage::Morton);
         tex.setBaseAddr(0x10'0000);
         for (int l = 0; l < tex.numLevels(); ++l) {
             const int lw = tex.level(l).width, lh = tex.level(l).height;

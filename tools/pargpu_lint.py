@@ -23,9 +23,9 @@ clang-tidy covers out of the box:
   intrinsics   no x86 SIMD intrinsics (_mm_* / _mm256_*) outside
                src/simd/ — the kernel layer owns all vector code, and
                everything above it must stay portable scalar C++
-  policy-doc   every FilterPolicy registered in the factory table
-               (src/texture/filter_policy.cc) must have its name
-               documented in docs/FILTERING.md
+  policy-doc   every filter mode in the scenarioRegistry() table
+               (src/core/patu.cc) must have its name documented, in
+               backquotes, in docs/FILTERING.md
   getenv       no getenv()/secure_getenv() outside
                src/harness/environment.cc — the library reads no
                environment; entry points pass the PARGPU_* values to
@@ -86,8 +86,8 @@ RE_INTRIN = re.compile(r"\b_mm\d*_[A-Za-z0-9_]+")
 RE_GETENV = re.compile(r"\b(?:secure_)?getenv\s*\(")
 # The one file that may read the process environment.
 ENV_PARSER = "src/harness/environment.cc"
-# A FilterPolicy registry entry: {FilterPolicyId::Patu, "patu", ...}.
-RE_POLICY_ENTRY = re.compile(r'FilterPolicyId::\w+\s*,\s*"([a-z_]+)"')
+# A filter-mode registry entry: {DesignScenario::Patu, "patu", ...}.
+RE_POLICY_ENTRY = re.compile(r'DesignScenario::\w+\s*,\s*"([a-z_]+)"')
 
 SOURCE_EXTS = (".cc", ".hh", ".h", ".cpp")
 
@@ -257,11 +257,12 @@ def check_file(root, rel, violations, metrics_doc):
 
 
 def check_policy_docs(root, violations):
-    """policy-doc: every FilterPolicy in the registry table of
-    src/texture/filter_policy.cc must appear by name in
-    docs/FILTERING.md — adding a policy without documenting it fails
-    lint, keeping the comparison testbed docs exhaustive."""
-    rel = os.path.join("src", "texture", "filter_policy.cc")
+    """policy-doc: every filter mode in the scenarioRegistry() table of
+    src/core/patu.cc must appear by name, as `name`, in
+    docs/FILTERING.md — adding a mode without documenting it fails
+    lint, keeping the comparison testbed docs exhaustive. (Backquotes,
+    because a bare name such as "n" matches any prose.)"""
+    rel = os.path.join("src", "core", "patu.cc")
     path = os.path.join(root, rel)
     if not os.path.exists(path):
         return
@@ -284,12 +285,13 @@ def check_policy_docs(root, violations):
         if doc is None:
             violations.append(
                 (rel, lineno, "policy-doc",
-                 f'policy "{name}" registered but docs/FILTERING.md '
+                 f'filter mode "{name}" registered but docs/FILTERING.md '
                  "does not exist"))
-        elif name not in doc:
+        elif f"`{name}`" not in doc:
             violations.append(
                 (rel, lineno, "policy-doc",
-                 f'policy "{name}" not documented in docs/FILTERING.md'))
+                 f'filter mode "{name}" not documented in '
+                 "docs/FILTERING.md"))
 
 
 def check_internal_include(root, rel, violations):
