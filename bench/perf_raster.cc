@@ -86,6 +86,9 @@ main()
     cfg.scenario = DesignScenario::NoAF;
     cfg.keep_images = false;
     cfg.threads = 1;
+    // One thread in the process: idle pool threads would otherwise join
+    // the frames' tile streams and blur the per-tier comparison.
+    ThreadPool::setDefaultThreads(1);
 
     const unsigned hw = std::thread::hardware_concurrency();
     const simd::SimdTier saved = simd::activeTier();
@@ -122,6 +125,7 @@ main()
         }
     }
     simd::setActiveTier(saved);
+    ThreadPool::setDefaultThreads(0);
 
     const double quads =
         sumOver(ref.frames, &FrameStats::raster_simd_quads);

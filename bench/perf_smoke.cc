@@ -78,9 +78,13 @@ main()
     // Warm up once (page cache, pool spin-up) outside the timed region.
     session.run(trace, parallel_cfg);
 
+    // One thread in the process: idle pool threads would otherwise join
+    // the serial run's tile streams.
+    ThreadPool::setDefaultThreads(1);
     auto t0 = std::chrono::steady_clock::now();
     RunResult serial = session.run(trace, serial_cfg);
     auto t1 = std::chrono::steady_clock::now();
+    ThreadPool::setDefaultThreads(0);
     RunResult parallel = session.run(trace, parallel_cfg);
     auto t2 = std::chrono::steady_clock::now();
 
@@ -180,10 +184,13 @@ main()
     texel_cfg.keep_images = false;
     texel_cfg.threads = 1;
 
+    // Single-threaded, like the constants above.
+    ThreadPool::setDefaultThreads(1);
     session.run(texel_trace, texel_cfg); // Warm-up outside the timed region.
     auto t3 = std::chrono::steady_clock::now();
     RunResult texel = session.run(texel_trace, texel_cfg);
     auto t4 = std::chrono::steady_clock::now();
+    ThreadPool::setDefaultThreads(0);
 
     const double x_sec = seconds(t3, t4);
     const double x_fps = frames / x_sec;

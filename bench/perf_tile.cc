@@ -82,25 +82,26 @@ main()
     // accelerates.
     GameTrace trace = buildGameTrace(GameId::HL2, 1280, 1024, 1);
 
-    RunConfig serial_cfg;
-    serial_cfg.scenario = DesignScenario::Baseline;
-    serial_cfg.keep_images = false;
-    serial_cfg.threads = 1;
-    serial_cfg.clusters = 8;
-    RunConfig tile_cfg = serial_cfg;
-    tile_cfg.tile_parallel = true;
+    // One frame on this thread: its tile streams take as many pool
+    // threads as setDefaultThreads() allows (one = serial).
+    RunConfig cfg;
+    cfg.scenario = DesignScenario::Baseline;
+    cfg.keep_images = false;
+    cfg.threads = 1;
+    cfg.clusters = 8;
 
     const unsigned hw = std::thread::hardware_concurrency();
     constexpr unsigned kWorkers[] = {1, 2, 4, 8};
 
     // Warm up once (page cache, pool spin-up) outside the timed region.
     ThreadPool::setDefaultThreads(2);
-    session.run(trace, tile_cfg);
-    ThreadPool::setDefaultThreads(0);
+    session.run(trace, cfg);
+    ThreadPool::setDefaultThreads(1);
 
     auto t0 = std::chrono::steady_clock::now();
-    RunResult serial = session.run(trace, serial_cfg);
+    RunResult serial = session.run(trace, cfg);
     auto t1 = std::chrono::steady_clock::now();
+    ThreadPool::setDefaultThreads(0);
     const double s_sec = seconds(t0, t1);
 
     std::printf("1 frame at %dx%d (scenario baseline, 8 clusters), "
@@ -113,7 +114,7 @@ main()
     for (int i = 0; i < 4; ++i) {
         ThreadPool::setDefaultThreads(kWorkers[i]);
         auto w0 = std::chrono::steady_clock::now();
-        RunResult tiled = session.run(trace, tile_cfg);
+        RunResult tiled = session.run(trace, cfg);
         auto w1 = std::chrono::steady_clock::now();
         tile_sec[i] = seconds(w0, w1);
         const bool same = runsIdentical(serial, tiled);
@@ -169,7 +170,7 @@ main()
     w.label = "HL2-" + std::to_string(trace.width) + "x" +
         std::to_string(trace.height);
     w.trace = std::move(trace);
-    maybeWriteMetrics("perf_tile", w, serial_cfg, serial);
+    maybeWriteMetrics("perf_tile", w, cfg, serial);
 
     return identical ? 0 : 1;
 }

@@ -6,10 +6,13 @@
  * dump the frames as PPM images.
  *
  * Usage: game_replay [frames]
+ * A malformed or out-of-range frame count exits 2.
  */
 
+#include <charconv>
 #include <cstdio>
 #include <cstdlib>
+#include <cstring>
 #include <string>
 
 #include "pargpu/replay.hh"
@@ -18,16 +21,50 @@
 
 using namespace pargpu;
 
+namespace
+{
+
+/** @p token parsed whole as an int; anything else exits 2. */
+int
+wholeNumber(const char *token, const char *what)
+{
+    int v = 0;
+    const char *end = token + std::strlen(token);
+    const std::from_chars_result r = std::from_chars(token, end, v);
+    if (r.ec == std::errc() && r.ptr == end)
+        return v;
+    std::fprintf(stderr, "invalid value '%s' for %s\n", token, what);
+    std::exit(2);
+}
+
+/** Exit 2 with @p st's message unless it is ok. */
+void
+orExit(const Status &st)
+{
+    if (st.ok())
+        return;
+    std::fprintf(stderr, "%s\n", st.message.c_str());
+    std::exit(2);
+}
+
+} // namespace
+
 int
 main(int argc, char **argv)
 {
-    Session session;
-    int frames = argc >= 2 ? std::atoi(argv[1]) : 4;
+    const int frames = argc >= 2 ? wholeNumber(argv[1], "frames") : 4;
     const int width = 640, height = 480;
+    RunConfig base_cfg;
+    base_cfg.scenario = DesignScenario::Baseline;
+    RunConfig patu_cfg;
+    patu_cfg.scenario = DesignScenario::Patu;
+    orExit(validateRunConfig(base_cfg));
+    orExit(validateRunConfig(patu_cfg));
 
     // Capture.
-    GameTrace original = buildGameTrace(GameId::Doom3, width, height,
-                                        frames);
+    Session session;
+    orExit(session.load("doom3", GameId::Doom3, width, height, frames));
+    const GameTrace &original = *session.trace("doom3");
     const std::string path = "doom3.pgtrace";
     if (!writeTrace(original, path)) {
         std::fprintf(stderr, "failed to write %s\n", path.c_str());
@@ -45,12 +82,7 @@ main(int argc, char **argv)
         return 1;
     }
 
-    RunConfig base_cfg;
-    base_cfg.scenario = DesignScenario::Baseline;
     RunResult base = session.run(trace, base_cfg);
-
-    RunConfig patu_cfg;
-    patu_cfg.scenario = DesignScenario::Patu;
     RunResult patu = session.run(trace, patu_cfg);
 
     ReplayResult base_replay = simulateReplay(frameCycles(base));

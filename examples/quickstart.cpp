@@ -5,38 +5,70 @@
  * perceived quality.
  *
  * Usage: quickstart [width height]
+ * A malformed or out-of-range number exits 2.
  */
 
+#include <charconv>
 #include <cstdio>
 #include <cstdlib>
+#include <cstring>
 
 #include "pargpu/session.hh"
 
 using namespace pargpu;
+
+namespace
+{
+
+/** @p token parsed whole as an int; anything else exits 2. */
+int
+wholeNumber(const char *token, const char *what)
+{
+    int v = 0;
+    const char *end = token + std::strlen(token);
+    const std::from_chars_result r = std::from_chars(token, end, v);
+    if (r.ec == std::errc() && r.ptr == end)
+        return v;
+    std::fprintf(stderr, "invalid value '%s' for %s\n", token, what);
+    std::exit(2);
+}
+
+/** Exit 2 with @p st's message unless it is ok. */
+void
+orExit(const Status &st)
+{
+    if (st.ok())
+        return;
+    std::fprintf(stderr, "%s\n", st.message.c_str());
+    std::exit(2);
+}
+
+} // namespace
 
 int
 main(int argc, char **argv)
 {
     int width = 640, height = 480;
     if (argc >= 3) {
-        width = std::atoi(argv[1]);
-        height = std::atoi(argv[2]);
+        width = wholeNumber(argv[1], "width");
+        height = wholeNumber(argv[2], "height");
     }
-
-    std::printf("pargpu quickstart: HL2-style scene at %dx%d\n\n",
-                width, height);
-
-    // The scene decodes once into the session; both runs share it.
-    Session session;
-    session.load("hl2", GameId::HL2, width, height, 1);
 
     RunConfig base_cfg;
     base_cfg.scenario = DesignScenario::Baseline;
-    RunResult base = session.submit("hl2", base_cfg)->result();
-
     RunConfig patu_cfg;
     patu_cfg.scenario = DesignScenario::Patu;
     patu_cfg.threshold = 0.4f;
+    orExit(validateRunConfig(base_cfg));
+    orExit(validateRunConfig(patu_cfg));
+
+    // The scene decodes once into the session; both runs share it.
+    Session session;
+    orExit(session.load("hl2", GameId::HL2, width, height, 1));
+    std::printf("pargpu quickstart: HL2-style scene at %dx%d\n\n",
+                width, height);
+
+    RunResult base = session.submit("hl2", base_cfg)->result();
     RunResult patu = session.submit("hl2", patu_cfg)->result();
 
     double speedup = base.avg_cycles / patu.avg_cycles;

@@ -6,12 +6,13 @@
  *
  * Usage: threshold_explorer [game] [width height]
  *   game in {hl2, doom3, grid, nfs, stal, ut3, wolf, rbench}
+ * An unknown game or a malformed or out-of-range number exits 2.
  */
 
+#include <charconv>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <string>
 
 #include "pargpu/session.hh"
 
@@ -20,20 +21,27 @@ using namespace pargpu;
 namespace
 {
 
-GameId
-parseGame(const char *s)
+/** @p token parsed whole as an int; anything else exits 2. */
+int
+wholeNumber(const char *token, const char *what)
 {
-    std::string v = s;
-    if (v == "hl2") return GameId::HL2;
-    if (v == "doom3") return GameId::Doom3;
-    if (v == "grid") return GameId::Grid;
-    if (v == "nfs") return GameId::Nfs;
-    if (v == "stal") return GameId::Stalker;
-    if (v == "ut3") return GameId::Ut3;
-    if (v == "wolf") return GameId::Wolf;
-    if (v == "rbench") return GameId::RBench;
-    std::fprintf(stderr, "unknown game '%s', using hl2\n", s);
-    return GameId::HL2;
+    int v = 0;
+    const char *end = token + std::strlen(token);
+    const std::from_chars_result r = std::from_chars(token, end, v);
+    if (r.ec == std::errc() && r.ptr == end)
+        return v;
+    std::fprintf(stderr, "invalid value '%s' for %s\n", token, what);
+    std::exit(2);
+}
+
+/** Exit 2 with @p st's message unless it is ok. */
+void
+orExit(const Status &st)
+{
+    if (st.ok())
+        return;
+    std::fprintf(stderr, "%s\n", st.message.c_str());
+    std::exit(2);
 }
 
 } // namespace
@@ -41,19 +49,25 @@ parseGame(const char *s)
 int
 main(int argc, char **argv)
 {
-    Session session;
-    GameId game = argc >= 2 ? parseGame(argv[1]) : GameId::HL2;
+    GameId game = GameId::HL2;
+    if (argc >= 2 && !parseGameName(argv[1], game)) {
+        std::fprintf(stderr, "unknown game '%s'\n", argv[1]);
+        return 2;
+    }
     int width = 640, height = 480;
     if (argc >= 4) {
-        width = std::atoi(argv[2]);
-        height = std::atoi(argv[3]);
+        width = wholeNumber(argv[2], "width");
+        height = wholeNumber(argv[3], "height");
     }
-
-    GameTrace trace = buildGameTrace(game, width, height, 2);
-    std::printf("threshold sweep for %s\n\n", trace.name.c_str());
-
     RunConfig base_cfg;
     base_cfg.scenario = DesignScenario::Baseline;
+    orExit(validateRunConfig(base_cfg));
+
+    Session session;
+    orExit(session.load("game", game, width, height, 2));
+    const GameTrace &trace = *session.trace("game");
+    std::printf("threshold sweep for %s\n\n", trace.name.c_str());
+
     RunResult base = session.run(trace, base_cfg);
 
     std::printf("%9s %9s %9s %12s\n",
@@ -66,6 +80,7 @@ main(int argc, char **argv)
         RunConfig cfg;
         cfg.scenario = DesignScenario::Patu;
         cfg.threshold = threshold;
+        orExit(validateRunConfig(cfg));
         RunResult run = session.run(trace, cfg);
         double speedup = base.avg_cycles / run.avg_cycles;
         double quality = run.mssimAgainst(base.images);

@@ -4,7 +4,8 @@
  *
  * Re-exports the ThreadPool used for frame/config-level parallelism
  * (setBaseThreads, which PARGPU_THREADS sets through parseEnvironment();
- * setDefaultThreads; parallel-for).
+ * setDefaultThreads; parallel-for) and for each draw's tile stream,
+ * which idle pool threads join (share(), runShared()).
  */
 
 #ifndef PARGPU_THREADING_HH

@@ -9,10 +9,10 @@
 #       (stages 1-3 run ctest twice: PARGPU_THREADS=1 and =nproc)
 #    4. ThreadSanitizer build, threading-focused ctest subset (with
 #       the scene and texture tests: their row bands write one texel
-#       vector from several threads): once as-is, then with
-#       PARGPU_TILE_PARALLEL=1 so every frame's tile stream runs on
-#       several workers under TSAN (golden digests and the session and
-#       serve jobs included), at PARGPU_THREADS=2, 3 and =nproc
+#       vector from several threads): once as-is, then the tile-stream
+#       subset (golden digests and the session and serve jobs included)
+#       at PARGPU_THREADS=2, 3 and =nproc, where idle pool threads join
+#       every frame's tile streams
 #    5. -DPARGPU_TRACING=OFF build (macros compiled out), tracing subset
 #       plus the golden digests
 #    6. pargpu-lint standalone (includes header self-containment builds)
@@ -147,22 +147,23 @@ stage_tsan() {
     cmake --build build-tsan -j "$JOBS"
     ctest --test-dir build-tsan --output-on-failure -j "$JOBS" \
         -R "threadpool_test|determinism_test|pipeline_test|integration_test|contract_test|session_test|serve_test|arena_test|ssim_test|scenes_test|procedural_test|mipmap_test"
-    # Tile parallelism forced on: every renderFrame() in the subset runs
-    # its tile stream on the pool, so TSAN sees workers logging tiles
-    # into the shared framebuffer planes and into slots from the shared
-    # free list, the per-cluster L1 replay drains and the commit drain
-    # overlapping one another, and slots recycled across workers. The
-    # session and serve tests add submitted jobs: a frame claimed by the
-    # job dispatcher streams its tiles on the pool while pool workers
-    # render other jobs' frames. Two workers, three (fewer than the 8
-    # clusters some tests use and not a divisor of 8, so the cluster
-    # drains interleave unevenly) and every core.
+    # Idle pool threads join every renderFrame()'s tile streams, so TSAN
+    # sees helpers logging tiles into the shared framebuffer planes and
+    # into slots from the shared free list, the per-cluster L1 replay
+    # drains and the commit drain overlapping one another, slots
+    # recycled across threads, and helpers leaving for queued tasks.
+    # pipeline_test renders a lone frame that must get helpers, and the
+    # session and serve tests add frames side by side whose threads,
+    # once out of frames, join the streams of those still rendering.
+    # Two threads, three (fewer than the 8 clusters some tests use and
+    # not a divisor of 8, so the cluster drains interleave unevenly) and
+    # every core.
     local threads
     for threads in 2 3 "$NPROC"; do
-        echo "--- tile stream with PARGPU_THREADS=$threads ---"
-        PARGPU_THREADS="$threads" PARGPU_TILE_PARALLEL=1 \
+        echo "--- tile streams with PARGPU_THREADS=$threads ---"
+        PARGPU_THREADS="$threads" \
             ctest --test-dir build-tsan --output-on-failure -j "$JOBS" \
-            -R "determinism_test|pipeline_test|integration_test|arena_test|golden_test|session_test|serve_test"
+            -R "threadpool_test|determinism_test|pipeline_test|integration_test|arena_test|golden_test|session_test|serve_test"
     done
 }
 

@@ -11,15 +11,24 @@
 #include <thread>
 
 #include "common/annotations.hh"
+#include "common/contract.hh"
 #include "common/logging.hh"
 
 namespace pargpu
 {
 
+struct ForJob;
+
 namespace
 {
 
 thread_local bool tl_in_worker = false;
+
+// What a helper inside a share() body has waiting for it: its pool's
+// queue (a worker) or its own parallelFor() job (a caller). Both null
+// outside a helper's visit.
+thread_local const std::atomic<std::size_t> *tl_leave_queue = nullptr;
+thread_local const ForJob *tl_leave_job = nullptr;
 
 std::atomic<unsigned> g_default_override{0};
 std::atomic<unsigned> g_base_threads{0};
@@ -38,8 +47,11 @@ struct ForJob
     std::atomic<std::size_t> completed{0}; ///< Chunks fully executed.
     std::vector<std::exception_ptr> errors;
 
-    Mutex done_mu;
-    std::condition_variable_any done_cv; ///< Waits on the annotated Mutex.
+    /** The pool's lock and the condition its waiting caller sleeps on. */
+    Mutex *wake_mu = nullptr;
+    std::condition_variable_any *wake_cv = nullptr;
+
+    bool done() const { return completed.load() >= n_chunks; }
 
     /**
      * Claim and run chunks until the counter is exhausted. Safe to call
@@ -62,18 +74,37 @@ struct ForJob
                 errors[c] = std::current_exception();
             }
             if (completed.fetch_add(1) + 1 == n_chunks) {
-                MutexLock lk(done_mu);
-                done_cv.notify_all();
+                MutexLock lk(*wake_mu);
+                wake_cv->notify_all();
             }
         }
     }
 };
 
+/**
+ * One open share() body. Lives on its owner's stack; every field but
+ * body and max_helpers is guarded by the pool's mutex.
+ */
+struct SharedBody
+{
+    const std::function<void()> *body = nullptr;
+    unsigned max_helpers = 0;
+    unsigned helpers = 0;     ///< Helpers inside the body now.
+    bool closed = false;      ///< The owner's call returned: nobody joins.
+    bool exhausted = false;   ///< A helper found no work left.
+    std::exception_ptr error; ///< First exception a participant raised.
+};
+
 struct ThreadPool::Impl
 {
     mutable Mutex mu;
-    std::condition_variable_any cv; ///< Waits on the annotated Mutex.
+    std::condition_variable_any cv; ///< Idle workers; on the annotated Mutex.
+    /** Callers waiting for their job, owners for their helpers. */
+    std::condition_variable_any waiters;
     std::deque<std::shared_ptr<ForJob>> queue PARGPU_GUARDED_BY(mu);
+    /** queue.size(), readable without the lock (helperShouldLeave()). */
+    std::atomic<std::size_t> queued{0};
+    std::vector<SharedBody *> open PARGPU_GUARDED_BY(mu); ///< Joinable.
     std::vector<std::thread> workers PARGPU_GUARDED_BY(mu);
     bool stop PARGPU_GUARDED_BY(mu) = false;
 
@@ -81,21 +112,74 @@ struct ThreadPool::Impl
     workerLoop()
     {
         tl_in_worker = true;
+        UniqueLock lk(mu);
+        // Explicit loop (not the predicate overload) so the guarded reads
+        // sit visibly under the lock. Queued tasks come first.
         for (;;) {
-            std::shared_ptr<ForJob> job;
-            {
-                UniqueLock lk(mu);
-                // Explicit wait loop (not the predicate overload) so the
-                // guarded reads of stop/queue sit visibly under the lock.
-                while (!stop && queue.empty())
-                    cv.wait(lk);
-                if (stop && queue.empty())
-                    return;
-                job = std::move(queue.front());
+            if (!queue.empty()) {
+                std::shared_ptr<ForJob> job = std::move(queue.front());
                 queue.pop_front();
+                queued.store(queue.size());
+                lk.unlock();
+                job->drain();
+                job.reset();
+                lk.lock();
+            } else if (stop) {
+                return;
+            } else if (SharedBody *sb = joinable()) {
+                help(lk, *sb, nullptr);
+            } else {
+                cv.wait(lk);
             }
-            job->drain();
         }
+    }
+
+    /** The open body with room and work that has the fewest helpers. */
+    SharedBody *
+    joinable() PARGPU_REQUIRES(mu)
+    {
+        SharedBody *best = nullptr;
+        for (SharedBody *sb : open)
+            if (!sb->exhausted && sb->helpers < sb->max_helpers &&
+                (!best || sb->helpers < best->helpers))
+                best = sb;
+        return best;
+    }
+
+    /**
+     * Run @p sb's body as a helper, without the lock. @p job is the
+     * caller's own parallelFor() job, or null on a worker.
+     */
+    void
+    help(UniqueLock &lk, SharedBody &sb, const ForJob *job)
+        PARGPU_REQUIRES(mu)
+    {
+        ++sb.helpers;
+        lk.unlock();
+
+        const bool was_worker = tl_in_worker;
+        tl_in_worker = true;
+        tl_leave_queue = job ? nullptr : &queued;
+        tl_leave_job = job;
+        std::exception_ptr error;
+        try {
+            (*sb.body)();
+        } catch (...) {
+            error = std::current_exception();
+        }
+        // A helper that had nowhere else to go returned because no work
+        // was left to claim: nobody else need join.
+        const bool ran_out = !ThreadPool::helperShouldLeave();
+        tl_leave_queue = nullptr;
+        tl_leave_job = nullptr;
+        tl_in_worker = was_worker;
+
+        lk.lock();
+        if (error && !sb.error)
+            sb.error = error;
+        sb.exhausted = sb.exhausted || ran_out || error;
+        if (--sb.helpers == 0 && sb.closed)
+            waiters.notify_all();
     }
 
     /**
@@ -191,6 +275,8 @@ ThreadPool::parallelFor(std::size_t n, std::size_t chunk,
     job->n_chunks = n_chunks;
     job->fn = &fn;
     job->errors.resize(n_chunks);
+    job->wake_mu = &impl_->mu;
+    job->wake_cv = &impl_->waiters;
 
     // Helpers beyond the caller, bounded by the cap, the pool size, and
     // the number of chunks someone other than the caller could run.
@@ -203,6 +289,7 @@ ThreadPool::parallelFor(std::size_t n, std::size_t chunk,
         MutexLock lk(impl_->mu);
         for (unsigned i = 0; i < helpers; ++i)
             impl_->queue.push_back(job);
+        impl_->queued.store(impl_->queue.size());
     }
     if (helpers == 1)
         impl_->cv.notify_one();
@@ -212,14 +299,68 @@ ThreadPool::parallelFor(std::size_t n, std::size_t chunk,
     job->drain(); // Caller participates.
 
     {
-        UniqueLock lk(job->done_mu);
-        while (job->completed.load() < job->n_chunks)
-            job->done_cv.wait(lk);
+        // Until the last chunk lands, help an open body rather than
+        // sleep; a publish or the job's completion wakes the wait.
+        UniqueLock lk(impl_->mu);
+        while (!job->done()) {
+            if (SharedBody *sb = impl_->joinable())
+                impl_->help(lk, *sb, job.get());
+            else
+                impl_->waiters.wait(lk);
+        }
     }
 
     for (std::exception_ptr &e : job->errors)
         if (e)
             std::rethrow_exception(e);
+}
+
+void
+ThreadPool::share(const std::function<void()> &body,
+                  unsigned max_participants)
+{
+    // An owner that is also a helper would leave its own body early.
+    PARGPU_ASSERT(!tl_leave_queue && !tl_leave_job,
+                  "share() called from inside a share() body");
+    if (max_participants <= 1 || workerCount() == 0) {
+        body();
+        return;
+    }
+
+    SharedBody sb;
+    sb.body = &body;
+    sb.max_helpers = max_participants - 1;
+    {
+        MutexLock lk(impl_->mu);
+        impl_->open.push_back(&sb);
+    }
+    impl_->cv.notify_all();
+    impl_->waiters.notify_all();
+
+    std::exception_ptr error;
+    try {
+        body();
+    } catch (...) {
+        error = std::current_exception();
+    }
+
+    UniqueLock lk(impl_->mu);
+    if (error && !sb.error)
+        sb.error = error;
+    sb.closed = true;
+    std::erase(impl_->open, &sb);
+    while (sb.helpers > 0)
+        impl_->waiters.wait(lk);
+    if (sb.error)
+        std::rethrow_exception(sb.error);
+}
+
+bool
+ThreadPool::helperShouldLeave()
+{
+    if (tl_leave_job)
+        return tl_leave_job->done();
+    return tl_leave_queue && tl_leave_queue->load() != 0;
 }
 
 unsigned
@@ -277,6 +418,21 @@ ThreadPool::run(std::size_t n, std::size_t chunk,
     ThreadPool &pool = global();
     pool.ensureWorkers(threads - 1);
     pool.parallelFor(n, chunk, fn, threads);
+}
+
+void
+ThreadPool::runShared(const std::function<void()> &body,
+                      unsigned threads)
+{
+    if (threads == 0)
+        threads = defaultThreads();
+    if (threads <= 1) {
+        body();
+        return;
+    }
+    ThreadPool &pool = global();
+    pool.ensureWorkers(threads - 1);
+    pool.share(body, threads);
 }
 
 } // namespace pargpu

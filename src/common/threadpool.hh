@@ -2,7 +2,7 @@
  * @file
  * Deterministic fixed-size thread pool shared by the harness (Session
  * run()/sweep() and the job dispatcher's passes: one task per
- * (condition, frame) pair), the simulator's tile-parallel frames, the
+ * (condition, frame) pair), the simulator's per-draw tile streams, the
  * quality layer (SSIM row bands), scene and texture construction (texel
  * and mip-level row bands) and the benches.
  *
@@ -17,6 +17,12 @@
  *  - A parallelFor() issued from inside a worker runs inline (serially) on
  *    that worker, so nested parallelism can never deadlock and never
  *    changes results.
+ *  - share() publishes a body that idle threads may join while it is
+ *    open (the simulator's tile stream). A body must give the same
+ *    result for any number of participants; the pool only decides how
+ *    many run it. A worker runs a queued task before it joins a body,
+ *    and a caller waiting in parallelFor() for its own job joins one
+ *    instead of sleeping.
  *
  * The default concurrency is the process base (setBaseThreads(), which
  * PARGPU_THREADS sets through parseEnvironment()) or, when that is 0,
@@ -73,6 +79,32 @@ class ThreadPool
                      const std::function<void(std::size_t)> &fn,
                      unsigned max_threads = 0);
 
+    /**
+     * Run body() on the calling thread (the owner) and let idle threads
+     * join it as helpers, each running body() too, until the owner's call
+     * returns. At most @p max_participants run it at once, the owner
+     * included.
+     *
+     * A helper is a worker that found the queue empty or a caller waiting
+     * in parallelFor() for its own job. The owner's body() must return
+     * only once no work is left to claim; a helper's returns then too, or
+     * earlier, at a point where its work is handed over, once
+     * helperShouldLeave() says it has other work. When the owner's
+     * returns the body closes: no thread joins any more, and share()
+     * waits for the helpers inside to leave, then rethrows the first
+     * exception any participant raised. A body must not call share().
+     *
+     * @param max_participants  1 (or 0) runs the owner alone.
+     */
+    void share(const std::function<void()> &body, unsigned max_participants);
+
+    /**
+     * True on a thread that joined a share() body as a helper and has
+     * other work: a task is queued (worker), or its own parallelFor()
+     * job completed (caller). Always false for the owner.
+     */
+    static bool helperShouldLeave();
+
     // --- Process-wide default pool --------------------------------------
 
     /**
@@ -91,7 +123,10 @@ class ThreadPool
     /** Lazily-created shared pool (grows on demand, never shrinks). */
     static ThreadPool &global();
 
-    /** True when the current thread is a pool worker. */
+    /**
+     * True when the current thread is a pool worker, or a caller while it
+     * helps a share() body (nested parallelism then runs inline).
+     */
     static bool inWorker();
 
     /**
@@ -103,6 +138,13 @@ class ThreadPool
     static void run(std::size_t n, std::size_t chunk,
                     const std::function<void(std::size_t)> &fn,
                     unsigned threads = 0);
+
+    /**
+     * Convenience: share() on the global pool with at most @p threads
+     * participants (0 = defaultThreads()), growing the pool as needed.
+     */
+    static void runShared(const std::function<void()> &body,
+                          unsigned threads = 0);
 
   private:
     struct Impl;

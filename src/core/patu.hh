@@ -140,6 +140,18 @@ class PatuUnit
     const PatuConfig &config() const { return config_; }
 
     /**
+     * Decide under @p config from now on; the table is reset per pixel
+     * anyway, so only a new size rebuilds it. stats() keeps counting.
+     */
+    void
+    reconfigure(const PatuConfig &config)
+    {
+        if (config.table_entries != config_.table_entries)
+            table_ = TexelAddressTable(config.table_entries);
+        config_ = config;
+    }
+
+    /**
      * Run everything decidable after Texel Generation: scenario forcing,
      * the trivial N == 1 case and the stage-1 sample-area check. If the
      * result has need_distribution set, the caller must compute the AF

@@ -4,7 +4,6 @@
 
 #include "common/threadpool.hh"
 #include "harness/session.hh"
-#include "sim/pipeline.hh"
 #include "simd/dispatch.hh"
 
 namespace pargpu
@@ -15,7 +14,7 @@ processEnvironment()
 {
     EnvMap env;
     for (const char *name :
-         {"PARGPU_THREADS", "PARGPU_SIMD", "PARGPU_TILE_PARALLEL"})
+         {"PARGPU_THREADS", "PARGPU_SIMD"})
         if (const char *v = std::getenv(name))
             env.emplace(name, v);
     return env;
@@ -57,16 +56,10 @@ parseEnvironment(const EnvMap &env)
     else if (const std::string why = simd::tierUnavailable(tier); !why.empty())
         reject(why);
 
-    const std::string tile_v = get("PARGPU_TILE_PARALLEL");
-    if (!tile_v.empty() && tile_v != "0" && tile_v != "1")
-        reject("PARGPU_TILE_PARALLEL must be '0' or '1', got '" + tile_v +
-               "'");
-
     if (!errors.empty())
         return Status::fail(StatusCode::InvalidConfig, errors);
     ThreadPool::setBaseThreads(threads);
     simd::setActiveTier(tier);
-    setTileParallelForced(tile_v == "1");
     return Status::success();
 }
 

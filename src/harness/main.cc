@@ -100,9 +100,8 @@ usage()
         "  --run-tc-scale S --run-llc-scale S               cache scaling\n"
         "  --run-max-aniso A --run-table-entries E          PATU knobs\n"
         "  --run-threads N     frame-level parallelism (0 = default)\n"
-        "  --run-tile-parallel render tiles in parallel across clusters\n"
-        "                      (bit-identical; PARGPU_TILE_PARALLEL=1\n"
-        "                      forces it on)\n"
+        "  --run-tile-parallel accepted, no effect (every frame's tiles\n"
+        "                      already take idle pool threads)\n"
         "  --run-clusters C    shader clusters (0 = Table I default)\n"
         "  --run-reference S   also render S, report MSSIM against it\n"
         "exports:\n"

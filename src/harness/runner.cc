@@ -1,6 +1,8 @@
 #include "harness/runner.hh"
 
+#include <algorithm>
 #include <atomic>
+#include <span>
 #include <string>
 
 #include "common/contract.hh"
@@ -41,6 +43,8 @@ configErrorMessage(ConfigError error)
         return "threads must be in [0, 4096] (0 = default)";
     case ConfigError::BadClusters:
         return "clusters must be in [0, 64] (0 = default)";
+    case ConfigError::BadScenario:
+        return "scenario must be one of the registered filter modes";
     }
     return "invalid RunConfig";
 }
@@ -63,6 +67,12 @@ RunConfig::validate() const
         errors.push_back(ConfigError::BadThreads);
     if (clusters < 0 || clusters > 64)
         errors.push_back(ConfigError::BadClusters);
+    const std::span<const ScenarioDesc> modes = scenarioRegistry();
+    if (std::none_of(modes.begin(), modes.end(),
+                     [this](const ScenarioDesc &d) {
+                         return d.id == scenario;
+                     }))
+        errors.push_back(ConfigError::BadScenario);
     return errors;
 }
 

@@ -39,6 +39,7 @@ enum class ConfigError
     BadTableEntries, ///< table_entries negative or above 4096.
     BadThreads,      ///< threads negative or above 4096.
     BadClusters,     ///< clusters negative or above 64.
+    BadScenario,     ///< scenario not in scenarioRegistry().
 };
 
 /** Human-readable description of @p error (includes the legal range). */
@@ -58,9 +59,9 @@ struct RunConfig
     int threads = 0;          ///< Cap on the frames Session::run() renders
                               ///< at once: 0 = ThreadPool::defaultThreads(),
                               ///< 1 = serial. Submitted jobs ignore it.
-    bool tile_parallel = false; ///< Intra-frame tile parallelism across
-                                ///< clusters (GpuConfig::tile_parallel;
-                                ///< bit-identical to serial).
+    bool tile_parallel = false; ///< Accepted, no effect: every frame's
+                                ///< tile stream takes idle pool threads
+                                ///< (GpuConfig::tile_parallel).
     int clusters = 0;         ///< Shader clusters (0 = Table I default).
 
     /**
@@ -75,7 +76,7 @@ struct RunConfig
      * (the cache model requires a power-of-two set count); max_aniso in
      * [1,64]; table_entries in [0,4096] (0 = scenario default);
      * threads in [0,4096] (0 = ThreadPool::defaultThreads()); clusters in
-     * [0,64] (0 = Table I default).
+     * [0,64] (0 = Table I default); scenario one of scenarioRegistry().
      */
     std::vector<ConfigError> validate() const;
 };

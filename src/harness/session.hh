@@ -109,8 +109,9 @@ using EnvMap = std::map<std::string, std::string>;
 EnvMap processEnvironment();
 
 /**
- * Parse PARGPU_THREADS, PARGPU_SIMD and PARGPU_TILE_PARALLEL, then apply
- * all three through their setters (unset or empty: the default). Any bad value applies nothing: InvalidConfig
+ * Parse PARGPU_THREADS and PARGPU_SIMD, then apply both through their
+ * setters (unset or empty: the default); any other name is ignored. Any
+ * bad value applies nothing: InvalidConfig
  * with every bad variable's message joined by "; ". Entry points call it
  * with processEnvironment(); the library itself reads no environment.
  */

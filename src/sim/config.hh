@@ -66,14 +66,11 @@ struct GpuConfig
     Cycle mem_overlap_credit = 320;
 
     /**
-     * Run each frame's tile stream on all of the shared thread pool's
-     * host workers instead of one: workers claim the draw's tiles one
-     * at a time and log them (per-worker texture-unit scratch; quads,
-     * lines and stat deltas logged), each cluster's lines replay
-     * through its own L1 in row-major order, and the misses commit one
-     * tile at a time in canonical tile order, so shared LLC/DRAM state,
-     * counters and cycle timing stay bit-identical to a serial frame.
-     * Off by default; PARGPU_TILE_PARALLEL=1 forces it on process-wide.
+     * Accepted and ignored. Every frame's tile stream is joinable work
+     * on the shared thread pool: the thread rendering the frame owns it
+     * and idle pool threads join (up to ThreadPool::defaultThreads()
+     * participants), whatever this says. Kept until the benchmark,
+     * which still sets it, drops it.
      */
     bool tile_parallel = false;
 

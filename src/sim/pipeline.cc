@@ -37,9 +37,34 @@ using detail::TileSlot;
 constexpr std::size_t kReservedTileQuads = 512;
 constexpr std::size_t kReservedQuadLines = 32;
 
-// Set by setTileParallelForced() before frames render; atomic because
-// frames on pool workers read it. pargpu-analyze: allow(global-state)
-std::atomic<bool> g_tile_parallel_forced{false};
+/**
+ * The calling thread's scratch texture unit, bound to frame @p frame_id
+ * (its config, memory system and noise seed). A unit serves one stream
+ * participant at a time, and a thread is one participant at a time, so
+ * the unit lives with its host thread: created the first time the
+ * thread logs a tile, rebound when it moves to another frame. Per-quad
+ * texture work is a pure function of the quad and the frame, so no
+ * result depends on which unit did it. Kept per simulator instead,
+ * every frame's helpers allocated units in their own heaps between the
+ * large blocks of the frames their threads own, and some HL2 1280x1024
+ * runs peaked an image (20 MiB) higher.
+ */
+TextureUnit &
+scratchUnit(std::uint64_t frame_id, const GpuConfig &config,
+            MemorySystem &mem, std::uint32_t frame_seed)
+{
+    thread_local std::unique_ptr<TextureUnit> unit;
+    thread_local std::uint64_t bound = 0;
+    if (bound != frame_id) {
+        if (unit)
+            unit->rebind(config, mem);
+        else
+            unit = std::make_unique<TextureUnit>(config, 0, mem);
+        unit->beginFrame(frame_seed);
+        bound = frame_id;
+    }
+    return *unit;
+}
 
 /** Per-face lighting factor from the world-space normal. */
 float
@@ -99,18 +124,6 @@ shadeQuad(Framebuffer &fb, const SetupTriangle &st, const QuadFragment &q,
 
 } // namespace
 
-bool
-tileParallelForced()
-{
-    return g_tile_parallel_forced.load(std::memory_order_relaxed);
-}
-
-void
-setTileParallelForced(bool forced)
-{
-    g_tile_parallel_forced.store(forced, std::memory_order_relaxed);
-}
-
 GpuSimulator::GpuSimulator(const GpuConfig &config)
     : config_(config)
 {
@@ -118,12 +131,11 @@ GpuSimulator::GpuSimulator(const GpuConfig &config)
     mc.clusters = config_.clusters;
     mem_ = std::make_unique<MemorySystem>(mc);
     cluster_tex_.resize(config_.clusters);
-    // What one worker needs; a tile-parallel frame adds units and slots
-    // on first use. The slot's logs are reserved here: grown inside the
-    // first frame, they land between that frame's large scratch blocks
-    // in the thread's heap, and the peak RSS of frame-parallel runs then
-    // varies from run to run.
-    worker_tus_.push_back(std::make_unique<TextureUnit>(config_, 0, *mem_));
+    // What the owner of a draw's tile stream needs; streams add slots
+    // when every slot is in flight. The slot's logs are reserved here:
+    // grown inside the first frame, they land between that frame's large
+    // scratch blocks in the thread's heap, and the peak RSS of
+    // frame-parallel runs then varies from run to run.
     for (unsigned c = 0; c < config_.clusters; ++c)
         replays_.push_back(std::make_unique<ClusterReplay>(*mem_, c));
     TileSlot &slot = *slots_.emplace_back(std::make_unique<TileSlot>());
@@ -191,12 +203,10 @@ GpuSimulator::renderFrame(const Scene &scene, const Camera &camera,
     // per draw.
     const std::size_t arena_base =
         frame_arena_.lifetimeBytes() + bin_arena_.lifetimeBytes();
-    // Host workers for the fragment phase. Serial frames, a nested call
-    // (this frame already runs on a pool worker) and a one-thread pool
-    // all get one worker, the tile stream's only participant.
-    const bool tile_par = config_.tile_parallel || tileParallelForced();
-    const unsigned n_workers = tile_par && !ThreadPool::inWorker()
-        ? ThreadPool::defaultThreads() : 1u;
+    // Host threads that may run this frame's tile streams: the thread
+    // rendering it and idle pool threads that join (a one-thread pool
+    // has no helpers).
+    const unsigned n_threads = ThreadPool::defaultThreads();
 
     FrameStats fs;
 
@@ -214,11 +224,12 @@ GpuSimulator::renderFrame(const Scene &scene, const Camera &camera,
     FrameOutput out;
     out.image = Image(width, height, scene.clear_color);
     Framebuffer fb(out.image, frame_arena_);
-    if (n_workers > 1) {
-        // Row bands across the pool: the planes are too large to clear
-        // from one thread without it showing in frame latency.
+    if (n_threads > 1) {
+        // Row bands across the pool (inline on a worker): the planes are
+        // too large to clear from one thread without it showing in the
+        // latency of a lone frame.
         const int bands = static_cast<int>(std::min<unsigned>(
-            static_cast<unsigned>(height), n_workers * 4));
+            static_cast<unsigned>(height), n_threads * 4));
         const int rows = (height + bands - 1) / bands;
         ThreadPool::run(
             static_cast<std::size_t>((height + rows - 1) / rows), 1,
@@ -226,7 +237,7 @@ GpuSimulator::renderFrame(const Scene &scene, const Camera &camera,
                 const int y0 = static_cast<int>(b) * rows;
                 fb.clearDepth(y0, std::min(height, y0 + rows));
             },
-            n_workers);
+            n_threads);
     } else {
         fb.clearDepth(0, height);
     }
@@ -296,14 +307,12 @@ GpuSimulator::renderFrame(const Scene &scene, const Camera &camera,
                                        static_cast<double>(lo));
     };
 
+    // Names this frame to the threads' scratch units (scratchUnit()).
+    static std::atomic<std::uint64_t> frames_begun{0};
+    const std::uint64_t frame_id = ++frames_begun;
+
     // Fragment-phase state is persistent across frames, so the vectors
-    // keep a steady-state capacity; a tile-parallel frame needs one
-    // texture unit per host thread.
-    while (worker_tus_.size() < n_workers)
-        worker_tus_.push_back(
-            std::make_unique<TextureUnit>(config_, 0, *mem_));
-    for (auto &tu : worker_tus_)
-        tu->beginFrame(frame_seed);
+    // keep a steady-state capacity.
     if (tile_slots_.size() < n_tiles)
         tile_slots_ = std::vector<std::atomic<TileSlot *>>(n_tiles);
 
@@ -426,13 +435,14 @@ GpuSimulator::renderFrame(const Scene &scene, const Camera &camera,
 
         // Phase 1 (log): raster, early-Z, texture work, shading and
         // scatter. Tiles are pixel-disjoint, and per-quad texture work is
-        // a pure function of the quad, so worker w runs it on its own
-        // scratch unit and logs into the tile's slot what the later
-        // phases need: per quad the raster cycles before it, its TU work
+        // a pure function of the quad, so each participant runs it on its
+        // thread's scratch unit and logs into the tile's slot what the
+        // later phases need: per quad the raster cycles before it, its TU work
         // and its distinct lines in first-touch order; per tile the stat
         // deltas.
-        auto logTile = [&](std::size_t w, std::size_t t, TileSlot &s) {
-            TextureUnit &tu = *worker_tus_[w];
+        auto logTile = [&](std::size_t t, TileSlot &s) {
+            TextureUnit &tu =
+                scratchUnit(frame_id, config_, *mem_, frame_seed);
             TileLog &tl = s.log;
             const std::span<const std::uint32_t> bin =
                 bin_items.subspan(bin_start[t], bin_count[t]);
@@ -589,9 +599,12 @@ GpuSimulator::renderFrame(const Scene &scene, const Camera &camera,
         // a draw, and the holder re-checks for ready tiles after letting
         // go, so none is stranded. Each L1 thus sees its cluster's lines
         // in row-major order, and the LLC and DRAM the commits in
-        // row-major order at the same cycles, for any worker count. A
-        // tile whose phase 1 throws is never logged: the drains stop at
-        // it and ThreadPool::run rethrows.
+        // row-major order at the same cycles, for any worker count.
+        // The thread rendering the frame owns the stream and idle pool
+        // threads join it (ThreadPool::share()). A helper with other work
+        // leaves between tiles; the drains' re-check covers what it
+        // logged. A tile whose phase 1 throws is never logged: the drains
+        // stop at it and the owner rethrows once its helpers have left.
         busy_tiles_.clear();
         for (std::size_t t = 0; t < n_tiles; ++t)
             if (bin_count[t] != 0)
@@ -659,14 +672,16 @@ GpuSimulator::renderFrame(const Scene &scene, const Camera &camera,
                 std::max(slots_peak_, slots_.size() - free_slots_.size());
             return s;
         };
-        const auto stream = [&](std::size_t w) {
+        const auto stream = [&] {
             PARGPU_TRACE_SPAN(span, "sim", "tiles");
             std::size_t logged = 0;
-            for (std::size_t i = next_claim.fetch_add(1); i < n_busy;
-                 i = next_claim.fetch_add(1)) {
+            while (!ThreadPool::helperShouldLeave()) {
+                const std::size_t i = next_claim.fetch_add(1);
+                if (i >= n_busy)
+                    break;
                 const std::size_t t = busy_tiles_[i];
                 TileSlot &s = takeSlot();
-                logTile(w, t, s);
+                logTile(t, s);
                 ++logged;
                 tile_slots_[t].store(&s);
                 ClusterReplay &cr = *replays_[t % config_.clusters];
@@ -685,9 +700,9 @@ GpuSimulator::renderFrame(const Scene &scene, const Camera &camera,
             }
             span.setValue(static_cast<double>(logged));
         };
-        const unsigned participants =
-            static_cast<unsigned>(std::min<std::size_t>(n_workers, n_busy));
-        ThreadPool::run(participants, 1, stream, participants);
+        ThreadPool::runShared(
+            stream,
+            static_cast<unsigned>(std::min<std::size_t>(n_threads, n_busy)));
         MutexLock lk(slot_mu_);
         PARGPU_TRACE_COUNTER("sim", "tiles.in_flight", slots_peak_);
     }

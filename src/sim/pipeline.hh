@@ -134,17 +134,6 @@ struct FrameOutput
     FrameStats stats;
 };
 
-/**
- * True when tile parallelism is forced on for every simulator in the
- * process, regardless of GpuConfig::tile_parallel (bit-identical either
- * way). PARGPU_TILE_PARALLEL=1 sets it through parseEnvironment(), so
- * scripts/check.sh's TSAN stage runs whole test binaries tile-parallel.
- */
-bool tileParallelForced();
-
-/** Force tile parallelism on or off for every later frame. */
-void setTileParallelForced(bool forced);
-
 namespace detail
 {
 
@@ -275,17 +264,16 @@ class GpuSimulator
     BumpArena bin_arena_;
     /**
      * Fragment-phase state, persistent across frames so the vectors keep
-     * their capacity: one scratch texture unit per host worker (a worker
-     * is not a simulated cluster: it logs whichever tiles it claims), one
-     * replay drain per cluster, the tile slots with their free list and
-     * the draw's peak of live slots, each busy tile's slot once it is
-     * logged, and the draw's busy tiles. The constructor builds what one
-     * worker needs (one unit, one reserved slot); a tile-parallel frame
-     * adds a unit per host thread, and slots only when every slot is in
-     * flight. Never arena-backed (the arena.* counters must not depend
-     * on the worker count).
+     * their capacity: one replay drain per cluster, the tile slots with
+     * their free list and the draw's peak of live slots, each busy
+     * tile's slot once it is logged, and the draw's busy tiles. The
+     * constructor builds what the stream's owner needs (one reserved
+     * slot); streams add slots only when every slot is in flight. The
+     * texture work runs on each host thread's own scratch unit (a thread
+     * is not a simulated cluster: it logs whichever tiles it claims).
+     * Never arena-backed (the arena.* counters must not depend on the
+     * worker count).
      */
-    std::vector<std::unique_ptr<TextureUnit>> worker_tus_;
     std::vector<std::unique_ptr<detail::ClusterReplay>> replays_;
     Mutex slot_mu_;
     std::vector<std::unique_ptr<detail::TileSlot>> slots_

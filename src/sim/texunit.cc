@@ -43,15 +43,31 @@ TextureUnit::TextureUnit(const GpuConfig &config, unsigned cluster,
                          MemorySystem &mem)
     : config_(config), cluster_(cluster), mem_(&mem), patu_(config.patu)
 {
+    checkBinding();
+}
+
+void
+TextureUnit::rebind(const GpuConfig &config, MemorySystem &mem)
+{
+    config_ = config;
+    mem_ = &mem;
+    patu_.reconfigure(config.patu);
+    stats_ = TexUnitStats{};
+    checkBinding();
+}
+
+void
+TextureUnit::checkBinding()
+{
     // line_bytes is validated power-of-two by the cache constructors
     // (SetAssocCache), so line-aligning is a mask, not a divide; hoist
     // it once — queueSample() runs per trilinear sample.
-    line_mask_ = ~(static_cast<Addr>(mem.config().line_bytes) - 1);
-    PARGPU_ASSERT(config.addr_alus >= 1 && config.addr_alus <= 8,
+    line_mask_ = ~(static_cast<Addr>(mem_->config().line_bytes) - 1);
+    PARGPU_ASSERT(config_.addr_alus >= 1 && config_.addr_alus <= 8,
                   "address ALU count must divide the 8-texel footprint: ",
-                  config.addr_alus);
-    PARGPU_ASSERT(config.max_aniso >= 1,
-                  "max_aniso must be positive: ", config.max_aniso);
+                  config_.addr_alus);
+    PARGPU_ASSERT(config_.max_aniso >= 1,
+                  "max_aniso must be positive: ", config_.max_aniso);
 }
 
 TextureUnit::QuadLineSet::QuadLineSet()

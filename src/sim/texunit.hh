@@ -165,6 +165,14 @@ class TextureUnit
     void resetStats() { stats_ = TexUnitStats{}; }
 
     /**
+     * Serve another configuration and memory system, keeping the
+     * scratch buffers: a host thread's scratch unit moving to another
+     * frame's tile stream. Same state as a freshly constructed unit for
+     * everything processQuadWork() reads; the counters restart.
+     */
+    void rebind(const GpuConfig &config, MemorySystem &mem);
+
+    /**
      * Install the frame's noise seed (a pure function of the camera,
      * hashed by the pipeline) for the stochastic filter policies. Pure
      * state: safe to call from any execution mode before rendering.
@@ -324,6 +332,9 @@ class TextureUnit
                       const TextureSampler &sampler,
                       const AnisotropyInfo &info, PixelPlan plans[4],
                       const int act[4], int n_act, StfVariant variant);
+    /** Hoist the line mask and check the config (construction, rebind). */
+    void checkBinding();
+
     void anisoQuadFas(const QuadFragment &quad,
                       const TextureSampler &sampler,
                       const AnisotropyInfo &info, PixelPlan plans[4],

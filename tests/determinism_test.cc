@@ -4,7 +4,8 @@
  * with N threads must produce bit-identical FrameStats, images and
  * aggregates to the 1-thread run, Session::sweep() must equal per-config
  * Session::run(), and the parallel SSIM path must match the serial one
- * exactly.
+ * exactly. "One thread" means ThreadPool::setDefaultThreads(1): frames
+ * in sequence, and every tile stream with its owner alone.
  */
 
 #include <algorithm>
@@ -134,17 +135,26 @@ smallTrace()
     return buildGameTrace(GameId::HL2, 96, 80, 3);
 }
 
+/** Session::run() with one thread in the whole process. */
+RunResult
+runOneThread(Session &session, const GameTrace &trace, RunConfig cfg)
+{
+    cfg.threads = 1;
+    ThreadPool::setDefaultThreads(1);
+    RunResult r = session.run(trace, cfg);
+    ThreadPool::setDefaultThreads(0);
+    return r;
+}
+
 } // namespace
 
 TEST(Determinism, RunSerialVsParallelBaseline)
 {
     Session session;
     GameTrace trace = smallTrace();
-    RunConfig serial_cfg;
-    serial_cfg.threads = 1;
     RunConfig parallel_cfg;
     parallel_cfg.threads = 4;
-    expectRunsEqual(session.run(trace, serial_cfg),
+    expectRunsEqual(runOneThread(session, trace, RunConfig{}),
                     session.run(trace, parallel_cfg));
 }
 
@@ -155,10 +165,9 @@ TEST(Determinism, RunSerialVsParallelPatu)
     RunConfig serial_cfg;
     serial_cfg.scenario = DesignScenario::Patu;
     serial_cfg.threshold = 0.4f;
-    serial_cfg.threads = 1;
     RunConfig parallel_cfg = serial_cfg;
     parallel_cfg.threads = 4;
-    expectRunsEqual(session.run(trace, serial_cfg),
+    expectRunsEqual(runOneThread(session, trace, serial_cfg),
                     session.run(trace, parallel_cfg));
 }
 
@@ -188,99 +197,86 @@ TEST(Determinism, SweepMatchesRun)
 
     std::vector<RunResult> sweep = session.sweep(trace, configs, 4);
     ASSERT_EQ(sweep.size(), configs.size());
-    for (std::size_t i = 0; i < configs.size(); ++i) {
-        RunConfig serial = configs[i];
-        serial.threads = 1;
-        expectRunsEqual(session.run(trace, serial), sweep[i]);
-    }
+    for (std::size_t i = 0; i < configs.size(); ++i)
+        expectRunsEqual(runOneThread(session, trace, configs[i]), sweep[i]);
 }
 
-// --- Intra-frame tile parallelism ------------------------------------
-// The tile-parallel fragment phase must be bit-identical to the serial
-// one: same frames, same FrameStats (including the per-cluster shards),
-// same aggregates — at every worker count, alone and composed with
-// frame-level parallelism.
+// --- Tile streams on the pool -----------------------------------------
+// Idle pool threads join every frame's tile streams, and the result must
+// be bit-identical to one thread: same frames, same FrameStats
+// (including the per-cluster shards), same aggregates — at every pool
+// size, for a lone frame and for frames rendered side by side.
 
-TEST(Determinism, TileParallelMatchesSerialPatu)
+TEST(Determinism, PoolMatchesOneThreadPatu)
 {
     Session session;
     GameTrace trace = smallTrace();
-    RunConfig serial_cfg;
-    serial_cfg.scenario = DesignScenario::Patu;
-    serial_cfg.threshold = 0.4f;
-    serial_cfg.threads = 1;
-    RunResult ref = session.run(trace, serial_cfg);
+    RunConfig cfg;
+    cfg.scenario = DesignScenario::Patu;
+    cfg.threshold = 0.4f;
+    cfg.threads = 1;
+    RunResult ref = runOneThread(session, trace, cfg);
 
-    RunConfig tile_cfg = serial_cfg;
-    tile_cfg.tile_parallel = true;
-    for (unsigned workers : {1u, 3u, 8u}) {
+    for (unsigned workers : {2u, 3u, 8u}) {
         ThreadPool::setDefaultThreads(workers);
-        expectRunsEqual(ref, session.run(trace, tile_cfg));
+        expectRunsEqual(ref, session.run(trace, cfg));
     }
     ThreadPool::setDefaultThreads(0);
 }
 
-TEST(Determinism, TileParallelMatchesSerialBaseline)
+TEST(Determinism, PoolMatchesOneThreadBaseline)
 {
     Session session;
     // Baseline 16xAF: the texel-bound extreme, every pixel through the
     // full AF path (maximum memory-system pressure on the commit pass).
     GameTrace trace = smallTrace();
-    RunConfig serial_cfg;
-    serial_cfg.scenario = DesignScenario::Baseline;
-    serial_cfg.threads = 1;
-    RunResult ref = session.run(trace, serial_cfg);
+    RunConfig cfg;
+    cfg.scenario = DesignScenario::Baseline;
+    cfg.threads = 1;
+    RunResult ref = runOneThread(session, trace, cfg);
 
-    RunConfig tile_cfg = serial_cfg;
-    tile_cfg.tile_parallel = true;
-    for (unsigned workers : {1u, 3u, 8u}) {
+    for (unsigned workers : {2u, 3u, 8u}) {
         ThreadPool::setDefaultThreads(workers);
-        expectRunsEqual(ref, session.run(trace, tile_cfg));
+        expectRunsEqual(ref, session.run(trace, cfg));
     }
     ThreadPool::setDefaultThreads(0);
 }
 
-TEST(Determinism, FrameParallelTimesTileParallel)
+TEST(Determinism, FramesSideBySideShareTheirStreams)
 {
     Session session;
-    // Both levels on at once: frames partitioned across the pool, each
-    // frame's tiles fanned out again (the nested submit runs inline on
-    // the worker — one shared pool, no oversubscription).
+    // Frames partitioned across the pool, and every thread that runs out
+    // of frames joins the tile streams of those still rendering.
     GameTrace trace = smallTrace();
-    RunConfig serial_cfg;
-    serial_cfg.scenario = DesignScenario::Patu;
-    serial_cfg.threshold = 0.4f;
-    serial_cfg.threads = 1;
-    RunResult ref = session.run(trace, serial_cfg);
+    RunConfig cfg;
+    cfg.scenario = DesignScenario::Patu;
+    cfg.threshold = 0.4f;
+    RunResult ref = runOneThread(session, trace, cfg);
 
-    RunConfig both_cfg = serial_cfg;
-    both_cfg.tile_parallel = true;
     for (int threads : {2, 3, 8}) {
-        both_cfg.threads = threads;
+        cfg.threads = threads;
         ThreadPool::setDefaultThreads(8);
-        expectRunsEqual(ref, session.run(trace, both_cfg));
+        expectRunsEqual(ref, session.run(trace, cfg));
     }
     ThreadPool::setDefaultThreads(0);
 }
 
-TEST(Determinism, TileParallelRegistryIdentical)
+TEST(Determinism, PoolRegistryIdentical)
 {
     Session session;
     // "Every exported counter": the whole StatRegistry snapshot —
     // counters, scalars (hit rates, imbalance) and histograms — must
-    // serialize identically for serial and tile-parallel runs.
+    // serialize identically for one thread and for a shared stream.
     GameTrace trace = smallTrace();
-    RunConfig serial_cfg;
-    serial_cfg.scenario = DesignScenario::Patu;
-    serial_cfg.threshold = 0.4f;
-    serial_cfg.threads = 1;
-    serial_cfg.keep_images = false;
-    RunConfig tile_cfg = serial_cfg;
-    tile_cfg.tile_parallel = true;
+    RunConfig cfg;
+    cfg.scenario = DesignScenario::Patu;
+    cfg.threshold = 0.4f;
+    cfg.threads = 1;
+    cfg.keep_images = false;
 
+    RunResult a = runOneThread(session, trace, cfg);
     ThreadPool::setDefaultThreads(4);
-    RunResult a = session.run(trace, serial_cfg);
-    RunResult b = session.run(trace, tile_cfg);
+    RunResult b = session.run(trace, cfg);
     ThreadPool::setDefaultThreads(0);
 
     StatRegistry ra, rb;
@@ -295,32 +291,30 @@ TEST(Determinism, FilterModesAcrossExecutionModes)
     Session session;
     // Every filter mode, the stochastic ones included (they draw noise
     // only from (pixel, sample, camera-hash) counters), must reproduce
-    // the serial run bit-for-bit in every execution mode: thread counts,
-    // tile parallelism, and both composed (docs/FILTERING.md, determinism
-    // strategy).
+    // the one-thread run bit-for-bit in every execution mode: frames
+    // side by side, a lone frame's shared streams, and both composed
+    // (docs/FILTERING.md, determinism strategy).
     GameTrace trace = smallTrace();
     for (const ScenarioDesc &d : scenarioRegistry()) {
         SCOPED_TRACE(d.name);
-        RunConfig serial_cfg;
-        serial_cfg.scenario = d.id;
-        serial_cfg.threads = 1;
-        RunResult ref = session.run(trace, serial_cfg);
+        RunConfig cfg;
+        cfg.scenario = d.id;
+        RunResult ref = runOneThread(session, trace, cfg);
 
-        RunConfig frame_cfg = serial_cfg;
+        RunConfig frame_cfg = cfg;
         for (int threads : {3, 8}) {
             frame_cfg.threads = threads;
             expectRunsEqual(ref, session.run(trace, frame_cfg));
         }
 
-        RunConfig tile_cfg = serial_cfg;
-        tile_cfg.tile_parallel = true;
-        for (unsigned workers : {1u, 3u, 8u}) {
+        RunConfig lone_cfg = cfg;
+        lone_cfg.threads = 1;
+        for (unsigned workers : {3u, 8u}) {
             ThreadPool::setDefaultThreads(workers);
-            expectRunsEqual(ref, session.run(trace, tile_cfg));
+            expectRunsEqual(ref, session.run(trace, lone_cfg));
         }
 
-        RunConfig both_cfg = serial_cfg;
-        both_cfg.tile_parallel = true;
+        RunConfig both_cfg = cfg;
         both_cfg.threads = 3;
         ThreadPool::setDefaultThreads(8);
         expectRunsEqual(ref, session.run(trace, both_cfg));
@@ -356,9 +350,9 @@ TEST(Determinism, ParallelSsimMatchesSerial)
 }
 
 // --- SIMD tier x execution mode ---------------------------------------
-// The full hot-path matrix: every runnable kernel tier under serial,
-// tile-parallel and frame-parallel execution must render the exact
-// frames of the scalar / serial reference.
+// The full hot-path matrix: every runnable kernel tier under one
+// thread, a lone frame's shared streams and frames side by side must
+// render the exact frames of the scalar / one-thread reference.
 
 namespace
 {
@@ -382,28 +376,26 @@ TEST(Determinism, SimdTierTimesExecutionMode)
 {
     Session session;
     GameTrace trace = smallTrace();
-    RunConfig serial_cfg;
-    serial_cfg.scenario = DesignScenario::Patu;
-    serial_cfg.threshold = 0.4f;
-    serial_cfg.threads = 1;
+    RunConfig cfg;
+    cfg.scenario = DesignScenario::Patu;
+    cfg.threshold = 0.4f;
+    cfg.threads = 1;
 
     const simd::SimdTier saved = simd::activeTier();
     simd::setActiveTier(simd::SimdTier::Scalar);
-    RunResult ref = session.run(trace, serial_cfg);
+    RunResult ref = runOneThread(session, trace, cfg);
 
     for (simd::SimdTier tier : runnableTiers()) {
         SCOPED_TRACE(simd::tierName(tier));
         simd::setActiveTier(tier);
 
-        expectRunsEqual(ref, session.run(trace, serial_cfg));
+        expectRunsEqual(ref, runOneThread(session, trace, cfg));
 
-        RunConfig tile_cfg = serial_cfg;
-        tile_cfg.tile_parallel = true;
         ThreadPool::setDefaultThreads(3);
-        expectRunsEqual(ref, session.run(trace, tile_cfg));
+        expectRunsEqual(ref, session.run(trace, cfg));
         ThreadPool::setDefaultThreads(0);
 
-        RunConfig frame_cfg = serial_cfg;
+        RunConfig frame_cfg = cfg;
         frame_cfg.threads = 3;
         expectRunsEqual(ref, session.run(trace, frame_cfg));
     }
@@ -414,24 +406,22 @@ TEST(Determinism, ArenaTimesTierMatrix)
 {
     Session session;
     // Arena-backed scratch (the arena.* counters included) under every
-    // tier, on either fragment-phase schedule.
+    // tier, with one thread and with a shared stream.
     GameTrace trace = smallTrace();
     RunConfig cfg;
     cfg.threads = 1;
 
     const simd::SimdTier saved = simd::activeTier();
     simd::setActiveTier(simd::SimdTier::Scalar);
-    RunResult ref = session.run(trace, cfg);
+    RunResult ref = runOneThread(session, trace, cfg);
 
-    RunConfig tile_cfg = cfg;
-    tile_cfg.tile_parallel = true;
     for (simd::SimdTier tier : runnableTiers()) {
         SCOPED_TRACE(simd::tierName(tier));
         simd::setActiveTier(tier);
         ThreadPool::setDefaultThreads(3);
-        expectRunsEqual(ref, session.run(trace, tile_cfg));
-        ThreadPool::setDefaultThreads(0);
         expectRunsEqual(ref, session.run(trace, cfg));
+        ThreadPool::setDefaultThreads(0);
+        expectRunsEqual(ref, runOneThread(session, trace, cfg));
     }
     simd::setActiveTier(saved);
 }
@@ -439,8 +429,8 @@ TEST(Determinism, ArenaTimesTierMatrix)
 // --- Tile pass matrix --------------------------------------------------
 // The tile stream decouples host workers from simulated clusters: any
 // worker count (fewer, as many as, or more than the clusters) with any
-// cluster count and kernel tier must reproduce the one-worker stream of
-// a serial frame exactly — images, FrameStats and the exported registry.
+// cluster count and kernel tier must reproduce the one-thread stream
+// exactly — images, FrameStats and the exported registry.
 
 namespace
 {
@@ -466,20 +456,18 @@ TEST(Determinism, TilePassWorkersTimesClustersTimesTier)
                          << "clusters " << clusters << ", tier "
                          << simd::tierName(tier));
             simd::setActiveTier(tier);
-            RunConfig serial_cfg;
-            serial_cfg.scenario = DesignScenario::Patu;
-            serial_cfg.threshold = 0.4f;
-            serial_cfg.threads = 1;
-            serial_cfg.clusters = clusters;
-            const RunResult ref = session.run(trace, serial_cfg);
+            RunConfig cfg;
+            cfg.scenario = DesignScenario::Patu;
+            cfg.threshold = 0.4f;
+            cfg.threads = 1;
+            cfg.clusters = clusters;
+            const RunResult ref = runOneThread(session, trace, cfg);
             const std::string ref_json = registryJson(ref);
 
-            RunConfig tile_cfg = serial_cfg;
-            tile_cfg.tile_parallel = true;
-            for (unsigned workers : {1u, 2u, 3u, 4u, 8u}) {
+            for (unsigned workers : {2u, 3u, 4u, 8u}) {
                 SCOPED_TRACE(testing::Message() << "workers " << workers);
                 ThreadPool::setDefaultThreads(workers);
-                const RunResult got = session.run(trace, tile_cfg);
+                const RunResult got = session.run(trace, cfg);
                 ThreadPool::setDefaultThreads(0);
                 expectRunsEqual(ref, got);
                 EXPECT_EQ(ref_json, registryJson(got));
@@ -562,23 +550,21 @@ TEST(Determinism, TileStreamWithLaggingCommitFrontier)
     const unsigned nproc = std::max(1u, std::thread::hardware_concurrency());
     for (unsigned clusters : {1u, 3u, 8u}) {
         SCOPED_TRACE(testing::Message() << "clusters " << clusters);
-        RunConfig serial_cfg;
-        serial_cfg.scenario = DesignScenario::Patu;
-        serial_cfg.threshold = 0.4f;
-        serial_cfg.threads = 1;
-        serial_cfg.clusters = clusters;
-        const RunResult ref = session.run(trace, serial_cfg);
+        RunConfig cfg;
+        cfg.scenario = DesignScenario::Patu;
+        cfg.threshold = 0.4f;
+        cfg.threads = 1;
+        cfg.clusters = clusters;
+        const RunResult ref = runOneThread(session, trace, cfg);
         ASSERT_EQ(ref.frames.size(), 1u);
         // The deep tiles really are deep: every layer shades.
         EXPECT_GT(ref.frames[0].pixels_shaded, 64u * 40u * 20u);
         const std::string ref_json = registryJson(ref);
 
-        RunConfig tile_cfg = serial_cfg;
-        tile_cfg.tile_parallel = true;
         for (unsigned workers : {2u, 3u, nproc}) {
             SCOPED_TRACE(testing::Message() << "workers " << workers);
             ThreadPool::setDefaultThreads(workers);
-            const RunResult got = session.run(trace, tile_cfg);
+            const RunResult got = session.run(trace, cfg);
             ThreadPool::setDefaultThreads(0);
             expectRunsEqual(ref, got);
             EXPECT_EQ(ref_json, registryJson(got));
@@ -596,13 +582,12 @@ TEST(Determinism, ArenaCountersPinned)
     const std::uint64_t kFrameBytes[3] = {342256, 342500, 342340};
     const std::uint64_t kHighWater[3] = {280544, 280588, 280460};
     GameTrace trace = smallTrace();
-    for (bool tile_parallel : {false, true}) {
-        SCOPED_TRACE(tile_parallel ? "tile-parallel" : "serial");
+    for (unsigned threads : {1u, 3u}) {
+        SCOPED_TRACE(testing::Message() << "threads " << threads);
         RunConfig cfg;
         cfg.threads = 1;
         cfg.keep_images = false;
-        cfg.tile_parallel = tile_parallel;
-        ThreadPool::setDefaultThreads(3);
+        ThreadPool::setDefaultThreads(threads);
         const RunResult r = session.run(trace, cfg);
         ThreadPool::setDefaultThreads(0);
         ASSERT_EQ(r.frames.size(), 3u);

@@ -16,7 +16,6 @@
 #include "common/threadpool.hh"
 #include "harness/session.hh"
 #include "simd/dispatch.hh"
-#include "sim/pipeline.hh"
 
 using namespace pargpu;
 
@@ -28,7 +27,6 @@ struct Applied
 {
     unsigned threads;
     simd::SimdTier tier;
-    bool tile_parallel;
 
     bool operator==(const Applied &) const = default;
 };
@@ -36,8 +34,7 @@ struct Applied
 Applied
 applied()
 {
-    return {ThreadPool::defaultThreads(), simd::activeTier(),
-            tileParallelForced()};
+    return {ThreadPool::defaultThreads(), simd::activeTier()};
 }
 
 /** What an empty environment applies. */
@@ -45,7 +42,7 @@ Applied
 defaults()
 {
     return {std::max(1u, std::thread::hardware_concurrency()),
-            simd::detectTier(), false};
+            simd::detectTier()};
 }
 
 /** Restores the process environment's settings after each test. */
@@ -74,8 +71,6 @@ const Accept kAccepted[] = {
     {"PARGPU_THREADS", "4096", [](Applied &a) { a.threads = 4096; }},
     {"PARGPU_SIMD", "scalar",
      [](Applied &a) { a.tier = simd::SimdTier::Scalar; }},
-    {"PARGPU_TILE_PARALLEL", "0", [](Applied &) {}},
-    {"PARGPU_TILE_PARALLEL", "1", [](Applied &a) { a.tile_parallel = true; }},
 };
 
 /** A rejected value and the exact message it is rejected with. */
@@ -108,17 +103,12 @@ const Reject kRejected[] = {
     {"PARGPU_SIMD", "bogus", "PARGPU_SIMD must be 'scalar', 'sse' or 'avx2'"},
     {"PARGPU_SIMD", "SSE", "PARGPU_SIMD must be 'scalar', 'sse' or 'avx2'"},
     {"PARGPU_SIMD", "avx512", "PARGPU_SIMD must be 'scalar', 'sse' or 'avx2'"},
-    {"PARGPU_TILE_PARALLEL", "2",
-     "PARGPU_TILE_PARALLEL must be '0' or '1', got '2'"},
-    {"PARGPU_TILE_PARALLEL", "yes",
-     "PARGPU_TILE_PARALLEL must be '0' or '1', got 'yes'"},
 };
 
 /** A valid map that sets every variable away from its default. */
 const EnvMap kNonDefault = {
     {"PARGPU_THREADS", "3"},
     {"PARGPU_SIMD", "scalar"},
-    {"PARGPU_TILE_PARALLEL", "1"},
 };
 
 } // namespace
@@ -181,13 +171,11 @@ TEST_F(EnvironmentTest, RejectedMapAppliesNothing)
 {
     ASSERT_TRUE(parseEnvironment(kNonDefault).ok());
     const Applied before = applied();
-    // Two valid changes and one bad value: neither change applies.
-    for (const char *bad :
-         {"PARGPU_THREADS", "PARGPU_SIMD", "PARGPU_TILE_PARALLEL"}) {
+    // A valid change and one bad value: the change does not apply.
+    for (const char *bad : {"PARGPU_THREADS", "PARGPU_SIMD"}) {
         EnvMap env = {
             {"PARGPU_THREADS", "5"},
             {"PARGPU_SIMD", ""},
-            {"PARGPU_TILE_PARALLEL", "0"},
         };
         env[bad] = "bogus";
         EXPECT_FALSE(parseEnvironment(env).ok()) << bad;
@@ -199,21 +187,23 @@ TEST_F(EnvironmentTest, EveryBadVariableIsReported)
 {
     const Status st = parseEnvironment({
         {"PARGPU_THREADS", "x"},
-        {"PARGPU_TILE_PARALLEL", "y"},
+        {"PARGPU_SIMD", "y"},
     });
     EXPECT_EQ(st.code, StatusCode::InvalidConfig);
     EXPECT_EQ(st.message,
               "PARGPU_THREADS must be a whole number in [0, 4096] (0 or "
-              "unset: one per core), got 'x'; PARGPU_TILE_PARALLEL must be "
-              "'0' or '1', got 'y'");
+              "unset: one per core), got 'x'; PARGPU_SIMD must be "
+              "'scalar', 'sse' or 'avx2'");
 }
 
 TEST_F(EnvironmentTest, RemovedAndUnknownVariablesAreIgnored)
 {
     for (const char *name :
          {"PARGPU_TEXEL_STORAGE", "PARGPU_FILTER_POLICY",
-          "PARGPU_CONTRACT_REPORT", "PARGPU_UNKNOWN"}) {
-        for (const char *value : {"linear", "stf_blue", "1", "bogus"}) {
+          "PARGPU_TILE_PARALLEL", "PARGPU_CONTRACT_REPORT",
+          "PARGPU_UNKNOWN"}) {
+        for (const char *value :
+             {"linear", "stf_blue", "0", "1", "yes", "bogus"}) {
             const Status st = parseEnvironment({{name, value}});
             EXPECT_TRUE(st.ok()) << name << "=" << value << ": "
                                  << st.message;
@@ -224,12 +214,13 @@ TEST_F(EnvironmentTest, RemovedAndUnknownVariablesAreIgnored)
 
 TEST(ProcessEnvironmentTest, ReadsOnlyTheParsedVariables)
 {
-    const char *name = "PARGPU_TILE_PARALLEL";
+    const char *name = "PARGPU_SIMD";
     const char *old = std::getenv(name);
     const std::string saved = old != nullptr ? old : "";
     ASSERT_EQ(::setenv(name, "x", 1), 0);
     ASSERT_EQ(::setenv("PARGPU_TEXEL_STORAGE", "linear", 1), 0);
     ASSERT_EQ(::setenv("PARGPU_FILTER_POLICY", "stf_blue", 1), 0);
+    ASSERT_EQ(::setenv("PARGPU_TILE_PARALLEL", "1", 1), 0);
     const EnvMap env = processEnvironment();
     if (old != nullptr)
         ::setenv(name, saved.c_str(), 1);
@@ -237,13 +228,14 @@ TEST(ProcessEnvironmentTest, ReadsOnlyTheParsedVariables)
         ::unsetenv(name);
     ::unsetenv("PARGPU_TEXEL_STORAGE");
     ::unsetenv("PARGPU_FILTER_POLICY");
+    ::unsetenv("PARGPU_TILE_PARALLEL");
 
     EXPECT_EQ(env.at(name), "x");
     EXPECT_EQ(env.count("PARGPU_TEXEL_STORAGE"), 0u);
     EXPECT_EQ(env.count("PARGPU_FILTER_POLICY"), 0u);
+    EXPECT_EQ(env.count("PARGPU_TILE_PARALLEL"), 0u);
     for (const auto &kv : env)
         EXPECT_TRUE(kv.first == "PARGPU_THREADS" ||
-                    kv.first == "PARGPU_SIMD" ||
-                    kv.first == "PARGPU_TILE_PARALLEL")
+                    kv.first == "PARGPU_SIMD")
             << kv.first;
 }

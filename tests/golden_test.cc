@@ -9,8 +9,9 @@
  * byte, and every registry counter and scalar except the three that
  * report host settings (the SIMD tier: simd.dispatch,
  * texunit.simd_width; the texel storage: texture.morton_storage). Each
- * case runs serially and tile-parallel on three workers; both must hit
- * the frozen value.
+ * case runs with one thread, with three pool threads free to join its
+ * frames' tile streams, and at the process default (PARGPU_THREADS);
+ * all must hit the frozen value.
  *
  * A digest changes only when a simulated result changes. When that is
  * the intent, the failure message prints the new value to paste in.
@@ -141,12 +142,14 @@ constexpr int kWidth = 64;
 constexpr int kHeight = 48;
 constexpr int kFrames = 2;
 
-// 8 games x {noaf, baseline, patu}, then HL2 under the four STF/FAS
-// modes.
+// 8 games x {noaf, baseline, patu}, HL2 under the two PATU predictor
+// stages alone (n, ntxds), then HL2 under the four STF/FAS modes.
 const GoldenCase kCases[] = {
     {GameId::HL2, DesignScenario::NoAF, 0x4FCE1C4E71B79C46ull},
     {GameId::HL2, DesignScenario::Baseline, 0x062A70A1A524A6E8ull},
     {GameId::HL2, DesignScenario::Patu, 0xAF2BA393E98F9051ull},
+    {GameId::HL2, DesignScenario::AfSsimN, 0x0F81084342182C5Bull},
+    {GameId::HL2, DesignScenario::AfSsimNTxds, 0xE70280E77E1548D6ull},
     {GameId::Doom3, DesignScenario::NoAF, 0x377E228F3181CED3ull},
     {GameId::Doom3, DesignScenario::Baseline, 0x655B49060CBDEF3Cull},
     {GameId::Doom3, DesignScenario::Patu, 0x322E433BBC6DAA11ull},
@@ -176,7 +179,7 @@ const GoldenCase kCases[] = {
 
 /** Every RunConfig field the digest depends on, set explicitly. */
 RunConfig
-goldenConfig(const GoldenCase &c, bool tile_parallel)
+goldenConfig(const GoldenCase &c)
 {
     RunConfig cfg;
     cfg.scenario = c.scenario;
@@ -187,7 +190,6 @@ goldenConfig(const GoldenCase &c, bool tile_parallel)
     cfg.keep_images = true;
     cfg.table_entries = 0;
     cfg.threads = 1;
-    cfg.tile_parallel = tile_parallel;
     cfg.clusters = 4;
     return cfg;
 }
@@ -213,16 +215,17 @@ TEST(Golden, DigestsMatchFrozenValues)
             built = c.game;
             have_trace = true;
         }
-        for (bool tile_parallel : {false, true}) {
-            const char *mode = tile_parallel ? "tile-parallel x3" : "serial";
-            ThreadPool::setDefaultThreads(tile_parallel ? 3 : 0);
+        // 0 = the process default.
+        for (unsigned threads : {1u, 3u, 0u}) {
+            ThreadPool::setDefaultThreads(threads);
             const std::uint64_t got =
-                runDigest(session.run(trace, goldenConfig(c, tile_parallel)));
+                runDigest(session.run(trace, goldenConfig(c)));
+            const unsigned ran = ThreadPool::defaultThreads();
             ThreadPool::setDefaultThreads(0);
             char hex[32];
             std::snprintf(hex, sizeof(hex), "0x%016" PRIX64 "ull", got);
-            EXPECT_EQ(got, c.digest)
-                << caseName(c) << " (" << mode << "): digest is " << hex;
+            EXPECT_EQ(got, c.digest) << caseName(c) << " (" << ran
+                                     << " threads): digest is " << hex;
         }
     }
 }

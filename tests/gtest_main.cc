@@ -4,7 +4,7 @@
  *
  * The PARGPU_* environment applies before any test runs
  * (parseEnvironment()), so scripts/check.sh can rerun whole test
- * binaries with, say, PARGPU_TILE_PARALLEL=1 or PARGPU_SIMD=scalar
+ * binaries with, say, PARGPU_THREADS=3 or PARGPU_SIMD=scalar
  * forced; an invalid value stops the binary with the parser's message.
  *
  * Death tests default to the "threadsafe" style: the simulator starts

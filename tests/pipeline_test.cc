@@ -8,17 +8,19 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdlib>
 #include <cstring>
 #include <memory>
 #include <vector>
 
 #include "common/threadpool.hh"
+#include "common/tracing.hh"
 #include "scenes/meshes.hh"
 #include "sim/pipeline.hh"
 #include "texture/procedural.hh"
+#include "tile_spans.hh"
 
 using namespace pargpu;
+using pargpu::trace::Tracing;
 
 namespace
 {
@@ -112,16 +114,17 @@ tilesOf(const FrameStats &s)
 }
 
 /**
- * Render @p scene serially, then tile-parallel at 2, 3 and 4 workers,
- * and expect every frame to match the serial one bit for bit.
+ * Render @p scene with one thread, then with 2, 3 and 4 pool threads
+ * free to join its tile streams, and expect every frame to match the
+ * one-thread frame bit for bit.
  */
 FrameOutput
-expectTileParallelMatchesSerial(const Scene &scene, int w, int h)
+expectPoolMatchesOneThread(const Scene &scene, int w, int h)
 {
-    GpuConfig cfg = configFor(DesignScenario::Patu);
+    const GpuConfig cfg = configFor(DesignScenario::Patu);
     GpuSimulator serial(cfg);
+    ThreadPool::setDefaultThreads(1);
     FrameOutput ref = serial.renderFrame(scene, screenCamera(w, h), w, h);
-    cfg.tile_parallel = true;
     GpuSimulator tiled(cfg);
     for (unsigned workers : {2u, 3u, 4u}) {
         SCOPED_TRACE(testing::Message() << "workers " << workers);
@@ -335,8 +338,8 @@ TEST(PipelineTest, TilePassMatchesSerialWithEveryFetchExposed)
     Scene scene = groundScene();
     Camera cam = standingCamera(160, 120);
     GpuSimulator serial(cfg);
+    ThreadPool::setDefaultThreads(1);
     const FrameOutput a = serial.renderFrame(scene, cam, 160, 120);
-    cfg.tile_parallel = true;
     GpuSimulator tiled(cfg);
     ThreadPool::setDefaultThreads(3);
     const FrameOutput b = tiled.renderFrame(scene, cam, 160, 120);
@@ -361,7 +364,7 @@ TEST(PipelineTest, DrawWithOneBusyTile)
     // the worker count.
     Scene scene = checkerScene();
     scene.draws.push_back(screenRect(64, 64, 36, 20, 44, 28, 10));
-    const FrameOutput out = expectTileParallelMatchesSerial(scene, 64, 64);
+    const FrameOutput out = expectPoolMatchesOneThread(scene, 64, 64);
     EXPECT_EQ(tilesOf(out.stats), 1u);
     EXPECT_GT(out.stats.pixels_shaded, 0u);
     EXPECT_LE(out.stats.pixels_shaded, 16u * 16u);
@@ -378,24 +381,50 @@ TEST(PipelineTest, EmptyAndBusyDrawsInterleave)
     scene.draws.push_back(screenRect(64, 48, 100, 0, 140, 30, 20));
     scene.draws.push_back(screenRect(64, 48, 24, 16, 64, 48, 10));
     scene.draws.emplace_back();
-    const FrameOutput out = expectTileParallelMatchesSerial(scene, 64, 48);
+    const FrameOutput out = expectPoolMatchesOneThread(scene, 64, 48);
     // Tiles are 16x16: 3x2 for the first rectangle, 3x3 for the second.
     EXPECT_EQ(tilesOf(out.stats), 15u);
     EXPECT_EQ(out.stats.triangles_setup, 4u);
 }
 
-TEST(PipelineTest, TileParallelForceMatchesEnvironment)
+#ifndef PARGPU_TRACING_DISABLED
+
+TEST(PipelineTest, LoneFrameSharesItsTileStream)
 {
-    // The test main applied PARGPU_TILE_PARALLEL; scripts/check.sh's
-    // TSAN stage reruns this binary with it set to 1, and a main that
-    // stopped applying it would leave those frames unforced and pass.
-    const char *v = std::getenv("PARGPU_TILE_PARALLEL");
-    const bool want = v != nullptr && std::strcmp(v, "1") == 0;
-    EXPECT_EQ(tileParallelForced(), want);
-    setTileParallelForced(!want);
-    EXPECT_EQ(tileParallelForced(), !want);
-    setTileParallelForced(want);
+    // A frame rendered on the test thread owns its tile streams, and the
+    // idle pool threads join them: some draw has more than one
+    // participant, so a TSan run of this binary always sees helpers
+    // logging, replaying and committing beside the owner. A helper
+    // joins only once it wakes, so a draw may end before one arrives;
+    // a few frames make that vanishingly unlikely.
+    const GpuConfig cfg = configFor(DesignScenario::Patu);
+    const Scene scene = groundScene();
+    const Camera cam = standingCamera(320, 240);
+    ThreadPool::setDefaultThreads(1);
+    const FrameOutput ref = GpuSimulator(cfg).renderFrame(scene, cam,
+                                                          320, 240);
+    ThreadPool::setDefaultThreads(4);
+    test::TileSpans n;
+    for (int attempt = 0; attempt < 8 && n.spans <= n.draws; ++attempt) {
+        Tracing::enable();
+        const FrameOutput got =
+            GpuSimulator(cfg).renderFrame(scene, cam, 320, 240);
+        Tracing::disable();
+        n = test::countTileSpans();
+        Tracing::clear();
+        EXPECT_EQ(got.stats.total_cycles, ref.stats.total_cycles);
+        EXPECT_EQ(got.stats.llc_misses, ref.stats.llc_misses);
+        EXPECT_EQ(std::memcmp(got.image.pixels().data(),
+                              ref.image.pixels().data(),
+                              ref.image.pixels().size() * sizeof(Color4f)),
+                  0);
+    }
+    ThreadPool::setDefaultThreads(0);
+    EXPECT_GT(n.draws, 0u);
+    EXPECT_GT(n.spans, n.draws);
 }
+
+#endif // PARGPU_TRACING_DISABLED
 
 TEST(PipelineDeathTest, RejectsBadViewport)
 {

@@ -4,7 +4,8 @@
  * Status reporting, immutable shared assets, concurrent jobs
  * bit-identical to the serial borrowed-trace sweep and to run() whatever
  * the frame count, zero-frame jobs, sweeps independent of the thread
- * count, snapshot streaming, and job handles surviving Session teardown.
+ * count, snapshot streaming, job handles surviving Session teardown,
+ * and threads that run out of frames joining the last frame's tiles.
  */
 
 #include <gtest/gtest.h>
@@ -15,11 +16,15 @@
 #include <thread>
 #include <utility>
 
+#include "common/threadpool.hh"
+#include "common/tracing.hh"
 #include "harness/metrics.hh"
 #include "harness/session.hh"
+#include "tile_spans.hh"
 #include "trace/trace.hh"
 
 using namespace pargpu;
+using pargpu::trace::Tracing;
 
 namespace
 {
@@ -136,6 +141,27 @@ TEST(StatusTest, ValidateRunConfigJoinsEveryViolation)
     EXPECT_NE(st.message.find(configErrorMessage(ConfigError::BadTcScale)),
               std::string::npos);
     EXPECT_NE(st.message.find("; "), std::string::npos);
+}
+
+TEST(StatusTest, ValidateRejectsUnregisteredScenario)
+{
+    for (const ScenarioDesc &d : scenarioRegistry()) {
+        RunConfig cfg;
+        cfg.scenario = d.id;
+        EXPECT_TRUE(cfg.validate().empty()) << d.name;
+    }
+    RunConfig bad;
+    bad.scenario = static_cast<DesignScenario>(99);
+    EXPECT_EQ(bad.validate(),
+              std::vector<ConfigError>{ConfigError::BadScenario});
+    const Status st = validateRunConfig(bad);
+    EXPECT_EQ(st.code, StatusCode::InvalidConfig);
+    EXPECT_EQ(st.message, configErrorMessage(ConfigError::BadScenario));
+    Session session;
+    ASSERT_TRUE(session.load("w", makeTiny()).ok());
+    Status submitted;
+    EXPECT_EQ(session.submit("w", bad, &submitted), nullptr);
+    EXPECT_EQ(submitted.code, StatusCode::InvalidConfig);
 }
 
 TEST(SessionTest, LoadRejectsBadAndDuplicateKeys)
@@ -387,3 +413,39 @@ TEST(SessionTest, SweepBytesIndependentOfThreadCount)
             expectRunsIdentical(configs[i], got[i], serial[i]);
     }
 }
+
+#ifndef PARGPU_TRACING_DISABLED
+
+TEST(SessionTest, LastFrameOfASweepGetsHelpers)
+{
+    // Four one-frame conditions on four threads: the baseline frame
+    // (16x AF everywhere) costs the most, so it finishes last, and the
+    // threads done with the cheap noaf frames join its tile streams.
+    // Every stream participant records one sim/tiles span per draw.
+    const GameTrace trace = buildGameTrace(GameId::HL2, 192, 144, 1);
+    std::vector<RunConfig> configs(4);
+    configs[0].scenario = DesignScenario::Baseline;
+    for (std::size_t i = 1; i < configs.size(); ++i)
+        configs[i].scenario = DesignScenario::NoAF;
+    Session session;
+    ThreadPool::setDefaultThreads(1);
+    const std::vector<RunResult> serial = session.sweep(trace, configs, 1);
+    ThreadPool::setDefaultThreads(4);
+    test::TileSpans n;
+    // A helper joins only once it wakes; retry rather than flake.
+    for (int attempt = 0; attempt < 5 && n.spans <= n.draws; ++attempt) {
+        Tracing::enable();
+        const std::vector<RunResult> got = session.sweep(trace, configs, 4);
+        Tracing::disable();
+        n = test::countTileSpans();
+        Tracing::clear();
+        ASSERT_EQ(got.size(), serial.size());
+        for (std::size_t i = 0; i < got.size(); ++i)
+            expectRunsIdentical(configs[i], got[i], serial[i], trace);
+    }
+    ThreadPool::setDefaultThreads(0);
+    EXPECT_GT(n.draws, 0u);
+    EXPECT_GT(n.spans, n.draws);
+}
+
+#endif // PARGPU_TRACING_DISABLED

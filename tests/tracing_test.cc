@@ -273,8 +273,7 @@ TEST(TracingTest, OneWorkerFrameRecordsTileStream)
     RunConfig cfg;
     cfg.keep_images = false;
     cfg.threads = 1;
-    // One pool thread: a one-worker frame even under
-    // PARGPU_TILE_PARALLEL=1.
+    // One pool thread: each tile stream has its owner alone.
     ThreadPool::setDefaultThreads(1);
     Tracing::enable();
     const RunResult r = session.run(tinyTrace(), cfg);
