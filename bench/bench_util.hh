@@ -14,48 +14,82 @@
 #ifndef PARGPU_BENCH_BENCH_UTIL_HH
 #define PARGPU_BENCH_BENCH_UTIL_HH
 
+#include <charconv>
 #include <cstdio>
 #include <cstdlib>
+#include <cstring>
 #include <filesystem>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "pargpu/metrics.hh"
 #include "pargpu/session.hh"
+#include "pargpu/trace.hh"
 
 namespace pargpu::bench
 {
 
+/** Print "fatal: <message>" and exit 1, as a rejected environment does. */
+[[noreturn]] inline void
+exitFatal(const std::string &message)
+{
+    std::fprintf(stderr, "fatal: %s\n", message.c_str());
+    std::exit(1);
+}
+
+/**
+ * True when PARGPU_FULLRES=1: use the paper's native resolutions. Unset,
+ * empty or 0 means half resolution; any other value exits 1.
+ */
+inline bool
+fullRes()
+{
+    const char *v = std::getenv("PARGPU_FULLRES");
+    const std::string_view s = v ? v : "";
+    if (s.empty() || s == "0")
+        return false;
+    if (s != "1")
+        exitFatal("PARGPU_FULLRES must be 0 or 1, got '" + std::string(s) +
+                  "'");
+    return true;
+}
+
+/**
+ * Frames per game trace: PARGPU_FRAMES, a whole number in [1,
+ * kMaxTraceCameras] (unset or empty: 2). Any other value exits 1.
+ */
+inline int
+numFrames()
+{
+    const char *v = std::getenv("PARGPU_FRAMES");
+    if (!v || !v[0])
+        return 2;
+    const char *end = v + std::strlen(v);
+    int n = 0;
+    const std::from_chars_result r = std::from_chars(v, end, n);
+    if (r.ec != std::errc() || r.ptr != end || n < 1 ||
+        static_cast<unsigned>(n) > kMaxTraceCameras)
+        exitFatal("PARGPU_FRAMES must be a whole number in [1, " +
+                  std::to_string(kMaxTraceCameras) + "], got '" +
+                  std::string(v) + "'");
+    return n;
+}
+
 /**
  * Apply the PARGPU_* environment (PARGPU_THREADS, PARGPU_SIMD, ...; see
- * parseEnvironment()). Every bench that renders calls this first, before
- * it builds a config; an invalid value exits 1 with the parser's message.
+ * parseEnvironment()) and check the bench knobs PARGPU_FRAMES and
+ * PARGPU_FULLRES. Every bench that renders calls this first, before it
+ * builds a config; an invalid value exits 1 with its message.
  */
 inline void
 applyEnvironment()
 {
     const Status env = parseEnvironment(processEnvironment());
-    if (env.ok())
-        return;
-    std::fprintf(stderr, "fatal: %s\n", env.message.c_str());
-    std::exit(1);
-}
-
-/** True when PARGPU_FULLRES=1: use the paper's native resolutions. */
-inline bool
-fullRes()
-{
-    const char *v = std::getenv("PARGPU_FULLRES");
-    return v && v[0] == '1';
-}
-
-/** Frames per game trace (PARGPU_FRAMES, default 2). */
-inline int
-numFrames()
-{
-    const char *v = std::getenv("PARGPU_FRAMES");
-    int n = v ? std::atoi(v) : 2;
-    return n > 0 ? n : 2;
+    if (!env.ok())
+        exitFatal(env.message);
+    numFrames();
+    fullRes();
 }
 
 /** Scale a paper resolution down unless full-res mode is on. */

@@ -22,7 +22,7 @@
  *
  * A tiny render (48x36, 1 frame) on purpose: the bench isolates the
  * per-request asset and boot overheads the Session API amortizes, not
- * simulation throughput (perf_smoke/perf_tile cover that). Wall-clock
+ * simulation throughput (perfbench/run.py measures that). Wall-clock
  * depends on the machine; the bit-identity check does not.
  */
 

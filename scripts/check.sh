@@ -17,27 +17,24 @@
 #       plus the golden digests
 #    6. pargpu-lint standalone (includes header self-containment builds)
 #    7. clang-tidy over src/ (skipped with a note when not installed)
-#    8. perf gate: perf_smoke's texel-bound export and perf_tile's
-#       tile-parallel export diffed against the committed baselines
-#       (bench/baselines/) with --fail-on-regress
-#    9. SIMD bit-identity: -DPARGPU_SIMD=OFF build vs the ON build —
+#    8. SIMD bit-identity: -DPARGPU_SIMD=OFF build vs the ON build —
 #       determinism subset + simd_kernel_test under both, then the
 #       harness metrics exports diffed field-by-field (only the
 #       dispatch-reporting fields may differ); then the ON build re-run
 #       with each runnable tier forced via PARGPU_SIMD, diffed the same
 #       way (forced tiers may change only the dispatch fields)
-#   10. pargpu-analyze (concurrency & determinism AST rules) plus the
+#    9. pargpu-analyze (concurrency & determinism AST rules) plus the
 #       fixture selftest that proves every rule fires
-#   11. Clang Thread Safety Analysis build (-DPARGPU_TSA=ON with
+#   10. Clang Thread Safety Analysis build (-DPARGPU_TSA=ON with
 #       -Werror=thread-safety; skipped with a note when clang++ is not
 #       installed)
-#   12. filter-mode matrix: a harness metrics export under every filter
+#   11. filter-mode matrix: a harness metrics export under every filter
 #       mode of scenarioRegistry() (the --run-scenario list of --help),
 #       diffed across modes — selecting a mode may change values but
 #       never the exported key set, and each export must report its own
 #       mode (docs/FILTERING.md); determinism_test and golden_test cover
 #       every mode's results in stage 1
-#   13. serve round-trip + amortization gate: pargpu_report.py boots the
+#   12. serve round-trip + amortization gate: pargpu_report.py boots the
 #       ASan and UBSan pargpu_serve binaries and drives a real sweep
 #       through the framed protocol (docs/SERVE.md), then perf_serve's
 #       BENCH_serve.json is gated — a persistent session must beat a
@@ -192,50 +189,36 @@ stage_tidy() {
     clang-tidy -p build-check --quiet "${tidy_sources[@]}"
 }
 
-stage_perf() {
-    # Plain Release (contracts off) so wall-clock resembles production;
-    # the gates themselves are on the *simulated* metrics, which are
-    # deterministic — wall-clock speedups in BENCH_texel.json and
-    # BENCH_tile.json are informational (they depend on the core count).
-    cmake -B build-perf -S . -DCMAKE_BUILD_TYPE=Release \
-        >build-perf.configure.log 2>&1 \
-        || { cat build-perf.configure.log >&2; return 1; }
-    cmake --build build-perf -j "$JOBS" --target perf_smoke perf_tile
-    local perf_metrics="$ROOT/build-perf/perf-metrics"
-    mkdir -p "$perf_metrics"
-    ( cd build-perf && PARGPU_FRAMES=2 PARGPU_METRICS_DIR="$perf_metrics" \
-        ./bench/perf_smoke )
-    python3 tools/pargpu_report.py \
-        bench/baselines/perf_texel_HL2-640x512_baseline.json \
-        "$perf_metrics/perf_texel_HL2-640x512_baseline.json" \
-        --fail-on-regress 0.01
-    ( cd build-perf && PARGPU_METRICS_DIR="$perf_metrics" ./bench/perf_tile )
-    python3 tools/pargpu_report.py \
-        bench/baselines/perf_tile_HL2-1280x1024_baseline.json \
-        "$perf_metrics/perf_tile_HL2-1280x1024_baseline.json" \
-        --fail-on-regress 0.01
+# Plain Release (contracts off): the SIMD ON build of stage 8 and the
+# perf_serve binary of stage 12 share it, and each stage configures it
+# so that either runs on its own.
+configure_release() {
+    cmake -B build-release -S . -DCMAKE_BUILD_TYPE=Release \
+        >build-release.configure.log 2>&1 \
+        || { cat build-release.configure.log >&2; return 1; }
 }
 
 stage_simd_identity() {
     # The scalar-only build must render the same frames and register the
     # same metrics as the SIMD build; only the dispatch-reporting fields
     # (run.simd_dispatch, registry simd.dispatch / texunit.simd_width)
-    # may differ. build-perf is the ON build (the knob defaults to ON).
+    # may differ. build-release is the ON build (the knob defaults to ON).
+    configure_release
     cmake -B build-simd-off -S . -DCMAKE_BUILD_TYPE=Release \
         -DPARGPU_SIMD=OFF >build-simd-off.configure.log 2>&1 \
         || { cat build-simd-off.configure.log >&2; return 1; }
     cmake --build build-simd-off -j "$JOBS" \
         --target determinism_test simd_kernel_test pargpu_harness
-    cmake --build build-perf -j "$JOBS" \
+    cmake --build build-release -j "$JOBS" \
         --target determinism_test simd_kernel_test pargpu_harness
     ctest --test-dir build-simd-off --output-on-failure -j "$JOBS" \
         -R "determinism_test|simd_kernel_test"
-    ctest --test-dir build-perf --output-on-failure -j "$JOBS" \
+    ctest --test-dir build-release --output-on-failure -j "$JOBS" \
         -R "determinism_test|simd_kernel_test"
     local simd_diff="$ROOT/build-simd-off/simd-diff"
     mkdir -p "$simd_diff"
     local build
-    for build in build-simd-off build-perf; do
+    for build in build-simd-off build-release; do
         "$ROOT/$build/src/harness/pargpu_harness" \
             --run-game wolf --run-scenario patu \
             --run-width 160 --run-height 120 --run-frames 2 --quiet \
@@ -280,7 +263,7 @@ EOF
         --allow registry/scalars/simd.dispatch
         --allow registry/scalars/texunit.simd_width)
     python3 "$simd_diff/diff.py" \
-        "$simd_diff/build-simd-off.json" "$simd_diff/build-perf.json" \
+        "$simd_diff/build-simd-off.json" "$simd_diff/build-release.json" \
         --label "SIMD OFF/ON" "${dispatch_allow[@]}"
     # Forced-tier matrix on the ON build: every runnable tier must
     # export the scalar run's numbers (dispatch fields aside).
@@ -290,7 +273,7 @@ EOF
     fi
     local tier
     for tier in $tiers; do
-        PARGPU_SIMD="$tier" "$ROOT/build-perf/src/harness/pargpu_harness" \
+        PARGPU_SIMD="$tier" "$ROOT/build-release/src/harness/pargpu_harness" \
             --run-game wolf --run-scenario patu \
             --run-width 160 --run-height 120 --run-frames 2 --quiet \
             --metrics-json "$simd_diff/tier-$tier.json"
@@ -410,29 +393,29 @@ stage_serve() {
             "$ROOT/$build/serve-out/serve_wolf_patu.json" \
             --fail-on-regress 0.01
     done
-    # Amortization gate on the build-perf (stage 8) binaries: the
+    # Amortization gate on the build-release binaries: the
     # persistent session must beat a fresh boot per sweep by >= 3x on
     # the repeated 16-config sweep, with byte-identical responses.
-    cmake --build build-perf -j "$JOBS" --target perf_serve
-    ( cd build-perf && ./bench/perf_serve )
-    python3 tools/pargpu_report.py --serve-bench build-perf/BENCH_serve.json
+    configure_release
+    cmake --build build-release -j "$JOBS" --target perf_serve
+    ( cd build-release && ./bench/perf_serve )
+    python3 tools/pargpu_report.py --serve-bench build-release/BENCH_serve.json
 }
 
 # --- matrix ---------------------------------------------------------------
 
-run_stage "1/13 Release + contracts + -Werror" stage_release
-run_stage "2/13 AddressSanitizer" stage_asan
-run_stage "3/13 UndefinedBehaviorSanitizer" stage_ubsan
-run_stage "4/13 ThreadSanitizer (threading subset)" stage_tsan
-run_stage "5/13 tracing compiled out (-DPARGPU_TRACING=OFF)" stage_notrace
-run_stage "6/13 pargpu-lint" stage_lint
-run_stage "7/13 clang-tidy" stage_tidy
-run_stage "8/13 perf gate (texel + tile vs baselines)" stage_perf
-run_stage "9/13 SIMD bit-identity (-DPARGPU_SIMD=OFF vs ON)" stage_simd_identity
-run_stage "10/13 pargpu-analyze + fixture selftest" stage_analyze
-run_stage "11/13 thread-safety analysis (-DPARGPU_TSA=ON)" stage_tsa
-run_stage "12/13 filter-mode matrix (schema)" stage_mode_matrix
-run_stage "13/13 serve round-trip (sanitizers) + amortization gate" stage_serve
+run_stage "1/12 Release + contracts + -Werror" stage_release
+run_stage "2/12 AddressSanitizer" stage_asan
+run_stage "3/12 UndefinedBehaviorSanitizer" stage_ubsan
+run_stage "4/12 ThreadSanitizer (threading subset)" stage_tsan
+run_stage "5/12 tracing compiled out (-DPARGPU_TRACING=OFF)" stage_notrace
+run_stage "6/12 pargpu-lint" stage_lint
+run_stage "7/12 clang-tidy" stage_tidy
+run_stage "8/12 SIMD bit-identity (-DPARGPU_SIMD=OFF vs ON)" stage_simd_identity
+run_stage "9/12 pargpu-analyze + fixture selftest" stage_analyze
+run_stage "10/12 thread-safety analysis (-DPARGPU_TSA=ON)" stage_tsa
+run_stage "11/12 filter-mode matrix (schema)" stage_mode_matrix
+run_stage "12/12 serve round-trip (sanitizers) + amortization gate" stage_serve
 
 summary
 echo

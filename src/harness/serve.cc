@@ -1,5 +1,6 @@
 #include "harness/serve.hh"
 
+#include <cmath>
 #include <istream>
 #include <limits>
 #include <ostream>
@@ -94,7 +95,15 @@ parseRunConfigJson(const Json &j, RunConfig &out)
             if (!v.isNumber())
                 return Status::fail(StatusCode::InvalidRequest,
                                     "config.threshold must be a number");
-            out.threshold = static_cast<float>(v.number());
+            // The cast is undefined beyond float's range (1e300), so
+            // such a value becomes the infinity of its sign first;
+            // validate() rejects it like any threshold outside [0, 1].
+            const double t = v.number();
+            constexpr float kInf = std::numeric_limits<float>::infinity();
+            out.threshold =
+                std::fabs(t) <= std::numeric_limits<float>::max()
+                ? static_cast<float>(t)
+                : (t > 0.0 ? kInf : -kInf);
         } else if (key == "tc_scale") {
             if (!intMember(v, n) || n < 0)
                 return Status::fail(StatusCode::InvalidRequest,

@@ -9,9 +9,11 @@
  * byte, and every registry counter and scalar except the three that
  * report host settings (the SIMD tier: simd.dispatch,
  * texunit.simd_width; the texel storage: texture.morton_storage). Each
- * case runs with one thread, with three pool threads free to join its
- * frames' tile streams, and at the process default (PARGPU_THREADS);
- * all must hit the frozen value.
+ * small case runs with one thread, with three pool threads free to join
+ * its frames' tile streams, and at the process default (PARGPU_THREADS);
+ * all must hit the frozen value. The two large-viewport cases run once,
+ * at the process default, so the sanitizer builds stay bounded; the
+ * PARGPU_THREADS passes of scripts/check.sh supply their thread counts.
  *
  * A digest changes only when a simulated result changes. When that is
  * the intent, the failure message prints the new value to paste in.
@@ -177,6 +179,26 @@ const GoldenCase kCases[] = {
     {GameId::HL2, DesignScenario::FilterAfterShading, 0x2C3D97957B6954FFull},
 };
 
+/** A case at a larger viewport, run once at the process default. */
+struct ViewportCase
+{
+    GoldenCase golden;
+    int width;
+    int height;
+    int frames;
+    int clusters; ///< 0 = the Table I default.
+};
+
+// The texel-bound Baseline over two 640x512 frames on the default
+// clusters, and one 1280x1024 frame on 8 clusters, where each cluster
+// logs many tiles of a draw's stream.
+const ViewportCase kViewportCases[] = {
+    {{GameId::HL2, DesignScenario::Baseline, 0xA8928A43308B91F6ull},
+     640, 512, 2, 0},
+    {{GameId::HL2, DesignScenario::Baseline, 0x20AC37AE80DE83E9ull},
+     1280, 1024, 1, 8},
+};
+
 /** Every RunConfig field the digest depends on, set explicitly. */
 RunConfig
 goldenConfig(const GoldenCase &c)
@@ -201,6 +223,26 @@ caseName(const GoldenCase &c)
         scenarioMetricName(c.scenario);
 }
 
+/**
+ * Run @p config on @p trace with @p threads pool threads (0 = the process
+ * default) and expect @p c's frozen digest.
+ */
+void
+expectDigest(Session &session, const GameTrace &trace,
+             const RunConfig &config, const GoldenCase &c,
+             unsigned threads)
+{
+    ThreadPool::setDefaultThreads(threads);
+    const std::uint64_t got = runDigest(session.run(trace, config));
+    const unsigned ran = ThreadPool::defaultThreads();
+    ThreadPool::setDefaultThreads(0);
+    char hex[32];
+    std::snprintf(hex, sizeof(hex), "0x%016" PRIX64 "ull", got);
+    EXPECT_EQ(got, c.digest) << caseName(c) << " " << trace.width << "x"
+                             << trace.height << " (" << ran
+                             << " threads): digest is " << hex;
+}
+
 } // namespace
 
 TEST(Golden, DigestsMatchFrozenValues)
@@ -216,16 +258,19 @@ TEST(Golden, DigestsMatchFrozenValues)
             have_trace = true;
         }
         // 0 = the process default.
-        for (unsigned threads : {1u, 3u, 0u}) {
-            ThreadPool::setDefaultThreads(threads);
-            const std::uint64_t got =
-                runDigest(session.run(trace, goldenConfig(c)));
-            const unsigned ran = ThreadPool::defaultThreads();
-            ThreadPool::setDefaultThreads(0);
-            char hex[32];
-            std::snprintf(hex, sizeof(hex), "0x%016" PRIX64 "ull", got);
-            EXPECT_EQ(got, c.digest) << caseName(c) << " (" << ran
-                                     << " threads): digest is " << hex;
-        }
+        for (unsigned threads : {1u, 3u, 0u})
+            expectDigest(session, trace, goldenConfig(c), c, threads);
+    }
+}
+
+TEST(Golden, ViewportDigestsMatchFrozenValues)
+{
+    Session session;
+    for (const ViewportCase &v : kViewportCases) {
+        const GameTrace trace =
+            buildGameTrace(v.golden.game, v.width, v.height, v.frames);
+        RunConfig cfg = goldenConfig(v.golden);
+        cfg.clusters = v.clusters;
+        expectDigest(session, trace, cfg, v.golden, 0);
     }
 }

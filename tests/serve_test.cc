@@ -250,9 +250,12 @@ TEST(ServeProtocolTest, RunValidatesConfigWithTypedReasons)
         R"({"op":"run","trace":"w","config":{"threshold":1.5}})",
         // Unknown trace key.
         R"({"op":"run","trace":"nope"})",
+        // Finite doubles no float can hold: the same response as 1.5.
+        R"({"op":"run","trace":"w","config":{"threshold":1e300}})",
+        R"({"op":"run","trace":"w","config":{"threshold":-1e300}})",
     });
     EXPECT_EQ(rc, 0);
-    ASSERT_EQ(responses.size(), 4u);
+    ASSERT_EQ(responses.size(), 6u);
     EXPECT_EQ(responses[1]["status"].str(), "invalid_request");
     EXPECT_NE(responses[1]["message"].str().find(
                   "config.treshold: unknown member"),
@@ -262,6 +265,8 @@ TEST(ServeProtocolTest, RunValidatesConfigWithTypedReasons)
                   configErrorMessage(ConfigError::BadThreshold)),
               std::string::npos);
     EXPECT_EQ(responses[3]["status"].str(), "unknown_trace");
+    for (std::size_t i : {4u, 5u})
+        EXPECT_EQ(responses[i].dump(), responses[2].dump());
 }
 
 TEST(ServeProtocolTest, FilterModesAreScenariosNotAPolicyMember)

@@ -59,7 +59,7 @@ Suppressions (same UX as pargpu_lint.py):
 An allowlist entry that no longer suppresses anything is itself an
 error, so the list cannot rot. Exit status is non-zero when any
 violation or stale entry remains, so the CTest entry and
-scripts/check.sh stage 10 can gate on it.
+scripts/check.sh stage 9 can gate on it.
 """
 
 import argparse
