@@ -18,7 +18,7 @@
  * Numeric values must parse whole and fit their field; anything else
  * (`abc`, `32x`) exits 2 with "invalid value '<v>' for <flag>". The
  * viewport and frame count must be positive and within the trace limits
- * (withinTraceBudget() in trace/trace.hh), or the harness exits 2.
+ * (withinTraceBudget() in scenes/scenes.hh), or the harness exits 2.
  *
  * --run-reference renders a second run under the given mode and
  * reports MSSIM of the primary run against it (the paper's quality axis).
@@ -38,7 +38,6 @@
 #include "harness/metrics.hh"
 #include "harness/runner.hh"
 #include "harness/serve.hh"
-#include "trace/trace.hh"
 
 using namespace pargpu;
 
@@ -80,37 +79,55 @@ parseScenario(const std::string &v)
     std::exit(2);
 }
 
+/** The runConfigFields() row whose flag is @p arg, or nullptr. */
+const RunConfigField *
+runField(const std::string &arg)
+{
+    for (const RunConfigField &f : runConfigFields())
+        if (!f.serve_only && arg == runFlagName(f))
+            return &f;
+    return nullptr;
+}
+
 void
 usage()
 {
-    std::string scenarios;
-    for (const ScenarioDesc &d : scenarioRegistry()) {
-        if (!scenarios.empty())
-            scenarios += "|";
-        scenarios += d.name;
+    std::printf("pargpu_harness: render a workload and export structured "
+                "metrics\n"
+                "run condition:\n"
+                "  --run-game hl2|doom3|grid|nfs|stal|ut3|wolf|rbench\n"
+                "  --run-width W --run-height H --run-frames N      "
+                "viewport\n"
+                "  --run-reference S   also render S, report MSSIM "
+                "against it\n");
+    // One line per runConfigFields() row. The scenario line lists the
+    // modes alone: scripts/check.sh reads them from it.
+    for (const RunConfigField &f : runConfigFields()) {
+        if (f.serve_only)
+            continue;
+        std::string flag = runFlagName(f);
+        if (f.kind() == FieldKind::Scenario) {
+            const char *sep = " ";
+            for (const ScenarioDesc &d : scenarioRegistry()) {
+                flag = flag + sep + d.name;
+                sep = "|";
+            }
+            std::printf("  %s\n      %s\n", flag.c_str(), f.doc);
+        } else if (f.kind() == FieldKind::Bool) {
+            std::printf("  %-19s %s\n", flag.c_str(), f.doc);
+        } else {
+            std::printf("  %-19s %s, %s\n", (flag + " V").c_str(), f.doc,
+                        fieldRangeText(f).c_str());
+        }
     }
     std::printf(
-        "pargpu_harness: render a workload and export structured "
-        "metrics\n"
-        "run condition:\n"
-        "  --run-game hl2|doom3|grid|nfs|stal|ut3|wolf|rbench\n"
-        "  --run-scenario %s\n"
-        "  --run-threshold T   unified AF-SSIM threshold (default 0.4)\n"
-        "  --run-width W --run-height H --run-frames N      viewport\n"
-        "  --run-tc-scale S --run-llc-scale S               cache scaling\n"
-        "  --run-max-aniso A --run-table-entries E          PATU knobs\n"
-        "  --run-threads N     frame-level parallelism (0 = default)\n"
-        "  --run-tile-parallel accepted, no effect (every frame's tiles\n"
-        "                      already take idle pool threads)\n"
-        "  --run-clusters C    shader clusters (0 = Table I default)\n"
-        "  --run-reference S   also render S, report MSSIM against it\n"
         "exports:\n"
         "  --metrics-json F    write the metrics document (schema v%d)\n"
         "  --metrics-csv F     write per-frame stats as CSV\n"
         "  --trace-out F       write a chrome://tracing JSON profile\n"
         "  --quiet             suppress the human-readable summary\n"
         "See docs/METRICS.md for the schema and every metric name.\n",
-        scenarios.c_str(), kMetricsSchemaVersion);
+        kMetricsSchemaVersion);
 }
 
 Options
@@ -126,9 +143,9 @@ parseArgs(int argc, char **argv)
             }
             return argv[++i];
         };
-        // The whole value must parse and fit the field's type;
-        // RunConfig::validate() checks the legal range afterwards.
-        auto number = [&](auto &field) {
+        // The whole value must parse and fit an int; the checks after
+        // the loop bound it.
+        auto number = [&](int &field) {
             const std::string v = need();
             const char *end = v.data() + v.size();
             const std::from_chars_result r =
@@ -139,32 +156,22 @@ parseArgs(int argc, char **argv)
                 std::exit(2);
             }
         };
-        if (a == "--run-game") {
+        if (const RunConfigField *f = runField(a)) {
+            // A bool field is a bare flag that sets it.
+            const Status st = parseRunFlag(
+                *f, f->kind() == FieldKind::Bool ? "true" : need(), o.run);
+            if (!st.ok()) {
+                std::fprintf(stderr, "%s\n", st.message.c_str());
+                std::exit(2);
+            }
+        } else if (a == "--run-game") {
             o.game = parseGame(need());
-        } else if (a == "--run-scenario") {
-            o.run.scenario = parseScenario(need());
-        } else if (a == "--run-threshold") {
-            number(o.run.threshold);
         } else if (a == "--run-width") {
             number(o.width);
         } else if (a == "--run-height") {
             number(o.height);
         } else if (a == "--run-frames") {
             number(o.frames);
-        } else if (a == "--run-tc-scale") {
-            number(o.run.tc_scale);
-        } else if (a == "--run-llc-scale") {
-            number(o.run.llc_scale);
-        } else if (a == "--run-max-aniso") {
-            number(o.run.max_aniso);
-        } else if (a == "--run-table-entries") {
-            number(o.run.table_entries);
-        } else if (a == "--run-threads") {
-            number(o.run.threads);
-        } else if (a == "--run-tile-parallel") {
-            o.run.tile_parallel = true;
-        } else if (a == "--run-clusters") {
-            number(o.run.clusters);
         } else if (a == "--run-reference") {
             o.have_reference = true;
             o.reference = parseScenario(need());

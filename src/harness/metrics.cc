@@ -315,16 +315,16 @@ metricsJson(const RunMetadata &meta, const RunConfig &config,
     rj.set("width", Json{meta.width});
     rj.set("height", Json{meta.height});
     rj.set("frames", Json{meta.frames});
-    rj.set("scenario", Json{scenarioMetricName(config.scenario)});
-    rj.set("threshold", Json{static_cast<double>(config.threshold)});
-    rj.set("tc_scale", Json{static_cast<std::uint64_t>(config.tc_scale)});
-    rj.set("llc_scale",
-           Json{static_cast<std::uint64_t>(config.llc_scale)});
-    rj.set("max_aniso", Json{config.max_aniso});
-    rj.set("table_entries", Json{config.table_entries});
-    rj.set("threads", Json{config.threads});
-    rj.set("tile_parallel", Json{config.tile_parallel});
-    rj.set("clusters", Json{config.clusters});
+    // Json holds every number as a double, as this writer always did.
+    const detail::Overloaded value{
+        [&](DesignScenario RunConfig::*m) {
+            return Json{scenarioMetricName(config.*m)};
+        },
+        [&](bool RunConfig::*m) { return Json{config.*m}; },
+        [&](auto m) { return Json{static_cast<double>(config.*m)}; }};
+    for (const RunConfigField &f : runConfigFields())
+        if (!f.serve_only)
+            rj.set(f.name, std::visit(value, f.member));
     rj.set("filter_policy",
            Json{std::string(filterPolicyName(config.scenario))});
     // Host-machine context: makes cross-machine metric comparisons

@@ -2,8 +2,12 @@
 
 #include <algorithm>
 #include <atomic>
+#include <bit>
+#include <cstdio>
+#include <map>
 #include <span>
 #include <string>
+#include <variant>
 
 #include "common/contract.hh"
 #include "common/logging.hh"
@@ -14,65 +18,111 @@
 namespace pargpu
 {
 
-namespace
+std::span<const RunConfigField>
+runConfigFields()
 {
-
-bool
-isPow2(unsigned v)
-{
-    return v != 0 && (v & (v - 1)) == 0;
+    // name, member, min, max, error, doc, serve_only
+    static constexpr RunConfigField kFields[] = {
+        {"threshold", &RunConfig::threshold, 0, 1, ConfigError::BadThreshold,
+         "unified AF-SSIM threshold"},
+        {"tc_scale", &RunConfig::tc_scale, 0, 0, ConfigError::BadTcScale,
+         "texture-cache capacity multiplier"},
+        {"llc_scale", &RunConfig::llc_scale, 0, 0, ConfigError::BadLlcScale,
+         "LLC capacity multiplier"},
+        {"max_aniso", &RunConfig::max_aniso, 1, 64, ConfigError::BadMaxAniso,
+         "maximum anisotropy"},
+        {"keep_images", &RunConfig::keep_images, 0, 0, std::nullopt,
+         "retain rendered frames", true},
+        {"table_entries", &RunConfig::table_entries, 0, 4096,
+         ConfigError::BadTableEntries, "PATU hash-table entries"},
+        {"threads", &RunConfig::threads, 0, 4096, ConfigError::BadThreads,
+         "frames rendered at once (also the pool size)"},
+        {"tile_parallel", &RunConfig::tile_parallel, 0, 0, std::nullopt,
+         "accepted, no effect (every frame's tiles take idle pool threads)"},
+        {"clusters", &RunConfig::clusters, 0, 64, ConfigError::BadClusters,
+         "shader clusters"},
+        {"scenario", &RunConfig::scenario, 0, 0, ConfigError::BadScenario,
+         "filter mode (docs/FILTERING.md)"},
+    };
+    return kFields;
 }
 
-} // namespace
+const RunConfigField *
+findRunConfigField(std::string_view name)
+{
+    for (const RunConfigField &f : runConfigFields())
+        if (name == f.name)
+            return &f;
+    return nullptr;
+}
+
+std::string
+runFlagName(const RunConfigField &field)
+{
+    std::string flag = std::string("--run-") + field.name;
+    std::replace(flag.begin(), flag.end(), '_', '-');
+    return flag;
+}
+
+std::string
+fieldRangeText(const RunConfigField &field)
+{
+    if (field.kind() == FieldKind::Pow2)
+        return "a power of two >= 1";
+    if (field.kind() == FieldKind::Scenario)
+        return "one of the registered filter modes";
+    if (field.kind() == FieldKind::Bool)
+        return "true or false";
+    // min is a table constant. pargpu-lint: allow(float-eq)
+    const bool defaulted = field.min == 0.0 && field.kind() == FieldKind::Int;
+    char range[64];
+    std::snprintf(range, sizeof range, "in [%g, %g]%s", field.min, field.max,
+                  defaulted ? " (0 = default)" : "");
+    return range;
+}
 
 const char *
 configErrorMessage(ConfigError error)
 {
-    switch (error) {
-    case ConfigError::BadThreshold:
-        return "threshold must be in [0, 1]";
-    case ConfigError::BadTcScale:
-        return "tc-scale must be a power of two >= 1";
-    case ConfigError::BadLlcScale:
-        return "llc-scale must be a power of two >= 1";
-    case ConfigError::BadMaxAniso:
-        return "max-aniso must be in [1, 64]";
-    case ConfigError::BadTableEntries:
-        return "table-entries must be in [0, 4096] (0 = default)";
-    case ConfigError::BadThreads:
-        return "threads must be in [0, 4096] (0 = default)";
-    case ConfigError::BadClusters:
-        return "clusters must be in [0, 64] (0 = default)";
-    case ConfigError::BadScenario:
-        return "scenario must be one of the registered filter modes";
-    }
-    return "invalid RunConfig";
+    // Built once from the table; the texts live as long as the process.
+    static const std::map<ConfigError, std::string> kTexts = [] {
+        std::map<ConfigError, std::string> texts;
+        for (const RunConfigField &f : runConfigFields())
+            if (f.error)
+                texts[*f.error] = runFlagName(f).substr(6) + " must be " +
+                    fieldRangeText(f);
+        return texts;
+    }();
+    const auto it = kTexts.find(error);
+    return it == kTexts.end() ? "invalid RunConfig" : it->second.c_str();
 }
 
 std::vector<ConfigError>
 RunConfig::validate() const
 {
-    std::vector<ConfigError> errors;
-    if (!(threshold >= 0.0f && threshold <= 1.0f))
-        errors.push_back(ConfigError::BadThreshold);
-    if (!isPow2(tc_scale))
-        errors.push_back(ConfigError::BadTcScale);
-    if (!isPow2(llc_scale))
-        errors.push_back(ConfigError::BadLlcScale);
-    if (max_aniso < 1 || max_aniso > 64)
-        errors.push_back(ConfigError::BadMaxAniso);
-    if (table_entries < 0 || table_entries > 4096)
-        errors.push_back(ConfigError::BadTableEntries);
-    if (threads < 0 || threads > 4096)
-        errors.push_back(ConfigError::BadThreads);
-    if (clusters < 0 || clusters > 64)
-        errors.push_back(ConfigError::BadClusters);
     const std::span<const ScenarioDesc> modes = scenarioRegistry();
-    if (std::none_of(modes.begin(), modes.end(),
-                     [this](const ScenarioDesc &d) {
-                         return d.id == scenario;
-                     }))
-        errors.push_back(ConfigError::BadScenario);
+    std::vector<ConfigError> errors;
+    for (const RunConfigField &f : runConfigFields()) {
+        const bool legal = std::visit(
+            detail::Overloaded{
+                [&](unsigned RunConfig::*m) {
+                    return std::has_single_bit(this->*m);
+                },
+                [](bool RunConfig::*) { return true; },
+                [&](DesignScenario RunConfig::*m) {
+                    return std::any_of(modes.begin(), modes.end(),
+                                       [&](const ScenarioDesc &d) {
+                                           return d.id == this->*m;
+                                       });
+                },
+                // Float and int; NaN fails both comparisons.
+                [&](auto m) {
+                    return this->*m >= f.min && this->*m <= f.max;
+                }},
+            f.member);
+        if (!legal)
+            errors.push_back(*f.error);
+    }
     return errors;
 }
 

@@ -15,6 +15,11 @@
 #ifndef PARGPU_HARNESS_RUNNER_HH
 #define PARGPU_HARNESS_RUNNER_HH
 
+#include <optional>
+#include <span>
+#include <string>
+#include <string_view>
+#include <variant>
 #include <vector>
 
 #include "power/energy.hh"
@@ -28,17 +33,17 @@ namespace pargpu
 /**
  * Typed reason a RunConfig field is invalid, as reported by
  * RunConfig::validate(). Callers that want a human-readable message use
- * configErrorMessage().
+ * configErrorMessage(). Each value belongs to one runConfigFields() row.
  */
 enum class ConfigError
 {
-    BadThreshold,    ///< threshold outside [0, 1].
-    BadTcScale,      ///< tc_scale zero or not a power of two.
-    BadLlcScale,     ///< llc_scale zero or not a power of two.
-    BadMaxAniso,     ///< max_aniso outside [1, 64].
-    BadTableEntries, ///< table_entries negative or above 4096.
-    BadThreads,      ///< threads negative or above 4096.
-    BadClusters,     ///< clusters negative or above 64.
+    BadThreshold,    ///< threshold out of range.
+    BadTcScale,      ///< tc_scale not a power of two.
+    BadLlcScale,     ///< llc_scale not a power of two.
+    BadMaxAniso,     ///< max_aniso out of range.
+    BadTableEntries, ///< table_entries out of range.
+    BadThreads,      ///< threads out of range.
+    BadClusters,     ///< clusters out of range.
     BadScenario,     ///< scenario not in scenarioRegistry().
 };
 
@@ -72,14 +77,67 @@ struct RunConfig
      * surfaces return it as a typed Status, and interactive drivers (the
      * harness CLI) report all violations and exit cleanly.
      *
-     * Ranges: threshold in [0,1]; tc_scale/llc_scale a power of two >= 1
-     * (the cache model requires a power-of-two set count); max_aniso in
-     * [1,64]; table_entries in [0,4096] (0 = scenario default);
-     * threads in [0,4096] (0 = ThreadPool::defaultThreads()); clusters in
-     * [0,64] (0 = Table I default); scenario one of scenarioRegistry().
+     * The ranges are the rows of runConfigFields() (also printed by
+     * `pargpu_harness --help`).
      */
     std::vector<ConfigError> validate() const;
 };
+
+/** What a run-condition field holds, and so how it parses and checks. */
+enum class FieldKind
+{
+    Float,    ///< float in [min, max] (NaN is outside).
+    Pow2,     ///< unsigned power of two (the cache sets need one).
+    Int,      ///< int in [min, max]; a min of 0 means "the default".
+    Bool,     ///< always valid.
+    Scenario, ///< one of scenarioRegistry().
+};
+
+/**
+ * One row of the run-condition table. The harness `--run-*` flags and
+ * their help, serve's `config` members, the metrics `run` block,
+ * RunConfig::validate() and configErrorMessage() all loop over these
+ * rows; none of them names a field.
+ */
+struct RunConfigField
+{
+    const char *name; ///< Serve member and metrics key.
+    /** The member; its alternative index is the FieldKind. */
+    std::variant<float RunConfig::*, unsigned RunConfig::*,
+                 int RunConfig::*, bool RunConfig::*,
+                 DesignScenario RunConfig::*>
+        member;
+    double min, max; ///< Legal range of a Float or Int field.
+    std::optional<ConfigError> error; ///< None for a Bool field.
+    const char *doc; ///< Its `--help` line.
+    bool serve_only = false; ///< No --run-* flag and no metrics key.
+
+    FieldKind kind() const { return FieldKind(member.index()); }
+};
+
+/** The run-condition table, in validate()'s report order. */
+std::span<const RunConfigField> runConfigFields();
+
+/** The row named @p name, or nullptr. */
+const RunConfigField *findRunConfigField(std::string_view name);
+
+/** The harness flag of @p field: "--run-tc-scale" for "tc_scale". */
+std::string runFlagName(const RunConfigField &field);
+
+/** The legal values of @p field: "in [0, 1]", "a power of two >= 1". */
+std::string fieldRangeText(const RunConfigField &field);
+
+namespace detail
+{
+
+/** Lambdas overloaded by parameter type, for visiting a field member. */
+template <typename... F>
+struct Overloaded : F...
+{
+    using F::operator()...;
+};
+
+} // namespace detail
 
 /** Aggregated results of rendering all frames of a trace. */
 struct RunResult

@@ -1,9 +1,11 @@
 #include "harness/serve.hh"
 
+#include <charconv>
 #include <cmath>
 #include <istream>
 #include <limits>
 #include <ostream>
+#include <type_traits>
 
 #include "harness/metrics.hh"
 
@@ -82,77 +84,87 @@ parseRunConfigJson(const Json &j, RunConfig &out)
     if (!j.isObject())
         return Status::fail(StatusCode::InvalidRequest,
                             "config must be an object");
-    for (const auto &kv : j.members()) {
-        const std::string &key = kv.first;
-        const Json &v = kv.second;
-        double n = 0.0;
-        if (key == "scenario") {
-            if (!v.isString() || !parseScenarioName(v.str(), out.scenario))
-                return Status::fail(StatusCode::InvalidRequest,
-                                    "config.scenario: unknown scenario '" +
-                                        v.str() + "'");
-        } else if (key == "threshold") {
-            if (!v.isNumber())
-                return Status::fail(StatusCode::InvalidRequest,
-                                    "config.threshold must be a number");
-            // The cast is undefined beyond float's range (1e300), so
-            // such a value becomes the infinity of its sign first;
-            // validate() rejects it like any threshold outside [0, 1].
-            const double t = v.number();
-            constexpr float kInf = std::numeric_limits<float>::infinity();
-            out.threshold =
-                std::fabs(t) <= std::numeric_limits<float>::max()
-                ? static_cast<float>(t)
-                : (t > 0.0 ? kInf : -kInf);
-        } else if (key == "tc_scale") {
-            if (!intMember(v, n) || n < 0)
-                return Status::fail(StatusCode::InvalidRequest,
-                                    "config.tc_scale must be a "
-                                    "non-negative integer");
-            out.tc_scale = static_cast<unsigned>(n);
-        } else if (key == "llc_scale") {
-            if (!intMember(v, n) || n < 0)
-                return Status::fail(StatusCode::InvalidRequest,
-                                    "config.llc_scale must be a "
-                                    "non-negative integer");
-            out.llc_scale = static_cast<unsigned>(n);
-        } else if (key == "max_aniso") {
-            if (!intMember(v, n))
-                return Status::fail(StatusCode::InvalidRequest,
-                                    "config.max_aniso must be an integer");
-            out.max_aniso = static_cast<int>(n);
-        } else if (key == "keep_images") {
-            if (!v.isBool())
-                return Status::fail(StatusCode::InvalidRequest,
-                                    "config.keep_images must be a bool");
-            out.keep_images = v.boolean();
-        } else if (key == "table_entries") {
-            if (!intMember(v, n))
-                return Status::fail(StatusCode::InvalidRequest,
-                                    "config.table_entries must be an "
-                                    "integer");
-            out.table_entries = static_cast<int>(n);
-        } else if (key == "threads") {
-            if (!intMember(v, n))
-                return Status::fail(StatusCode::InvalidRequest,
-                                    "config.threads must be an integer");
-            out.threads = static_cast<int>(n);
-        } else if (key == "tile_parallel") {
-            if (!v.isBool())
-                return Status::fail(StatusCode::InvalidRequest,
-                                    "config.tile_parallel must be a bool");
-            out.tile_parallel = v.boolean();
-        } else if (key == "clusters") {
-            if (!intMember(v, n))
-                return Status::fail(StatusCode::InvalidRequest,
-                                    "config.clusters must be an integer");
-            out.clusters = static_cast<int>(n);
-        } else {
+    // The JSON type of each FieldKind, for the wrong-type text.
+    constexpr const char *kWireType[] = {
+        "a number", "a non-negative integer", "an integer", "a bool", ""};
+    for (const auto &[key, v] : j.members()) {
+        const RunConfigField *f = findRunConfigField(key);
+        const std::string what = "config." + key;
+        if (f == nullptr)
             return Status::fail(StatusCode::InvalidRequest,
-                                "config." + key + ": unknown member");
-        }
+                                what + ": unknown member");
+        // Json's accessors give 0 or false for another type, so a member
+        // may be stored before its type is checked.
+        const bool ok = std::visit(
+            detail::Overloaded{
+                [&](float RunConfig::*m) {
+                    // The cast is undefined beyond float's range
+                    // (1e300), so such a value becomes the infinity of
+                    // its sign first; validate() rejects it like any
+                    // value outside the field's range.
+                    const double t = v.number();
+                    constexpr float kInf =
+                        std::numeric_limits<float>::infinity();
+                    out.*m = std::fabs(t) <= std::numeric_limits<float>::max()
+                        ? static_cast<float>(t)
+                        : (t > 0.0 ? kInf : -kInf);
+                    return v.isNumber();
+                },
+                [&](bool RunConfig::*m) {
+                    out.*m = v.boolean();
+                    return v.isBool();
+                },
+                [&](DesignScenario RunConfig::*m) {
+                    return v.isString() && parseScenarioName(v.str(), out.*m);
+                },
+                [&](auto m) { // unsigned or int
+                    using T = std::remove_reference_t<decltype(out.*m)>;
+                    double n = 0.0;
+                    if (!intMember(v, n) || n < std::numeric_limits<T>::min())
+                        return false;
+                    out.*m = static_cast<T>(n);
+                    return true;
+                }},
+            f->member);
+        if (!ok)
+            return Status::fail(
+                StatusCode::InvalidRequest,
+                f->kind() == FieldKind::Scenario
+                    ? what + ": unknown scenario '" + v.str() + "'"
+                    : what + " must be " + kWireType[f->member.index()]);
     }
     return Status::success();
+}
+
+Status
+parseRunFlag(const RunConfigField &field, const std::string &text,
+             RunConfig &out)
+{
+    // The whole value must parse and fit the field's type;
+    // RunConfig::validate() checks the legal range afterwards.
+    const bool ok = std::visit(
+        detail::Overloaded{
+            [&](bool RunConfig::*m) {
+                out.*m = text == "true";
+                return out.*m || text == "false";
+            },
+            [&](DesignScenario RunConfig::*m) {
+                return parseScenarioName(text, out.*m);
+            },
+            [&](auto m) {
+                const char *end = text.data() + text.size();
+                const std::from_chars_result r =
+                    std::from_chars(text.data(), end, out.*m);
+                return r.ec == std::errc() && r.ptr == end;
+            }},
+        field.member);
+    if (ok)
+        return Status::success();
+    return Status::fail(StatusCode::InvalidRequest,
+                        field.kind() == FieldKind::Scenario
+                            ? "unknown scenario '" + text + "'"
+                            : "invalid value '" + text + "' for " +
+                                  runFlagName(field));
 }
 
 ServeLoop::ServeLoop(std::istream &in, std::ostream &out)

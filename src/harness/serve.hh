@@ -38,11 +38,21 @@ bool parseGameName(const std::string &name, GameId &out);
 
 /**
  * Strictly parse a request's "config" object into @p out (which keeps
- * its defaults for absent members). Unknown members and wrong types are
+ * its defaults for absent members). The members are the
+ * runConfigFields() rows. Unknown members and wrong types are
  * InvalidRequest — the server never guesses. Range validity is checked
  * separately by validateRunConfig() at submission.
  */
 Status parseRunConfigJson(const Json &j, RunConfig &out);
+
+/**
+ * Parse @p text, the value of @p field's `--run-*` flag, into @p out:
+ * a number that parses whole and fits the field's type, a scenario
+ * name, or "true"/"false" (a bare bool flag passes "true"). Anything
+ * else is InvalidRequest naming the flag. Ranges are validate()'s.
+ */
+Status parseRunFlag(const RunConfigField &field, const std::string &text,
+                    RunConfig &out);
 
 /** One server: a Session plus the framed request/response loop. */
 class ServeLoop

@@ -345,11 +345,24 @@ gameAbbr(GameId id)
     return "?";
 }
 
+std::string
+traceBudgetMessage()
+{
+    return "viewport sides must be at most " +
+        std::to_string(kMaxTraceViewport) + ", frames at most " +
+        std::to_string(kMaxTraceCameras) + ", and width x height x " +
+        "frames at most " + std::to_string(kMaxTracePixelFrames);
+}
+
 GameTrace
 buildGameTrace(GameId id, int width, int height, int frames)
 {
     if (width <= 0 || height <= 0 || frames <= 0)
         fatal("buildGameTrace: invalid dimensions or frame count");
+    if (!withinTraceBudget(static_cast<std::uint64_t>(width),
+                           static_cast<std::uint64_t>(height),
+                           static_cast<std::uint64_t>(frames)))
+        fatal("buildGameTrace: " + traceBudgetMessage());
 
     Builder b;
     b.trace.id = id;

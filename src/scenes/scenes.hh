@@ -14,6 +14,7 @@
 #ifndef PARGPU_SCENES_SCENES_HH
 #define PARGPU_SCENES_SCENES_HH
 
+#include <cstdint>
 #include <string>
 #include <vector>
 
@@ -60,8 +61,43 @@ struct GameTrace
     std::vector<TextureRecipe> recipes; ///< Parallel to scene.textures.
 };
 
+/** Largest viewport width or height of a trace. */
+inline constexpr std::uint32_t kMaxTraceViewport = 16384;
+
+/** Largest camera (frame) count of a trace. */
+inline constexpr std::uint32_t kMaxTraceCameras = 1u << 20;
+
 /**
- * Build the trace for @p id at the given resolution.
+ * Largest width x height x frames a trace may describe: 2^30 pixel
+ * frames, e.g. 819 frames at 1280x1024 or four at the largest viewport.
+ * Each side and the frame count are capped on their own, but their
+ * product is what a run renders.
+ */
+inline constexpr std::uint64_t kMaxTracePixelFrames = std::uint64_t{1} << 30;
+
+/**
+ * True when a @p width x @p height viewport over @p frames frames is
+ * within kMaxTraceViewport, kMaxTraceCameras and kMaxTracePixelFrames
+ * (upper limits only; callers reject zero where it is invalid).
+ */
+constexpr bool
+withinTraceBudget(std::uint64_t width, std::uint64_t height,
+                  std::uint64_t frames)
+{
+    // The side and frame caps come first: they keep the product from
+    // overflowing.
+    return width <= kMaxTraceViewport && height <= kMaxTraceViewport &&
+        frames <= kMaxTraceCameras &&
+        width * height * frames <= kMaxTracePixelFrames;
+}
+
+/** What withinTraceBudget() allows, for a rejection message. */
+std::string traceBudgetMessage();
+
+/**
+ * Build the trace for @p id at the given resolution. fatal() unless
+ * each size is positive and withinTraceBudget(), the limits readTrace()
+ * applies to a file.
  *
  * @param frames  Number of camera frames to generate.
  */

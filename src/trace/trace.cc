@@ -154,15 +154,6 @@ writeTrace(const GameTrace &trace, const std::string &path)
     return ok;
 }
 
-std::string
-traceBudgetMessage()
-{
-    return "viewport sides must be at most " +
-        std::to_string(kMaxTraceViewport) + ", frames at most " +
-        std::to_string(kMaxTraceCameras) + ", and width x height x " +
-        "frames at most " + std::to_string(kMaxTracePixelFrames);
-}
-
 GameTrace
 readTrace(const std::string &path, bool &ok)
 {

@@ -23,39 +23,6 @@ namespace pargpu
 /** Trace file magic + version. */
 inline constexpr std::uint32_t kTraceMagic = 0x50475431; // "PGT1"
 
-/** Largest viewport width or height readTrace() accepts. */
-inline constexpr std::uint32_t kMaxTraceViewport = 16384;
-
-/** Largest camera (frame) count readTrace() accepts. */
-inline constexpr std::uint32_t kMaxTraceCameras = 1u << 20;
-
-/**
- * Largest width x height x frames a trace may describe: 2^30 pixel
- * frames, e.g. 819 frames at 1280x1024 or four at the largest viewport.
- * Each side and the frame count are capped on their own, but their
- * product is what a run renders.
- */
-inline constexpr std::uint64_t kMaxTracePixelFrames = std::uint64_t{1} << 30;
-
-/**
- * True when a @p width x @p height viewport over @p frames frames is
- * within kMaxTraceViewport, kMaxTraceCameras and kMaxTracePixelFrames
- * (upper limits only; callers reject zero where it is invalid).
- */
-constexpr bool
-withinTraceBudget(std::uint64_t width, std::uint64_t height,
-                  std::uint64_t frames)
-{
-    // The side and frame caps come first: they keep the product from
-    // overflowing.
-    return width <= kMaxTraceViewport && height <= kMaxTraceViewport &&
-        frames <= kMaxTraceCameras &&
-        width * height * frames <= kMaxTracePixelFrames;
-}
-
-/** What withinTraceBudget() allows, for a rejection message. */
-std::string traceBudgetMessage();
-
 /**
  * Serialize @p trace to @p path.
  * @return true on success.

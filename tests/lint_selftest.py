@@ -17,7 +17,11 @@ tests/fixtures/analysis/:
   6. tools/pargpu_lint.py's policy-doc rule fires on a filter mode of
      the scenarioRegistry() table (src/core/patu.cc) whose `name` is
      missing from docs/FILTERING.md, even when the bare name appears in
-     prose, and stays silent on a documented one.
+     prose, and stays silent on a documented one;
+  7. its run-field-doc rule fires on a row of the runConfigFields()
+     table (src/harness/runner.cc) whose `name` is missing from
+     docs/API.md or docs/SERVE.md, once per document, and stays silent
+     on a row both document.
 
 Run as a CTest (target lint_selftest) and by scripts/check.sh:
 
@@ -192,6 +196,38 @@ def main():
         check(proc.returncode == 1 and
               findings == [("src/core/patu.cc", "3", "policy-doc")],
               "lint: policy-doc fires on an undocumented filter mode only")
+
+    # 7. The run-field-doc rule: every run-condition row is documented
+    # in both documents of the run condition.
+    with tempfile.TemporaryDirectory() as tree:
+        sources = {
+            "src/harness/runner.cc":
+                "static constexpr RunConfigField kFields[] = {\n"
+                '    {"threshold", &RunConfig::threshold, 0, 1,\n'
+                "     ConfigError::BadThreshold, \"AF-SSIM threshold\"},\n"
+                '    {"clusters", &RunConfig::clusters, 0, 64,\n'
+                "     ConfigError::BadClusters, \"shader clusters\"},\n"
+                "};\n",
+            "docs/API.md": "`threshold` and `clusters` are fields.\n",
+            "docs/SERVE.md": "`threshold` is a member; so is clusters.\n",
+        }
+        for rel, text in sources.items():
+            os.makedirs(os.path.join(tree, os.path.dirname(rel)),
+                        exist_ok=True)
+            with open(os.path.join(tree, rel), "w") as f:
+                f.write(text)
+        proc = subprocess.run(
+            [sys.executable, os.path.join(root, "tools", "pargpu_lint.py"),
+             "--root", tree, "--no-spot-builds",
+             "--allowlist", os.path.join(tree, "no_allowlist.txt")],
+            capture_output=True, text=True)
+        findings = [(m.group(1), m.group(2), m.group(3))
+                    for m in map(RE_FINDING.match, proc.stdout.splitlines())
+                    if m]
+        check(proc.returncode == 1 and
+              findings == [("src/harness/runner.cc", "4", "run-field-doc")]
+              and "docs/SERVE.md" in proc.stdout,
+              "lint: run-field-doc fires on a field SERVE.md misses only")
 
     if failures:
         print(f"selftest: {len(failures)} check(s) failed")

@@ -174,6 +174,16 @@ TEST(GameSceneDeathTest, RejectsInvalidDimensions)
                 testing::ExitedWithCode(1), "invalid");
 }
 
+TEST(GameSceneDeathTest, RejectsOverBudgetSizesBeforeAllocating)
+{
+    // Two billion cameras would be a std::bad_alloc, not a message.
+    EXPECT_EXIT(buildGameTrace(GameId::HL2, 64, 48, 2000000000),
+                testing::ExitedWithCode(1), "frames at most 1048576");
+    // Sides and frames each at their cap, the product over budget.
+    EXPECT_EXIT(buildGameTrace(GameId::HL2, 16384, 16384, 5),
+                testing::ExitedWithCode(1), "buildGameTrace: viewport");
+}
+
 namespace
 {
 

@@ -30,6 +30,9 @@ clang-tidy covers out of the box:
                src/harness/environment.cc — the library reads no
                environment; entry points pass the PARGPU_* values to
                parseEnvironment(), the one parser
+  run-field-doc  every row of the runConfigFields() table
+               (src/harness/runner.cc) must have its name documented,
+               in backquotes, in docs/API.md and docs/SERVE.md
 
 One rule runs over examples/ and bench/ instead of src/:
 
@@ -56,6 +59,7 @@ and scripts/check.sh can gate on it.
 """
 
 import argparse
+import concurrent.futures
 import os
 import re
 import subprocess
@@ -63,7 +67,7 @@ import sys
 
 RULES = ("rand", "raw-new", "float-eq", "include-cc", "cout", "header-self",
          "file-doc", "metrics-doc", "internal-include", "intrinsics",
-         "policy-doc", "getenv")
+         "policy-doc", "getenv", "run-field-doc")
 
 FLOAT_LIT = r"(?:\d+\.\d*(?:[eE][-+]?\d+)?|\.\d+(?:[eE][-+]?\d+)?|\d+[eE][-+]?\d+)f?"
 
@@ -88,6 +92,8 @@ RE_GETENV = re.compile(r"\b(?:secure_)?getenv\s*\(")
 ENV_PARSER = "src/harness/environment.cc"
 # A filter-mode registry entry: {DesignScenario::Patu, "patu", ...}.
 RE_POLICY_ENTRY = re.compile(r'DesignScenario::\w+\s*,\s*"([a-z_]+)"')
+# A run-condition table row: {"threshold", &RunConfig::threshold, ...}.
+RE_RUN_FIELD = re.compile(r'\{\s*"([a-z_]+)"\s*,\s*&RunConfig::')
 
 SOURCE_EXTS = (".cc", ".hh", ".h", ".cpp")
 
@@ -256,42 +262,59 @@ def check_file(root, rel, violations, metrics_doc):
                          "docs/METRICS.md"))
 
 
-def check_policy_docs(root, violations):
-    """policy-doc: every filter mode in the scenarioRegistry() table of
-    src/core/patu.cc must appear by name, as `name`, in
-    docs/FILTERING.md — adding a mode without documenting it fails
-    lint, keeping the comparison testbed docs exhaustive. (Backquotes,
-    because a bare name such as "n" matches any prose.)"""
-    rel = os.path.join("src", "core", "patu.cc")
+def check_table_docs(root, violations, rule, rel, entry_re, what, docs):
+    """Every name that a row of rel (matched by entry_re) registers must
+    appear, as `name`, in each of docs (repo-relative paths). Backquotes,
+    because a bare name such as "n" matches any prose."""
     path = os.path.join(root, rel)
     if not os.path.exists(path):
         return
     with open(path, encoding="utf-8") as f:
         text = f.read()
-    doc_path = os.path.join(root, "docs", "FILTERING.md")
-    doc = None
-    if os.path.exists(doc_path):
-        with open(doc_path, encoding="utf-8") as f:
-            doc = f.read()
-    rel = rel.replace(os.sep, "/")
-    for m in RE_POLICY_ENTRY.finditer(text):
+    doc_texts = {}
+    for doc_rel in docs:
+        doc_path = os.path.join(root, doc_rel)
+        if os.path.exists(doc_path):
+            with open(doc_path, encoding="utf-8") as f:
+                doc_texts[doc_rel] = f.read()
+    raw_lines = text.splitlines()
+    for m in entry_re.finditer(text):
         lineno = text.count("\n", 0, m.start()) + 1
-        raw_lines = text.splitlines()
         raw = raw_lines[lineno - 1] if lineno <= len(raw_lines) else ""
         prev = raw_lines[lineno - 2] if lineno >= 2 else ""
-        if "policy-doc" in inline_allows(raw) | inline_allows(prev):
+        if rule in inline_allows(raw) | inline_allows(prev):
             continue
         name = m.group(1)
-        if doc is None:
-            violations.append(
-                (rel, lineno, "policy-doc",
-                 f'filter mode "{name}" registered but docs/FILTERING.md '
-                 "does not exist"))
-        elif f"`{name}`" not in doc:
-            violations.append(
-                (rel, lineno, "policy-doc",
-                 f'filter mode "{name}" not documented in '
-                 "docs/FILTERING.md"))
+        for doc_rel in docs:
+            doc = doc_texts.get(doc_rel)
+            if doc is None:
+                violations.append(
+                    (rel, lineno, rule,
+                     f'{what} "{name}" registered but {doc_rel} '
+                     "does not exist"))
+            elif f"`{name}`" not in doc:
+                violations.append(
+                    (rel, lineno, rule,
+                     f'{what} "{name}" not documented in {doc_rel}'))
+
+
+def check_policy_docs(root, violations):
+    """policy-doc: every filter mode in the scenarioRegistry() table of
+    src/core/patu.cc must appear by name in docs/FILTERING.md — adding a
+    mode without documenting it fails lint, keeping the comparison
+    testbed docs exhaustive."""
+    check_table_docs(root, violations, "policy-doc", "src/core/patu.cc",
+                     RE_POLICY_ENTRY, "filter mode", ["docs/FILTERING.md"])
+
+
+def check_run_field_docs(root, violations):
+    """run-field-doc: every row of the runConfigFields() table of
+    src/harness/runner.cc must appear by name in docs/API.md and
+    docs/SERVE.md, the two documents of the run condition."""
+    check_table_docs(root, violations, "run-field-doc",
+                     "src/harness/runner.cc", RE_RUN_FIELD,
+                     "run-condition field",
+                     ["docs/API.md", "docs/SERVE.md"])
 
 
 def check_internal_include(root, rel, violations):
@@ -324,7 +347,8 @@ def check_internal_include(root, rel, violations):
              '("pargpu/...") instead'))
 
 
-def check_header_selfcontained(root, rel, compiler, std, violations):
+def check_header_selfcontained(root, rel, compiler, std):
+    """header-self: the violation for @p rel, or None."""
     include_as = rel.replace(os.sep, "/")
     include_as = include_as.removeprefix("src/").removeprefix("include/")
     snippet = f'#include "{include_as}"\n'
@@ -333,11 +357,11 @@ def check_header_selfcontained(root, rel, compiler, std, violations):
            "-I", os.path.join(root, "include"), "-"]
     proc = subprocess.run(cmd, input=snippet, capture_output=True,
                           text=True, cwd=root)
-    if proc.returncode != 0:
-        first = proc.stderr.strip().splitlines()
-        detail = first[0] if first else "compile failed"
-        violations.append(
-            (rel, 1, "header-self", f"not self-contained: {detail}"))
+    if proc.returncode == 0:
+        return None
+    first = proc.stderr.strip().splitlines()
+    detail = first[0] if first else "compile failed"
+    return (rel, 1, "header-self", f"not self-contained: {detail}")
 
 
 def main():
@@ -388,12 +412,18 @@ def main():
     for rel in consumers:
         check_internal_include(root, rel, violations)
     check_policy_docs(root, violations)
+    check_run_field_docs(root, violations)
 
     if not args.no_spot_builds:
+        # One compiler per core; map() keeps the header order, so the
+        # report does not depend on which build finishes first.
         headers = [s for s in sources if s.endswith((".hh", ".h"))]
-        for rel in headers:
-            check_header_selfcontained(root, rel, args.compiler, args.std,
-                                       violations)
+        with concurrent.futures.ThreadPoolExecutor(
+                max_workers=os.cpu_count() or 1) as pool:
+            found = pool.map(
+                lambda rel: check_header_selfcontained(
+                    root, rel, args.compiler, args.std), headers)
+            violations.extend(v for v in found if v is not None)
 
     # File-level allowlist: filter after the fact so entries that no
     # longer suppress anything are detectable (and fatal) instead of
