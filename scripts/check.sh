@@ -17,12 +17,12 @@
 #       plus the golden digests
 #    6. pargpu-lint standalone (includes header self-containment builds)
 #    7. clang-tidy over src/ (skipped with a note when not installed)
-#    8. SIMD bit-identity: -DPARGPU_SIMD=OFF build vs the ON build —
-#       determinism subset + simd_kernel_test under both, then the
-#       harness metrics exports diffed field-by-field (only the
-#       dispatch-reporting fields may differ); then the ON build re-run
-#       with each runnable tier forced via PARGPU_SIMD, diffed the same
-#       way (forced tiers may change only the dispatch fields)
+#    8. SIMD bit-identity: the one kernel source is built at three ISA
+#       levels (scalar, SSE, AVX2); with each runnable tier forced via
+#       PARGPU_SIMD, the determinism, kernel and SSIM tests pass and the
+#       harness metrics export is diffed field-by-field against the
+#       forced-scalar one (only the dispatch-reporting fields may
+#       differ)
 #    9. pargpu-analyze (concurrency & determinism AST rules) plus the
 #       fixture selftest that proves every rule fires
 #   10. Clang Thread Safety Analysis build (-DPARGPU_TSA=ON with
@@ -189,7 +189,7 @@ stage_tidy() {
     clang-tidy -p build-check --quiet "${tidy_sources[@]}"
 }
 
-# Plain Release (contracts off): the SIMD ON build of stage 8 and the
+# Plain Release (contracts off): the forced-tier runs of stage 8 and the
 # perf_serve binary of stage 12 share it, and each stage configures it
 # so that either runs on its own.
 configure_release() {
@@ -199,31 +199,25 @@ configure_release() {
 }
 
 stage_simd_identity() {
-    # The scalar-only build must render the same frames and register the
-    # same metrics as the SIMD build; only the dispatch-reporting fields
+    # Every runnable tier must render the same frames and register the
+    # same metrics as forced scalar; only the dispatch-reporting fields
     # (run.simd_dispatch, registry simd.dispatch / texunit.simd_width)
-    # may differ. build-release is the ON build (the knob defaults to ON).
+    # may differ.
     configure_release
-    cmake -B build-simd-off -S . -DCMAKE_BUILD_TYPE=Release \
-        -DPARGPU_SIMD=OFF >build-simd-off.configure.log 2>&1 \
-        || { cat build-simd-off.configure.log >&2; return 1; }
-    cmake --build build-simd-off -j "$JOBS" \
-        --target determinism_test simd_kernel_test pargpu_harness
     cmake --build build-release -j "$JOBS" \
-        --target determinism_test simd_kernel_test pargpu_harness
-    ctest --test-dir build-simd-off --output-on-failure -j "$JOBS" \
-        -R "determinism_test|simd_kernel_test"
-    ctest --test-dir build-release --output-on-failure -j "$JOBS" \
-        -R "determinism_test|simd_kernel_test"
-    local simd_diff="$ROOT/build-simd-off/simd-diff"
-    mkdir -p "$simd_diff"
-    local build
-    for build in build-simd-off build-release; do
-        "$ROOT/$build/src/harness/pargpu_harness" \
-            --run-game wolf --run-scenario patu \
-            --run-width 160 --run-height 120 --run-frames 2 --quiet \
-            --metrics-json "$simd_diff/$build.json"
+        --target determinism_test simd_kernel_test ssim_test pargpu_harness
+    local tiers="scalar sse"
+    if grep -q avx2 /proc/cpuinfo 2>/dev/null; then
+        tiers="$tiers avx2"
+    fi
+    local tier
+    for tier in $tiers; do
+        PARGPU_SIMD="$tier" ctest --test-dir build-release \
+            --output-on-failure -j "$JOBS" \
+            -R "^(determinism_test|simd_kernel_test|ssim_test)$"
     done
+    local simd_diff="$ROOT/build-release/simd-diff"
+    mkdir -p "$simd_diff"
     # Shared field-by-field diff: --allow names the exact keys that may
     # differ.
     cat >"$simd_diff/diff.py" <<'EOF'
@@ -262,16 +256,8 @@ EOF
     local dispatch_allow=(--allow run/simd_dispatch
         --allow registry/scalars/simd.dispatch
         --allow registry/scalars/texunit.simd_width)
-    python3 "$simd_diff/diff.py" \
-        "$simd_diff/build-simd-off.json" "$simd_diff/build-release.json" \
-        --label "SIMD OFF/ON" "${dispatch_allow[@]}"
-    # Forced-tier matrix on the ON build: every runnable tier must
-    # export the scalar run's numbers (dispatch fields aside).
-    local tiers="scalar sse"
-    if grep -q avx2 /proc/cpuinfo 2>/dev/null; then
-        tiers="$tiers avx2"
-    fi
-    local tier
+    # Forced-tier matrix: every runnable tier must export the scalar
+    # run's numbers (dispatch fields aside).
     for tier in $tiers; do
         PARGPU_SIMD="$tier" "$ROOT/build-release/src/harness/pargpu_harness" \
             --run-game wolf --run-scenario patu \
@@ -411,7 +397,7 @@ run_stage "4/12 ThreadSanitizer (threading subset)" stage_tsan
 run_stage "5/12 tracing compiled out (-DPARGPU_TRACING=OFF)" stage_notrace
 run_stage "6/12 pargpu-lint" stage_lint
 run_stage "7/12 clang-tidy" stage_tidy
-run_stage "8/12 SIMD bit-identity (-DPARGPU_SIMD=OFF vs ON)" stage_simd_identity
+run_stage "8/12 SIMD bit-identity (forced tiers)" stage_simd_identity
 run_stage "9/12 pargpu-analyze + fixture selftest" stage_analyze
 run_stage "10/12 thread-safety analysis (-DPARGPU_TSA=ON)" stage_tsa
 run_stage "11/12 filter-mode matrix (schema)" stage_mode_matrix

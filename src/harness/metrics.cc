@@ -187,7 +187,7 @@ buildRunRegistry(const RunResult &run, StatRegistry &reg, double mssim)
     // SoA batch-filter host-path counters. simd_batches is dispatch-tier
     // independent (one per batched filter call); simd_width and
     // simd.dispatch describe the host tier and are the only registry keys
-    // allowed to differ across PARGPU_SIMD tiers / build knobs.
+    // allowed to differ across PARGPU_SIMD tiers.
     reg.inc("texunit.simd_batches", t.simd_batches);
     reg.set("texunit.simd_width",
             static_cast<double>(simd::tierLanes(simd::activeTier())));

@@ -25,9 +25,11 @@ runConfigFields()
     static constexpr RunConfigField kFields[] = {
         {"threshold", &RunConfig::threshold, 0, 1, ConfigError::BadThreshold,
          "unified AF-SSIM threshold"},
-        {"tc_scale", &RunConfig::tc_scale, 0, 0, ConfigError::BadTcScale,
+        // 256x is a 4 MiB texture L1 and a 32 MiB LLC (the paper's
+        // largest, Fig. 21, is 4x).
+        {"tc_scale", &RunConfig::tc_scale, 1, 256, ConfigError::BadTcScale,
          "texture-cache capacity multiplier"},
-        {"llc_scale", &RunConfig::llc_scale, 0, 0, ConfigError::BadLlcScale,
+        {"llc_scale", &RunConfig::llc_scale, 1, 256, ConfigError::BadLlcScale,
          "LLC capacity multiplier"},
         {"max_aniso", &RunConfig::max_aniso, 1, 64, ConfigError::BadMaxAniso,
          "maximum anisotropy"},
@@ -67,17 +69,17 @@ runFlagName(const RunConfigField &field)
 std::string
 fieldRangeText(const RunConfigField &field)
 {
-    if (field.kind() == FieldKind::Pow2)
-        return "a power of two >= 1";
     if (field.kind() == FieldKind::Scenario)
         return "one of the registered filter modes";
     if (field.kind() == FieldKind::Bool)
         return "true or false";
+    const char *kind =
+        field.kind() == FieldKind::Pow2 ? "a power of two " : "";
     // min is a table constant. pargpu-lint: allow(float-eq)
     const bool defaulted = field.min == 0.0 && field.kind() == FieldKind::Int;
     char range[64];
-    std::snprintf(range, sizeof range, "in [%g, %g]%s", field.min, field.max,
-                  defaulted ? " (0 = default)" : "");
+    std::snprintf(range, sizeof range, "%sin [%g, %g]%s", kind, field.min,
+                  field.max, defaulted ? " (0 = default)" : "");
     return range;
 }
 
@@ -106,7 +108,8 @@ RunConfig::validate() const
         const bool legal = std::visit(
             detail::Overloaded{
                 [&](unsigned RunConfig::*m) {
-                    return std::has_single_bit(this->*m);
+                    return std::has_single_bit(this->*m) &&
+                        this->*m >= f.min && this->*m <= f.max;
                 },
                 [](bool RunConfig::*) { return true; },
                 [&](DesignScenario RunConfig::*m) {

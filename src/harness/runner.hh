@@ -38,8 +38,8 @@ namespace pargpu
 enum class ConfigError
 {
     BadThreshold,    ///< threshold out of range.
-    BadTcScale,      ///< tc_scale not a power of two.
-    BadLlcScale,     ///< llc_scale not a power of two.
+    BadTcScale,      ///< tc_scale not a power of two in range.
+    BadLlcScale,     ///< llc_scale not a power of two in range.
     BadMaxAniso,     ///< max_aniso out of range.
     BadTableEntries, ///< table_entries out of range.
     BadThreads,      ///< threads out of range.
@@ -87,7 +87,8 @@ struct RunConfig
 enum class FieldKind
 {
     Float,    ///< float in [min, max] (NaN is outside).
-    Pow2,     ///< unsigned power of two (the cache sets need one).
+    Pow2,     ///< unsigned power of two (the cache sets need one)
+              ///< in [min, max].
     Int,      ///< int in [min, max]; a min of 0 means "the default".
     Bool,     ///< always valid.
     Scenario, ///< one of scenarioRegistry().
@@ -107,7 +108,7 @@ struct RunConfigField
                  int RunConfig::*, bool RunConfig::*,
                  DesignScenario RunConfig::*>
         member;
-    double min, max; ///< Legal range of a Float or Int field.
+    double min, max; ///< Legal range of a Float, Pow2 or Int field.
     std::optional<ConfigError> error; ///< None for a Bool field.
     const char *doc; ///< Its `--help` line.
     bool serve_only = false; ///< No --run-* flag and no metrics key.
@@ -124,7 +125,10 @@ const RunConfigField *findRunConfigField(std::string_view name);
 /** The harness flag of @p field: "--run-tc-scale" for "tc_scale". */
 std::string runFlagName(const RunConfigField &field);
 
-/** The legal values of @p field: "in [0, 1]", "a power of two >= 1". */
+/**
+ * The legal values of @p field: "in [0, 1]", "a power of two in
+ * [1, 256]".
+ */
 std::string fieldRangeText(const RunConfigField &field);
 
 namespace detail

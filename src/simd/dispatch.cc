@@ -11,17 +11,6 @@ namespace pargpu::simd
 namespace
 {
 
-/** True when this build compiled the vector kernels (-DPARGPU_SIMD=ON). */
-constexpr bool
-buildHasVectorKernels()
-{
-#ifdef PARGPU_SIMD_ENABLED
-    return true;
-#else
-    return false;
-#endif
-}
-
 // Set by setActiveTier() and read-only while frames render;
 // deterministic per run by construction. pargpu-analyze: allow(global-state)
 SimdTier g_tier = detectTier();
@@ -51,8 +40,6 @@ hostHasAvx2()
 SimdTier
 detectTier()
 {
-    if (!buildHasVectorKernels())
-        return SimdTier::Scalar;
     if (hostHasAvx2())
         return SimdTier::Avx2;
     if (hostHasSse())
@@ -69,10 +56,6 @@ activeTier()
 std::string
 tierUnavailable(SimdTier t)
 {
-    if (t != SimdTier::Scalar && !buildHasVectorKernels())
-        return std::string("PARGPU_SIMD tier '") + tierName(t) +
-            "' requested but this build compiled scalar kernels only "
-            "(-DPARGPU_SIMD=OFF)";
     if (t == SimdTier::Sse && !hostHasSse())
         return "PARGPU_SIMD=sse requested but the CPU lacks SSE2";
     if (t == SimdTier::Avx2 && !hostHasAvx2())
@@ -114,7 +97,9 @@ tierLanes(SimdTier t)
 const KernelOps &
 activeKernels()
 {
-#ifdef PARGPU_SIMD_ENABLED
+    // Off x86 the host reports neither feature, so the active tier is
+    // always scalar and only the scalar table is built.
+#if defined(__x86_64__) || defined(__i386__)
     switch (g_tier) {
     case SimdTier::Sse: return sseKernels();
     case SimdTier::Avx2: return avx2Kernels();

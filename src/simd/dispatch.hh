@@ -2,12 +2,14 @@
  * @file
  * Runtime instruction-set dispatch for the SoA filtering kernels.
  *
- * The kernel layer ships one scalar reference implementation plus SSE and
- * AVX2 variants (compiled only with -DPARGPU_SIMD=ON). The process-wide
- * active tier starts as the widest tier the host CPU supports;
- * setActiveTier() overrides it (PARGPU_SIMD, through parseEnvironment()).
- * All tiers produce bit-identical filtering results; the tier only
- * changes host wall-clock, never simulated metrics.
+ * The kernel layer has one source, kernels.cc, compiled at three ISA
+ * levels: a scalar table (vectorizers off), an SSE table (base x86-64
+ * ISA) and an AVX2 table (-mavx2); off x86 only the scalar table is
+ * built. The process-wide active tier starts as the widest tier the host
+ * CPU supports; setActiveTier() overrides it (PARGPU_SIMD, through
+ * parseEnvironment()), so every tier stays forcible at run time. All
+ * tiers produce bit-identical results; the tier only changes host
+ * wall-clock, never simulated metrics.
  */
 
 #ifndef PARGPU_SIMD_DISPATCH_HH
@@ -50,7 +52,7 @@ const char *tierName(SimdTier t);
 /** Vector width of a tier in samples (scalar 1, SSE 4, AVX2 8). */
 int tierLanes(SimdTier t);
 
-/** Raw host CPUID feature flags (independent of the build knob). */
+/** Raw host CPUID feature flags (false off x86). */
 bool hostHasSse();
 bool hostHasAvx2();
 

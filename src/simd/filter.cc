@@ -11,7 +11,7 @@
 // dispatch needed. Each channel's lane runs the exact scalar chain
 // (separate mulps/addps in slot order — no FMA at this ISA level), so
 // the colors are bit-identical to the scalar fallback and independent
-// of the PARGPU_SIMD tier and build knob.
+// of the PARGPU_SIMD tier.
 #if defined(__SSE2__)
 #define PARGPU_FILTER_SSE 1
 #include <emmintrin.h>

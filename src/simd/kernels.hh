@@ -15,13 +15,16 @@
  * accumulated from 0.0f in slot order with separate multiply and add —
  * the exact FP operation chain of the scalar reference
  * (TextureSampler::trilinearInto), so every tier is bit-identical. The
- * same discipline governs every kernel here: the scalar member is the
- * reference chain, the vector variants parallelize across lanes only,
- * and none uses FMA or reassociates.
+ * same discipline governs every kernel here.
+ *
+ * The kernels are written once, in plain C++ (kernels.cc), and compiled
+ * at three ISA levels: scalar with the vectorizers off, SSE at the base
+ * x86-64 ISA and AVX2 with -mavx2, each auto-vectorized across lanes
+ * only, with FP contraction off, so no tier uses FMA or reassociates.
  *
  * This header is deliberately free of intrinsics and of inline float
- * math: the AVX2 translation unit is compiled with -mavx2, and anything
- * inline shared with portable TUs would be an ODR hazard.
+ * math: the AVX2 build is compiled with -mavx2, and anything inline
+ * shared with portable TUs would be an ODR hazard.
  */
 
 #ifndef PARGPU_SIMD_KERNELS_HH
@@ -66,10 +69,9 @@ struct KernelOps
     /**
      * Accumulate @p slots texels per lane over lanes [0, lanes).
      *
-     * Output arrays must hold kMaxLanes floats, 32-byte aligned; lanes
-     * are processed in vector-width chunks, so up to the next multiple
-     * of the width of pad lanes are read (callers zero their weights)
-     * and written beyond @p lanes.
+     * Output arrays must hold @p lanes floats and must not overlap the
+     * batches or each other; exactly lanes [0, lanes) are read and
+     * written.
      */
     void (*accumulate)(const TexelBatch &tex, const WeightBatch &wgt,
                        int slots, int lanes, float *out_r, float *out_g,
@@ -143,13 +145,13 @@ struct KernelOps
     const char *name; ///< Matches tierName().
 };
 
-/** The scalar reference kernels (always available). */
+/** kernels.cc built with the vectorizers off (always available). */
 const KernelOps &scalarKernels();
 
-/** SSE kernels; defined only in -DPARGPU_SIMD=ON builds. */
+/** kernels.cc built at the base x86-64 ISA; defined on x86 only. */
 const KernelOps &sseKernels();
 
-/** AVX2 kernels; defined only in -DPARGPU_SIMD=ON builds. */
+/** kernels.cc built with -mavx2; defined on x86 only. */
 const KernelOps &avx2Kernels();
 
 /** Kernels of the process-wide active tier (dispatch.hh). */

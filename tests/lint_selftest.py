@@ -21,7 +21,10 @@ tests/fixtures/analysis/:
   7. its run-field-doc rule fires on a row of the runConfigFields()
      table (src/harness/runner.cc) whose `name` is missing from
      docs/API.md or docs/SERVE.md, once per document, and stays silent
-     on a row both document.
+     on a row both document;
+  8. its intrinsics rule fires on an x86 intrinsic in the one kernel
+     source (src/simd/kernels.cc) and stays silent on the batched
+     filter (src/simd/filter.cc), the one file that may hold them.
 
 Run as a CTest (target lint_selftest) and by scripts/check.sh:
 
@@ -228,6 +231,28 @@ def main():
               findings == [("src/harness/runner.cc", "4", "run-field-doc")]
               and "docs/SERVE.md" in proc.stdout,
               "lint: run-field-doc fires on a field SERVE.md misses only")
+
+    # 8. The intrinsics rule: only the batched filter calls intrinsics.
+    with tempfile.TemporaryDirectory() as tree:
+        body = ("#include <emmintrin.h>\n"
+                "__m128 twice(__m128 v) { return _mm_add_ps(v, v); }\n")
+        sources = {"src/simd/kernels.cc": body, "src/simd/filter.cc": body}
+        for rel, text in sources.items():
+            os.makedirs(os.path.join(tree, os.path.dirname(rel)),
+                        exist_ok=True)
+            with open(os.path.join(tree, rel), "w") as f:
+                f.write(text)
+        proc = subprocess.run(
+            [sys.executable, os.path.join(root, "tools", "pargpu_lint.py"),
+             "--root", tree, "--no-spot-builds",
+             "--allowlist", os.path.join(tree, "no_allowlist.txt")],
+            capture_output=True, text=True)
+        findings = [(m.group(1), m.group(3))
+                    for m in map(RE_FINDING.match, proc.stdout.splitlines())
+                    if m]
+        check(proc.returncode == 1 and
+              findings == [("src/simd/kernels.cc", "intrinsics")],
+              "lint: intrinsics fires outside src/simd/filter.cc only")
 
     if failures:
         print(f"selftest: {len(failures)} check(s) failed")

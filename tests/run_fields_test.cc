@@ -86,11 +86,13 @@ boundaryCases(const RunConfigField &f)
                 {Json{}, kBad, "abc", kBad}};
     case FieldKind::Pow2:
         return {numeric(0, kRange), numeric(1, kOk), numeric(2, kOk),
-                numeric(3, kRange), numeric(1 << 30, kOk),
+                numeric(3, kRange), numeric(f.max, kOk),
+                numeric(f.max * 2, kRange), numeric(1 << 30, kRange),
                 numeric((1 << 30) + 1, kRange), numeric(-1, kBad),
                 numeric(1.5, kBad), numeric(1e30, kBad),
-                // Past int on the wire; an unsigned flag takes it.
-                {Json{2147483648.0}, kBad, "2147483648", kOk},
+                // Past int on the wire; an unsigned flag takes it, and
+                // validate() rejects it.
+                {Json{2147483648.0}, kBad, "2147483648", kRange},
                 {Json{true}, kBad, std::nullopt}};
     case FieldKind::Int:
         return {numeric(f.min - 1, kRange), numeric(f.min, kOk),

@@ -269,6 +269,25 @@ TEST(ServeProtocolTest, RunValidatesConfigWithTypedReasons)
         EXPECT_EQ(responses[i].dump(), responses[2].dump());
 }
 
+// A cache scale past the table's max is a typed rejection, not a cache
+// of gigabytes, and the server keeps answering.
+TEST(ServeProtocolTest, HugeCacheScaleIsInvalidConfig)
+{
+    auto [rc, responses] = serve({
+        loadRequest(),
+        R"({"op":"run","trace":"w","config":{"tc_scale":1073741824}})",
+        R"({"op":"ping"})",
+    });
+    EXPECT_EQ(rc, 0);
+    ASSERT_EQ(responses.size(), 3u);
+    EXPECT_EQ(responses[1]["status"].str(), "invalid_config");
+    EXPECT_NE(responses[1]["message"].str().find(
+                  configErrorMessage(ConfigError::BadTcScale)),
+              std::string::npos);
+    EXPECT_EQ(responses[2]["status"].str(), "ok");
+    EXPECT_EQ(responses[2]["type"].str(), "pong");
+}
+
 TEST(ServeProtocolTest, FilterModesAreScenariosNotAPolicyMember)
 {
     // filter_policy is not a config member: an STF mode is selected

@@ -103,8 +103,8 @@ expectSampleEqual(const TrilinearSample &a, const TrilinearSample &b)
 } // namespace
 
 // Every tier's accumulate() must match the scalar kernel bit-for-bit,
-// including lane counts that are not a multiple of the vector width
-// (pad lanes carry zero weights, per the kernel contract).
+// including lane counts off every vector width (the vectorizer's
+// epilogue lanes), and must write exactly lanes [0, lanes).
 TEST(SimdKernelTest, AccumulateMatchesScalarAllTiersAllShapes)
 {
     static simd::TexelBatch tex;
@@ -120,61 +120,46 @@ TEST(SimdKernelTest, AccumulateMatchesScalarAllTiersAllShapes)
         }
     }
 
-    const int lane_counts[] = {1, 3, 4, 5, 7, 8, 9, 16, 33, 64};
+    const int lane_counts[] = {1,  3,  4,  5,  7,  8,
+                               9,  16, 33, 63, simd::kMaxLanes};
     const int slot_counts[] = {1, 4, 5, 8};
-    const simd::KernelOps &ref = simd::scalarKernels();
 
     TierGuard guard;
     for (simd::SimdTier tier : runnableTiers()) {
         // Route through the dispatcher rather than naming sseKernels()/
-        // avx2Kernels() directly: those are only defined in
-        // -DPARGPU_SIMD=ON builds and this test must link in both.
+        // avx2Kernels() directly: those are only defined on x86 and
+        // this test must link everywhere.
         simd::setActiveTier(tier);
         const simd::KernelOps &ops = simd::activeKernels();
         for (int slots : slot_counts) {
             for (int lanes : lane_counts) {
-                // Zero the pad weights up to the next vector-width
-                // multiple, as the gather loop does.
-                const int width = ops.lanes;
-                const int padded =
-                    (lanes + width - 1) / width * width;
-                for (int s = 0; s < slots; ++s)
-                    for (int j = lanes; j < padded; ++j)
-                        wgt.w[s][j] = 0.0f;
-
-                alignas(32) float want_r[simd::kMaxLanes];
-                alignas(32) float want_g[simd::kMaxLanes];
-                alignas(32) float want_b[simd::kMaxLanes];
-                alignas(32) float want_a[simd::kMaxLanes];
-                alignas(32) float got_r[simd::kMaxLanes];
-                alignas(32) float got_g[simd::kMaxLanes];
-                alignas(32) float got_b[simd::kMaxLanes];
-                alignas(32) float got_a[simd::kMaxLanes];
-                ref.accumulate(tex, wgt, slots, lanes, want_r, want_g,
-                               want_b, want_a);
-                ops.accumulate(tex, wgt, slots, lanes, got_r, got_g,
-                               got_b, got_a);
-                for (int j = 0; j < lanes; ++j) {
-                    SCOPED_TRACE(std::string(ops.name) + " slots=" +
-                                 std::to_string(slots) + " lanes=" +
-                                 std::to_string(lanes) + " lane " +
-                                 std::to_string(j));
-                    expectBitEqual(want_r[j], got_r[j], "r");
-                    expectBitEqual(want_g[j], got_g[j], "g");
-                    expectBitEqual(want_b[j], got_b[j], "b");
-                    expectBitEqual(want_a[j], got_a[j], "a");
-                }
-
-                // Restore the weights the padding zeroed.
-                SplitMix64 refill(11);
-                for (int s = 0; s < simd::kMaxSlots; ++s) {
-                    for (int j = 0; j < simd::kMaxLanes; ++j) {
-                        refill.nextFloat();
-                        refill.nextFloat();
-                        refill.nextFloat();
-                        refill.nextFloat();
-                        wgt.w[s][j] = refill.nextFloat() * 0.25f;
+                SCOPED_TRACE(std::string(ops.name) + " slots=" +
+                             std::to_string(slots) + " lanes=" +
+                             std::to_string(lanes));
+                float want[4][simd::kMaxLanes];
+                float got[4][simd::kMaxLanes];
+                std::fill(&got[0][0], &got[0][0] + 4 * simd::kMaxLanes,
+                          -5.0f);
+                // The reference chain, written out here: every tier is
+                // built from one kernel source, so the scalar table is
+                // no independent witness.
+                const float (*chan[4])[simd::kMaxLanes] = {tex.r, tex.g,
+                                                           tex.b, tex.a};
+                for (int c = 0; c < 4; ++c) {
+                    for (int j = 0; j < lanes; ++j) {
+                        float acc = 0.0f;
+                        for (int s = 0; s < slots; ++s)
+                            acc += chan[c][s][j] * wgt.w[s][j];
+                        want[c][j] = acc;
                     }
+                }
+                ops.accumulate(tex, wgt, slots, lanes, got[0], got[1],
+                               got[2], got[3]);
+                for (int c = 0; c < 4; ++c) {
+                    for (int j = 0; j < lanes; ++j)
+                        expectBitEqual(want[c][j], got[c][j], "accumulate");
+                    for (int j = lanes; j < simd::kMaxLanes; ++j)
+                        expectBitEqual(got[c][j], -5.0f, "wrote past lanes");
                 }
             }
         }
@@ -631,23 +616,33 @@ TEST(SimdKernelTest, SsimRowMatchesScalarAllTiers)
     }
 
     struct Shape { int n, stride, taps; };
-    const Shape shapes[] = {
+    std::vector<Shape> shapes = {
         {kWidth - kTaps + 1, 1, kTaps}, // horizontal interior
         {kWidth, kWidth, kTaps},        // vertical, full kernel
         {kWidth, kWidth, 5},            // vertical, edge-sliced kernel
         {3, 1, kTaps},                  // shorter than any vector width
         {1, 1, 2},                      // single output
     };
+    // Row lengths around the vector widths, where the vectorizer's
+    // epilogue takes over, in both the horizontal and vertical shapes.
+    for (int n : {1, 7, 9, 33}) {
+        shapes.push_back({n, 1, kTaps});
+        shapes.push_back({n, kWidth, kTaps});
+    }
 
     for (const Shape &sh : shapes) {
         SCOPED_TRACE("n=" + std::to_string(sh.n) + " stride=" +
                      std::to_string(sh.stride) + " taps=" +
                      std::to_string(sh.taps));
         float wsum = sh.taps == kTaps ? wsum_full : wsum_full * 0.5f;
+        // The blur chain written out (the tiers share one source).
         std::vector<float> want(static_cast<std::size_t>(sh.n));
-        simd::setActiveTier(simd::SimdTier::Scalar);
-        simd::activeKernels().ssim_row(src.data(), want.data(), sh.n,
-                                       sh.stride, k, sh.taps, wsum);
+        for (int i = 0; i < sh.n; ++i) {
+            float acc = 0.0f;
+            for (int t = 0; t < sh.taps; ++t)
+                acc += k[t] * src[static_cast<std::size_t>(i + t * sh.stride)];
+            want[static_cast<std::size_t>(i)] = acc / wsum;
+        }
         for (simd::SimdTier tier : runnableTiers()) {
             SCOPED_TRACE(simd::tierName(tier));
             simd::setActiveTier(tier);
