@@ -5,9 +5,10 @@
  *
  * BM_QuadWork times the texel path the simulator runs
  * (TextureUnit::processQuadWork over quads rasterized from one HL2
- * frame). BM_TrilinearSample and BM_AnisotropicFilter time the
- * TextureSampler reference path, which tests compare against but the
- * simulator no longer calls.
+ * frame, through simd::QuadFilter). The TextureSampler reference path,
+ * which tests compare against, is not timed: the simulator never calls
+ * it. BM_EdgeQuad, BM_FbClear and BM_SsimRow time each dispatch tier of
+ * the kernel table head to head.
  */
 
 #include <benchmark/benchmark.h>
@@ -32,42 +33,6 @@ using namespace pargpu;
 
 namespace
 {
-
-const TextureMap &
-benchTexture()
-{
-    static TextureMap tex(512, 512,
-                          generateTexture(TextureKind::Noise, 512, 1));
-    return tex;
-}
-
-void
-BM_TrilinearSample(benchmark::State &state)
-{
-    TextureSampler s(benchTexture());
-    SplitMix64 rng(1);
-    for (auto _ : state) {
-        Vec2 uv{rng.nextFloat(), rng.nextFloat()};
-        benchmark::DoNotOptimize(s.trilinear(uv, 2.3f));
-    }
-}
-BENCHMARK(BM_TrilinearSample);
-
-void
-BM_AnisotropicFilter(benchmark::State &state)
-{
-    TextureSampler s(benchTexture());
-    float px = static_cast<float>(state.range(0));
-    AnisotropyInfo info =
-        s.computeAnisotropy({px / 512.0f, 0.0f}, {0.0f, 1.0f / 512.0f});
-    SplitMix64 rng(2);
-    for (auto _ : state) {
-        Vec2 uv{rng.nextFloat(), rng.nextFloat()};
-        benchmark::DoNotOptimize(s.filterAnisotropic(uv, info));
-    }
-    state.SetLabel("N=" + std::to_string(info.sampleSize));
-}
-BENCHMARK(BM_AnisotropicFilter)->Arg(2)->Arg(4)->Arg(8)->Arg(16);
 
 /** One texture-unit input of the BM_QuadWork set. */
 struct QuadJob
@@ -158,57 +123,6 @@ BENCHMARK_CAPTURE(BM_QuadWork, baseline, DesignScenario::Baseline)
     ->Unit(benchmark::kMillisecond);
 BENCHMARK_CAPTURE(BM_QuadWork, noaf, DesignScenario::NoAF)
     ->Unit(benchmark::kMillisecond);
-
-/**
- * The SoA weight-accumulation kernel, each dispatch tier head-to-head on
- * an identical full batch (8 slots x kMaxLanes lanes). Arg is the tier
- * (0 scalar, 1 SSE, 2 AVX2); tiers this build or CPU cannot run report
- * an "unavailable" label instead of numbers.
- */
-void
-BM_KernelAccumulate(benchmark::State &state)
-{
-    const auto tier = static_cast<simd::SimdTier>(state.range(0));
-    if (static_cast<int>(tier) > static_cast<int>(simd::detectTier())) {
-        for (auto _ : state) {
-        }
-        state.SetLabel(std::string(simd::tierName(tier)) +
-                       " unavailable");
-        return;
-    }
-    const simd::SimdTier saved = simd::activeTier();
-    simd::setActiveTier(tier);
-    const simd::KernelOps &ops = simd::activeKernels();
-
-    static simd::TexelBatch tex;
-    static simd::WeightBatch wgt;
-    SplitMix64 rng(6);
-    for (int s = 0; s < simd::kMaxSlots; ++s) {
-        for (int j = 0; j < simd::kMaxLanes; ++j) {
-            tex.r[s][j] = rng.nextFloat();
-            tex.g[s][j] = rng.nextFloat();
-            tex.b[s][j] = rng.nextFloat();
-            tex.a[s][j] = rng.nextFloat();
-            wgt.w[s][j] = rng.nextFloat() * 0.125f;
-        }
-    }
-    alignas(32) float out_r[simd::kMaxLanes];
-    alignas(32) float out_g[simd::kMaxLanes];
-    alignas(32) float out_b[simd::kMaxLanes];
-    alignas(32) float out_a[simd::kMaxLanes];
-
-    for (auto _ : state) {
-        ops.accumulate(tex, wgt, simd::kMaxSlots, simd::kMaxLanes, out_r,
-                       out_g, out_b, out_a);
-        benchmark::DoNotOptimize(out_r[0]);
-        benchmark::ClobberMemory();
-    }
-    state.SetItemsProcessed(state.iterations() * simd::kMaxLanes *
-                            simd::kMaxSlots);
-    state.SetLabel(ops.name);
-    simd::setActiveTier(saved);
-}
-BENCHMARK(BM_KernelAccumulate)->Arg(0)->Arg(1)->Arg(2);
 
 void
 BM_HashTableInsert(benchmark::State &state)

@@ -3,8 +3,8 @@
  * Bump-pointer arena for hot-path scratch allocations.
  *
  * The texture unit materializes up to 64 trilinear samples per quad; going
- * through the heap for those (the seed's vector-per-pixel FilterResult) costs
- * more than the filtering math itself. A BumpArena hands out monotonically
+ * through the heap for those (a vector of samples per pixel) costs more
+ * than the filtering math itself. A BumpArena hands out monotonically
  * increasing slices of a few large blocks and recycles everything with an
  * O(1) reset() per quad. Arenas are owned per worker (one per TextureUnit),
  * so no locking is needed.

@@ -118,8 +118,8 @@ TextureUnit::processQuadWork(const QuadFragment &quad,
         // Isotropic draw calls: one trilinear sample per covered pixel
         // (bilinear uses LOD 0, which degenerates to a single-level
         // footprint). The LOD — and hence the level selection — is
-        // quad-wide, so the covered pixels batch into one SoA kernel
-        // call. Memo probes run in pixel order and line collection
+        // quad-wide, so the covered pixels batch into one QuadFilter
+        // gather. Memo probes run in pixel order and line collection
         // follows in the same pixel order, exactly as the per-pixel
         // loop issued them.
         const float lod = mode == FilterMode::Bilinear ? 0.0f : info.lodTF;
@@ -159,7 +159,7 @@ TextureUnit::processQuadWork(const QuadFragment &quad,
         // check is needed, the quad therefore takes one uniform branch
         // and the pixels' sample batches concatenate — in pixel order,
         // preserving the memo probe and line first-touch sequences — into
-        // a single SoA kernel call.
+        // a single QuadFilter gather.
         PARGPU_ASSERT(info.sampleSize >= 1,
                       "anisotropy N must be >= 1: ", info.sampleSize);
         int act[4];
@@ -449,7 +449,7 @@ TextureUnit::anisoQuadStf(const QuadFragment &quad,
         const int px = quad.x + (i & 1);
         const int py = quad.y + (i >> 1);
         // Same sample placement along the anisotropy's major axis as the
-        // exact path (the SoA kernel layer's helper).
+        // exact path (QuadFilter's helper).
         simd::QuadFilter::anisoUvs(quad.uv[i], info, uvs);
         Color4f acc{0.0f, 0.0f, 0.0f, 0.0f};
         for (int smp = 0; smp < n; ++smp) {

@@ -370,7 +370,7 @@ class TextureUnit
      */
     Color4f scratch_cols_[simd::kMaxLanes];
     Vec2 scratch_uvs_[simd::kMaxLanes];
-    simd::QuadFilter qfilter_; ///< SoA batch filter (see src/simd/).
+    simd::QuadFilter qfilter_; ///< Batched texel filter (src/simd/).
     std::uint32_t frame_seed_ = 0; ///< Camera-derived STF noise seed.
 };
 

@@ -4,7 +4,6 @@
 #include <cmath>
 
 #include "common/contract.hh"
-#include "simd/kernels.hh"
 
 // This TU is compiled at the base x86-64 ISA, which includes SSE2: the
 // RGBA accumulator below rides one 4-wide register per sample with no
@@ -49,13 +48,13 @@ coordsScalar(const Vec2 &uv, const float scale[4], const float level_w[2],
     for (int li = 0; li < 2; ++li) {
         float tu = uv.x * scale[2 * li] - 0.5f;
         float tv = uv.y * scale[2 * li + 1] - 0.5f;
-        int x0 = static_cast<int>(std::floor(tu));
-        int y0 = static_cast<int>(std::floor(tv));
+        int x0 = texelFloor(tu);
+        int y0 = texelFloor(tv);
         c.corner[2 * li] = x0;
         c.corner[2 * li + 1] = y0;
         if constexpr (kWeights) {
-            float fu = tu - x0;
-            float fv = tv - y0;
+            float fu = tu - std::floor(tu);
+            float fv = tv - std::floor(tv);
             const float bw[4] = {
                 (1.0f - fu) * (1.0f - fv),
                 fu * (1.0f - fv),
@@ -122,10 +121,8 @@ template <QuadFilter::Mode kMode>
 void
 QuadFilter::gather(const TextureSampler &sampler, const Vec2 *uvs, int n,
                    const LodSelect &sel, FootprintMemo &memo,
-                   TrilinearSample *out, TexelAddrSet *addrs,
-                   Color4f *colors)
+                   TexelAddrSet *addrs, Color4f *colors)
 {
-    constexpr bool kFull = kMode == Mode::Full;
     // The distribution check reads addresses only: no weights, no blend,
     // no colors fetched on a miss.
     constexpr bool kBlend = kMode != Mode::Addrs;
@@ -164,13 +161,6 @@ QuadFilter::gather(const TextureSampler &sampler, const Vec2 *uvs, int n,
         coordsScalar<kBlend>(uvs[i], scale, level_w, c);
         float acc_r = 0.0f, acc_g = 0.0f, acc_b = 0.0f, acc_a = 0.0f;
 #endif
-        if constexpr (kFull) {
-            TrilinearSample &s = out[i];
-            s.uv = uvs[i];
-            s.level0 = sel.level0;
-            s.level1 = sel.level1;
-            s.frac = sel.frac;
-        }
         int slot = 0;
         for (int li = 0; li < 2; ++li) {
             const int x0 = c.corner[2 * li];
@@ -196,20 +186,10 @@ QuadFilter::gather(const TextureSampler &sampler, const Vec2 *uvs, int n,
                 fc = e.color;
                 fa = e.addr;
             }
-            const int dx[4] = {0, 1, 0, 1};
-            const int dy[4] = {0, 0, 1, 1};
             for (int k = 0; k < 4; ++k, ++slot) {
                 const float w = c.weight[slot];
-                if constexpr (kFull) {
-                    TexelRef &t = out[i].texels[slot];
-                    t.level = level[li];
-                    t.x = x0 + dx[k];
-                    t.y = y0 + dy[k];
-                    t.weight = w;
-                    t.addr = fa[k];
-                } else if constexpr (kMode == Mode::Compact) {
+                if constexpr (kMode == Mode::Compact)
                     addrs[i][slot] = fa[k];
-                }
 #if PARGPU_FILTER_SSE
                 acc = _mm_add_ps(
                     acc, _mm_mul_ps(_mm_loadu_ps(&fc[k].r), _mm_set1_ps(w)));
@@ -224,28 +204,13 @@ QuadFilter::gather(const TextureSampler &sampler, const Vec2 *uvs, int n,
         if constexpr (!kBlend)
             continue;
 #if PARGPU_FILTER_SSE
-        if constexpr (kFull)
-            _mm_storeu_ps(&out[i].color.r, acc);
-        else
-            _mm_storeu_ps(&colors[i].r, acc);
+        _mm_storeu_ps(&colors[i].r, acc);
 #else
-        const Color4f col{acc_r, acc_g, acc_b, acc_a};
-        if constexpr (kFull)
-            out[i].color = col;
-        else
-            colors[i] = col;
+        colors[i] = Color4f{acc_r, acc_g, acc_b, acc_a};
 #endif
     }
     if constexpr (kMode != Mode::Colors)
         ++batches_;
-}
-
-void
-QuadFilter::filterSamples(const TextureSampler &sampler, const Vec2 *uvs,
-                          int n, const LodSelect &sel, FootprintMemo &memo,
-                          TrilinearSample *out)
-{
-    gather<Mode::Full>(sampler, uvs, n, sel, memo, out, nullptr, nullptr);
 }
 
 void
@@ -254,17 +219,7 @@ QuadFilter::filterSamplesAddrs(const TextureSampler &sampler,
                                FootprintMemo &memo, TexelAddrSet *addrs,
                                Color4f *colors)
 {
-    gather<Mode::Compact>(sampler, uvs, n, sel, memo, nullptr, addrs,
-                          colors);
-}
-
-Color4f
-QuadFilter::filterTrilinear(const TextureSampler &sampler, const Vec2 &uv,
-                            float lod, FootprintMemo &memo,
-                            TrilinearSample &out)
-{
-    filterSamples(sampler, &uv, 1, sampler.selectLod(lod), memo, &out);
-    return out.color;
+    gather<Mode::Compact>(sampler, uvs, n, sel, memo, addrs, colors);
 }
 
 int
@@ -284,31 +239,11 @@ QuadFilter::anisoUvs(const Vec2 &uv, const AnisotropyInfo &info, Vec2 *out)
 }
 
 Color4f
-QuadFilter::averageColors(const TrilinearSample *samples, int n)
+QuadFilter::averageColors(const Color4f *colors, int n)
 {
     // Same across-channel vectorization as the gather accumulator: each
     // channel's lane performs the scalar sequence (mul by 1/n, add in
     // sample order), so the mean is bit-identical to the scalar loop.
-#if PARGPU_FILTER_SSE
-    const __m128 inv_n = _mm_set1_ps(1.0f / static_cast<float>(n));
-    __m128 acc = _mm_setzero_ps();
-    for (int i = 0; i < n; ++i)
-        acc = _mm_add_ps(
-            acc, _mm_mul_ps(_mm_loadu_ps(&samples[i].color.r), inv_n));
-    Color4f out;
-    _mm_storeu_ps(&out.r, acc);
-    return out;
-#else
-    Color4f acc{0, 0, 0, 0};
-    for (int i = 0; i < n; ++i)
-        acc += samples[i].color * (1.0f / static_cast<float>(n));
-    return acc;
-#endif
-}
-
-Color4f
-QuadFilter::averageColors(const Color4f *colors, int n)
-{
 #if PARGPU_FILTER_SSE
     const __m128 inv_n = _mm_set1_ps(1.0f / static_cast<float>(n));
     __m128 acc = _mm_setzero_ps();
@@ -324,20 +259,6 @@ QuadFilter::averageColors(const Color4f *colors, int n)
         acc += colors[i] * (1.0f / static_cast<float>(n));
     return acc;
 #endif
-}
-
-Color4f
-QuadFilter::filterAnisotropic(const TextureSampler &sampler, const Vec2 &uv,
-                              const AnisotropyInfo &info,
-                              FootprintMemo &memo, TrilinearSample *out)
-{
-    const int n = info.sampleSize;
-    PARGPU_CHECK_RANGE(n, 1, kMaxLanes, "anisotropic sample count");
-    const LodSelect sel = sampler.selectLod(info.lodAF);
-    Vec2 *uvs = uvs_;
-    anisoUvs(uv, info, uvs);
-    filterSamples(sampler, uvs, n, sel, memo, out);
-    return averageColors(out, n);
 }
 
 Color4f
@@ -360,7 +281,7 @@ QuadFilter::anisotropicAddrs(const TextureSampler &sampler, const Vec2 &uv,
     PARGPU_CHECK_RANGE(n, 1, kMaxLanes, "anisotropic sample count");
     anisoUvs(uv, info, uvs_);
     gather<Mode::Addrs>(sampler, uvs_, n, sampler.selectLod(info.lodAF),
-                        memo, nullptr, addrs, nullptr);
+                        memo, addrs, nullptr);
 }
 
 Color4f
@@ -371,7 +292,7 @@ QuadFilter::anisotropicColor(const TextureSampler &sampler, const Vec2 &uv,
     PARGPU_CHECK_RANGE(n, 1, kMaxLanes, "anisotropic sample count");
     anisoUvs(uv, info, uvs_);
     gather<Mode::Colors>(sampler, uvs_, n, sampler.selectLod(info.lodAF),
-                         memo, nullptr, nullptr, colors_);
+                         memo, nullptr, colors_);
     return averageColors(colors_, n);
 }
 

@@ -1,20 +1,17 @@
 /**
  * @file
- * Batched quad filtering on top of the SoA kernels.
+ * Batched quad filtering: the texture unit's one texel-filter path.
  *
- * QuadFilter is the texture unit's replacement for the per-texel blend
- * loops in TextureSampler: it walks the texels of up to kMaxLanes
- * trilinear samples — footprints served by reference from the per-quad
- * FootprintMemo, misses fetched block-at-a-time through
- * TextureMap::fetchFootprint — and accumulates each sample's RGBA in a
- * single 4-wide register (one lane per channel), fused into the gather
- * loop. The slot-major SoA staging + accumulate-kernel round-trip lives
- * on in kernels.hh for workloads that batch wider than a sample.
+ * QuadFilter walks the texels of up to kMaxLanes trilinear samples —
+ * footprints served by reference from the per-quad FootprintMemo, misses
+ * fetched block-at-a-time through TextureMap::fetchFootprint — and
+ * accumulates each sample's RGBA in a single 4-wide register (one lane
+ * per channel), fused into the gather loop.
  *
- * Everything observable is bit-identical to the scalar sampler paths:
- * the per-sample FP accumulation chain (see kernels.hh), the TexelRef
- * streams, and the memo lookup/store sequence (which drives the
- * texunit.memo_* counters) are all preserved exactly.
+ * TextureSampler::trilinearInto() and filterAnisotropicInto() are the
+ * independent reference it is tested against: the per-sample FP
+ * accumulation chain, the texel addresses and the memo lookup/store
+ * sequence (which drives the texunit.memo_* counters) are bit-identical.
  */
 
 #ifndef PARGPU_SIMD_FILTER_HH
@@ -25,11 +22,16 @@
 #include "common/color.hh"
 #include "common/types.hh"
 #include "common/vec.hh"
-#include "simd/batch.hh"
 #include "texture/sampler.hh"
 
 namespace pargpu::simd
 {
+
+/**
+ * Widest batch: a whole quad's anisotropic samples in one gather
+ * (4 pixels x 16x max anisotropy).
+ */
+inline constexpr int kMaxLanes = 64;
 
 /**
  * Per-texture-unit batch filter; allocation-free. Not thread-safe —
@@ -39,71 +41,53 @@ class QuadFilter
 {
   public:
     /**
-     * Filter @p n trilinear samples centered at @p uvs[0..n) under the
-     * shared level selection @p sel, through @p memo. Fills @p out[i]
-     * exactly as TextureSampler::trilinearInto would (uv, levels, the
-     * 8 TexelRefs, color) and issues the same memo lookup/store sequence
-     * in sample order. One kernel call per invocation.
-     */
-    void filterSamples(const TextureSampler &sampler, const Vec2 *uvs,
-                       int n, const LodSelect &sel, FootprintMemo &memo,
-                       TrilinearSample *out);
-
-    /** Batched equivalent of TextureSampler::filterTrilinearInto(). */
-    Color4f filterTrilinear(const TextureSampler &sampler, const Vec2 &uv,
-                            float lod, FootprintMemo &memo,
-                            TrilinearSample &out);
-
-    /** Batched equivalent of TextureSampler::filterAnisotropicInto(). */
-    Color4f filterAnisotropic(const TextureSampler &sampler,
-                              const Vec2 &uv, const AnisotropyInfo &info,
-                              FootprintMemo &memo, TrilinearSample *out);
-
-    /**
-     * The AF sample placement of filterAnisotropic(): writes the
-     * info.sampleSize sample centers for a pixel at @p uv into @p out
-     * and returns the count. Lets a caller concatenate several pixels'
-     * samples into one filterSamples() batch.
+     * The AF sample placement of TextureSampler::filterAnisotropicInto():
+     * writes the info.sampleSize sample centers for a pixel at @p uv into
+     * @p out and returns the count. Lets a caller concatenate several
+     * pixels' samples into one filterSamplesAddrs() batch.
      */
     static int anisoUvs(const Vec2 &uv, const AnisotropyInfo &info,
                         Vec2 *out);
 
     /**
-     * The AF sample average of filterAnisotropic(): mean of @p n sample
-     * colors in sample order, with the same FP operation sequence.
+     * The AF sample average of TextureSampler::filterAnisotropicInto():
+     * mean of @p n sample colors in sample order, with the same FP
+     * operation sequence.
      */
-    static Color4f averageColors(const TrilinearSample *samples, int n);
-
-    /** averageColors() over a plain color array (compact path). */
     static Color4f averageColors(const Color4f *colors, int n);
 
-    // --- Compact path -------------------------------------------------
     // The simulator consumes only each sample's 8 texel addresses (fetch
-    // bookkeeping, the PATU hash table) and its filtered color; the
-    // compact variants skip materializing full TrilinearSample records
-    // (~230 B/sample of stores) and emit exactly those two outputs. Same
-    // gather loop (one template), so colors, addresses and the memo
-    // probe sequence are bit-identical to the full variants.
+    // bookkeeping, the PATU hash table) and its filtered color, so every
+    // entry point emits exactly those two outputs, never a TrilinearSample
+    // record.
 
-    /** filterSamples() emitting only addresses and colors. */
+    /**
+     * Filter @p n trilinear samples centered at @p uvs[0..n) under the
+     * shared level selection @p sel, through @p memo: the texel
+     * addresses and color of TextureSampler::trilinearInto() for each,
+     * with the same memo lookup/store sequence in sample order. One batch.
+     */
     void filterSamplesAddrs(const TextureSampler &sampler, const Vec2 *uvs,
                             int n, const LodSelect &sel,
                             FootprintMemo &memo, TexelAddrSet *addrs,
                             Color4f *colors);
 
-    /** filterTrilinear() emitting only the address set. */
+    /**
+     * One trilinear sample at @p uv and @p lod (the paper's TF): writes
+     * its address set and returns its color.
+     */
     Color4f filterTrilinearAddrs(const TextureSampler &sampler,
                                  const Vec2 &uv, float lod,
                                  FootprintMemo &memo, TexelAddrSet &addrs);
 
     // --- Split AF path ------------------------------------------------
     // PATU's distribution check needs only a pixel's AF addresses, and
-    // most checked pixels then approximate. filterAnisotropic() is split
-    // so a pixel pays for AF colors only if it keeps AF: the address
-    // half issues all of the memo probes and the batch, the color half
-    // re-reads the same footprints through uncounted peeks. Together they
-    // yield filterAnisotropic()'s addresses, color, probes, hits and
-    // batch count.
+    // most checked pixels then approximate. AF is split so a pixel pays
+    // for AF colors only if it keeps AF: the address half issues all of
+    // the memo probes and the batch, the color half re-reads the same
+    // footprints through uncounted peeks. Together they yield the
+    // addresses, color, probes and hits of filterAnisotropicInto() and
+    // one batch.
 
     /**
      * The address half: writes the info.sampleSize address sets of a
@@ -117,7 +101,7 @@ class QuadFilter
     /**
      * The color half: the averaged AF color of the pixel whose addresses
      * anisotropicAddrs() produced earlier this quad, bit for bit
-     * filterAnisotropic()'s. Counts no probe, hit or batch and evicts
+     * filterAnisotropicInto()'s. Counts no probe, hit or batch and evicts
      * nothing (FootprintMemo::peekColors()).
      */
     Color4f anisotropicColor(const TextureSampler &sampler, const Vec2 &uv,
@@ -137,28 +121,27 @@ class QuadFilter
     /** What one gather() pass probes and emits. */
     enum class Mode
     {
-        Full,    ///< TrilinearSample records to out; counted probes.
         Compact, ///< Address sets and colors; counted probes.
         Addrs,   ///< Address sets only; counted address-only probes.
         Colors,  ///< Colors only; uncounted peeks, no batch counted.
     };
 
     /**
-     * The one gather-accumulate-scatter loop behind every variant; the
+     * The one gather-accumulate loop behind every entry point; the
      * footprint walk, blend weights and probe order are shared, so each
-     * mode's outputs are bit-identical to the matching part of Full's.
+     * mode's outputs are bit-identical to the matching part of the
+     * others'.
      */
     template <Mode kMode>
     void gather(const TextureSampler &sampler, const Vec2 *uvs, int n,
                 const LodSelect &sel, FootprintMemo &memo,
-                TrilinearSample *out, TexelAddrSet *addrs,
-                Color4f *colors);
+                TexelAddrSet *addrs, Color4f *colors);
 
     std::uint64_t batches_ = 0;
     /**
      * Reusable AF sample-center scratch: Vec2's default member
      * initializers would zero-fill a kMaxLanes local on every
-     * filterAnisotropic*() call. Dead between calls.
+     * anisotropic*() call. Dead between calls.
      */
     Vec2 uvs_[kMaxLanes];
     /** Per-sample color scratch of anisotropicColor(); same reasoning. */

@@ -1,18 +1,17 @@
 // The one kernel source. src/simd/CMakeLists.txt compiles it once per
 // tier, each build with its own ISA flags and a define naming its table:
-// PARGPU_KERNEL_TABLE (scalarKernels, sseKernels or avx2Kernels),
-// PARGPU_KERNEL_LANES and PARGPU_KERNEL_NAME. Every loop below runs the
+// PARGPU_KERNEL_TABLE (scalarKernels, sseKernels or avx2Kernels) and
+// PARGPU_KERNEL_NAME. Every loop below runs the
 // lane index innermost so the vector builds can auto-vectorize across
 // lanes, and every lane keeps the reference FP chain: start from 0.0f,
-// add in slot or tap order, separate multiply and add (all builds pin
+// add in tap order, separate multiply and add (all builds pin
 // -ffp-contract=off; the compiler never reassociates without
 // -ffast-math). The AVX2 build is compiled with -mavx2, so this TU calls
 // no inline function with external linkage — everything lives in the
 // anonymous namespace below — lest AVX code leak into portable callers.
 #include "simd/kernels.hh"
 
-#if !defined(PARGPU_KERNEL_TABLE) || !defined(PARGPU_KERNEL_LANES) || \
-    !defined(PARGPU_KERNEL_NAME)
+#if !defined(PARGPU_KERNEL_TABLE) || !defined(PARGPU_KERNEL_NAME)
 #error "kernels.cc is built per tier by src/simd/CMakeLists.txt"
 #endif
 
@@ -21,35 +20,6 @@ namespace pargpu::simd
 
 namespace
 {
-
-/**
- * Per lane and channel, the chain of TextureSampler::trilinearInto():
- * 0.0f, then one multiply and one add per slot in slot order. The slot
- * loop is outermost so each slot's row is one pass over the lanes.
- */
-void
-accumulate(const TexelBatch &tex, const WeightBatch &wgt, int slots,
-           int lanes, float *__restrict out_r, float *__restrict out_g,
-           float *__restrict out_b, float *__restrict out_a)
-{
-    for (int j = 0; j < lanes; ++j) {
-        out_r[j] = 0.0f;
-        out_g[j] = 0.0f;
-        out_b[j] = 0.0f;
-        out_a[j] = 0.0f;
-    }
-    for (int s = 0; s < slots; ++s) {
-        const float *w = wgt.w[s];
-        const float *r = tex.r[s], *g = tex.g[s];
-        const float *b = tex.b[s], *a = tex.a[s];
-        for (int j = 0; j < lanes; ++j) {
-            out_r[j] += r[j] * w[j];
-            out_g[j] += g[j] * w[j];
-            out_b[j] += b[j] * w[j];
-            out_a[j] += a[j] * w[j];
-        }
-    }
-}
 
 /**
  * The per-pixel loop body that lived inline in rasterizeTriangle(), one
@@ -200,10 +170,9 @@ lumaRow(const float *__restrict rgba, float *__restrict out, int n)
 const KernelOps &
 PARGPU_KERNEL_TABLE()
 {
-    static const KernelOps ops{accumulate, edgeQuad,    fillColor,
-                               fillDepth,  depthQuad,   scatterQuad,
-                               ssimRow,    lumaRow,     PARGPU_KERNEL_LANES,
-                               PARGPU_KERNEL_NAME};
+    static const KernelOps ops{edgeQuad,    fillColor,   fillDepth,
+                               depthQuad,   scatterQuad, ssimRow,
+                               lumaRow,     PARGPU_KERNEL_NAME};
     return ops;
 }
 

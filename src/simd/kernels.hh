@@ -1,21 +1,14 @@
 /**
  * @file
- * The SoA kernel family behind the per-frame hot path: texel weight
- * accumulation, 2x2 edge-function rasterization, framebuffer fills /
- * depth tests / scatters, the SSIM separable-blur row reduction and the
- * luma conversion that feeds it.
+ * The kernel family behind the per-frame hot path: 2x2 edge-function
+ * rasterization, framebuffer fills / depth tests / scatters, the SSIM
+ * separable-blur row reduction and the luma conversion that feeds it.
+ * Texel filtering is not here: QuadFilter (filter.hh) fuses it into its
+ * footprint gather.
  *
- * One accumulation shape serves all three filters: bilinear is a 4-slot
- * accumulation, trilinear an 8-slot one, and anisotropic filtering an
- * 8-slot accumulation over N lanes (one lane per AF sample). Each lane j
- * computes, per channel,
- *
- *     out[j] = sum over s in [0, slots) of color[s][j] * weight[s][j]
- *
- * accumulated from 0.0f in slot order with separate multiply and add —
- * the exact FP operation chain of the scalar reference
- * (TextureSampler::trilinearInto), so every tier is bit-identical. The
- * same discipline governs every kernel here.
+ * Every kernel keeps the exact FP operation chain of the scalar code it
+ * replaced — each lane accumulates from 0.0f in a fixed order with
+ * separate multiply and add — so every tier is bit-identical.
  *
  * The kernels are written once, in plain C++ (kernels.cc), and compiled
  * at three ISA levels: scalar with the vectorizers off, SSE at the base
@@ -29,8 +22,6 @@
 
 #ifndef PARGPU_SIMD_KERNELS_HH
 #define PARGPU_SIMD_KERNELS_HH
-
-#include "simd/batch.hh"
 
 namespace pargpu::simd
 {
@@ -66,17 +57,6 @@ struct EdgeQuadOut
 /** One tier's kernel implementations (see activeKernels()). */
 struct KernelOps
 {
-    /**
-     * Accumulate @p slots texels per lane over lanes [0, lanes).
-     *
-     * Output arrays must hold @p lanes floats and must not overlap the
-     * batches or each other; exactly lanes [0, lanes) are read and
-     * written.
-     */
-    void (*accumulate)(const TexelBatch &tex, const WeightBatch &wgt,
-                       int slots, int lanes, float *out_r, float *out_g,
-                       float *out_b, float *out_a);
-
     /**
      * Evaluate the 2x2 quad at (qx, qy) against @p tri, windowed to
      * pixels [x0, x1] x [y0, y1] inclusive. All four lanes get
@@ -141,7 +121,6 @@ struct KernelOps
      */
     void (*luma_row)(const float *rgba, float *out, int n);
 
-    int lanes;        ///< Vector width in samples.
     const char *name; ///< Matches tierName().
 };
 

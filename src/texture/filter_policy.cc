@@ -86,10 +86,10 @@ stfSelectTexel(const TextureMap &tex, const Vec2 &uv, const LodSelect &sel,
         const MipLevel &lv = tex.level(level);
         float tu = uv.x * static_cast<float>(lv.width) - 0.5f;
         float tv = uv.y * static_cast<float>(lv.height) - 0.5f;
-        int x0 = static_cast<int>(std::floor(tu));
-        int y0 = static_cast<int>(std::floor(tv));
-        float fu = tu - static_cast<float>(x0);
-        float fv = tv - static_cast<float>(y0);
+        int x0 = texelFloor(tu);
+        int y0 = texelFloor(tv);
+        float fu = tu - std::floor(tu);
+        float fv = tv - std::floor(tv);
         const float bw[4] = {
             (1.0f - fu) * (1.0f - fv),
             fu * (1.0f - fv),

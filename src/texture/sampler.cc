@@ -19,12 +19,17 @@ TextureSampler::computeAnisotropy(const Vec2 &duvdx, const Vec2 &duvdy,
     // Footprint extents in level-0 texel units along each screen axis.
     Vec2 tx{duvdx.x * w, duvdx.y * h};
     Vec2 ty{duvdy.x * w, duvdy.y * h};
+    // Held in [kMinExtent, kMaxExtent]: derivatives of huge uvs overflow
+    // length() to inf, or to NaN once the rasterizer's differences hit
+    // inf - inf, and the LODs and the degree's int conversion below need
+    // finite extents. NaN takes the cap. At 2^32 texels the LODs stay
+    // within 32, past the coarsest level of any texture.
+    constexpr float kMinExtent = 1e-6f;
+    constexpr float kMaxExtent = 4294967296.0f;
     float px = tx.length();
     float py = ty.length();
-
-    constexpr float kMinExtent = 1e-6f;
-    px = std::max(px, kMinExtent);
-    py = std::max(py, kMinExtent);
+    px = px < kMaxExtent ? std::max(px, kMinExtent) : kMaxExtent;
+    py = py < kMaxExtent ? std::max(py, kMinExtent) : kMaxExtent;
 
     if (px >= py) {
         info.pMax = px;
@@ -41,10 +46,14 @@ TextureSampler::computeAnisotropy(const Vec2 &duvdx, const Vec2 &duvdy,
     // pipelines further round the issued sample count up to a power of
     // two (2/4/8/16-sample groups); the over-sampling packs successive
     // samples less than a texel apart, which is the root of the texel-set
-    // sharing Fig. 12 measures.
+    // sharing Fig. 12 measures. The ratio reaches 4e15 at the extent
+    // bounds, past int's range, so it is capped at max_aniso before the
+    // conversion; the clamp would make any larger value max_aniso anyway.
     float ratio = info.pMax / info.pMin;
     info.anisoDegree = std::clamp(
-        static_cast<int>(std::ceil(ratio - 1e-4f)), 1, max_aniso);
+        static_cast<int>(std::ceil(
+            std::min(ratio - 1e-4f, static_cast<float>(max_aniso)))),
+        1, max_aniso);
     int pow2 = 1;
     while (pow2 < info.anisoDegree)
         pow2 *= 2;
@@ -66,24 +75,6 @@ TextureSampler::computeAnisotropy(const Vec2 &duvdx, const Vec2 &duvdy,
                   "non-finite LOD from derivatives: lodTF=", info.lodTF,
                   " lodAF=", info.lodAF);
     return info;
-}
-
-Color4f
-TextureSampler::bilinear(const Vec2 &uv, int level) const
-{
-    const MipLevel &lv = tex_->level(level);
-    float tu = uv.x * lv.width - 0.5f;
-    float tv = uv.y * lv.height - 0.5f;
-    int x0 = static_cast<int>(std::floor(tu));
-    int y0 = static_cast<int>(std::floor(tv));
-    float fu = tu - x0;
-    float fv = tv - y0;
-
-    Color4f c00 = tex_->fetchTexel(level, x0, y0);
-    Color4f c10 = tex_->fetchTexel(level, x0 + 1, y0);
-    Color4f c01 = tex_->fetchTexel(level, x0, y0 + 1);
-    Color4f c11 = tex_->fetchTexel(level, x0 + 1, y0 + 1);
-    return lerp(lerp(c00, c10, fu), lerp(c01, c11, fu), fv);
 }
 
 LodSelect
@@ -128,10 +119,10 @@ TextureSampler::trilinearInto(const Vec2 &uv, const LodSelect &sel,
         const MipLevel &lv = tex_->level(level);
         float tu = uv.x * lv.width - 0.5f;
         float tv = uv.y * lv.height - 0.5f;
-        int x0 = static_cast<int>(std::floor(tu));
-        int y0 = static_cast<int>(std::floor(tv));
-        float fu = tu - x0;
-        float fv = tv - y0;
+        int x0 = texelFloor(tu);
+        int y0 = texelFloor(tv);
+        float fu = tu - std::floor(tu);
+        float fv = tv - std::floor(tv);
         const float bw[4] = {
             (1.0f - fu) * (1.0f - fv),
             fu * (1.0f - fv),
@@ -175,24 +166,6 @@ TextureSampler::trilinear(const Vec2 &uv, float lod) const
     return s;
 }
 
-FilterResult
-TextureSampler::filterTrilinear(const Vec2 &uv, float lod) const
-{
-    FilterResult r;
-    r.samples.push_back(trilinear(uv, lod));
-    r.color = r.samples.front().color;
-    return r;
-}
-
-Color4f
-TextureSampler::filterTrilinearInto(const Vec2 &uv, float lod,
-                                    TrilinearSample &out,
-                                    FootprintMemo *memo) const
-{
-    trilinearInto(uv, selectLod(lod), out, memo);
-    return out.color;
-}
-
 Color4f
 TextureSampler::filterAnisotropicInto(const Vec2 &uv,
                                       const AnisotropyInfo &info,
@@ -222,16 +195,6 @@ TextureSampler::filterAnisotropicInto(const Vec2 &uv,
         acc += out[i].color * (1.0f / static_cast<float>(n));
     }
     return acc;
-}
-
-FilterResult
-TextureSampler::filterAnisotropic(const Vec2 &uv,
-                                  const AnisotropyInfo &info) const
-{
-    FilterResult r;
-    r.samples.resize(static_cast<std::size_t>(info.sampleSize));
-    r.color = filterAnisotropicInto(uv, info, r.samples.data(), nullptr);
-    return r;
 }
 
 } // namespace pargpu

@@ -1,7 +1,9 @@
 /**
  * @file
- * Hardware-style texture sampling: bilinear, trilinear and anisotropic
- * filtering with explicit texel footprints.
+ * Hardware-style texture sampling: trilinear and anisotropic filtering
+ * with explicit texel footprints. Bilinear filtering is a trilinear
+ * sample at LOD 0, where both levels are level 0 and the second has
+ * weight zero.
  *
  * This module reproduces the filtering dataflow of Section IV-A of the
  * paper. A trilinear sample touches exactly 8 texels (a 2x2 bilinear
@@ -13,14 +15,19 @@
  * Every sample carries the texel addresses the hardware would fetch, so the
  * cache model and PATU's texel-address hash table see the exact stream a
  * real texture unit would generate.
+ *
+ * The texture unit filters through simd::QuadFilter (simd/filter.hh);
+ * TextureSampler's trilinearInto() and filterAnisotropicInto() are the
+ * independent reference its tests compare against, bit for bit.
  */
 
 #ifndef PARGPU_TEXTURE_SAMPLER_HH
 #define PARGPU_TEXTURE_SAMPLER_HH
 
 #include <array>
+#include <cmath>
 #include <cstdint>
-#include <vector>
+#include <limits>
 
 #include "common/color.hh"
 #include "common/types.hh"
@@ -84,12 +91,21 @@ struct AnisotropyInfo
     Vec2 majorUv;       ///< Major-axis step in normalized uv space.
 };
 
-/** The complete result of filtering one pixel. */
-struct FilterResult
+/**
+ * floor(@p t) as a texel coordinate: exact wherever it fits in an int.
+ * Anything else (|t| >= 2^31 from a huge uv, or NaN) gives INT_MIN,
+ * which is what x86's truncating convert makes of it, so no conversion
+ * leaves int's range. The blend fraction is t - std::floor(t), equal to
+ * t - texelFloor(t) in range and 0 for a huge t, so the weights stay
+ * finite.
+ */
+inline int
+texelFloor(float t)
 {
-    Color4f color;      ///< Final filtered texture color.
-    std::vector<TrilinearSample> samples; ///< N samples (1 for TF).
-};
+    if (t >= -2147483648.0f && t < 2147483648.0f) // NaN fails both.
+        return static_cast<int>(std::floor(t));
+    return std::numeric_limits<int>::min();
+}
 
 /** Mip levels and blend fraction selected for a LOD value. */
 struct LodSelect
@@ -330,9 +346,6 @@ class TextureSampler
     AnisotropyInfo computeAnisotropy(const Vec2 &duvdx, const Vec2 &duvdy,
                                      int max_aniso = kMaxAniso) const;
 
-    /** Single bilinear sample at @p uv on mip level @p level. */
-    Color4f bilinear(const Vec2 &uv, int level) const;
-
     /**
      * Select the mip levels and blend fraction for @p lod, clamped to the
      * bound texture's chain. Shared by every trilinear sample at the same
@@ -355,31 +368,12 @@ class TextureSampler
                        TrilinearSample &out, FootprintMemo *memo) const;
 
     /**
-     * Trilinear filter of a pixel (the paper's TF): one trilinear sample at
-     * the pixel center using the given LOD.
-     */
-    FilterResult filterTrilinear(const Vec2 &uv, float lod) const;
-
-    /**
-     * Allocation-free trilinear filter: writes the single sample into
-     * @p out and returns its color. Equals filterTrilinear().
-     */
-    Color4f filterTrilinearInto(const Vec2 &uv, float lod,
-                                TrilinearSample &out,
-                                FootprintMemo *memo) const;
-
-    /**
      * Anisotropic filter of a pixel (the paper's AF): @p info.sampleSize
      * trilinear samples spaced along the major axis at lodAF, averaged with
-     * equal weights (Eq. 3).
-     */
-    FilterResult filterAnisotropic(const Vec2 &uv,
-                                   const AnisotropyInfo &info) const;
-
-    /**
-     * Allocation-free anisotropic filter: writes info.sampleSize samples
-     * into @p out (caller-provided storage of at least that many slots)
-     * and returns the averaged color. Equals filterAnisotropic().
+     * equal weights (Eq. 3). Writes the samples into @p out
+     * (caller-provided storage of at least that many slots), fetching
+     * footprints through @p memo when provided, and returns the averaged
+     * color.
      */
     Color4f filterAnisotropicInto(const Vec2 &uv,
                                   const AnisotropyInfo &info,

@@ -1,5 +1,6 @@
 #include "trace/trace.hh"
 
+#include <cmath>
 #include <cstdio>
 #include <memory>
 
@@ -57,11 +58,16 @@ struct Reader
         return v;
     }
 
+    /**
+     * Every float of the format — vertex positions and uvs, model, view
+     * and projection matrices, camera eyes — must be finite: a NaN uv
+     * reaches the sampler as a NaN LOD, which selects no mip level.
+     */
     float
     f32()
     {
         float v = 0;
-        ok = ok && std::fread(&v, sizeof(v), 1, f) == 1;
+        ok = ok && std::fread(&v, sizeof(v), 1, f) == 1 && std::isfinite(v);
         return v;
     }
 

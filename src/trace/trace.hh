@@ -37,8 +37,10 @@ bool writeTrace(const GameTrace &trace, const std::string &path);
  * the renderer would index or switch on unchecked: an enum (GameId,
  * TextureKind, WrapMode, FilterMode) out of range, a viewport side of 0
  * or above kMaxTraceViewport, a viewport and camera count outside
- * withinTraceBudget(), a texture id at or past the texture count, or a
- * vertex index at or past its draw's vertex count.
+ * withinTraceBudget(), a texture id at or past the texture count, a
+ * vertex index at or past its draw's vertex count, or a non-finite float
+ * (vertex position or uv, model/view/projection matrix entry, camera
+ * eye).
  *
  * @param path  File to read.
  * @param ok    Set to whether the load succeeded.

@@ -232,9 +232,7 @@ TEST(FilterPolicyTest, StfEstimatorsAreUnbiased)
     const Vec2 uv{0.37f, 0.61f};
     const float lod = 1.3f;
     const LodSelect sel = sampler.selectLod(lod);
-    TrilinearSample exact_s;
-    const Color4f exact =
-        sampler.filterTrilinearInto(uv, lod, exact_s, nullptr);
+    const Color4f exact = sampler.trilinear(uv, lod).color;
 
     for (bool weighted : {false, true}) {
         Color4f acc{0.0f, 0.0f, 0.0f, 0.0f};

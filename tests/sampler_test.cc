@@ -1,14 +1,18 @@
 /**
  * @file
  * Unit tests for the hardware-style texture sampler: anisotropy math,
- * bilinear/trilinear footprints, and anisotropic sample placement
- * (Section IV-A of the paper).
+ * bilinear (trilinear at LOD 0) and trilinear footprints, and anisotropic
+ * sample placement (Section IV-A of the paper).
  */
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <set>
+#include <string>
+#include <vector>
 
 #include "texture/procedural.hh"
 #include "texture/sampler.hh"
@@ -22,6 +26,22 @@ TextureMap
 makeTex(int size = 64, TextureKind kind = TextureKind::Noise)
 {
     return TextureMap(size, size, generateTexture(kind, size, 7));
+}
+
+/** One pixel's AF: the info.sampleSize samples, and their mean color. */
+struct AfPixel
+{
+    std::vector<TrilinearSample> samples;
+    Color4f color;
+};
+
+AfPixel
+filterAf(const TextureSampler &s, const Vec2 &uv, const AnisotropyInfo &info)
+{
+    AfPixel p;
+    p.samples.resize(static_cast<std::size_t>(info.sampleSize));
+    p.color = s.filterAnisotropicInto(uv, info, p.samples.data(), nullptr);
+    return p;
 }
 
 } // namespace
@@ -82,6 +102,39 @@ TEST(AnisotropyTest, MajorAxisFollowsLargerDerivative)
     EXPECT_GT(std::fabs(iy.majorUv.y), std::fabs(iy.majorUv.x));
 }
 
+// Derivatives of uvs near 1e30 overflow the extents' length() to inf, and
+// a NaN derivative makes them NaN. The extents are capped, so the
+// degree's int conversion and the LODs stay defined.
+TEST(AnisotropyTest, HugeDerivativesStayFinite)
+{
+    TextureMap tex = makeTex();
+    TextureSampler s(tex);
+    const float nan = std::nanf("");
+    for (const Vec2 &dx : {Vec2{1e30f, 0.0f}, Vec2{1e30f, -1e30f},
+                           Vec2{-3e38f, 3e38f}, Vec2{nan, 0.0f}}) {
+        SCOPED_TRACE(std::to_string(dx.x) + ", " + std::to_string(dx.y));
+        AnisotropyInfo info = s.computeAnisotropy(dx, {0.0f, 1.0f / 64});
+        // Within 32: the texture unit's decision-LOD bound.
+        EXPECT_LE(info.lodTF, 32.0f);
+        EXPECT_GE(info.lodAF, 0.0f);
+        EXPECT_EQ(info.anisoDegree, TextureSampler::kMaxAniso);
+        EXPECT_EQ(info.sampleSize, TextureSampler::kMaxAniso);
+    }
+    // Both axes at the cap: an isotropic footprint.
+    AnisotropyInfo both = s.computeAnisotropy({1e30f, 0.0f}, {0.0f, 1e30f});
+    EXPECT_EQ(both.pMax, both.pMin);
+    EXPECT_EQ(both.sampleSize, 1);
+    EXPECT_LE(both.lodTF, 32.0f);
+
+    // Below the cap (2^32 texels) an extent is the footprint's exact
+    // length, bit for bit.
+    const Vec2 big{3e9f / 64, 0.0f};
+    AnisotropyInfo below = s.computeAnisotropy(big, {0.0f, 1.0f / 64});
+    EXPECT_EQ(std::bit_cast<std::uint32_t>(below.pMax),
+              std::bit_cast<std::uint32_t>(Vec2{big.x * 64, 0.0f}.length()));
+    EXPECT_EQ(below.sampleSize, TextureSampler::kMaxAniso);
+}
+
 TEST(AnisotropyTest, LodRelationTFvsAF)
 {
     // The paper's Section V-C(2): TF's LOD follows the major axis, AF's
@@ -96,12 +149,14 @@ TEST(AnisotropyTest, LodRelationTFvsAF)
     EXPECT_LE(info.lodAF, info.lodTF);
 }
 
+// FilterMode::Bilinear runs a trilinear sample at LOD 0: one level, the
+// second footprint weighted zero.
 TEST(BilinearTest, TexelCenterReturnsExactTexel)
 {
     TextureMap tex = makeTex(8);
     TextureSampler s(tex);
     // Texel (3, 5) center is at uv = ((3+0.5)/8, (5+0.5)/8).
-    Color4f c = s.bilinear({3.5f / 8, 5.5f / 8}, 0);
+    Color4f c = s.trilinear({3.5f / 8, 5.5f / 8}, 0.0f).color;
     Color4f t = tex.fetchTexel(0, 3, 5);
     EXPECT_NEAR(c.r, t.r, 1e-6f);
     EXPECT_NEAR(c.g, t.g, 1e-6f);
@@ -113,7 +168,7 @@ TEST(BilinearTest, MidpointAveragesNeighbors)
     TextureMap tex = makeTex(8);
     TextureSampler s(tex);
     // Halfway between texels (2,2) and (3,2).
-    Color4f c = s.bilinear({4.0f / 8, 2.5f / 8}, 0);
+    Color4f c = s.trilinear({4.0f / 8, 2.5f / 8}, 0.0f).color;
     Color4f expect = (tex.fetchTexel(0, 3, 2) + tex.fetchTexel(0, 4, 2))
         * 0.5f;
     EXPECT_NEAR(c.r, expect.r, 1e-5f);
@@ -192,8 +247,15 @@ TEST(AnisotropicTest, ProducesNSamples)
     TextureSampler s(tex);
     AnisotropyInfo info = s.computeAnisotropy({6.0f / 64, 0.0f},
                                               {0.0f, 1.0f / 64});
-    FilterResult r = s.filterAnisotropic({0.5f, 0.5f}, info);
-    EXPECT_EQ(r.samples.size(), static_cast<std::size_t>(info.sampleSize));
+    ASSERT_EQ(info.sampleSize, 8);
+    // One slot past N, marked: exactly the first N samples are written.
+    std::vector<TrilinearSample> out(9);
+    for (TrilinearSample &ts : out)
+        ts.uv = {-7.0f, -7.0f};
+    s.filterAnisotropicInto({0.5f, 0.5f}, info, out.data(), nullptr);
+    for (int i = 0; i < 8; ++i)
+        EXPECT_NE(out[i].uv.x, -7.0f) << "sample " << i;
+    EXPECT_EQ(out[8].uv.x, -7.0f);
 }
 
 TEST(AnisotropicTest, EqualsTrilinearWhenNIsOne)
@@ -205,8 +267,8 @@ TEST(AnisotropicTest, EqualsTrilinearWhenNIsOne)
     AnisotropyInfo info = s.computeAnisotropy({1.0f / 64, 0.0f},
                                               {0.0f, 1.0f / 64});
     ASSERT_EQ(info.sampleSize, 1);
-    FilterResult af = s.filterAnisotropic({0.37f, 0.58f}, info);
-    FilterResult tf = s.filterTrilinear({0.37f, 0.58f}, info.lodAF);
+    AfPixel af = filterAf(s, {0.37f, 0.58f}, info);
+    TrilinearSample tf = s.trilinear({0.37f, 0.58f}, info.lodAF);
     EXPECT_NEAR(af.color.r, tf.color.r, 1e-6f);
     EXPECT_NEAR(af.color.g, tf.color.g, 1e-6f);
 }
@@ -217,7 +279,7 @@ TEST(AnisotropicTest, SamplesCenteredOnPixel)
     TextureSampler s(tex);
     AnisotropyInfo info = s.computeAnisotropy({8.0f / 64, 0.0f},
                                               {0.0f, 1.0f / 64});
-    FilterResult r = s.filterAnisotropic({0.5f, 0.5f}, info);
+    AfPixel r = filterAf(s, {0.5f, 0.5f}, info);
     // Mean of sample centers equals the pixel center.
     float mu = 0.0f, mv = 0.0f;
     for (const TrilinearSample &ts : r.samples) {
@@ -236,7 +298,7 @@ TEST(AnisotropicTest, SamplesSpreadAlongMajorAxisOnly)
     TextureSampler s(tex);
     AnisotropyInfo info = s.computeAnisotropy({8.0f / 64, 0.0f},
                                               {0.0f, 1.0f / 64});
-    FilterResult r = s.filterAnisotropic({0.5f, 0.5f}, info);
+    AfPixel r = filterAf(s, {0.5f, 0.5f}, info);
     for (const TrilinearSample &ts : r.samples)
         EXPECT_NEAR(ts.uv.y, 0.5f, 1e-5f);
     EXPECT_LT(r.samples.front().uv.x, r.samples.back().uv.x);
@@ -248,7 +310,7 @@ TEST(AnisotropicTest, ColorIsMeanOfSampleColors)
     TextureSampler s(tex);
     AnisotropyInfo info = s.computeAnisotropy({5.0f / 64, 1.0f / 64},
                                               {0.0f, 1.5f / 64});
-    FilterResult r = s.filterAnisotropic({0.31f, 0.62f}, info);
+    AfPixel r = filterAf(s, {0.31f, 0.62f}, info);
     Color4f acc{0, 0, 0, 0};
     for (const TrilinearSample &ts : r.samples)
         acc += ts.color * (1.0f / r.samples.size());
@@ -265,7 +327,7 @@ TEST(AnisotropicTest, MaxFootprintIs128Texels)
     AnisotropyInfo info = s.computeAnisotropy({64.0f / 256, 0.0f},
                                               {0.0f, 1.0f / 256}, 16);
     ASSERT_EQ(info.sampleSize, 16);
-    FilterResult r = s.filterAnisotropic({0.5f, 0.5f}, info);
+    AfPixel r = filterAf(s, {0.5f, 0.5f}, info);
     std::size_t texels = 0;
     for (const TrilinearSample &ts : r.samples)
         texels += ts.texels.size();

@@ -1,10 +1,12 @@
 /**
  * @file
- * Bit-identity tests for the SoA kernel layer (src/simd/): every
- * runnable dispatch tier must produce exactly the scalar reference
- * results — same color bits, same texel streams, same memo counter
- * sequence — on the edge cases most likely to diverge: integer-boundary
- * LODs, UV wrap/clamp at texture edges, and max-anisotropy clamping.
+ * Bit-identity tests for the SIMD layer (src/simd/). QuadFilter, the
+ * texture unit's texel-filter path, must reproduce the TextureSampler
+ * reference — same color bits, same texel addresses, same memo lookups
+ * and hits — on the edge cases most likely to diverge: integer-boundary
+ * LODs, UV wrap/clamp at texture edges, and max-anisotropy clamping. Every
+ * runnable dispatch tier of the kernel table must match the reference
+ * chain of each kernel.
  */
 
 #include <gtest/gtest.h>
@@ -17,7 +19,6 @@
 #include <vector>
 
 #include "common/rng.hh"
-#include "simd/batch.hh"
 #include "simd/dispatch.hh"
 #include "simd/filter.hh"
 #include "simd/kernels.hh"
@@ -80,91 +81,20 @@ expectColorEqual(const Color4f &a, const Color4f &b, const char *what)
     expectBitEqual(a.a, b.a, what);
 }
 
+/**
+ * QuadFilter's output for one sample — its texel addresses and color —
+ * against the reference sampler's sample.
+ */
 void
-expectSampleEqual(const TrilinearSample &a, const TrilinearSample &b)
+expectSampleEqual(const TrilinearSample &want, const TexelAddrSet &addrs,
+                  const Color4f &color)
 {
-    expectBitEqual(a.uv.x, b.uv.x, "uv.x");
-    expectBitEqual(a.uv.y, b.uv.y, "uv.y");
-    EXPECT_EQ(a.level0, b.level0);
-    EXPECT_EQ(a.level1, b.level1);
-    expectBitEqual(a.frac, b.frac, "frac");
-    expectColorEqual(a.color, b.color, "sample color");
-    for (int k = 0; k < 8; ++k) {
-        const TexelRef &ta = a.texels[k];
-        const TexelRef &tb = b.texels[k];
-        EXPECT_EQ(ta.level, tb.level) << "texel " << k;
-        EXPECT_EQ(ta.x, tb.x) << "texel " << k;
-        EXPECT_EQ(ta.y, tb.y) << "texel " << k;
-        expectBitEqual(ta.weight, tb.weight, "texel weight");
-        EXPECT_EQ(ta.addr, tb.addr) << "texel " << k;
-    }
+    expectColorEqual(want.color, color, "sample color");
+    for (int k = 0; k < 8; ++k)
+        EXPECT_EQ(addrs[k], want.texels[k].addr) << "texel " << k;
 }
 
 } // namespace
-
-// Every tier's accumulate() must match the scalar kernel bit-for-bit,
-// including lane counts off every vector width (the vectorizer's
-// epilogue lanes), and must write exactly lanes [0, lanes).
-TEST(SimdKernelTest, AccumulateMatchesScalarAllTiersAllShapes)
-{
-    static simd::TexelBatch tex;
-    static simd::WeightBatch wgt;
-    SplitMix64 rng(11);
-    for (int s = 0; s < simd::kMaxSlots; ++s) {
-        for (int j = 0; j < simd::kMaxLanes; ++j) {
-            tex.r[s][j] = rng.nextFloat();
-            tex.g[s][j] = rng.nextFloat();
-            tex.b[s][j] = rng.nextFloat();
-            tex.a[s][j] = rng.nextFloat();
-            wgt.w[s][j] = rng.nextFloat() * 0.25f;
-        }
-    }
-
-    const int lane_counts[] = {1,  3,  4,  5,  7,  8,
-                               9,  16, 33, 63, simd::kMaxLanes};
-    const int slot_counts[] = {1, 4, 5, 8};
-
-    TierGuard guard;
-    for (simd::SimdTier tier : runnableTiers()) {
-        // Route through the dispatcher rather than naming sseKernels()/
-        // avx2Kernels() directly: those are only defined on x86 and
-        // this test must link everywhere.
-        simd::setActiveTier(tier);
-        const simd::KernelOps &ops = simd::activeKernels();
-        for (int slots : slot_counts) {
-            for (int lanes : lane_counts) {
-                SCOPED_TRACE(std::string(ops.name) + " slots=" +
-                             std::to_string(slots) + " lanes=" +
-                             std::to_string(lanes));
-                float want[4][simd::kMaxLanes];
-                float got[4][simd::kMaxLanes];
-                std::fill(&got[0][0], &got[0][0] + 4 * simd::kMaxLanes,
-                          -5.0f);
-                // The reference chain, written out here: every tier is
-                // built from one kernel source, so the scalar table is
-                // no independent witness.
-                const float (*chan[4])[simd::kMaxLanes] = {tex.r, tex.g,
-                                                           tex.b, tex.a};
-                for (int c = 0; c < 4; ++c) {
-                    for (int j = 0; j < lanes; ++j) {
-                        float acc = 0.0f;
-                        for (int s = 0; s < slots; ++s)
-                            acc += chan[c][s][j] * wgt.w[s][j];
-                        want[c][j] = acc;
-                    }
-                }
-                ops.accumulate(tex, wgt, slots, lanes, got[0], got[1],
-                               got[2], got[3]);
-                for (int c = 0; c < 4; ++c) {
-                    for (int j = 0; j < lanes; ++j)
-                        expectBitEqual(want[c][j], got[c][j], "accumulate");
-                    for (int j = lanes; j < simd::kMaxLanes; ++j)
-                        expectBitEqual(got[c][j], -5.0f, "wrote past lanes");
-                }
-            }
-        }
-    }
-}
 
 // LODs exactly on integer boundaries select frac == 0 (and the clamped
 // ends of the mip chain); the batched filter must reproduce the scalar
@@ -185,12 +115,15 @@ TEST(SimdKernelTest, IntegerBoundaryLodMatchesSampler)
             for (const Vec2 &uv : uvs) {
                 SCOPED_TRACE(std::string(simd::tierName(tier)) +
                              " lod=" + std::to_string(lod));
-                TrilinearSample want = s.trilinear(uv, lod);
-                TrilinearSample got;
+                TrilinearSample want;
+                FootprintMemo ref_memo;
+                s.trilinearInto(uv, s.selectLod(lod), want, &ref_memo);
+                TexelAddrSet addrs;
                 FootprintMemo memo;
-                Color4f c = qf.filterTrilinear(s, uv, lod, memo, got);
-                expectSampleEqual(want, got);
-                expectColorEqual(want.color, c, "returned color");
+                Color4f c = qf.filterTrilinearAddrs(s, uv, lod, memo, addrs);
+                expectSampleEqual(want, addrs, c);
+                EXPECT_EQ(memo.lookups(), ref_memo.lookups());
+                EXPECT_EQ(memo.hits(), ref_memo.hits());
             }
         }
     }
@@ -231,7 +164,8 @@ TEST(SimdKernelTest, WrapAndClampEdgesMatchSampler)
                          (mode == WrapMode::Repeat ? "repeat" : "clamp"));
             simd::setActiveTier(tier);
             simd::QuadFilter qf;
-            std::vector<TrilinearSample> got(uvs.size());
+            std::vector<TexelAddrSet> addrs(uvs.size());
+            std::vector<Color4f> colors(uvs.size());
             FootprintMemo memo;
             // A batch holds at most kMaxLanes samples; feed the grid in
             // chunks like the texture unit does.
@@ -240,12 +174,13 @@ TEST(SimdKernelTest, WrapAndClampEdgesMatchSampler)
                 const int chunk = static_cast<int>(
                     std::min<std::size_t>(simd::kMaxLanes,
                                           uvs.size() - base));
-                qf.filterSamples(s, uvs.data() + base, chunk, sel, memo,
-                                 got.data() + base);
+                qf.filterSamplesAddrs(s, uvs.data() + base, chunk, sel, memo,
+                                      addrs.data() + base,
+                                      colors.data() + base);
             }
             for (std::size_t i = 0; i < uvs.size(); ++i) {
                 SCOPED_TRACE("sample " + std::to_string(i));
-                expectSampleEqual(want[i], got[i]);
+                expectSampleEqual(want[i], addrs[i], colors[i]);
             }
             EXPECT_EQ(memo.lookups(), ref_memo.lookups());
             EXPECT_EQ(memo.hits(), ref_memo.hits());
@@ -254,8 +189,9 @@ TEST(SimdKernelTest, WrapAndClampEdgesMatchSampler)
 }
 
 // A pathologically elongated footprint clamps to kMaxAniso; the batched
-// AF path must place, filter and average all 16 samples exactly as the
-// scalar sampler does.
+// AF path the texture unit runs without a distribution check —
+// anisoUvs(), one filterSamplesAddrs() batch, averageColors() — must
+// place, filter and average all 16 samples exactly as the sampler does.
 TEST(SimdKernelTest, MaxAnisoClampMatchesSampler)
 {
     TierGuard guard;
@@ -279,62 +215,27 @@ TEST(SimdKernelTest, MaxAnisoClampMatchesSampler)
             Color4f want_c = s.filterAnisotropicInto(uv, info,
                                                      want.data(),
                                                      &ref_memo);
-            std::vector<TrilinearSample> got(info.sampleSize);
+            const int n = info.sampleSize;
+            Vec2 uvs_got[simd::kMaxLanes];
+            ASSERT_EQ(simd::QuadFilter::anisoUvs(uv, info, uvs_got), n);
+            std::vector<TexelAddrSet> addrs(n);
+            std::vector<Color4f> colors(n);
             FootprintMemo memo;
-            Color4f got_c = qf.filterAnisotropic(s, uv, info, memo,
-                                                 got.data());
-            expectColorEqual(want_c, got_c, "averaged color");
-            for (int i = 0; i < info.sampleSize; ++i) {
+            qf.filterSamplesAddrs(s, uvs_got, n, s.selectLod(info.lodAF),
+                                  memo, addrs.data(), colors.data());
+            expectColorEqual(want_c,
+                             simd::QuadFilter::averageColors(colors.data(),
+                                                             n),
+                             "averaged color");
+            for (int i = 0; i < n; ++i) {
                 SCOPED_TRACE("sample " + std::to_string(i));
-                expectSampleEqual(want[i], got[i]);
+                expectBitEqual(uvs_got[i].x, want[i].uv.x, "uv.x");
+                expectBitEqual(uvs_got[i].y, want[i].uv.y, "uv.y");
+                expectSampleEqual(want[i], addrs[i], colors[i]);
             }
             EXPECT_EQ(memo.lookups(), ref_memo.lookups());
             EXPECT_EQ(memo.hits(), ref_memo.hits());
         }
-    }
-}
-
-// The compact (addresses + colors only) variants must emit exactly the
-// addresses and colors of the full TrilinearSample path and issue the
-// same memo probes.
-TEST(SimdKernelTest, CompactPathMatchesFullPath)
-{
-    TierGuard guard;
-    TextureMap tex = makeTex(WrapMode::ClampToEdge);
-    TextureSampler s(tex);
-
-    SplitMix64 rng(23);
-    std::vector<Vec2> uvs;
-    for (int i = 0; i < 37; ++i)
-        uvs.push_back({rng.nextFloat(-0.2f, 1.2f),
-                       rng.nextFloat(-0.2f, 1.2f)});
-    const LodSelect sel = s.selectLod(0.7f);
-    const int n = static_cast<int>(uvs.size());
-
-    for (simd::SimdTier tier : runnableTiers()) {
-        SCOPED_TRACE(simd::tierName(tier));
-        simd::setActiveTier(tier);
-        simd::QuadFilter qf;
-
-        std::vector<TrilinearSample> full(uvs.size());
-        FootprintMemo full_memo;
-        qf.filterSamples(s, uvs.data(), n, sel, full_memo, full.data());
-
-        std::vector<TexelAddrSet> addrs(uvs.size());
-        std::vector<Color4f> colors(uvs.size());
-        FootprintMemo compact_memo;
-        qf.filterSamplesAddrs(s, uvs.data(), n, sel, compact_memo,
-                              addrs.data(), colors.data());
-
-        for (int i = 0; i < n; ++i) {
-            SCOPED_TRACE("sample " + std::to_string(i));
-            expectColorEqual(full[i].color, colors[i], "color");
-            for (int k = 0; k < 8; ++k)
-                EXPECT_EQ(full[i].texels[k].addr, addrs[i][k])
-                    << "texel " << k;
-        }
-        EXPECT_EQ(compact_memo.lookups(), full_memo.lookups());
-        EXPECT_EQ(compact_memo.hits(), full_memo.hits());
     }
 }
 

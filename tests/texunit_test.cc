@@ -158,9 +158,11 @@ TEST(TexUnitTest, ColorsMatchStandaloneSamplerForBaseline)
 
     TextureSampler s(f.tex);
     AnisotropyInfo info = s.computeAnisotropy(q.duvdx, q.duvdy, 16);
-    FilterResult expect = s.filterAnisotropic(q.uv[0], info);
-    EXPECT_NEAR(r.color[0].r, expect.color.r, 1e-5f);
-    EXPECT_NEAR(r.color[0].g, expect.color.g, 1e-5f);
+    TrilinearSample samples[TextureSampler::kMaxAniso];
+    Color4f expect =
+        s.filterAnisotropicInto(q.uv[0], info, samples, nullptr);
+    EXPECT_NEAR(r.color[0].r, expect.r, 1e-5f);
+    EXPECT_NEAR(r.color[0].g, expect.g, 1e-5f);
 }
 
 TEST(TexUnitTest, ApproximatedColorIsTrilinearAtChosenLod)
@@ -175,7 +177,7 @@ TEST(TexUnitTest, ApproximatedColorIsTrilinearAtChosenLod)
     TextureSampler s(f.tex);
     AnisotropyInfo info = s.computeAnisotropy(q.duvdx, q.duvdy, 16);
     // PATU uses AF's LOD for approximated pixels.
-    FilterResult expect = s.filterTrilinear(q.uv[0], info.lodAF);
+    TrilinearSample expect = s.trilinear(q.uv[0], info.lodAF);
     EXPECT_NEAR(r.color[0].r, expect.color.r, 1e-5f);
 }
 

@@ -5,10 +5,13 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cstdint>
 #include <cstdio>
+#include <limits>
 #include <string>
 
+#include "harness/session.hh"
 #include "trace/trace.hh"
 
 using namespace pargpu;
@@ -121,6 +124,32 @@ TEST_F(TraceRoundTrip, PreservesCameras)
     }
 }
 
+// uvs near 1e30 are finite, so the trace loads, and every filter mode
+// must render it to completion: the footprint extents overflow to inf and
+// the texel coordinates leave int's range (the sanitizer build checks
+// that no float-to-int conversion does).
+TEST_F(TraceRoundTrip, HugeUvTraceRendersInEveryMode)
+{
+    GameTrace original = buildGameTrace(GameId::HL2, 64, 48, 1);
+    for (DrawCall &d : original.scene.draws)
+        for (Vertex &v : d.mesh.vertices)
+            v.uv = {1e30f * (1.0f + v.uv.x), 1e30f * (1.0f + v.uv.y)};
+    ASSERT_TRUE(writeTrace(original, path));
+    bool ok = false;
+    GameTrace loaded = readTrace(path, ok);
+    ASSERT_TRUE(ok);
+
+    Session session;
+    for (const ScenarioDesc &sc : scenarioRegistry()) {
+        SCOPED_TRACE(sc.name);
+        RunConfig cfg;
+        cfg.scenario = sc.id;
+        const RunResult r = session.run(loaded, cfg);
+        ASSERT_EQ(r.frames.size(), 1u);
+        EXPECT_GT(r.frames.front().pixels_shaded, 0u);
+    }
+}
+
 TEST(TraceErrorTest, MissingFileFails)
 {
     bool ok = true;
@@ -169,7 +198,8 @@ TEST(TraceErrorTest, TruncatedFileFails)
 // --- Semantic validation ---------------------------------------------
 // Each case writes a valid trace, overwrites one 32-bit field at its
 // offset in the file format (see writeTrace()), and expects the load to
-// fail instead of handing the renderer a value it would index unchecked.
+// fail instead of handing the renderer a value it would index unchecked
+// or a non-finite float.
 
 namespace
 {
@@ -185,6 +215,9 @@ struct TraceLayout
     long draw_texture = 0;  ///< First draw's texture id.
     long draw_filter = 0;   ///< First draw's FilterMode.
     long draw_index = 0;    ///< First draw's first vertex index.
+    long vertex_pos = 0;    ///< First draw's first vertex, pos.x.
+    long vertex_uv = 0;     ///< First draw's first vertex, uv.x.
+    long camera_view = 0;   ///< First camera's view matrix, m[0][0].
     std::uint32_t textures = 0;
     std::uint32_t vertices = 0; ///< First draw's vertex count.
 };
@@ -202,9 +235,20 @@ layoutOf(const GameTrace &t)
     l.draw_texture = recipes + 16 * static_cast<long>(t.recipes.size()) + 4;
     l.draw_filter = l.draw_texture + 4;
     const Mesh &m = t.scene.draws.front().mesh;
-    // filter, flags, model matrix, vertex count, vertices, index count.
-    l.draw_index = l.draw_filter + 4 + 4 + 64 + 4 +
-        20 * static_cast<long>(m.vertices.size()) + 4;
+    // filter, flags, model matrix, vertex count; then the vertices.
+    l.vertex_pos = l.draw_filter + 4 + 4 + 64 + 4;
+    l.vertex_uv = l.vertex_pos + 12;
+    // The vertices (pos, uv), then the index count.
+    l.draw_index = l.vertex_pos + 20 * static_cast<long>(m.vertices.size()) +
+        4;
+    // Every draw: texture id, filter, flags, model matrix, vertex count,
+    // vertices, index count, indices. Then the camera count.
+    long end = l.draw_texture;
+    for (const DrawCall &d : t.scene.draws)
+        end += 4 + 4 + 4 + 64 + 4 +
+            20 * static_cast<long>(d.mesh.vertices.size()) + 4 +
+            4 * static_cast<long>(d.mesh.indices.size());
+    l.camera_view = end + 4;
     l.textures = static_cast<std::uint32_t>(t.recipes.size());
     l.vertices = static_cast<std::uint32_t>(m.vertices.size());
     return l;
@@ -243,6 +287,13 @@ class TraceValidation : public testing::Test
         return ok;
     }
 
+    /** loadPatched() with the bits of float @p v. */
+    bool
+    loadPatchedFloat(long offset, float v)
+    {
+        return loadPatched(offset, std::bit_cast<std::uint32_t>(v));
+    }
+
     GameTrace trace;
     TraceLayout layout;
     std::string path = "trace_test_validation.pgtrace";
@@ -269,6 +320,11 @@ TEST_F(TraceValidation, LayoutMatchesWrittenFile)
     EXPECT_TRUE(loadPatched(layout.draw_filter,
                             static_cast<std::uint32_t>(d.filter)));
     EXPECT_TRUE(loadPatched(layout.draw_index, d.mesh.indices.front()));
+    const Vertex &v = d.mesh.vertices.front();
+    EXPECT_TRUE(loadPatchedFloat(layout.vertex_pos, v.pos.x));
+    EXPECT_TRUE(loadPatchedFloat(layout.vertex_uv, v.uv.x));
+    EXPECT_TRUE(loadPatchedFloat(layout.camera_view,
+                                 trace.cameras.front().view.m[0][0]));
 }
 
 TEST_F(TraceValidation, RejectsTextureIdPastTextureCount)
@@ -316,6 +372,31 @@ TEST_F(TraceValidation, RejectsZeroWidth)
 TEST_F(TraceValidation, RejectsOversizedHeight)
 {
     EXPECT_FALSE(loadPatched(layout.height, kMaxTraceViewport + 1));
+}
+
+// A NaN uv used to load and then pick mip level INT_MIN in the sampler.
+TEST_F(TraceValidation, RejectsNanUv)
+{
+    EXPECT_FALSE(loadPatchedFloat(layout.vertex_uv,
+                                  std::numeric_limits<float>::quiet_NaN()));
+}
+
+TEST_F(TraceValidation, RejectsInfiniteUv)
+{
+    EXPECT_FALSE(loadPatchedFloat(layout.vertex_uv,
+                                  std::numeric_limits<float>::infinity()));
+}
+
+TEST_F(TraceValidation, RejectsNanPosition)
+{
+    EXPECT_FALSE(loadPatchedFloat(layout.vertex_pos,
+                                  std::numeric_limits<float>::quiet_NaN()));
+}
+
+TEST_F(TraceValidation, RejectsNanCameraMatrix)
+{
+    EXPECT_FALSE(loadPatchedFloat(layout.camera_view,
+                                  std::numeric_limits<float>::quiet_NaN()));
 }
 
 TEST(TraceBudget, CapsViewportTimesFrames)
