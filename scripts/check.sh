@@ -143,7 +143,7 @@ stage_tsan() {
         || { cat build-tsan.configure.log >&2; return 1; }
     cmake --build build-tsan -j "$JOBS"
     ctest --test-dir build-tsan --output-on-failure -j "$JOBS" \
-        -R "threadpool_test|determinism_test|pipeline_test|integration_test|contract_test|session_test|serve_test|arena_test|ssim_test|scenes_test|procedural_test|mipmap_test"
+        -R "threadpool_test|determinism_test|pipeline_test|integration_test|session_test|serve_test|arena_test|ssim_test|scenes_test|procedural_test|mipmap_test"
     # Idle pool threads join every renderFrame()'s tile streams, so TSAN
     # sees helpers logging tiles into the shared framebuffer planes and
     # into slots from the shared free list, the per-cluster L1 replay

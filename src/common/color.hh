@@ -76,8 +76,10 @@ inline RGBA8
 packRGBA8(const Color4f &c)
 {
     auto q = [](float v) {
-        return static_cast<std::uint8_t>(
-            std::clamp(v, 0.0f, 1.0f) * 255.0f + 0.5f);
+        // NaN fails v > 0 and maps to 0: std::clamp would pass it through
+        // to the conversion, which is undefined for NaN.
+        const float c = v > 0.0f ? std::min(v, 1.0f) : 0.0f;
+        return static_cast<std::uint8_t>(c * 255.0f + 0.5f);
     };
     return {q(c.r), q(c.g), q(c.b), q(c.a)};
 }

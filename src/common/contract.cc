@@ -1,10 +1,8 @@
 #include "common/contract.hh"
 
+#include <atomic>
 #include <cstdio>
 #include <cstdlib>
-#include <algorithm>
-
-#include "common/annotations.hh"
 
 namespace pargpu
 {
@@ -14,34 +12,15 @@ namespace contract
 namespace
 {
 
-/**
- * Global site registry. Sites are function-local statics registered on
- * first execution; the registry never removes entries (sites live for the
- * whole process), so a snapshot can safely read counters without holding
- * the registration mutex.
- */
-struct Registry
-{
-    Mutex mu;
-    std::vector<Site *> sites PARGPU_GUARDED_BY(mu);
-    std::atomic<std::uint64_t> violations{0};
-    std::atomic<FailHandler> handler{nullptr};
-};
-
-Registry &
-registry()
-{
-    static Registry r;
-    return r;
-}
+/** The installed failure handler; nullptr is the default one. */
+std::atomic<FailHandler> g_handler{nullptr};
 
 [[noreturn]] void
 defaultFail(const Site &site, const std::string &msg)
 {
     std::fprintf(stderr,
                  "contract violation (%s) at %s:%d: %s\n",
-                 kindName(site.kind()), site.file(), site.line(),
-                 site.expr());
+                 kindName(site.kind), site.file, site.line, site.expr);
     if (!msg.empty())
         std::fprintf(stderr, "  %s\n", msg.c_str());
     std::abort();
@@ -51,8 +30,8 @@ defaultFail(const Site &site, const std::string &msg)
 throwingFail(const Site &site, const std::string &msg)
 {
     std::string what = std::string("contract violation (") +
-        kindName(site.kind()) + ") at " + site.file() + ":" +
-        std::to_string(site.line()) + ": " + site.expr();
+        kindName(site.kind) + ") at " + site.file + ":" +
+        std::to_string(site.line) + ": " + site.expr;
     if (!msg.empty())
         what += " [" + msg + "]";
     throw ContractViolation(what);
@@ -74,78 +53,10 @@ kindName(Kind kind)
     return "?";
 }
 
-Site::Site(Kind kind, const char *file, int line, const char *expr)
-    : kind_(kind), file_(file), line_(line), expr_(expr)
-{
-    Registry &r = registry();
-    MutexLock lk(r.mu);
-    r.sites.push_back(this);
-}
-
-ContractStats
-stats()
-{
-    Registry &r = registry();
-    ContractStats s;
-    std::vector<Site *> sites;
-    {
-        MutexLock lk(r.mu);
-        sites = r.sites;
-    }
-    s.sites = sites.size();
-    s.violations = r.violations.load(std::memory_order_relaxed);
-    s.rows.reserve(sites.size());
-    for (const Site *site : sites) {
-        std::uint64_t c = site->checks();
-        s.checks += c;
-        s.rows.push_back({site->kind(), site->file(), site->line(),
-                          site->expr(), c});
-    }
-    std::sort(s.rows.begin(), s.rows.end(),
-              [](const ContractStats::Row &a, const ContractStats::Row &b) {
-                  if (a.file != b.file)
-                      return a.file < b.file;
-                  return a.line < b.line;
-              });
-    return s;
-}
-
-void
-resetStats()
-{
-    Registry &r = registry();
-    MutexLock lk(r.mu);
-    for (Site *site : r.sites)
-        site->resetCount();
-    r.violations.store(0, std::memory_order_relaxed);
-}
-
-void
-statsReport(std::ostream &os)
-{
-    ContractStats s = stats();
-    os << "contract stats: " << s.sites << " sites, " << s.checks
-       << " checks, " << s.violations << " violations\n";
-    std::size_t silent = 0;
-    for (const ContractStats::Row &row : s.rows) {
-        if (row.checks == 0) {
-            ++silent;
-            continue;
-        }
-        os << "  " << row.file << ":" << row.line << " ["
-           << kindName(row.kind) << "] " << row.expr << " = " << row.checks
-           << "\n";
-    }
-    if (silent > 0)
-        os << "  (" << silent << " sites never evaluated)\n";
-}
-
 FailHandler
 setFailHandler(FailHandler handler)
 {
-    Registry &r = registry();
-    FailHandler prev = r.handler.exchange(handler);
-    return prev;
+    return g_handler.exchange(handler);
 }
 
 ScopedFailHandler::ScopedFailHandler()
@@ -159,11 +70,9 @@ ScopedFailHandler::~ScopedFailHandler()
 }
 
 void
-fail(Site &site, const std::string &msg)
+fail(const Site &site, const std::string &msg)
 {
-    Registry &r = registry();
-    r.violations.fetch_add(1, std::memory_order_relaxed);
-    FailHandler handler = r.handler.load();
+    FailHandler handler = g_handler.load();
     if (handler != nullptr)
         handler(site, msg);
     // A custom handler that returns (or none installed) must not let

@@ -13,8 +13,9 @@
  * (`PARGPU_ASSERT(n >= 1, "n=", n)`), so diagnostics carry the live
  * values without any formatting cost on the non-failing path.
  *
- * Every macro expansion owns one registered ContractSite whose evaluation
- * count feeds the ContractStats report (see stats() and statsReport()).
+ * Every macro expansion owns one constant Site (kind, file, line and
+ * condition text) that a violation reports; nothing is registered or
+ * counted, so a passing check costs only its condition.
  *
  * Checks are compiled in when PARGPU_CHECKS is defined (the
  * -DPARGPU_CHECKS=ON CMake option) or in Debug builds (NDEBUG unset), and
@@ -34,13 +35,9 @@
 #ifndef PARGPU_COMMON_CONTRACT_HH
 #define PARGPU_COMMON_CONTRACT_HH
 
-#include <atomic>
-#include <cstdint>
-#include <ostream>
 #include <sstream>
 #include <stdexcept>
 #include <string>
-#include <vector>
 
 #if defined(PARGPU_FORCE_CHECKED)
 #define PARGPU_CHECKS_ACTIVE 1
@@ -68,75 +65,19 @@ enum class Kind
 /** Printable name of a contract kind. */
 const char *kindName(Kind kind);
 
-/**
- * One static macro-expansion site. Registered with the global registry on
- * first execution; the evaluation counter is relaxed-atomic so checked
- * builds stay thread-safe on the pool without serializing the hot path.
- */
-class Site
+/** One macro-expansion site: what a violation there reports. */
+struct Site
 {
-  public:
-    Site(Kind kind, const char *file, int line, const char *expr);
-
-    Kind kind() const { return kind_; }
-    const char *file() const { return file_; }
-    int line() const { return line_; }
-    const char *expr() const { return expr_; }
-
-    /** Times the contract was evaluated (pass or fail). */
-    std::uint64_t
-    checks() const
+    constexpr Site(Kind kind, const char *file, int line, const char *expr)
+        : kind(kind), file(file), line(line), expr(expr)
     {
-        return checks_.load(std::memory_order_relaxed);
     }
 
-    /** Count one evaluation (called by the macros). */
-    void
-    countCheck()
-    {
-        checks_.fetch_add(1, std::memory_order_relaxed);
-    }
-
-    void resetCount() { checks_.store(0, std::memory_order_relaxed); }
-
-  private:
-    Kind kind_;
-    const char *file_;
-    int line_;
-    const char *expr_;
-    std::atomic<std::uint64_t> checks_{0};
+    Kind kind;
+    const char *file;
+    int line;
+    const char *expr; ///< The condition's source text.
 };
-
-/** Aggregate view of every registered contract site. */
-struct ContractStats
-{
-    std::size_t sites = 0;            ///< Registered macro sites.
-    std::uint64_t checks = 0;         ///< Total evaluations across sites.
-    std::uint64_t violations = 0;     ///< Contracts that fired.
-
-    /** Per-site rows, ordered by (file, line). */
-    struct Row
-    {
-        Kind kind;
-        std::string file;
-        int line;
-        std::string expr;
-        std::uint64_t checks;
-    };
-    std::vector<Row> rows;
-};
-
-/** Snapshot the current contract statistics. */
-ContractStats stats();
-
-/** Zero every site's evaluation counter and the violation count. */
-void resetStats();
-
-/**
- * Write a human-readable ContractStats table to @p os (sites that never
- * evaluated are summarized, not listed).
- */
-void statsReport(std::ostream &os);
 
 /** Thrown by the ScopedFailHandler installed in tests. */
 class ContractViolation : public std::logic_error
@@ -175,8 +116,8 @@ class ScopedFailHandler
     FailHandler prev_;
 };
 
-/** Count and dispatch a violation at @p site (called by the macros). */
-[[noreturn]] void fail(Site &site, const std::string &msg);
+/** Dispatch a violation at @p site (called by the macros). */
+[[noreturn]] void fail(const Site &site, const std::string &msg);
 
 namespace detail
 {
@@ -221,9 +162,8 @@ ignore(const Args &...)
     do {                                                                     \
         /* Paren-init: a brace-init's commas would split the argument    */  \
         /* lists of wrapping macros (e.g. GTest's EXPECT_THROW).         */  \
-        static ::pargpu::contract::Site pargpu_contract_site_(               \
+        static constexpr ::pargpu::contract::Site pargpu_contract_site_(     \
             kind, __FILE__, __LINE__, #cond);                                \
-        pargpu_contract_site_.countCheck();                                  \
         _Pragma("GCC diagnostic push")                                       \
         _Pragma("GCC diagnostic ignored \"-Wtype-limits\"")                  \
         const bool pargpu_contract_ok_ = static_cast<bool>(cond);            \

@@ -63,7 +63,8 @@ struct RunConfig
     int table_entries = 0;    ///< PATU hash-table entries (0 = default).
     int threads = 0;          ///< Cap on the frames Session::run() renders
                               ///< at once: 0 = ThreadPool::defaultThreads(),
-                              ///< 1 = serial. Submitted jobs ignore it.
+                              ///< 1 = serial. sweep() and submitted jobs
+                              ///< ignore it.
     bool tile_parallel = false; ///< Accepted, no effect: every frame's
                                 ///< tile stream takes idle pool threads
                                 ///< (GpuConfig::tile_parallel).
@@ -71,10 +72,10 @@ struct RunConfig
 
     /**
      * Check every field against its legal range and return the list of
-     * violations (empty = valid). Session::run()/sweep() call this and
-     * fatal() on the first violation instead of silently clamping or
-     * crashing deep inside cache construction; the keyed Session
-     * surfaces return it as a typed Status, and interactive drivers (the
+     * violations (empty = valid). Session::run()/sweep() fatal() on any
+     * violation instead of silently clamping or crashing deep inside
+     * cache construction; submit()/submitSweep() return them as a typed
+     * Status (validateRunConfig()), and interactive drivers (the
      * harness CLI) report all violations and exit cleanly.
      *
      * The ranges are the rows of runConfigFields() (also printed by

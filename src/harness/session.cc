@@ -1,7 +1,10 @@
 #include "harness/session.hh"
 
+#include <algorithm>
 #include <utility>
 
+#include "common/contract.hh"
+#include "common/logging.hh"
 #include "common/threadpool.hh"
 #include "common/tracing.hh"
 #include "harness/metrics.hh"
@@ -40,6 +43,64 @@ validateRunConfig(const RunConfig &config)
     }
     return Status::fail(StatusCode::InvalidConfig, std::move(message));
 }
+
+namespace
+{
+
+/**
+ * Render frame @p f of @p trace under @p config on a fresh GpuSimulator
+ * (a frame's output never depends on what else its thread rendered).
+ */
+FrameOutput
+renderFrame(const GameTrace &trace, const RunConfig &config, std::size_t f)
+{
+    PARGPU_TRACE_SCOPE_F("harness", "renderFrame", f);
+    // A fresh simulator per frame: the simulator resets cache and DRAM
+    // state per frame, so a frame's output does not depend on what its
+    // simulator rendered before (determinism_test pins this down).
+    GpuSimulator sim(makeGpuConfig(config));
+    return sim.renderFrame(trace.scene, trace.cameras[f], trace.width,
+                           trace.height);
+}
+
+/**
+ * The serial frame-order fold of every job and snapshot: per-frame stats,
+ * images when @p keep_images, and the aggregates summed in frame order.
+ * Consumes (and so frees) @p outs.
+ */
+RunResult
+foldFrames(std::vector<FrameOutput> outs, bool keep_images)
+{
+    PARGPU_TRACE_SCOPE("harness", "aggregate");
+    const std::size_t n = outs.size();
+    RunResult result;
+    result.frames.reserve(n);
+    if (keep_images)
+        result.images.reserve(n);
+    double cycles = 0.0, power = 0.0;
+    for (FrameOutput &out : outs) {
+        EnergyBreakdown e = computeEnergy(out.stats);
+        result.total_energy_nj += e.total_nj();
+        power += averagePowerW(e, out.stats);
+        cycles += static_cast<double>(out.stats.total_cycles);
+        result.frames.push_back(out.stats);
+        if (keep_images)
+            result.images.push_back(std::move(out.image));
+    }
+    if (n > 0) {
+        result.avg_cycles = cycles / static_cast<double>(n);
+        result.avg_power_w = power / static_cast<double>(n);
+    }
+    PARGPU_INVARIANT(result.avg_cycles >= 0.0 &&
+                         result.total_energy_nj >= 0.0 &&
+                         result.avg_power_w >= 0.0,
+                     "negative aggregate: cycles=", result.avg_cycles,
+                     " energy=", result.total_energy_nj,
+                     " power=", result.avg_power_w);
+    return result;
+}
+
+} // namespace
 
 // --- Job -----------------------------------------------------------------
 
@@ -94,7 +155,7 @@ Job::runFrame(std::size_t f, std::atomic<std::size_t> &completed)
     }
     FrameOutput out;
     if (f < frames_total_)
-        out = detail::renderFrame(*trace_, config_, f);
+        out = renderFrame(*trace_, config_, f);
     {
         MutexLock lk(mu_);
         if (f < frames_total_) {
@@ -106,7 +167,7 @@ Job::runFrame(std::size_t f, std::atomic<std::size_t> &completed)
             return;
         // The last frame: fold under the lock, so a snapshot sees either
         // the finished frames or the final result, never neither.
-        result_ = detail::foldFrames(std::move(outs_), config_.keep_images);
+        result_ = foldFrames(std::move(outs_), config_.keep_images);
         // Count the completion before Done is published: a waiter that
         // has observed Done must observe the session counter too.
         completed.fetch_add(1, std::memory_order_relaxed);
@@ -144,7 +205,7 @@ Job::snapshot() const
 
     // The fold the final result uses, so a snapshot taken after Done
     // matches it exactly.
-    const RunResult partial = detail::foldFrames(std::move(frames), false);
+    const RunResult partial = foldFrames(std::move(frames), false);
 
     const char *state_name = state == State::Queued    ? "queued"
                              : state == State::Running ? "running"
@@ -235,41 +296,53 @@ Session::traceKeys() const
     return keys;
 }
 
+std::vector<RunResult>
+Session::renderJobs(const GameTrace &trace,
+                    const std::vector<RunConfig> &configs, unsigned threads)
+{
+    const std::size_t n = trace.cameras.size();
+    // The span name is part of the documented trace schema (METRICS.md).
+    PARGPU_TRACE_SCOPE_F("harness", "runTrace", n);
+    // Non-owning: the call returns only once every job is done.
+    const std::shared_ptr<const GameTrace> borrowed(
+        std::shared_ptr<const GameTrace>{}, &trace);
+    std::vector<JobHandle> jobs;
+    jobs.reserve(configs.size());
+    for (const RunConfig &config : configs) {
+        // Every condition is checked before any frame renders.
+        const Status st = validateRunConfig(config);
+        if (!st.ok())
+            fatal("invalid RunConfig: " + st.message);
+        jobs.push_back(
+            std::make_shared<Job>(Job::Passkey{}, "", borrowed, config));
+    }
+    // A zero-frame job still takes its one call, with f == 0.
+    const std::size_t slots = std::max<std::size_t>(n, 1);
+    std::atomic<std::size_t> completed{0}; // Not the session counter.
+    ThreadPool::run(jobs.size() * slots, 1, [&](std::size_t task) {
+        jobs[task / slots]->runFrame(task % slots, completed);
+    }, threads);
+    std::vector<RunResult> results;
+    results.reserve(jobs.size());
+    for (const JobHandle &job : jobs) {
+        MutexLock lk(job->mu_);
+        results.push_back(std::move(job->result_));
+    }
+    return results;
+}
+
 RunResult
 Session::run(const GameTrace &trace, const RunConfig &config)
 {
-    return detail::renderTrace(trace, config);
+    return std::move(
+        renderJobs(trace, {config}, static_cast<unsigned>(config.threads))
+            .front());
 }
 
 std::vector<RunResult>
-Session::sweep(const GameTrace &trace,
-               const std::vector<RunConfig> &configs, int threads)
+Session::sweep(const GameTrace &trace, const std::vector<RunConfig> &configs)
 {
-    return detail::renderSweep(trace, configs, threads);
-}
-
-Status
-Session::sweep(const std::string &key,
-               const std::vector<RunConfig> &configs,
-               std::vector<RunResult> *results, int threads)
-{
-    std::shared_ptr<const GameTrace> asset = trace(key);
-    if (!asset)
-        return Status::fail(StatusCode::UnknownTrace,
-                            "no trace loaded under key '" + key + "'");
-    for (std::size_t i = 0; i < configs.size(); ++i) {
-        Status st = validateRunConfig(configs[i]);
-        if (!st.ok()) {
-            st.message =
-                "configs[" + std::to_string(i) + "]: " + st.message;
-            return st;
-        }
-    }
-    std::vector<RunResult> out =
-        detail::renderSweep(*asset, configs, threads);
-    if (results != nullptr)
-        *results = std::move(out);
-    return Status::success();
+    return renderJobs(trace, configs, 0);
 }
 
 JobHandle

@@ -14,22 +14,23 @@
  *
  * Execution surfaces, all bit-identical to one another:
  *
- *  - run()/sweep(trace, ...): synchronous, borrowing a caller-owned
- *    trace — detail::renderTrace()/renderSweep() directly.
- *  - sweep(key, ...): synchronous sweep over a loaded asset; its output
- *    (RunResults, metrics JSON, counters, images) is byte-identical to
- *    sweep(trace, ...) on the same configs (session_test pins this
- *    down).
- *  - submit()/submitSweep(): asynchronous jobs. One lazily started
- *    dispatcher thread runs the queued (job, frame) pairs in submission
- *    order across the whole shared ThreadPool; a job submitted while a
- *    pass runs joins it. Jobs expose streamed metrics snapshots while
- *    running. Handles are shared_ptr<Job> and outlive the Session
- *    (teardown drains the queue, so a surviving handle always ends in
- *    State::Done).
+ *  - run()/sweep(): synchronous, borrowing a caller-owned trace. The
+ *    call builds one Job per condition over the borrowed trace and
+ *    renders every (job, frame) pair as one pool task on the calling
+ *    thread, which takes part; it returns once every job is done. Only
+ *    RunConfig::threads (run()) caps how many frames render at once.
+ *  - submit()/submitSweep(): asynchronous jobs over a loaded asset. One
+ *    lazily started dispatcher thread runs the queued (job, frame)
+ *    pairs in submission order across the whole shared ThreadPool; a
+ *    job submitted while a pass runs joins it. Jobs expose streamed
+ *    metrics snapshots while running. Handles are shared_ptr<Job> and
+ *    outlive the Session (teardown drains the queue, so a surviving
+ *    handle always ends in State::Done).
  *
- * Every surface renders one frame per pool task on a fresh simulator
- * and folds a condition with the same serial frame-order foldFrames().
+ * Job is the one frame engine: every surface renders one frame per pool
+ * task on a fresh simulator into the job's slot, and the task that
+ * lands a job's last frame folds it with the serial frame-order
+ * foldFrames().
  *
  * Error reporting extends the ConfigError/configErrorMessage pattern into
  * a small typed Status (code + message): loading and submission return
@@ -117,45 +118,12 @@ EnvMap processEnvironment();
  */
 Status parseEnvironment(const EnvMap &env);
 
-namespace detail
-{
-
-/**
- * Render frame @p f of @p trace under @p config on a fresh GpuSimulator
- * (a frame's output never depends on what else its thread rendered).
- */
-FrameOutput renderFrame(const GameTrace &trace, const RunConfig &config,
-                        std::size_t f);
-
-/**
- * The serial frame-order fold every surface shares: per-frame stats,
- * images when @p keep_images, and the aggregates summed in frame order.
- * Consumes (and so frees) @p outs.
- */
-RunResult foldFrames(std::vector<FrameOutput> outs, bool keep_images);
-
-/**
- * The Session::run() engine: every frame of @p trace under @p config,
- * at most config.threads at once (0 = default; serial when nested in a
- * pool worker). fatal()s on an invalid config.
- */
-RunResult renderTrace(const GameTrace &trace, const RunConfig &config);
-
-/**
- * The Session::sweep() engine: every (condition, frame) pair one pool
- * task, at most @p threads at once; results by index.
- */
-std::vector<RunResult> renderSweep(const GameTrace &trace,
-                                   const std::vector<RunConfig> &configs,
-                                   int threads = 0);
-
-} // namespace detail
-
 class Session;
 
 /**
  * One queued/running/finished unit of Session work: a single RunConfig
- * rendered against one loaded trace. Handles are shared_ptr and remain
+ * rendered against one trace (a loaded asset, or the caller's trace for
+ * the length of a run()/sweep() call). Handles are shared_ptr and remain
  * valid after the owning Session is destroyed (teardown drains the
  * queue, so a surviving handle always reaches State::Done).
  */
@@ -217,16 +185,17 @@ class Job
     friend class Session;
 
     /**
-     * Dispatcher-side execution of frame @p f (once per frame; a
-     * zero-frame job gets one call with f == 0). The call that lands
-     * the last frame folds the result and publishes Done, incrementing
-     * @p completed first so a waiter never observes a finished job with
-     * a stale session counter.
+     * Render frame @p f (once per frame, from the dispatcher or a
+     * run()/sweep() pool task; a zero-frame job gets one call with
+     * f == 0). The call that lands the last frame folds the result and
+     * publishes Done, incrementing @p completed first so a waiter never
+     * observes a finished job with a stale counter.
      */
     void runFrame(std::size_t f, std::atomic<std::size_t> &completed);
 
     const std::string trace_key_;
-    const std::shared_ptr<const GameTrace> trace_; ///< Keeps asset alive.
+    /** Keeps a loaded asset alive; non-owning in run()/sweep(). */
+    const std::shared_ptr<const GameTrace> trace_;
     const RunConfig config_;
     const std::size_t frames_total_;
 
@@ -245,7 +214,7 @@ using JobHandle = std::shared_ptr<Job>;
 
 /**
  * The session facade (file header above for the full story). Thread
- * safe: load/submit/sweep may be called from any thread.
+ * safe: every member may be called from any thread.
  */
 class Session
 {
@@ -291,31 +260,20 @@ class Session
     /**
      * Render @p trace under @p config (fatal() on an invalid config),
      * frames in parallel on the shared pool; RunConfig::threads caps
-     * how many at once.
+     * how many at once. Synchronous calls leave jobsSubmitted() and
+     * jobsCompleted() alone.
      */
     RunResult run(const GameTrace &trace, const RunConfig &config);
 
     /**
      * Render @p trace under every condition of @p configs, every
-     * (condition, frame) pair a pool task in submission order.
-     * results[i] corresponds to configs[i] and is bit-identical to
-     * run(trace, configs[i]); fatal() on any invalid config.
-     *
-     * @param threads  Total concurrency (0 = PARGPU_THREADS/default).
+     * (condition, frame) pair a pool task in submission order, at most
+     * ThreadPool::defaultThreads() at once. results[i] corresponds to
+     * configs[i] and is bit-identical to run(trace, configs[i]);
+     * fatal() on any invalid config.
      */
     std::vector<RunResult> sweep(const GameTrace &trace,
-                                 const std::vector<RunConfig> &configs,
-                                 int threads = 0);
-
-    /**
-     * Sweep a loaded asset: validates every config (typed Status instead
-     * of fatal()), then runs the sweep engine. @p results is
-     * byte-identical to sweep(trace, configs, threads) — metrics JSON,
-     * counters and images included.
-     */
-    Status sweep(const std::string &key,
-                 const std::vector<RunConfig> &configs,
-                 std::vector<RunResult> *results, int threads = 0);
+                                 const std::vector<RunConfig> &configs);
 
     // --- Asynchronous jobs ----------------------------------------------
 
@@ -344,6 +302,16 @@ class Session
     std::size_t jobsCompleted() const;
 
   private:
+    /**
+     * run() and sweep(): one Job per condition over the borrowed
+     * @p trace, every (job, frame) pair one pool task, at most @p threads
+     * at once (0 = default); fatal() on an invalid config; results by
+     * index.
+     */
+    static std::vector<RunResult>
+    renderJobs(const GameTrace &trace, const std::vector<RunConfig> &configs,
+               unsigned threads);
+
     void dispatcherLoop();
     void enqueue(const std::vector<JobHandle> &jobs);
 

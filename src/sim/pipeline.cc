@@ -72,7 +72,9 @@ faceShade(const Vec3 &p0, const Vec3 &p1, const Vec3 &p2)
 {
     Vec3 n = (p1 - p0).cross(p2 - p0).normalized();
     float d = std::fabs(n.dot(kLightDir));
-    return 0.35f + 0.65f * d;
+    // Edges near float's range overflow the cross product, and the
+    // normal comes out NaN: light the face as if edge-on, not NaN.
+    return 0.35f + 0.65f * (std::isnan(d) ? 0.0f : d);
 }
 
 /**

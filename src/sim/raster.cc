@@ -83,8 +83,10 @@ finishSetup(ScreenVertex sv[3], float shade, int texture_id,
     if (cull && area2 <= 0.0f)
         return false;
     // Exact-zero test: a degenerate triangle produces exactly 0 from the
-    // edge function; near-zero slivers must still rasterize.
-    if (area2 == 0.0f) // pargpu-lint: allow(float-eq)
+    // edge function; near-zero slivers must still rasterize. Positions
+    // near float's range overflow the edge function to inf or NaN (which
+    // every comparison above lets through): culled too.
+    if (area2 == 0.0f || !std::isfinite(area2)) // pargpu-lint: allow(float-eq)
         return false;
     if (area2 < 0.0f) {
         std::swap(sv[1], sv[2]);

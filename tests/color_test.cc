@@ -5,6 +5,8 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+
 #include "common/color.hh"
 
 using namespace pargpu;
@@ -38,12 +40,13 @@ TEST(Color4fTest, LumaOfPrimaries)
 
 TEST(PackRGBA8Test, RoundTripExactAtQuantizationPoints)
 {
-    for (int v = 0; v <= 255; v += 17) {
+    for (int v = 0; v <= 255; ++v) {
         Color4f c{v / 255.0f, v / 255.0f, v / 255.0f, v / 255.0f};
         RGBA8 p = packRGBA8(c);
         EXPECT_EQ(p.r, v);
         Color4f u = unpackRGBA8(p);
         EXPECT_NEAR(u.r, c.r, 1e-6f);
+        EXPECT_EQ(packRGBA8(u).a, v);
     }
 }
 
@@ -58,6 +61,22 @@ TEST(PackRGBA8Test, ClampsOutOfRange)
     EXPECT_EQ(hi.g, 255);
     EXPECT_EQ(hi.b, 255);
     EXPECT_EQ(hi.a, 255);
+}
+
+TEST(PackRGBA8Test, NonFiniteAndHugeInputsClamp)
+{
+    const float nan = std::numeric_limits<float>::quiet_NaN();
+    const float inf = std::numeric_limits<float>::infinity();
+    const RGBA8 n = packRGBA8({nan, -nan, nan, nan});
+    EXPECT_EQ(n.r, 0);
+    EXPECT_EQ(n.g, 0);
+    EXPECT_EQ(n.b, 0);
+    EXPECT_EQ(n.a, 0);
+    const RGBA8 big = packRGBA8({inf, -inf, 1e30f, -1e30f});
+    EXPECT_EQ(big.r, 255);
+    EXPECT_EQ(big.g, 0);
+    EXPECT_EQ(big.b, 255);
+    EXPECT_EQ(big.a, 0);
 }
 
 TEST(PackRGBA8Test, RoundsToNearest)

@@ -2,7 +2,7 @@
  * @file
  * Helper TU for contract_test compiled with contracts force-disabled:
  * proves the macros are true no-ops in unchecked builds — operands are
- * never evaluated, violations never fire, and no Site objects register.
+ * never evaluated and violations never fire.
  */
 
 #define PARGPU_FORCE_UNCHECKED 1

@@ -195,7 +195,9 @@ TEST(Determinism, SweepMatchesRun)
     configs[1].threshold = 0.4f;
     configs[2].scenario = DesignScenario::NoAF;
 
-    std::vector<RunResult> sweep = session.sweep(trace, configs, 4);
+    ThreadPool::setDefaultThreads(4);
+    std::vector<RunResult> sweep = session.sweep(trace, configs);
+    ThreadPool::setDefaultThreads(0);
     ASSERT_EQ(sweep.size(), configs.size());
     for (std::size_t i = 0; i < configs.size(); ++i)
         expectRunsEqual(runOneThread(session, trace, configs[i]), sweep[i]);

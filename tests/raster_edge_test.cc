@@ -6,8 +6,10 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <set>
 
+#include "harness/session.hh"
 #include "sim/raster.hh"
 
 using namespace pargpu;
@@ -217,4 +219,42 @@ TEST(RasterEdgeTest, NearClipPreservesUvRange)
                               }
                           });
     }
+}
+
+TEST(RasterEdgeTest, OverflowingPositionsAreCulled)
+{
+    // Positions scaled by 1e30 are finite, so a trace file may carry
+    // them, but the edge function of such a triangle can overflow to
+    // NaN. It is culled like a zero-area one: every triangle that
+    // survives setup has a finite positive area (checked builds would
+    // otherwise abort on the setup contract), and no pixel goes
+    // non-finite.
+    GameTrace trace = buildGameTrace(GameId::HL2, 64, 48, 1);
+    for (DrawCall &d : trace.scene.draws)
+        for (Vertex &v : d.mesh.vertices)
+            v.pos = v.pos * 1e30f;
+    const Camera &cam = trace.cameras.front();
+    for (const DrawCall &d : trace.scene.draws) {
+        const Mat4 mvp = cam.proj * cam.view * d.model;
+        const Mesh &m = d.mesh;
+        for (std::size_t t = 0; t + 2 < m.indices.size(); t += 3) {
+            const Vertex tri[3] = {m.vertices[m.indices[t]],
+                                   m.vertices[m.indices[t + 1]],
+                                   m.vertices[m.indices[t + 2]]};
+            std::vector<SetupTriangle> out;
+            setupTriangles(tri, mvp, 1.0f, 0, d.filter, d.backface_cull,
+                           trace.width, trace.height, out);
+            for (const SetupTriangle &st : out)
+                ASSERT_TRUE(std::isfinite(st.inv_area) && st.inv_area > 0.0f)
+                    << "triangle " << t / 3 << " inv_area " << st.inv_area;
+        }
+    }
+
+    Session session;
+    const RunResult r = session.run(trace, RunConfig{});
+    ASSERT_EQ(r.frames.size(), 1u);
+    EXPECT_GT(r.frames.front().triangles_setup, 0u);
+    for (const Color4f &c : r.images.front().pixels())
+        ASSERT_TRUE(std::isfinite(c.r) && std::isfinite(c.g) &&
+                    std::isfinite(c.b) && std::isfinite(c.a));
 }

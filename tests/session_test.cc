@@ -3,9 +3,10 @@
  * Unit tests for the Session facade (src/harness/session.hh): typed
  * Status reporting, immutable shared assets, concurrent jobs
  * bit-identical to the serial borrowed-trace sweep and to run() whatever
- * the frame count, zero-frame jobs, sweeps independent of the thread
- * count, snapshot streaming, job handles surviving Session teardown,
- * and threads that run out of frames joining the last frame's tiles.
+ * the frame count, zero-frame jobs and runs, sweeps independent of the
+ * thread count, a synchronous run() beside in-flight jobs, snapshot
+ * streaming, job handles surviving Session teardown, and threads that
+ * run out of frames joining the last frame's tiles.
  */
 
 #include <gtest/gtest.h>
@@ -65,6 +66,17 @@ sweepConfigs()
     tweaked.tc_scale = 2;
     configs.push_back(tweaked);
     return configs;
+}
+
+/** session.sweep() on a one-thread pool: the reference ordering. */
+std::vector<RunResult>
+serialSweep(Session &session, const GameTrace &trace,
+            const std::vector<RunConfig> &configs)
+{
+    ThreadPool::setDefaultThreads(1);
+    std::vector<RunResult> serial = session.sweep(trace, configs);
+    ThreadPool::setDefaultThreads(0);
+    return serial;
 }
 
 /** The full metrics document (registry included) for one run. */
@@ -221,6 +233,9 @@ TEST(SessionTest, SubmitReportsTypedFailures)
     Status st;
     EXPECT_EQ(session.submit("missing", RunConfig{}, &st), nullptr);
     EXPECT_EQ(st.code, StatusCode::UnknownTrace);
+    EXPECT_TRUE(session.submitSweep("missing", sweepConfigs(), &st).empty());
+    EXPECT_EQ(st.code, StatusCode::UnknownTrace);
+    EXPECT_NE(st.message.find("'missing'"), std::string::npos);
 
     ASSERT_TRUE(session.load("w", makeTiny()).ok());
     RunConfig bad;
@@ -237,33 +252,12 @@ TEST(SessionTest, SubmitReportsTypedFailures)
     EXPECT_EQ(session.jobsSubmitted(), 0u);
 }
 
-TEST(SessionTest, KeyedSweepMatchesBorrowedSweepExactly)
-{
-    const std::vector<RunConfig> configs = sweepConfigs();
-    Session session;
-    // The borrowed-trace sweep, forced serial: the reference ordering.
-    std::vector<RunResult> serial = session.sweep(tinyTrace(), configs, 1);
-
-    ASSERT_TRUE(session.load("w", makeTiny()).ok());
-    std::vector<RunResult> keyed;
-    Status st = session.sweep("w", configs, &keyed);
-    ASSERT_TRUE(st.ok()) << st.message;
-    ASSERT_EQ(keyed.size(), serial.size());
-    // Byte-identical through the exporter: metrics JSON, counters and
-    // aggregates, plus raw images (the acceptance criterion).
-    for (std::size_t i = 0; i < keyed.size(); ++i)
-        expectRunsIdentical(configs[i], keyed[i], serial[i]);
-
-    Status missing = session.sweep("missing", configs, nullptr);
-    EXPECT_EQ(missing.code, StatusCode::UnknownTrace);
-}
-
 TEST(SessionTest, ConcurrentSubmitBitIdenticalToSerialSweep)
 {
     const std::vector<RunConfig> configs = sweepConfigs();
     // Every job's frames share the pool, so jobs genuinely overlap.
     Session session;
-    std::vector<RunResult> serial = session.sweep(tinyTrace(), configs, 1);
+    std::vector<RunResult> serial = serialSweep(session, tinyTrace(), configs);
     ASSERT_TRUE(session.load("w", makeTiny()).ok());
     Status st;
     std::vector<JobHandle> jobs = session.submitSweep("w", configs, &st);
@@ -402,15 +396,68 @@ TEST(SessionTest, SweepBytesIndependentOfThreadCount)
     ASSERT_EQ(tinyTrace().cameras.size(), 3u);
     Session session;
     const std::vector<RunResult> serial =
-        session.sweep(tinyTrace(), configs, 1);
-    const int nproc =
-        static_cast<int>(std::max(1u, std::thread::hardware_concurrency()));
-    for (int threads : {2, nproc}) {
-        const std::vector<RunResult> got =
-            session.sweep(tinyTrace(), configs, threads);
+        serialSweep(session, tinyTrace(), configs);
+    const unsigned nproc = std::max(1u, std::thread::hardware_concurrency());
+    for (unsigned threads : {2u, nproc}) {
+        ThreadPool::setDefaultThreads(threads);
+        const std::vector<RunResult> got = session.sweep(tinyTrace(), configs);
+        ThreadPool::setDefaultThreads(0);
         ASSERT_EQ(got.size(), serial.size());
         for (std::size_t i = 0; i < got.size(); ++i)
             expectRunsIdentical(configs[i], got[i], serial[i]);
+    }
+}
+
+TEST(SessionTest, SyncRunDuringSubmitSweepMatchesSerialRun)
+{
+    // A run() from a second thread renders its frames on the pool the
+    // dispatcher is using for an in-flight sweep; neither perturbs the
+    // other's bytes.
+    const std::vector<RunConfig> configs = sweepConfigs();
+    RunConfig cfg;
+    cfg.scenario = DesignScenario::Patu;
+    cfg.threads = 1;
+    Session session;
+    const RunResult serial_run = session.run(tinyTrace(), cfg);
+    const std::vector<RunResult> serial =
+        serialSweep(session, tinyTrace(), configs);
+    ASSERT_TRUE(session.load("w", makeTiny()).ok());
+
+    Status st;
+    std::vector<JobHandle> jobs = session.submitSweep("w", configs, &st);
+    ASSERT_TRUE(st.ok()) << st.message;
+    RunResult concurrent;
+    cfg.threads = 0;
+    std::thread runner([&] { concurrent = session.run(tinyTrace(), cfg); });
+    runner.join();
+    expectRunsIdentical(cfg, concurrent, serial_run);
+    for (std::size_t i = 0; i < jobs.size(); ++i)
+        expectRunsIdentical(configs[i], jobs[i]->result(), serial[i]);
+    EXPECT_EQ(session.jobsCompleted(), configs.size());
+}
+
+TEST(SessionTest, SyncCallsLeaveJobCountersAlone)
+{
+    // run() and sweep() render through jobs of their own, which the
+    // session counters (the asynchronous surface's) do not count.
+    Session session;
+    session.run(tinyTrace(), RunConfig{});
+    session.sweep(tinyTrace(), sweepConfigs());
+    EXPECT_EQ(session.jobsSubmitted(), 0u);
+    EXPECT_EQ(session.jobsCompleted(), 0u);
+}
+
+TEST(SessionTest, SyncZeroFrameRunIsEmpty)
+{
+    GameTrace empty = makeTiny();
+    empty.cameras.clear();
+    Session session;
+    const std::vector<RunResult> runs = session.sweep(empty, sweepConfigs());
+    ASSERT_EQ(runs.size(), sweepConfigs().size());
+    for (const RunResult &r : runs) {
+        EXPECT_TRUE(r.frames.empty());
+        EXPECT_TRUE(r.images.empty());
+        EXPECT_EQ(r.avg_cycles, 0.0);
     }
 }
 
@@ -428,14 +475,13 @@ TEST(SessionTest, LastFrameOfASweepGetsHelpers)
     for (std::size_t i = 1; i < configs.size(); ++i)
         configs[i].scenario = DesignScenario::NoAF;
     Session session;
-    ThreadPool::setDefaultThreads(1);
-    const std::vector<RunResult> serial = session.sweep(trace, configs, 1);
+    const std::vector<RunResult> serial = serialSweep(session, trace, configs);
     ThreadPool::setDefaultThreads(4);
     test::TileSpans n;
     // A helper joins only once it wakes; retry rather than flake.
     for (int attempt = 0; attempt < 5 && n.spans <= n.draws; ++attempt) {
         Tracing::enable();
-        const std::vector<RunResult> got = session.sweep(trace, configs, 4);
+        const std::vector<RunResult> got = session.sweep(trace, configs);
         Tracing::disable();
         n = test::countTileSpans();
         Tracing::clear();
