@@ -234,10 +234,11 @@ main(int argc, char **argv)
 
     Session session;
 
-    GameTrace trace = buildGameTrace(o.game, o.width, o.height, o.frames);
-
+    // Before the scene build, so the profile shows its scenes/* spans.
     if (!o.trace_out.empty())
         trace::Tracing::enable();
+
+    GameTrace trace = buildGameTrace(o.game, o.width, o.height, o.frames);
 
     RunResult run = session.run(trace, o.run);
 

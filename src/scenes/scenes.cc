@@ -405,13 +405,19 @@ buildGameTrace(GameId id, int width, int height, int frames)
 void
 buildSceneTextures(GameTrace &trace)
 {
-    PARGPU_TRACE_SCOPE_F("scenes", "build", trace.recipes.size());
+    PARGPU_TRACE_SPAN(build, "scenes", "build");
     for (const TextureRecipe &rec : trace.recipes) {
         PARGPU_TRACE_SCOPE_F("scenes", "texture", rec.size);
+        std::vector<RGBA8> texels;
+        {
+            PARGPU_TRACE_SCOPE_F("scenes", "synth", rec.size);
+            texels = generateTexture(rec.kind, rec.size, rec.seed);
+        }
+        PARGPU_TRACE_SCOPE_F("scenes", "mips", rec.size);
         trace.scene.addTexture(std::make_unique<TextureMap>(
-            rec.size, rec.size,
-            generateTexture(rec.kind, rec.size, rec.seed), rec.wrap));
+            rec.size, rec.size, std::move(texels), rec.wrap));
     }
+    build.setValue(static_cast<double>(trace.scene.textures.size()));
 }
 
 std::vector<BenchmarkEntry>

@@ -36,6 +36,15 @@ enum class TextureKind
 /**
  * Generate a square procedural texture's level-0 texels.
  *
+ * The fractal noise is tabulated per call, not cached across calls:
+ * per octave, the lattice value at every wrapped lattice point and the
+ * lattice lines and smoothstepped fraction at every texel centre. Each
+ * texel then blends four table entries per octave with the float
+ * expressions of fractalNoise(), so its noise equals
+ * fractalNoise((x + 0.5) / size, (y + 0.5) / size, ...) bit for bit.
+ * Row bands run on the shared pool; the texels are identical at any
+ * pool size.
+ *
  * @param kind  Content family.
  * @param size  Width == height (power of two).
  * @param seed  Deterministic variation seed.
@@ -57,7 +66,10 @@ wrapLattice(int c, int cells)
 
 /**
  * Fractal value noise in [0, 1] at normalized coordinates (u, v), with
- * @p octaves octaves of lattice value noise.
+ * @p octaves octaves of lattice value noise: octave o has period 8 << o
+ * lattice cells, seed @p seed + 101 * o and weight 0.5^(o + 1). The point
+ * query behind generateTexture()'s noise tables, which share its lattice
+ * and interpolation helpers.
  */
 float fractalNoise(float u, float v, int octaves, std::uint32_t seed);
 

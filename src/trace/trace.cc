@@ -239,6 +239,9 @@ readTrace(const std::string &path, bool &ok)
             v.pos.z = r.f32();
             v.uv.x = r.f32();
             v.uv.y = r.f32();
+            if (!(std::fabs(v.uv.x) <= kMaxTraceUv &&
+                  std::fabs(v.uv.y) <= kMaxTraceUv))
+                r.ok = false;
         }
         std::uint32_t nidx = r.u32();
         if (!r.ok || nidx > (1u << 26)) {

@@ -6,7 +6,12 @@
 #include <gtest/gtest.h>
 
 #include <climits>
+#include <cstdint>
+#include <cstdio>
+#include <iterator>
+#include <string>
 
+#include "common/threadpool.hh"
 #include "texture/procedural.hh"
 
 using namespace pargpu;
@@ -34,6 +39,61 @@ lumaVariance(const std::vector<RGBA8> &texels)
     }
     return acc / static_cast<double>(texels.size());
 }
+
+constexpr TextureKind kAllKinds[] = {
+    TextureKind::Checker, TextureKind::Bricks, TextureKind::Noise,
+    TextureKind::Grass,   TextureKind::Marble, TextureKind::Wood,
+    TextureKind::Stripes, TextureKind::Panels,
+};
+
+/**
+ * FNV-1a over every texel byte of generateTexture(@p kind, size, seed)
+ * for each size, then each seed. The sizes run from one texel, below the
+ * coarsest noise lattice (8 cells), to 512, above the finest (128).
+ */
+std::uint64_t
+kindDigest(TextureKind kind)
+{
+    std::uint64_t h = 0xcbf29ce484222325ull;
+    for (int size : {1, 2, 8, 64, 512}) {
+        for (std::uint32_t seed : {3u, 0x9E3779B9u}) {
+            for (const RGBA8 &t : generateTexture(kind, size, seed)) {
+                for (std::uint8_t b : {t.r, t.g, t.b, t.a}) {
+                    h ^= b;
+                    h *= 0x100000001b3ull;
+                }
+            }
+        }
+    }
+    return h;
+}
+
+/**
+ * kindDigest() of each kind, in kAllKinds order. Pinned from a generator
+ * that evaluated fractalNoise() at every texel, which the noise tables
+ * must reproduce bit for bit.
+ */
+constexpr std::uint64_t kKindDigests[] = {
+    0xc9753ba2219174d6ull, 0xa56c61a891262d34ull, 0x1e011da5d112ded3ull,
+    0x045c94dbbc46ca62ull, 0x2d8b56a9e93bbaf9ull, 0xf528eb051914c627ull,
+    0x751b83df4cd4d672ull, 0x2cab0cf7cf490f9aull,
+};
+static_assert(std::size(kKindDigests) == std::size(kAllKinds));
+
+std::string
+hex(std::uint64_t v)
+{
+    char buf[32];
+    std::snprintf(buf, sizeof buf, "0x%016llxull",
+                  static_cast<unsigned long long>(v));
+    return buf;
+}
+
+/** Restores the process-default pool size when a test ends. */
+struct DefaultThreadsGuard
+{
+    ~DefaultThreadsGuard() { ThreadPool::setDefaultThreads(0); }
+};
 
 } // namespace
 
@@ -77,12 +137,24 @@ TEST_P(ProceduralKindTest, HasSpatialDetail)
     EXPECT_GT(lumaVariance(texels), 1e-3);
 }
 
-INSTANTIATE_TEST_SUITE_P(
-    AllKinds, ProceduralKindTest,
-    testing::Values(TextureKind::Checker, TextureKind::Bricks,
-                    TextureKind::Noise, TextureKind::Grass,
-                    TextureKind::Marble, TextureKind::Wood,
-                    TextureKind::Stripes, TextureKind::Panels));
+INSTANTIATE_TEST_SUITE_P(AllKinds, ProceduralKindTest,
+                         testing::ValuesIn(kAllKinds));
+
+TEST(ProceduralDigestTest, TexelsMatchFrozenDigestsAtEveryPoolSize)
+{
+    // Row bands split the texel loop across the pool; every split must
+    // give the texels of the one-thread loop.
+    DefaultThreadsGuard guard;
+    for (unsigned threads : {1u, 3u, 4u}) {
+        ThreadPool::setDefaultThreads(threads);
+        for (std::size_t k = 0; k < std::size(kAllKinds); ++k) {
+            const std::uint64_t h = kindDigest(kAllKinds[k]);
+            EXPECT_EQ(h, kKindDigests[k])
+                << "kind " << k << " at " << threads
+                << " threads: new digest " << hex(h);
+        }
+    }
+}
 
 TEST(FractalNoiseTest, StaysInUnitRange)
 {

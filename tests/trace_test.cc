@@ -5,7 +5,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <bit>
+#include <cmath>
 #include <cstdint>
 #include <cstdio>
 #include <limits>
@@ -30,6 +32,24 @@ class TraceRoundTrip : public testing::Test
 
     std::string path = "trace_test.pgtrace";
 };
+
+/** Scale every uv of @p t so the largest magnitude is @p reach. */
+void
+stretchUvs(GameTrace &t, float reach)
+{
+    float peak = 0.0f;
+    for (const DrawCall &d : t.scene.draws)
+        for (const Vertex &v : d.mesh.vertices)
+            peak = std::max({peak, std::fabs(v.uv.x), std::fabs(v.uv.y)});
+    ASSERT_GT(peak, 0.0f);
+    const float scale = reach / peak;
+    auto stretch = [&](float c) {
+        return std::clamp(c * scale, -reach, reach);
+    };
+    for (DrawCall &d : t.scene.draws)
+        for (Vertex &v : d.mesh.vertices)
+            v.uv = {stretch(v.uv.x), stretch(v.uv.y)};
+}
 
 } // namespace
 
@@ -124,10 +144,11 @@ TEST_F(TraceRoundTrip, PreservesCameras)
     }
 }
 
-// uvs near 1e30 are finite, so the trace loads, and every filter mode
-// must render it to completion: the footprint extents overflow to inf and
-// the texel coordinates leave int's range (the sanitizer build checks
-// that no float-to-int conversion does).
+// uvs near 1e30 are finite, but past kMaxTraceUv: a trace file carrying
+// them does not load. A scene built in memory still can, so every filter
+// mode must render it to completion: the footprint extents overflow to
+// inf and the texel coordinates leave int's range (the sanitizer build
+// checks that no float-to-int conversion does).
 TEST_F(TraceRoundTrip, HugeUvTraceRendersInEveryMode)
 {
     GameTrace original = buildGameTrace(GameId::HL2, 64, 48, 1);
@@ -135,18 +156,75 @@ TEST_F(TraceRoundTrip, HugeUvTraceRendersInEveryMode)
         for (Vertex &v : d.mesh.vertices)
             v.uv = {1e30f * (1.0f + v.uv.x), 1e30f * (1.0f + v.uv.y)};
     ASSERT_TRUE(writeTrace(original, path));
-    bool ok = false;
-    GameTrace loaded = readTrace(path, ok);
-    ASSERT_TRUE(ok);
+    bool ok = true;
+    readTrace(path, ok);
+    EXPECT_FALSE(ok);
 
     Session session;
     for (const ScenarioDesc &sc : scenarioRegistry()) {
         SCOPED_TRACE(sc.name);
         RunConfig cfg;
         cfg.scenario = sc.id;
-        const RunResult r = session.run(loaded, cfg);
+        const RunResult r = session.run(original, cfg);
         ASSERT_EQ(r.frames.size(), 1u);
         EXPECT_GT(r.frames.front().pixels_shaded, 0u);
+    }
+}
+
+// Uvs stretched to 3e38 are finite but overflowed the perspective-correct
+// uv interpolation, turned most pixels of the frame to NaN and made MSSIM
+// NaN.
+TEST_F(TraceRoundTrip, RejectsUvsScaledPastFloatRange)
+{
+    GameTrace original = buildGameTrace(GameId::HL2, 64, 48, 1);
+    stretchUvs(original, 3e38f);
+    ASSERT_TRUE(writeTrace(original, path));
+    bool ok = true;
+    readTrace(path, ok);
+    EXPECT_FALSE(ok);
+}
+
+TEST_F(TraceRoundTrip, EveryGameLoads)
+{
+    for (int g = 0; g <= static_cast<int>(GameId::RBench); ++g) {
+        const GameId id = static_cast<GameId>(g);
+        SCOPED_TRACE(gameAbbr(id));
+        GameTrace original = buildGameTrace(id, 64, 48, 2);
+        ASSERT_TRUE(writeTrace(original, path));
+        bool ok = false;
+        GameTrace loaded = readTrace(path, ok);
+        EXPECT_TRUE(ok);
+        EXPECT_EQ(loaded.scene.draws.size(), original.scene.draws.size());
+    }
+}
+
+// Uvs stretched so the largest reaches kMaxTraceUv load, and every mode
+// renders them to finite pixels and a finite MSSIM.
+TEST_F(TraceRoundTrip, UvsAtTheLimitRenderFinite)
+{
+    GameTrace original = buildGameTrace(GameId::HL2, 64, 48, 1);
+    stretchUvs(original, kMaxTraceUv);
+    ASSERT_TRUE(writeTrace(original, path));
+    bool ok = false;
+    GameTrace loaded = readTrace(path, ok);
+    ASSERT_TRUE(ok);
+
+    Session session;
+    RunConfig ref_cfg;
+    ref_cfg.scenario = scenarioRegistry().front().id;
+    const RunResult ref = session.run(loaded, ref_cfg);
+    for (const ScenarioDesc &sc : scenarioRegistry()) {
+        SCOPED_TRACE(sc.name);
+        RunConfig cfg;
+        cfg.scenario = sc.id;
+        const RunResult r = session.run(loaded, cfg);
+        ASSERT_EQ(r.images.size(), 1u);
+        std::size_t non_finite = 0;
+        for (const Color4f &c : r.images.front().pixels())
+            non_finite += !(std::isfinite(c.r) && std::isfinite(c.g) &&
+                            std::isfinite(c.b) && std::isfinite(c.a));
+        EXPECT_EQ(non_finite, 0u);
+        EXPECT_TRUE(std::isfinite(r.mssimAgainst(ref.images)));
     }
 }
 
@@ -385,6 +463,22 @@ TEST_F(TraceValidation, RejectsInfiniteUv)
 {
     EXPECT_FALSE(loadPatchedFloat(layout.vertex_uv,
                                   std::numeric_limits<float>::infinity()));
+}
+
+TEST_F(TraceValidation, UvLimitIsInclusive)
+{
+    const float past = std::nextafter(kMaxTraceUv,
+                                      std::numeric_limits<float>::infinity());
+    // Each rejected patch is followed by one at the limit, which loads and
+    // leaves the file valid for the next case.
+    for (long uv : {layout.vertex_uv, layout.vertex_uv + 4}) {
+        for (float sign : {1.0f, -1.0f}) {
+            EXPECT_FALSE(loadPatchedFloat(uv, sign * past));
+            EXPECT_FALSE(loadPatchedFloat(
+                uv, sign * std::numeric_limits<float>::max()));
+            EXPECT_TRUE(loadPatchedFloat(uv, sign * kMaxTraceUv));
+        }
+    }
 }
 
 TEST_F(TraceValidation, RejectsNanPosition)

@@ -225,6 +225,51 @@ TEST(TracingTest, SceneBuildsRecordBuildAndTextureSpans)
     }
 }
 
+TEST(TracingTest, SceneTextureSpansSplitSynthAndMips)
+{
+    TracingGuard guard;
+    Tracing::enable();
+    GameTrace built = buildGameTrace(GameId::Wolf, 64, 48, 1);
+    Tracing::disable();
+
+    std::ostringstream os;
+    Tracing::writeJson(os);
+    Json doc = Json::parse(os.str());
+    std::vector<const Json *> textures, synths, mips;
+    for (const Json &e : doc["traceEvents"].items()) {
+        if (e["cat"].str() != "scenes")
+            continue;
+        if (e["name"].str() == "texture")
+            textures.push_back(&e);
+        else if (e["name"].str() == "synth")
+            synths.push_back(&e);
+        else if (e["name"].str() == "mips")
+            mips.push_back(&e);
+    }
+    // Each texture span holds one synth span (generateTexture()) and,
+    // after it, one mips span (swizzle and pyramid), each carrying the
+    // side.
+    const std::size_t n = built.recipes.size();
+    ASSERT_GT(n, 0u);
+    ASSERT_EQ(textures.size(), n);
+    ASSERT_EQ(synths.size(), n);
+    ASSERT_EQ(mips.size(), n);
+    auto end = [](const Json &e) {
+        return e["ts"].number() + e["dur"].number();
+    };
+    for (std::size_t i = 0; i < n; ++i) {
+        const Json &t = *textures[i];
+        const Json &s = *synths[i];
+        const Json &m = *mips[i];
+        const double side = static_cast<double>(built.recipes[i].size);
+        EXPECT_DOUBLE_EQ(s["args"]["value"].number(), side);
+        EXPECT_DOUBLE_EQ(m["args"]["value"].number(), side);
+        EXPECT_GE(s["ts"].number(), t["ts"].number());
+        EXPECT_LE(end(s), m["ts"].number());
+        EXPECT_LE(end(m), end(t));
+    }
+}
+
 TEST(TracingTest, SubmittedJobRecordsDispatchSpan)
 {
     TracingGuard guard;
