@@ -9,40 +9,37 @@
 #       (stages 1-3 run ctest twice: PARGPU_THREADS=1 and =nproc)
 #    4. ThreadSanitizer build, threading-focused ctest subset (with
 #       the scene and texture tests: their row bands write one texel
-#       vector from several threads): once as-is, then the tile-stream
-#       subset (golden digests and the session and serve jobs included)
-#       at PARGPU_THREADS=2, 3 and =nproc, where idle pool threads join
-#       every frame's tile streams
+#       vector from several threads; and the stats registry and trace
+#       collector tests, whose locks several threads take): once as-is,
+#       then the tile-stream subset (golden digests and the session and
+#       serve jobs included) at PARGPU_THREADS=2, 3 and =nproc, where
+#       idle pool threads join every frame's tile streams. This is the
+#       one check of the lock and serial-memory-phase discipline
 #    5. -DPARGPU_TRACING=OFF build (macros compiled out), tracing subset
 #       plus the golden digests
 #    6. pargpu-lint standalone (includes header self-containment builds)
-#    7. clang-tidy over src/ (skipped with a note when not installed)
-#    8. SIMD bit-identity: the one kernel source is built at three ISA
+#    7. SIMD bit-identity: the one kernel source is built at three ISA
 #       levels (scalar, SSE, AVX2); with each runnable tier forced via
 #       PARGPU_SIMD, the determinism, kernel and SSIM tests pass and the
 #       harness metrics export is diffed field-by-field against the
 #       forced-scalar one (only the dispatch-reporting fields may
 #       differ)
-#    9. pargpu-analyze (concurrency & determinism AST rules) plus the
+#    8. pargpu-analyze (concurrency & determinism rules) plus the
 #       fixture selftest that proves every rule fires
-#   10. Clang Thread Safety Analysis build (-DPARGPU_TSA=ON with
-#       -Werror=thread-safety; skipped with a note when clang++ is not
-#       installed)
-#   11. filter-mode matrix: a harness metrics export under every filter
+#    9. filter-mode matrix: a harness metrics export under every filter
 #       mode of scenarioRegistry() (the --run-scenario list of --help),
 #       diffed across modes — selecting a mode may change values but
 #       never the exported key set, and each export must report its own
 #       mode (docs/FILTERING.md); determinism_test and golden_test cover
 #       every mode's results in stage 1
-#   12. serve round-trip + amortization gate: pargpu_report.py boots the
+#   10. serve round-trip + amortization gate: pargpu_report.py boots the
 #       ASan and UBSan pargpu_serve binaries and drives a real sweep
 #       through the framed protocol (docs/SERVE.md), then perf_serve's
 #       BENCH_serve.json is gated — a persistent session must beat a
 #       fresh boot per sweep by >= 3x, bit-identically
 #
-# Each stage is timed; a PASS/SKIP/FAIL summary table is printed at the
-# end (or at the first failure). Skipped stages announce themselves
-# with a greppable "SKIP:" line.
+# Each stage is timed; a PASS/FAIL summary table is printed at the end
+# (or at the first failure).
 #
 # Usage: scripts/check.sh [-j N]
 set -euo pipefail
@@ -62,10 +59,7 @@ cd "$ROOT"
 # --- stage runner ---------------------------------------------------------
 # Stage bodies are functions. run_stage executes one in a subshell with
 # errexit live (so any failing command aborts the stage), records
-# PASS/SKIP/FAIL plus wall time, and stops the matrix at the first
-# failure. A body signals SKIP by printing "SKIP: <reason>" and
-# returning $SKIP_RC.
-SKIP_RC=99
+# PASS/FAIL plus wall time, and stops the matrix at the first failure.
 SUMMARY=()
 
 summary() {
@@ -89,16 +83,14 @@ run_stage() {
     rc=$?
     set -e
     t1=$(date +%s)
-    case "$rc" in
-    0) SUMMARY+=("PASS|$name|$((t1 - t0))") ;;
-    "$SKIP_RC") SUMMARY+=("SKIP|$name|$((t1 - t0))") ;;
-    *)
+    if [ "$rc" -eq 0 ]; then
+        SUMMARY+=("PASS|$name|$((t1 - t0))")
+    else
         SUMMARY+=("FAIL|$name|$((t1 - t0))")
         summary
         echo "check.sh: stage '$name' failed (exit $rc)" >&2
         exit 1
-        ;;
-    esac
+    fi
 }
 
 configure_build_test() {
@@ -143,7 +135,7 @@ stage_tsan() {
         || { cat build-tsan.configure.log >&2; return 1; }
     cmake --build build-tsan -j "$JOBS"
     ctest --test-dir build-tsan --output-on-failure -j "$JOBS" \
-        -R "threadpool_test|determinism_test|pipeline_test|integration_test|session_test|serve_test|arena_test|ssim_test|scenes_test|procedural_test|mipmap_test"
+        -R "threadpool_test|determinism_test|pipeline_test|integration_test|session_test|serve_test|arena_test|ssim_test|scenes_test|procedural_test|mipmap_test|stats_test|tracing_test"
     # Idle pool threads join every renderFrame()'s tile streams, so TSAN
     # sees helpers logging tiles into the shared framebuffer planes and
     # into slots from the shared free list, the per-cluster L1 replay
@@ -179,18 +171,8 @@ stage_lint() {
     python3 tools/pargpu_lint.py --root "$ROOT"
 }
 
-stage_tidy() {
-    if ! command -v clang-tidy >/dev/null 2>&1; then
-        echo "SKIP: clang-tidy not installed (config committed in .clang-tidy)"
-        return "$SKIP_RC"
-    fi
-    cmake -B build-check -S . >/dev/null
-    mapfile -t tidy_sources < <(find src -name '*.cc' | sort)
-    clang-tidy -p build-check --quiet "${tidy_sources[@]}"
-}
-
-# Plain Release (contracts off): the forced-tier runs of stage 8 and the
-# perf_serve binary of stage 12 share it, and each stage configures it
+# Plain Release (contracts off): the forced-tier runs of stage 7 and the
+# perf_serve binary of stage 10 share it, and each stage configures it
 # so that either runs on its own.
 configure_release() {
     cmake -B build-release -S . -DCMAKE_BUILD_TYPE=Release \
@@ -273,28 +255,8 @@ EOF
 }
 
 stage_analyze() {
-    # build-check carries compile_commands.json (exported by default);
-    # without the libclang bindings the analyzer notes the fallback and
-    # runs its builtin text front-end, so the gate holds either way.
-    python3 tools/pargpu_analyze.py --root "$ROOT" --build-dir build-check
+    python3 tools/pargpu_analyze.py --root "$ROOT"
     python3 tests/lint_selftest.py --root "$ROOT"
-}
-
-stage_tsa() {
-    local clangxx
-    clangxx="$(command -v clang++ || true)"
-    if [ -z "$clangxx" ]; then
-        echo "SKIP: clang++ not installed (thread-safety analysis needs" \
-             "clang's -Wthread-safety; annotations compile to no-ops here)"
-        return "$SKIP_RC"
-    fi
-    cmake -B build-tsa -S . -DCMAKE_BUILD_TYPE=Release \
-        -DCMAKE_CXX_COMPILER="$clangxx" -DPARGPU_TSA=ON \
-        >build-tsa.configure.log 2>&1 \
-        || { cat build-tsa.configure.log >&2; return 1; }
-    # -Werror=thread-safety: the build itself is the gate; no test run
-    # needed (stage 1 already executes the suite).
-    cmake --build build-tsa -j "$JOBS"
 }
 
 stage_mode_matrix() {
@@ -390,18 +352,16 @@ stage_serve() {
 
 # --- matrix ---------------------------------------------------------------
 
-run_stage "1/12 Release + contracts + -Werror" stage_release
-run_stage "2/12 AddressSanitizer" stage_asan
-run_stage "3/12 UndefinedBehaviorSanitizer" stage_ubsan
-run_stage "4/12 ThreadSanitizer (threading subset)" stage_tsan
-run_stage "5/12 tracing compiled out (-DPARGPU_TRACING=OFF)" stage_notrace
-run_stage "6/12 pargpu-lint" stage_lint
-run_stage "7/12 clang-tidy" stage_tidy
-run_stage "8/12 SIMD bit-identity (forced tiers)" stage_simd_identity
-run_stage "9/12 pargpu-analyze + fixture selftest" stage_analyze
-run_stage "10/12 thread-safety analysis (-DPARGPU_TSA=ON)" stage_tsa
-run_stage "11/12 filter-mode matrix (schema)" stage_mode_matrix
-run_stage "12/12 serve round-trip (sanitizers) + amortization gate" stage_serve
+run_stage "1/10 Release + contracts + -Werror" stage_release
+run_stage "2/10 AddressSanitizer" stage_asan
+run_stage "3/10 UndefinedBehaviorSanitizer" stage_ubsan
+run_stage "4/10 ThreadSanitizer (threading subset)" stage_tsan
+run_stage "5/10 tracing compiled out (-DPARGPU_TRACING=OFF)" stage_notrace
+run_stage "6/10 pargpu-lint" stage_lint
+run_stage "7/10 SIMD bit-identity (forced tiers)" stage_simd_identity
+run_stage "8/10 pargpu-analyze + fixture selftest" stage_analyze
+run_stage "9/10 filter-mode matrix (schema)" stage_mode_matrix
+run_stage "10/10 serve round-trip (sanitizers) + amortization gate" stage_serve
 
 summary
 echo

@@ -160,7 +160,7 @@ StatSnapshot::fromJson(const Json &j)
 StatSnapshot
 StatRegistry::snapshot() const
 {
-    MutexLock lock(mutex_);
+    std::lock_guard lock(mutex_);
     StatSnapshot s;
     s.counters = counters_;
     s.scalars = scalars_;

@@ -13,11 +13,10 @@
 
 #include <cstdint>
 #include <map>
+#include <mutex>
 #include <ostream>
 #include <string>
 #include <vector>
-
-#include "common/annotations.hh"
 
 namespace pargpu
 {
@@ -108,7 +107,7 @@ class StatRegistry
     void
     inc(const std::string &name, std::uint64_t delta = 1)
     {
-        MutexLock lock(mutex_);
+        std::lock_guard lock(mutex_);
         counters_[name] += delta;
     }
 
@@ -124,7 +123,7 @@ class StatRegistry
     std::uint64_t *
     counterCell(const std::string &name)
     {
-        MutexLock lock(mutex_);
+        std::lock_guard lock(mutex_);
         return &counters_[name];
     }
 
@@ -132,7 +131,7 @@ class StatRegistry
     void
     set(const std::string &name, double value)
     {
-        MutexLock lock(mutex_);
+        std::lock_guard lock(mutex_);
         scalars_[name] = value;
     }
 
@@ -140,7 +139,7 @@ class StatRegistry
     void
     observe(const std::string &name, double value)
     {
-        MutexLock lock(mutex_);
+        std::lock_guard lock(mutex_);
         histograms_[name].observe(value);
     }
 
@@ -148,7 +147,7 @@ class StatRegistry
     std::uint64_t
     counter(const std::string &name) const
     {
-        MutexLock lock(mutex_);
+        std::lock_guard lock(mutex_);
         auto it = counters_.find(name);
         return it == counters_.end() ? 0 : it->second;
     }
@@ -157,7 +156,7 @@ class StatRegistry
     double
     scalar(const std::string &name) const
     {
-        MutexLock lock(mutex_);
+        std::lock_guard lock(mutex_);
         auto it = scalars_.find(name);
         return it == scalars_.end() ? 0.0 : it->second;
     }
@@ -166,7 +165,7 @@ class StatRegistry
     HistogramSummary
     histogram(const std::string &name) const
     {
-        MutexLock lock(mutex_);
+        std::lock_guard lock(mutex_);
         auto it = histograms_.find(name);
         return it == histograms_.end() ? HistogramSummary{}
                                        : it->second.summary();
@@ -176,7 +175,7 @@ class StatRegistry
     bool
     hasCounter(const std::string &name) const
     {
-        MutexLock lock(mutex_);
+        std::lock_guard lock(mutex_);
         return counters_.count(name) != 0;
     }
 
@@ -184,7 +183,7 @@ class StatRegistry
     void
     reset()
     {
-        MutexLock lock(mutex_);
+        std::lock_guard lock(mutex_);
         counters_.clear();
         scalars_.clear();
         histograms_.clear();
@@ -209,15 +208,15 @@ class StatRegistry
     std::map<std::string, std::uint64_t>
     counters() const
     {
-        MutexLock lock(mutex_);
+        std::lock_guard lock(mutex_);
         return counters_;
     }
 
   private:
-    mutable Mutex mutex_;
-    std::map<std::string, std::uint64_t> counters_ PARGPU_GUARDED_BY(mutex_);
-    std::map<std::string, double> scalars_ PARGPU_GUARDED_BY(mutex_);
-    std::map<std::string, Histogram> histograms_ PARGPU_GUARDED_BY(mutex_);
+    mutable std::mutex mutex_;
+    std::map<std::string, std::uint64_t> counters_;
+    std::map<std::string, double> scalars_;
+    std::map<std::string, Histogram> histograms_;
 };
 
 } // namespace pargpu

@@ -6,11 +6,11 @@
 #include <deque>
 #include <exception>
 #include <memory>
+#include <mutex>
 #include <string>
 #include <system_error>
 #include <thread>
 
-#include "common/annotations.hh"
 #include "common/contract.hh"
 #include "common/logging.hh"
 
@@ -48,8 +48,8 @@ struct ForJob
     std::vector<std::exception_ptr> errors;
 
     /** The pool's lock and the condition its waiting caller sleeps on. */
-    Mutex *wake_mu = nullptr;
-    std::condition_variable_any *wake_cv = nullptr;
+    std::mutex *wake_mu = nullptr;
+    std::condition_variable *wake_cv = nullptr;
 
     bool done() const { return completed.load() >= n_chunks; }
 
@@ -74,7 +74,7 @@ struct ForJob
                 errors[c] = std::current_exception();
             }
             if (completed.fetch_add(1) + 1 == n_chunks) {
-                MutexLock lk(*wake_mu);
+                std::lock_guard lk(*wake_mu);
                 wake_cv->notify_all();
             }
         }
@@ -97,22 +97,22 @@ struct SharedBody
 
 struct ThreadPool::Impl
 {
-    mutable Mutex mu;
-    std::condition_variable_any cv; ///< Idle workers; on the annotated Mutex.
+    mutable std::mutex mu; ///< Guards queue, open, workers and stop.
+    std::condition_variable cv; ///< Idle workers.
     /** Callers waiting for their job, owners for their helpers. */
-    std::condition_variable_any waiters;
-    std::deque<std::shared_ptr<ForJob>> queue PARGPU_GUARDED_BY(mu);
+    std::condition_variable waiters;
+    std::deque<std::shared_ptr<ForJob>> queue;
     /** queue.size(), readable without the lock (helperShouldLeave()). */
     std::atomic<std::size_t> queued{0};
-    std::vector<SharedBody *> open PARGPU_GUARDED_BY(mu); ///< Joinable.
-    std::vector<std::thread> workers PARGPU_GUARDED_BY(mu);
-    bool stop PARGPU_GUARDED_BY(mu) = false;
+    std::vector<SharedBody *> open; ///< Joinable.
+    std::vector<std::thread> workers;
+    bool stop = false;
 
     void
     workerLoop()
     {
         tl_in_worker = true;
-        UniqueLock lk(mu);
+        std::unique_lock lk(mu);
         // Explicit loop (not the predicate overload) so the guarded reads
         // sit visibly under the lock. Queued tasks come first.
         for (;;) {
@@ -136,7 +136,7 @@ struct ThreadPool::Impl
 
     /** The open body with room and work that has the fewest helpers. */
     SharedBody *
-    joinable() PARGPU_REQUIRES(mu)
+    joinable()
     {
         SharedBody *best = nullptr;
         for (SharedBody *sb : open)
@@ -151,8 +151,7 @@ struct ThreadPool::Impl
      * caller's own parallelFor() job, or null on a worker.
      */
     void
-    help(UniqueLock &lk, SharedBody &sb, const ForJob *job)
-        PARGPU_REQUIRES(mu)
+    help(std::unique_lock<std::mutex> &lk, SharedBody &sb, const ForJob *job)
     {
         ++sb.helpers;
         lk.unlock();
@@ -189,11 +188,11 @@ struct ThreadPool::Impl
      * already running.
      */
     void
-    grow(unsigned target) PARGPU_EXCLUDES(mu)
+    grow(unsigned target)
     {
         std::string error;
         {
-            MutexLock lk(mu);
+            std::lock_guard lk(mu);
             try {
                 while (workers.size() < target)
                     workers.emplace_back([this] { workerLoop(); });
@@ -208,9 +207,9 @@ struct ThreadPool::Impl
     }
 
     unsigned
-    workerCount() const PARGPU_EXCLUDES(mu)
+    workerCount() const
     {
-        MutexLock lk(mu);
+        std::lock_guard lk(mu);
         return static_cast<unsigned>(workers.size());
     }
 };
@@ -228,7 +227,7 @@ ThreadPool::~ThreadPool()
     // joining while holding it would deadlock.
     std::vector<std::thread> workers;
     {
-        MutexLock lk(impl_->mu);
+        std::lock_guard lk(impl_->mu);
         impl_->stop = true;
         workers.swap(impl_->workers);
     }
@@ -286,7 +285,7 @@ ThreadPool::parallelFor(std::size_t n, std::size_t chunk,
     helpers = std::min<std::size_t>(helpers, n_chunks - 1);
 
     {
-        MutexLock lk(impl_->mu);
+        std::lock_guard lk(impl_->mu);
         for (unsigned i = 0; i < helpers; ++i)
             impl_->queue.push_back(job);
         impl_->queued.store(impl_->queue.size());
@@ -301,7 +300,7 @@ ThreadPool::parallelFor(std::size_t n, std::size_t chunk,
     {
         // Until the last chunk lands, help an open body rather than
         // sleep; a publish or the job's completion wakes the wait.
-        UniqueLock lk(impl_->mu);
+        std::unique_lock lk(impl_->mu);
         while (!job->done()) {
             if (SharedBody *sb = impl_->joinable())
                 impl_->help(lk, *sb, job.get());
@@ -331,7 +330,7 @@ ThreadPool::share(const std::function<void()> &body,
     sb.body = &body;
     sb.max_helpers = max_participants - 1;
     {
-        MutexLock lk(impl_->mu);
+        std::lock_guard lk(impl_->mu);
         impl_->open.push_back(&sb);
     }
     impl_->cv.notify_all();
@@ -344,7 +343,7 @@ ThreadPool::share(const std::function<void()> &body,
         error = std::current_exception();
     }
 
-    UniqueLock lk(impl_->mu);
+    std::unique_lock lk(impl_->mu);
     if (error && !sb.error)
         sb.error = error;
     sb.closed = true;

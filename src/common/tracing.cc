@@ -4,10 +4,10 @@
 #include <chrono>
 #include <fstream>
 #include <map>
+#include <mutex>
 #include <thread>
 #include <vector>
 
-#include "common/annotations.hh"
 #include "common/json.hh"
 
 namespace pargpu::trace
@@ -21,18 +21,18 @@ namespace
 /** Collector state shared by every recording thread. */
 struct Collector
 {
-    Mutex mutex;
-    std::vector<TraceEvent> events PARGPU_GUARDED_BY(mutex);
-    std::map<std::thread::id, std::uint32_t> tids PARGPU_GUARDED_BY(mutex);
+    std::mutex mutex; ///< Guards events and tids.
+    std::vector<TraceEvent> events;
+    std::map<std::thread::id, std::uint32_t> tids;
     // Written only by enable() (which holds the mutex) and read without
     // it by nowUs() on the recording fast path; recording while enable()
     // is concurrently resetting the epoch is a caller error, so the
-    // unguarded read is accepted by design rather than annotated.
+    // unguarded read is accepted by design.
     std::chrono::steady_clock::time_point epoch =
         std::chrono::steady_clock::now();
 
     std::uint32_t
-    tidLocked() PARGPU_REQUIRES(mutex)
+    tidLocked()
     {
         auto id = std::this_thread::get_id();
         auto it = tids.find(id);
@@ -57,7 +57,7 @@ void
 Tracing::enable()
 {
     Collector &c = collector();
-    MutexLock lock(c.mutex);
+    std::lock_guard lock(c.mutex);
     c.events.clear();
     c.tids.clear();
     c.epoch = std::chrono::steady_clock::now();
@@ -74,7 +74,7 @@ void
 Tracing::clear()
 {
     Collector &c = collector();
-    MutexLock lock(c.mutex);
+    std::lock_guard lock(c.mutex);
     c.events.clear();
     c.tids.clear();
 }
@@ -83,7 +83,7 @@ std::size_t
 Tracing::eventCount()
 {
     Collector &c = collector();
-    MutexLock lock(c.mutex);
+    std::lock_guard lock(c.mutex);
     return c.events.size();
 }
 
@@ -115,7 +115,7 @@ Tracing::recordComplete(const char *cat, const char *name, double ts_us,
         e.arg_name = arg_name;
         e.arg_value = arg_value;
     }
-    MutexLock lock(c.mutex);
+    std::lock_guard lock(c.mutex);
     e.tid = c.tidLocked();
     c.events.push_back(std::move(e));
 }
@@ -134,7 +134,7 @@ Tracing::recordCounter(const char *cat, const char *name, double value)
     e.has_arg = true;
     e.arg_name = "value";
     e.arg_value = value;
-    MutexLock lock(c.mutex);
+    std::lock_guard lock(c.mutex);
     e.tid = c.tidLocked();
     c.events.push_back(std::move(e));
 }
@@ -150,7 +150,7 @@ Tracing::recordInstant(const char *cat, const char *name)
     e.cat = cat;
     e.ph = 'i';
     e.ts_us = nowUs();
-    MutexLock lock(c.mutex);
+    std::lock_guard lock(c.mutex);
     e.tid = c.tidLocked();
     c.events.push_back(std::move(e));
 }
@@ -161,7 +161,7 @@ Tracing::writeJson(std::ostream &os)
     Collector &c = collector();
     std::vector<TraceEvent> events;
     {
-        MutexLock lock(c.mutex);
+        std::lock_guard lock(c.mutex);
         events = c.events;
     }
     std::stable_sort(events.begin(), events.end(),

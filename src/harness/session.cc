@@ -115,14 +115,14 @@ Job::Job(Passkey, std::string trace_key,
 Job::State
 Job::state() const
 {
-    MutexLock lk(mu_);
+    std::lock_guard lk(mu_);
     return state_;
 }
 
 void
 Job::wait() const
 {
-    UniqueLock lk(mu_);
+    std::unique_lock lk(mu_);
     while (state_ != State::Done)
         cv_.wait(lk);
 }
@@ -130,14 +130,14 @@ Job::wait() const
 std::size_t
 Job::framesCompleted() const
 {
-    MutexLock lk(mu_);
+    std::lock_guard lk(mu_);
     return n_done_;
 }
 
 const RunResult &
 Job::result() const
 {
-    UniqueLock lk(mu_);
+    std::unique_lock lk(mu_);
     while (state_ != State::Done)
         cv_.wait(lk);
     // State::Done is terminal and result_ is never written again, so
@@ -149,7 +149,7 @@ void
 Job::runFrame(std::size_t f, std::atomic<std::size_t> &completed)
 {
     {
-        MutexLock lk(mu_);
+        std::lock_guard lk(mu_);
         if (state_ == State::Queued)
             state_ = State::Running;
     }
@@ -157,7 +157,7 @@ Job::runFrame(std::size_t f, std::atomic<std::size_t> &completed)
     if (f < frames_total_)
         out = renderFrame(*trace_, config_, f);
     {
-        MutexLock lk(mu_);
+        std::lock_guard lk(mu_);
         if (f < frames_total_) {
             outs_[f] = std::move(out);
             frame_done_[f] = true;
@@ -190,7 +190,7 @@ Job::snapshot() const
     State state;
     std::vector<FrameOutput> frames; // Stats only; images stay behind.
     {
-        MutexLock lk(mu_);
+        std::lock_guard lk(mu_);
         state = state_;
         if (state == State::Done) {
             for (const FrameStats &f : result_.frames)
@@ -238,7 +238,7 @@ Session::~Session()
     // first, so surviving JobHandles always reach Done.
     std::thread dispatcher;
     {
-        MutexLock lk(mu_);
+        std::lock_guard lk(mu_);
         stop_ = true;
         dispatcher.swap(dispatcher_);
     }
@@ -254,7 +254,7 @@ Session::load(const std::string &key, GameTrace trace)
         return Status::fail(StatusCode::InvalidRequest,
                             "trace key must be non-empty");
     auto asset = std::make_shared<const GameTrace>(std::move(trace));
-    MutexLock lk(mu_);
+    std::lock_guard lk(mu_);
     if (!traces_.emplace(key, std::move(asset)).second)
         return Status::fail(StatusCode::DuplicateKey,
                             "trace key '" + key +
@@ -280,7 +280,7 @@ Session::load(const std::string &key, GameId game, int width, int height,
 std::shared_ptr<const GameTrace>
 Session::trace(const std::string &key) const
 {
-    MutexLock lk(mu_);
+    std::lock_guard lk(mu_);
     auto it = traces_.find(key);
     return it == traces_.end() ? nullptr : it->second;
 }
@@ -289,7 +289,7 @@ std::vector<std::string>
 Session::traceKeys() const
 {
     std::vector<std::string> keys;
-    MutexLock lk(mu_);
+    std::lock_guard lk(mu_);
     keys.reserve(traces_.size());
     for (const auto &kv : traces_)
         keys.push_back(kv.first);
@@ -325,7 +325,7 @@ Session::renderJobs(const GameTrace &trace,
     std::vector<RunResult> results;
     results.reserve(jobs.size());
     for (const JobHandle &job : jobs) {
-        MutexLock lk(job->mu_);
+        std::lock_guard lk(job->mu_);
         results.push_back(std::move(job->result_));
     }
     return results;
@@ -408,7 +408,7 @@ Session::enqueue(const std::vector<JobHandle> &jobs)
     if (jobs.empty())
         return;
     {
-        MutexLock lk(mu_);
+        std::lock_guard lk(mu_);
         // The dispatcher starts lazily so synchronous-only sessions never
         // spawn threads.
         if (!dispatcher_.joinable())
@@ -422,7 +422,7 @@ Session::enqueue(const std::vector<JobHandle> &jobs)
 bool
 Session::claimFrame(JobHandle &job, std::size_t &frame)
 {
-    MutexLock lk(mu_);
+    std::lock_guard lk(mu_);
     if (queue_.empty())
         return false;
     job = queue_.front();
@@ -439,7 +439,7 @@ Session::dispatcherLoop()
 {
     for (;;) {
         {
-            UniqueLock lk(mu_);
+            std::unique_lock lk(mu_);
             while (!stop_ && queue_.empty())
                 cv_.wait(lk);
             if (queue_.empty())

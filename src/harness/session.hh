@@ -47,11 +47,11 @@
 #include <deque>
 #include <map>
 #include <memory>
+#include <mutex>
 #include <string>
 #include <thread>
 #include <vector>
 
-#include "common/annotations.hh"
 #include "common/json.hh"
 #include "harness/runner.hh"
 
@@ -199,14 +199,15 @@ class Job
     const RunConfig config_;
     const std::size_t frames_total_;
 
-    mutable Mutex mu_;
-    mutable std::condition_variable_any cv_;
-    State state_ PARGPU_GUARDED_BY(mu_) = State::Queued;
+    /** Guards state_, outs_, frame_done_, n_done_ and result_. */
+    mutable std::mutex mu_;
+    mutable std::condition_variable cv_;
+    State state_ = State::Queued;
     /** Finished frames' outputs, index-addressed; freed by the fold. */
-    std::vector<FrameOutput> outs_ PARGPU_GUARDED_BY(mu_);
-    std::vector<bool> frame_done_ PARGPU_GUARDED_BY(mu_);
-    std::size_t n_done_ PARGPU_GUARDED_BY(mu_) = 0;
-    RunResult result_ PARGPU_GUARDED_BY(mu_);
+    std::vector<FrameOutput> outs_;
+    std::vector<bool> frame_done_;
+    std::size_t n_done_ = 0;
+    RunResult result_;
 };
 
 /** Shared, Session-outliving reference to a submitted Job. */
@@ -321,19 +322,19 @@ class Session
      */
     bool claimFrame(JobHandle &job, std::size_t &frame);
 
-    mutable Mutex mu_;
-    std::condition_variable_any cv_;
-    std::map<std::string, std::shared_ptr<const GameTrace>> traces_
-        PARGPU_GUARDED_BY(mu_);
+    /** Guards traces_, queue_, next_frame_, stop_ and dispatcher_. */
+    mutable std::mutex mu_;
+    std::condition_variable cv_;
+    std::map<std::string, std::shared_ptr<const GameTrace>> traces_;
     /** Jobs with frames left to claim, in submission order. */
-    std::deque<JobHandle> queue_ PARGPU_GUARDED_BY(mu_);
+    std::deque<JobHandle> queue_;
     /** The next frame of queue_.front() to claim. */
-    std::size_t next_frame_ PARGPU_GUARDED_BY(mu_) = 0;
-    bool stop_ PARGPU_GUARDED_BY(mu_) = false;
+    std::size_t next_frame_ = 0;
+    bool stop_ = false;
     std::atomic<std::size_t> submitted_{0};
     std::atomic<std::size_t> completed_{0};
     /** Started by the first submission; joined by the destructor. */
-    std::thread dispatcher_ PARGPU_GUARDED_BY(mu_);
+    std::thread dispatcher_;
 };
 
 } // namespace pargpu

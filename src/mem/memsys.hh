@@ -12,7 +12,6 @@
 #include <span>
 #include <vector>
 
-#include "common/annotations.hh"
 #include "common/stats.hh"
 #include "common/types.hh"
 #include "mem/cache.hh"
@@ -52,32 +51,43 @@ struct MemSysConfig
 };
 
 /**
+ * PhaseCapability, PhaseGuard and MemorySystem::serial_phase do nothing.
+ * They stay only because perfbench/src/replay.cc, their one user, scopes
+ * a PhaseGuard on serial_phase; they go with that file (ROADMAP item 3).
+ */
+struct PhaseCapability
+{
+};
+
+class PhaseGuard
+{
+  public:
+    explicit PhaseGuard(PhaseCapability &) {}
+};
+
+/**
  * The full texture/framebuffer memory hierarchy.
  *
  * Timed reads walk L1 (texture class only) then L2 then DRAM; writes are
  * bandwidth-accounted only. All traffic is tallied per TrafficClass so the
  * analysis layer can split DRAM bandwidth the way Fig. 6 does.
+ *
+ * Serial phase: shared LLC/DRAM state moves only where one thread at a
+ * time can run, before any fragment worker starts (the per-frame reset,
+ * each draw's geometry) and under the fragment phase's commit drain,
+ * which one worker holds at a time while others keep logging and
+ * replaying tiles. read(), readLines(), write(), commitBatch() and
+ * reset() may be called only there; ClusterMemFront::stageLines (phase
+ * 2, under its cluster's replay drain) touches only its cluster's L1.
+ * Nothing enforces this at compile time: ThreadSanitizer runs of the
+ * tile-stream tests (scripts/check.sh stage 4) check it.
  */
 class MemorySystem
 {
   public:
     explicit MemorySystem(const MemSysConfig &config);
 
-    /**
-     * The serial-memory-phase capability (zero runtime cost; see
-     * common/annotations.hh). Shared LLC/DRAM state moves only where one
-     * thread at a time can run: before any fragment worker starts (the
-     * per-frame reset, each draw's geometry) and under the fragment
-     * phase's commit drain, which one worker holds at a time while
-     * others keep logging and replaying tiles. Every mutating entry
-     * point requires this capability; ClusterMemFront::stageLines
-     * (phase 2, under its cluster's replay drain) excludes it and
-     * touches only that cluster's L1. GpuSimulator::renderFrame scopes
-     * a PhaseGuard around each such region, so under clang TSA
-     * (-DPARGPU_TSA=ON) a code path that touches shared memory state
-     * from phase 1 or 2 fails to compile.
-     */
-    PhaseCapability serial_phase;
+    PhaseCapability serial_phase; ///< Unused by src/; see PhaseGuard.
 
     /**
      * Timed read of the line containing @p addr.
@@ -88,8 +98,7 @@ class MemorySystem
      * @param cls      Traffic class for accounting.
      * @return Cycle at which the data is available.
      */
-    Cycle read(unsigned cluster, Addr addr, Cycle now, TrafficClass cls)
-        PARGPU_REQUIRES(serial_phase);
+    Cycle read(unsigned cluster, Addr addr, Cycle now, TrafficClass cls);
 
     /**
      * Timed batched read of pre-deduplicated line addresses, all issued
@@ -103,12 +112,10 @@ class MemorySystem
      *         empty).
      */
     Cycle readLines(unsigned cluster, std::span<const Addr> lines,
-                    Cycle now, TrafficClass cls)
-        PARGPU_REQUIRES(serial_phase);
+                    Cycle now, TrafficClass cls);
 
     /** Bandwidth-only write (framebuffer flush, etc.). */
-    void write(Addr addr, Bytes bytes, Cycle now, TrafficClass cls)
-        PARGPU_REQUIRES(serial_phase);
+    void write(Addr addr, Bytes bytes, Cycle now, TrafficClass cls);
 
     /**
      * Fragment-phase commit: replay the L1-miss lines one quad staged
@@ -125,8 +132,7 @@ class MemorySystem
      * @p now.
      */
     Cycle commitBatch(unsigned cluster, std::span<const Addr> miss_lines,
-                      Cycle now, TrafficClass cls)
-        PARGPU_REQUIRES(serial_phase);
+                      Cycle now, TrafficClass cls);
 
     /**
      * Completion latency of a quad none of whose lines missed the L1:
@@ -140,7 +146,7 @@ class MemorySystem
     }
 
     /** Reset caches, DRAM state and traffic tallies for a fresh run. */
-    void reset() PARGPU_REQUIRES(serial_phase);
+    void reset();
 
     /** DRAM bytes moved (read + write) for @p cls. */
     Bytes trafficBytes(TrafficClass cls) const;
@@ -202,8 +208,7 @@ class ClusterMemFront
      * cluster's replay drain may call it.
      */
     Batch stageLines(std::span<const Addr> lines,
-                     std::vector<Addr> &miss_log)
-        PARGPU_EXCLUDES(mem_->serial_phase);
+                     std::vector<Addr> &miss_log);
 
     unsigned cluster() const { return cluster_; }
 

@@ -154,10 +154,7 @@ GpuSimulator::renderFrame(const Scene &scene, const Camera &camera,
         fatal("renderFrame: viewport must be positive");
 
     PARGPU_TRACE_SCOPE("sim", "frame");
-    {
-        PhaseGuard serial(mem_->serial_phase);
-        mem_->reset();
-    }
+    mem_->reset();
     // Per-frame noise seed for the stochastic filter policies: a pure
     // function of the camera (the per-frame input that actually changes),
     // hashed through the counter-based discipline. Frame-parallel
@@ -342,7 +339,6 @@ GpuSimulator::renderFrame(const Scene &scene, const Camera &camera,
         PARGPU_TRACE_SCOPE("sim", "geometry");
         // The geometry engine is the only agent in the memory system
         // during this block (fragment work has not started).
-        PhaseGuard serial(mem_->serial_phase);
 
         // --- Vertex processing ------------------------------------------
         // Fetch vertex data (geometry traffic) and charge shader time.
@@ -549,7 +545,6 @@ GpuSimulator::renderFrame(const Scene &scene, const Camera &camera,
         auto commitTile = [&](std::size_t t, const TileSlot &s) {
             // Only the commit drain's holder is in the shared memory
             // system; the other workers log and replay.
-            PhaseGuard serial(mem_->serial_phase);
             const unsigned cl = static_cast<unsigned>(t % config_.clusters);
             const TileLog &tl = s.log;
             Cycle &cc = cluster_cycles[cl];
@@ -628,7 +623,7 @@ GpuSimulator::renderFrame(const Scene &scene, const Camera &camera,
         for (std::uint32_t t : busy_tiles_)
             tile_slots_[t].store(nullptr);
         {
-            MutexLock lk(slot_mu_);
+            std::lock_guard lk(slot_mu_);
             free_slots_.clear();
             for (auto it = slots_.rbegin(); it != slots_.rend(); ++it)
                 free_slots_.push_back(it->get());
@@ -658,13 +653,13 @@ GpuSimulator::renderFrame(const Scene &scene, const Camera &camera,
             TileSlot &s = *tile_slots_[busy_tiles_[i]].load();
             commitTile(busy_tiles_[i], s);
             {
-                MutexLock lk(slot_mu_);
+                std::lock_guard lk(slot_mu_);
                 free_slots_.push_back(&s);
             }
             next_commit.store(i + 1);
         };
         const auto takeSlot = [this]() -> TileSlot & {
-            MutexLock lk(slot_mu_);
+            std::lock_guard lk(slot_mu_);
             if (free_slots_.empty())
                 free_slots_.push_back(
                     slots_.emplace_back(std::make_unique<TileSlot>()).get());
@@ -705,7 +700,7 @@ GpuSimulator::renderFrame(const Scene &scene, const Camera &camera,
         ThreadPool::runShared(
             stream,
             static_cast<unsigned>(std::min<std::size_t>(n_threads, n_busy)));
-        MutexLock lk(slot_mu_);
+        std::lock_guard lk(slot_mu_);
         PARGPU_TRACE_COUNTER("sim", "tiles.in_flight", slots_peak_);
     }
 

@@ -18,9 +18,9 @@
 #include <atomic>
 #include <cstdint>
 #include <memory>
+#include <mutex>
 #include <vector>
 
-#include "common/annotations.hh"
 #include "common/arena.hh"
 #include "common/image.hh"
 #include "common/types.hh"
@@ -230,13 +230,11 @@ class GpuSimulator
     /**
      * Render @p scene from @p camera into a width x height frame.
      *
-     * Acquires the memory system's serial-phase capability internally
-     * (per phase), so the caller must not already hold it — e.g. code
-     * running inside a frame must never re-enter the simulator.
+     * Runs the memory system's serial phases itself, so code running
+     * inside a frame must never re-enter the simulator.
      */
     FrameOutput renderFrame(const Scene &scene, const Camera &camera,
-                            int width, int height)
-        PARGPU_EXCLUDES(mem_->serial_phase);
+                            int width, int height);
 
     const GpuConfig &config() const { return config_; }
     const MemorySystem &mem() const { return *mem_; }
@@ -275,11 +273,10 @@ class GpuSimulator
      * worker count).
      */
     std::vector<std::unique_ptr<detail::ClusterReplay>> replays_;
-    Mutex slot_mu_;
-    std::vector<std::unique_ptr<detail::TileSlot>> slots_
-        PARGPU_GUARDED_BY(slot_mu_);
-    std::vector<detail::TileSlot *> free_slots_ PARGPU_GUARDED_BY(slot_mu_);
-    std::size_t slots_peak_ PARGPU_GUARDED_BY(slot_mu_) = 0;
+    std::mutex slot_mu_; ///< Guards slots_, free_slots_, slots_peak_.
+    std::vector<std::unique_ptr<detail::TileSlot>> slots_;
+    std::vector<detail::TileSlot *> free_slots_;
+    std::size_t slots_peak_ = 0;
     std::vector<std::atomic<detail::TileSlot *>> tile_slots_;
     std::vector<std::uint32_t> busy_tiles_;
 };

@@ -59,14 +59,12 @@ Camera stereoEye(const Camera &center, int eye_index,
 /**
  * Render both eyes of @p scene through @p sim at width x height per eye.
  *
- * Thread-safety: annotated with the common/annotations.hh vocabulary —
- * each eye's renderFrame() acquires the simulator's serial memory phase
- * itself, so the caller must not hold it.
+ * Each eye's renderFrame() runs the simulator's serial memory phases
+ * itself, so code running inside a frame of @p sim must not call this.
  */
 StereoFrame renderStereo(GpuSimulator &sim, const Scene &scene,
                          const Camera &center, int width, int height,
-                         const StereoConfig &config = {})
-    PARGPU_EXCLUDES(sim.mem().serial_phase);
+                         const StereoConfig &config = {});
 
 } // namespace pargpu
 

@@ -21,7 +21,6 @@
 #include <span>
 #include <vector>
 
-#include "common/annotations.hh"
 #include "common/arena.hh"
 #include "common/contract.hh"
 #include "common/types.hh"
@@ -103,6 +102,7 @@ class TextureUnit
      * Filter all covered pixels of @p quad against @p tex and read its
      * lines through the cluster's L1, the LLC and DRAM at @p now: the
      * quad-at-a-time reference of the pipeline's three fragment phases.
+     * Call it only in the memory system's serial phase (MemorySystem).
      *
      * @param quad  Rasterizer output (uv + derivatives).
      * @param tex   Bound texture.
@@ -112,8 +112,7 @@ class TextureUnit
      */
     QuadFilterResult processQuad(const QuadFragment &quad,
                                  const TextureMap &tex, FilterMode mode,
-                                 Cycle now)
-        PARGPU_REQUIRES(mem_->serial_phase);
+                                 Cycle now);
 
     /**
      * Everything about a quad that does not depend on memory timing:
@@ -135,18 +134,6 @@ class TextureUnit
      * first-touch order (the order processQuad() issues them in).
      */
     std::span<const Addr> quadLines() const { return lines_.order(); }
-
-    /**
-     * Declare (to the thread-safety analysis only; zero runtime cost)
-     * that this unit's memory system is in its serial phase. Callers
-     * that hold the phase through their own MemorySystem reference use
-     * this to restate the fact in terms of the unit's private pointer —
-     * the analysis cannot alias the two expressions on its own.
-     */
-    void
-    assertSerialPhase() const PARGPU_ASSERT_CAPABILITY(mem_->serial_phase)
-    {
-    }
 
     /**
      * Charge a quad's exposed texel-fetch stall to filter_busy and

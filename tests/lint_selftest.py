@@ -64,7 +64,7 @@ def check(cond, what):
 
 def run_analyze(root, fixture_root, extra=()):
     cmd = [sys.executable, os.path.join(root, "tools", "pargpu_analyze.py"),
-           "--root", fixture_root, "--frontend", "text", *extra]
+           "--root", fixture_root, *extra]
     proc = subprocess.run(cmd, capture_output=True, text=True)
     findings = []
     for line in proc.stdout.splitlines():

@@ -23,7 +23,6 @@ defaultConfig()
 TEST(MemSysTest, TextureReadHierarchyLatencyOrdering)
 {
     MemorySystem mem(defaultConfig());
-    PhaseGuard serial(mem.serial_phase); // Single-threaded test driver.
     // Cold: miss everywhere (DRAM latency).
     Cycle cold = mem.read(0, 0x1000, 0, TrafficClass::Texture);
     // Warm in L1.
@@ -35,7 +34,6 @@ TEST(MemSysTest, TextureReadHierarchyLatencyOrdering)
 TEST(MemSysTest, L2HitSlowerThanL1FasterThanDram)
 {
     MemorySystem mem(defaultConfig());
-    PhaseGuard serial(mem.serial_phase); // Single-threaded test driver.
     Cycle cold = mem.read(0, 0x2000, 0, TrafficClass::Texture);
     // Another cluster misses its own L1 but hits the shared LLC.
     Cycle l2 = mem.read(1, 0x2000, 0, TrafficClass::Texture);
@@ -47,7 +45,6 @@ TEST(MemSysTest, L2HitSlowerThanL1FasterThanDram)
 TEST(MemSysTest, NonTextureTrafficBypassesTextureL1)
 {
     MemorySystem mem(defaultConfig());
-    PhaseGuard serial(mem.serial_phase); // Single-threaded test driver.
     mem.read(0, 0x3000, 0, TrafficClass::Geometry);
     // The texture L1 saw nothing.
     EXPECT_EQ(mem.textureL1(0).accesses(), 0u);
@@ -57,7 +54,6 @@ TEST(MemSysTest, NonTextureTrafficBypassesTextureL1)
 TEST(MemSysTest, TrafficAccountedPerClass)
 {
     MemorySystem mem(defaultConfig());
-    PhaseGuard serial(mem.serial_phase); // Single-threaded test driver.
     mem.read(0, 0x10000, 0, TrafficClass::Texture);
     mem.read(0, 0x20000, 0, TrafficClass::Geometry);
     mem.write(0x30000, 512, 0, TrafficClass::ColorDepth);
@@ -70,7 +66,6 @@ TEST(MemSysTest, TrafficAccountedPerClass)
 TEST(MemSysTest, L1HitGeneratesNoDramTraffic)
 {
     MemorySystem mem(defaultConfig());
-    PhaseGuard serial(mem.serial_phase); // Single-threaded test driver.
     mem.read(0, 0x5000, 0, TrafficClass::Texture);
     Bytes after_cold = mem.trafficBytes(TrafficClass::Texture);
     mem.read(0, 0x5000, 100, TrafficClass::Texture);
@@ -80,7 +75,6 @@ TEST(MemSysTest, L1HitGeneratesNoDramTraffic)
 TEST(MemSysTest, PerClusterL1sAreIndependent)
 {
     MemorySystem mem(defaultConfig());
-    PhaseGuard serial(mem.serial_phase); // Single-threaded test driver.
     mem.read(0, 0x7000, 0, TrafficClass::Texture);
     EXPECT_EQ(mem.textureL1(0).misses(), 1u);
     EXPECT_EQ(mem.textureL1(1).misses(), 0u);
@@ -89,7 +83,6 @@ TEST(MemSysTest, PerClusterL1sAreIndependent)
 TEST(MemSysTest, ResetClearsCachesAndTraffic)
 {
     MemorySystem mem(defaultConfig());
-    PhaseGuard serial(mem.serial_phase); // Single-threaded test driver.
     mem.read(0, 0x9000, 0, TrafficClass::Texture);
     mem.reset();
     EXPECT_EQ(mem.totalTrafficBytes(), 0u);
@@ -104,7 +97,6 @@ TEST(MemSysTest, ScaleFactorsGrowCaches)
     cfg.llc_scale = 4;
     cfg.tc_scale = 2;
     MemorySystem mem(cfg);
-    PhaseGuard serial(mem.serial_phase); // Single-threaded test driver.
     EXPECT_EQ(mem.llc().config().size_bytes, 4u * 128 * 1024);
     EXPECT_EQ(mem.textureL1(0).config().size_bytes, 2u * 16 * 1024);
 }
@@ -112,7 +104,6 @@ TEST(MemSysTest, ScaleFactorsGrowCaches)
 TEST(MemSysTest, ExportStatsPopulatesRegistry)
 {
     MemorySystem mem(defaultConfig());
-    PhaseGuard serial(mem.serial_phase); // Single-threaded test driver.
     mem.read(0, 0xA000, 0, TrafficClass::Texture);
     mem.read(0, 0xA000, 0, TrafficClass::Texture);
     StatRegistry stats;

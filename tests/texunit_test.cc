@@ -64,7 +64,6 @@ TEST(TexUnitTest, IsotropicQuadFiltersOneSamplePerPixel)
 {
     Fixture f(DesignScenario::Baseline);
     TextureUnit tu(f.config, 0, f.mem);
-    tu.assertSerialPhase(); // Single-threaded test driver.
     QuadFilterResult r = tu.processQuad(quadWithAniso(1, 1), f.tex,
                                         FilterMode::Anisotropic, 0);
     EXPECT_EQ(tu.stats().pixels, 4u);
@@ -77,7 +76,6 @@ TEST(TexUnitTest, BaselineFiltersAllAnisoSamples)
 {
     Fixture f(DesignScenario::Baseline);
     TextureUnit tu(f.config, 0, f.mem);
-    tu.assertSerialPhase(); // Single-threaded test driver.
     tu.processQuad(quadWithAniso(8, 1), f.tex, FilterMode::Anisotropic,
                    0);
     // N = 8: 8 samples per pixel, 4 pixels.
@@ -90,7 +88,6 @@ TEST(TexUnitTest, NoAfAlwaysSingleSample)
 {
     Fixture f(DesignScenario::NoAF);
     TextureUnit tu(f.config, 0, f.mem);
-    tu.assertSerialPhase(); // Single-threaded test driver.
     tu.processQuad(quadWithAniso(8, 1), f.tex, FilterMode::Anisotropic,
                    0);
     EXPECT_EQ(tu.stats().trilinear_samples, 4u);
@@ -101,7 +98,6 @@ TEST(TexUnitTest, PatuStage1ApproximatesSmallN)
 {
     Fixture f(DesignScenario::Patu, 0.4f);
     TextureUnit tu(f.config, 0, f.mem);
-    tu.assertSerialPhase(); // Single-threaded test driver.
     tu.processQuad(quadWithAniso(2, 1), f.tex, FilterMode::Anisotropic,
                    0);
     EXPECT_EQ(tu.stats().approx_stage1, 4u);
@@ -112,13 +108,11 @@ TEST(TexUnitTest, PatuReducesWorkVsBaseline)
 {
     Fixture fb(DesignScenario::Baseline);
     TextureUnit base_tu(fb.config, 0, fb.mem);
-    base_tu.assertSerialPhase(); // Single-threaded test driver.
     base_tu.processQuad(quadWithAniso(12, 1), fb.tex,
                         FilterMode::Anisotropic, 0);
 
     Fixture fp(DesignScenario::Patu, 0.4f);
     TextureUnit patu_tu(fp.config, 0, fp.mem);
-    patu_tu.assertSerialPhase(); // Single-threaded test driver.
     patu_tu.processQuad(quadWithAniso(12, 1), fp.tex,
                         FilterMode::Anisotropic, 0);
 
@@ -130,7 +124,6 @@ TEST(TexUnitTest, TrilinearModeIgnoresPatu)
 {
     Fixture f(DesignScenario::Patu, 0.4f);
     TextureUnit tu(f.config, 0, f.mem);
-    tu.assertSerialPhase(); // Single-threaded test driver.
     tu.processQuad(quadWithAniso(8, 1), f.tex, FilterMode::Trilinear, 0);
     EXPECT_EQ(tu.stats().trilinear_samples, 4u);
     EXPECT_EQ(tu.stats().af_candidate_pixels, 0u);
@@ -140,7 +133,6 @@ TEST(TexUnitTest, PartialCoverageProcessesOnlyCoveredPixels)
 {
     Fixture f(DesignScenario::Baseline);
     TextureUnit tu(f.config, 0, f.mem);
-    tu.assertSerialPhase(); // Single-threaded test driver.
     QuadFragment q = quadWithAniso(1, 1);
     q.coverage = 0x5; // Pixels 0 and 2.
     tu.processQuad(q, f.tex, FilterMode::Anisotropic, 0);
@@ -151,7 +143,6 @@ TEST(TexUnitTest, ColorsMatchStandaloneSamplerForBaseline)
 {
     Fixture f(DesignScenario::Baseline);
     TextureUnit tu(f.config, 0, f.mem);
-    tu.assertSerialPhase(); // Single-threaded test driver.
     QuadFragment q = quadWithAniso(4, 1);
     QuadFilterResult r = tu.processQuad(q, f.tex,
                                         FilterMode::Anisotropic, 0);
@@ -169,7 +160,6 @@ TEST(TexUnitTest, ApproximatedColorIsTrilinearAtChosenLod)
 {
     Fixture f(DesignScenario::Patu, 0.4f);
     TextureUnit tu(f.config, 0, f.mem);
-    tu.assertSerialPhase(); // Single-threaded test driver.
     QuadFragment q = quadWithAniso(2, 1); // Stage-1 approximation.
     QuadFilterResult r = tu.processQuad(q, f.tex,
                                         FilterMode::Anisotropic, 0);
@@ -185,7 +175,6 @@ TEST(TexUnitTest, StatsResetClearsCounters)
 {
     Fixture f(DesignScenario::Baseline);
     TextureUnit tu(f.config, 0, f.mem);
-    tu.assertSerialPhase(); // Single-threaded test driver.
     tu.processQuad(quadWithAniso(4, 1), f.tex, FilterMode::Anisotropic,
                    0);
     EXPECT_GT(tu.stats().pixels, 0u);
@@ -199,7 +188,6 @@ TEST(TexUnitTest, MemoryTrafficFlowsThroughTextureClass)
 {
     Fixture f(DesignScenario::Baseline);
     TextureUnit tu(f.config, 0, f.mem);
-    tu.assertSerialPhase(); // Single-threaded test driver.
     tu.processQuad(quadWithAniso(8, 1), f.tex, FilterMode::Anisotropic,
                    0);
     EXPECT_GT(f.mem.trafficBytes(TrafficClass::Texture), 0u);
@@ -215,7 +203,6 @@ TEST(TexUnitTest, DivergenceCountedWhenPixelsDisagree)
     // the no-divergence case is not counted.
     Fixture f(DesignScenario::Patu, 0.4f);
     TextureUnit tu(f.config, 0, f.mem);
-    tu.assertSerialPhase(); // Single-threaded test driver.
     tu.processQuad(quadWithAniso(8, 1), f.tex, FilterMode::Anisotropic,
                    0);
     EXPECT_EQ(tu.stats().divergent_quads, 0u);

@@ -72,6 +72,35 @@ TEST(ThreadPool, SlotsMatchSerialAcrossWorkerCounts)
     }
 }
 
+TEST(ThreadPool, ConcurrentCallersAllComplete)
+{
+    // Plain threads share one pool, each waiting on its own jobs: a
+    // completion must wake its caller, not a neighbour's wait. A lost
+    // wakeup hangs here (the ctest TIMEOUT catches it).
+    constexpr unsigned kCallers = 4;
+    constexpr int kCalls = 200;
+    for (unsigned workers : {1u, 3u}) {
+        ThreadPool pool(workers);
+        std::atomic<int> mismatches{0};
+        std::vector<std::thread> callers;
+        for (unsigned c = 0; c < kCallers; ++c)
+            callers.emplace_back([&pool, &mismatches, c] {
+                for (int k = 0; k < kCalls; ++k) {
+                    const std::size_t n = 8 + (c * 7 + k) % 57;
+                    std::vector<int> got(n, -1);
+                    pool.parallelFor(n, 3, [&](std::size_t i) {
+                        got[i] = static_cast<int>(i * i % 977);
+                    });
+                    if (got != serialReference(n))
+                        ++mismatches;
+                }
+            });
+        for (std::thread &t : callers)
+            t.join();
+        EXPECT_EQ(mismatches.load(), 0) << "workers=" << workers;
+    }
+}
+
 TEST(ThreadPool, EmptyRangeIsANoop)
 {
     ThreadPool pool(2);

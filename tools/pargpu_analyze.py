@@ -1,9 +1,9 @@
 #!/usr/bin/env python3
 """pargpu concurrency & determinism static analyzer.
 
-Complements tools/pargpu_lint.py (style/layering rules) with AST-level
-checks for the two properties the simulator's tests can only probe, not
-prove: cross-run determinism and the cluster-ownership discipline of the
+Complements tools/pargpu_lint.py (style/layering rules) with checks for
+the two properties the simulator's tests can only probe, not prove:
+cross-run determinism and the cluster-ownership discipline of the
 tile-parallel execution mode. Rules:
 
   unordered-iter   iterating a std::unordered_{map,set} — iteration
@@ -41,14 +41,7 @@ tile-parallel execution mode. Rules:
                    up by cluster index inside the task; capturing one
                    cluster's unit shares it across workers.
 
-Front-ends (--frontend auto|libclang|text):
-
-  libclang  parses each TU via clang.cindex against the compilation
-            database (CMAKE_EXPORT_COMPILE_COMMANDS) and walks the AST.
-  text      builtin fallback with no dependencies: the same rules as
-            lexical heuristics over comment/string-stripped source.
-  auto      libclang when the python bindings import, else text (with a
-            note). CI images without clang still get full coverage.
+The rules are lexical heuristics over comment/string-stripped source.
 
 Suppressions (same UX as pargpu_lint.py):
   - inline: "pargpu-analyze: allow(<rule>)" in a comment on the
@@ -59,11 +52,10 @@ Suppressions (same UX as pargpu_lint.py):
 An allowlist entry that no longer suppresses anything is itself an
 error, so the list cannot rot. Exit status is non-zero when any
 violation or stale entry remains, so the CTest entry and
-scripts/check.sh stage 9 can gate on it.
+scripts/check.sh stage 8 can gate on it.
 """
 
 import argparse
-import json
 import os
 import re
 import sys
@@ -155,7 +147,7 @@ def inline_allows(raw_line):
 
 
 # --------------------------------------------------------------------------
-# Text front-end: lexical heuristics over stripped source.
+# Rules: lexical heuristics over stripped source.
 # --------------------------------------------------------------------------
 
 def text_check_file(root, rel, violations):
@@ -260,157 +252,18 @@ def run_text(root, files):
 
 
 # --------------------------------------------------------------------------
-# libclang front-end: the same rules over the real AST.
-# --------------------------------------------------------------------------
-
-def run_libclang(root, files, build_dir):
-    from clang import cindex  # noqa: imported only when selected
-
-    K = cindex.CursorKind
-    db = cindex.CompilationDatabase.fromDirectory(build_dir)
-    index = cindex.Index.create()
-    violations = []
-    file_set = {os.path.normpath(os.path.join(root, f)) for f in files}
-
-    def rel_of(loc):
-        if loc.file is None:
-            return None
-        p = os.path.normpath(loc.file.name)
-        if p not in file_set:
-            return None
-        return os.path.relpath(p, root)
-
-    def report(cursor, rule, msg):
-        rel = rel_of(cursor.location)
-        if rel is None:
-            return
-        lineno = cursor.location.line
-        with open(os.path.join(root, rel), encoding="utf-8") as f:
-            raw_lines = f.read().splitlines()
-        allowed = inline_allows(raw_lines[lineno - 1]) if raw_lines else set()
-        if lineno >= 2:
-            allowed |= inline_allows(raw_lines[lineno - 2])
-        if rule not in allowed:
-            violations.append((rel, lineno, rule, msg))
-
-    def dispatch_callee(cursor):
-        ref = cursor.referenced
-        return ref is not None and ref.spelling in ("run", "parallelFor")
-
-    def walk(cursor, rel, in_dispatch):
-        kind = cursor.kind
-        type_spelling = cursor.type.spelling if cursor.type else ""
-
-        if kind == K.CXX_FOR_RANGE_STMT:
-            children = list(cursor.get_children())
-            if len(children) >= 2 and \
-                    "unordered_" in children[-2].type.spelling:
-                report(cursor, "unordered-iter",
-                       "iteration order of unordered containers is "
-                       "nondeterministic; iterate a sorted copy or use "
-                       "an ordered container")
-
-        if kind == K.CALL_EXPR and cursor.referenced is not None:
-            callee = cursor.referenced.spelling
-            parent = cursor.referenced.semantic_parent
-            parent_name = parent.spelling if parent else ""
-            if in_sim_code(rel) and callee == "now" and \
-                    parent_name.endswith("_clock"):
-                report(cursor, "wall-clock",
-                       "host clocks are nondeterministic; simulation "
-                       "code must use Cycle counters")
-            if in_sim_code(rel) and callee == "get_id":
-                report(cursor, "thread-id",
-                       "std::thread::id values differ per run; use dense "
-                       "worker/cluster indices instead")
-            if callee in ("fma", "fmaf", "reduce") and \
-                    not rel.startswith("src/simd/"):
-                report(cursor, "fp-unsafe",
-                       "FP contraction/reassociation outside src/simd/ "
-                       "breaks the bit-identity contract")
-
-        if kind == K.VAR_DECL:
-            if "random_device" in type_spelling:
-                report(cursor, "random-device",
-                       "std::random_device is nondeterministic; seed the "
-                       "pargpu RNG (common/rng.hh) explicitly")
-            parent = cursor.semantic_parent
-            if in_sim_code(rel) and parent is not None and \
-                    parent.kind in (K.NAMESPACE, K.TRANSLATION_UNIT) and \
-                    not cursor.type.is_const_qualified():
-                report(cursor, "global-state",
-                       f"mutable namespace-scope state "
-                       f"'{cursor.spelling}' outside src/common/")
-
-        if kind == K.CXX_REINTERPRET_CAST_EXPR and \
-                "intptr_t" in type_spelling:
-            report(cursor, "addr-hash",
-                   "pointer values vary across runs; hashing or ordering "
-                   "by address is nondeterministic")
-
-        if kind == K.LAMBDA_EXPR and in_dispatch:
-            for child in cursor.get_children():
-                if child.kind == K.DECL_REF_EXPR and child.referenced and \
-                        any(t in child.referenced.type.spelling
-                            for t in CLUSTER_TYPES):
-                    report(cursor, "cluster-escape",
-                           f"cluster-private '{child.spelling}' captured "
-                           "into a ThreadPool task; pass the cluster "
-                           "index and look the shard up inside the worker")
-                    break
-
-        child_dispatch = in_dispatch or \
-            (kind == K.CALL_EXPR and dispatch_callee(cursor))
-        for child in cursor.get_children():
-            walk(child, rel, child_dispatch)
-
-    for rel in files:
-        if not rel.endswith((".cc", ".cpp")):
-            continue  # headers are covered through their including TUs
-        path = os.path.join(root, rel)
-        cmds = db.getCompileCommands(path)
-        args = []
-        if cmds:
-            args = [a for a in list(cmds[0].arguments)[1:]
-                    if a not in ("-c", "-o", path)]
-        tu = index.parse(path, args=args)
-        walk(tu.cursor, rel, False)
-    return violations
-
-
-# --------------------------------------------------------------------------
 # Driver.
 # --------------------------------------------------------------------------
 
-def collect_files(root, build_dir):
-    """File list from the compilation database, plus headers; falls back
-    to walking src/ when no compile_commands.json exists."""
-    files = set()
-    cc_path = os.path.join(build_dir, "compile_commands.json")
-    have_db = os.path.exists(cc_path)
-    if have_db:
-        with open(cc_path, encoding="utf-8") as f:
-            for entry in json.load(f):
-                p = os.path.normpath(
-                    os.path.join(entry["directory"], entry["file"]))
-                rel = os.path.relpath(p, root)
-                if rel.replace(os.sep, "/").startswith("src/") and \
-                        rel.endswith(SOURCE_EXTS):
-                    files.add(rel)
-    else:
-        print(f"analyze: note: no compile_commands.json under {build_dir}; "
-              "walking src/ instead", file=sys.stderr)
-        for dirpath, _, names in os.walk(os.path.join(root, "src")):
-            for name in names:
-                if name.endswith(SOURCE_EXTS):
-                    files.add(os.path.relpath(
-                        os.path.join(dirpath, name), root))
-    # Headers never appear in the database; walk them in either mode.
+def collect_files(root):
+    """Every source and header file under src/."""
+    files = []
     for dirpath, _, names in os.walk(os.path.join(root, "src")):
         for name in names:
-            if name.endswith((".hh", ".h")):
-                files.add(os.path.relpath(os.path.join(dirpath, name), root))
-    return sorted(files), have_db
+            if name.endswith(SOURCE_EXTS):
+                files.append(
+                    os.path.relpath(os.path.join(dirpath, name), root))
+    return sorted(files)
 
 
 def main():
@@ -418,42 +271,18 @@ def main():
         description="pargpu concurrency & determinism static analyzer")
     ap.add_argument("--root", default=".",
                     help="repository root (default: cwd)")
-    ap.add_argument("--build-dir", default=None,
-                    help="build tree holding compile_commands.json "
-                         "(default: <root>/build)")
-    ap.add_argument("--frontend", choices=("auto", "libclang", "text"),
-                    default="auto")
     ap.add_argument("--allowlist", default=None,
                     help="file-level allowlist "
                          "(default: <root>/tools/analyze_allowlist.txt)")
     args = ap.parse_args()
 
     root = os.path.abspath(args.root)
-    build_dir = args.build_dir or os.path.join(root, "build")
     allow_path = args.allowlist or os.path.join(root, "tools",
                                                 "analyze_allowlist.txt")
     allow = load_allowlist(allow_path)
 
-    files, have_db = collect_files(root, build_dir)
-
-    frontend = args.frontend
-    if frontend == "auto":
-        try:
-            from clang import cindex  # noqa: F401
-            frontend = "libclang" if have_db else "text"
-            if not have_db:
-                print("analyze: note: libclang available but no "
-                      "compilation database; using text front-end",
-                      file=sys.stderr)
-        except ImportError:
-            frontend = "text"
-            print("analyze: note: clang.cindex not importable; using "
-                  "builtin text front-end", file=sys.stderr)
-
-    if frontend == "libclang":
-        violations = run_libclang(root, files, build_dir)
-    else:
-        violations = run_text(root, files)
+    files = collect_files(root)
+    violations = run_text(root, files)
 
     # File-level allowlist: filtered after the fact so entries that no
     # longer suppress anything are detected (and fatal), same contract
@@ -474,10 +303,9 @@ def main():
               "(rule no longer fires; prune it)")
     if kept or unused:
         print(f"analyze: {len(kept)} violation(s), {len(unused)} stale "
-              f"allowlist entr(ies) in {len(files)} files "
-              f"(frontend={frontend})")
+              f"allowlist entr(ies) in {len(files)} files")
         return 1
-    print(f"analyze: OK ({len(files)} files clean, frontend={frontend})")
+    print(f"analyze: OK ({len(files)} files clean)")
     return 0
 
 

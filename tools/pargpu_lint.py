@@ -1,8 +1,9 @@
 #!/usr/bin/env python3
 """pargpu custom static checker.
 
-Enforces project-specific rules over src/ that neither the compiler nor
-clang-tidy covers out of the box:
+Enforces project-specific rules over src/ that the compiler's warnings
+do not cover. Generic C++ checks (the bugprone, performance and
+modernize sets) run nowhere in this repository:
 
   rand         no rand()/srand()/std::rand — simulations must use the
                deterministic pargpu RNG (common/rng.hh)
