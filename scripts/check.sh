@@ -4,6 +4,8 @@
 # first problem.
 #
 #    1. Release + contracts (-DPARGPU_CHECKS=ON) + -Werror, full ctest
+#       (the build compiles every header on its own; ctest runs
+#       pargpu_lint and the selftest that proves its rules)
 #    2. AddressSanitizer build, full ctest
 #    3. UndefinedBehaviorSanitizer build (no-recover), full ctest
 #       (stages 1-3 run ctest twice: PARGPU_THREADS=1 and =nproc)
@@ -17,22 +19,19 @@
 #       one check of the lock and serial-memory-phase discipline
 #    5. -DPARGPU_TRACING=OFF build (macros compiled out), tracing subset
 #       plus the golden digests
-#    6. pargpu-lint standalone (includes header self-containment builds)
-#    7. SIMD bit-identity: the one kernel source is built at three ISA
+#    6. SIMD bit-identity: the one kernel source is built at three ISA
 #       levels (scalar, SSE, AVX2); with each runnable tier forced via
 #       PARGPU_SIMD, the determinism, kernel and SSIM tests pass and the
 #       harness metrics export is diffed field-by-field against the
 #       forced-scalar one (only the dispatch-reporting fields may
 #       differ)
-#    8. pargpu-analyze (concurrency & determinism rules) plus the
-#       fixture selftest that proves every rule fires
-#    9. filter-mode matrix: a harness metrics export under every filter
+#    7. filter-mode matrix: a harness metrics export under every filter
 #       mode of scenarioRegistry() (the --run-scenario list of --help),
 #       diffed across modes — selecting a mode may change values but
 #       never the exported key set, and each export must report its own
 #       mode (docs/FILTERING.md); determinism_test and golden_test cover
 #       every mode's results in stage 1
-#   10. serve round-trip + amortization gate: pargpu_report.py boots the
+#    8. serve round-trip + amortization gate: pargpu_report.py boots the
 #       ASan and UBSan pargpu_serve binaries and drives a real sweep
 #       through the framed protocol (docs/SERVE.md), then perf_serve's
 #       BENCH_serve.json is gated — a persistent session must beat a
@@ -167,12 +166,8 @@ stage_notrace() {
         -R "tracing_test|determinism_test|golden_test"
 }
 
-stage_lint() {
-    python3 tools/pargpu_lint.py --root "$ROOT"
-}
-
-# Plain Release (contracts off): the forced-tier runs of stage 7 and the
-# perf_serve binary of stage 10 share it, and each stage configures it
+# Plain Release (contracts off): the forced-tier runs of stage 6 and the
+# perf_serve binary of stage 8 share it, and each stage configures it
 # so that either runs on its own.
 configure_release() {
     cmake -B build-release -S . -DCMAKE_BUILD_TYPE=Release \
@@ -252,11 +247,6 @@ EOF
             "$simd_diff/tier-scalar.json" "$simd_diff/tier-$tier.json" \
             --label "tier scalar/$tier" "${dispatch_allow[@]}"
     done
-}
-
-stage_analyze() {
-    python3 tools/pargpu_analyze.py --root "$ROOT"
-    python3 tests/lint_selftest.py --root "$ROOT"
 }
 
 stage_mode_matrix() {
@@ -352,16 +342,14 @@ stage_serve() {
 
 # --- matrix ---------------------------------------------------------------
 
-run_stage "1/10 Release + contracts + -Werror" stage_release
-run_stage "2/10 AddressSanitizer" stage_asan
-run_stage "3/10 UndefinedBehaviorSanitizer" stage_ubsan
-run_stage "4/10 ThreadSanitizer (threading subset)" stage_tsan
-run_stage "5/10 tracing compiled out (-DPARGPU_TRACING=OFF)" stage_notrace
-run_stage "6/10 pargpu-lint" stage_lint
-run_stage "7/10 SIMD bit-identity (forced tiers)" stage_simd_identity
-run_stage "8/10 pargpu-analyze + fixture selftest" stage_analyze
-run_stage "9/10 filter-mode matrix (schema)" stage_mode_matrix
-run_stage "10/10 serve round-trip (sanitizers) + amortization gate" stage_serve
+run_stage "1/8 Release + contracts + -Werror" stage_release
+run_stage "2/8 AddressSanitizer" stage_asan
+run_stage "3/8 UndefinedBehaviorSanitizer" stage_ubsan
+run_stage "4/8 ThreadSanitizer (threading subset)" stage_tsan
+run_stage "5/8 tracing compiled out (-DPARGPU_TRACING=OFF)" stage_notrace
+run_stage "6/8 SIMD bit-identity (forced tiers)" stage_simd_identity
+run_stage "7/8 filter-mode matrix (schema)" stage_mode_matrix
+run_stage "8/8 serve round-trip (sanitizers) + amortization gate" stage_serve
 
 summary
 echo

@@ -170,7 +170,7 @@ class BumpArena
                 // The address feeds only this padding computation — for
                 // align <= that guarantee the padding is address-invariant,
                 // and spans are value-initialized — so no result ever
-                // depends on it. pargpu-analyze: allow(addr-hash)
+                // depends on it. pargpu-lint: allow(addr-hash)
                 auto base = reinterpret_cast<std::uintptr_t>(b.data.get());
                 std::size_t aligned =
                     (((base + offset_ + align - 1) & ~(align - 1)) - base);

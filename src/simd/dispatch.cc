@@ -12,7 +12,7 @@ namespace
 {
 
 // Set by setActiveTier() and read-only while frames render;
-// deterministic per run by construction. pargpu-analyze: allow(global-state)
+// deterministic per run by construction. pargpu-lint: allow(global-state)
 SimdTier g_tier = detectTier();
 
 } // namespace

@@ -14,7 +14,7 @@
  * apples (bench/fig_policies, pargpu_report.py --compare-policies).
  *
  * The stochastic modes draw every random variate from the counter-based
- * hash discipline enforced by pargpu_analyze: pixel coordinates, sample
+ * hash discipline enforced by pargpu_lint: pixel coordinates, sample
  * index and a per-frame camera-derived seed, never wall clocks, thread
  * ids or addresses — so results are bit-identical across thread counts
  * and tile/frame-parallel execution modes.

@@ -1,4 +1,4 @@
-// Fixture: the approved counterparts of every analyzer rule's target —
+// Fixture: the approved counterparts of every determinism rule's target —
 // ordered iteration, Cycle counters instead of host clocks, explicit
 // RNG seeding, dense worker indices, value keys, plain mul-add, state
 // owned by an object, and per-index shard lookup inside the task.

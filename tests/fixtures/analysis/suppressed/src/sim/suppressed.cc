@@ -1,4 +1,4 @@
-// Fixture: a real violation excused at the use site. The analyzer must
+// Fixture: a real violation excused at the use site. The checker must
 // honor the inline grant and stay silent.
 #include <chrono>
 #include <cstdint>
@@ -10,7 +10,7 @@ std::uint64_t
 hostTimestampForLogOnly()
 {
     // Host time never reaches simulated state here; log header only.
-    // pargpu-analyze: allow(wall-clock)
+    // pargpu-lint: allow(wall-clock)
     auto t = std::chrono::steady_clock::now();
     return static_cast<std::uint64_t>(t.time_since_epoch().count());
 }

@@ -1,9 +1,15 @@
 #!/usr/bin/env python3
-"""pargpu custom static checker.
+"""pargpu static checker.
 
-Enforces project-specific rules over src/ that the compiler's warnings
-do not cover. Generic C++ checks (the bugprone, performance and
-modernize sets) run nowhere in this repository:
+Enforces project rules over src/ and include/ that the compiler's
+warnings do not cover: style and layering, and the determinism and
+cluster-ownership discipline that the simulator's bit identity rests on.
+The rules are lexical heuristics over comment/string-stripped source.
+Generic C++ checks (the bugprone, performance and modernize sets) run
+nowhere in this repository. That every header compiles on its own is
+checked by the build (tests/header_self.cmake), not here.
+
+Style and layering:
 
   rand         no rand()/srand()/std::rand — simulations must use the
                deterministic pargpu RNG (common/rng.hh)
@@ -14,13 +20,13 @@ modernize sets) run nowhere in this repository:
   include-cc   no #include of a .cc file
   cout         no std::cout outside src/harness (libraries report through
                common/logging.hh; stdout belongs to the CLI layer)
-  header-self  every header must compile on its own (include-what-you-see
-               spot build with -fsyntax-only)
-  file-doc     every public header under src/ must open with an @file
-               doc comment (Doxygen's per-file brief)
+  file-doc     every header must open with an @file doc comment
+               (Doxygen's per-file brief)
   metrics-doc  every stat name registered in code (a dotted "a.b.c"
                string literal passed to .inc()/.set()/.observe()) must be
-               documented in docs/METRICS.md
+               documented, as `a.b.c`, in docs/METRICS.md; a name
+               relative to a runtime prefix (".llc.hits") as `llc.hits`
+               or after a prefix (`mem.llc.hits`)
   intrinsics   no x86 SIMD intrinsics (_mm_* / _mm256_*) outside
                src/simd/filter.cc — the kernels are plain C++ that
                src/simd/kernels.cc's per-tier builds auto-vectorize, and
@@ -36,14 +42,49 @@ modernize sets) run nowhere in this repository:
                (src/harness/runner.cc) must have its name documented,
                in backquotes, in docs/API.md and docs/SERVE.md
 
-One rule runs over examples/ and bench/ instead of src/:
+Determinism and cluster ownership ("simulation code" is src/ outside
+the audited host-side src/common/ layer):
+
+  unordered-iter   iterating a std::unordered_{map,set} — iteration
+                   order is hash-seed/layout dependent, so any loop over
+                   one that reaches output, stats or memory ordering is
+                   a nondeterminism source. Iterate a sorted copy or use
+                   an ordered container.
+  wall-clock       reading host clocks (steady_clock::now, gettimeofday,
+                   clock_gettime) in simulation code. Simulated time is
+                   Cycle counters; host time belongs to the tracing/bench
+                   layers only.
+  random-device    std::random_device anywhere — simulations seed the
+                   deterministic pargpu RNG (common/rng.hh) explicitly.
+  thread-id        using std::thread::id values (get_id, thread::id
+                   keys) in simulation code. Their values and ordering
+                   differ per run; derive dense worker indices instead.
+  addr-hash        hashing or ordering pointer values
+                   (reinterpret_cast to uintptr_t, std::hash<T*>).
+                   Addresses vary across runs (ASLR, allocation order),
+                   so any address-derived value that reaches simulated
+                   state is nondeterministic.
+  fp-unsafe        floating-point determinism hazards outside src/simd/:
+                   fma()/FMA intrinsics, fast-math or FP_CONTRACT
+                   pragmas, std::reduce and std::execution policies.
+                   Only the SIMD kernel layer may re-associate FP math,
+                   and it must prove bit-identity in its tests.
+  global-state     mutable namespace-scope variables in simulation code.
+                   Hidden global state breaks the per-cluster sharding
+                   that makes tile-parallel mode deterministic; state
+                   must live in objects owned by the simulator.
+  cluster-escape   a cluster-private object (TextureUnit,
+                   ClusterMemFront) captured by reference/pointer into a
+                   ThreadPool task lambda. Workers must look their shard
+                   up by cluster index inside the task; capturing one
+                   cluster's unit shares it across workers.
+
+Over examples/ and bench/, the API consumers, only intrinsics and one
+more rule run:
 
   internal-include  those trees are API consumers: they may include only
                the public facade ("pargpu/..."; bench_util.hh within
                bench/) — never a src-internal header like "sim/..."
-
-Public facade headers under include/ get the header rules (file-doc,
-header-self) as well.
 
 Suppressions:
   - inline: "pargpu-lint: allow(<rule>)" in a comment on the offending
@@ -53,23 +94,22 @@ Suppressions:
 
 An allowlist entry that no longer suppresses anything is itself an
 error, so the list cannot rot (entries must be pruned when the code
-they excused is fixed). header-self entries are exempt from the
-unused check under --no-spot-builds, where their rule never runs.
+they excused is fixed).
 
 Exit status is non-zero when any violation remains, so the CTest entry
-and scripts/check.sh can gate on it.
+can gate on it.
 """
 
 import argparse
-import concurrent.futures
 import os
 import re
-import subprocess
 import sys
 
-RULES = ("rand", "raw-new", "float-eq", "include-cc", "cout", "header-self",
-         "file-doc", "metrics-doc", "internal-include", "intrinsics",
-         "policy-doc", "getenv", "run-field-doc")
+RULES = ("rand", "raw-new", "float-eq", "include-cc", "cout", "file-doc",
+         "metrics-doc", "internal-include", "intrinsics", "policy-doc",
+         "getenv", "run-field-doc",
+         "unordered-iter", "wall-clock", "random-device", "thread-id",
+         "addr-hash", "fp-unsafe", "global-state", "cluster-escape")
 
 FLOAT_LIT = r"(?:\d+\.\d*(?:[eE][-+]?\d+)?|\.\d+(?:[eE][-+]?\d+)?|\d+[eE][-+]?\d+)f?"
 
@@ -99,6 +139,49 @@ ENV_PARSER = "src/harness/environment.cc"
 RE_POLICY_ENTRY = re.compile(r'DesignScenario::\w+\s*,\s*"([a-z_]+)"')
 # A run-condition table row: {"threshold", &RunConfig::threshold, ...}.
 RE_RUN_FIELD = re.compile(r'\{\s*"([a-z_]+)"\s*,\s*&RunConfig::')
+
+# Cluster-private types: one instance per shader cluster; sharing one
+# across ThreadPool workers breaks the tile-parallel ownership model.
+CLUSTER_TYPES = ("TextureUnit", "ClusterMemFront")
+
+RE_UNORDERED_DECL = re.compile(
+    r"\bunordered_(?:map|set|multimap|multiset)\s*<[^;{]*?>\s*&?\s*"
+    r"([A-Za-z_]\w*)\s*[;({=]")
+RE_RANGE_FOR = re.compile(r"\bfor\s*\(\s*[^;)]*?:\s*&?\s*([A-Za-z_]\w*)\s*\)")
+RE_UNORDERED_INLINE = re.compile(
+    r"\bfor\s*\([^;)]*:\s*[^)]*\bunordered_(?:map|set|multimap|multiset)\b")
+RE_BEGIN_ITER = re.compile(r"=\s*([A-Za-z_]\w*)\s*\.\s*c?begin\s*\(")
+
+RE_WALL_CLOCK = re.compile(
+    r"\b(?:system_clock|steady_clock|high_resolution_clock)\s*::\s*now\b"
+    r"|\bgettimeofday\s*\(|\bclock_gettime\s*\(")
+RE_RANDOM_DEVICE = re.compile(r"\brandom_device\b")
+RE_THREAD_ID = re.compile(
+    r"\bthis_thread\s*::\s*get_id\s*\(|\bthread\s*::\s*id\b")
+RE_ADDR_HASH = re.compile(
+    r"reinterpret_cast\s*<\s*(?:std\s*::\s*)?u?intptr_t\s*>"
+    r"|\bhash\s*<[^<>]*\*\s*>")
+RE_FP_UNSAFE = re.compile(
+    r"\bfmaf?\s*\(|__builtin_fmaf?\b|\b_mm\d*_fn?madd\w*"
+    r"|\bstd\s*::\s*reduce\b|\bstd\s*::\s*execution\s*::"
+    r"|#\s*pragma\s+(?:STDC\s+FP_CONTRACT\s+ON|float_control"
+    r"|GCC\s+optimize\s*\([^)]*fast-math)")
+# Namespace-scope declaration: unindented "Type name = ..." / "Type
+# name;" / "Type name{...}". Function definitions and declarations have
+# a '(' before the terminator and are skipped.
+RE_GLOBAL_DECL = re.compile(
+    r"^[A-Za-z_][\w:]*(?:\s*<[^;]*?>)?(?:\s*[*&])?\s+[*&]?"
+    r"([A-Za-z_]\w*)\s*(?:=|\{|;)")
+GLOBAL_SKIP = re.compile(
+    r"^\s*(?:static\s+|inline\s+)*(?:const\b|constexpr\b|class\b|struct\b"
+    r"|enum\b|union\b|using\b|typedef\b|template\b|namespace\b|extern\b"
+    r"|friend\b|return\b|if\b|else\b|for\b|while\b|switch\b|case\b"
+    r"|public\b|private\b|protected\b|operator\b|#)")
+RE_CLUSTER_DECL = re.compile(
+    r"\b(" + "|".join(CLUSTER_TYPES) + r")\s*[&*]?\s+[*&]?([A-Za-z_]\w*)"
+    r"\s*[;=({]")
+RE_DISPATCH = re.compile(r"\bThreadPool\s*::\s*run\s*\(|\bparallelFor\s*\(")
+RE_LAMBDA_CAPTURE = re.compile(r"\[([^\[\]]*)\]\s*\(")
 
 SOURCE_EXTS = (".cc", ".hh", ".h", ".cpp")
 
@@ -186,18 +269,37 @@ def inline_allows(raw_line):
     return {r.strip() for r in m.group(1).split(",")}
 
 
+def allowed_at(raw_lines, lineno):
+    """Rules granted inline on line lineno (1-based) or the line above."""
+    allowed = inline_allows(raw_lines[lineno - 1])
+    if lineno >= 2:
+        allowed |= inline_allows(raw_lines[lineno - 2])
+    return allowed
+
+
+def stat_documented(name, doc):
+    """An absolute stat name must appear as `name`; a relative one
+    (".llc.hits") bare or after a prefix: `llc.hits`, `mem.llc.hits`."""
+    if name.startswith("."):
+        return re.search(r"`(?:[\w.]*\.)?" + re.escape(name[1:]) + "`",
+                         doc) is not None
+    return f"`{name}`" in doc
+
+
 def check_file(root, rel, violations, metrics_doc):
-    path = os.path.join(root, rel)
-    with open(path, encoding="utf-8") as f:
+    with open(os.path.join(root, rel), encoding="utf-8") as f:
         raw_text = f.read()
     raw_lines = raw_text.splitlines()
     code_lines = strip_comments_and_strings(raw_text).splitlines()
+    sim = rel.startswith("src/") and not rel.startswith("src/common/")
 
-    in_harness = rel.replace(os.sep, "/").startswith("src/harness/")
+    def report(lineno, rule, msg):
+        if rule not in allowed_at(raw_lines, lineno):
+            violations.append((rel, lineno, rule, msg))
 
     if rel.endswith((".hh", ".h")):
         head = "\n".join(raw_lines[:20])
-        if "@file" not in head and not inline_allows(head):
+        if "@file" not in head and "file-doc" not in inline_allows(head):
             violations.append(
                 (rel, 1, "file-doc",
                  "header lacks an @file doc comment in its first 20 lines"))
@@ -214,58 +316,113 @@ def check_file(root, rel, violations, metrics_doc):
         ("float-eq", RE_FLOAT_EQ, False,
          "float literal ==/!=; compare with a tolerance"),
         ("include-cc", RE_INCLUDE_CC, True, "#include of a .cc file"),
+        ("random-device", RE_RANDOM_DEVICE, False,
+         "std::random_device is nondeterministic; seed the pargpu RNG "
+         "(common/rng.hh) explicitly"),
+        ("addr-hash", RE_ADDR_HASH, False,
+         "pointer values vary across runs (ASLR/allocation order); "
+         "hashing or ordering by address is nondeterministic"),
     ]
-    if not in_harness:
+    if not rel.startswith("src/harness/"):
         line_rules.append(
             ("cout", RE_COUT, False, "std::cout outside harness/CLI layers"))
-    if rel.replace(os.sep, "/") != ENV_PARSER:
+    if rel != ENV_PARSER:
         line_rules.append(
             ("getenv", RE_GETENV, False,
              f"getenv outside {ENV_PARSER}; take the value as a "
              "parameter and let parseEnvironment() read it"))
-    if rel.replace(os.sep, "/") != INTRIN_FILE:
+    if rel != INTRIN_FILE:
         line_rules.append(
             ("intrinsics", RE_INTRIN, False,
              f"x86 intrinsic outside {INTRIN_FILE}; write plain C++ in "
              "src/simd/kernels.cc and let its per-tier builds vectorize"))
+    if not rel.startswith("src/simd/"):
+        line_rules.append(
+            ("fp-unsafe", RE_FP_UNSAFE, False,
+             "FP contraction/reassociation outside src/simd/ breaks the "
+             "bit-identity contract; only the kernel layer may reorder "
+             "FP math"))
+    if sim:
+        line_rules += [
+            ("wall-clock", RE_WALL_CLOCK, False,
+             "host clocks are nondeterministic; simulation code must use "
+             "Cycle counters (tracing/bench own host time)"),
+            ("thread-id", RE_THREAD_ID, False,
+             "std::thread::id values and their ordering differ per run; "
+             "use dense worker/cluster indices instead"),
+        ]
 
-    for lineno, code in enumerate(code_lines, start=1):
-        raw = raw_lines[lineno - 1] if lineno <= len(raw_lines) else ""
-        prev = raw_lines[lineno - 2] if lineno >= 2 else ""
-        allowed_here = inline_allows(raw) | inline_allows(prev)
+    code = "\n".join(code_lines)
+    unordered_vars = {m.group(1) for m in RE_UNORDERED_DECL.finditer(code)}
+    cluster_vars = {m.group(2): m.group(1)
+                    for m in RE_CLUSTER_DECL.finditer(code)}
+
+    for lineno, line in enumerate(code_lines, start=1):
+        raw = raw_lines[lineno - 1]
         for rule, regex, use_raw, msg in line_rules:
-            if rule in allowed_here:
+            if not regex.search(raw if use_raw else line):
                 continue
-            m = regex.search(raw if use_raw else code)
-            if not m:
+            if regex is RE_DELETE and RE_DELETED_FN.search(line):
                 continue
-            if rule == "raw-new" and regex is RE_DELETE and \
-                    RE_DELETED_FN.search(code):
-                continue
-            violations.append((rel, lineno, rule, msg))
+            report(lineno, rule, msg)
 
         # metrics-doc: a stat registration (".inc(" / ".set(" / ".observe(")
         # with a dotted string literal must have that name documented in
         # docs/METRICS.md. The literal may sit on the call line or, for
         # wrapped calls, on the following line. A leading '.' marks a name
         # relative to a runtime prefix (prefix + ".llc.hits").
-        if "metrics-doc" not in allowed_here and \
-                RE_STAT_CALL.search(code):
+        if RE_STAT_CALL.search(line):
             search = raw
             if not RE_STAT_NAME.search(raw) and lineno < len(raw_lines):
                 search += "\n" + raw_lines[lineno]
             for name in RE_STAT_NAME.findall(search):
-                bare = name.lstrip(".")
                 if metrics_doc is None:
-                    violations.append(
-                        (rel, lineno, "metrics-doc",
-                         f'stat "{bare}" registered but docs/METRICS.md '
-                         "does not exist"))
-                elif bare not in metrics_doc:
-                    violations.append(
-                        (rel, lineno, "metrics-doc",
-                         f'stat "{bare}" not documented in '
-                         "docs/METRICS.md"))
+                    report(lineno, "metrics-doc",
+                           f'stat "{name}" registered but docs/METRICS.md '
+                           "does not exist")
+                elif not stat_documented(name, metrics_doc):
+                    report(lineno, "metrics-doc",
+                           f'stat "{name}" not documented in '
+                           "docs/METRICS.md")
+
+        # unordered-iter: range-for (or .begin() walk) over an unordered
+        # container, declared earlier or spelled inline.
+        hit = RE_UNORDERED_INLINE.search(line)
+        for walk in (RE_RANGE_FOR, RE_BEGIN_ITER):
+            m = walk.search(line)
+            hit = hit or (m and m.group(1) in unordered_vars)
+        if hit:
+            report(lineno, "unordered-iter",
+                   "iteration order of unordered containers is "
+                   "nondeterministic; iterate a sorted copy or use an "
+                   "ordered container")
+
+        # global-state: unindented mutable declaration at namespace
+        # scope (function bodies and members are indented in this tree).
+        if sim and line and not line[0].isspace() \
+                and not GLOBAL_SKIP.match(line):
+            m = RE_GLOBAL_DECL.match(line)
+            if m and "(" not in line.split(m.group(0)[-1], 1)[0]:
+                report(lineno, "global-state",
+                       f"mutable namespace-scope state '{m.group(1)}' "
+                       "outside src/common/; move it into an object owned "
+                       "by the simulator")
+
+        # cluster-escape: a ThreadPool dispatch whose task lambda
+        # explicitly captures a cluster-private variable by reference.
+        if RE_DISPATCH.search(line):
+            window = "\n".join(code_lines[lineno - 1:lineno + 3])
+            cap = RE_LAMBDA_CAPTURE.search(window)
+            if cap:
+                for tok in cap.group(1).split(","):
+                    tok = tok.strip()
+                    name = tok[1:].strip()
+                    if tok.startswith("&") and name in cluster_vars:
+                        report(lineno, "cluster-escape",
+                               f"cluster-private {cluster_vars[name]} "
+                               f"'{name}' captured by reference into a "
+                               "ThreadPool task; pass the cluster index "
+                               "and look the shard up inside the worker")
 
 
 def check_table_docs(root, violations, rule, rel, entry_re, what, docs):
@@ -286,9 +443,7 @@ def check_table_docs(root, violations, rule, rel, entry_re, what, docs):
     raw_lines = text.splitlines()
     for m in entry_re.finditer(text):
         lineno = text.count("\n", 0, m.start()) + 1
-        raw = raw_lines[lineno - 1] if lineno <= len(raw_lines) else ""
-        prev = raw_lines[lineno - 2] if lineno >= 2 else ""
-        if rule in inline_allows(raw) | inline_allows(prev):
+        if rule in allowed_at(raw_lines, lineno):
             continue
         name = m.group(1)
         for doc_rel in docs:
@@ -304,35 +459,14 @@ def check_table_docs(root, violations, rule, rel, entry_re, what, docs):
                      f'{what} "{name}" not documented in {doc_rel}'))
 
 
-def check_policy_docs(root, violations):
-    """policy-doc: every filter mode in the scenarioRegistry() table of
-    src/core/patu.cc must appear by name in docs/FILTERING.md — adding a
-    mode without documenting it fails lint, keeping the comparison
-    testbed docs exhaustive."""
-    check_table_docs(root, violations, "policy-doc", "src/core/patu.cc",
-                     RE_POLICY_ENTRY, "filter mode", ["docs/FILTERING.md"])
-
-
-def check_run_field_docs(root, violations):
-    """run-field-doc: every row of the runConfigFields() table of
-    src/harness/runner.cc must appear by name in docs/API.md and
-    docs/SERVE.md, the two documents of the run condition."""
-    check_table_docs(root, violations, "run-field-doc",
-                     "src/harness/runner.cc", RE_RUN_FIELD,
-                     "run-condition field",
-                     ["docs/API.md", "docs/SERVE.md"])
-
-
 def check_internal_include(root, rel, violations):
     """examples/ and bench/ build against the facade only: every quoted
     include must be a "pargpu/..." header (or bench's own bench_util.hh);
     system headers use angle brackets and pass freely."""
-    path = os.path.join(root, rel)
-    with open(path, encoding="utf-8") as f:
+    with open(os.path.join(root, rel), encoding="utf-8") as f:
         raw_lines = f.read().splitlines()
     for lineno, raw in enumerate(raw_lines, start=1):
-        prev = raw_lines[lineno - 2] if lineno >= 2 else ""
-        allowed_here = inline_allows(raw) | inline_allows(prev)
+        allowed_here = allowed_at(raw_lines, lineno)
         if "intrinsics" not in allowed_here and RE_INTRIN.search(raw):
             violations.append(
                 (rel, lineno, "intrinsics",
@@ -354,23 +488,6 @@ def check_internal_include(root, rel, violations):
              '("pargpu/...") instead'))
 
 
-def check_header_selfcontained(root, rel, compiler, std):
-    """header-self: the violation for @p rel, or None."""
-    include_as = rel.replace(os.sep, "/")
-    include_as = include_as.removeprefix("src/").removeprefix("include/")
-    snippet = f'#include "{include_as}"\n'
-    cmd = [compiler, f"-std={std}", "-fsyntax-only", "-x", "c++",
-           "-I", os.path.join(root, "src"),
-           "-I", os.path.join(root, "include"), "-"]
-    proc = subprocess.run(cmd, input=snippet, capture_output=True,
-                          text=True, cwd=root)
-    if proc.returncode == 0:
-        return None
-    first = proc.stderr.strip().splitlines()
-    detail = first[0] if first else "compile failed"
-    return (rel, 1, "header-self", f"not self-contained: {detail}")
-
-
 def main():
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--root", default=os.path.dirname(
@@ -378,11 +495,6 @@ def main():
         help="repository root (default: parent of tools/)")
     ap.add_argument("--allowlist", default=None,
                     help="allowlist file (default: tools/lint_allowlist.txt)")
-    ap.add_argument("--compiler", default=os.environ.get("CXX", "c++"),
-                    help="C++ compiler for header spot builds")
-    ap.add_argument("--std", default="c++20", help="language standard")
-    ap.add_argument("--no-spot-builds", action="store_true",
-                    help="skip the header self-containment builds")
     args = ap.parse_args()
 
     root = os.path.abspath(args.root)
@@ -393,18 +505,17 @@ def main():
     def walk_sources(top):
         found = []
         for dirpath, _dirnames, filenames in os.walk(os.path.join(root, top)):
-            for name in sorted(filenames):
+            for name in filenames:
                 if name.endswith(SOURCE_EXTS):
                     rel = os.path.relpath(os.path.join(dirpath, name), root)
                     found.append(rel.replace(os.sep, "/"))
-        found.sort()
-        return found
+        return sorted(found)
 
     sources = walk_sources("src") + walk_sources("include")
     if not sources:
         print("lint: no sources found under src/", file=sys.stderr)
         return 2
-    # API consumers: only the internal-include rule applies.
+    # API consumers: only internal-include and intrinsics apply.
     consumers = walk_sources("examples") + walk_sources("bench")
 
     metrics_doc = None
@@ -418,34 +529,25 @@ def main():
         check_file(root, rel, violations, metrics_doc)
     for rel in consumers:
         check_internal_include(root, rel, violations)
-    check_policy_docs(root, violations)
-    check_run_field_docs(root, violations)
-
-    if not args.no_spot_builds:
-        # One compiler per core; map() keeps the header order, so the
-        # report does not depend on which build finishes first.
-        headers = [s for s in sources if s.endswith((".hh", ".h"))]
-        with concurrent.futures.ThreadPoolExecutor(
-                max_workers=os.cpu_count() or 1) as pool:
-            found = pool.map(
-                lambda rel: check_header_selfcontained(
-                    root, rel, args.compiler, args.std), headers)
-            violations.extend(v for v in found if v is not None)
+    # The filter modes and the run-condition fields: every row of the
+    # table is documented where users look it up.
+    check_table_docs(root, violations, "policy-doc", "src/core/patu.cc",
+                     RE_POLICY_ENTRY, "filter mode", ["docs/FILTERING.md"])
+    check_table_docs(root, violations, "run-field-doc",
+                     "src/harness/runner.cc", RE_RUN_FIELD,
+                     "run-condition field", ["docs/API.md", "docs/SERVE.md"])
 
     # File-level allowlist: filter after the fact so entries that no
     # longer suppress anything are detectable (and fatal) instead of
     # silently rotting in the list.
     used = set()
     kept = []
-    for rel, lineno, rule, msg in violations:
+    for rel, lineno, rule, msg in sorted(violations):
         if (rule, rel) in allow:
             used.add((rule, rel))
         else:
             kept.append((rel, lineno, rule, msg))
     unused = allow - used
-    if args.no_spot_builds:
-        # header-self never ran, so its entries cannot prove themselves.
-        unused = {e for e in unused if e[0] != "header-self"}
 
     for rel, lineno, rule, msg in kept:
         print(f"{rel}:{lineno}: [{rule}] {msg}")
