@@ -29,7 +29,8 @@ runConfigFields()
         {"max_aniso", &RunConfig::max_aniso, 1, 64, ConfigError::BadMaxAniso,
          "maximum anisotropy"},
         {"keep_images", &RunConfig::keep_images, 0, 0, std::nullopt,
-         "retain rendered frames", true},
+         "keep the rendered frames; false renders no colors, same metrics",
+         true},
         {"table_entries", &RunConfig::table_entries, 0, 4096,
          ConfigError::BadTableEntries, "PATU hash-table entries"},
         {"threads", &RunConfig::threads, 0, 4096, ConfigError::BadThreads,

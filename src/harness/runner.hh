@@ -59,7 +59,10 @@ struct RunConfig
     unsigned tc_scale = 1;    ///< Texture-cache capacity multiplier.
     unsigned llc_scale = 1;   ///< LLC capacity multiplier.
     int max_aniso = 16;
-    bool keep_images = true;  ///< Retain rendered frames (for SSIM).
+    bool keep_images = true;  ///< Keep the rendered frames (for SSIM).
+                              ///< False renders no colors at all
+                              ///< (GpuConfig::colors); every metric is
+                              ///< the same.
     int table_entries = 0;    ///< PATU hash-table entries (0 = default).
     int threads = 0;          ///< Cap on the frames Session::run() renders
                               ///< at once: 0 = ThreadPool::defaultThreads(),

@@ -57,8 +57,11 @@ renderFrame(const GameTrace &trace, const RunConfig &config, std::size_t f)
     PARGPU_TRACE_SCOPE_F("harness", "renderFrame", f);
     // A fresh simulator per frame: the simulator resets cache and DRAM
     // state per frame, so a frame's output does not depend on what its
-    // simulator rendered before (determinism_test pins this down).
-    GpuSimulator sim(makeGpuConfig(config));
+    // simulator rendered before (determinism_test pins this down). A run
+    // that keeps no images computes no colors; its stats are the same.
+    GpuConfig g = makeGpuConfig(config);
+    g.colors = config.keep_images;
+    GpuSimulator sim(g);
     return sim.renderFrame(trace.scene, trace.cameras[f], trace.width,
                            trace.height);
 }

@@ -74,6 +74,17 @@ struct GpuConfig
      */
     bool tile_parallel = false;
 
+    /**
+     * Compute texel colors, shade and scatter. Off, a frame filters
+     * addresses only and shades nothing: every memo probe, PATU
+     * decision, line, cycle and FrameStats field is unchanged, and
+     * renderFrame() returns the clear-colored plane. Session's jobs turn
+     * it off for a run that keeps no images (RunConfig::keep_images);
+     * makeGpuConfig() leaves it on, so a caller that renders frames
+     * itself gets them.
+     */
+    bool colors = true;
+
     // --- Subsystem configurations --------------------------------------
     MemSysConfig mem;   ///< Caches + DRAM (Table I defaults).
     PatuConfig patu;    ///< Filter mode (scenario) + threshold.

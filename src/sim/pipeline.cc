@@ -489,7 +489,14 @@ GpuSimulator::renderFrame(const Scene &scene, const Camera &camera,
                         s.quads.push_back(ql);
                         pending = 0;
 
-                        tl.pixels += shadeQuad(fb, st, q, surv, texc);
+                        // Without colors the image stays the clear
+                        // plane; the pixel count still drives the
+                        // tile's color write.
+                        if (config_.colors)
+                            tl.pixels += shadeQuad(fb, st, q, surv, texc);
+                        else
+                            tl.pixels += static_cast<std::uint64_t>(
+                                std::popcount(surv));
                         ++tl.fb_fills;
                     });
             }

@@ -228,7 +228,9 @@ class GpuSimulator
     explicit GpuSimulator(const GpuConfig &config);
 
     /**
-     * Render @p scene from @p camera into a width x height frame.
+     * Render @p scene from @p camera into a width x height frame. With
+     * GpuConfig::colors off the image is the clear-colored plane and the
+     * stats are those of a colored frame.
      *
      * Runs the memory system's serial phases itself, so code running
      * inside a frame must never re-enter the simulator.

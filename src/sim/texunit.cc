@@ -139,8 +139,7 @@ TextureUnit::processQuadWork(const QuadFragment &quad,
         if (n > 0) {
             TexelAddrSet aset[4];
             Color4f cols[4];
-            qfilter_.filterSamplesAddrs(sampler, uvs, n, sel, memo_, aset,
-                                        cols);
+            filterBatch(sampler, uvs, n, sel, aset, cols);
             for (int k = 0; k < n; ++k) {
                 PixelPlan &plan = plans[px[k]];
                 plan.color = cols[k];
@@ -317,8 +316,9 @@ TextureUnit::anisoQuadPatu(const QuadFragment &quad,
                 // pay one extra address-recalculation loop
                 // (Section V-B).
                 TexelAddrSet tf_addrs;
-                plan.color = qfilter_.filterTrilinearAddrs(
-                    sampler, quad.uv[i], di.lod, memo_, tf_addrs);
+                filterBatch(sampler, &quad.uv[i], 1,
+                            sampler.selectLod(di.lod), &tf_addrs,
+                            &plan.color);
                 plan.fetch_samples = 1;
                 plan.filter_texels = 8;
                 plan.addr_samples += 1;
@@ -327,8 +327,9 @@ TextureUnit::anisoQuadPatu(const QuadFragment &quad,
                 any_keep = any_keep || info.sampleSize > 1;
                 // Reuse the footprints from the distribution check; the
                 // color re-reads them without another counted probe.
-                plan.color = qfilter_.anisotropicColor(sampler, quad.uv[i],
-                                                       info, memo_);
+                if (config_.colors)
+                    plan.color = qfilter_.anisotropicColor(
+                        sampler, quad.uv[i], info, memo_);
                 plan.fetch_samples =
                     static_cast<int>(footprints[i].size());
                 plan.filter_texels = 8 * plan.fetch_samples;
@@ -374,9 +375,8 @@ TextureUnit::anisoQuadPatu(const QuadFragment &quad,
             Vec2 uvs[4];
             for (int a = 0; a < n_act; ++a)
                 uvs[a] = quad.uv[act[a]];
-            qfilter_.filterSamplesAddrs(sampler, uvs, n_act,
-                                        sampler.selectLod(d.lod),
-                                        memo_, aset, cols);
+            filterBatch(sampler, uvs, n_act, sampler.selectLod(d.lod), aset,
+                        cols);
             for (int a = 0; a < n_act; ++a) {
                 PixelPlan &plan = plans[act[a]];
                 plan.color = cols[a];
@@ -402,17 +402,17 @@ TextureUnit::anisoQuadPatu(const QuadFragment &quad,
             for (int a = 0; a < n_act; ++a)
                 qfilter_.anisoUvs(quad.uv[act[a]], info,
                                   uvs + a * static_cast<std::size_t>(n));
-            qfilter_.filterSamplesAddrs(sampler, uvs, n_act * n,
-                                        sampler.selectLod(info.lodAF),
-                                        memo_, s.data(), cols);
+            filterBatch(sampler, uvs, n_act * n,
+                        sampler.selectLod(info.lodAF), s.data(), cols);
             for (int a = 0; a < n_act; ++a) {
                 const int i = act[a];
                 footprints[i] =
                     s.subspan(static_cast<std::size_t>(a) * n,
                               static_cast<std::size_t>(n));
                 PixelPlan &plan = plans[i];
-                plan.color = simd::QuadFilter::averageColors(
-                    cols + static_cast<std::size_t>(a) * n, n);
+                if (config_.colors)
+                    plan.color = simd::QuadFilter::averageColors(
+                        cols + static_cast<std::size_t>(a) * n, n);
                 plan.addr_samples = n;
                 plan.fetch_samples = n;
                 plan.filter_texels = 8 * n;

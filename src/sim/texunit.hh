@@ -119,6 +119,8 @@ class TextureUnit
      * filtering decisions, colors, the quad's distinct cache lines (see
      * quadLines()) and every counter except mem_stall. Returns the
      * quad's address + filter cycles, which it also adds to filter_busy.
+     * With GpuConfig::colors off, the isotropic and PATU-flow paths
+     * leave @p out_color at Color4f{} and every other output unchanged.
      *
      * A pure function of the quad and the frame seed: the footprint
      * memo, line set and arena restart per quad, and every counter is
@@ -321,6 +323,22 @@ class TextureUnit
                       const int act[4], int n_act, StfVariant variant);
     /** Hoist the line mask and check the config (construction, rebind). */
     void checkBinding();
+
+    /**
+     * One QuadFilter batch of @p n trilinear samples through the quad's
+     * memo: filterSamplesAddrs(), or only its address half when
+     * config_.colors is off (@p colors is then left untouched).
+     */
+    void
+    filterBatch(const TextureSampler &sampler, const Vec2 *uvs, int n,
+                const LodSelect &sel, TexelAddrSet *addrs, Color4f *colors)
+    {
+        if (config_.colors)
+            qfilter_.filterSamplesAddrs(sampler, uvs, n, sel, memo_, addrs,
+                                        colors);
+        else
+            qfilter_.sampleAddrs(sampler, uvs, n, sel, memo_, addrs);
+    }
 
     void anisoQuadFas(const QuadFragment &quad,
                       const TextureSampler &sampler,

@@ -222,6 +222,14 @@ QuadFilter::filterSamplesAddrs(const TextureSampler &sampler,
     gather<Mode::Compact>(sampler, uvs, n, sel, memo, addrs, colors);
 }
 
+void
+QuadFilter::sampleAddrs(const TextureSampler &sampler, const Vec2 *uvs,
+                        int n, const LodSelect &sel, FootprintMemo &memo,
+                        TexelAddrSet *addrs)
+{
+    gather<Mode::Addrs>(sampler, uvs, n, sel, memo, addrs, nullptr);
+}
+
 int
 QuadFilter::anisoUvs(const Vec2 &uv, const AnisotropyInfo &info, Vec2 *out)
 {
@@ -261,17 +269,6 @@ QuadFilter::averageColors(const Color4f *colors, int n)
 #endif
 }
 
-Color4f
-QuadFilter::filterTrilinearAddrs(const TextureSampler &sampler,
-                                 const Vec2 &uv, float lod,
-                                 FootprintMemo &memo, TexelAddrSet &addrs)
-{
-    Color4f color;
-    filterSamplesAddrs(sampler, &uv, 1, sampler.selectLod(lod), memo,
-                       &addrs, &color);
-    return color;
-}
-
 void
 QuadFilter::anisotropicAddrs(const TextureSampler &sampler, const Vec2 &uv,
                              const AnisotropyInfo &info, FootprintMemo &memo,
@@ -280,8 +277,7 @@ QuadFilter::anisotropicAddrs(const TextureSampler &sampler, const Vec2 &uv,
     const int n = info.sampleSize;
     PARGPU_CHECK_RANGE(n, 1, kMaxLanes, "anisotropic sample count");
     anisoUvs(uv, info, uvs_);
-    gather<Mode::Addrs>(sampler, uvs_, n, sampler.selectLod(info.lodAF),
-                        memo, addrs, nullptr);
+    sampleAddrs(sampler, uvs_, n, sampler.selectLod(info.lodAF), memo, addrs);
 }
 
 Color4f

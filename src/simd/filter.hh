@@ -58,8 +58,8 @@ class QuadFilter
 
     // The simulator consumes only each sample's 8 texel addresses (fetch
     // bookkeeping, the PATU hash table) and its filtered color, so every
-    // entry point emits exactly those two outputs, never a TrilinearSample
-    // record.
+    // entry point emits those two outputs or one of them, never a
+    // TrilinearSample record.
 
     /**
      * Filter @p n trilinear samples centered at @p uvs[0..n) under the
@@ -73,12 +73,13 @@ class QuadFilter
                             Color4f *colors);
 
     /**
-     * One trilinear sample at @p uv and @p lod (the paper's TF): writes
-     * its address set and returns its color.
+     * The address half of filterSamplesAddrs(): the same address sets,
+     * memo probes (address-only: a missed footprint's colors are not
+     * fetched) and batch, no colors. One batch.
      */
-    Color4f filterTrilinearAddrs(const TextureSampler &sampler,
-                                 const Vec2 &uv, float lod,
-                                 FootprintMemo &memo, TexelAddrSet &addrs);
+    void sampleAddrs(const TextureSampler &sampler, const Vec2 *uvs, int n,
+                     const LodSelect &sel, FootprintMemo &memo,
+                     TexelAddrSet *addrs);
 
     // --- Split AF path ------------------------------------------------
     // PATU's distribution check needs only a pixel's AF addresses, and

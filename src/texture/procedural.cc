@@ -205,12 +205,30 @@ class NoiseTable
 };
 
 /**
+ * The Stripes brightness of each column: a function of u alone, so the
+ * sine runs once per column, not per texel.
+ */
+std::vector<float>
+stripeColumns(int size)
+{
+    std::vector<float> s(size);
+    for (int x = 0; x < size; ++x) {
+        float u = (x + 0.5f) / size;
+        // 60 stripes: fine directional detail that never lands on an
+        // exact multiple of a power-of-two sampling rate.
+        s[x] = 0.5f + 0.5f * std::sin(u * 60.0f * 6.28318f);
+    }
+    return s;
+}
+
+/**
  * Texel (x, y) of a @p kind texture before the detail gain; @p noise is
- * fractalNoise() at its centre with noiseOctaves(kind) octaves.
+ * fractalNoise() at its centre with noiseOctaves(kind) octaves, and
+ * @p stripes the stripeColumns() table (read by Stripes only).
  */
 RGBA8
 baseTexel(TextureKind kind, int size, std::uint32_t seed, float tint, int x,
-          int y, float noise)
+          int y, float noise, const float *stripes)
 {
     float u = (x + 0.5f) / size;
     float v = (y + 0.5f) / size;
@@ -270,11 +288,8 @@ baseTexel(TextureKind kind, int size, std::uint32_t seed, float tint, int x,
         break;
       }
       case TextureKind::Stripes: {
-        // 60 stripes: fine directional detail that never lands on
-        // an exact multiple of a power-of-two sampling rate.
-        float s = 0.5f + 0.5f * std::sin(u * 60.0f * 6.28318f);
         float n = 0.15f * noise;
-        px = shade(std::min(1.0f, s + n),
+        px = shade(std::min(1.0f, stripes[x] + n),
                    Color4f{0.15f, 0.15f, 0.18f} * tint,
                    Color4f{0.85f, 0.82f, 0.1f} * tint);
         break;
@@ -317,13 +332,16 @@ generateTexture(TextureKind kind, int size, std::uint32_t seed)
     // texel is a pure function of (kind, seed, x, y), so row bands fill
     // disjoint slots in parallel and match a serial loop bit for bit.
     const NoiseTable table(size, noiseOctaves(kind), seed);
+    const std::vector<float> stripes = kind == TextureKind::Stripes
+        ? stripeColumns(size) : std::vector<float>{};
     forEachRowBand(size, size, [&](int y0, int y1) {
         std::vector<float> noise(size);
         for (int y = y0; y < y1; ++y) {
             table.row(y, noise.data());
             for (int x = 0; x < size; ++x) {
                 Color4f c = unpackRGBA8(baseTexel(kind, size, seed, tint,
-                                                  x, y, noise[x])) *
+                                                  x, y, noise[x],
+                                                  stripes.data())) *
                     detailGain(seed, x, y);
                 c.a = 1.0f;
                 out[static_cast<std::size_t>(y) * size + x] = packRGBA8(c);

@@ -17,6 +17,10 @@
  *
  * A digest changes only when a simulated result changes. When that is
  * the intent, the failure message prints the new value to paste in.
+ *
+ * A run that keeps no images renders no colors; the digest without the
+ * image words must still equal the colored run's, in every filter mode
+ * and in the viewport cases.
  */
 
 #include <bit>
@@ -96,23 +100,26 @@ addFrame(Digest &d, const FrameStats &f)
             d.word(v);
 }
 
+/** The digest of @p run; without the image words if not @p images. */
 std::uint64_t
-runDigest(const RunResult &run)
+runDigest(const RunResult &run, bool images = true)
 {
     Digest d;
     d.word(run.frames.size());
     for (const FrameStats &f : run.frames)
         addFrame(d, f);
 
-    d.word(run.images.size());
-    for (const Image &img : run.images) {
-        d.word(static_cast<std::uint64_t>(img.width()));
-        d.word(static_cast<std::uint64_t>(img.height()));
-        for (const Color4f &p : img.pixels()) {
-            d.real(p.r);
-            d.real(p.g);
-            d.real(p.b);
-            d.real(p.a);
+    if (images) {
+        d.word(run.images.size());
+        for (const Image &img : run.images) {
+            d.word(static_cast<std::uint64_t>(img.width()));
+            d.word(static_cast<std::uint64_t>(img.height()));
+            for (const Color4f &p : img.pixels()) {
+                d.real(p.r);
+                d.real(p.g);
+                d.real(p.b);
+                d.real(p.a);
+            }
         }
     }
 
@@ -225,22 +232,53 @@ caseName(const GoldenCase &c)
 
 /**
  * Run @p config on @p trace with @p threads pool threads (0 = the process
- * default) and expect @p c's frozen digest.
+ * default).
  */
-void
+RunResult
+runAt(Session &session, const GameTrace &trace, const RunConfig &config,
+      unsigned threads)
+{
+    ThreadPool::setDefaultThreads(threads);
+    RunResult run = session.run(trace, config);
+    ThreadPool::setDefaultThreads(0);
+    return run;
+}
+
+/**
+ * Run @p config on @p trace with @p threads pool threads and expect
+ * @p c's frozen digest. Returns the run.
+ */
+RunResult
 expectDigest(Session &session, const GameTrace &trace,
              const RunConfig &config, const GoldenCase &c,
              unsigned threads)
 {
-    ThreadPool::setDefaultThreads(threads);
-    const std::uint64_t got = runDigest(session.run(trace, config));
-    const unsigned ran = ThreadPool::defaultThreads();
-    ThreadPool::setDefaultThreads(0);
+    RunResult run = runAt(session, trace, config, threads);
+    const std::uint64_t got = runDigest(run);
+    const unsigned ran = threads ? threads : ThreadPool::defaultThreads();
     char hex[32];
     std::snprintf(hex, sizeof(hex), "0x%016" PRIX64 "ull", got);
     EXPECT_EQ(got, c.digest) << caseName(c) << " " << trace.width << "x"
                              << trace.height << " (" << ran
                              << " threads): digest is " << hex;
+    return run;
+}
+
+/**
+ * A run that keeps no images renders no colors (GpuConfig::colors); every
+ * FrameStats field and registry value must still be the colored run's.
+ */
+void
+expectColorlessMatches(Session &session, const GameTrace &trace,
+                       RunConfig config, const RunResult &colored,
+                       unsigned threads)
+{
+    config.keep_images = false;
+    const RunResult colorless = runAt(session, trace, config, threads);
+    EXPECT_TRUE(colorless.images.empty());
+    EXPECT_EQ(runDigest(colorless, false), runDigest(colored, false))
+        << trace.name << " " << scenarioMetricName(config.scenario)
+        << " at " << threads << " threads";
 }
 
 } // namespace
@@ -271,6 +309,25 @@ TEST(Golden, ViewportDigestsMatchFrozenValues)
             buildGameTrace(v.golden.game, v.width, v.height, v.frames);
         RunConfig cfg = goldenConfig(v.golden);
         cfg.clusters = v.clusters;
-        expectDigest(session, trace, cfg, v.golden, 0);
+        const RunResult colored =
+            expectDigest(session, trace, cfg, v.golden, 0);
+        expectColorlessMatches(session, trace, cfg, colored, 0);
+    }
+}
+
+TEST(Golden, ColorlessRunsMatchColoredRuns)
+{
+    Session session;
+    for (GameId game : {GameId::HL2, GameId::Ut3}) {
+        const GameTrace trace =
+            buildGameTrace(game, kWidth, kHeight, kFrames);
+        for (const ScenarioDesc &mode : scenarioRegistry()) {
+            const RunConfig cfg = goldenConfig({game, mode.id, 0});
+            // 0 = the process default.
+            for (unsigned threads : {1u, 0u})
+                expectColorlessMatches(session, trace, cfg,
+                                       runAt(session, trace, cfg, threads),
+                                       threads);
+        }
     }
 }

@@ -185,6 +185,30 @@ TEST(PipelineTest, RendersNonTrivialImage)
     EXPECT_GT(max_l - min_l, 0.2);
 }
 
+TEST(PipelineTest, ColorlessFrameIsTheClearPlane)
+{
+    Scene scene = groundScene();
+    scene.clear_color = {0.3f, 0.1f, 0.2f, 1.0f};
+    Camera cam = standingCamera(160, 120);
+    GpuConfig cfg = configFor(DesignScenario::Patu);
+    GpuSimulator colored(cfg);
+    cfg.colors = false;
+    GpuSimulator colorless(cfg);
+    const FrameOutput c = colored.renderFrame(scene, cam, 160, 120);
+    const FrameOutput o = colorless.renderFrame(scene, cam, 160, 120);
+    EXPECT_GT(o.stats.pixels_shaded, 1000u);
+    EXPECT_EQ(o.stats.pixels_shaded, c.stats.pixels_shaded);
+    EXPECT_EQ(o.stats.total_cycles, c.stats.total_cycles);
+    EXPECT_EQ(o.stats.texels, c.stats.texels);
+    EXPECT_EQ(o.stats.traffic_colordepth, c.stats.traffic_colordepth);
+    for (const Color4f &p : o.image.pixels()) {
+        EXPECT_EQ(p.r, 0.3f);
+        EXPECT_EQ(p.g, 0.1f);
+        EXPECT_EQ(p.b, 0.2f);
+        EXPECT_EQ(p.a, 1.0f);
+    }
+}
+
 TEST(PipelineTest, DeterministicAcrossRuns)
 {
     GpuConfig cfg = configFor(DesignScenario::Patu);

@@ -120,7 +120,9 @@ TEST(SimdKernelTest, IntegerBoundaryLodMatchesSampler)
                 s.trilinearInto(uv, s.selectLod(lod), want, &ref_memo);
                 TexelAddrSet addrs;
                 FootprintMemo memo;
-                Color4f c = qf.filterTrilinearAddrs(s, uv, lod, memo, addrs);
+                Color4f c;
+                qf.filterSamplesAddrs(s, &uv, 1, s.selectLod(lod), memo,
+                                      &addrs, &c);
                 expectSampleEqual(want, addrs, c);
                 EXPECT_EQ(memo.lookups(), ref_memo.lookups());
                 EXPECT_EQ(memo.hits(), ref_memo.hits());
@@ -169,21 +171,37 @@ TEST(SimdKernelTest, WrapAndClampEdgesMatchSampler)
             FootprintMemo memo;
             // A batch holds at most kMaxLanes samples; feed the grid in
             // chunks like the texture unit does.
-            for (std::size_t base = 0; base < uvs.size();
-                 base += simd::kMaxLanes) {
-                const int chunk = static_cast<int>(
-                    std::min<std::size_t>(simd::kMaxLanes,
-                                          uvs.size() - base));
+            const auto chunks = [&](auto filter) {
+                for (std::size_t base = 0; base < uvs.size();
+                     base += simd::kMaxLanes)
+                    filter(base, static_cast<int>(std::min<std::size_t>(
+                                     simd::kMaxLanes, uvs.size() - base)));
+            };
+            chunks([&](std::size_t base, int chunk) {
                 qf.filterSamplesAddrs(s, uvs.data() + base, chunk, sel, memo,
                                       addrs.data() + base,
                                       colors.data() + base);
-            }
+            });
+            const std::uint64_t batches = qf.takeBatches();
             for (std::size_t i = 0; i < uvs.size(); ++i) {
                 SCOPED_TRACE("sample " + std::to_string(i));
                 expectSampleEqual(want[i], addrs[i], colors[i]);
             }
             EXPECT_EQ(memo.lookups(), ref_memo.lookups());
             EXPECT_EQ(memo.hits(), ref_memo.hits());
+
+            // The address half: the same addresses, probes, hits and
+            // batches, no colors.
+            std::vector<TexelAddrSet> addr_only(uvs.size());
+            FootprintMemo addr_memo;
+            chunks([&](std::size_t base, int chunk) {
+                qf.sampleAddrs(s, uvs.data() + base, chunk, sel, addr_memo,
+                               addr_only.data() + base);
+            });
+            EXPECT_EQ(qf.takeBatches(), batches);
+            EXPECT_EQ(addr_only, addrs);
+            EXPECT_EQ(addr_memo.lookups(), memo.lookups());
+            EXPECT_EQ(addr_memo.hits(), memo.hits());
         }
     }
 }
