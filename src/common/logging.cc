@@ -13,12 +13,6 @@ inform(const std::string &msg)
 }
 
 void
-warn(const std::string &msg)
-{
-    std::fprintf(stderr, "warn: %s\n", msg.c_str());
-}
-
-void
 fatal(const std::string &msg)
 {
     std::fprintf(stderr, "fatal: %s\n", msg.c_str());

@@ -5,7 +5,7 @@
  * fatal(): the simulation cannot continue because of a user error (bad
  * configuration, invalid arguments) — exits with status 1.
  * panic(): an internal invariant was violated (a pargpu bug) — aborts.
- * warn()/inform(): non-fatal status messages on stderr.
+ * inform(): non-fatal status messages on stderr.
  */
 
 #ifndef PARGPU_COMMON_LOGGING_HH
@@ -18,9 +18,6 @@ namespace pargpu
 
 /** Print an informational message to stderr. */
 void inform(const std::string &msg);
-
-/** Print a warning message to stderr. */
-void warn(const std::string &msg);
 
 /** Report a user-caused error and exit(1). */
 [[noreturn]] void fatal(const std::string &msg);

@@ -111,22 +111,6 @@ class StatRegistry
         counters_[name] += delta;
     }
 
-    /**
-     * Stable pointer to the cell of counter @p name (created at zero if
-     * absent). The address stays valid for the registry's lifetime (the
-     * counter map is node-based), so hot paths may cache it and bump the
-     * cell directly — bypassing the per-inc() lock and name lookup. Raw
-     * cell updates are NOT synchronized: only a single-writer owner (e.g.
-     * a per-cluster unit whose results are read after the frame joins)
-     * may use them.
-     */
-    std::uint64_t *
-    counterCell(const std::string &name)
-    {
-        std::lock_guard lock(mutex_);
-        return &counters_[name];
-    }
-
     /** Set scalar @p name to @p value. */
     void
     set(const std::string &name, double value)

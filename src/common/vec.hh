@@ -152,19 +152,6 @@ struct Mat4
         return r;
     }
 
-    /** Rotation about the X axis by @p radians. */
-    static Mat4
-    rotateX(float radians)
-    {
-        Mat4 r = identity();
-        float c = std::cos(radians), s = std::sin(radians);
-        r.m[1][1] = c;
-        r.m[1][2] = s;
-        r.m[2][1] = -s;
-        r.m[2][2] = c;
-        return r;
-    }
-
     /**
      * Right-handed perspective projection.
      *

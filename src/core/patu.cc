@@ -83,23 +83,13 @@ PatuUnit::approximatedLod(const AnisotropyInfo &info) const
 PixelDecision
 PatuUnit::preDecide(const AnisotropyInfo &info)
 {
-    return preDecideN(info, 1);
-}
-
-PixelDecision
-PatuUnit::preDecideN(const AnisotropyInfo &info, int count)
-{
-    const auto n = static_cast<std::uint64_t>(count);
     PixelDecision d;
-    if (count == 0)
-        return d;
     // Eq. 6 operates on the anisotropy degree (the axis ratio), which is
     // available right after Texel Generation — before the pipeline
     // quantizes it to an issued sample count.
     d.af_ssim_n = afSsimFromSampleSize(info.anisoDegree);
     PARGPU_CHECK_RANGE(d.af_ssim_n, 0.0f, 1.0f,
                        "AF-SSIM(N) is a similarity, N=", info.anisoDegree);
-    cell(ctr_pixels_, "patu.pixels") += n;
 
     // Scenario forcing: Baseline always filters AF, NoAF never does.
     if (config_.scenario == DesignScenario::Baseline) {
@@ -107,7 +97,6 @@ PatuUnit::preDecideN(const AnisotropyInfo &info, int count)
         d.stage = DecisionStage::Forced;
         d.lod = info.lodAF;
         d.sample_size = info.sampleSize;
-        cell(ctr_full_af_, "patu.full_af") += n;
         return d;
     }
     if (config_.scenario == DesignScenario::NoAF) {
@@ -115,7 +104,6 @@ PatuUnit::preDecideN(const AnisotropyInfo &info, int count)
         d.stage = DecisionStage::Forced;
         d.lod = info.lodTF;
         d.sample_size = 1;
-        cell(ctr_approx_forced_, "patu.approx_forced") += n;
         return d;
     }
 
@@ -126,7 +114,6 @@ PatuUnit::preDecideN(const AnisotropyInfo &info, int count)
         d.stage = DecisionStage::TrivialTf;
         d.lod = info.lodTF;
         d.sample_size = 1;
-        cell(ctr_trivial_tf_, "patu.trivial_tf") += n;
         return d;
     }
 
@@ -136,7 +123,6 @@ PatuUnit::preDecideN(const AnisotropyInfo &info, int count)
         d.stage = DecisionStage::SampleArea;
         d.lod = approximatedLod(info);
         d.sample_size = 1;
-        cell(ctr_stage1_, "patu.approx_stage1") += n;
         return d;
     }
 
@@ -147,7 +133,6 @@ PatuUnit::preDecideN(const AnisotropyInfo &info, int count)
         d.stage = DecisionStage::FullAf;
         d.lod = info.lodAF;
         d.sample_size = info.sampleSize;
-        cell(ctr_full_af_, "patu.full_af") += n;
         return d;
     }
 
@@ -169,13 +154,6 @@ PatuUnit::finishDistribution(PixelDecision &d, const AnisotropyInfo &info,
         if (table_.insert(s))
             ++shared_hits;
     }
-    // Batched counter updates; bound only when non-zero so untouched
-    // counters stay absent from exports, like per-sample inc() calls.
-    if (!samples.empty())
-        cell(ctr_table_inserts_, "patu.table.inserts") += samples.size();
-    if (shared_hits > 0)
-        cell(ctr_table_shared_, "patu.table.shared_hits") += shared_hits;
-
     // Scored from the count tags in place: bit for bit
     // txds(table_.probabilityVector(), n), with no per-pixel vector.
     d.txds_value = txdsFromEntropy(table_.entropyBits(),
@@ -190,18 +168,15 @@ PatuUnit::finishDistribution(PixelDecision &d, const AnisotropyInfo &info,
                      table_.samplesInserted(), " expected=", samples.size());
 
     if (d.af_ssim_txds > config_.threshold) {
+        // The approximation controller sends the tag back to Texel Address
+        // Calculation to recalculate with sample size 1 (Section V-B).
         d.approximate = true;
         d.stage = DecisionStage::Distribution;
         d.sample_size = 1;
         d.lod = approximatedLod(info);
-        // The approximation controller sends the tag back to Texel Address
-        // Calculation to recalculate with sample size 1 (Section V-B).
-        ++cell(ctr_stage2_, "patu.approx_stage2");
-        ++cell(ctr_addr_recalc_, "patu.addr_recalc");
     } else {
         d.approximate = false;
         d.stage = DecisionStage::FullAf;
-        ++cell(ctr_full_af_, "patu.full_af");
     }
     // A full-size table's hits are exactly countSharedSamples(): both
     // record the first kEntries distinct sets and match the rest against

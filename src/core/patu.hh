@@ -21,12 +21,9 @@
 #ifndef PARGPU_CORE_PATU_HH
 #define PARGPU_CORE_PATU_HH
 
-#include <cstdint>
 #include <span>
-#include <string>
 #include <string_view>
 
-#include "common/stats.hh"
 #include "core/hashtable.hh"
 #include "texture/sampler.hh"
 
@@ -125,9 +122,9 @@ struct PixelDecision
 };
 
 /**
- * One PATU decision pipeline (a texture unit instantiates four, one per
- * pixel of a quad). Owns a TexelAddressTable and accumulates the decision
- * statistics the evaluation section reports.
+ * The PATU decision pipeline of one texture unit, run for each covered
+ * pixel of a quad. Owns a TexelAddressTable; the texture unit counts
+ * the decisions it returns (TexUnitStats).
  */
 class PatuUnit
 {
@@ -141,7 +138,7 @@ class PatuUnit
 
     /**
      * Decide under @p config from now on; the table is reset per pixel
-     * anyway, so only a new size rebuilds it. stats() keeps counting.
+     * anyway, so only a new size rebuilds it.
      */
     void
     reconfigure(const PatuConfig &config)
@@ -158,16 +155,6 @@ class PatuUnit
      * footprints (address calculation) and call finishDistribution().
      */
     PixelDecision preDecide(const AnisotropyInfo &info);
-
-    /**
-     * preDecide() for @p count pixels that share the same AnisotropyInfo
-     * (a quad's covered pixels — the info is quad-wide). The decision is
-     * a pure function of the info, so one evaluation serves all pixels;
-     * the per-pixel decision counters advance by @p count, exactly as
-     * count preDecide() calls would. count == 0 is a no-op returning the
-     * (unused) decision.
-     */
-    PixelDecision preDecideN(const AnisotropyInfo &info, int count);
 
     /**
      * Run the stage-2 distribution check on the AF trilinear samples'
@@ -192,40 +179,12 @@ class PatuUnit
      */
     int countSharedSamples(std::span<const TexelAddrSet> sets);
 
-    /** Decision statistics accumulated since construction. */
-    const StatRegistry &stats() const { return stats_; }
-    StatRegistry &stats() { return stats_; }
-
   private:
     /** LOD an approximated pixel's TF should use (Section V-C(2)). */
     float approximatedLod(const AnisotropyInfo &info) const;
 
-    /**
-     * Cached registry cell, bound on first use so counters that are never
-     * touched stay absent from exports — exactly like inc() on demand.
-     * The PatuUnit is single-threaded (one per texture-unit pipeline), so
-     * bumping the cell directly is safe; see StatRegistry::counterCell().
-     */
-    std::uint64_t &
-    cell(std::uint64_t *&c, const char *name)
-    {
-        if (c == nullptr)
-            c = stats_.counterCell(name);
-        return *c;
-    }
-
     PatuConfig config_;
     TexelAddressTable table_;
-    StatRegistry stats_;
-    std::uint64_t *ctr_pixels_ = nullptr;
-    std::uint64_t *ctr_full_af_ = nullptr;
-    std::uint64_t *ctr_approx_forced_ = nullptr;
-    std::uint64_t *ctr_trivial_tf_ = nullptr;
-    std::uint64_t *ctr_stage1_ = nullptr;
-    std::uint64_t *ctr_stage2_ = nullptr;
-    std::uint64_t *ctr_addr_recalc_ = nullptr;
-    std::uint64_t *ctr_table_inserts_ = nullptr;
-    std::uint64_t *ctr_table_shared_ = nullptr;
 };
 
 } // namespace pargpu

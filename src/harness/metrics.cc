@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cstddef>
 #include <fstream>
+#include <iterator>
 #include <thread>
 
 #include "power/energy.hh"
@@ -14,78 +15,84 @@ namespace pargpu
 namespace
 {
 
-/** One FrameStats column: name + accessor (all fields are integral). */
-struct FrameField
-{
-    const char *name;
-    std::uint64_t (*get)(const FrameStats &);
+/**
+ * The FrameStats counters. Every registry counter is inc'd, zeros
+ * included, so the key set is the same in every mode: the filter-mode
+ * counters (docs/FILTERING.md) read zero in the paper's scenarios.
+ * raster.simd_quads, fb.simd_fills and arena.* count kernel
+ * invocations and scratch, which the geometry alone determines, so
+ * they are identical across SIMD tiers and execution modes; so is
+ * texunit.simd_batches, one per batched filter call.
+ */
+constexpr FrameCounter kFrameCounters[] = {
+    {"total_cycles", nullptr, &FrameStats::total_cycles},
+    {"geometry_cycles", "geometry.cycles", &FrameStats::geometry_cycles},
+    {"fragment_cycles", "shade.fragment_cycles",
+     &FrameStats::fragment_cycles},
+    {"texture_filter_cycles", "texunit.filter_cycles",
+     &FrameStats::texture_filter_cycles},
+    {"texture_mem_stall", "texunit.mem_stall_cycles",
+     &FrameStats::texture_mem_stall},
+    {"shader_busy_cycles", "shade.busy_cycles",
+     &FrameStats::shader_busy_cycles},
+    {"triangles_in", "geometry.triangles_in", &FrameStats::triangles_in},
+    {"triangles_setup", "geometry.triangles_setup",
+     &FrameStats::triangles_setup},
+    {"earlyz_tested", "earlyz.tested_pixels", &FrameStats::earlyz_tested},
+    {"earlyz_killed", "earlyz.killed_pixels", &FrameStats::earlyz_killed},
+    {"quads", "raster.quads", &FrameStats::quads},
+    {"pixels_shaded", "shade.pixels", &FrameStats::pixels_shaded},
+    {"trilinear_samples", "texunit.trilinear_samples",
+     &FrameStats::trilinear_samples},
+    {"texels", "texunit.texels", &FrameStats::texels},
+    {"addr_ops", "texunit.addr_ops", &FrameStats::addr_ops},
+    {"table_accesses", "patu.table_accesses", &FrameStats::table_accesses},
+    {"tex_lines", "texunit.lines", &FrameStats::tex_lines},
+    {"memo_lookups", "texunit.memo_lookups", &FrameStats::memo_lookups},
+    {"memo_hits", "texunit.memo_hits", &FrameStats::memo_hits},
+    {"simd_batches", "texunit.simd_batches", &FrameStats::simd_batches},
+    {"raster_simd_quads", "raster.simd_quads",
+     &FrameStats::raster_simd_quads},
+    {"fb_simd_fills", "fb.simd_fills", &FrameStats::fb_simd_fills},
+    {"arena_frame_bytes", "arena.frame_bytes",
+     &FrameStats::arena_frame_bytes},
+    // A peak, not a count: max-folded and set as a scalar by hand.
+    {"arena_high_water", nullptr, &FrameStats::arena_high_water},
+    {"af_candidate_pixels", "patu.af_candidate_pixels",
+     &FrameStats::af_candidate_pixels},
+    {"approx_stage1", "patu.approx_stage1", &FrameStats::approx_stage1},
+    {"approx_stage2", "patu.approx_stage2", &FrameStats::approx_stage2},
+    {"full_af", "patu.full_af", &FrameStats::full_af},
+    {"trivial_tf", "patu.trivial_tf", &FrameStats::trivial_tf},
+    {"af_input_samples", "patu.af_input_samples",
+     &FrameStats::af_input_samples},
+    {"shared_samples", "patu.shared_samples", &FrameStats::shared_samples},
+    {"divergent_quads", "patu.divergent_quads",
+     &FrameStats::divergent_quads},
+    {"af_quads", "patu.af_quads", &FrameStats::af_quads},
+    {"stf_samples", "texunit.stf_samples", &FrameStats::stf_samples},
+    {"fas_quads", "texunit.fas_quads", &FrameStats::fas_quads},
+    {"traffic_texture", "mem.traffic.texture_bytes",
+     &FrameStats::traffic_texture},
+    {"traffic_colordepth", "mem.traffic.color_depth_bytes",
+     &FrameStats::traffic_colordepth},
+    {"traffic_geometry", "mem.traffic.geometry_bytes",
+     &FrameStats::traffic_geometry},
+    {"l1_hits", "mem.l1.hits", &FrameStats::l1_hits},
+    {"l1_misses", "mem.l1.misses", &FrameStats::l1_misses},
+    {"llc_hits", "mem.llc.hits", &FrameStats::llc_hits},
+    {"llc_misses", "mem.llc.misses", &FrameStats::llc_misses},
+    {"dram_reads", "mem.dram.reads", &FrameStats::dram_reads},
+    {"dram_row_hits", "mem.dram.row_hits", &FrameStats::dram_row_hits},
 };
 
-/** Field table shared by the JSON and CSV writers (order = CSV order). */
-constexpr FrameField kFrameFields[] = {
-    {"total_cycles", [](const FrameStats &f) { return f.total_cycles; }},
-    {"geometry_cycles",
-     [](const FrameStats &f) { return f.geometry_cycles; }},
-    {"fragment_cycles",
-     [](const FrameStats &f) { return f.fragment_cycles; }},
-    {"texture_filter_cycles",
-     [](const FrameStats &f) { return f.texture_filter_cycles; }},
-    {"texture_mem_stall",
-     [](const FrameStats &f) { return f.texture_mem_stall; }},
-    {"shader_busy_cycles",
-     [](const FrameStats &f) { return f.shader_busy_cycles; }},
-    {"triangles_in", [](const FrameStats &f) { return f.triangles_in; }},
-    {"triangles_setup",
-     [](const FrameStats &f) { return f.triangles_setup; }},
-    {"earlyz_tested", [](const FrameStats &f) { return f.earlyz_tested; }},
-    {"earlyz_killed", [](const FrameStats &f) { return f.earlyz_killed; }},
-    {"quads", [](const FrameStats &f) { return f.quads; }},
-    {"pixels_shaded", [](const FrameStats &f) { return f.pixels_shaded; }},
-    {"trilinear_samples",
-     [](const FrameStats &f) { return f.trilinear_samples; }},
-    {"texels", [](const FrameStats &f) { return f.texels; }},
-    {"addr_ops", [](const FrameStats &f) { return f.addr_ops; }},
-    {"table_accesses",
-     [](const FrameStats &f) { return f.table_accesses; }},
-    {"tex_lines", [](const FrameStats &f) { return f.tex_lines; }},
-    {"memo_lookups", [](const FrameStats &f) { return f.memo_lookups; }},
-    {"memo_hits", [](const FrameStats &f) { return f.memo_hits; }},
-    {"simd_batches", [](const FrameStats &f) { return f.simd_batches; }},
-    {"raster_simd_quads",
-     [](const FrameStats &f) { return f.raster_simd_quads; }},
-    {"fb_simd_fills", [](const FrameStats &f) { return f.fb_simd_fills; }},
-    {"arena_frame_bytes",
-     [](const FrameStats &f) { return f.arena_frame_bytes; }},
-    {"arena_high_water",
-     [](const FrameStats &f) { return f.arena_high_water; }},
-    {"af_candidate_pixels",
-     [](const FrameStats &f) { return f.af_candidate_pixels; }},
-    {"approx_stage1", [](const FrameStats &f) { return f.approx_stage1; }},
-    {"approx_stage2", [](const FrameStats &f) { return f.approx_stage2; }},
-    {"full_af", [](const FrameStats &f) { return f.full_af; }},
-    {"trivial_tf", [](const FrameStats &f) { return f.trivial_tf; }},
-    {"af_input_samples",
-     [](const FrameStats &f) { return f.af_input_samples; }},
-    {"shared_samples",
-     [](const FrameStats &f) { return f.shared_samples; }},
-    {"divergent_quads",
-     [](const FrameStats &f) { return f.divergent_quads; }},
-    {"af_quads", [](const FrameStats &f) { return f.af_quads; }},
-    {"stf_samples", [](const FrameStats &f) { return f.stf_samples; }},
-    {"fas_quads", [](const FrameStats &f) { return f.fas_quads; }},
-    {"traffic_texture",
-     [](const FrameStats &f) { return f.traffic_texture; }},
-    {"traffic_colordepth",
-     [](const FrameStats &f) { return f.traffic_colordepth; }},
-    {"traffic_geometry",
-     [](const FrameStats &f) { return f.traffic_geometry; }},
-    {"l1_hits", [](const FrameStats &f) { return f.l1_hits; }},
-    {"l1_misses", [](const FrameStats &f) { return f.l1_misses; }},
-    {"llc_hits", [](const FrameStats &f) { return f.llc_hits; }},
-    {"llc_misses", [](const FrameStats &f) { return f.llc_misses; }},
-    {"dram_reads", [](const FrameStats &f) { return f.dram_reads; }},
-    {"dram_row_hits", [](const FrameStats &f) { return f.dram_row_hits; }},
-};
+// A FrameStats counter without a row fails here: every member is a
+// 64-bit counter (filter_policy, reported by hand, is the one more)
+// except the cluster shards.
+static_assert((std::size(kFrameCounters) + 1) * sizeof(std::uint64_t) +
+                      sizeof(std::vector<ClusterStats>) ==
+                  sizeof(FrameStats),
+              "every FrameStats counter needs a kFrameCounters row");
 
 double
 ratio(std::uint64_t num, std::uint64_t den)
@@ -96,99 +103,36 @@ ratio(std::uint64_t num, std::uint64_t den)
 
 } // namespace
 
+std::span<const FrameCounter>
+frameCounters()
+{
+    return kFrameCounters;
+}
+
 void
 buildRunRegistry(const RunResult &run, StatRegistry &reg, double mssim)
 {
-    // Aggregate the per-frame stats once.
+    // Sum the frames' counters once; the arena's high water is a peak,
+    // so it folds by max.
     FrameStats t;
     for (const FrameStats &f : run.frames) {
-        t.geometry_cycles += f.geometry_cycles;
-        t.fragment_cycles += f.fragment_cycles;
-        t.shader_busy_cycles += f.shader_busy_cycles;
-        t.texture_filter_cycles += f.texture_filter_cycles;
-        t.texture_mem_stall += f.texture_mem_stall;
-        t.triangles_in += f.triangles_in;
-        t.triangles_setup += f.triangles_setup;
-        t.earlyz_tested += f.earlyz_tested;
-        t.earlyz_killed += f.earlyz_killed;
-        t.quads += f.quads;
-        t.pixels_shaded += f.pixels_shaded;
-        t.trilinear_samples += f.trilinear_samples;
-        t.texels += f.texels;
-        t.addr_ops += f.addr_ops;
-        t.table_accesses += f.table_accesses;
-        t.tex_lines += f.tex_lines;
-        t.memo_lookups += f.memo_lookups;
-        t.memo_hits += f.memo_hits;
-        t.simd_batches += f.simd_batches;
-        t.raster_simd_quads += f.raster_simd_quads;
-        t.fb_simd_fills += f.fb_simd_fills;
-        t.arena_frame_bytes += f.arena_frame_bytes;
-        t.arena_high_water =
+        const std::uint64_t high_water =
             std::max(t.arena_high_water, f.arena_high_water);
-        t.af_candidate_pixels += f.af_candidate_pixels;
-        t.approx_stage1 += f.approx_stage1;
-        t.approx_stage2 += f.approx_stage2;
-        t.full_af += f.full_af;
-        t.trivial_tf += f.trivial_tf;
-        t.af_input_samples += f.af_input_samples;
-        t.shared_samples += f.shared_samples;
-        t.divergent_quads += f.divergent_quads;
-        t.af_quads += f.af_quads;
-        t.stf_samples += f.stf_samples;
-        t.fas_quads += f.fas_quads;
-        t.traffic_texture += f.traffic_texture;
-        t.traffic_colordepth += f.traffic_colordepth;
-        t.traffic_geometry += f.traffic_geometry;
-        t.l1_hits += f.l1_hits;
-        t.l1_misses += f.l1_misses;
-        t.llc_hits += f.llc_hits;
-        t.llc_misses += f.llc_misses;
-        t.dram_reads += f.dram_reads;
-        t.dram_row_hits += f.dram_row_hits;
+        for (const FrameCounter &c : kFrameCounters)
+            t.*c.member += f.*c.member;
+        t.arena_high_water = high_water;
     }
+    for (const FrameCounter &c : kFrameCounters)
+        if (c.registry != nullptr)
+            reg.inc(c.registry, t.*c.member);
 
-    // Geometry front-end.
-    reg.inc("geometry.cycles", t.geometry_cycles);
-    reg.inc("geometry.triangles_in", t.triangles_in);
-    reg.inc("geometry.triangles_setup", t.triangles_setup);
-
-    // Rasterizer + early depth test. raster.simd_quads counts edge_quad
-    // kernel evaluations (covered or not); like fb.simd_fills and the
-    // arena.* scalars below it is invocation-granular and geometry-
-    // determined, so the values are identical across SIMD tiers and
-    // execution modes.
-    reg.inc("raster.quads", t.quads);
-    reg.inc("raster.simd_quads", t.raster_simd_quads);
-    reg.inc("fb.simd_fills", t.fb_simd_fills);
-    reg.inc("arena.frame_bytes", t.arena_frame_bytes);
-    reg.set("arena.high_water",
-            static_cast<double>(t.arena_high_water));
-    reg.inc("earlyz.tested_pixels", t.earlyz_tested);
-    reg.inc("earlyz.killed_pixels", t.earlyz_killed);
+    // The scalars: the high water, the derived ratios and the host tier.
+    reg.set("arena.high_water", static_cast<double>(t.arena_high_water));
     reg.set("earlyz.kill_rate", ratio(t.earlyz_killed, t.earlyz_tested));
-
-    // Fragment shading.
-    reg.inc("shade.pixels", t.pixels_shaded);
-    reg.inc("shade.busy_cycles", t.shader_busy_cycles);
-    reg.inc("shade.fragment_cycles", t.fragment_cycles);
-
-    // Texture unit (filtering dataflow).
-    reg.inc("texunit.filter_cycles", t.texture_filter_cycles);
-    reg.inc("texunit.mem_stall_cycles", t.texture_mem_stall);
-    reg.inc("texunit.trilinear_samples", t.trilinear_samples);
-    reg.inc("texunit.texels", t.texels);
-    reg.inc("texunit.addr_ops", t.addr_ops);
-    reg.inc("texunit.lines", t.tex_lines);
     reg.set("texunit.lines_per_quad", ratio(t.tex_lines, t.quads));
-    reg.inc("texunit.memo_lookups", t.memo_lookups);
-    reg.inc("texunit.memo_hits", t.memo_hits);
     reg.set("texunit.memo_hit_rate", ratio(t.memo_hits, t.memo_lookups));
-    // SoA batch-filter host-path counters. simd_batches is dispatch-tier
-    // independent (one per batched filter call); simd_width and
-    // simd.dispatch describe the host tier and are the only registry keys
-    // allowed to differ across PARGPU_SIMD tiers.
-    reg.inc("texunit.simd_batches", t.simd_batches);
+    // simd_width and simd.dispatch describe the host tier and are the
+    // only registry keys allowed to differ across PARGPU_SIMD tiers.
     reg.set("texunit.simd_width",
             static_cast<double>(simd::tierLanes(simd::activeTier())));
     reg.set("simd.dispatch",
@@ -196,46 +140,16 @@ buildRunRegistry(const RunResult &run, StatRegistry &reg, double mssim)
     // Host-side texel storage of RGBA8 textures (1 = Morton, the only
     // order they are stored in).
     reg.set("texture.morton_storage", 1.0);
-
-    // Filter-mode reporting (docs/FILTERING.md). Counters are emitted
-    // unconditionally (zero in the paper's scenarios) so the registry key
-    // set is identical across modes; texunit.policy is the mode's
-    // filterPolicyCode().
+    // The mode's filterPolicyCode().
     reg.set("texunit.policy",
             static_cast<double>(run.frames.empty()
                                     ? 0
                                     : run.frames.front().filter_policy));
-    reg.inc("texunit.stf_samples", t.stf_samples);
-    reg.inc("texunit.fas_quads", t.fas_quads);
-
-    // PATU prediction.
-    reg.inc("patu.table_accesses", t.table_accesses);
-    reg.inc("patu.af_candidate_pixels", t.af_candidate_pixels);
-    reg.inc("patu.approx_stage1", t.approx_stage1);
-    reg.inc("patu.approx_stage2", t.approx_stage2);
-    reg.inc("patu.full_af", t.full_af);
-    reg.inc("patu.trivial_tf", t.trivial_tf);
-    reg.inc("patu.af_input_samples", t.af_input_samples);
-    reg.inc("patu.shared_samples", t.shared_samples);
-    reg.inc("patu.divergent_quads", t.divergent_quads);
-    reg.inc("patu.af_quads", t.af_quads);
-
-    // Memory hierarchy.
-    reg.inc("mem.l1.hits", t.l1_hits);
-    reg.inc("mem.l1.misses", t.l1_misses);
     reg.set("mem.l1.hit_rate", ratio(t.l1_hits, t.l1_hits + t.l1_misses));
-    reg.inc("mem.llc.hits", t.llc_hits);
-    reg.inc("mem.llc.misses", t.llc_misses);
     reg.set("mem.llc.hit_rate",
             ratio(t.llc_hits, t.llc_hits + t.llc_misses));
-    reg.inc("mem.dram.reads", t.dram_reads);
-    reg.inc("mem.dram.row_hits", t.dram_row_hits);
     reg.set("mem.dram.row_hit_rate", ratio(t.dram_row_hits, t.dram_reads));
-    reg.inc("mem.traffic.texture_bytes", t.traffic_texture);
-    reg.inc("mem.traffic.color_depth_bytes", t.traffic_colordepth);
-    reg.inc("mem.traffic.geometry_bytes", t.traffic_geometry);
-    reg.inc("mem.traffic.total_bytes",
-            t.traffic_texture + t.traffic_colordepth + t.traffic_geometry);
+    reg.inc("mem.traffic.total_bytes", t.totalTraffic());
 
     // Energy / run-level aggregates.
     reg.set("energy.total_nj", run.total_energy_nj);
@@ -350,8 +264,8 @@ metricsJson(const RunMetadata &meta, const RunConfig &config,
     Json frames = Json::array();
     for (const FrameStats &f : run.frames) {
         Json fj = Json::object();
-        for (const FrameField &field : kFrameFields)
-            fj.set(field.name, Json{field.get(f)});
+        for (const FrameCounter &c : kFrameCounters)
+            fj.set(c.column, Json{f.*c.member});
         frames.push(std::move(fj));
     }
     root.set("frames", std::move(frames));
@@ -385,14 +299,14 @@ writeMetricsCsv(const std::string &path, const RunMetadata &meta,
       << " tool=" << meta.tool << " workload=" << meta.workload
       << " scenario=" << scenarioMetricName(config.scenario) << "\n";
     f << "frame";
-    for (const FrameField &field : kFrameFields)
-        f << "," << field.name;
+    for (const FrameCounter &c : kFrameCounters)
+        f << "," << c.column;
     f << ",energy_nj\n";
     for (std::size_t i = 0; i < run.frames.size(); ++i) {
         const FrameStats &fs = run.frames[i];
         f << i;
-        for (const FrameField &field : kFrameFields)
-            f << "," << field.get(fs);
+        for (const FrameCounter &c : kFrameCounters)
+            f << "," << fs.*c.member;
         f << "," << computeEnergy(fs).total_nj() << "\n";
     }
     return static_cast<bool>(f);

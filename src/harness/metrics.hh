@@ -20,6 +20,8 @@
 #ifndef PARGPU_HARNESS_METRICS_HH
 #define PARGPU_HARNESS_METRICS_HH
 
+#include <cstdint>
+#include <span>
 #include <string>
 
 #include "common/json.hh"
@@ -44,6 +46,22 @@ struct RunMetadata
     int height = 0;
     int frames = 0;
 };
+
+/** One FrameStats counter: where each export reports it. */
+struct FrameCounter
+{
+    const char *column;   ///< CSV column and frames-object key.
+    const char *registry; ///< Registry counter, or nullptr for none.
+    std::uint64_t FrameStats::*member;
+};
+
+/**
+ * Every FrameStats counter, in CSV column order: the one list the
+ * frames objects, the CSV rows and buildRunRegistry() loop over.
+ * filter_policy (a mode code, not a count) and the cluster shards are
+ * reported by hand.
+ */
+std::span<const FrameCounter> frameCounters();
 
 /**
  * Build the per-stage stat registry for a finished run: the aggregated

@@ -137,6 +137,14 @@ parseRunConfigJson(const Json &j, RunConfig &out)
 }
 
 Status
+parseServedConfig(const Json &j, RunConfig &out)
+{
+    out = RunConfig{};
+    out.keep_images = false;
+    return parseRunConfigJson(j, out);
+}
+
+Status
 parseRunFlag(const RunConfigField &field, const std::string &text,
              RunConfig &out)
 {
@@ -313,9 +321,10 @@ ServeLoop::handle(const Json &request)
                 request, Status::fail(StatusCode::InvalidRequest,
                                       "run needs trace (string key)"));
         RunConfig config;
-        Status st = Status::success();
-        if (request.has("config")) // Absent config = all defaults.
-            st = parseRunConfigJson(request["config"], config);
+        // An absent config is an empty one: all defaults.
+        Status st = parseServedConfig(
+            request.has("config") ? request["config"] : Json::object(),
+            config);
         if (!st.ok())
             return responseFor(request, st);
         const std::string key = request["trace"].str();
@@ -373,7 +382,7 @@ ServeLoop::handleSweep(const Json &request)
     configs.reserve(request["configs"].items().size());
     for (std::size_t i = 0; i < request["configs"].items().size(); ++i) {
         RunConfig config;
-        Status st = parseRunConfigJson(request["configs"][i], config);
+        Status st = parseServedConfig(request["configs"][i], config);
         if (!st.ok()) {
             st.message =
                 "configs[" + std::to_string(i) + "]: " + st.message;

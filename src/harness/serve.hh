@@ -46,6 +46,13 @@ bool parseGameName(const std::string &name, GameId &out);
 Status parseRunConfigJson(const Json &j, RunConfig &out);
 
 /**
+ * The config of a served job: parseRunConfigJson() over RunConfig's
+ * defaults with keep_images false, since no response carries an image.
+ * An explicit `keep_images: true` is still accepted.
+ */
+Status parseServedConfig(const Json &j, RunConfig &out);
+
+/**
  * Parse @p text, the value of @p field's `--run-*` flag, into @p out:
  * a number that parses whole and fits the field's type, a scenario
  * name, or "true"/"false" (a bare bool flag passes "true"). Anything

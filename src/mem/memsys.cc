@@ -143,46 +143,4 @@ MemorySystem::trafficBytes(TrafficClass cls) const
     return traffic_[static_cast<int>(cls)];
 }
 
-Bytes
-MemorySystem::totalTrafficBytes() const
-{
-    return traffic_[0] + traffic_[1] + traffic_[2];
-}
-
-void
-MemorySystem::exportStats(StatRegistry &stats,
-                          const std::string &prefix) const
-{
-    std::uint64_t l1_hits = 0, l1_misses = 0;
-    for (const auto &l1 : tex_l1_) {
-        l1_hits += l1->hits();
-        l1_misses += l1->misses();
-    }
-    stats.inc(prefix + ".tex_l1.hits", l1_hits);
-    stats.inc(prefix + ".tex_l1.misses", l1_misses);
-    stats.inc(prefix + ".llc.hits", llc_->hits());
-    stats.inc(prefix + ".llc.misses", llc_->misses());
-    stats.inc(prefix + ".dram.reads", dram_->reads());
-    stats.inc(prefix + ".dram.row_hits", dram_->rowHits());
-    stats.inc(prefix + ".dram.bytes_read", dram_->bytesRead());
-    stats.inc(prefix + ".dram.bytes_written", dram_->bytesWritten());
-    stats.inc(prefix + ".traffic.texture",
-              trafficBytes(TrafficClass::Texture));
-    stats.inc(prefix + ".traffic.color_depth",
-              trafficBytes(TrafficClass::ColorDepth));
-    stats.inc(prefix + ".traffic.geometry",
-              trafficBytes(TrafficClass::Geometry));
-
-    auto rate = [](std::uint64_t hits, std::uint64_t misses) {
-        std::uint64_t total = hits + misses;
-        return total == 0 ? 0.0
-                          : static_cast<double>(hits)
-                                / static_cast<double>(total);
-    };
-    stats.set(prefix + ".tex_l1.hit_rate", rate(l1_hits, l1_misses));
-    stats.set(prefix + ".llc.hit_rate", rate(llc_->hits(), llc_->misses()));
-    stats.set(prefix + ".dram.row_hit_rate",
-              rate(dram_->rowHits(), dram_->reads() - dram_->rowHits()));
-}
-
 } // namespace pargpu

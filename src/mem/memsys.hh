@@ -12,7 +12,6 @@
 #include <span>
 #include <vector>
 
-#include "common/stats.hh"
 #include "common/types.hh"
 #include "mem/cache.hh"
 #include "mem/dram.hh"
@@ -151,17 +150,11 @@ class MemorySystem
     /** DRAM bytes moved (read + write) for @p cls. */
     Bytes trafficBytes(TrafficClass cls) const;
 
-    /** Total DRAM bytes moved across all classes. */
-    Bytes totalTrafficBytes() const;
-
     const SetAssocCache &textureL1(unsigned cluster) const
     { return *tex_l1_[cluster]; }
     const SetAssocCache &llc() const { return *llc_; }
     const DramModel &dram() const { return *dram_; }
     const MemSysConfig &config() const { return config_; }
-
-    /** Dump cache/DRAM stats into @p stats under @p prefix. */
-    void exportStats(StatRegistry &stats, const std::string &prefix) const;
 
   private:
     friend class ClusterMemFront;

@@ -92,16 +92,6 @@ struct Scene
         return static_cast<int>(textures.size()) - 1;
     }
 
-    /** Total vertices across all draw calls. */
-    std::size_t
-    numVertices() const
-    {
-        std::size_t n = 0;
-        for (const DrawCall &d : draws)
-            n += d.mesh.vertices.size();
-        return n;
-    }
-
     /** Total triangles across all draw calls. */
     std::size_t
     numTriangles() const

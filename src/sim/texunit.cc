@@ -153,9 +153,8 @@ TextureUnit::processQuadWork(const QuadFragment &quad,
         // Anisotropic path with the PATU decision flow (Fig. 13). The
         // pre-decision is a pure function of the quad-wide
         // AnisotropyInfo, so every covered pixel reaches the same
-        // PixelDecision; preDecide() still runs once per pixel because
-        // its counters are per-pixel statistics. When no distribution
-        // check is needed, the quad therefore takes one uniform branch
+        // PixelDecision, and one preDecide() serves the quad. When no
+        // distribution check is needed, the quad takes one uniform branch
         // and the pixels' sample batches concatenate — in pixel order,
         // preserving the memo probe and line first-touch sequences — into
         // a single QuadFilter gather.
@@ -261,12 +260,13 @@ TextureUnit::anisoQuadPatu(const QuadFragment &quad,
                            const int act[4], int n_act, bool &any_approx,
                            bool &any_keep)
 {
-    // One evaluation covers the quad (the info is quad-wide and the
-    // pre-decision is a pure function of it); the per-pixel decision
-    // counters advance as if each pixel had decided for itself.
-    PixelDecision d = patu_.preDecideN(info, n_act);
+    if (n_act == 0)
+        return;
+    // One evaluation covers the quad: the info is quad-wide and the
+    // pre-decision is a pure function of it.
+    PixelDecision d = patu_.preDecide(info);
 
-    if (n_act > 0 && d.need_distribution) {
+    if (d.need_distribution) {
         // Stage-2 scenarios interleave footprint generation, the
         // hash-table check and a possible TF recalculation per pixel,
         // and the decision can diverge across the quad: stay
@@ -337,7 +337,7 @@ TextureUnit::anisoQuadPatu(const QuadFragment &quad,
                     queueSample(s);
             }
         }
-    } else if (n_act > 0) {
+    } else {
         for (int a = 0; a < n_act; ++a) {
             plans[act[a]].approximate = d.approximate;
             plans[act[a]].stage = d.stage;

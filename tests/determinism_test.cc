@@ -34,53 +34,9 @@ namespace
 void
 expectStatsEqual(const FrameStats &a, const FrameStats &b)
 {
-#define PARGPU_EQ(field) EXPECT_EQ(a.field, b.field) << #field
-    PARGPU_EQ(total_cycles);
-    PARGPU_EQ(geometry_cycles);
-    PARGPU_EQ(fragment_cycles);
-    PARGPU_EQ(texture_filter_cycles);
-    PARGPU_EQ(texture_mem_stall);
-    PARGPU_EQ(shader_busy_cycles);
-    PARGPU_EQ(triangles_in);
-    PARGPU_EQ(triangles_setup);
-    PARGPU_EQ(earlyz_tested);
-    PARGPU_EQ(earlyz_killed);
-    PARGPU_EQ(quads);
-    PARGPU_EQ(pixels_shaded);
-    PARGPU_EQ(trilinear_samples);
-    PARGPU_EQ(texels);
-    PARGPU_EQ(addr_ops);
-    PARGPU_EQ(table_accesses);
-    PARGPU_EQ(tex_lines);
-    PARGPU_EQ(memo_lookups);
-    PARGPU_EQ(memo_hits);
-    PARGPU_EQ(simd_batches);
-    PARGPU_EQ(raster_simd_quads);
-    PARGPU_EQ(fb_simd_fills);
-    PARGPU_EQ(arena_frame_bytes);
-    PARGPU_EQ(arena_high_water);
-    PARGPU_EQ(af_candidate_pixels);
-    PARGPU_EQ(approx_stage1);
-    PARGPU_EQ(approx_stage2);
-    PARGPU_EQ(full_af);
-    PARGPU_EQ(trivial_tf);
-    PARGPU_EQ(af_input_samples);
-    PARGPU_EQ(shared_samples);
-    PARGPU_EQ(divergent_quads);
-    PARGPU_EQ(af_quads);
-    PARGPU_EQ(filter_policy);
-    PARGPU_EQ(stf_samples);
-    PARGPU_EQ(fas_quads);
-    PARGPU_EQ(traffic_texture);
-    PARGPU_EQ(traffic_colordepth);
-    PARGPU_EQ(traffic_geometry);
-    PARGPU_EQ(l1_hits);
-    PARGPU_EQ(l1_misses);
-    PARGPU_EQ(llc_hits);
-    PARGPU_EQ(llc_misses);
-    PARGPU_EQ(dram_reads);
-    PARGPU_EQ(dram_row_hits);
-#undef PARGPU_EQ
+    for (const FrameCounter &c : frameCounters())
+        EXPECT_EQ(a.*c.member, b.*c.member) << c.column;
+    EXPECT_EQ(a.filter_policy, b.filter_policy) << "filter_policy";
     ASSERT_EQ(a.clusters.size(), b.clusters.size());
     for (std::size_t c = 0; c < a.clusters.size(); ++c) {
 #define PARGPU_CEQ(field) \

@@ -60,7 +60,10 @@ TEST(MemSysTest, TrafficAccountedPerClass)
     EXPECT_EQ(mem.trafficBytes(TrafficClass::Texture), 64u);
     EXPECT_EQ(mem.trafficBytes(TrafficClass::Geometry), 64u);
     EXPECT_EQ(mem.trafficBytes(TrafficClass::ColorDepth), 512u);
-    EXPECT_EQ(mem.totalTrafficBytes(), 64u + 64 + 512);
+    EXPECT_EQ(mem.trafficBytes(TrafficClass::Texture) +
+                  mem.trafficBytes(TrafficClass::Geometry) +
+                  mem.trafficBytes(TrafficClass::ColorDepth),
+              64u + 64 + 512);
 }
 
 TEST(MemSysTest, L1HitGeneratesNoDramTraffic)
@@ -85,7 +88,10 @@ TEST(MemSysTest, ResetClearsCachesAndTraffic)
     MemorySystem mem(defaultConfig());
     mem.read(0, 0x9000, 0, TrafficClass::Texture);
     mem.reset();
-    EXPECT_EQ(mem.totalTrafficBytes(), 0u);
+    EXPECT_EQ(mem.trafficBytes(TrafficClass::Texture) +
+                  mem.trafficBytes(TrafficClass::Geometry) +
+                  mem.trafficBytes(TrafficClass::ColorDepth),
+              0u);
     // After reset the same address misses again (traffic reappears).
     mem.read(0, 0x9000, 0, TrafficClass::Texture);
     EXPECT_EQ(mem.trafficBytes(TrafficClass::Texture), 64u);
@@ -101,15 +107,13 @@ TEST(MemSysTest, ScaleFactorsGrowCaches)
     EXPECT_EQ(mem.textureL1(0).config().size_bytes, 2u * 16 * 1024);
 }
 
-TEST(MemSysTest, ExportStatsPopulatesRegistry)
+TEST(MemSysTest, RepeatedReadHitsL1AndReadsDramOnce)
 {
     MemorySystem mem(defaultConfig());
     mem.read(0, 0xA000, 0, TrafficClass::Texture);
     mem.read(0, 0xA000, 0, TrafficClass::Texture);
-    StatRegistry stats;
-    mem.exportStats(stats, "mem");
-    EXPECT_EQ(stats.counter("mem.tex_l1.hits"), 1u);
-    EXPECT_EQ(stats.counter("mem.tex_l1.misses"), 1u);
-    EXPECT_EQ(stats.counter("mem.dram.reads"), 1u);
-    EXPECT_EQ(stats.counter("mem.traffic.texture"), 64u);
+    EXPECT_EQ(mem.textureL1(0).hits(), 1u);
+    EXPECT_EQ(mem.textureL1(0).misses(), 1u);
+    EXPECT_EQ(mem.dram().reads(), 1u);
+    EXPECT_EQ(mem.trafficBytes(TrafficClass::Texture), 64u);
 }

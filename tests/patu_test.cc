@@ -186,7 +186,7 @@ TEST(PatuDistributionTest, DisjointFootprintsKeepAf)
     EXPECT_NEAR(d.txds_value, 0.0f, 1e-5f);
 }
 
-TEST(PatuDistributionTest, StatsTrackDecisions)
+TEST(PatuDistributionTest, EachDecisionReportsItsStage)
 {
     PatuUnit u(cfg(DesignScenario::Patu, 0.4f));
     AnisotropyInfo info = infoWithN(8);
@@ -194,14 +194,11 @@ TEST(PatuDistributionTest, StatsTrackDecisions)
     u.finishDistribution(d1, info, footprints(8, 0.0f));
     PixelDecision d2 = u.preDecide(info);
     u.finishDistribution(d2, info, footprints(8, 0.08f));
-    u.preDecide(infoWithN(1));
-    u.preDecide(infoWithN(2));
 
-    EXPECT_EQ(u.stats().counter("patu.approx_stage2"), 1u);
-    EXPECT_EQ(u.stats().counter("patu.full_af"), 1u);
-    EXPECT_EQ(u.stats().counter("patu.trivial_tf"), 1u);
-    EXPECT_EQ(u.stats().counter("patu.approx_stage1"), 1u);
-    EXPECT_EQ(u.stats().counter("patu.pixels"), 4u);
+    EXPECT_EQ(d1.stage, DecisionStage::Distribution);
+    EXPECT_EQ(d2.stage, DecisionStage::FullAf);
+    EXPECT_EQ(u.preDecide(infoWithN(1)).stage, DecisionStage::TrivialTf);
+    EXPECT_EQ(u.preDecide(infoWithN(2)).stage, DecisionStage::SampleArea);
 }
 
 TEST(PatuSharedSamplesTest, CountsNonFirstOccurrences)

@@ -239,6 +239,23 @@ INSTANTIATE_TEST_SUITE_P(
         // One frame past the budget.
         R"("width":16384,"height":16384,"frames":5)"));
 
+// No response carries an image, so a served config keeps none unless it
+// asks to.
+TEST(ServeConfigTest, ServedConfigKeepsNoImagesUnlessAsked)
+{
+    RunConfig config;
+    config.threshold = 0.9f;
+    ASSERT_TRUE(parseServedConfig(Json::object(), config).ok());
+    EXPECT_FALSE(config.keep_images);
+    EXPECT_EQ(config.threshold, RunConfig{}.threshold);
+
+    std::string error;
+    const Json keep = Json::parse(R"({"keep_images":true})", &error);
+    ASSERT_TRUE(error.empty()) << error;
+    ASSERT_TRUE(parseServedConfig(keep, config).ok());
+    EXPECT_TRUE(config.keep_images);
+}
+
 TEST(ServeProtocolTest, RunValidatesConfigWithTypedReasons)
 {
     auto [rc, responses] = serve({

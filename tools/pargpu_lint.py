@@ -23,8 +23,10 @@ Style and layering:
   file-doc     every header must open with an @file doc comment
                (Doxygen's per-file brief)
   metrics-doc  every stat name registered in code (a dotted "a.b.c"
-               string literal passed to .inc()/.set()/.observe()) must be
-               documented, as `a.b.c`, in docs/METRICS.md; a name
+               string literal passed to .inc()/.set()/.observe(), or
+               the second literal of a counter-table row, {"column",
+               "a.b.c", ...}) must be documented, as `a.b.c`, in
+               docs/METRICS.md; a name
                relative to a runtime prefix (".llc.hits") as `llc.hits`
                or after a prefix (`mem.llc.hits`)
   intrinsics   no x86 SIMD intrinsics (_mm_* / _mm256_*) outside
@@ -126,6 +128,10 @@ RE_STAT_CALL = re.compile(r"\.\s*(?:inc|set|observe)\s*\(")
 # Dotted stat-name literals: absolute ("mem.dram.reads") or relative to a
 # runtime prefix (".tex_l1.hits", as in prefix + ".tex_l1.hits").
 RE_STAT_NAME = re.compile(r'"(\.?[a-z0-9_]+(?:\.[a-z0-9_]+)+)"')
+# A counter-table row naming its registry counter second:
+# {"geometry_cycles", "geometry.cycles", &FrameStats::geometry_cycles}.
+RE_COUNTER_ROW = re.compile(
+    r'\{\s*"[a-z0-9_]+"\s*,\s*"\.?[a-z0-9_]+(?:\.[a-z0-9_]+)+"')
 RE_QUOTED_INCLUDE = re.compile(r'#\s*include\s*"([^"]+)"')
 # x86 vector intrinsics: _mm_add_ps, _mm256_fmadd_ps, _mm512_...
 RE_INTRIN = re.compile(r"\b_mm\d*_[A-Za-z0-9_]+")
@@ -366,12 +372,13 @@ def check_file(root, rel, violations, metrics_doc):
                 continue
             report(lineno, rule, msg)
 
-        # metrics-doc: a stat registration (".inc(" / ".set(" / ".observe(")
-        # with a dotted string literal must have that name documented in
-        # docs/METRICS.md. The literal may sit on the call line or, for
-        # wrapped calls, on the following line. A leading '.' marks a name
-        # relative to a runtime prefix (prefix + ".llc.hits").
-        if RE_STAT_CALL.search(line):
+        # metrics-doc: a stat registration (".inc(" / ".set(" / ".observe("
+        # or a counter-table row) with a dotted string literal must have
+        # that name documented in docs/METRICS.md. The literal may sit on
+        # the call line or, for wrapped calls, on the following line. A
+        # leading '.' marks a name relative to a runtime prefix
+        # (prefix + ".llc.hits").
+        if RE_STAT_CALL.search(line) or RE_COUNTER_ROW.search(raw):
             search = raw
             if not RE_STAT_NAME.search(raw) and lineno < len(raw_lines):
                 search += "\n" + raw_lines[lineno]
