@@ -3,7 +3,7 @@
  * pargpu public API — metrics schema and exporters.
  *
  * Re-exports the versioned metrics document (metricsJson,
- * writeMetricsJson/writeMetricsCsv, buildRunRegistry, RunMetadata,
+ * writeMetricsJson/writeMetricsCsv, runRegistry, RunMetadata,
  * kMetricsSchemaVersion) described in docs/METRICS.md.
  */
 

@@ -11,10 +11,10 @@
 #       (stages 1-3 run ctest twice: PARGPU_THREADS=1 and =nproc)
 #    4. ThreadSanitizer build, threading-focused ctest subset (with
 #       the scene and texture tests: their row bands write one texel
-#       vector from several threads; and the stats registry and trace
-#       collector tests, whose locks several threads take): once as-is,
-#       then the tile-stream subset (golden digests and the session and
-#       serve jobs included) at PARGPU_THREADS=2, 3 and =nproc, where
+#       vector from several threads; and the trace collector test,
+#       whose lock several threads take): once as-is, then the
+#       tile-stream subset (golden digests and the session and serve
+#       jobs included) at PARGPU_THREADS=2, 3 and =nproc, where
 #       idle pool threads join every frame's tile streams. This is the
 #       one check of the lock and serial-memory-phase discipline
 #    5. -DPARGPU_TRACING=OFF build (macros compiled out), tracing subset
@@ -134,7 +134,7 @@ stage_tsan() {
         || { cat build-tsan.configure.log >&2; return 1; }
     cmake --build build-tsan -j "$JOBS"
     ctest --test-dir build-tsan --output-on-failure -j "$JOBS" \
-        -R "threadpool_test|determinism_test|pipeline_test|integration_test|session_test|serve_test|arena_test|ssim_test|scenes_test|procedural_test|mipmap_test|stats_test|tracing_test"
+        -R "threadpool_test|determinism_test|pipeline_test|integration_test|session_test|serve_test|arena_test|ssim_test|scenes_test|procedural_test|mipmap_test|tracing_test"
     # Idle pool threads join every renderFrame()'s tile streams, so TSAN
     # sees helpers logging tiles into the shared framebuffer planes and
     # into slots from the shared free list, the per-cluster L1 replay

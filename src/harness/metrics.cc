@@ -109,9 +109,10 @@ frameCounters()
     return kFrameCounters;
 }
 
-void
-buildRunRegistry(const RunResult &run, StatRegistry &reg, double mssim)
+StatRegistry
+runRegistry(const RunResult &run, double mssim)
 {
+    StatRegistry reg;
     // Sum the frames' counters once; the arena's high water is a peak,
     // so it folds by max.
     FrameStats t;
@@ -158,7 +159,7 @@ buildRunRegistry(const RunResult &run, StatRegistry &reg, double mssim)
     if (mssim >= 0.0)
         reg.set("run.mssim", mssim);
 
-    // Per-frame distributions (p50/p95/max in the snapshot).
+    // Per-frame distributions (p50/p95/max in the JSON).
     for (const FrameStats &f : run.frames) {
         reg.observe("frame.cycles", static_cast<double>(f.total_cycles));
         reg.observe("frame.texels", static_cast<double>(f.texels));
@@ -213,6 +214,7 @@ buildRunRegistry(const RunResult &run, StatRegistry &reg, double mssim)
                 reg.observe("frame.tiles_per_cluster",
                             static_cast<double>(cs.tiles));
     }
+    return reg;
 }
 
 Json
@@ -270,9 +272,7 @@ metricsJson(const RunMetadata &meta, const RunConfig &config,
     }
     root.set("frames", std::move(frames));
 
-    StatRegistry reg;
-    buildRunRegistry(run, reg, mssim);
-    root.set("registry", reg.snapshot().toJson());
+    root.set("registry", runRegistry(run, mssim).toJson());
     return root;
 }
 

@@ -10,7 +10,7 @@
  *   - "aggregate": run-level aggregates (avg cycles, energy, power,
  *     optional MSSIM against a reference run),
  *   - "frames": one object per frame with every FrameStats field,
- *   - "registry": a StatSnapshot of per-stage counters, scalars and
+ *   - "registry": runRegistry()'s per-stage counters, scalars and
  *     histograms (names documented in docs/METRICS.md).
  *
  * The CSV form is one row per frame with the same FrameStats columns,
@@ -57,22 +57,21 @@ struct FrameCounter
 
 /**
  * Every FrameStats counter, in CSV column order: the one list the
- * frames objects, the CSV rows and buildRunRegistry() loop over.
+ * frames objects, the CSV rows and runRegistry() loop over.
  * filter_policy (a mode code, not a count) and the cluster shards are
  * reported by hand.
  */
 std::span<const FrameCounter> frameCounters();
 
 /**
- * Build the per-stage stat registry for a finished run: the aggregated
+ * The per-stage stat registry of a finished run: the aggregated
  * FrameStats mapped onto hierarchical dotted names (raster, early-Z,
  * shading, texunit, PATU, memory, energy) plus per-frame histograms.
  * Every name is documented in docs/METRICS.md.
  *
  * @param mssim  Mean MSSIM against a reference run, or < 0 if none.
  */
-void buildRunRegistry(const RunResult &run, StatRegistry &reg,
-                      double mssim = -1.0);
+StatRegistry runRegistry(const RunResult &run, double mssim = -1.0);
 
 /**
  * Serialize a run as a metrics document (see file header for the layout).

@@ -226,9 +226,7 @@ Job::snapshot() const
     agg.set("total_energy_nj", Json{partial.total_energy_nj});
     agg.set("avg_power_w", Json{partial.avg_power_w});
     j.set("aggregate", std::move(agg));
-    StatRegistry reg;
-    buildRunRegistry(partial, reg);
-    j.set("registry", reg.snapshot().toJson());
+    j.set("registry", runRegistry(partial).toJson());
     return j;
 }
 

@@ -4,6 +4,7 @@
 #include <atomic>
 #include <bit>
 #include <cmath>
+#include <iterator>
 #include <span>
 
 #include "common/contract.hh"
@@ -123,6 +124,54 @@ shadeQuad(Framebuffer &fb, const SetupTriangle &st, const QuadFragment &q,
     fb.scatterQuad(q.x, q.y, rgba, surv);
     return pixels;
 }
+
+/** One texture-unit counter and where a frame reports it. */
+struct TexFold
+{
+    std::uint64_t TexUnitStats::*tex;
+    std::uint64_t FrameStats::*frame;               ///< Sum over clusters.
+    std::uint64_t ClusterStats::*cluster = nullptr; ///< The shard, if any.
+};
+
+/**
+ * Every TexUnitStats counter: a tile's deltas fold into its cluster's
+ * texture-unit totals, and those into the frame and its cluster shards,
+ * over these rows.
+ */
+constexpr TexFold kTexFold[] = {
+    {&TexUnitStats::pixels, &FrameStats::pixels_shaded,
+     &ClusterStats::pixels},
+    {&TexUnitStats::quads, &FrameStats::quads, &ClusterStats::quads},
+    {&TexUnitStats::trilinear_samples, &FrameStats::trilinear_samples},
+    {&TexUnitStats::texels, &FrameStats::texels, &ClusterStats::texels},
+    {&TexUnitStats::addr_ops, &FrameStats::addr_ops},
+    {&TexUnitStats::table_accesses, &FrameStats::table_accesses},
+    {&TexUnitStats::lines, &FrameStats::tex_lines},
+    {&TexUnitStats::memo_lookups, &FrameStats::memo_lookups},
+    {&TexUnitStats::memo_hits, &FrameStats::memo_hits},
+    {&TexUnitStats::simd_batches, &FrameStats::simd_batches},
+    {&TexUnitStats::filter_busy, &FrameStats::texture_filter_cycles,
+     &ClusterStats::filter_busy},
+    {&TexUnitStats::mem_stall, &FrameStats::texture_mem_stall,
+     &ClusterStats::mem_stall},
+    {&TexUnitStats::af_candidate_pixels, &FrameStats::af_candidate_pixels},
+    {&TexUnitStats::approx_stage1, &FrameStats::approx_stage1},
+    {&TexUnitStats::approx_stage2, &FrameStats::approx_stage2},
+    {&TexUnitStats::full_af, &FrameStats::full_af},
+    {&TexUnitStats::trivial_tf, &FrameStats::trivial_tf},
+    {&TexUnitStats::af_input_samples, &FrameStats::af_input_samples},
+    {&TexUnitStats::shared_samples, &FrameStats::shared_samples},
+    {&TexUnitStats::divergent_quads, &FrameStats::divergent_quads},
+    {&TexUnitStats::af_quads, &FrameStats::af_quads},
+    {&TexUnitStats::stf_samples, &FrameStats::stf_samples},
+    {&TexUnitStats::fas_quads, &FrameStats::fas_quads},
+};
+
+// TexUnitStats holds nothing but 64-bit counters, so a counter without a
+// row fails this size check.
+static_assert(std::size(kTexFold) * sizeof(std::uint64_t) ==
+                  sizeof(TexUnitStats),
+              "every TexUnitStats counter needs a kTexFold row");
 
 } // namespace
 
@@ -585,7 +634,8 @@ GpuSimulator::renderFrame(const Scene &scene, const Camera &camera,
                             TrafficClass::ColorDepth);
             }
 
-            ts += tl.tex;
+            for (const TexFold &f : kTexFold)
+                ts.*f.tex += tl.tex.*f.tex;
             fs.earlyz_tested += tl.earlyz_tested;
             fs.earlyz_killed += tl.earlyz_killed;
             fs.raster_simd_quads += tl.simd_quads;
@@ -720,31 +770,6 @@ GpuSimulator::renderFrame(const Scene &scene, const Camera &camera,
 
     fs.filter_policy =
         static_cast<std::uint64_t>(filterPolicyCode(config_.patu.scenario));
-    for (const TexUnitStats &ts : cluster_tex_) {
-        fs.texture_filter_cycles += ts.filter_busy;
-        fs.texture_mem_stall += ts.mem_stall;
-        fs.quads += ts.quads;
-        fs.pixels_shaded += ts.pixels;
-        fs.trilinear_samples += ts.trilinear_samples;
-        fs.texels += ts.texels;
-        fs.addr_ops += ts.addr_ops;
-        fs.table_accesses += ts.table_accesses;
-        fs.tex_lines += ts.lines;
-        fs.memo_lookups += ts.memo_lookups;
-        fs.memo_hits += ts.memo_hits;
-        fs.simd_batches += ts.simd_batches;
-        fs.af_candidate_pixels += ts.af_candidate_pixels;
-        fs.approx_stage1 += ts.approx_stage1;
-        fs.approx_stage2 += ts.approx_stage2;
-        fs.full_af += ts.full_af;
-        fs.trivial_tf += ts.trivial_tf;
-        fs.af_input_samples += ts.af_input_samples;
-        fs.shared_samples += ts.shared_samples;
-        fs.divergent_quads += ts.divergent_quads;
-        fs.af_quads += ts.af_quads;
-        fs.stf_samples += ts.stf_samples;
-        fs.fas_quads += ts.fas_quads;
-    }
 
     // Per-cluster shards: the static tile assignment is the same for
     // every worker count, so the cluster.* metrics never depend on
@@ -754,12 +779,12 @@ GpuSimulator::renderFrame(const Scene &scene, const Camera &camera,
         ClusterStats &cs = fs.clusters[c];
         const TexUnitStats &ts = cluster_tex_[c];
         cs.tiles = tiles_per_cluster[c];
-        cs.quads = ts.quads;
-        cs.pixels = ts.pixels;
-        cs.texels = ts.texels;
         cs.cycles = cluster_cycles[c];
-        cs.filter_busy = ts.filter_busy;
-        cs.mem_stall = ts.mem_stall;
+        for (const TexFold &f : kTexFold) {
+            fs.*f.frame += ts.*f.tex;
+            if (f.cluster != nullptr)
+                cs.*f.cluster = ts.*f.tex;
+        }
     }
 
     // Arena accounting: lifetime deltas survive the per-draw bin_arena_

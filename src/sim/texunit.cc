@@ -7,38 +7,6 @@
 namespace pargpu
 {
 
-TexUnitStats &
-TexUnitStats::operator+=(const TexUnitStats &o)
-{
-    static_assert(sizeof(TexUnitStats) == 23 * sizeof(std::uint64_t),
-                  "a TexUnitStats field was added or removed: update the "
-                  "sum below");
-    pixels += o.pixels;
-    quads += o.quads;
-    trilinear_samples += o.trilinear_samples;
-    texels += o.texels;
-    addr_ops += o.addr_ops;
-    table_accesses += o.table_accesses;
-    lines += o.lines;
-    memo_lookups += o.memo_lookups;
-    memo_hits += o.memo_hits;
-    simd_batches += o.simd_batches;
-    filter_busy += o.filter_busy;
-    mem_stall += o.mem_stall;
-    af_candidate_pixels += o.af_candidate_pixels;
-    approx_stage1 += o.approx_stage1;
-    approx_stage2 += o.approx_stage2;
-    full_af += o.full_af;
-    trivial_tf += o.trivial_tf;
-    af_input_samples += o.af_input_samples;
-    shared_samples += o.shared_samples;
-    divergent_quads += o.divergent_quads;
-    af_quads += o.af_quads;
-    stf_samples += o.stf_samples;
-    fas_quads += o.fas_quads;
-    return *this;
-}
-
 TextureUnit::TextureUnit(const GpuConfig &config, unsigned cluster,
                          MemorySystem &mem)
     : config_(config), cluster_(cluster), mem_(&mem), patu_(config.patu)

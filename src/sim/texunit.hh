@@ -68,9 +68,6 @@ struct TexUnitStats
     // the paper's five scenarios.
     std::uint64_t stf_samples = 0;      ///< Single-texel stochastic fetches.
     std::uint64_t fas_quads = 0;        ///< Quads filtered after shading.
-
-    /** Field-wise sum: folds one tile's deltas into a unit's totals. */
-    TexUnitStats &operator+=(const TexUnitStats &o);
 };
 
 /** Result of filtering one quad. */

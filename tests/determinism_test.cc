@@ -17,7 +17,6 @@
 
 #include <gtest/gtest.h>
 
-#include "common/stats.hh"
 #include "common/threadpool.hh"
 #include "harness/metrics.hh"
 #include "harness/session.hh"
@@ -222,8 +221,8 @@ TEST(Determinism, FramesSideBySideShareTheirStreams)
 TEST(Determinism, PoolRegistryIdentical)
 {
     Session session;
-    // "Every exported counter": the whole StatRegistry snapshot —
-    // counters, scalars (hit rates, imbalance) and histograms — must
+    // "Every exported counter": the whole run registry — counters,
+    // scalars (hit rates, imbalance) and histograms — must
     // serialize identically for one thread and for a shared stream.
     GameTrace trace = smallTrace();
     RunConfig cfg;
@@ -237,11 +236,8 @@ TEST(Determinism, PoolRegistryIdentical)
     RunResult b = session.run(trace, cfg);
     ThreadPool::setDefaultThreads(0);
 
-    StatRegistry ra, rb;
-    buildRunRegistry(a, ra);
-    buildRunRegistry(b, rb);
-    EXPECT_EQ(ra.snapshot().toJson().dump(1),
-              rb.snapshot().toJson().dump(1));
+    EXPECT_EQ(runRegistry(a).toJson().dump(1),
+              runRegistry(b).toJson().dump(1));
 }
 
 TEST(Determinism, FilterModesAcrossExecutionModes)
@@ -396,9 +392,7 @@ namespace
 std::string
 registryJson(const RunResult &r)
 {
-    StatRegistry reg;
-    buildRunRegistry(r, reg);
-    return reg.snapshot().toJson().dump(1);
+    return runRegistry(r).toJson().dump(1);
 }
 
 } // namespace

@@ -48,9 +48,7 @@ runMode(const GameTrace &trace, DesignScenario mode,
 std::string
 registryDump(const RunResult &run)
 {
-    StatRegistry reg;
-    buildRunRegistry(run, reg);
-    return reg.snapshot().toJson().dump(1);
+    return runRegistry(run).toJson().dump(1);
 }
 
 } // namespace
@@ -171,18 +169,15 @@ TEST(FilterPolicyTest, RegistryKeySetIdenticalAcrossModes)
     std::set<std::string> ref_keys;
     bool first = true;
     for (const ScenarioDesc &d : scenarioRegistry()) {
-        StatRegistry reg;
-        RunResult run = runMode(trace, d.id);
-        buildRunRegistry(run, reg);
-        StatSnapshot snap = reg.snapshot();
+        const StatRegistry reg = runRegistry(runMode(trace, d.id));
         std::set<std::string> keys;
-        for (const auto &c : snap.counters)
+        for (const auto &c : reg.counters)
             keys.insert("counters." + c.first);
-        for (const auto &s : snap.scalars)
+        for (const auto &s : reg.scalars)
             keys.insert("scalars." + s.first);
         // texunit.policy reports the policy that ran.
         bool found = false;
-        for (const auto &s : snap.scalars) {
+        for (const auto &s : reg.scalars) {
             if (s.first == "texunit.policy") {
                 EXPECT_EQ(s.second,
                           static_cast<double>(filterPolicyCode(d.id)))

@@ -123,14 +123,12 @@ runDigest(const RunResult &run, bool images = true)
         }
     }
 
-    StatRegistry reg;
-    buildRunRegistry(run, reg);
-    const StatSnapshot snap = reg.snapshot();
-    for (const auto &[name, v] : snap.counters) {
+    const StatRegistry reg = runRegistry(run);
+    for (const auto &[name, v] : reg.counters) {
         d.text(name);
         d.word(v);
     }
-    for (const auto &[name, v] : snap.scalars) {
+    for (const auto &[name, v] : reg.scalars) {
         if (name == "simd.dispatch" || name == "texunit.simd_width" ||
             name == "texture.morton_storage")
             continue;

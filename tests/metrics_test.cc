@@ -7,9 +7,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <fstream>
 #include <sstream>
+#include <vector>
 
 #include "harness/metrics.hh"
 #include "harness/session.hh"
@@ -34,6 +36,30 @@ tinyConfig()
     cfg.keep_images = false;
     cfg.threads = 1;
     return cfg;
+}
+
+/**
+ * Check histogram @p h against @p samples (in frame order): count, sum
+ * in that order, min, max and the nearest-rank p50 and p95.
+ */
+void
+expectSummary(const Json &h, std::vector<double> samples)
+{
+    ASSERT_FALSE(samples.empty());
+    double sum = 0.0;
+    for (double v : samples)
+        sum += v;
+    std::sort(samples.begin(), samples.end());
+    // Nearest rank: the ceil(pct * n / 100)-th smallest sample.
+    const auto rank = [&](std::size_t pct) {
+        return samples[(pct * samples.size() + 99) / 100 - 1];
+    };
+    EXPECT_EQ(h["count"].number(), static_cast<double>(samples.size()));
+    EXPECT_DOUBLE_EQ(h["sum"].number(), sum);
+    EXPECT_DOUBLE_EQ(h["min"].number(), samples.front());
+    EXPECT_DOUBLE_EQ(h["max"].number(), samples.back());
+    EXPECT_DOUBLE_EQ(h["p50"].number(), rank(50));
+    EXPECT_DOUBLE_EQ(h["p95"].number(), rank(95));
 }
 
 RunMetadata
@@ -114,17 +140,28 @@ TEST(MetricsTest, RegistryCountersMatchFrameTotals)
     Session session;
     RunConfig cfg = tinyConfig();
     RunResult run = session.run(tinyTrace(), cfg);
-    StatRegistry reg;
-    buildRunRegistry(run, reg);
+    const StatRegistry reg = runRegistry(run);
 
     std::uint64_t texels = 0, dram_reads = 0;
+    std::vector<double> cycles, frame_texels, dram_bytes, tiles;
     for (const FrameStats &f : run.frames) {
         texels += f.texels;
         dram_reads += f.dram_reads;
+        cycles.push_back(static_cast<double>(f.total_cycles));
+        frame_texels.push_back(static_cast<double>(f.texels));
+        dram_bytes.push_back(static_cast<double>(f.totalTraffic()));
+        for (const ClusterStats &cs : f.clusters)
+            tiles.push_back(static_cast<double>(cs.tiles));
     }
-    EXPECT_EQ(reg.counter("texunit.texels"), texels);
-    EXPECT_EQ(reg.counter("mem.dram.reads"), dram_reads);
-    EXPECT_EQ(reg.histogram("frame.cycles").count, run.frames.size());
+    EXPECT_EQ(reg.counters.at("texunit.texels"), texels);
+    EXPECT_EQ(reg.counters.at("mem.dram.reads"), dram_reads);
+
+    const Json hists = reg.toJson()["histograms"];
+    EXPECT_EQ(hists.members().size(), 4u);
+    expectSummary(hists["frame.cycles"], cycles);
+    expectSummary(hists["frame.texels"], frame_texels);
+    expectSummary(hists["frame.dram_bytes"], dram_bytes);
+    expectSummary(hists["frame.tiles_per_cluster"], tiles);
 }
 
 TEST(MetricsTest, WrittenJsonParsesBack)

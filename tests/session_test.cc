@@ -295,9 +295,8 @@ TEST(SessionTest, SnapshotAfterDoneMatchesFinalRegistry)
 
     // The snapshot registry is the same document metricsJson() derives
     // from the final result.
-    StatRegistry reg;
-    buildRunRegistry(job->result(), reg);
-    EXPECT_EQ(snap["registry"].dump(), reg.snapshot().toJson().dump());
+    EXPECT_EQ(snap["registry"].dump(),
+              runRegistry(job->result()).toJson().dump());
 }
 
 TEST(SessionTest, JobHandlesSurviveSessionTeardown)

@@ -5,188 +5,120 @@
 
 #include <gtest/gtest.h>
 
-#include <sstream>
-#include <thread>
-#include <vector>
+#include <cstdint>
+#include <string>
 
 #include "common/json.hh"
 #include "common/stats.hh"
 
 using namespace pargpu;
 
-TEST(StatRegistryTest, CountersStartAtZero)
+namespace
 {
-    StatRegistry s;
-    EXPECT_EQ(s.counter("never.touched"), 0u);
-    EXPECT_FALSE(s.hasCounter("never.touched"));
+
+/** Serialized summary of histogram @p name. */
+Json
+summary(const StatRegistry &s, const std::string &name)
+{
+    return s.toJson()["histograms"][name];
 }
+
+} // namespace
 
 TEST(StatRegistryTest, IncrementAccumulates)
 {
     StatRegistry s;
-    s.inc("a");
+    s.inc("a", 1);
     s.inc("a", 5);
-    EXPECT_EQ(s.counter("a"), 6u);
-    EXPECT_TRUE(s.hasCounter("a"));
+    EXPECT_EQ(s.counters.at("a"), 6u);
 }
 
-TEST(StatRegistryTest, ScalarsSetAndRead)
+TEST(StatRegistryTest, SetOverwritesScalar)
 {
     StatRegistry s;
     s.set("x", 3.25);
-    EXPECT_DOUBLE_EQ(s.scalar("x"), 3.25);
+    EXPECT_DOUBLE_EQ(s.scalars.at("x"), 3.25);
     s.set("x", -1.0);
-    EXPECT_DOUBLE_EQ(s.scalar("x"), -1.0);
-    EXPECT_DOUBLE_EQ(s.scalar("missing"), 0.0);
+    EXPECT_DOUBLE_EQ(s.scalars.at("x"), -1.0);
 }
 
-TEST(StatRegistryTest, ResetClearsEverything)
+TEST(StatRegistryTest, SummaryOfKnownSamples)
 {
     StatRegistry s;
-    s.inc("a", 10);
-    s.set("b", 1.0);
-    s.reset();
-    EXPECT_EQ(s.counter("a"), 0u);
-    EXPECT_DOUBLE_EQ(s.scalar("b"), 0.0);
-    EXPECT_FALSE(s.hasCounter("a"));
+    for (int v = 100; v >= 1; --v)
+        s.observe("h", static_cast<double>(v));
+    const Json h = summary(s, "h");
+    EXPECT_EQ(h["count"].number(), 100.0);
+    EXPECT_DOUBLE_EQ(h["sum"].number(), 5050.0);
+    EXPECT_DOUBLE_EQ(h["min"].number(), 1.0);
+    EXPECT_DOUBLE_EQ(h["max"].number(), 100.0);
+    EXPECT_DOUBLE_EQ(h["p50"].number(), 50.0); // Nearest-rank over 1..100.
+    EXPECT_DOUBLE_EQ(h["p95"].number(), 95.0);
 }
 
-TEST(StatRegistryTest, DumpIsSortedByName)
+TEST(StatRegistryTest, EmptySummaryIsAllZero)
 {
     StatRegistry s;
-    s.inc("z.last", 1);
-    s.inc("a.first", 2);
-    std::ostringstream os;
-    s.dump(os);
-    std::string out = os.str();
-    auto pos_a = out.find("a.first");
-    auto pos_z = out.find("z.last");
-    ASSERT_NE(pos_a, std::string::npos);
-    ASSERT_NE(pos_z, std::string::npos);
-    EXPECT_LT(pos_a, pos_z);
+    s.histograms["h"];
+    const Json h = summary(s, "h");
+    for (const char *key : {"count", "sum", "min", "max", "p50", "p95"})
+        EXPECT_EQ(h[key].number(), 0.0) << key;
 }
 
-TEST(HistogramTest, SummaryOfKnownSamples)
-{
-    Histogram h;
-    for (int v = 1; v <= 100; ++v)
-        h.observe(static_cast<double>(v));
-    HistogramSummary s = h.summary();
-    EXPECT_EQ(s.count, 100u);
-    EXPECT_DOUBLE_EQ(s.sum, 5050.0);
-    EXPECT_DOUBLE_EQ(s.min, 1.0);
-    EXPECT_DOUBLE_EQ(s.max, 100.0);
-    EXPECT_DOUBLE_EQ(s.p50, 50.0); // Nearest-rank over 1..100.
-    EXPECT_DOUBLE_EQ(s.p95, 95.0);
-    EXPECT_DOUBLE_EQ(s.mean(), 50.5);
-}
-
-TEST(HistogramTest, EmptySummaryIsAllZero)
-{
-    HistogramSummary s = Histogram{}.summary();
-    EXPECT_EQ(s.count, 0u);
-    EXPECT_DOUBLE_EQ(s.sum, 0.0);
-    EXPECT_DOUBLE_EQ(s.min, 0.0);
-    EXPECT_DOUBLE_EQ(s.max, 0.0);
-    EXPECT_DOUBLE_EQ(s.mean(), 0.0);
-}
-
-TEST(HistogramTest, SingleSampleIsItsOwnQuantiles)
-{
-    Histogram h;
-    h.observe(7.5);
-    HistogramSummary s = h.summary();
-    EXPECT_EQ(s.count, 1u);
-    EXPECT_DOUBLE_EQ(s.p50, 7.5);
-    EXPECT_DOUBLE_EQ(s.p95, 7.5);
-}
-
-TEST(StatRegistryTest, HistogramsObserveAndSummarize)
+TEST(StatRegistryTest, SingleSampleIsItsOwnQuantiles)
 {
     StatRegistry s;
-    s.observe("frame.time", 10.0);
-    s.observe("frame.time", 30.0);
-    s.observe("frame.time", 20.0);
-    HistogramSummary h = s.histogram("frame.time");
-    EXPECT_EQ(h.count, 3u);
-    EXPECT_DOUBLE_EQ(h.min, 10.0);
-    EXPECT_DOUBLE_EQ(h.max, 30.0);
-    EXPECT_DOUBLE_EQ(h.p50, 20.0);
-    EXPECT_EQ(s.histogram("never.observed").count, 0u);
+    s.observe("h", 7.5);
+    const Json h = summary(s, "h");
+    EXPECT_EQ(h["count"].number(), 1.0);
+    EXPECT_DOUBLE_EQ(h["min"].number(), 7.5);
+    EXPECT_DOUBLE_EQ(h["max"].number(), 7.5);
+    EXPECT_DOUBLE_EQ(h["p50"].number(), 7.5);
+    EXPECT_DOUBLE_EQ(h["p95"].number(), 7.5);
 }
 
-TEST(StatRegistryTest, SnapshotIsDetachedCopy)
+TEST(StatRegistryTest, QuantilesCoverTheRetainedPrefix)
 {
+    // 2^16 samples 1..2^16, then one more: count, sum, min and max take
+    // it in; p50 and p95 are those of the first 2^16 alone. Over all
+    // 2^16 + 1 samples, "high"'s quantiles would be one rank higher.
+    constexpr std::size_t n = StatRegistry::kMaxRetained;
+    static_assert(n == 1 << 16);
     StatRegistry s;
-    s.inc("c", 3);
-    s.set("v", 1.5);
-    s.observe("h", 2.0);
-    StatSnapshot snap = s.snapshot();
-    s.inc("c", 100);
-    EXPECT_EQ(snap.counters.at("c"), 3u);
-    EXPECT_DOUBLE_EQ(snap.scalars.at("v"), 1.5);
-    EXPECT_EQ(snap.histograms.at("h").count, 1u);
+    for (std::size_t i = 1; i <= n; ++i) {
+        s.observe("high", static_cast<double>(i));
+        s.observe("low", static_cast<double>(i));
+    }
+    s.observe("high", 1e9);
+    s.observe("low", -1.0);
+
+    const double prefix_sum = static_cast<double>(n * (n + 1) / 2);
+    const Json high = summary(s, "high");
+    EXPECT_EQ(high["count"].number(), static_cast<double>(n + 1));
+    EXPECT_DOUBLE_EQ(high["sum"].number(), prefix_sum + 1e9);
+    EXPECT_DOUBLE_EQ(high["min"].number(), 1.0);
+    EXPECT_DOUBLE_EQ(high["max"].number(), 1e9);
+    EXPECT_DOUBLE_EQ(high["p50"].number(), 32768.0);
+    EXPECT_DOUBLE_EQ(high["p95"].number(), 62260.0);
+
+    const Json low = summary(s, "low");
+    EXPECT_EQ(low["count"].number(), static_cast<double>(n + 1));
+    EXPECT_DOUBLE_EQ(low["sum"].number(), prefix_sum - 1.0);
+    EXPECT_DOUBLE_EQ(low["min"].number(), -1.0);
+    EXPECT_DOUBLE_EQ(low["max"].number(), static_cast<double>(n));
 }
 
-TEST(StatRegistryTest, SnapshotJsonRoundTrips)
+TEST(StatRegistryTest, JsonLayout)
 {
     StatRegistry s;
     s.inc("mem.dram.reads", 42);
+    s.inc("a.first", 1);
     s.set("mem.l1.hit_rate", 0.75);
-    s.observe("frame.cycles", 100.0);
     s.observe("frame.cycles", 200.0);
-
-    Json j = s.snapshot().toJson();
-    std::string error;
-    Json reparsed = Json::parse(j.dump(2), &error);
-    ASSERT_TRUE(reparsed.isObject()) << error;
-
-    StatSnapshot back = StatSnapshot::fromJson(reparsed);
-    EXPECT_EQ(back.counters.at("mem.dram.reads"), 42u);
-    EXPECT_DOUBLE_EQ(back.scalars.at("mem.l1.hit_rate"), 0.75);
-    const HistogramSummary &h = back.histograms.at("frame.cycles");
-    EXPECT_EQ(h.count, 2u);
-    EXPECT_DOUBLE_EQ(h.sum, 300.0);
-    EXPECT_DOUBLE_EQ(h.min, 100.0);
-    EXPECT_DOUBLE_EQ(h.max, 200.0);
-}
-
-TEST(StatRegistryTest, DumpTreeGroupsByDottedSegments)
-{
-    StatRegistry s;
-    s.inc("mem.dram.reads", 42);
-    s.inc("mem.dram.row_hits", 7);
-    s.inc("sim.frames", 3);
-    std::ostringstream os;
-    s.dumpTree(os);
-    std::string out = os.str();
-    // Parent segments appear once, leaves are indented beneath them.
-    EXPECT_NE(out.find("mem"), std::string::npos);
-    EXPECT_NE(out.find("dram"), std::string::npos);
-    EXPECT_NE(out.find("reads 42"), std::string::npos);
-    EXPECT_NE(out.find("row_hits 7"), std::string::npos);
-    EXPECT_NE(out.find("frames 3"), std::string::npos);
-    EXPECT_EQ(out.find("mem.dram"), std::string::npos);
-}
-
-TEST(StatRegistryTest, ConcurrentIncrementsDoNotLoseUpdates)
-{
-    StatRegistry s;
-    constexpr int kThreads = 4;
-    constexpr int kIters = 5000;
-    std::vector<std::thread> workers;
-    workers.reserve(kThreads);
-    for (int t = 0; t < kThreads; ++t)
-        workers.emplace_back([&s] {
-            for (int i = 0; i < kIters; ++i) {
-                s.inc("shared.counter");
-                s.observe("shared.hist", 1.0);
-            }
-        });
-    for (std::thread &w : workers)
-        w.join();
-    EXPECT_EQ(s.counter("shared.counter"),
-              static_cast<std::uint64_t>(kThreads) * kIters);
-    EXPECT_EQ(s.histogram("shared.hist").count,
-              static_cast<std::uint64_t>(kThreads) * kIters);
+    s.observe("frame.cycles", 100.0);
+    EXPECT_EQ(s.toJson().dump(),
+              "{\"counters\":{\"a.first\":1,\"mem.dram.reads\":42},"
+              "\"histograms\":{\"frame.cycles\":{\"count\":2,\"max\":200,"
+              "\"min\":100,\"p50\":100,\"p95\":200,\"sum\":300}},"
+              "\"scalars\":{\"mem.l1.hit_rate\":0.75}}");
 }
